@@ -11,7 +11,7 @@ COVERDIR := /tmp
 endif
 COVERPROFILE ?= $(COVERDIR)/vcgraph-cover.out
 
-.PHONY: all build vet test race cover fuzz-smoke bench bench-csr bench-direction bench-service bench-incremental bench-planner bench-memory bench-checkpoint bench-guard table1 ext figures ablations examples clean
+.PHONY: all build vet test race cover fuzz-smoke bench-smoke loc bench bench-direction bench-service bench-incremental bench-planner bench-memory bench-checkpoint bench-guard table1 ext figures ablations examples clean
 
 all: build vet test
 
@@ -47,14 +47,21 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzMutationScript$$' -fuzztime=10s -run='^$$' ./internal/vc
 	$(GO) test -fuzz='FuzzVarintBlockCodec$$' -fuzztime=10s -run='^$$' ./internal/graph
 
+# The repository benchmark (BENCHMARK.json, benchmark/) is its own Go
+# module, so the root ./... patterns above never compile it. This
+# builds it against the library as it stands and runs its tests (the
+# manifest contract and the oracle-checked smoke passes).
+bench-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+# Non-test Go lines under internal/ and cmd/: the number ROADMAP aim 2
+# ("the least code") tracks.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+
 bench:
 	$(GO) test -bench . -benchmem ./...
-
-# CSR benchmark suite: PageRank/SSSP under every engine plus the
-# partitioner balance sweep, with allocation counts. Raw output lands in
-# /tmp; the committed record of before/after numbers is BENCH_csr.json.
-bench-csr:
-	$(GO) test -run='^$$' -bench='^BenchmarkCSR' -benchmem -benchtime=2x -count=1 . | tee /tmp/bench_csr.txt
 
 # Direction-optimizing execution suite: PageRank/Hash-Min/k-core across
 # push/pull/auto and worker counts. Raw output lands in /tmp; the
@@ -63,10 +70,9 @@ bench-csr:
 bench-direction:
 	$(GO) test -run='^$$' -bench='^BenchmarkDirection' -benchmem -benchtime=3x -count=1 . | tee /tmp/bench_direction.txt
 
-# Job-layer suite: driver setup cost (fresh pool vs shared-pool lease)
-# and serving throughput at admission widths 1/4/16. Raw output lands
-# in /tmp; the committed record is BENCH_service.json, whose setup-cost
-# headline bench-guard enforces.
+# Job-layer suite: driver setup cost (a lease on the process pool) and
+# serving throughput at admission widths 1/4/16. Raw output lands in
+# /tmp; the committed record is BENCH_service.json.
 bench-service:
 	$(GO) test -run='^$$' -bench='^BenchmarkJobSetup|^BenchmarkServiceJobs' -benchmem -benchtime=3x -count=1 . | tee /tmp/bench_service.txt
 

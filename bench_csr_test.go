@@ -1,9 +1,9 @@
 // CSR-substrate benchmark: the graph-kernel workloads whose hot loops
 // ride on the adjacency representation, on an unlabeled power-law
 // (preferential-attachment) graph — the input whose degree skew the
-// degree-balanced partitioner targets. `make bench-csr` runs this file
-// and BENCH_csr.json records before/after numbers for adjacency-
-// substrate changes (the [][]Edge -> CSR migration).
+// degree-balanced partitioner targets. EXPERIMENTS.md ("Substrate
+// trajectory") records the before/after numbers of the [][]Edge -> CSR
+// migration.
 //
 // Two benchmark families:
 //

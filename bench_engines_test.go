@@ -1,8 +1,9 @@
 // Engine-matrix microbenchmark: the two headline workloads (PageRank,
 // SSSP) through all four engines at 1 and 4 workers, on the same seeded
-// power-law graph. BENCH_engines.json records before/after numbers for
-// engine-substrate changes; the async engine is sequential by design
-// and contributes a single workers-1 row per workload.
+// power-law graph. EXPERIMENTS.md ("Substrate trajectory") records the
+// before/after numbers of the shared-driver refactor; the async engine
+// is sequential by design and contributes a single workers-1 row per
+// workload.
 package vcgraph
 
 import (

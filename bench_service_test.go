@@ -1,9 +1,7 @@
-// Job-layer benchmarks: the per-run setup cost of a driver that builds
-// a private worker pool versus one leasing from a shared pool
-// (BenchmarkJobSetup — the BENCH_service.json headline), and the
-// serving layer's throughput at increasing admission widths
-// (BenchmarkServiceJobs). BENCH_service.json records the committed
-// numbers; cmd/benchguard enforces the setup-cost headline in CI.
+// Job-layer benchmarks: the per-run setup cost of a driver leasing from
+// the process pool (BenchmarkJobSetup), and the serving layer's
+// throughput at increasing admission widths (BenchmarkServiceJobs).
+// BENCH_service.json records the committed numbers.
 package vcgraph
 
 import (
@@ -17,7 +15,7 @@ import (
 
 // benchPolicy is a minimal driver policy: a fixed number of supersteps
 // each dispatching one no-op phase, so the measurement isolates run
-// setup (pool construction vs lease) plus barrier overhead.
+// setup (the lease) plus barrier overhead.
 type benchPolicy struct {
 	d     *runtime.Driver[int]
 	steps int
@@ -34,32 +32,22 @@ func (p *benchPolicy) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 func (p *benchPolicy) Snapshot() int                       { return p.steps }
 func (p *benchPolicy) Restore(snap int, step int, ok bool) { p.steps = snap }
 
-func runSetupBench(b *testing.B, pool *runtime.Pool) {
+// BenchmarkJobSetup measures what a short job pays before its first
+// superstep: a lease on the long-lived process pool, no goroutine churn
+// per run.
+func BenchmarkJobSetup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		stats := &bsp.Stats{Workers: 4}
 		p := &benchPolicy{limit: 4}
 		d := runtime.NewDriver[int](p, stats, runtime.DriverConfig{
-			Name: "bench", Workers: 4, MaxSteps: 100, Pool: pool,
+			Name: "bench", Workers: 4, MaxSteps: 100,
 		})
 		p.d = d
 		if _, err := d.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkJobSetup measures what a short job pays before its first
-// superstep: fresh_pool is the legacy fallback path (every Run builds
-// and tears down a private pool — W goroutines, channels, joins),
-// shared_pool is the job-runtime path (a Lease on a long-lived pool).
-func BenchmarkJobSetup(b *testing.B) {
-	b.Run("fresh_pool", func(b *testing.B) { runSetupBench(b, nil) })
-	b.Run("shared_pool", func(b *testing.B) {
-		pool := runtime.NewPool(4)
-		defer pool.Close()
-		runSetupBench(b, pool)
-	})
 }
 
 // BenchmarkServiceJobs measures end-to-end serving throughput: each

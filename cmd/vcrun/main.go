@@ -8,18 +8,21 @@
 //	vcrun -algo pagerank -gen powerlaw -n 10000 -m 3 [-workers 4] [-seed 1] [-mode push|pull|auto]
 //	vcrun -algo sssp -engine auto -gen path -n 100000
 //
-// -engine auto routes pagerank, sssp, and hashmin through the
-// adaptive plan layer: a planner samples the graph, picks the initial
-// engine/partition/mode, and may hand vertex state off to another
-// engine live at a superstep barrier. Every decision is printed as a
-// "plan:" line as it is taken.
+// pagerank, sssp, hashmin, and kcore are cells of the engine matrix
+// (internal/vc): -engine picks the column — pregel (the default), gas,
+// async, or blockcentric where the algorithm has one. -engine auto
+// routes pagerank, sssp, and hashmin through the adaptive plan layer: a
+// planner samples the graph, picks the initial engine/partition/mode,
+// and may hand vertex state off to another engine live at a superstep
+// barrier. Every decision is printed as a "plan:" line as it is taken.
 //
 // Algorithms: pagerank, prconverge, sssp, hashmin, sv, wcc, scc, bcc,
 // diameter, doublesweep, euler, traversal, spanning, mcst, coloring,
 // mis, matching, bipartite, betweenness, simulation, dualsim,
 // strongsim, kcore, triangles, community, semicluster, hits, ppr, linkpred,
-// blockcc (the block-centric engine), asynccc and asyncsssp (the
-// asynchronous engine), gaspagerank (the GAS engine).
+// and four engine-named shorthands: blockcc (hashmin on blockcentric),
+// asynccc and asyncsssp (hashmin and sssp on async), gaspagerank
+// (pagerank on gas).
 //
 // Generators: random, connected, powerlaw, path, permpath, cycle,
 // grid, star, tree, bintree, bipartite, directed, dcycle, sbm,
@@ -34,10 +37,7 @@ import (
 	"strings"
 	"time"
 
-	"vcgraph/internal/async"
-	"vcgraph/internal/blockcentric"
 	"vcgraph/internal/bsp"
-	"vcgraph/internal/gas"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/plan"
 	"vcgraph/internal/runtime"
@@ -63,7 +63,7 @@ func main() {
 	fullSnapshot := flag.Int("full-snapshot-every", 0, "store only every Nth checkpoint full; the checkpoints between are dirty-set deltas (0 or 1 = every checkpoint full)")
 	faults := flag.Int64("faults", 0, "inject a seeded random fault plan (0 = none); implies -checkpoint 2 unless set")
 	modeFlag := flag.String("mode", "auto", "message direction: push, pull, or auto (pull dense supersteps when the algorithm has a combiner)")
-	engine := flag.String("engine", "", "empty = the algorithm's own engine; \"auto\" = adaptive plan layer (pagerank, sssp, hashmin)")
+	engine := flag.String("engine", "", "for pagerank, sssp, hashmin, kcore: pregel (default), gas, async, blockcentric, or auto = adaptive plan layer")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	mutations := flag.Int("mutations", 0, "after the run, apply this many seeded mutation batches and compare incremental recomputation against from-scratch (pagerank, sssp, hashmin)")
 	mutBatch := flag.Int("mutbatch", 8, "mutations per batch in -mutations mode")
@@ -75,8 +75,9 @@ func main() {
 		fail(err)
 	}
 
-	if *engine != "" && *engine != "auto" {
-		fail(fmt.Errorf("unknown engine %q (empty or auto)", *engine))
+	name := *algo
+	if cell, ok := shorthands[*algo]; ok && *engine == "" {
+		*algo, *engine = cell.Algo, cell.Engine
 	}
 
 	var fplan *runtime.FaultPlan
@@ -146,17 +147,19 @@ func main() {
 		defer cancel()
 	}
 	share := *workers
-	if strings.HasPrefix(*algo, "async") {
+	if *engine == "async" {
 		share = 1 // the asynchronous engine is sequential
 	}
 	var summary string
 	var stats *bsp.Stats
 	start := time.Now()
-	job := sched.Submit(ctx, *algo, share, func(j *runtime.Job) error {
+	job := sched.Submit(ctx, name, share, func(j *runtime.Job) error {
 		cfg := vc.Config{Workers: *workers, Seed: *seed, CheckpointEvery: *checkpoint, FullSnapshotEvery: *fullSnapshot, Faults: fplan, Mode: mode, Job: j, PackedState: *packedState}
 		var err error
-		if *engine == "auto" {
-			summary, stats, err = runAutoEngine(*algo, g, graph.VertexID(*src), cfg, *seed)
+		if _, ok := matrixAlgos[*algo]; ok {
+			summary, stats, err = runMatrix(*algo, *engine, g, graph.VertexID(*src), cfg, *seed)
+		} else if *engine != "" {
+			err = fmt.Errorf("-engine applies to pagerank, sssp, hashmin, and kcore, not %q", *algo)
 		} else {
 			summary, stats, err = run(*algo, g, graph.VertexID(*src), cfg, *seed)
 		}
@@ -174,7 +177,7 @@ func main() {
 		}()
 	}
 
-	fmt.Printf("algorithm:  %s\n", *algo)
+	fmt.Printf("algorithm:  %s\n", name)
 	fmt.Printf("graph:      %s n=%d m=%d (seed %d)\n", source, g.N(), g.M(), *seed)
 	fmt.Printf("result:     %s\n", summary)
 	fmt.Printf("wall time:  %v\n", elapsed.Round(time.Microsecond))
@@ -291,37 +294,6 @@ func makeGraph(gen string, n, m int, seed int64) (*graph.Graph, error) {
 
 func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed int64) (string, *bsp.Stats, error) {
 	switch algo {
-	case "pagerank":
-		res, err := vc.PageRank(g, 0.85, 30, cfg)
-		if err != nil {
-			return "", nil, err
-		}
-		best, bestV := 0.0, 0
-		for v, r := range res.Ranks {
-			if r > best {
-				best, bestV = r, v
-			}
-		}
-		return fmt.Sprintf("top vertex %d with rank %.6f", bestV, best), res.Stats, nil
-	case "sssp":
-		graph.RandomWeights(g, seed+1)
-		res, err := vc.SSSP(g, src, cfg)
-		if err != nil {
-			return "", nil, err
-		}
-		reached := 0
-		for _, d := range res.Dist {
-			if d < 1e300 {
-				reached++
-			}
-		}
-		return fmt.Sprintf("%d vertices reachable from %d", reached, src), res.Stats, nil
-	case "hashmin":
-		res, err := vc.HashMinCC(g, cfg)
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("%d components", countDistinct(res.Color)), res.Stats, nil
 	case "sv":
 		res, err := vc.SVCC(g, cfg)
 		if err != nil {
@@ -487,27 +459,6 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 			}
 		}
 		return fmt.Sprintf("top hub %d (%.4f)", bhv, bh), res.Stats, nil
-	case "asynccc":
-		labels, res, err := async.ConnectedComponents(g, async.Config{CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults, Job: cfg.Job})
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("%d components in %d async updates", countDistinct(labels), res.Updates),
-			res.Stats, nil
-	case "asyncsssp":
-		graph.RandomWeights(g, seed+1)
-		_, res, err := async.SSSP(g, src, async.Config{CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults, Job: cfg.Job})
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("shortest paths in %d async updates", res.Updates),
-			res.Stats, nil
-	case "gaspagerank":
-		_, res, err := gas.PageRank(g, 0.85, 1e-9, gas.Config{Workers: cfg.Workers, CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults, Job: cfg.Job})
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("converged in %d GAS iterations", res.Iterations), res.Stats, nil
 	case "ppr":
 		res, err := vc.PersonalizedPageRank(g, src, 20000, 0.15, cfg)
 		if err != nil {
@@ -526,12 +477,6 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 			return "", nil, err
 		}
 		return fmt.Sprintf("suggested links for %d: %v", src, preds), res.Stats, nil
-	case "kcore":
-		res, err := vc.KCore(g, cfg)
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("degeneracy %d", res.Degeneracy), res.Stats, nil
 	case "triangles":
 		res, err := vc.Triangles(g, cfg)
 		if err != nil {
@@ -548,58 +493,55 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 			distinct[l] = true
 		}
 		return fmt.Sprintf("%d communities, modularity %.3f", len(distinct), res.Modularity), res.Stats, nil
-	case "blockcc":
-		res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: cfg.Workers, CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults, Job: cfg.Job})
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("%d components (block-centric, %d blocks)", countDistinct(res.Color), cfg.Workers), res.Stats, nil
 	default:
 		return "", nil, fmt.Errorf("unknown algorithm %q (see -h)", strings.ToLower(algo))
 	}
 }
 
-// runAutoEngine routes an algorithm through the adaptive plan layer
-// (-engine auto), printing each plan decision as it is taken.
-func runAutoEngine(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed int64) (string, *bsp.Stats, error) {
-	acfg := vc.AutoConfig{Config: cfg, Trace: func(d plan.Decision) {
-		fmt.Printf("plan: step=%d engine=%s partition=%s mode=%s fcs=%d (%s)\n",
-			d.Step, d.Plan.Engine, d.Plan.Partition, d.Plan.Mode, d.Plan.FCS, d.Reason)
-	}}
-	switch algo {
-	case "pagerank":
-		res, ar, err := vc.PageRankAuto(g, 0.85, 30, acfg)
-		if err != nil {
-			return "", nil, err
-		}
-		best, bestV := 0.0, 0
-		for v, r := range res.Ranks {
-			if r > best {
-				best, bestV = r, v
-			}
-		}
-		return fmt.Sprintf("top vertex %d with rank %.6f (%d plan segments)", bestV, best, ar.Segments), ar.Stats, nil
-	case "sssp":
-		graph.RandomWeights(g, seed+1)
-		res, ar, err := vc.SSSPAuto(g, src, acfg)
-		if err != nil {
-			return "", nil, err
-		}
-		reached := 0
-		for _, d := range res.Dist {
-			if d < 1e300 {
-				reached++
-			}
-		}
-		return fmt.Sprintf("%d vertices reachable from %d (%d plan segments)", reached, src, ar.Segments), ar.Stats, nil
-	case "hashmin":
-		res, ar, err := vc.HashMinCCAuto(g, acfg)
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("%d components (%d plan segments)", countDistinct(res.Color), ar.Segments), ar.Stats, nil
+// matrixAlgos maps the CLI names of the engine-matrix algorithms to
+// their matrix names; shorthands are the engine-named algorithms from
+// before -engine reached every column.
+var (
+	matrixAlgos = map[string]string{"pagerank": "pagerank", "sssp": "sssp", "hashmin": "cc", "kcore": "kcore"}
+	shorthands  = map[string]vc.Key{
+		"asynccc":     {Algo: "hashmin", Engine: "async"},
+		"asyncsssp":   {Algo: "sssp", Engine: "async"},
+		"gaspagerank": {Algo: "pagerank", Engine: "gas"},
+		"blockcc":     {Algo: "hashmin", Engine: "blockcentric"},
 	}
-	return "", nil, fmt.Errorf("engine auto supports pagerank, sssp, and hashmin; got %q", algo)
+)
+
+// runMatrix runs one cell of the engine matrix, or — under -engine
+// auto — the adaptive plan layer over its row, printing each plan
+// decision as it is taken.
+func runMatrix(cliAlgo, engine string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed int64) (string, *bsp.Stats, error) {
+	algo := matrixAlgos[cliAlgo]
+	if algo == "sssp" {
+		graph.RandomWeights(g, seed+1)
+	}
+	args := vc.Args{Src: src, Alpha: 0.85, K: 30, Eps: 1e-9}
+	if engine == "auto" {
+		values, ar, err := vc.PrepareAuto(g, algo, args, vc.AutoConfig{Config: cfg, Trace: func(d plan.Decision) {
+			fmt.Printf("plan: step=%d engine=%s partition=%s mode=%s fcs=%d (%s)\n",
+				d.Step, d.Plan.Engine, d.Plan.Partition, d.Plan.Mode, d.Plan.FCS, d.Reason)
+		}})()
+		if err != nil {
+			return "", nil, err
+		}
+		return fmt.Sprintf("%s (%d plan segments)", vc.Verdict(algo, args, values), ar.Segments), ar.Stats, nil
+	}
+	if engine == "" {
+		engine = plan.EnginePregel
+	}
+	row, ok := vc.Matrix[vc.Key{Algo: algo, Engine: engine}]
+	if !ok {
+		return "", nil, fmt.Errorf("%s does not run on engine %q", cliAlgo, engine)
+	}
+	values, stats, err := row(g, args, nil, vc.Env{Config: cfg})()
+	if err != nil {
+		return "", nil, err
+	}
+	return vc.Verdict(algo, args, values), stats, nil
 }
 
 func countDistinct(xs []graph.VertexID) int {

@@ -83,9 +83,6 @@ type Config struct {
 	// Ctx, when non-nil, aborts the run at the next epoch boundary (or
 	// between prioritized updates) once cancelled or past its deadline.
 	Ctx context.Context
-	// Pool, when non-nil, is a shared worker pool to lease the engine's
-	// single worker from instead of building a private pool.
-	Pool *rt.Pool
 	// Job, when non-nil, binds the run to a scheduler-admitted job. The
 	// engine is sequential, so the job must be submitted with a worker
 	// share of 1.
@@ -268,7 +265,6 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 		Faults:            cfg.Faults,
 		EpochSaves:        true,
 		Ctx:               cfg.Ctx,
-		Pool:              cfg.Pool,
 		Job:               cfg.Job,
 		Replan:            cfg.Replan,
 	})
@@ -361,22 +357,33 @@ func (q *prioQueue) Pop() any {
 
 // --- Async SSSP (label-correcting) ---
 
+// ssspProgram is label-correcting SSSP from src. seed warm-starts the
+// tentative distances from another engine's barrier values (nil is the
+// source-only cold start): Update only ever improves a value, so any
+// sound upper bound converges to the same distances.
 type ssspProgram struct {
-	src VertexID
+	src  VertexID
+	seed []float64
 }
 
 func (p *ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
+	if p.seed != nil {
+		return p.seed[id]
+	}
 	if id == p.src {
 		return 0
 	}
-	return inf
+	return DistInf
 }
 
-const inf = 1e308
+// DistInf is what the async SSSP program holds for "unreached": a
+// finite stand-in for +Inf so priority arithmetic stays ordered. Seeds
+// handed to SSSPProgram must use it too.
+const DistInf = 1e308
 
 func (p *ssspProgram) Update(ctx *Context[float64], v VertexID) []VertexID {
 	// Recompute from in-neighbors' live distances (undirected: same set).
-	d := inf
+	d := DistInf
 	if v == p.src {
 		d = 0
 	}
@@ -434,7 +441,7 @@ func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64]
 // PrepareSSSP is the job-scoped form of SSSP: graph reads happen now,
 // the returned closure runs against the pinned snapshot.
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *Result[float64], error) {
-	run := Prepare[float64](g, &ssspProgram{src: src}, cfg)
+	run := Prepare(g, SSSPProgram(src, nil), cfg)
 	return func() ([]float64, *Result[float64], error) {
 		res, err := run()
 		if err != nil {
@@ -509,9 +516,18 @@ func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]f
 
 // --- Async connected components (min-label) ---
 
-type ccProgram struct{}
+// ccProgram is min-label propagation. seed warm-starts the labels (nil
+// is the identity cold start): Update recomputes from live neighbor
+// values, so re-seeding the full FIFO with partially converged labels
+// reaches the same fixpoint.
+type ccProgram struct{ seed []VertexID }
 
-func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
+func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
+	if p.seed != nil {
+		return p.seed[id]
+	}
+	return id
+}
 
 func (ccProgram) Update(ctx *Context[VertexID], v VertexID) []VertexID {
 	min := *ctx.Value(v)
@@ -552,7 +568,7 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, 
 			return wrapped.Values, wrapped, nil
 		}
 	}
-	run := Prepare[VertexID](g, ccProgram{}, cfg)
+	run := Prepare(g, CCProgram(nil), cfg)
 	return func() ([]VertexID, *Result[VertexID], error) {
 		res, err := run()
 		if err != nil {
@@ -562,51 +578,15 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, 
 	}
 }
 
-// --- Seeded programs for the adaptive plan layer ---
+// --- Programs the engine matrix (internal/vc) prepares itself ---
 
-// DistInf is the sentinel the async SSSP program uses for "unreached"
-// (a finite stand-in for +Inf so priority arithmetic stays ordered).
-// The adaptive plan layer normalizes distances at engine boundaries:
-// +Inf becomes DistInf entering an async segment and DistInf becomes
-// +Inf leaving one.
-const DistInf = inf
+// CCProgram is the min-label component program started from seed
+// labels (nil is the identity cold start).
+func CCProgram(seed []VertexID) Program[VertexID] { return ccProgram{seed: seed} }
 
-type seededCC struct {
-	ccProgram
-	seed []VertexID
-}
-
-func (p seededCC) Init(g *graph.Graph, id VertexID) VertexID {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return id
-}
-
-// CCProgramSeeded warm-starts async min-label components from exported
-// labels. Update recomputes from live neighbor values, so re-seeding
-// the full FIFO with partially-converged labels reaches the same
-// fixpoint.
-func CCProgramSeeded(seed []VertexID) Program[VertexID] {
-	return seededCC{seed: seed}
-}
-
-type seededSSSP struct {
-	ssspProgram
-	seed []float64
-}
-
-func (p *seededSSSP) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return p.ssspProgram.Init(g, id)
-}
-
-// SSSPProgramSeeded warm-starts async label-correcting SSSP from
-// exported tentative distances. Callers must pre-normalize +Inf to
-// DistInf; the Update rule only ever improves values, so any sound
-// upper bound converges to the same distances.
-func SSSPProgramSeeded(src VertexID, seed []float64) Program[float64] {
-	return &seededSSSP{ssspProgram: ssspProgram{src: src}, seed: seed}
+// SSSPProgram is the label-correcting SSSP program started from seed
+// distances (nil is the source-only cold start). Unreached entries of
+// seed must hold DistInf, not +Inf.
+func SSSPProgram(src VertexID, seed []float64) Program[float64] {
+	return &ssspProgram{src: src, seed: seed}
 }

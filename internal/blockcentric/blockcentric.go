@@ -88,9 +88,6 @@ type Config struct {
 	// Ctx, when non-nil, aborts the run at the next superstep barrier
 	// once cancelled or past its deadline (see runtime.DriverConfig).
 	Ctx context.Context
-	// Pool, when non-nil, is a shared worker pool to lease block
-	// goroutines from instead of building a private pool for the run.
-	Pool *rt.Pool
 	// Job, when non-nil, binds the run to a scheduler-admitted job:
 	// Blocks is taken from the job's lease, the run executes under the
 	// job's context, and superstep records stream to the handle.
@@ -282,7 +279,6 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		FullSnapshotEvery: e.cfg.FullSnapshotEvery,
 		Faults:            e.cfg.Faults,
 		Ctx:               e.cfg.Ctx,
-		Pool:              e.cfg.Pool,
 		Job:               e.cfg.Job,
 		Replan:            e.cfg.Replan,
 	})
@@ -640,10 +636,18 @@ func (c *BlockContext[V, M]) VoteToHalt() { c.halt = true }
 // sequential BFS sweeps per superstep (minimum label within each
 // block-local region), then pushes changed labels over boundary edges
 // only. On a path split into B blocks this takes Θ(B) supersteps,
-// versus Θ(n) for vertex-centric Hash-Min.
-type ccProgram struct{}
+// versus Θ(n) for vertex-centric Hash-Min. seed warm-starts the labels
+// from another engine's barrier values (nil is the identity cold
+// start); the superstep-0 whole-block sweep already re-broadcasts every
+// label over boundary edges, so only Init differs.
+type ccProgram struct{ seed []VertexID }
 
-func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
+func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
+	if p.seed != nil {
+		return p.seed[id]
+	}
+	return id
+}
 
 func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], msgs map[VertexID][]VertexID) {
 	// Absorb boundary updates.
@@ -725,7 +729,7 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() (*CCResult, e
 			return &CCResult{Color: prog.lbls(), Stats: res.Stats}, nil
 		}
 	}
-	eng := NewEngine[VertexID, VertexID](g, ccProgram{}, cfg)
+	eng := NewEngine(g, CCProgram(nil), cfg)
 	return func() (*CCResult, error) {
 		res, err := eng.Run()
 		if err != nil {
@@ -741,10 +745,18 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() (*CCResult, e
 // relaxation to a fixpoint inside the block per superstep, then offers
 // dist+w over boundary edges for vertices whose distance improved.
 // Min-relaxation is order-independent, so values are byte-identical
-// across schedules and fault plans.
-type ssspProgram struct{ src VertexID }
+// across schedules and fault plans. seed warm-starts the tentative
+// distances from another engine's barrier values (+Inf for unreached
+// vertices; nil is the source-only cold start).
+type ssspProgram struct {
+	src  VertexID
+	seed []float64
+}
 
 func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
+	if p.seed != nil {
+		return p.seed[id]
+	}
 	if id == p.src {
 		return 0
 	}
@@ -768,9 +780,12 @@ func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[
 		}
 	}
 	if ctx.Superstep() == 0 {
-		// Seed: only the source has a finite distance to propagate.
+		// Every finite distance seeds the local relaxation and is offered
+		// over boundary edges: on a cold start that is the source alone, on
+		// a warm restart the whole reached frontier, which dominates any
+		// offer that was in flight when the previous engine stopped.
 		for _, v := range ctx.Block() {
-			if v == p.src {
+			if !math.IsInf(*ctx.Value(v), 1) {
 				dirty = append(dirty, v)
 				changed[v] = true
 			}
@@ -833,7 +848,7 @@ func SSSP(g *graph.Graph, src VertexID, cfg Config) (*SSSPResult, error) {
 // PrepareSSSP is the two-phase form of SSSP (see
 // PrepareConnectedComponents).
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, error) {
-	eng := NewEngine[float64, float64](g, ssspProgram{src: src}, cfg)
+	eng := NewEngine(g, SSSPProgram(src, nil), cfg)
 	return func() (*SSSPResult, error) {
 		res, err := eng.Run()
 		if err != nil {
@@ -846,220 +861,33 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, 
 // --- Block-centric PageRank ---
 
 // prProgram runs K iterations of power iteration, Pregel-style over
-// the block abstraction: every superstep each block folds the rank
-// contributions addressed to its vertices and sends the next round of
-// shares (SendTo routes intra-block messages through the same inbox,
-// keeping the summation order deterministic: blocks iterate their
-// vertices in ascending order and inboxes accumulate in source-block
-// order). Matches seq.PageRank element-wise, including the dangling
-// leak.
+// the block abstraction and with the Pregel variant's exact arithmetic:
+// every superstep each block folds the shares addressed to its vertices
+// into rank = (1-alpha)/n + alpha*sum and sends rank/outdeg for the
+// next round. SendTo routes intra-block messages through the same
+// inbox, keeping the summation order deterministic (blocks iterate
+// their vertices in ascending order and inboxes accumulate in
+// source-block order); under push mode with a range partition that
+// order is ascending source ID — single-worker Pregel's combiner order
+// — so the two engines' iterates are bit-identical. Matches
+// seq.PageRank element-wise, including the dangling leak. seed
+// warm-starts the ranks from another engine's barrier values (nil is
+// the uniform cold start), re-sending shares for the current iterate.
 type prProgram struct {
-	n     int
-	k     int
-	alpha float64
-}
-
-func (p prProgram) Init(g *graph.Graph, id VertexID) float64 { return 1 / float64(p.n) }
-
-func (p prProgram) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[VertexID][]float64) {
-	s := ctx.Superstep()
-	base := (1 - p.alpha) / float64(p.n)
-	for _, v := range ctx.Block() {
-		if s > 0 {
-			r := base
-			for _, m := range msgs[v] {
-				ctx.Charge(1)
-				r += m
-			}
-			*ctx.Value(v) = r
-		}
-		if s < p.k {
-			out := ctx.Out(v)
-			if len(out) == 0 {
-				continue // dangling: rank leaks to the teleport term
-			}
-			share := p.alpha * *ctx.Value(v) / float64(len(out))
-			for _, u := range out {
-				ctx.Charge(1)
-				ctx.SendTo(u, share)
-			}
-		}
-	}
-	if s >= p.k {
-		ctx.VoteToHalt()
-	}
-}
-
-// PRResult carries block-centric PageRank scores.
-type PRResult struct {
-	Ranks []float64
-	Stats *bsp.Stats
-}
-
-// PageRank runs K iterations of block-centric power iteration with
-// teleport probability (1-alpha), comparable element-wise to
-// seq.PageRank.
-func PageRank(g *graph.Graph, alpha float64, k int, cfg Config) (*PRResult, error) {
-	return PreparePageRank(g, alpha, k, cfg)()
-}
-
-// PreparePageRank is the two-phase form of PageRank (see
-// PrepareConnectedComponents).
-func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*PRResult, error) {
-	eng := NewEngine[float64, float64](g, prProgram{n: g.N(), k: k, alpha: alpha}, cfg)
-	return func() (*PRResult, error) {
-		res, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		return &PRResult{Ranks: res.Values, Stats: res.Stats}, nil
-	}
-}
-
-// --- Seeded programs for the adaptive plan layer ---
-//
-// Live engine handoff (internal/plan) exports vertex values at a
-// superstep barrier and resumes them here. Warm restarts re-announce
-// state instead of replaying lost inboxes: min-fold algorithms
-// re-offer every finite label/distance at superstep 0, which dominates
-// any in-flight message from the previous engine, and fixed-iteration
-// PageRank re-sends shares for the current iterate.
-
-type seededCC struct {
-	ccProgram
-	seed []VertexID
-}
-
-func (p seededCC) Init(g *graph.Graph, id VertexID) VertexID {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return id
-}
-
-// CCProgramSeeded warm-starts block-centric min-label components from
-// exported labels (nil seed is the identity cold start). The native
-// superstep-0 whole-block sweep already re-broadcasts every label over
-// boundary edges, so only Init differs.
-func CCProgramSeeded(seed []VertexID) Program[VertexID, VertexID] {
-	return seededCC{seed: seed}
-}
-
-// ssspResume is ssspProgram with a generalized superstep 0: every
-// block vertex holding a finite tentative distance seeds the local
-// relaxation and re-offers over boundary edges. On a cold start only
-// the source is finite, so this reduces exactly to the native
-// source-only seeding; on a warm restart it re-announces the whole
-// reached frontier.
-type ssspResume struct {
-	src  VertexID
-	seed []float64
-}
-
-func (p ssspResume) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	if id == p.src {
-		return 0
-	}
-	return math.Inf(1)
-}
-
-func (p ssspResume) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[VertexID][]float64) {
-	changed := map[VertexID]bool{}
-	dirty := make([]VertexID, 0, len(msgs))
-	for v, ms := range msgs {
-		for _, d := range ms {
-			ctx.Charge(1)
-			if d < *ctx.Value(v) {
-				*ctx.Value(v) = d
-				changed[v] = true
-			}
-		}
-		if changed[v] {
-			dirty = append(dirty, v)
-		}
-	}
-	if ctx.Superstep() == 0 {
-		// Warm start: every finite distance is live again.
-		for _, v := range ctx.Block() {
-			if !math.IsInf(*ctx.Value(v), 1) {
-				dirty = append(dirty, v)
-				changed[v] = true
-			}
-		}
-	}
-	queue := dirty
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		d := *ctx.Value(v)
-		dsts := ctx.Out(v)
-		ws := ctx.OutWeights(v)
-		for i, u := range dsts {
-			ctx.Charge(1)
-			if !ctx.Local(u) {
-				continue
-			}
-			w := 1.0
-			if ws != nil {
-				w = ws[i]
-			}
-			if nd := d + w; nd < *ctx.Value(u) {
-				*ctx.Value(u) = nd
-				changed[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	for v := range changed {
-		d := *ctx.Value(v)
-		dsts := ctx.Out(v)
-		ws := ctx.OutWeights(v)
-		for i, u := range dsts {
-			if !ctx.Local(u) {
-				w := 1.0
-				if ws != nil {
-					w = ws[i]
-				}
-				ctx.SendTo(u, d+w)
-			}
-		}
-	}
-	ctx.VoteToHalt()
-}
-
-// SSSPProgramSeeded warm-starts block-centric SSSP from exported
-// tentative distances (+Inf for unreached vertices; nil seed is the
-// source-only cold start).
-func SSSPProgramSeeded(src VertexID, seed []float64) Program[float64, float64] {
-	return ssspResume{src: src, seed: seed}
-}
-
-// prCanonical is fixed-iteration PageRank with the Pregel variant's
-// exact arithmetic: fold rank = (1-alpha)/n + alpha*sum(msgs), send
-// share = rank/outdeg (the alpha factor applied at the receiver, not
-// the sender as native prProgram does). Under push mode with a range
-// partition the inbox fold order is ascending source ID — the same
-// order as single-worker Pregel's combiner — so segments are
-// bit-compatible across the two engines. Runs k folds from the seed
-// ranks (nil means uniform 1/n).
-type prCanonical struct {
 	n     int
 	k     int
 	alpha float64
 	seed  []float64
 }
 
-func (p prCanonical) Init(g *graph.Graph, id VertexID) float64 {
+func (p prProgram) Init(g *graph.Graph, id VertexID) float64 {
 	if p.seed != nil {
 		return p.seed[id]
 	}
 	return 1 / float64(p.n)
 }
 
-func (p prCanonical) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[VertexID][]float64) {
+func (p prProgram) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[VertexID][]float64) {
 	s := ctx.Superstep()
 	for _, v := range ctx.Block() {
 		if s > 0 {
@@ -1087,10 +915,55 @@ func (p prCanonical) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[
 	}
 }
 
-// PageRankProgramCanonical builds the Pregel-arithmetic fixed-K
-// PageRank program for engine handoff. Callers must pin
-// DirectionPush: per-block pull would reroute intra-block shares
-// around the inbox and change the fold order.
-func PageRankProgramCanonical(n, k int, alpha float64, seed []float64) Program[float64, float64] {
-	return prCanonical{n: n, k: k, alpha: alpha, seed: seed}
+// PRResult carries block-centric PageRank scores.
+type PRResult struct {
+	Ranks []float64
+	Stats *bsp.Stats
+}
+
+// PageRank runs K iterations of block-centric power iteration with
+// teleport probability (1-alpha), comparable element-wise to
+// seq.PageRank.
+func PageRank(g *graph.Graph, alpha float64, k int, cfg Config) (*PRResult, error) {
+	return PreparePageRank(g, alpha, k, cfg)()
+}
+
+// PreparePageRank is the two-phase form of PageRank (see
+// PrepareConnectedComponents).
+func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*PRResult, error) {
+	eng := NewEngine(g, PageRankProgram(g.N(), k, alpha, nil), cfg)
+	return func() (*PRResult, error) {
+		res, err := eng.Run()
+		if err != nil {
+			return nil, err
+		}
+		return &PRResult{Ranks: res.Values, Stats: res.Stats}, nil
+	}
+}
+
+// --- Programs the engine matrix (internal/vc) prepares itself ---
+//
+// A live engine handoff exports vertex values at a superstep barrier
+// and resumes them here. Warm restarts re-announce state instead of
+// replaying lost inboxes: the min-fold programs re-offer every finite
+// label or distance at superstep 0, and fixed-iteration PageRank
+// re-sends shares for the current iterate (see prProgram).
+
+// CCProgram is the min-label component program started from seed
+// labels (nil is the identity cold start).
+func CCProgram(seed []VertexID) Program[VertexID, VertexID] { return ccProgram{seed: seed} }
+
+// SSSPProgram is the block-relaxation SSSP program started from seed
+// distances (nil is the source-only cold start).
+func SSSPProgram(src VertexID, seed []float64) Program[float64, float64] {
+	return ssspProgram{src: src, seed: seed}
+}
+
+// PageRankProgram is the fixed-iteration PageRank program: k folds
+// from seed ranks (nil is the uniform cold start). It is bit-compatible
+// with single-worker Pregel only under DirectionPush over a range
+// partition: per-block pull reroutes intra-block shares around the
+// inbox and changes the fold order.
+func PageRankProgram(n, k int, alpha float64, seed []float64) Program[float64, float64] {
+	return prProgram{n: n, k: k, alpha: alpha, seed: seed}
 }

@@ -555,17 +555,8 @@ func PlannerAblation(cfg vc.Config) (string, error) {
 	beatWorst := 0
 	for _, w := range workloads {
 		runPlan := func(script []plan.Decision) (float64, *vc.AutoResult, error) {
-			acfg := vc.AutoConfig{Config: cfg, Script: script}
-			var ar *vc.AutoResult
-			var err error
-			switch w.algo {
-			case "pagerank":
-				_, ar, err = vc.PageRankAuto(w.g, 0.85, 20, acfg)
-			case "cc":
-				_, ar, err = vc.HashMinCCAuto(w.g, acfg)
-			case "sssp":
-				_, ar, err = vc.SSSPAuto(w.g, 0, acfg)
-			}
+			args := vc.Args{Alpha: 0.85, K: 20}
+			_, ar, err := vc.PrepareAuto(w.g, w.algo, args, vc.AutoConfig{Config: cfg, Script: script})()
 			if err != nil {
 				return 0, nil, err
 			}

@@ -92,9 +92,6 @@ type Config struct {
 	// Ctx, when non-nil, aborts the run at the next iteration barrier
 	// once cancelled or past its deadline (see runtime.DriverConfig).
 	Ctx context.Context
-	// Pool, when non-nil, is a shared worker pool to lease workers from
-	// instead of building a private pool for the run.
-	Pool *rt.Pool
 	// Job, when non-nil, binds the run to a scheduler-admitted job:
 	// Workers is taken from the job's lease, the run executes under the
 	// job's context, and superstep records stream to the handle.
@@ -226,7 +223,6 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 		FullSnapshotEvery: cfg.FullSnapshotEvery,
 		Faults:            cfg.Faults,
 		Ctx:               cfg.Ctx,
-		Pool:              cfg.Pool,
 		Job:               cfg.Job,
 		Replan:            cfg.Replan,
 	})
@@ -539,15 +535,16 @@ func (p *prProgram) Init(g *graph.Graph, id VertexID) prVal {
 
 // PrepareGAS precomputes out-degrees from the pinned snapshot, so
 // Gather never touches the mutable graph during the run.
-func (p *prProgram) PrepareGAS(csr *graph.CSR) {
-	p.outDeg = make([]float64, p.n)
-	for v := 0; v < p.n; v++ {
-		d := csr.OutDegree(VertexID(v))
-		if d == 0 {
-			d = 1 // dangling: rank leaks, matching the Pregel variant
-		}
-		p.outDeg[v] = float64(d)
+func (p *prProgram) PrepareGAS(csr *graph.CSR) { p.outDeg = outDegrees(csr) }
+
+// outDegrees returns every vertex's out-degree as a divisor: a dangling
+// vertex counts 1 (its rank leaks, matching the Pregel variant).
+func outDegrees(csr *graph.CSR) []float64 {
+	deg := make([]float64, csr.N())
+	for v := range deg {
+		deg[v] = float64(max(csr.OutDegree(VertexID(v)), 1))
 	}
+	return deg
 }
 
 func (p *prProgram) Gather(u VertexID, w float64, uVal prVal) float64 {
@@ -593,9 +590,18 @@ func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]f
 
 // --- GAS connected components (HashMin) ---
 
-type ccProgram struct{}
+// ccProgram is HashMin over gathers. seed warm-starts the labels from
+// another engine's barrier values (nil is the identity cold start):
+// min-folding is monotone, so any sound upper bound reaches the same
+// fixpoint bit for bit.
+type ccProgram struct{ seed []VertexID }
 
-func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
+func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
+	if p.seed != nil {
+		return p.seed[id]
+	}
+	return id
+}
 
 func (ccProgram) Gather(u VertexID, w float64, uVal VertexID) VertexID { return uVal }
 
@@ -647,7 +653,7 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, 
 			return labels, &Result[VertexID]{Values: labels, Iterations: res.Iterations, Stats: res.Stats}, nil
 		}
 	}
-	run := Prepare[VertexID, VertexID](g, ccProgram{}, cfg)
+	run := Prepare(g, CCProgram(nil), cfg)
 	return func() ([]VertexID, *Result[VertexID], error) {
 		res, err := run()
 		if err != nil {
@@ -659,9 +665,18 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, 
 
 // --- GAS single-source shortest paths ---
 
-type ssspProgram struct{ src VertexID }
+// ssspProgram is pull relaxation from src. seed warm-starts the
+// tentative distances (+Inf for unreached vertices; nil is the
+// source-only cold start).
+type ssspProgram struct {
+	src  VertexID
+	seed []float64
+}
 
 func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
+	if p.seed != nil {
+		return p.seed[id]
+	}
 	if id == p.src {
 		return 0
 	}
@@ -697,7 +712,7 @@ func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64]
 
 // PrepareSSSP is the two-phase form of SSSP (see Prepare).
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *Result[float64], error) {
-	run := Prepare[float64, float64](g, ssspProgram{src: src}, cfg)
+	run := Prepare(g, SSSPProgram(src, nil), cfg)
 	return func() ([]float64, *Result[float64], error) {
 		res, err := run()
 		if err != nil {
@@ -707,52 +722,22 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *R
 	}
 }
 
-// --- Seeded programs for the adaptive plan layer ---
+// --- Programs the engine matrix (internal/vc) prepares itself ---
 //
-// A live engine handoff (internal/plan) exports vertex values at a
-// superstep barrier and resumes them under another engine. The
-// constructors below build GAS programs whose Init replays those
-// exported values instead of the cold-start state; the gather/apply
-// arithmetic is shared with the native programs, so a warm restart
-// converges to the byte-identical fixpoint.
+// A live engine handoff exports vertex values at a superstep barrier
+// and resumes them under another engine; the matrix rows therefore
+// build these programs with a seed and run them through Prepare, which
+// (unlike the Prepare* conveniences above) returns the barrier values
+// alongside runtime.ErrHandoff.
 
-type seededCC struct {
-	ccProgram
-	seed []VertexID
-}
+// CCProgram is the HashMin component program started from seed labels
+// (nil is the identity cold start).
+func CCProgram(seed []VertexID) Program[VertexID, VertexID] { return ccProgram{seed: seed} }
 
-func (p seededCC) Init(g *graph.Graph, id VertexID) VertexID {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return id
-}
-
-// CCProgramSeeded is the HashMin component program warm-started from
-// exported labels (nil seed is the identity cold start). Min-folding
-// is monotone, so re-running from any sound upper bound reaches the
-// same fixpoint bit-for-bit.
-func CCProgramSeeded(seed []VertexID) Program[VertexID, VertexID] {
-	return seededCC{seed: seed}
-}
-
-type seededSSSP struct {
-	ssspProgram
-	seed []float64
-}
-
-func (p seededSSSP) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return p.ssspProgram.Init(g, id)
-}
-
-// SSSPProgramSeeded is the pull-relaxation SSSP program warm-started
-// from exported tentative distances (+Inf for unreached vertices; nil
-// seed is the source-only cold start).
-func SSSPProgramSeeded(src VertexID, seed []float64) Program[float64, float64] {
-	return seededSSSP{ssspProgram: ssspProgram{src: src}, seed: seed}
+// SSSPProgram is the pull-relaxation SSSP program started from seed
+// distances (nil is the source-only cold start).
+func SSSPProgram(src VertexID, seed []float64) Program[float64, float64] {
+	return ssspProgram{src: src, seed: seed}
 }
 
 // prFixedK is synchronous power-iteration PageRank for exactly k
@@ -780,18 +765,8 @@ func (p *prFixedK) Init(g *graph.Graph, id VertexID) float64 {
 	return 1 / float64(p.n)
 }
 
-// PrepareGAS precomputes out-degrees (dangling counts as 1, matching
-// the Pregel variant's rank leak) from the pinned snapshot.
-func (p *prFixedK) PrepareGAS(csr *graph.CSR) {
-	p.outDeg = make([]float64, p.n)
-	for v := 0; v < p.n; v++ {
-		d := csr.OutDegree(VertexID(v))
-		if d == 0 {
-			d = 1
-		}
-		p.outDeg[v] = float64(d)
-	}
-}
+// PrepareGAS precomputes out-degrees from the pinned snapshot.
+func (p *prFixedK) PrepareGAS(csr *graph.CSR) { p.outDeg = outDegrees(csr) }
 
 // BeforeStep tracks the superstep so Apply can stop after exactly k
 // folds.

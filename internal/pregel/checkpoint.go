@@ -27,15 +27,9 @@ import (
 // invalidates every frame above it (see runtime.Checkpoints).
 //
 // Vertex values and messages are copied shallowly; programs whose V
-// carries reference types (slices, maps) must implement ValueCloner to
-// deep-copy them, or recovery would alias live state.
-
-// ValueCloner lets a program deep-copy vertex values for checkpoints.
-// It mirrors runtime.ValueCloner; a program implementing CloneValue
-// satisfies both.
-type ValueCloner[V any] interface {
-	CloneValue(v V) V
-}
+// carries reference types (slices, maps) must implement
+// runtime.ValueCloner to deep-copy them, or recovery would alias live
+// state.
 
 // Snapshotter lets a program (typically one with master state) save
 // and restore that state across a rollback.

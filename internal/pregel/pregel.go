@@ -125,9 +125,6 @@ type Config[M any] struct {
 	// Ctx, when non-nil, aborts the run at the next superstep barrier
 	// once cancelled or past its deadline (see runtime.DriverConfig).
 	Ctx context.Context
-	// Pool, when non-nil, is a shared worker pool to lease workers from
-	// instead of building a private pool for the run.
-	Pool *rt.Pool
 	// Job, when non-nil, binds the run to a scheduler-admitted job:
 	// Workers is taken from the job's lease, the run executes under the
 	// job's context, and superstep records stream to the handle.
@@ -409,7 +406,6 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		FullSnapshotEvery: e.cfg.FullSnapshotEvery,
 		Faults:            e.cfg.Faults,
 		Ctx:               e.cfg.Ctx,
-		Pool:              e.cfg.Pool,
 		Job:               e.cfg.Job,
 		Replan:            e.cfg.Replan,
 	})

@@ -9,13 +9,12 @@ package runtime
 // to the frame itself — so corrupting one frame silently poisons every
 // frame that depends on it.
 //
-// Retention mirrors the legacy two-generation store (Pregel's
-// write-then-retire checkpoint files): whenever a full frame lands, the
-// store prunes everything older than the second-newest full frame, so
-// at most two reconstructible full generations (plus their dependent
+// Retention follows Pregel's write-then-retire checkpoint files:
+// whenever a full frame lands, the store prunes everything older than
+// the second-newest full frame, so at most two reconstructible full
+// generations (plus their dependent
 // deltas) stay resident. With every save full — the default when
-// FullSnapshotEvery is unset — this degenerates to exactly the old
-// current + previous pair.
+// FullSnapshotEvery is unset — that is the current + previous pair.
 //
 // A snapshot written while a FaultCorruptCheckpoint event is armed is
 // stored with its corrupt flag set — the damage stays silent until

@@ -136,7 +136,7 @@ type DriverConfig struct {
 	// snapshot when the policy implements DeltaPolicy; the saves in
 	// between are dirty-set delta frames patching the previous one.
 	// 0 (or 1, or a policy without delta support) keeps every
-	// checkpoint full — the legacy behavior.
+	// checkpoint full.
 	FullSnapshotEvery int
 	// Faults schedules deterministic fault injection (nil = none).
 	Faults *FaultPlan
@@ -152,11 +152,6 @@ type DriverConfig struct {
 	// — before fault firing and rollback, so an abort never replays
 	// work — and Run returns the context's cause. nil = never aborted.
 	Ctx context.Context
-	// Pool, when non-nil, is a caller-owned shared worker pool: the
-	// driver leases Workers virtual workers from it for the run instead
-	// of building (and tearing down) a private pool. The pool outlives
-	// the run and may serve other runs concurrently.
-	Pool *Pool
 	// Job, when non-nil, binds the run to a scheduler-admitted job
 	// handle: the run executes on the job's lease, under the job's
 	// context (overriding Ctx), and publishes each superstep record to
@@ -251,11 +246,9 @@ func (d *Driver[S]) Run() (steps int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Worker substrate, by preference: the job's admitted lease, a
-	// lease on a caller-shared pool, or — the legacy fallback — a
-	// private pool built for this run alone.
-	switch {
-	case d.cfg.Job != nil:
+	// Worker substrate: the job's admitted lease, or for a run outside
+	// any scheduler a lease on the process pool.
+	if d.cfg.Job != nil {
 		l := d.cfg.Job.leaseHandle()
 		if l == nil {
 			panic("runtime: Driver run under a job with no lease (jobs must come from Scheduler.Submit)")
@@ -264,12 +257,8 @@ func (d *Driver[S]) Run() (steps int, err error) {
 			panic(fmt.Sprintf("runtime: job lease share %d != driver workers %d", l.Workers(), d.cfg.Workers))
 		}
 		d.lease = l
-	case d.cfg.Pool != nil:
-		d.lease = d.cfg.Pool.Lease(d.cfg.Workers)
-	default:
-		pool := NewPool(d.cfg.Workers)
-		defer pool.Close()
-		d.lease = pool.Lease(d.cfg.Workers)
+	} else {
+		d.lease = processPool().Lease(d.cfg.Workers)
 	}
 	defer func() { d.lease = nil }()
 	d.inj = d.cfg.Faults.NewInjector(d.cfg.Workers)

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,16 +71,25 @@ func TestLeaseZeroShareDefaultsToPoolWidth(t *testing.T) {
 	}
 }
 
-func TestDriverSharedPoolServesSequentialRuns(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	for i := 0; i < 3; i++ {
-		p, d, _ := runCounting(4, DriverConfig{Name: "test", Workers: 2, MaxSteps: 100, Pool: pool})
-		steps, err := d.Run()
-		if err != nil || steps != 4 || p.steps != 4 {
-			t.Fatalf("run %d: steps=%d err=%v", i, steps, err)
-		}
+// A run outside any scheduler leases from the one process pool, so
+// repeated and concurrent runs share it — including shares wider than
+// the pool has goroutines.
+func TestDriverProcessPoolServesRuns(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				p, d, _ := runCounting(4, DriverConfig{Name: "test", Workers: 8, MaxSteps: 100})
+				steps, err := d.Run()
+				if err != nil || steps != 4 || p.steps != 4 {
+					t.Errorf("run %d: steps=%d err=%v", i, steps, err)
+				}
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 func TestDriverCtxAbortsWithoutRollback(t *testing.T) {

@@ -3,9 +3,9 @@
 // the reusable primitives:
 //
 //   - Pool / Lease: a shared worker pool whose goroutines are started
-//     once per process (or per run, for private pools) and fed phase
-//     tasks through one queue; engines dispatch phases through a Lease,
-//     a per-run view that carries the run's virtual worker share and
+//     once per process and fed phase tasks through one queue; engines
+//     dispatch phases through a Lease, a per-run view that carries the
+//     run's virtual worker share and
 //     its own completion channel, so many runs can share one pool
 //     concurrently without their barriers interfering.
 //   - Scheduler / Job: admission control over a shared pool — at most
@@ -88,6 +88,23 @@ func NewPool(workers int) *Pool {
 // NewProcessPool builds a process-wide pool sized to GOMAXPROCS, the
 // substrate a Scheduler shares among concurrent jobs.
 func NewProcessPool() *Pool { return NewPool(stdruntime.GOMAXPROCS(0)) }
+
+// processPool returns the one pool every run outside a scheduler leases
+// from. It starts on first use and lives for the process.
+var processPool = sync.OnceValue(func() *Pool { return NewPool(processPoolWorkers) })
+
+// processPoolWorkers is sized well past any run's worker count rather
+// than at GOMAXPROCS. With a goroutine behind every virtual worker,
+// where a phase's tasks run is the Go scheduler's choice — it keeps
+// them near the goroutine that readied them while other runs compete
+// for the CPUs — instead of strict queue order across every CPU.
+// Measured on cmd/table1's parallel golden test (two concurrent
+// 4-worker runs, 2 CPUs): a GOMAXPROCS-sized pool took 3.4x the CPU
+// time of this one, with Worklists.Add alone 16x slower — the workers
+// of one run, always spread over both CPUs, contend for the cache
+// lines their hash-partitioned worklist flags share. Parked goroutines
+// cost a few KiB each.
+const processPoolWorkers = 64
 
 // Workers returns the number of pool goroutines.
 func (p *Pool) Workers() int { return p.workers }

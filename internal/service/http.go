@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -40,12 +41,23 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v before committing the status line, so a value
+// JSON cannot carry answers 500 with the reason instead of the intended
+// status and an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		// An errorBody is one string: encoding it cannot fail.
+		_ = enc.Encode(errorBody{Error: "service: encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	// A failed write means the client went away; nobody is left to tell.
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

@@ -2,13 +2,11 @@ package service
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
-	"vcgraph/internal/async"
-	"vcgraph/internal/blockcentric"
 	"vcgraph/internal/bsp"
-	"vcgraph/internal/gas"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/plan"
 	rt "vcgraph/internal/runtime"
@@ -27,14 +25,15 @@ type runResult struct {
 	summary bsp.Summary
 	verdict string
 	epoch   int64
-	inc     *incStateBox
+	inc     *incState
 	// auto carries the plan layer's decision log and sampled graph
 	// statistics when the job ran on the "auto" engine.
 	auto *vc.AutoResult
 }
 
-// incStateBox holds whichever incremental state the job produced.
-type incStateBox struct {
+// incState holds whichever incremental state a job produced, or a
+// resuming job warm-starts from.
+type incState struct {
 	cc   *vc.IncCCState
 	sssp *vc.IncSSSPState
 	pr   *vc.IncPRState
@@ -42,7 +41,7 @@ type incStateBox struct {
 
 // cold reports whether the run recomputed from scratch (no usable
 // prior state — first run, mismatched resume, or truncated log).
-func (b *incStateBox) cold() bool {
+func (b *incState) cold() bool {
 	switch {
 	case b.cc != nil:
 		return b.cc.Cold
@@ -54,21 +53,14 @@ func (b *incStateBox) cold() bool {
 	return true
 }
 
-// incPrior is the warm-start state resolved from a resume target.
-type incPrior struct {
-	cc   *vc.IncCCState
-	sssp *vc.IncSSSPState
-	pr   *vc.IncPRState
-}
-
 // priorFromResult reconstructs warm-start state from a prior job's
 // result. An incremental prior hands over its state directly; a plain
 // prior seeds CC/SSSP from its converged values and prepare-time epoch
-// (their fixpoints are engine-independent — SSSP modulo the
-// unreachable sentinel, normalized here).
-func priorFromResult(spec JobSpec, res *runResult) *incPrior {
+// (their fixpoints are engine-independent, and result already put the
+// unreachable distances in the incremental engine's spelling).
+func priorFromResult(spec JobSpec, res *runResult) *incState {
 	if res.inc != nil {
-		return &incPrior{cc: res.inc.cc, sssp: res.inc.sssp, pr: res.inc.pr}
+		return res.inc
 	}
 	switch spec.Algo {
 	case "cc":
@@ -76,41 +68,33 @@ func priorFromResult(spec JobSpec, res *runResult) *incPrior {
 		for i, v := range res.values {
 			labels[i] = graph.VertexID(v)
 		}
-		return &incPrior{cc: &vc.IncCCState{Epoch: res.epoch, Labels: labels}}
+		return &incState{cc: &vc.IncCCState{Epoch: res.epoch, Labels: labels}}
 	case "sssp":
-		dist := make([]float64, len(res.values))
-		for i, d := range res.values {
-			if d >= 1e300 {
-				d = vc.Unreachable
-			}
-			dist[i] = d
-		}
-		return &incPrior{sssp: &vc.IncSSSPState{Epoch: res.epoch, Src: graph.VertexID(spec.Src), Dist: dist}}
+		dist := append([]float64(nil), res.values...)
+		return &incState{sssp: &vc.IncSSSPState{Epoch: res.epoch, Src: graph.VertexID(spec.Src), Dist: dist}}
 	}
 	return nil
 }
 
-// engines is the serving matrix: every algorithm runs on pregel;
-// pagerank/sssp/cc also run on gas, async, blockcentric, the
-// incremental (evolving-graph) engine, and "auto" — the adaptive plan
-// layer, which samples the graph, picks an engine/partition/mode, and
-// may hand off between engines at superstep barriers mid-run.
-var engines = map[string]map[string]bool{
-	"pagerank": {"pregel": true, "gas": true, "async": true, "blockcentric": true, "inc": true, "auto": true},
-	"sssp":     {"pregel": true, "gas": true, "async": true, "blockcentric": true, "inc": true, "auto": true},
-	"cc":       {"pregel": true, "gas": true, "async": true, "blockcentric": true, "inc": true, "auto": true},
-	"kcore":    {"pregel": true},
-}
-
-// validEngines enumerates the engines an algorithm runs on, sorted,
-// for error messages. Derived from the registry so the text can never
-// drift from the matrix.
+// validEngines enumerates the engines an algorithm runs on, sorted:
+// its rows of the engine matrix, plus the two harnesses that are not
+// rows — "auto" (the plan layer, which moves between rows mid-run) and
+// "inc" (resumable evolving-graph state) — where they take it. Empty
+// means the algorithm is unknown.
 func validEngines(algo string) []string {
-	names := make([]string, 0, len(engines[algo]))
-	for e := range engines[algo] {
-		names = append(names, e)
+	var names []string
+	for k := range vc.Matrix {
+		if k.Algo == algo {
+			names = append(names, k.Engine)
+		}
 	}
-	sort.Strings(names)
+	if _, ok := vc.AutoAlgorithms[algo]; ok {
+		names = append(names, "auto")
+	}
+	if incRuns[algo] != nil {
+		names = append(names, "inc")
+	}
+	slices.Sort(names)
 	return names
 }
 
@@ -155,28 +139,21 @@ func withDefaults(spec JobSpec) JobSpec {
 }
 
 func validateSpec(spec JobSpec) error {
-	byEngine, ok := engines[spec.Algo]
-	if !ok {
+	valid := validEngines(spec.Algo)
+	if len(valid) == 0 {
 		return fmt.Errorf("service: unknown algorithm %q", spec.Algo)
 	}
-	if !byEngine[spec.Engine] {
+	if !slices.Contains(valid, spec.Engine) {
 		return fmt.Errorf("service: algorithm %q does not run on engine %q (valid engines: %s)",
-			spec.Algo, spec.Engine, strings.Join(validEngines(spec.Algo), ", "))
+			spec.Algo, spec.Engine, strings.Join(valid, ", "))
 	}
 	if spec.Resume != 0 && spec.Engine != "inc" {
 		return fmt.Errorf("service: resume requires the inc engine, got %q", spec.Engine)
 	}
-	if _, err := rt.ParseDirectionMode(modeOrAuto(spec.Mode)); err != nil {
+	if _, err := rt.ParseDirectionMode(spec.Mode); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	return nil
-}
-
-func modeOrAuto(m string) string {
-	if m == "" {
-		return "auto"
-	}
-	return m
 }
 
 func faultPlan(spec JobSpec) *rt.FaultPlan {
@@ -187,146 +164,22 @@ func faultPlan(spec JobSpec) *rt.FaultPlan {
 }
 
 // prepareRunner is the prepare phase of a job: it is called with the
-// graph's read lock held, constructs the engine for spec's algorithm ×
-// engine pair (pinning a CSR snapshot and performing every read of the
-// mutable adjacency), and returns a closure that runs lock-free
-// against the snapshot. spec has passed withDefaults and validateSpec.
-func (s *Server) prepareRunner(g *graph.Graph, spec JobSpec, prior *incPrior, job *rt.Job) (func() (*runResult, error), error) {
-	switch spec.Engine {
-	case "pregel":
-		return preparePregel(g, spec, job)
-	case "gas":
-		return prepareGAS(g, spec, job)
-	case "async":
-		return prepareAsync(g, spec, job)
-	case "blockcentric":
-		return prepareBlock(g, spec, job)
-	case "inc":
+// graph's read lock held, prepares spec's (algorithm, engine) row of
+// the engine matrix — or one of the two harnesses around it — pinning a
+// CSR snapshot and performing every read of the mutable adjacency, and
+// returns a closure that runs lock-free against the snapshot. spec has
+// passed withDefaults and validateSpec.
+func (s *Server) prepareRunner(g *graph.Graph, spec JobSpec, prior *incState, job *rt.Job) (func() (*runResult, error), error) {
+	if spec.Engine == "inc" {
 		return prepareInc(g, spec, prior, job)
-	case "auto":
-		return s.prepareAuto(g, spec, job)
 	}
-	return nil, fmt.Errorf("service: unknown engine %q", spec.Engine)
-}
-
-// prepareAuto serves the adaptive plan layer: the orchestrator samples
-// the pinned snapshot, picks the initial engine/partition/mode, and
-// replans at superstep barriers, handing vertex state off live between
-// engines. spec.Mode and spec.FCS are ignored — under "auto" the
-// planner owns both knobs. The decision log and graph statistics land
-// in runResult.auto for the status endpoint.
-func (s *Server) prepareAuto(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	cfg := vc.AutoConfig{Config: vc.Config{
-		Workers:           spec.Workers,
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	}}
-	if trace := s.opts.PlanTrace; trace != nil {
-		id := job.ID()
-		cfg.Trace = func(d plan.Decision) { trace(id, d) }
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := vc.PrepareAutoPageRank(g, spec.Alpha, spec.K, cfg)
-		return func() (*runResult, error) {
-			res, ar, err := run()
-			if err != nil {
-				return nil, err
-			}
-			out := result(res.Ranks, ar.Stats, prVerdict(res.Ranks))
-			out.auto = ar
-			return out, nil
-		}, nil
-	case "sssp":
-		run := vc.PrepareAutoSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			res, ar, err := run()
-			if err != nil {
-				return nil, err
-			}
-			out := result(res.Dist, ar.Stats, ssspVerdict(res.Dist, spec.Src))
-			out.auto = ar
-			return out, nil
-		}, nil
-	case "cc":
-		run := vc.PrepareAutoHashMinCC(g, cfg)
-		return func() (*runResult, error) {
-			res, ar, err := run()
-			if err != nil {
-				return nil, err
-			}
-			out := result(idsToFloats(res.Color), ar.Stats, ccVerdict(res.Color))
-			out.auto = ar
-			return out, nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine auto", spec.Algo)
-}
-
-// prepareInc is the evolving-graph engine: it pins a delta view and
-// performs the seed analysis under the graph read lock, then drains (or
-// for PageRank, sweeps) lock-free. The result carries the incremental
-// state so the next resume can chain from this job.
-func prepareInc(g *graph.Graph, spec JobSpec, prior *incPrior, job *rt.Job) (func() (*runResult, error), error) {
-	if g.Directed && spec.Algo != "pagerank" {
-		return nil, fmt.Errorf("service: incremental %s requires an undirected graph", spec.Algo)
-	}
-	cfg := vc.IncConfig{
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	}
-	if prior == nil {
-		prior = &incPrior{}
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := vc.PrepareIncrementalPageRank(g, spec.Alpha, spec.K, prior.pr, cfg)
-		return func() (*runResult, error) {
-			st, stats, err := run()
-			if err != nil {
-				return nil, err
-			}
-			ranks := st.Ranks()
-			res := result(ranks, stats, prVerdict(ranks))
-			res.inc = &incStateBox{pr: st}
-			return res, nil
-		}, nil
-	case "sssp":
-		run := vc.PrepareIncrementalSSSP(g, graph.VertexID(spec.Src), prior.sssp, cfg)
-		return func() (*runResult, error) {
-			st, stats, err := run()
-			if err != nil {
-				return nil, err
-			}
-			res := result(st.Dist, stats, ssspVerdict(st.Dist, spec.Src))
-			res.inc = &incStateBox{sssp: st}
-			return res, nil
-		}, nil
-	case "cc":
-		run := vc.PrepareIncrementalCC(g, prior.cc, cfg)
-		return func() (*runResult, error) {
-			st, stats, err := run()
-			if err != nil {
-				return nil, err
-			}
-			res := result(idsToFloats(st.Labels), stats, ccVerdict(st.Labels))
-			res.inc = &incStateBox{cc: st}
-			return res, nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine inc", spec.Algo)
-}
-
-func preparePregel(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	mode, err := rt.ParseDirectionMode(modeOrAuto(spec.Mode))
+	mode, err := rt.ParseDirectionMode(spec.Mode)
 	if err != nil {
 		return nil, err
 	}
+	args := vc.Args{Src: graph.VertexID(spec.Src), Alpha: spec.Alpha, K: spec.K, Eps: spec.Eps}
 	cfg := vc.Config{
+		Workers:           spec.Workers,
 		Mode:              mode,
 		CheckpointEvery:   spec.Checkpoint,
 		FullSnapshotEvery: spec.FullSnapshot,
@@ -334,209 +187,114 @@ func preparePregel(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResul
 		FCS:               spec.FCS,
 		Job:               job,
 	}
-	switch spec.Algo {
-	case "pagerank":
-		run := vc.PreparePageRank(g, spec.Alpha, spec.K, cfg)
+	if spec.Engine == "auto" {
+		// The orchestrator samples the pinned snapshot, picks the initial
+		// engine/partition/mode, and replans at superstep barriers;
+		// spec.Mode and spec.FCS are overridden per segment — under
+		// "auto" the planner owns both knobs.
+		acfg := vc.AutoConfig{Config: cfg}
+		if trace := s.opts.PlanTrace; trace != nil {
+			id := job.ID()
+			acfg.Trace = func(d plan.Decision) { trace(id, d) }
+		}
+		run := vc.PrepareAuto(g, spec.Algo, args, acfg)
 		return func() (*runResult, error) {
-			res, err := run()
+			values, ar, err := run()
 			if err != nil {
 				return nil, err
 			}
-			return result(res.Ranks, res.Stats, prVerdict(res.Ranks)), nil
-		}, nil
-	case "sssp":
-		run := vc.PrepareSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(res.Dist, res.Stats, ssspVerdict(res.Dist, spec.Src)), nil
-		}, nil
-	case "cc":
-		run := vc.PrepareHashMinCC(g, cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(idsToFloats(res.Color), res.Stats, ccVerdict(res.Color)), nil
-		}, nil
-	case "kcore":
-		run := vc.PrepareKCore(g, cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			vals := make([]float64, len(res.Core))
-			for v, c := range res.Core {
-				vals[v] = float64(c)
-			}
-			return result(vals, res.Stats, fmt.Sprintf("degeneracy %d", res.Degeneracy)), nil
+			out := result(spec, values, ar.Stats)
+			out.auto = ar
+			return out, nil
 		}, nil
 	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine pregel", spec.Algo)
+	run := vc.Matrix[vc.Key{Algo: spec.Algo, Engine: spec.Engine}](g, args, nil, vc.Env{Config: cfg})
+	return func() (*runResult, error) {
+		values, stats, err := run()
+		if err != nil {
+			return nil, err
+		}
+		return result(spec, values, stats), nil
+	}, nil
 }
 
-func prepareGAS(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	mode, err := rt.ParseDirectionMode(modeOrAuto(spec.Mode))
-	if err != nil {
-		return nil, err
+type incRun func() ([]float64, *bsp.Stats, *incState, error)
+
+// incRuns is the evolving-graph engine, one entry per algorithm: each
+// pins a delta view and performs the seed analysis under the graph read
+// lock, and its run drains (or for PageRank, sweeps) lock-free,
+// returning the values alongside the state the next resume chains from.
+var incRuns = map[string]func(*graph.Graph, JobSpec, *incState, vc.IncConfig) incRun{
+	"pagerank": func(g *graph.Graph, spec JobSpec, prior *incState, cfg vc.IncConfig) incRun {
+		run := vc.PrepareIncrementalPageRank(g, spec.Alpha, spec.K, prior.pr, cfg)
+		return func() ([]float64, *bsp.Stats, *incState, error) {
+			st, stats, err := run()
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return st.Ranks(), stats, &incState{pr: st}, nil
+		}
+	},
+	"sssp": func(g *graph.Graph, spec JobSpec, prior *incState, cfg vc.IncConfig) incRun {
+		run := vc.PrepareIncrementalSSSP(g, graph.VertexID(spec.Src), prior.sssp, cfg)
+		return func() ([]float64, *bsp.Stats, *incState, error) {
+			st, stats, err := run()
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return st.Dist, stats, &incState{sssp: st}, nil
+		}
+	},
+	"cc": func(g *graph.Graph, spec JobSpec, prior *incState, cfg vc.IncConfig) incRun {
+		run := vc.PrepareIncrementalCC(g, prior.cc, cfg)
+		return func() ([]float64, *bsp.Stats, *incState, error) {
+			st, stats, err := run()
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			values := make([]float64, len(st.Labels))
+			for i, l := range st.Labels {
+				values[i] = float64(l)
+			}
+			return values, stats, &incState{cc: st}, nil
+		}
+	},
+}
+
+func prepareInc(g *graph.Graph, spec JobSpec, prior *incState, job *rt.Job) (func() (*runResult, error), error) {
+	if g.Directed && spec.Algo != "pagerank" {
+		return nil, fmt.Errorf("service: incremental %s requires an undirected graph", spec.Algo)
 	}
-	cfg := gas.Config{
-		Mode:              mode,
+	if prior == nil {
+		prior = &incState{}
+	}
+	run := incRuns[spec.Algo](g, spec, prior, vc.IncConfig{
 		CheckpointEvery:   spec.Checkpoint,
 		FullSnapshotEvery: spec.FullSnapshot,
 		Faults:            faultPlan(spec),
 		Job:               job,
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := gas.PreparePageRank(g, spec.Alpha, spec.Eps, cfg)
-		return func() (*runResult, error) {
-			ranks, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(ranks, res.Stats, prVerdict(ranks)), nil
-		}, nil
-	case "sssp":
-		run := gas.PrepareSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			dist, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(dist, res.Stats, ssspVerdict(dist, spec.Src)), nil
-		}, nil
-	case "cc":
-		run := gas.PrepareConnectedComponents(g, cfg)
-		return func() (*runResult, error) {
-			labels, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(idsToFloats(labels), res.Stats, ccVerdict(labels)), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine gas", spec.Algo)
+	})
+	return func() (*runResult, error) {
+		values, stats, state, err := run()
+		if err != nil {
+			return nil, err
+		}
+		out := result(spec, values, stats)
+		out.inc = state
+		return out, nil
+	}, nil
 }
 
-func prepareAsync(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	cfg := async.Config{
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := async.PreparePageRank(g, spec.Alpha, spec.Eps, cfg)
-		return func() (*runResult, error) {
-			ranks, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(ranks, res.Stats, prVerdict(ranks)), nil
-		}, nil
-	case "sssp":
-		run := async.PrepareSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			dist, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(dist, res.Stats, ssspVerdict(dist, spec.Src)), nil
-		}, nil
-	case "cc":
-		run := async.PrepareConnectedComponents(g, cfg)
-		return func() (*runResult, error) {
-			labels, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(idsToFloats(labels), res.Stats, ccVerdict(labels)), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine async", spec.Algo)
-}
-
-func prepareBlock(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	cfg := blockcentric.Config{
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := blockcentric.PreparePageRank(g, spec.Alpha, spec.K, cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(res.Ranks, res.Stats, prVerdict(res.Ranks)), nil
-		}, nil
-	case "sssp":
-		run := blockcentric.PrepareSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(res.Dist, res.Stats, ssspVerdict(res.Dist, spec.Src)), nil
-		}, nil
-	case "cc":
-		run := blockcentric.PrepareConnectedComponents(g, cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(idsToFloats(res.Color), res.Stats, ccVerdict(res.Color)), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine blockcentric", spec.Algo)
-}
-
-func result(values []float64, stats *bsp.Stats, verdict string) *runResult {
-	return &runResult{values: values, summary: stats.Summarize(), verdict: verdict}
-}
-
-func idsToFloats(ids []graph.VertexID) []float64 {
-	out := make([]float64, len(ids))
-	for i, id := range ids {
-		out[i] = float64(id)
-	}
-	return out
-}
-
-func prVerdict(ranks []float64) string {
-	best, bestV := -1.0, 0
-	for v, r := range ranks {
-		if r > best {
-			best, bestV = r, v
+// result is the one exit every job's values leave through. The engine
+// matrix reports an unreachable SSSP vertex as +Inf, which JSON cannot
+// carry; here, once, it becomes vc.Unreachable — the finite sentinel
+// the incremental engine already holds and the wire documents.
+func result(spec JobSpec, values []float64, stats *bsp.Stats) *runResult {
+	for i, v := range values {
+		if math.IsInf(v, 1) {
+			values[i] = vc.Unreachable
 		}
 	}
-	return fmt.Sprintf("top vertex %d with rank %.6f", bestV, best)
-}
-
-func ssspVerdict(dist []float64, src int) string {
-	reached := 0
-	for _, d := range dist {
-		if d < 1e300 {
-			reached++
-		}
-	}
-	return fmt.Sprintf("%d vertices reachable from %d", reached, src)
-}
-
-func ccVerdict(labels []graph.VertexID) string {
-	set := make(map[graph.VertexID]bool, 16)
-	for _, l := range labels {
-		set[l] = true
-	}
-	return fmt.Sprintf("%d components", len(set))
+	args := vc.Args{Src: graph.VertexID(spec.Src)}
+	return &runResult{values: values, summary: stats.Summarize(), verdict: vc.Verdict(spec.Algo, args, values)}
 }

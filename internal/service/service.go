@@ -69,7 +69,8 @@ type JobSpec struct {
 	// must have succeeded on the same graph with the same algorithm and
 	// parameters. 0 means a cold incremental run.
 	Resume int64 `json:"resume,omitempty"`
-	// Mode is the pregel direction mode: push, pull, or auto (default).
+	// Mode is the direction mode of the engines that have one (pregel,
+	// gas, blockcentric): push, pull, or auto (default).
 	Mode    string `json:"mode,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 	Src     int    `json:"src,omitempty"`
@@ -416,7 +417,7 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 // with the same algorithm and parameters. CC and SSSP can seed from any
 // engine's converged values (unique fixpoints); PageRank needs the
 // memoized history only an incremental prior carries.
-func (s *Server) resumeState(spec JobSpec) (*incPrior, error) {
+func (s *Server) resumeState(spec JobSpec) (*incState, error) {
 	if spec.Engine != "inc" || spec.Resume == 0 {
 		return nil, nil
 	}

@@ -21,22 +21,21 @@
 // pregel, gas, block-centric push over a range partition).
 //
 // All segments run against one pinned CSR snapshot: each engine is
-// handed Config.Snapshot plus a partition derived from that snapshot,
-// so a handoff never observes concurrent graph growth.
+// handed Env.Snapshot plus a partition derived from that snapshot, so a
+// handoff never observes concurrent graph growth.
+//
+// How a segment runs on its engine is not decided here: every segment
+// is a row of the engine matrix (matrix.go), prepared with the previous
+// segment's values as its seed.
 package vc
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"vcgraph/internal/async"
-	"vcgraph/internal/blockcentric"
 	"vcgraph/internal/bsp"
-	"vcgraph/internal/gas"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/plan"
-	"vcgraph/internal/pregel"
 	"vcgraph/internal/runtime"
 )
 
@@ -80,16 +79,58 @@ func autoWorkers(c Config) int {
 	return 4
 }
 
-// segmentFn runs one engine segment under the given decision, seeded
-// with exported values (nil on the first segment), wiring hook as the
-// engine's Replan callback. It returns the vertex values at exit —
-// final on success, at the handoff barrier on runtime.ErrHandoff — and
-// the segment's statistics.
-type segmentFn[V any] func(d plan.Decision, seed []V, hook func(step, pending int) bool) ([]V, *bsp.Stats, error)
+// AutoAlgorithms lists what runs under engine "auto", with what the
+// planner may assume about each. PageRank segments come from the
+// FixedKPageRank family, everything else from Matrix.
+var AutoAlgorithms = map[string]plan.Caps{
+	"pagerank": {Algorithm: "pagerank", FixedK: true},
+	"sssp":     {Algorithm: "sssp"},
+	"cc":       {Algorithm: "cc"},
+}
 
-// runAuto is the engine-agnostic segment loop shared by the three
-// auto algorithms.
-func runAuto[V any](cfg AutoConfig, gs plan.GraphStats, caps plan.Caps, run segmentFn[V]) ([]V, *AutoResult, error) {
+func autoRow(caps plan.Caps, engine string) (Row, bool) {
+	if caps.FixedK {
+		row, ok := FixedKPageRank[engine]
+		return row, ok
+	}
+	row, ok := Matrix[Key{caps.Algorithm, engine}]
+	return row, ok
+}
+
+// folds is how many rank folds a fixed-K segment of steps supersteps
+// completed: gas folds at every iteration including the first, while a
+// message-passing engine's superstep 0 only sends.
+func folds(engine string, steps int) int {
+	if engine == plan.EngineGAS || steps == 0 {
+		return steps
+	}
+	return steps - 1
+}
+
+// PrepareAuto is the job-scoped form of an engine-"auto" run of algo
+// (a key of AutoAlgorithms): the snapshot is pinned and sampled now,
+// the returned closure runs the segment loop lock-free.
+func PrepareAuto(g *graph.Graph, algo string, a Args, cfg AutoConfig) func() ([]float64, *AutoResult, error) {
+	caps, ok := AutoAlgorithms[algo]
+	if !ok {
+		return func() ([]float64, *AutoResult, error) {
+			return nil, nil, fmt.Errorf("vc: algorithm %q does not run on engine auto", algo)
+		}
+	}
+	csr := g.Pin()
+	workers := autoWorkers(cfg.Config)
+	gs := plan.Sample(csr, workers)
+	caps.HasCombiner, caps.Workers = !cfg.NoCombiner, workers
+	return func() ([]float64, *AutoResult, error) {
+		defer g.Unpin(csr)
+		return runAuto(g, csr, a, cfg, gs, caps)
+	}
+}
+
+// runAuto is the segment loop: take a decision, run its matrix row
+// seeded with the previous segment's values, and on a handoff repeat
+// under the next decision.
+func runAuto(g *graph.Graph, csr *graph.CSR, a Args, cfg AutoConfig, gs plan.GraphStats, caps plan.Caps) ([]float64, *AutoResult, error) {
 	planner := cfg.Planner
 	scripted := len(cfg.Script) > 0
 	cur := planner.Initial(gs, caps)
@@ -105,10 +146,13 @@ func runAuto[V any](cfg AutoConfig, gs plan.GraphStats, caps plan.Caps, run segm
 	res := &AutoResult{Decisions: []plan.Decision{cur}, GraphStats: gs}
 	var segStats []*bsp.Stats
 	var hist []bsp.SuperstepStats
-	var seed []V
+	var seed []float64
 	globalBase := 0
 	switches := 0
 	scriptIdx := 1
+	// done counts the rank folds completed across fixed-K segments; each
+	// segment runs the remainder.
+	k, done := a.K, 0
 	for {
 		var next plan.Decision
 		handoff := false
@@ -146,10 +190,30 @@ func runAuto[V any](cfg AutoConfig, gs plan.GraphStats, caps plan.Caps, run segm
 			handoff = true
 			return true
 		}
-		values, st, err := run(cur, seed, hook)
+		engine := cur.Plan.Engine
+		var values []float64
+		var st *bsp.Stats
+		var err error
+		switch row, ok := autoRow(caps, engine); {
+		case !ok:
+			err = fmt.Errorf("plan: engine %q cannot run %s", engine, caps.Algorithm)
+		case engine == plan.EngineAsync && cfg.Job != nil && caps.Workers != 1:
+			err = fmt.Errorf("plan: async engine is sequential; job worker share is %d", caps.Workers)
+		default:
+			env := Env{Config: cfg.Config, Snapshot: csr, Replan: hook}
+			env.Workers = caps.Workers
+			env.Partition = fixedOwner(cur.Plan.Owner(csr, caps.Workers))
+			env.Mode = cur.Plan.DirectionMode()
+			env.FCS = cur.Plan.FCS
+			if caps.FixedK {
+				a.K = max(k-done, 0)
+			}
+			values, st, err = row(g, a, seed, env)()
+		}
 		if st != nil {
 			segStats = append(segStats, st)
 			globalBase += st.NumSupersteps()
+			done += folds(engine, st.NumSupersteps())
 		}
 		res.Stats = MergeStats(segStats...)
 		res.Segments = len(segStats)
@@ -170,122 +234,23 @@ func runAuto[V any](cfg AutoConfig, gs plan.GraphStats, caps plan.Caps, run segm
 	}
 }
 
-// fixedOwner adapts a snapshot-derived owner array to the engines'
-// Partitioner hook, ignoring the live graph entirely.
-func fixedOwner(owner []int32) runtime.Partitioner {
-	return func(*graph.Graph, int) []int32 { return owner }
-}
-
-// --- auto PageRank ---
-
 // PageRankAuto runs k iterations of PageRank under the adaptive plan
 // layer.
 func PageRankAuto(g *graph.Graph, alpha float64, k int, cfg AutoConfig) (*PageRankResult, *AutoResult, error) {
 	return PrepareAutoPageRank(g, alpha, k, cfg)()
 }
 
-// PrepareAutoPageRank is the job-scoped form of PageRankAuto: the
-// snapshot is pinned and sampled now, the returned closure runs the
-// segment loop lock-free.
+// PrepareAutoPageRank is the job-scoped form of PageRankAuto.
 func PrepareAutoPageRank(g *graph.Graph, alpha float64, k int, cfg AutoConfig) func() (*PageRankResult, *AutoResult, error) {
-	csr := g.Pin()
-	workers := autoWorkers(cfg.Config)
-	n := csr.N()
-	gs := plan.Sample(csr, workers)
-	caps := plan.Caps{Algorithm: "pagerank", HasCombiner: !cfg.NoCombiner, FixedK: true, Workers: workers}
-	// done counts completed rank folds across segments; each segment
-	// runs the remaining k-done. A pregel/block-centric segment's
-	// superstep 0 only sends (its folds are supersteps minus one),
-	// while gas folds at every iteration including the first.
-	done := 0
-	run := func(d plan.Decision, seed []float64, hook func(int, int) bool) ([]float64, *bsp.Stats, error) {
-		remaining := k - done
-		if remaining < 0 {
-			remaining = 0
-		}
-		owner := d.Plan.Owner(csr, workers)
-		switch d.Plan.Engine {
-		case plan.EnginePregel:
-			ecfg := engineCfg[float64](cfg.Config)
-			ecfg.Workers = workers
-			ecfg.Snapshot = csr
-			ecfg.Replan = hook
-			ecfg.Partition = fixedOwner(owner)
-			ecfg.Mode = d.Plan.DirectionMode()
-			ecfg.FCSThreshold = d.Plan.FCS
-			if !cfg.NoCombiner {
-				ecfg.Combiner = func(a, b float64) float64 { return a + b }
-			}
-			prog := &prProgram{n: n, alpha: alpha, k: remaining, seed: seed}
-			res, err := pregel.NewEngine[prValue, float64](g, prog, ecfg).Run()
-			var vals []float64
-			var st *bsp.Stats
-			if res != nil {
-				vals = make([]float64, n)
-				for v, val := range res.Values {
-					vals[v] = val.rank
-				}
-				st = res.Stats
-				if steps := st.NumSupersteps(); steps > 0 {
-					done += steps - 1
-				}
-			}
-			return vals, st, err
-		case plan.EngineGAS:
-			gcfg := gas.Config{
-				Workers: workers, MaxIterations: cfg.MaxSupersteps,
-				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
-				Mode: d.Plan.DirectionMode(), PullThreshold: cfg.PullThreshold,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
-			}
-			prog := gas.PageRankFixedK(n, remaining, alpha, seed)
-			res, err := gas.Prepare[float64, float64](g, prog, gcfg)()
-			var vals []float64
-			var st *bsp.Stats
-			if res != nil {
-				vals, st = res.Values, res.Stats
-				done += st.NumSupersteps()
-			}
-			return vals, st, err
-		case plan.EngineBlockcentric:
-			bcfg := blockcentric.Config{
-				Blocks: workers, MaxSupersteps: cfg.MaxSupersteps,
-				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
-				// The canonical program's fold order matches pregel only
-				// when every share crosses the inbox: pin push.
-				Mode:            runtime.DirectionPush,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
-			}
-			prog := blockcentric.PageRankProgramCanonical(n, remaining, alpha, seed)
-			res, err := blockcentric.NewEngine[float64, float64](g, prog, bcfg).Run()
-			var vals []float64
-			var st *bsp.Stats
-			if res != nil {
-				vals, st = res.Values, res.Stats
-				if steps := st.NumSupersteps(); steps > 0 {
-					done += steps - 1
-				}
-			}
-			return vals, st, err
-		default:
-			// Gauss-Seidel over live values has no notion of a global
-			// iterate, so fixed-K PageRank cannot run asynchronously.
-			return nil, nil, fmt.Errorf("plan: engine %q cannot run fixed-K pagerank", d.Plan.Engine)
-		}
-	}
+	run := PrepareAuto(g, "pagerank", Args{Alpha: alpha, K: k}, cfg)
 	return func() (*PageRankResult, *AutoResult, error) {
-		defer g.Unpin(csr)
-		vals, ar, err := runAuto[float64](cfg, gs, caps, run)
+		ranks, ar, err := run()
 		if err != nil {
 			return nil, ar, err
 		}
-		return &PageRankResult{Ranks: vals, Stats: ar.Stats}, ar, nil
+		return &PageRankResult{Ranks: ranks, Stats: ar.Stats}, ar, nil
 	}
 }
-
-// --- auto connected components ---
 
 // HashMinCCAuto runs connected components under the adaptive plan
 // layer.
@@ -295,102 +260,19 @@ func HashMinCCAuto(g *graph.Graph, cfg AutoConfig) (*CCResult, *AutoResult, erro
 
 // PrepareAutoHashMinCC is the job-scoped form of HashMinCCAuto.
 func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *AutoResult, error) {
-	csr := g.Pin()
-	workers := autoWorkers(cfg.Config)
-	n := csr.N()
-	gs := plan.Sample(csr, workers)
-	caps := plan.Caps{Algorithm: "cc", HasCombiner: !cfg.NoCombiner, Workers: workers}
-	run := func(d plan.Decision, seed []VertexID, hook func(int, int) bool) ([]VertexID, *bsp.Stats, error) {
-		owner := d.Plan.Owner(csr, workers)
-		switch d.Plan.Engine {
-		case plan.EnginePregel:
-			ecfg := engineCfg[VertexID](cfg.Config)
-			ecfg.Workers = workers
-			ecfg.Snapshot = csr
-			ecfg.Replan = hook
-			ecfg.Partition = fixedOwner(owner)
-			ecfg.Mode = d.Plan.DirectionMode()
-			ecfg.FCSThreshold = d.Plan.FCS
-			if !cfg.NoCombiner {
-				ecfg.Combiner = func(a, b VertexID) VertexID {
-					if a < b {
-						return a
-					}
-					return b
-				}
-			}
-			res, err := pregel.NewEngine[hashMinValue, VertexID](g, hashMinProgram{seed: seed}, ecfg).Run()
-			var vals []VertexID
-			var st *bsp.Stats
-			if res != nil {
-				vals = make([]VertexID, n)
-				for v, val := range res.Values {
-					vals[v] = val.min
-				}
-				st = res.Stats
-			}
-			return vals, st, err
-		case plan.EngineGAS:
-			gcfg := gas.Config{
-				Workers: workers, MaxIterations: cfg.MaxSupersteps,
-				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
-				Mode: d.Plan.DirectionMode(), PullThreshold: cfg.PullThreshold,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
-			}
-			res, err := gas.Prepare[VertexID, VertexID](g, gas.CCProgramSeeded(seed), gcfg)()
-			var vals []VertexID
-			var st *bsp.Stats
-			if res != nil {
-				vals, st = res.Values, res.Stats
-			}
-			return vals, st, err
-		case plan.EngineBlockcentric:
-			bcfg := blockcentric.Config{
-				Blocks: workers, MaxSupersteps: cfg.MaxSupersteps,
-				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
-				Mode:            d.Plan.DirectionMode(),
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
-			}
-			res, err := blockcentric.NewEngine[VertexID, VertexID](g, blockcentric.CCProgramSeeded(seed), bcfg).Run()
-			var vals []VertexID
-			var st *bsp.Stats
-			if res != nil {
-				vals, st = res.Values, res.Stats
-			}
-			return vals, st, err
-		case plan.EngineAsync:
-			if cfg.Job != nil && workers != 1 {
-				return nil, nil, fmt.Errorf("plan: async engine is sequential; job worker share is %d", workers)
-			}
-			acfg := async.Config{
-				Snapshot: csr, Replan: hook,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
-			}
-			res, err := async.Prepare[VertexID](g, async.CCProgramSeeded(seed), acfg)()
-			var vals []VertexID
-			var st *bsp.Stats
-			if res != nil {
-				vals, st = res.Values, res.Stats
-			}
-			return vals, st, err
-		default:
-			return nil, nil, fmt.Errorf("plan: unknown engine %q", d.Plan.Engine)
-		}
-	}
+	run := PrepareAuto(g, "cc", Args{}, cfg)
 	return func() (*CCResult, *AutoResult, error) {
-		defer g.Unpin(csr)
-		vals, ar, err := runAuto[VertexID](cfg, gs, caps, run)
+		labels, ar, err := run()
 		if err != nil {
 			return nil, ar, err
 		}
-		return &CCResult{Color: vals, Stats: ar.Stats}, ar, nil
+		color := make([]VertexID, len(labels))
+		for v, l := range labels {
+			color[v] = VertexID(l)
+		}
+		return &CCResult{Color: color, Stats: ar.Stats}, ar, nil
 	}
 }
-
-// --- auto single-source shortest paths ---
 
 // SSSPAuto runs single-source shortest paths under the adaptive plan
 // layer.
@@ -400,120 +282,12 @@ func SSSPAuto(g *graph.Graph, src VertexID, cfg AutoConfig) (*SSSPResult, *AutoR
 
 // PrepareAutoSSSP is the job-scoped form of SSSPAuto.
 func PrepareAutoSSSP(g *graph.Graph, src VertexID, cfg AutoConfig) func() (*SSSPResult, *AutoResult, error) {
-	csr := g.Pin()
-	workers := autoWorkers(cfg.Config)
-	n := csr.N()
-	gs := plan.Sample(csr, workers)
-	caps := plan.Caps{Algorithm: "sssp", HasCombiner: !cfg.NoCombiner, Workers: workers}
-	run := func(d plan.Decision, seed []float64, hook func(int, int) bool) ([]float64, *bsp.Stats, error) {
-		owner := d.Plan.Owner(csr, workers)
-		switch d.Plan.Engine {
-		case plan.EnginePregel:
-			ecfg := engineCfg[float64](cfg.Config)
-			ecfg.Workers = workers
-			ecfg.Snapshot = csr
-			ecfg.Replan = hook
-			ecfg.Partition = fixedOwner(owner)
-			// SSSP sends a distinct distance per edge; the pull path
-			// never applies (see PrepareSSSP).
-			ecfg.Mode = runtime.DirectionPush
-			ecfg.FCSThreshold = d.Plan.FCS
-			if !cfg.NoCombiner {
-				ecfg.Combiner = func(a, b float64) float64 {
-					if a < b {
-						return a
-					}
-					return b
-				}
-			}
-			res, err := pregel.NewEngine[ssspValue, float64](g, &ssspProgram{src: src, seed: seed}, ecfg).Run()
-			var vals []float64
-			var st *bsp.Stats
-			if res != nil {
-				vals = make([]float64, n)
-				for v, val := range res.Values {
-					vals[v] = val.dist
-				}
-				st = res.Stats
-			}
-			return vals, st, err
-		case plan.EngineGAS:
-			gcfg := gas.Config{
-				Workers: workers, MaxIterations: cfg.MaxSupersteps,
-				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
-				Mode: d.Plan.DirectionMode(), PullThreshold: cfg.PullThreshold,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
-			}
-			res, err := gas.Prepare[float64, float64](g, gas.SSSPProgramSeeded(src, seed), gcfg)()
-			var vals []float64
-			var st *bsp.Stats
-			if res != nil {
-				vals, st = res.Values, res.Stats
-			}
-			return vals, st, err
-		case plan.EngineBlockcentric:
-			bcfg := blockcentric.Config{
-				Blocks: workers, MaxSupersteps: cfg.MaxSupersteps,
-				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
-				Mode:            d.Plan.DirectionMode(),
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
-			}
-			res, err := blockcentric.NewEngine[float64, float64](g, blockcentric.SSSPProgramSeeded(src, seed), bcfg).Run()
-			var vals []float64
-			var st *bsp.Stats
-			if res != nil {
-				vals, st = res.Values, res.Stats
-			}
-			return vals, st, err
-		case plan.EngineAsync:
-			if cfg.Job != nil && workers != 1 {
-				return nil, nil, fmt.Errorf("plan: async engine is sequential; job worker share is %d", workers)
-			}
-			// The async SSSP program uses a finite sentinel instead of
-			// +Inf so its priority arithmetic stays ordered; normalize
-			// at both boundaries so the other engines (and callers)
-			// always see +Inf.
-			if seed != nil {
-				ns := make([]float64, len(seed))
-				for i, v := range seed {
-					if math.IsInf(v, 1) {
-						v = async.DistInf
-					}
-					ns[i] = v
-				}
-				seed = ns
-			}
-			acfg := async.Config{
-				Snapshot: csr, Replan: hook,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
-			}
-			res, err := async.Prepare[float64](g, async.SSSPProgramSeeded(src, seed), acfg)()
-			var vals []float64
-			var st *bsp.Stats
-			if res != nil {
-				vals = make([]float64, len(res.Values))
-				for i, v := range res.Values {
-					if v == async.DistInf {
-						v = math.Inf(1)
-					}
-					vals[i] = v
-				}
-				st = res.Stats
-			}
-			return vals, st, err
-		default:
-			return nil, nil, fmt.Errorf("plan: unknown engine %q", d.Plan.Engine)
-		}
-	}
+	run := PrepareAuto(g, "sssp", Args{Src: src}, cfg)
 	return func() (*SSSPResult, *AutoResult, error) {
-		defer g.Unpin(csr)
-		vals, ar, err := runAuto[float64](cfg, gs, caps, run)
+		dist, ar, err := run()
 		if err != nil {
 			return nil, ar, err
 		}
-		return &SSSPResult{Dist: vals, Stats: ar.Stats}, ar, nil
+		return &SSSPResult{Dist: dist, Stats: ar.Stats}, ar, nil
 	}
 }

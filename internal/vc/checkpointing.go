@@ -6,7 +6,7 @@ import "maps"
 // live here, both invisible until a rollback actually happens:
 //
 //   - Programs whose vertex value V carries slices or maps must
-//     implement CloneValue (pregel.ValueCloner), or a checkpoint's
+//     implement CloneValue (runtime.ValueCloner), or a checkpoint's
 //     values alias the live computation: the run mutates the snapshot
 //     after it was "saved", and recovery restores corrupted state.
 //

@@ -102,8 +102,21 @@ func HashMinCC(g *graph.Graph, cfg Config) (*CCResult, error) {
 // constructed (and the snapshot pinned) now, under whatever lock the
 // caller holds; the returned closure runs lock-free.
 func PrepareHashMinCC(g *graph.Graph, cfg Config) func() (*CCResult, error) {
-	ecfg := engineCfg[VertexID](cfg)
-	if !cfg.NoCombiner {
+	run := hashMinPregel(g, Args{}, nil, Env{Config: cfg})
+	return func() (*CCResult, error) {
+		color, stats, err := run()
+		if err != nil {
+			return nil, err
+		}
+		return &CCResult{Color: color, Stats: stats}, nil
+	}
+}
+
+// hashMinPregel is the (cc, pregel) matrix row over integer labels
+// (see integers), dense or bit-packed by env.PackedState.
+func hashMinPregel(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
+	ecfg := pregelCfg[VertexID](env)
+	if !env.NoCombiner {
 		ecfg.Combiner = func(a, b VertexID) VertexID {
 			if a < b {
 				return a
@@ -111,31 +124,25 @@ func PrepareHashMinCC(g *graph.Graph, cfg Config) func() (*CCResult, error) {
 			return b
 		}
 	}
-	if cfg.PackedState {
-		prog := newHashMinPackedProgram(g.N(), nil)
+	if env.PackedState {
+		prog := newHashMinPackedProgram(g.N(), seed)
 		eng := pregel.NewEngine[struct{}, VertexID](g, prog, ecfg)
-		return func() (*CCResult, error) {
+		return func() ([]VertexID, *bsp.Stats, error) {
 			res, err := eng.Run()
-			if err != nil {
-				return nil, err
-			}
-			color := make([]VertexID, g.N())
-			for v := range res.Values {
+			color := make([]VertexID, len(res.Values))
+			for v := range color {
 				color[v] = VertexID(prog.labels.Get(v))
 			}
-			return &CCResult{Color: color, Stats: res.Stats}, nil
+			return color, res.Stats, err
 		}
 	}
-	eng := pregel.NewEngine[hashMinValue, VertexID](g, hashMinProgram{}, ecfg)
-	return func() (*CCResult, error) {
+	eng := pregel.NewEngine[hashMinValue, VertexID](g, hashMinProgram{seed: seed}, ecfg)
+	return func() ([]VertexID, *bsp.Stats, error) {
 		res, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		color := make([]VertexID, g.N())
+		color := make([]VertexID, len(res.Values))
 		for v, val := range res.Values {
 			color[v] = val.min
 		}
-		return &CCResult{Color: color, Stats: res.Stats}, nil
+		return color, res.Stats, err
 	}
 }

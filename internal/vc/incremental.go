@@ -55,8 +55,6 @@ type IncConfig struct {
 	Faults *rt.FaultPlan
 	// Ctx aborts the run at the next epoch boundary.
 	Ctx context.Context
-	// Pool, when non-nil, leases the single worker from a shared pool.
-	Pool *rt.Pool
 	// Job, when non-nil, binds the run to a scheduler-admitted job
 	// (share must be 1 — the worklist drain is sequential).
 	Job *rt.Job
@@ -125,7 +123,6 @@ func runIncWorklist[V any](name string, values *[]V, update func(VertexID) []Ver
 		Faults:            cfg.Faults,
 		EpochSaves:        true,
 		Ctx:               cfg.Ctx,
-		Pool:              cfg.Pool,
 		Job:               cfg.Job,
 	})
 	_, err := d.Run()

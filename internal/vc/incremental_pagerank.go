@@ -85,7 +85,6 @@ func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *Inc
 		FullSnapshotEvery: cfg.FullSnapshotEvery,
 		Faults:            cfg.Faults,
 		Ctx:               cfg.Ctx,
-		Pool:              cfg.Pool,
 		Job:               cfg.Job,
 	})
 	return func() (*IncPRState, *bsp.Stats, error) {

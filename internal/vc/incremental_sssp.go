@@ -1,20 +1,22 @@
 package vc
 
 import (
+	"vcgraph/internal/async"
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 )
 
-// incInf is the unreachable-distance sentinel, matching the async
-// engine's label-correcting SSSP (1e308, not math.Inf) so incremental
-// and async from-scratch results are byte-identical including
-// unreachable vertices.
-const incInf = 1e308
+// incInf is the unreachable-distance sentinel: the async engine's
+// label-correcting SSSP one (1e308, not math.Inf), so incremental and
+// async from-scratch results are byte-identical including unreachable
+// vertices.
+const incInf = async.DistInf
 
-// Unreachable is the exported unreachable-distance sentinel of the
-// incremental SSSP state. Callers seeding IncSSSPState.Dist from
-// another engine's output (which may use +Inf) must normalize
-// unreachable entries to this value.
+// Unreachable is the one finite spelling of an unreachable distance:
+// what the incremental SSSP state holds and what the serving layer
+// puts on the wire in place of the engine matrix's +Inf. Callers
+// seeding IncSSSPState.Dist from a matrix row must normalize +Inf
+// entries to this value.
 const Unreachable = incInf
 
 // IncSSSPState is the persistent state of incremental SSSP: converged

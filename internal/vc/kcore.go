@@ -95,38 +95,44 @@ func KCore(g *graph.Graph, cfg Config) (*KCoreResult, error) {
 // constructed (and the snapshot pinned) now, under whatever lock the
 // caller holds; the returned closure runs lock-free.
 func PrepareKCore(g *graph.Graph, cfg Config) func() (*KCoreResult, error) {
-	if cfg.PackedState {
-		prog := newKCorePackedProgram(g)
-		eng := pregel.NewEngine[kcorePackedValue, kcoreMsg](g, prog, engineCfg[kcoreMsg](cfg))
-		return func() (*KCoreResult, error) {
-			res, err := eng.Run()
-			if err != nil {
-				return nil, err
-			}
-			out := &KCoreResult{Core: make([]int32, g.N()), Stats: res.Stats}
-			for v := range res.Values {
-				est := int32(prog.est.Get(v))
-				out.Core[v] = est
-				if est > out.Degeneracy {
-					out.Degeneracy = est
-				}
-			}
-			return out, nil
-		}
-	}
-	eng := pregel.NewEngine[kcoreValue, kcoreMsg](g, kcoreProgram{}, engineCfg[kcoreMsg](cfg))
+	run := kcorePregel(g, Args{}, nil, Env{Config: cfg})
 	return func() (*KCoreResult, error) {
-		res, err := eng.Run()
+		core, stats, err := run()
 		if err != nil {
 			return nil, err
 		}
-		out := &KCoreResult{Core: make([]int32, g.N()), Stats: res.Stats}
-		for v, val := range res.Values {
-			out.Core[v] = val.est
-			if val.est > out.Degeneracy {
-				out.Degeneracy = val.est
-			}
+		out := &KCoreResult{Core: core, Stats: stats}
+		for _, est := range core {
+			out.Degeneracy = max(out.Degeneracy, est)
 		}
 		return out, nil
+	}
+}
+
+// kcorePregel is the (kcore, pregel) matrix row over integer coreness
+// (see integers), dense or bit-packed by env.PackedState. Coreness
+// estimates have no sound warm start, so the seed is unused.
+func kcorePregel(g *graph.Graph, _ Args, _ []int32, env Env) func() ([]int32, *bsp.Stats, error) {
+	ecfg := pregelCfg[kcoreMsg](env)
+	if env.PackedState {
+		prog := newKCorePackedProgram(g)
+		eng := pregel.NewEngine[kcorePackedValue, kcoreMsg](g, prog, ecfg)
+		return func() ([]int32, *bsp.Stats, error) {
+			res, err := eng.Run()
+			core := make([]int32, len(res.Values))
+			for v := range core {
+				core[v] = int32(prog.est.Get(v))
+			}
+			return core, res.Stats, err
+		}
+	}
+	eng := pregel.NewEngine[kcoreValue, kcoreMsg](g, kcoreProgram{}, ecfg)
+	return func() ([]int32, *bsp.Stats, error) {
+		res, err := eng.Run()
+		core := make([]int32, len(res.Values))
+		for v, val := range res.Values {
+			core[v] = val.est
+		}
+		return core, res.Stats, err
 	}
 }

@@ -1,0 +1,314 @@
+// Engine matrix: the one place that knows how algorithm A runs on
+// engine E — which program, seeded how, under which engine Config,
+// returning what. Every consumer that runs "the same algorithm under a
+// different execution model" (the adaptive plan layer, the serving
+// daemon, cmd/vcrun, the planner ablation) looks its run up here.
+//
+// Values are one float64 per vertex: ranks, distances, component
+// labels, coreness (the integers are exact in a float64). An
+// unreachable SSSP vertex is always +Inf at a row's exit, whatever the
+// engine holds internally; the serving layer turns that into the finite
+// wire sentinel Unreachable, because JSON cannot carry +Inf.
+package vc
+
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"vcgraph/internal/async"
+	"vcgraph/internal/blockcentric"
+	"vcgraph/internal/bsp"
+	"vcgraph/internal/gas"
+	"vcgraph/internal/graph"
+	"vcgraph/internal/plan"
+	"vcgraph/internal/pregel"
+	"vcgraph/internal/runtime"
+)
+
+// Args are a row's algorithm arguments; each algorithm reads its own.
+type Args struct {
+	Src   VertexID // sssp: source vertex
+	Alpha float64  // pagerank: damping factor
+	K     int      // pagerank: rank folds of the fixed-iteration rows
+	Eps   float64  // pagerank: per-vertex tolerance of the converged rows
+}
+
+// Env is a row's run environment: the shared engine knobs plus the two
+// things only the adaptive plan layer sets when it re-prepares engines
+// mid-job. PackedState and Seed reach the pregel rows only.
+type Env struct {
+	Config
+	// Snapshot, when non-nil, is the already-pinned CSR generation
+	// every segment of one job runs against; Config.Partition must then
+	// be derived from it (see fixedOwner).
+	Snapshot *graph.CSR
+	// Replan, when non-nil, is consulted at every superstep barrier;
+	// returning true stops the run with runtime.ErrHandoff.
+	Replan func(step, pending int) bool
+}
+
+// Run executes a prepared row lock-free against its pinned snapshot.
+// When the run stops early (runtime.ErrHandoff, a cap, cancellation)
+// the values are those at the barrier it stopped at.
+type Run func() ([]float64, *bsp.Stats, error)
+
+// Row prepares one (algorithm, engine) run: every read of the mutable
+// graph happens now, under whatever lock the caller holds. A nil seed
+// is the algorithm's cold start; a non-nil seed resumes another row's
+// barrier values (rows outside the handoff family reject one).
+type Row func(g *graph.Graph, a Args, seed []float64, env Env) Run
+
+// Key names a row.
+type Key struct{ Algo, Engine string }
+
+// Matrix is every served (algorithm, engine) pair. PageRank is
+// fixed-iteration on the message-passing engines (K folds) and
+// eps-converged on gas and async, as each model runs it natively.
+var Matrix = map[Key]Row{
+	{"pagerank", plan.EnginePregel}:       pageRankPregel,
+	{"pagerank", plan.EngineGAS}:          coldOnly(pageRankGASConverged),
+	{"pagerank", plan.EngineAsync}:        coldOnly(pageRankAsync),
+	{"pagerank", plan.EngineBlockcentric}: pageRankBlock,
+	{"sssp", plan.EnginePregel}:           ssspPregel,
+	{"sssp", plan.EngineGAS}:              ssspGAS,
+	{"sssp", plan.EngineAsync}:            ssspAsync,
+	{"sssp", plan.EngineBlockcentric}:     ssspBlock,
+	{"cc", plan.EnginePregel}:             integers(hashMinPregel),
+	{"cc", plan.EngineGAS}:                integers(ccGAS),
+	{"cc", plan.EngineAsync}:              integers(ccAsync),
+	{"cc", plan.EngineBlockcentric}:       integers(ccBlock),
+	{"kcore", plan.EnginePregel}:          coldOnly(integers(kcorePregel)),
+}
+
+// FixedKPageRank is the canonical fold-order family: exactly K
+// synchronous folds with the Pregel variant's arithmetic, bit-identical
+// across single-worker pregel, gas at any worker count, and
+// block-centric push over a range partition. It is what the plan layer
+// hands PageRank off between; the async engine has no global iterate
+// and so no row.
+var FixedKPageRank = map[string]Row{
+	plan.EnginePregel:       pageRankPregel,
+	plan.EngineGAS:          pageRankGASFixedK,
+	plan.EngineBlockcentric: pageRankBlockPush,
+}
+
+// Verdict is the one-line human summary of a row's values, shared by
+// the daemon's job status and cmd/vcrun. It accepts either spelling of
+// an unreachable distance (+Inf or the wire sentinel).
+func Verdict(algo string, a Args, values []float64) string {
+	switch algo {
+	case "pagerank":
+		best, bestV := -1.0, 0
+		for v, r := range values {
+			if r > best {
+				best, bestV = r, v
+			}
+		}
+		return fmt.Sprintf("top vertex %d with rank %.6f", bestV, best)
+	case "sssp":
+		reached := 0
+		for _, d := range values {
+			if d < Unreachable {
+				reached++
+			}
+		}
+		return fmt.Sprintf("%d vertices reachable from %d", reached, a.Src)
+	case "cc":
+		set := make(map[float64]bool, 16)
+		for _, l := range values {
+			set[l] = true
+		}
+		return fmt.Sprintf("%d components", len(set))
+	case "kcore":
+		var degeneracy float64
+		for _, c := range values {
+			degeneracy = max(degeneracy, c)
+		}
+		return fmt.Sprintf("degeneracy %.0f", degeneracy)
+	}
+	return ""
+}
+
+// --- run environment -> engine Config, once per engine ---
+
+// fixedOwner adapts a snapshot-derived owner array to the engines'
+// Partitioner hook, ignoring the live graph entirely.
+func fixedOwner(owner []int32) runtime.Partitioner {
+	return func(*graph.Graph, int) []int32 { return owner }
+}
+
+func pregelCfg[M any](env Env) pregel.Config[M] {
+	c := engineCfg[M](env.Config)
+	c.Snapshot, c.Replan = env.Snapshot, env.Replan
+	return c
+}
+
+func gasCfg(env Env) gas.Config {
+	return gas.Config{
+		Workers: env.Workers, MaxIterations: env.MaxSupersteps, Partition: env.Partition,
+		Mode: env.Mode, PullThreshold: env.PullThreshold,
+		CheckpointEvery: env.CheckpointEvery, FullSnapshotEvery: env.FullSnapshotEvery, Faults: env.Faults,
+		Snapshot: env.Snapshot, Replan: env.Replan, Ctx: env.Ctx, Job: env.Job,
+	}
+}
+
+func asyncCfg(env Env) async.Config {
+	return async.Config{
+		CheckpointEvery: env.CheckpointEvery, FullSnapshotEvery: env.FullSnapshotEvery, Faults: env.Faults,
+		Snapshot: env.Snapshot, Replan: env.Replan, Ctx: env.Ctx, Job: env.Job,
+	}
+}
+
+func blockCfg(env Env) blockcentric.Config {
+	return blockcentric.Config{
+		Blocks: env.Workers, MaxSupersteps: env.MaxSupersteps, Partition: env.Partition, Mode: env.Mode,
+		CheckpointEvery: env.CheckpointEvery, FullSnapshotEvery: env.FullSnapshotEvery, Faults: env.Faults,
+		Snapshot: env.Snapshot, Replan: env.Replan, Ctx: env.Ctx, Job: env.Job,
+	}
+}
+
+// --- one prepare per engine; the rows below differ only in program ---
+
+func gasRun[V, G any](g *graph.Graph, prog gas.Program[V, G], env Env) func() ([]V, *bsp.Stats, error) {
+	run := gas.Prepare(g, prog, gasCfg(env))
+	return func() ([]V, *bsp.Stats, error) {
+		res, err := run()
+		return res.Values, res.Stats, err
+	}
+}
+
+func asyncRun[V any](g *graph.Graph, prog async.Program[V], env Env) func() ([]V, *bsp.Stats, error) {
+	run := async.Prepare(g, prog, asyncCfg(env))
+	return func() ([]V, *bsp.Stats, error) {
+		res, err := run()
+		return res.Values, res.Stats, err
+	}
+}
+
+func blockRun[V, M any](g *graph.Graph, prog blockcentric.Program[V, M], env Env) func() ([]V, *bsp.Stats, error) {
+	eng := blockcentric.NewEngine(g, prog, blockCfg(env))
+	return func() ([]V, *bsp.Stats, error) {
+		res, err := eng.Run()
+		return res.Values, res.Stats, err
+	}
+}
+
+// integers lifts a row over integer vertex values (component labels,
+// coreness) to the matrix's float64 shape, in both directions.
+func integers[V ~int32](row func(*graph.Graph, Args, []V, Env) func() ([]V, *bsp.Stats, error)) Row {
+	return func(g *graph.Graph, a Args, seed []float64, env Env) Run {
+		var ints []V
+		if seed != nil {
+			ints = make([]V, len(seed))
+			for i, x := range seed {
+				ints[i] = V(x)
+			}
+		}
+		run := row(g, a, ints, env)
+		return func() ([]float64, *bsp.Stats, error) {
+			vals, stats, err := run()
+			out := make([]float64, len(vals))
+			for i, x := range vals {
+				out[i] = float64(x)
+			}
+			return out, stats, err
+		}
+	}
+}
+
+// coldOnly marks a row outside the handoff family: handed a seed, it
+// fails instead of silently running cold.
+func coldOnly(row Row) Row {
+	return func(g *graph.Graph, a Args, seed []float64, env Env) Run {
+		if seed != nil {
+			return func() ([]float64, *bsp.Stats, error) { return nil, nil, errNoWarmStart }
+		}
+		return row(g, a, nil, env)
+	}
+}
+
+var errNoWarmStart = errors.New("vc: this (algorithm, engine) row has no warm start")
+
+// --- PageRank ---
+
+func pageRankGASConverged(g *graph.Graph, a Args, _ []float64, env Env) Run {
+	run := gas.PreparePageRank(g, a.Alpha, a.Eps, gasCfg(env))
+	return func() ([]float64, *bsp.Stats, error) {
+		ranks, res, err := run()
+		if err != nil {
+			return nil, nil, err
+		}
+		return ranks, res.Stats, nil
+	}
+}
+
+func pageRankGASFixedK(g *graph.Graph, a Args, seed []float64, env Env) Run {
+	return gasRun(g, gas.PageRankFixedK(g.N(), a.K, a.Alpha, seed), env)
+}
+
+func pageRankAsync(g *graph.Graph, a Args, _ []float64, env Env) Run {
+	run := async.PreparePageRank(g, a.Alpha, a.Eps, asyncCfg(env))
+	return func() ([]float64, *bsp.Stats, error) {
+		ranks, res, err := run()
+		return ranks, res.Stats, err
+	}
+}
+
+func pageRankBlock(g *graph.Graph, a Args, seed []float64, env Env) Run {
+	return blockRun(g, blockcentric.PageRankProgram(g.N(), a.K, a.Alpha, seed), env)
+}
+
+func pageRankBlockPush(g *graph.Graph, a Args, seed []float64, env Env) Run {
+	// The program's fold order matches pregel only when every share
+	// crosses the inbox: pin push.
+	env.Mode = runtime.DirectionPush
+	return pageRankBlock(g, a, seed, env)
+}
+
+// --- SSSP ---
+
+func ssspGAS(g *graph.Graph, a Args, seed []float64, env Env) Run {
+	return gasRun(g, gas.SSSPProgram(a.Src, seed), env)
+}
+
+func ssspBlock(g *graph.Graph, a Args, seed []float64, env Env) Run {
+	return blockRun(g, blockcentric.SSSPProgram(a.Src, seed), env)
+}
+
+// ssspAsync translates the async program's finite unreached sentinel
+// at both boundaries, so callers and the other rows only ever see +Inf.
+func ssspAsync(g *graph.Graph, a Args, seed []float64, env Env) Run {
+	if seed != nil {
+		seed = append([]float64(nil), seed...)
+		replace(seed, math.Inf(1), async.DistInf)
+	}
+	run := asyncRun(g, async.SSSPProgram(a.Src, seed), env)
+	return func() ([]float64, *bsp.Stats, error) {
+		dist, stats, err := run()
+		replace(dist, async.DistInf, math.Inf(1))
+		return dist, stats, err
+	}
+}
+
+func replace(xs []float64, from, to float64) {
+	for i, x := range xs {
+		if x == from {
+			xs[i] = to
+		}
+	}
+}
+
+// --- connected components ---
+
+func ccGAS(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
+	return gasRun(g, gas.CCProgram(seed), env)
+}
+
+func ccAsync(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
+	return asyncRun(g, async.CCProgram(seed), env)
+}
+
+func ccBlock(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
+	return blockRun(g, blockcentric.CCProgram(seed), env)
+}

@@ -1,0 +1,218 @@
+package vc
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"vcgraph/internal/graph"
+	"vcgraph/internal/seq"
+)
+
+// drawGraphs draws (generator, n, seed) triples from a fixed stream:
+// every generator twice, sizes and seeds random. All are undirected
+// (async and gas pull over out = in) and weighted (SSSP).
+func drawGraphs() map[string]*graph.Graph {
+	rng := rand.New(rand.NewSource(20260925))
+	out := map[string]*graph.Graph{}
+	gens := []string{"rmat", "powerlaw", "grid", "path", "disconnected"}
+	for i := 0; i < 2*len(gens); i++ {
+		gen, n, seed := gens[i%len(gens)], 16+rng.Intn(150), rng.Int63n(1<<30)
+		var g *graph.Graph
+		switch gen {
+		case "rmat":
+			scale := 4 + rng.Intn(4)
+			n = 1 << scale
+			g = graph.RMAT(scale, 3*n, seed)
+		case "powerlaw":
+			g = graph.PreferentialAttachment(n, 3, seed)
+		case "grid":
+			rows := 2 + rng.Intn(10)
+			n = rows * (2 + rng.Intn(10))
+			g = graph.Grid(rows, n/rows)
+		case "path":
+			g = graph.Path(n)
+		case "disconnected":
+			// A random half (simple: k-core assumes no parallel edges),
+			// an isolated vertex n/2, and a chain.
+			g = graph.New(n, false)
+			seen := map[[2]int]bool{}
+			for e := 0; e < n; e++ {
+				u, v := rng.Intn(n/2), rng.Intn(n/2)
+				if u > v {
+					u, v = v, u
+				}
+				if u != v && !seen[[2]int{u, v}] {
+					seen[[2]int{u, v}] = true
+					g.AddEdge(graph.VertexID(u), graph.VertexID(v))
+				}
+			}
+			for v := n/2 + 1; v+1 < n; v++ {
+				g.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
+			}
+		}
+		graph.RandomWeights(g, seed+1)
+		out[fmt.Sprintf("%s/n=%d/seed=%d", gen, n, seed)] = g
+	}
+	return out
+}
+
+// matrixCase is one algorithm's oracle on one graph: the cold-start
+// arguments and answer, and a sound warm start that must reach want
+// too (for the rows that take one).
+type matrixCase struct {
+	args, warmArgs Args
+	want, seed     []float64
+	tol            float64
+}
+
+func floats[V ~int32](xs []V) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
+	}
+	return out
+}
+
+// half keeps want at even vertices and cold at odd ones: for the
+// monotone min-fold algorithms that is a sound partial warm start.
+func half(want []float64, cold func(v int) float64) []float64 {
+	seed := make([]float64, len(want))
+	for v := range seed {
+		seed[v] = want[v]
+		if v%2 == 1 {
+			seed[v] = cold(v)
+		}
+	}
+	return seed
+}
+
+// pageRankCase is k folds checked against seq.PageRank; the warm start
+// resumes the oracle's iterate after done folds for the remaining ones.
+func pageRankCase(g *graph.Graph, k, done int, tol float64) matrixCase {
+	const alpha = 0.85
+	return matrixCase{
+		args:     Args{Alpha: alpha, K: k, Eps: 1e-9},
+		want:     seq.PageRank(g, alpha, k, &seq.Ops{}),
+		tol:      tol,
+		seed:     seq.PageRank(g, alpha, done, &seq.Ops{}),
+		warmArgs: Args{Alpha: alpha, K: k - done, Eps: 1e-9},
+	}
+}
+
+func matrixCases(g *graph.Graph) map[string]matrixCase {
+	cc := floats(seq.Components(g, &seq.Ops{}))
+	dist := seq.Dijkstra(g, 0, &seq.Ops{})
+	return map[string]matrixCase{
+		// 200 folds is the fixpoint to 1e-14, so the fixed-iteration
+		// and the eps-converged rows share one oracle.
+		"pagerank": pageRankCase(g, 200, 5, 1e-6),
+		"sssp": {
+			args: Args{Src: 0}, warmArgs: Args{Src: 0}, want: dist,
+			seed: half(dist, func(int) float64 { return math.Inf(1) }),
+		},
+		"cc": {
+			want: cc,
+			seed: half(cc, func(v int) float64 { return float64(v) }),
+		},
+		"kcore": {want: floats(seq.KCore(g, &seq.Ops{}))},
+	}
+}
+
+func checkValues(t *testing.T, got, want []float64, tol float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d values, want %d", len(got), len(want))
+	}
+	for v := range want {
+		if got[v] != want[v] && !(math.Abs(got[v]-want[v]) <= tol) {
+			t.Fatalf("value[%d] = %v, want %v (tol %g)", v, got[v], want[v], tol)
+		}
+	}
+}
+
+// TestMatrixAgainstSeq walks every row of the engine matrix — so a new
+// row is tested by existing — over drawn graphs and compares it with
+// the sequential baselines, cold and (unless the row rejects a seed)
+// from a partial warm start.
+func TestMatrixAgainstSeq(t *testing.T) {
+	rows := map[Key]Row{}
+	for key, row := range Matrix {
+		rows[key] = row
+	}
+	for engine, row := range FixedKPageRank {
+		rows[Key{"pagerank/fixedk", engine}] = row
+	}
+	keys := make([]Key, 0, len(rows))
+	for key := range rows {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return keys[i].Algo+"/"+keys[i].Engine < keys[j].Algo+"/"+keys[j].Engine
+	})
+	graphs := drawGraphs()
+	names := make([]string, 0, len(graphs))
+	for name := range graphs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	workers := 0
+	for _, name := range names {
+		g := graphs[name]
+		cases := matrixCases(g)
+		cases["pagerank/fixedk"] = pageRankCase(g, 20, 7, 1e-12)
+		for _, key := range keys {
+			row := rows[key]
+			c, ok := cases[key.Algo]
+			if !ok {
+				t.Fatalf("matrix algorithm %q has no sequential oracle in this test", key.Algo)
+			}
+			workers = workers%4 + 1
+			env := Env{Config: Config{Workers: workers}}
+			t.Run(fmt.Sprintf("%s/%s/%s/w%d", key.Algo, key.Engine, name, workers), func(t *testing.T) {
+				got, stats, err := row(g, c.args, nil, env)()
+				if err != nil {
+					t.Fatalf("cold: %v", err)
+				}
+				if stats == nil || stats.NumSupersteps() == 0 {
+					t.Fatalf("cold: no statistics")
+				}
+				checkValues(t, got, c.want, c.tol)
+
+				seed := c.seed
+				if seed == nil {
+					seed = c.want
+				}
+				got, _, err = row(g, c.warmArgs, seed, env)()
+				if errors.Is(err, errNoWarmStart) {
+					return
+				}
+				if err != nil {
+					t.Fatalf("warm: %v", err)
+				}
+				if c.seed == nil {
+					t.Fatalf("row accepted a seed but the test has no sound warm start for %q", key.Algo)
+				}
+				checkValues(t, got, c.want, c.tol)
+			})
+		}
+	}
+}
+
+// TestMatrixPinsReleased: a prepared row holds one pin until it runs;
+// a rejected seed must not leak one.
+func TestMatrixPinsReleased(t *testing.T) {
+	g := graph.Grid(4, 4)
+	for key, row := range Matrix {
+		if _, _, err := row(g, Args{Alpha: 0.85, K: 3, Eps: 1e-6}, nil, Env{})(); err != nil {
+			t.Fatalf("%v: %v", key, err)
+		}
+		_, _, _ = row(g, Args{Alpha: 0.85, K: 3, Eps: 1e-6}, make([]float64, g.N()), Env{})()
+		if g.Pins() != 0 {
+			t.Fatalf("%v left %d snapshot pins", key, g.Pins())
+		}
+	}
+}

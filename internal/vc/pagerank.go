@@ -133,21 +133,31 @@ func PageRank(g *graph.Graph, alpha float64, k int, cfg Config) (*PageRankResult
 // constructed (and the snapshot pinned) now, under whatever lock the
 // caller holds; the returned closure runs lock-free.
 func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*PageRankResult, error) {
-	prog := &prProgram{n: g.N(), alpha: alpha, k: k}
-	ecfg := engineCfg[float64](cfg)
-	if !cfg.NoCombiner {
-		ecfg.Combiner = func(a, b float64) float64 { return a + b }
-	}
-	eng := pregel.NewEngine[prValue, float64](g, prog, ecfg)
+	run := pageRankPregel(g, Args{Alpha: alpha, K: k}, nil, Env{Config: cfg})
 	return func() (*PageRankResult, error) {
-		res, err := eng.Run()
+		ranks, stats, err := run()
 		if err != nil {
 			return nil, err
 		}
-		ranks := make([]float64, g.N())
+		return &PageRankResult{Ranks: ranks, Stats: stats}, nil
+	}
+}
+
+// pageRankPregel is the (pagerank, pregel) matrix row: a.K folds from
+// seed ranks (nil is the uniform cold start).
+func pageRankPregel(g *graph.Graph, a Args, seed []float64, env Env) Run {
+	ecfg := pregelCfg[float64](env)
+	if !env.NoCombiner {
+		ecfg.Combiner = func(a, b float64) float64 { return a + b }
+	}
+	prog := &prProgram{n: g.N(), alpha: a.Alpha, k: a.K, seed: seed}
+	eng := pregel.NewEngine[prValue, float64](g, prog, ecfg)
+	return func() ([]float64, *bsp.Stats, error) {
+		res, err := eng.Run()
+		ranks := make([]float64, len(res.Values))
 		for v, val := range res.Values {
 			ranks[v] = val.rank
 		}
-		return &PageRankResult{Ranks: ranks, Stats: res.Stats}, nil
+		return ranks, res.Stats, err
 	}
 }

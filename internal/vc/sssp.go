@@ -71,13 +71,24 @@ func SSSP(g *graph.Graph, src VertexID, cfg Config) (*SSSPResult, error) {
 // constructed (and the snapshot pinned) now, under whatever lock the
 // caller holds; the returned closure runs lock-free.
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, error) {
-	prog := &ssspProgram{src: src}
-	ecfg := engineCfg[float64](cfg)
+	run := ssspPregel(g, Args{Src: src}, nil, Env{Config: cfg})
+	return func() (*SSSPResult, error) {
+		dist, stats, err := run()
+		if err != nil {
+			return nil, err
+		}
+		return &SSSPResult{Dist: dist, Stats: stats}, nil
+	}
+}
+
+// ssspPregel is the (sssp, pregel) matrix row.
+func ssspPregel(g *graph.Graph, a Args, seed []float64, env Env) Run {
+	ecfg := pregelCfg[float64](env)
 	// SSSP sends a distinct distance per edge (SendTo, never a
 	// broadcast), so a pulled superstep would find no broadcast slots
 	// and waste an O(n+m) transpose scan. Pin the push path.
 	ecfg.Mode = runtime.DirectionPush
-	if !cfg.NoCombiner {
+	if !env.NoCombiner {
 		ecfg.Combiner = func(a, b float64) float64 {
 			if a < b {
 				return a
@@ -85,16 +96,13 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, 
 			return b
 		}
 	}
-	eng := pregel.NewEngine[ssspValue, float64](g, prog, ecfg)
-	return func() (*SSSPResult, error) {
+	eng := pregel.NewEngine[ssspValue, float64](g, &ssspProgram{src: a.Src, seed: seed}, ecfg)
+	return func() ([]float64, *bsp.Stats, error) {
 		res, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		dist := make([]float64, g.N())
+		dist := make([]float64, len(res.Values))
 		for v, val := range res.Values {
 			dist[v] = val.dist
 		}
-		return &SSSPResult{Dist: dist, Stats: res.Stats}, nil
+		return dist, res.Stats, err
 	}
 }

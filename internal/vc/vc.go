@@ -69,13 +69,11 @@ type Config struct {
 	// assumes a simple graph: its dense variant dedupes parallel edges
 	// through a map, its packed variant through the adjacency itself.
 	PackedState bool
-	// Ctx, Pool, and Job pass through to the engine's job-scoped
-	// runtime: Ctx aborts the run at the next superstep barrier, Pool
-	// leases workers from a shared pool, and Job binds the run to a
-	// scheduler-admitted job handle (see runtime.DriverConfig).
-	Ctx  context.Context
-	Pool *runtime.Pool
-	Job  *runtime.Job
+	// Ctx and Job pass through to the engine's job-scoped runtime: Ctx
+	// aborts the run at the next superstep barrier, and Job binds the
+	// run to a scheduler-admitted job handle (see runtime.DriverConfig).
+	Ctx context.Context
+	Job *runtime.Job
 }
 
 func engineCfg[M any](c Config) pregel.Config[M] {
@@ -91,7 +89,6 @@ func engineCfg[M any](c Config) pregel.Config[M] {
 		Mode:              c.Mode,
 		PullThreshold:     c.PullThreshold,
 		Ctx:               c.Ctx,
-		Pool:              c.Pool,
 		Job:               c.Job,
 	}
 }
