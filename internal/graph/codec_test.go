@@ -216,7 +216,7 @@ func assertCSREqual(t *testing.T, name string, a, b *CSR) {
 			if ws := a.OutWeights(v); ws != nil {
 				aw = ws[i]
 			}
-			if dst != wantOut[i] || w != aw {
+			if dst != wantOut[i] || !sameWeight(w, aw) {
 				t.Fatalf("%s: v%d ForEachOut[%d] = (%d,%g), want (%d,%g)", name, v, i, dst, w, wantOut[i], aw)
 			}
 			i++
@@ -237,7 +237,7 @@ func assertCSREqual(t *testing.T, name string, a, b *CSR) {
 		wantEdges := a.AppendOutEdges(nil, v)
 		gotEdges := b.AppendOutEdges(nil, v)
 		for j := range wantEdges {
-			if gotEdges[j] != wantEdges[j] {
+			if !sameEdge(gotEdges[j], wantEdges[j]) {
 				t.Fatalf("%s: v%d AppendOutEdges[%d] mismatch", name, v, j)
 			}
 		}
@@ -286,6 +286,7 @@ func TestEdgesPerGBSweep(t *testing.T) {
 		g     *Graph
 		floor float64
 	}{
+		{"RMAT(15, 400000, 5)", RMAT(15, 400000, 5), 2.0}, // the edges-per-GB headline graph
 		{"RMAT(13, 60000, 5)", RMAT(13, 60000, 5), 2.0},
 		{"WattsStrogatz(10000, 8, 0.1, 5)", WattsStrogatz(10000, 8, 0.1, 5), 2.0},
 		{"SNAP crawl fixture (RMAT-derived)", snapFixture(), 2.0},

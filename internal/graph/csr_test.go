@@ -2,8 +2,16 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
+
+// sameWeight compares weights bit for bit: a snapshot copies them
+// verbatim, and ReadSNAP takes whatever strconv.ParseFloat does — NaN
+// included, which == never matches.
+func sameWeight(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameEdge(a, b Edge) bool { return a.Dst == b.Dst && a.L == b.L && sameWeight(a.W, b.W) }
 
 // checkCSRRoundTrip verifies that a CSR snapshot is a faithful,
 // order-preserving image of g: same vertex/edge counts, same degrees,
@@ -61,10 +69,10 @@ func checkCSRRoundTrip(t *testing.T, g *Graph) {
 			if out[i] != e.Dst {
 				t.Fatalf("vertex %d entry %d: dst %d, want %d", v, i, out[i], e.Dst)
 			}
-			if w := c.Weight(lo + int32(i)); w != e.W {
+			if w := c.Weight(lo + int32(i)); !sameWeight(w, e.W) {
 				t.Fatalf("vertex %d entry %d: weight %v, want %v", v, i, w, e.W)
 			}
-			if ws != nil && ws[i] != e.W {
+			if ws != nil && !sameWeight(ws[i], e.W) {
 				t.Fatalf("vertex %d entry %d: OutWeights %v, want %v", v, i, ws[i], e.W)
 			}
 			if l := c.EdgeLabel(lo + int32(i)); l != e.L {
@@ -74,7 +82,7 @@ func checkCSRRoundTrip(t *testing.T, g *Graph) {
 		// ForEachOut and AppendOutEdges agree with the spans.
 		j := 0
 		c.ForEachOut(id, func(dst VertexID, w float64) {
-			if dst != adj[j].Dst || w != adj[j].W {
+			if dst != adj[j].Dst || !sameWeight(w, adj[j].W) {
 				t.Fatalf("vertex %d ForEachOut entry %d: (%d, %v), want (%d, %v)",
 					v, j, dst, w, adj[j].Dst, adj[j].W)
 			}
@@ -88,7 +96,7 @@ func checkCSRRoundTrip(t *testing.T, g *Graph) {
 			t.Fatalf("vertex %d: AppendOutEdges returned %d entries, want %d", v, len(mat), len(adj))
 		}
 		for i := range mat {
-			if mat[i] != adj[i] {
+			if !sameEdge(mat[i], adj[i]) {
 				t.Fatalf("vertex %d entry %d: AppendOutEdges %+v, want %+v", v, i, mat[i], adj[i])
 			}
 		}
@@ -119,7 +127,7 @@ func checkCSRRoundTrip(t *testing.T, g *Graph) {
 		}
 		j := 0
 		c.ForEachIn(id, func(src VertexID, w float64) {
-			if src != inAdj[j].Dst || w != inAdj[j].W {
+			if src != inAdj[j].Dst || !sameWeight(w, inAdj[j].W) {
 				t.Fatalf("vertex %d ForEachIn entry %d: (%d, %v), want (%d, %v)",
 					v, j, src, w, inAdj[j].Dst, inAdj[j].W)
 			}
@@ -133,7 +141,7 @@ func checkCSRRoundTrip(t *testing.T, g *Graph) {
 			t.Fatalf("vertex %d: AppendInEdges returned %d entries, want %d", v, len(mat), len(inAdj))
 		}
 		for i := range mat {
-			if mat[i] != inAdj[i] {
+			if !sameEdge(mat[i], inAdj[i]) {
 				t.Fatalf("vertex %d in-entry %d: AppendInEdges %+v, want %+v", v, i, mat[i], inAdj[i])
 			}
 		}

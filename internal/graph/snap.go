@@ -106,9 +106,9 @@ func ReadSNAP(r io.Reader, opt SNAPOptions) (*Graph, error) {
 	for _, e := range edges {
 		g.AddWeightedEdge(e.u, e.v, e.w)
 	}
-	if g.Directed {
-		g.EnsureIn()
-	}
 	g.SortAdjacency()
+	if g.Directed {
+		g.EnsureIn() // after the sort: parallel edges must keep the CSR transpose's order
+	}
 	return g, nil
 }

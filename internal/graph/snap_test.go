@@ -156,6 +156,64 @@ func TestReadSNAPErrors(t *testing.T) {
 	}
 }
 
+// FuzzReadSNAP feeds arbitrary text through the SNAP parser under every
+// option combination. The only allowed outcomes are an error, or a graph
+// with one vertex per distinct token in the data lines (interned before
+// self-loops and duplicates are dropped) whose CSR passes the
+// round-trip check, flat and packed alike.
+func FuzzReadSNAP(f *testing.F) {
+	f.Add(liveJournalStyle, uint8(0))
+	f.Add(liveJournalStyle, uint8(15))
+	f.Add("a b 2.5\nb c 0.25\n", uint8(1))
+	f.Add("beta alpha\ngamma beta\nalpha gamma\n", uint8(8))
+	f.Add("x x\nx y 1e308\n\r\n# c\ny x -0\n", uint8(6))
+	f.Add("1 0 NAN\n0 2 -Inf\n", uint8(0)) // ParseFloat accepts both
+	// Thirteen parallel edges, enough for sort.Slice to reorder them:
+	// the in-lists must still match the CSR transpose.
+	f.Add("0 00\n0 0 0\n"+strings.Repeat("0 0\n", 11), uint8(7))
+
+	f.Fuzz(func(t *testing.T, data string, flags uint8) {
+		opt := SNAPOptions{
+			Directed:       flags&1 != 0,
+			KeepSelfLoops:  flags&2 != 0,
+			KeepDuplicates: flags&4 != 0,
+			KeepIDs:        flags&8 != 0,
+		}
+		g, err := ReadSNAP(strings.NewReader(data), opt)
+		if err != nil {
+			return
+		}
+		tokens := map[string]bool{}
+		for _, line := range strings.Split(data, "\n") {
+			line = strings.TrimSpace(line)
+			if line == "" || line[0] == '#' || line[0] == '%' {
+				continue
+			}
+			fields := strings.Fields(line)
+			tokens[fields[0]], tokens[fields[1]] = true, true
+		}
+		if g.N() != len(tokens) {
+			t.Fatalf("N = %d, want %d distinct IDs", g.N(), len(tokens))
+		}
+		if opt.KeepIDs {
+			for v, l := range g.Labels {
+				if !tokens[l] {
+					t.Fatalf("label[%d] = %q is not an input token", v, l)
+				}
+				delete(tokens, l)
+			}
+			if len(tokens) != 0 {
+				t.Fatalf("%d tokens have no vertex label", len(tokens))
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		checkCSRRoundTrip(t, g)
+		assertCSREqual(t, "snap", BuildCSR(g), BuildPackedCSR(g))
+	})
+}
+
 func TestReadSNAPPackedRoundTrip(t *testing.T) {
 	// A SNAP-loaded graph must build identical flat and packed CSRs —
 	// the loader sorts adjacency, which is the codec's best case.

@@ -140,10 +140,10 @@ type colPackedSnap struct {
 	phase, c             int
 }
 
-// Snapshot/Restore implement pregel.Snapshotter. Unlike the dense
-// program (whose master counters survive a rollback unrestored), the
-// packed variant checkpoints phase and color too, so packed coloring
-// is safe under fault injection.
+// Snapshot/Restore implement pregel.Snapshotter. The dense program
+// snapshots only phase and color (checkpointing.go): the engine saves
+// its vertex values. The packed variant keeps vertex state in stores
+// outside the values, so it checkpoints those stores as well.
 func (p *colPackedProgram) Snapshot() any {
 	return colPackedSnap{
 		color:   p.color.Clone(),

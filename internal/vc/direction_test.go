@@ -203,6 +203,68 @@ func TestDirectionPushPinsWithoutCombiner(t *testing.T) {
 	}
 }
 
+// TestDirectionPullWireIsZero pins the wire account of a dense frontier:
+// on a degree-32 power-law graph every PageRank and Hash-Min superstep
+// is dense, so forced pull and auto gather every one of them over the
+// transpose and put nothing on the wire (0 messages, Σh = 0), while
+// push pays for every edge. What the receivers see — one inbox
+// placement per receiving vertex per superstep — is the same in all
+// three modes. None of this depends on graph size.
+func TestDirectionPullWireIsZero(t *testing.T) {
+	g := graph.PreferentialAttachment(2000, 32, 5)
+	for _, algo := range []struct {
+		name string
+		run  func(cfg Config) (*bsp.Stats, error)
+	}{
+		{"pagerank", func(cfg Config) (*bsp.Stats, error) {
+			res, err := PageRank(g, 0.85, 10, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return res.Stats, nil
+		}},
+		{"hashmin", func(cfg Config) (*bsp.Stats, error) {
+			res, err := HashMinCC(g, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return res.Stats, nil
+		}},
+	} {
+		t.Run(algo.name, func(t *testing.T) {
+			var push *bsp.Stats
+			for _, dm := range directionModes {
+				st, err := algo.run(Config{Workers: 8, Mode: dm.mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sumH int64
+				for _, ss := range st.Supersteps {
+					sumH += ss.H()
+				}
+				t.Logf("%-4s messages=%d Σh=%d inbox=%d pulled=%d/%d", dm.name,
+					st.TotalMessages, sumH, st.InboxDeliveries, st.PulledSupersteps(), st.NumSupersteps())
+				if dm.mode == runtime.DirectionPush {
+					if st.TotalMessages == 0 || sumH == 0 {
+						t.Fatalf("push put nothing on the wire")
+					}
+					push = st
+					continue
+				}
+				if st.TotalMessages != 0 || sumH != 0 {
+					t.Errorf("%s: wire messages=%d Σh=%d, want 0", dm.name, st.TotalMessages, sumH)
+				}
+				if st.PulledSupersteps() != st.NumSupersteps() {
+					t.Errorf("%s: pulled %d of %d dense supersteps", dm.name, st.PulledSupersteps(), st.NumSupersteps())
+				}
+				if st.InboxDeliveries != push.InboxDeliveries {
+					t.Errorf("%s: inbox deliveries %d, push %d", dm.name, st.InboxDeliveries, push.InboxDeliveries)
+				}
+			}
+		})
+	}
+}
+
 // TestDirectionEquivalenceGas: the GAS engine's pull-scatter activates
 // next-round vertices by scanning transpose spans for changed sources
 // instead of materializing wake batches. The activation SET is

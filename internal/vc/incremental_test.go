@@ -2,10 +2,12 @@ package vc
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"vcgraph/internal/async"
+	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 )
 
@@ -344,5 +346,128 @@ func TestIncrementalWorkSavings(t *testing.T) {
 	}
 	if w, c := ssWarm.TotalWork, ssCold.TotalWork; w*4 >= c {
 		t.Errorf("warm SSSP did %d updates vs cold %d: expected <25%%", w, c)
+	}
+}
+
+// incRound is one warm repair after a seeded mutation batch, beside the
+// work of the cold run on the unmutated graph.
+type incRound struct {
+	deleted    bool // the batch held at least one delete
+	cold, warm int64
+}
+
+// incWorkRounds runs the workload the incremental headlines are quoted
+// on: PreferentialAttachment(30000, 3, 7) with seeded weights, one cold
+// run, then five seeded batches of k mutations (55/45 insert/delete, or
+// insert-only), each followed by a warm repair. A live-edge list keeps
+// every delete on an existing edge.
+func incWorkRounds(t *testing.T, algo string, k int, insertOnly bool) []incRound {
+	t.Helper()
+	g := graph.PreferentialAttachment(30000, 3, 7)
+	graph.RandomWeights(g, 8)
+	var live [][2]VertexID
+	c := g.Pin()
+	for u := 0; u < g.N(); u++ {
+		c.ForEachOut(VertexID(u), func(v VertexID, _ float64) {
+			if VertexID(u) <= v {
+				live = append(live, [2]VertexID{VertexID(u), v})
+			}
+		})
+	}
+	g.Unpin(c)
+	var cc *IncCCState
+	var ss *IncSSSPState
+	repair := func() int64 {
+		var st *bsp.Stats
+		var err error
+		if algo == "cc" {
+			cc, st, err = IncrementalCC(g, cc, IncConfig{})
+		} else {
+			ss, st, err = IncrementalSSSP(g, 0, ss, IncConfig{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.TotalWork
+	}
+	cold := repair()
+	rng := rand.New(rand.NewSource(42))
+	rounds := make([]incRound, 5)
+	for i := range rounds {
+		muts := make([]graph.Mutation, 0, k)
+		for j := 0; j < k; j++ {
+			if insertOnly || rng.Intn(100) < 55 || len(live) == 0 {
+				u := VertexID(rng.Intn(g.N()))
+				v := VertexID(rng.Intn(g.N()))
+				if u == v {
+					v = (v + 1) % VertexID(g.N())
+				}
+				muts = append(muts, ins(u, v, 0.5+3*rng.Float64()))
+				live = append(live, [2]VertexID{u, v})
+			} else {
+				d := rng.Intn(len(live))
+				muts = append(muts, graph.Mutation{Op: graph.DeleteEdge, U: live[d][0], V: live[d][1]})
+				live = append(live[:d], live[d+1:]...)
+				rounds[i].deleted = true
+			}
+		}
+		mustMutate(t, g, muts...)
+		rounds[i].cold, rounds[i].warm = cold, repair()
+		if (cc != nil && cc.Cold) || (ss != nil && ss.Cold) {
+			t.Fatalf("batch %d: warm repair fell back to a cold run", i)
+		}
+	}
+	return rounds
+}
+
+// TestIncrementalWorkRatio pins the incremental headlines as counted
+// work: warm repair after each of the first five batches must do at
+// least 5x fewer vertex updates than the cold run. SSSP repairs only the
+// invalidation closure of its deletes plus the insert endpoints; an
+// insert-only CC batch touches just the merge frontier.
+func TestIncrementalWorkRatio(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		algo       string
+		k          int
+		insertOnly bool
+	}{
+		{"sssp-batch4", "sssp", 4, false},
+		{"sssp-batch64", "sssp", 64, false},
+		{"cc-insert4", "cc", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, r := range incWorkRounds(t, tc.algo, tc.k, tc.insertOnly) {
+				ratio := float64(r.cold) / float64(r.warm)
+				t.Logf("batch %d: cold %d, warm %d, %.0fx", i, r.cold, r.warm, ratio)
+				if ratio < 5 {
+					t.Errorf("batch %d: cold/warm work %.2fx, want >= 5x", i, ratio)
+				}
+			}
+		})
+	}
+}
+
+// TestIncrementalCCDeleteRedoesColdWork pins what a mixed CC batch
+// costs: a delete resets the whole prior label classes of both
+// endpoints, which on this connected graph is every vertex, so the warm
+// drain does at least as many updates as the cold run. Whatever makes a
+// mixed warm repair faster in wall-clock is not in the counted work.
+func TestIncrementalCCDeleteRedoesColdWork(t *testing.T) {
+	for _, k := range []int{4, 64} {
+		deletes := 0
+		for i, r := range incWorkRounds(t, "cc", k, false) {
+			t.Logf("batch%d #%d: deleted=%v cold %d, warm %d", k, i, r.deleted, r.cold, r.warm)
+			if !r.deleted {
+				continue
+			}
+			deletes++
+			if float64(r.warm) < 0.99*float64(r.cold) {
+				t.Errorf("batch%d #%d: warm work %d below 0.99x cold %d", k, i, r.warm, r.cold)
+			}
+		}
+		if deletes == 0 {
+			t.Errorf("batch%d: no batch held a delete", k)
+		}
 	}
 }

@@ -259,6 +259,42 @@ func TestStatsParityPartitioners(t *testing.T) {
 	})
 }
 
+// TestPartitionImbalanceSweep pins the load-placement half of the same
+// story on the graph EXPERIMENTS.md quotes (pregel PageRank K=10 on
+// PreferentialAttachment(20000, 8, 5), 8 workers). Imbalance is the
+// mean over supersteps of max per-worker work over mean per-worker
+// work: the greedy degree balancer is perfect, hash is near-perfect in
+// expectation, and range piles the early hubs of a preferential-
+// attachment graph onto one worker — the paper's §3.3 skew pathology.
+func TestPartitionImbalanceSweep(t *testing.T) {
+	g := graph.PreferentialAttachment(20000, 8, 5)
+	imbalance := func(p pregel.Partitioner) float64 {
+		res, err := PageRank(g, 0.85, 10, Config{Workers: 8, Partition: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		var steps int
+		for _, ss := range res.Stats.Supersteps {
+			if total := sumOf(ss.Work); total > 0 {
+				sum += float64(ss.MaxWork) * float64(res.Stats.Workers) / float64(total)
+				steps++
+			}
+		}
+		return sum / float64(steps)
+	}
+	degree := imbalance(pregel.PartitionDegreeBalanced)
+	hash := imbalance(pregel.PartitionHash)
+	rng := imbalance(pregel.PartitionRange)
+	t.Logf("imbalance: degree %.4f, hash %.4f, range %.4f", degree, hash, rng)
+	if !(degree <= hash && hash < rng) {
+		t.Errorf("want degree <= hash < range, got %.4f, %.4f, %.4f", degree, hash, rng)
+	}
+	if degree > 1.01 || rng < 2 {
+		t.Errorf("degree-balanced %.4f (want <= 1.01), range %.4f (want >= 2)", degree, rng)
+	}
+}
+
 // TestDriverMeasuredAccounting checks the driver-populated measured
 // fields for every engine: per superstep MaxWork/MaxComm/Cost must equal
 // the w, h, and max(w, g·h, L) recomputed from the raw slices, and the
