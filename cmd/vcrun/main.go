@@ -79,6 +79,9 @@ func main() {
 	if cell, ok := shorthands[*algo]; ok && *engine == "" {
 		*algo, *engine = cell.Algo, cell.Engine
 	}
+	if *packedState && (!packedStateAlgos[*algo] || (*engine != "" && *engine != plan.EnginePregel && *engine != "auto")) {
+		fail(fmt.Errorf("-packed-state applies to hashmin, kcore, and coloring on pregel or auto, not %s on %q", name, *engine))
+	}
 
 	var fplan *runtime.FaultPlan
 	if *faults != 0 {
@@ -509,6 +512,10 @@ var (
 		"gaspagerank": {Algo: "pagerank", Engine: "gas"},
 		"blockcc":     {Algo: "hashmin", Engine: "blockcentric"},
 	}
+	// packedStateAlgos have bit-packed vertex state; it is a pregel
+	// program feature, which -engine auto reaches through its pregel
+	// segments.
+	packedStateAlgos = map[string]bool{"hashmin": true, "kcore": true, "coloring": true}
 )
 
 // runMatrix runs one cell of the engine matrix, or — under -engine

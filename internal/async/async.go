@@ -87,10 +87,6 @@ type Config struct {
 	// engine is sequential, so the job must be submitted with a worker
 	// share of 1.
 	Job *rt.Job
-	// PackedState selects the bit-packed label-store variant for the
-	// algorithms that have one (ConnectedComponents). Results and
-	// update counts are byte-identical to the dense programs.
-	PackedState bool
 }
 
 // ErrFaultsNeedFIFO rejects fault injection under the prioritized
@@ -553,21 +549,6 @@ func ConnectedComponents(g *graph.Graph, cfg Config) ([]VertexID, *Result[Vertex
 // PrepareConnectedComponents is the job-scoped form of
 // ConnectedComponents.
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, *Result[VertexID], error) {
-	if cfg.PackedState {
-		prog := newCCPackedProgram(g.N())
-		run := Prepare[struct{}](g, prog, cfg)
-		return func() ([]VertexID, *Result[VertexID], error) {
-			res, err := run()
-			var wrapped *Result[VertexID]
-			if res != nil {
-				wrapped = &Result[VertexID]{Values: prog.lbls(), Updates: res.Updates, Stats: res.Stats}
-			}
-			if err != nil {
-				return nil, wrapped, err
-			}
-			return wrapped.Values, wrapped, nil
-		}
-	}
 	run := Prepare(g, CCProgram(nil), cfg)
 	return func() ([]VertexID, *Result[VertexID], error) {
 		res, err := run()

@@ -92,10 +92,6 @@ type Config struct {
 	// Blocks is taken from the job's lease, the run executes under the
 	// job's context, and superstep records stream to the handle.
 	Job *rt.Job
-	// PackedState selects the bit-packed label-store variant for the
-	// algorithms that have one (ConnectedComponents). Results and
-	// superstep counts are byte-identical to the dense programs.
-	PackedState bool
 }
 
 // ErrSuperstepCap mirrors pregel.ErrSuperstepCap. It aliases
@@ -157,18 +153,16 @@ type Engine[V, M any] struct {
 }
 
 // bcSnapshot is one checkpoint generation: the barrier state entering
-// a superstep (boundary messages already delivered to inboxes), plus
-// any program-private state (runtime.StateSnapshotter). A delta frame
-// (SnapshotDelta) sets delta and carries only the dirty blocks:
+// a superstep (boundary messages already delivered to inboxes). A delta
+// frame (SnapshotDelta) sets delta and carries only the dirty blocks:
 // blocks lists them ascending, blockVals holds each one's member
 // values, and halted/inbox/inboxLocal are indexed by position in
-// blocks instead of by block ID. Program-private state is always full.
+// blocks instead of by block ID.
 type bcSnapshot[V, M any] struct {
 	values     []V
 	halted     []bool
 	inbox      []map[VertexID][]M
 	inboxLocal []int64
-	progState  any
 
 	delta     bool
 	blocks    []int
@@ -310,7 +304,6 @@ func (e *Engine[V, M]) Snapshot() *bcSnapshot[V, M] {
 		halted:     append([]bool(nil), e.halted...),
 		inbox:      make([]map[VertexID][]M, nb),
 		inboxLocal: append([]int64(nil), e.inboxLocal...),
-		progState:  rt.SnapshotProgState(e.prog),
 	}
 	for b := 0; b < nb; b++ {
 		ck.inbox[b] = make(map[VertexID][]M, len(e.inbox[b]))
@@ -324,8 +317,8 @@ func (e *Engine[V, M]) Snapshot() *bcSnapshot[V, M] {
 
 // SnapshotDelta implements runtime.DeltaPolicy: it deep-copies only
 // the blocks dirtied since the previous frame — computed or mailed
-// across a boundary — plus the full (small) program-private state, and
-// resets the dirty tracking so the next frame patches this one.
+// across a boundary — and resets the dirty tracking so the next frame
+// patches this one.
 func (e *Engine[V, M]) SnapshotDelta() *bcSnapshot[V, M] {
 	var blocks []int
 	for b, d := range e.dirtyBlocks {
@@ -341,7 +334,6 @@ func (e *Engine[V, M]) SnapshotDelta() *bcSnapshot[V, M] {
 		halted:     make([]bool, len(blocks)),
 		inbox:      make([]map[VertexID][]M, len(blocks)),
 		inboxLocal: make([]int64, len(blocks)),
-		progState:  rt.SnapshotProgState(e.prog),
 	}
 	for i, b := range blocks {
 		ck.blockVals[i] = rt.CloneValuesAt(e.prog, e.values, e.blocks[b])
@@ -376,12 +368,10 @@ func (e *Engine[V, M]) RestoreDelta(ck *bcSnapshot[V, M]) {
 			e.inbox[b][v] = append([]M(nil), ms...)
 		}
 	}
-	rt.RestoreProgState(e.prog, ck.progState)
 }
 
 // FrameBytes implements runtime.SnapshotSizer: a deterministic
-// resident-byte estimate of a frame (full or delta). Program-private
-// state is opaque and excluded on both frame kinds alike.
+// resident-byte estimate of a frame (full or delta).
 func (e *Engine[V, M]) FrameBytes(ck *bcSnapshot[V, M]) int64 {
 	szV := rt.SizeOf[V]()
 	b := int64(len(ck.values))*szV +
@@ -423,12 +413,10 @@ func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int, ok bool) {
 				e.localOut[b] = e.localOut[b][:0]
 			}
 		}
-		rt.RestoreProgState(e.prog, nil)
 		e.clearDirty()
 		return
 	}
 	e.values = rt.CloneValues[V](e.prog, ck.values)
-	rt.RestoreProgState(e.prog, ck.progState)
 	copy(e.halted, ck.halted)
 	copy(e.inboxLocal, ck.inboxLocal)
 	for b := range e.inbox {
@@ -718,17 +706,6 @@ func ConnectedComponents(g *graph.Graph, cfg Config) (*CCResult, error) {
 // now (NewEngine), the returned closure runs lock-free on the pinned
 // snapshot.
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() (*CCResult, error) {
-	if cfg.PackedState {
-		prog := newCCPackedProgram(g.N())
-		eng := NewEngine[struct{}, VertexID](g, prog, cfg)
-		return func() (*CCResult, error) {
-			res, err := eng.Run()
-			if err != nil {
-				return nil, err
-			}
-			return &CCResult{Color: prog.lbls(), Stats: res.Stats}, nil
-		}
-	}
 	eng := NewEngine(g, CCProgram(nil), cfg)
 	return func() (*CCResult, error) {
 		res, err := eng.Run()

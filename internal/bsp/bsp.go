@@ -194,10 +194,10 @@ type Recovery struct {
 	InvalidatedCheckpoints int
 	// CheckpointBytesFull / CheckpointBytesDelta split the estimated
 	// resident bytes of the saved frames by kind. The estimate is
-	// deterministic (element sizes times element counts, excluding
-	// opaque program-private state the same way on both sides), so the
-	// full/delta ratio is comparable across runs — the compaction win
-	// delta checkpointing exists for.
+	// deterministic (element sizes times element counts, plus the size
+	// program-private state stores report), so the full/delta ratio is
+	// comparable across runs — the compaction win delta checkpointing
+	// exists for.
 	CheckpointBytesFull  int64
 	CheckpointBytesDelta int64
 	// DroppedLanes counts message batches lost in transit; each forces

@@ -76,10 +76,6 @@ type Config struct {
 	// PullThreshold overrides the auto-mode active-set density
 	// threshold (fraction of n; <= 0 means rt.DefaultPullThreshold).
 	PullThreshold float64
-	// PackedState selects the bit-packed label-store variant for the
-	// algorithms that have one (ConnectedComponents). Results and
-	// iteration counts are byte-identical to the dense programs.
-	PackedState bool
 	// Snapshot, when non-nil, is an already-pinned CSR generation the
 	// engine must run against instead of pinning the graph's current
 	// one (the adaptive plan layer re-prepares engines mid-job; see
@@ -126,15 +122,6 @@ type Preparer interface {
 // the step without threading it through Gather/Apply.
 type Stepper interface {
 	BeforeStep(step int)
-}
-
-// ApplierAt is an optional Program extension: when implemented, the
-// engine calls ApplyAt(v, total) instead of Apply(&next[v], total).
-// Programs that keep vertex state outside the value array (the
-// bit-packed stores of internal/vc) need the vertex ID to address it;
-// the value-array Apply never sees one.
-type ApplierAt[G any] interface {
-	ApplyAt(v VertexID, total G) bool
 }
 
 // Run executes prog on g to quiescence. The graph must be directed
@@ -286,7 +273,6 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 	if pull {
 		p.bcast.Advance()
 	}
-	applyAt, useApplyAt := any(prog).(ApplierAt[G])
 	p.driver.Lease().Run(func(w int) {
 		var workW, sentW, activeW int64
 		for _, vid := range p.verts[w] {
@@ -308,13 +294,7 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 				}
 			}
 			workW += int64(len(srcs))
-			var changed bool
-			if useApplyAt {
-				changed = applyAt.ApplyAt(vid, total)
-			} else {
-				changed = prog.Apply(&p.next[v], total)
-			}
-			if changed {
+			if prog.Apply(&p.next[v], total) {
 				if pull {
 					// Pulled scatter: mark the change; destinations
 					// find it on their transpose spans below. No
@@ -404,14 +384,12 @@ func (p *policy[V, G]) Snapshot() *gasSnapshot[V] {
 		values:      rt.CloneValues[V](p.prog, p.cur),
 		active:      append([]bool(nil), p.active...),
 		activeCount: p.activeCount,
-		progState:   rt.SnapshotProgState(p.prog),
 	}
 }
 
 // SnapshotDelta implements runtime.DeltaPolicy: only the values
-// dirtied since the previous frame, the complete active set in sparse
-// form (it is small exactly when deltas pay off), and the full
-// program-private state.
+// dirtied since the previous frame and the complete active set in
+// sparse form (it is small exactly when deltas pay off).
 func (p *policy[V, G]) SnapshotDelta() *gasSnapshot[V] {
 	var ids []VertexID
 	for v, d := range p.dirty {
@@ -431,7 +409,6 @@ func (p *policy[V, G]) SnapshotDelta() *gasSnapshot[V] {
 		ids:       ids,
 		values:    rt.CloneValuesAt(p.prog, p.cur, ids),
 		activeIDs: activeIDs,
-		progState: rt.SnapshotProgState(p.prog),
 	}
 }
 
@@ -441,7 +418,6 @@ func (p *policy[V, G]) Restore(snap *gasSnapshot[V], step int, ok bool) {
 		p.cur = rt.CloneValues[V](p.prog, snap.values)
 		copy(p.active, snap.active)
 		p.activeCount = snap.activeCount
-		rt.RestoreProgState(p.prog, snap.progState)
 	} else {
 		// Restart from the pristine Init-time values: re-running Init
 		// here would read the mutable graph mid-run.
@@ -450,7 +426,6 @@ func (p *policy[V, G]) Restore(snap *gasSnapshot[V], step int, ok bool) {
 			p.active[v] = true
 		}
 		p.activeCount = p.n
-		rt.RestoreProgState(p.prog, nil)
 	}
 	p.clearDirty()
 	for i := range p.nextActive {
@@ -478,16 +453,13 @@ func (p *policy[V, G]) RestoreDelta(snap *gasSnapshot[V]) {
 		p.active[id] = true
 	}
 	p.activeCount = len(snap.activeIDs)
-	rt.RestoreProgState(p.prog, snap.progState)
 	for i := range p.nextActive {
 		p.nextActive[i] = false
 	}
 }
 
 // FrameBytes implements runtime.SnapshotSizer: a deterministic
-// resident-byte estimate of a frame. Program-private state
-// (StateSnapshotter, e.g. bit-packed stores) is opaque and excluded on
-// both frame kinds alike.
+// resident-byte estimate of a frame.
 func (p *policy[V, G]) FrameBytes(snap *gasSnapshot[V]) int64 {
 	szID := rt.SizeOf[VertexID]()
 	return int64(len(snap.values))*rt.SizeOf[V]() +
@@ -503,15 +475,13 @@ func (p *policy[V, G]) clearDirty() {
 }
 
 // gasSnapshot is one checkpoint generation of a GAS run: the barrier
-// state entering an iteration, plus any program-private state
-// (runtime.StateSnapshotter, e.g. a bit-packed label store). A delta
-// frame (SnapshotDelta) sets delta and indexes values by position in
-// ids; activeIDs is the complete active set in sparse form.
+// state entering an iteration. A delta frame (SnapshotDelta) sets delta
+// and indexes values by position in ids; activeIDs is the complete
+// active set in sparse form.
 type gasSnapshot[V any] struct {
 	values      []V
 	active      []bool
 	activeCount int
-	progState   any
 
 	delta     bool
 	ids       []VertexID
@@ -641,18 +611,6 @@ func ConnectedComponents(g *graph.Graph, cfg Config) ([]VertexID, *Result[Vertex
 // PrepareConnectedComponents is the two-phase form of
 // ConnectedComponents (see Prepare).
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, *Result[VertexID], error) {
-	if cfg.PackedState {
-		prog := newCCPackedProgram(g.N())
-		run := Prepare[struct{}, VertexID](g, prog, cfg)
-		return func() ([]VertexID, *Result[VertexID], error) {
-			res, err := run()
-			if err != nil {
-				return nil, nil, err
-			}
-			labels := prog.labels()
-			return labels, &Result[VertexID]{Values: labels, Iterations: res.Iterations, Stats: res.Stats}, nil
-		}
-	}
 	run := Prepare(g, CCProgram(nil), cfg)
 	return func() ([]VertexID, *Result[VertexID], error) {
 		res, err := run()

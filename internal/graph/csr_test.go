@@ -7,8 +7,9 @@ import (
 )
 
 // sameWeight compares weights bit for bit: a snapshot copies them
-// verbatim, and ReadSNAP takes whatever strconv.ParseFloat does — NaN
-// included, which == never matches.
+// verbatim, so -0 must stay -0, and a NaN that AddWeightedEdge took
+// (the file readers reject it) must round-trip although == never
+// matches it.
 func sameWeight(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func sameEdge(a, b Edge) bool { return a.Dst == b.Dst && a.L == b.L && sameWeight(a.W, b.W) }

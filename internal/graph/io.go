@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -96,7 +97,13 @@ func WriteDOT(w io.Writer, g *Graph, name string) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the vcgraph edge-list format.
+// finite reports whether a parsed edge weight is usable: the file
+// readers reject NaN and ±Inf, which strconv.ParseFloat accepts but no
+// weighted algorithm can order or sum.
+func finite(w float64) bool { return !math.IsNaN(w) && !math.IsInf(w, 0) }
+
+// ReadEdgeList parses the vcgraph edge-list format. Edge weights must
+// be finite.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -154,7 +161,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			u, err1 := strconv.Atoi(fields[1])
 			v, err2 := strconv.Atoi(fields[2])
 			w, err3 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil || err3 != nil ||
+			if err1 != nil || err2 != nil || err3 != nil || !finite(w) ||
 				u < 0 || u >= g.N() || v < 0 || v >= g.N() {
 				return nil, fmt.Errorf("graph: line %d: bad edge %q", line, text)
 			}

@@ -117,11 +117,17 @@ func TestEdgeListErrors(t *testing.T) {
 		"short edge":       "vcgraph 2 undirected\ne 0 1\n",
 		"empty input":      "",
 		"non-numeric edge": "vcgraph 2 undirected\ne a b c\n",
+		"NaN weight":       "vcgraph 2 undirected\ne 0 1 1\ne 0 1 NaN\n",
+		"infinite weight":  "vcgraph 2 directed\ne 1 0 -Inf\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+	_, err := ReadEdgeList(strings.NewReader(cases["NaN weight"]))
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("NaN weight: error %v does not name line 3", err)
 	}
 }
 

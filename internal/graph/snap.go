@@ -28,7 +28,8 @@ type SNAPOptions struct {
 }
 
 // ReadSNAP parses a SNAP-style / TSV edge list: one whitespace-delimited
-// vertex pair per line (an optional third field is the edge weight),
+// vertex pair per line (an optional third field is the edge weight,
+// which must be finite),
 // lines starting with '#' or '%' and blank lines ignored. Vertex IDs
 // are arbitrary tokens — LiveJournal-style integer IDs with gaps, or
 // strings — interned to dense VertexIDs deterministically in first-
@@ -76,7 +77,7 @@ func ReadSNAP(r io.Reader, opt SNAPOptions) (*Graph, error) {
 		w := 1.0
 		if len(fields) == 3 {
 			var err error
-			if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
+			if w, err = strconv.ParseFloat(fields[2], 64); err != nil || !finite(w) {
 				return nil, fmt.Errorf("graph: snap line %d: bad weight %q", line, fields[2])
 			}
 		}

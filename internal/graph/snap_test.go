@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -144,9 +145,15 @@ func TestReadSNAPErrors(t *testing.T) {
 		"a\n",           // one field
 		"a b c d\n",     // four fields
 		"a b notanum\n", // bad weight
+		"a b 1\nb c NaN\n",
+		"a b +Inf\n",
+		"a a -inf\n", // rejected even where the self-loop would be dropped
 	} {
-		if _, err := ReadSNAP(strings.NewReader(bad), SNAPOptions{}); err == nil {
+		_, err := ReadSNAP(strings.NewReader(bad), SNAPOptions{})
+		if err == nil {
 			t.Errorf("ReadSNAP(%q) accepted malformed input", bad)
+		} else if want := "line " + strconv.Itoa(strings.Count(bad, "\n")); !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadSNAP(%q) error %q does not name %s", bad, err, want)
 		}
 	}
 	// Empty input is a valid empty graph, not an error.
@@ -159,15 +166,16 @@ func TestReadSNAPErrors(t *testing.T) {
 // FuzzReadSNAP feeds arbitrary text through the SNAP parser under every
 // option combination. The only allowed outcomes are an error, or a graph
 // with one vertex per distinct token in the data lines (interned before
-// self-loops and duplicates are dropped) whose CSR passes the
-// round-trip check, flat and packed alike.
+// self-loops and duplicates are dropped) and no non-finite weight,
+// whose CSR passes the round-trip check, flat and packed alike. A data
+// line whose weight parses as NaN or ±Inf must be an error.
 func FuzzReadSNAP(f *testing.F) {
 	f.Add(liveJournalStyle, uint8(0))
 	f.Add(liveJournalStyle, uint8(15))
 	f.Add("a b 2.5\nb c 0.25\n", uint8(1))
 	f.Add("beta alpha\ngamma beta\nalpha gamma\n", uint8(8))
 	f.Add("x x\nx y 1e308\n\r\n# c\ny x -0\n", uint8(6))
-	f.Add("1 0 NAN\n0 2 -Inf\n", uint8(0)) // ParseFloat accepts both
+	f.Add("1 0 NAN\n0 2 -Inf\n", uint8(0)) // ParseFloat accepts both; the reader must not
 	// Thirteen parallel edges, enough for sort.Slice to reorder them:
 	// the in-lists must still match the CSR transpose.
 	f.Add("0 00\n0 0 0\n"+strings.Repeat("0 0\n", 11), uint8(7))
@@ -182,6 +190,20 @@ func FuzzReadSNAP(f *testing.F) {
 		g, err := ReadSNAP(strings.NewReader(data), opt)
 		if err != nil {
 			return
+		}
+		for _, line := range strings.Split(data, "\n") {
+			if fields := strings.Fields(line); len(fields) == 3 && fields[0][0] != '#' && fields[0][0] != '%' {
+				if w, perr := strconv.ParseFloat(fields[2], 64); perr == nil && !finite(w) {
+					t.Fatalf("accepted the non-finite weight in %q", line)
+				}
+			}
+		}
+		for v := range g.Out {
+			for _, e := range g.Out[v] {
+				if !finite(e.W) {
+					t.Fatalf("edge %d->%d has weight %v", v, e.Dst, e.W)
+				}
+			}
 		}
 		tokens := map[string]bool{}
 		for _, line := range strings.Split(data, "\n") {

@@ -32,7 +32,9 @@ import (
 // state.
 
 // Snapshotter lets a program (typically one with master state) save
-// and restore that state across a rollback.
+// and restore that state across a rollback. A snapshot value with a
+// SizeBytes() int method (vertex state kept in program-owned stores) is
+// charged that many bytes per checkpoint frame.
 type Snapshotter interface {
 	Snapshot() any
 	Restore(snapshot any)
@@ -180,8 +182,10 @@ func (e *Engine[V, M]) RestoreDelta(ck *checkpoint[V, M]) {
 
 // FrameBytes implements runtime.SnapshotSizer: a deterministic
 // resident-byte estimate of a frame (full or delta) — element sizes
-// times element counts. Boxed master/global/aggregator values are
-// opaque and charged a flat per-entry cost on both frame kinds.
+// times element counts. Boxed global/aggregator values are opaque and
+// charged a flat per-entry cost on both frame kinds; the Snapshotter
+// state is charged its SizeBytes when it reports one (program-private
+// vertex stores), and nothing otherwise (a few master counters).
 func (e *Engine[V, M]) FrameBytes(ck *checkpoint[V, M]) int64 {
 	b := int64(len(ck.values))*rt.SizeOf[V]() +
 		int64(len(ck.halted)) +
@@ -196,6 +200,9 @@ func (e *Engine[V, M]) FrameBytes(ck *checkpoint[V, M]) int64 {
 		b += rt.MapEntryBytes + int64(len(a))*szE
 	}
 	b += int64(len(ck.globals)+len(ck.aggCurrent)) * rt.MapEntryBytes
+	if s, ok := ck.masterState.(interface{ SizeBytes() int }); ok {
+		b += int64(s.SizeBytes())
+	}
 	return b
 }
 

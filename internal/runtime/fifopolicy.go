@@ -129,16 +129,14 @@ func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, er
 func (p *WorklistRunner[V]) Snapshot() *WorklistSnapshot[V] {
 	p.clearDirty()
 	return &WorklistSnapshot[V]{
-		values:    CloneValues[V](p.Prog, *p.Values),
-		queue:     p.Queue.Snapshot(),
-		progState: SnapshotProgState(p.Prog),
+		values: CloneValues[V](p.Prog, *p.Values),
+		queue:  p.Queue.Snapshot(),
 	}
 }
 
 // SnapshotDelta implements DeltaPolicy: only the values of vertices
-// popped since the previous frame, the complete worklist (small on
-// sparse tails, and required — the queue cannot be patched), and the
-// full program-private state.
+// popped since the previous frame and the complete worklist (small on
+// sparse tails, and required — the queue cannot be patched).
 func (p *WorklistRunner[V]) SnapshotDelta() *WorklistSnapshot[V] {
 	var ids []VertexID
 	for v, d := range p.dirty {
@@ -148,11 +146,10 @@ func (p *WorklistRunner[V]) SnapshotDelta() *WorklistSnapshot[V] {
 		}
 	}
 	return &WorklistSnapshot[V]{
-		delta:     true,
-		ids:       ids,
-		values:    CloneValuesAt(p.Prog, *p.Values, ids),
-		queue:     p.Queue.Snapshot(),
-		progState: SnapshotProgState(p.Prog),
+		delta:  true,
+		ids:    ids,
+		values: CloneValuesAt(p.Prog, *p.Values, ids),
+		queue:  p.Queue.Snapshot(),
 	}
 }
 
@@ -172,12 +169,10 @@ func (p *WorklistRunner[V]) RestoreDelta(snap *WorklistSnapshot[V]) {
 		}
 	}
 	p.Queue.Load(snap.queue)
-	RestoreProgState(p.Prog, snap.progState)
 }
 
 // FrameBytes implements SnapshotSizer: a deterministic resident-byte
-// estimate of a frame (full or delta); program-private state is opaque
-// and excluded on both frame kinds alike.
+// estimate of a frame (full or delta).
 func (p *WorklistRunner[V]) FrameBytes(snap *WorklistSnapshot[V]) int64 {
 	szID := SizeOf[VertexID]()
 	return int64(len(snap.values))*SizeOf[V]() +
@@ -200,11 +195,9 @@ func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int, ok bool
 		*p.Values = CloneValues[V](p.Prog, snap.values)
 		p.Queue.Load(snap.queue)
 		p.updates = step * p.EpochLen
-		RestoreProgState(p.Prog, snap.progState)
 		return
 	}
 	*p.Values = CloneValues[V](p.Prog, p.PristineValues)
-	RestoreProgState(p.Prog, nil)
 	if p.PristineQueue != nil {
 		p.Queue.Load(p.PristineQueue)
 	} else {
@@ -217,14 +210,12 @@ func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int, ok bool
 }
 
 // WorklistSnapshot is one checkpoint generation of a worklist run: the
-// values and the worklist (in arrival order) at an epoch boundary,
-// plus any program-private state (StateSnapshotter). A delta frame
-// (SnapshotDelta) sets delta and indexes values by position in ids;
-// the queue is always complete.
+// values and the worklist (in arrival order) at an epoch boundary. A
+// delta frame (SnapshotDelta) sets delta and indexes values by position
+// in ids; the queue is always complete.
 type WorklistSnapshot[V any] struct {
-	values    []V
-	queue     []VertexID
-	progState any
+	values []V
+	queue  []VertexID
 
 	delta bool
 	ids   []VertexID

@@ -5,6 +5,7 @@ import (
 
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
+	rt "vcgraph/internal/runtime"
 )
 
 // TestDeltaCheckpointBytes pins the compaction headline on the two
@@ -64,6 +65,34 @@ func TestDeltaCheckpointBytes(t *testing.T) {
 				t.Errorf("delta cadence captured %.2fx fewer checkpoint bytes, want >= 5x", ratio)
 			}
 		})
+	}
+}
+
+// TestProgramStateCheckpointBytes: a program whose vertex state lives
+// in its own stores must have them charged to its checkpoint frames.
+// Dense and packed Hash-Min checkpoint identical engine state, except
+// that a dense frame carries the label values and a packed frame the
+// label store in their place.
+func TestProgramStateCheckpointBytes(t *testing.T) {
+	g := graph.Grid(30, 30)
+	n := g.N()
+	recovery := func(packed bool) bsp.Recovery {
+		res, err := HashMinCC(g, Config{Workers: 3, CheckpointEvery: 1, PackedState: packed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.Recovery
+	}
+	dense, packed := recovery(false), recovery(true)
+	frames := int64(packed.CheckpointsSaved)
+	if frames == 0 || dense.CheckpointsSaved != packed.CheckpointsSaved {
+		t.Fatalf("saved %d dense and %d packed frames", dense.CheckpointsSaved, packed.CheckpointsSaved)
+	}
+	store := int64(NewPackedInts(n, uint64(n)).SizeBytes())
+	values := int64(n) * rt.SizeOf[hashMinValue]()
+	if got, want := packed.CheckpointBytesFull-dense.CheckpointBytesFull, frames*(store-values); got != want {
+		t.Errorf("packed frames charged %d B more than dense, want %d (%d frames × (%d B store − %d B values))",
+			got, want, frames, store, values)
 	}
 }
 

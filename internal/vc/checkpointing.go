@@ -59,11 +59,6 @@ func (eulerProgram) CloneValue(v eulerValue) eulerValue {
 	return v
 }
 
-func (kcoreProgram) CloneValue(v kcoreValue) kcoreValue {
-	v.nbrEst = maps.Clone(v.nbrEst)
-	return v
-}
-
 func (p *mcstProgram) CloneValue(v mcstValue) mcstValue {
 	v.edges = append([]mcstEdge(nil), v.edges...)
 	return v

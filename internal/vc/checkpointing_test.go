@@ -74,11 +74,14 @@ func TestCloneValueDeepCopies(t *testing.T) {
 		}
 	})
 	t.Run("kcore", func(t *testing.T) {
-		orig := kcoreValue{est: 4, nbrEst: map[VertexID]int32{1: 3}}
-		c := kcoreProgram{}.CloneValue(orig)
-		orig.nbrEst[1] = 9
-		if c.nbrEst[1] != 3 || c.est != 4 {
-			t.Fatal("clone aliased neighbor-estimate map")
+		// k-core keeps its state in stores, not values: the snapshot
+		// must clone them.
+		p := newKCoreProgram(graph.Complete(4), false)
+		snap := p.Snapshot().(kcoreSnap)
+		p.est.Set(1, 0)
+		p.hist.Set(2, 3)
+		if snap.est.Get(1) != 3 || snap.hist.Get(2) != 0 {
+			t.Fatal("snapshot aliased the estimate or histogram store")
 		}
 	})
 	t.Run("mcst", func(t *testing.T) {

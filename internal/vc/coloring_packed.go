@@ -140,6 +140,10 @@ type colPackedSnap struct {
 	phase, c             int
 }
 
+func (s colPackedSnap) SizeBytes() int {
+	return s.color.SizeBytes() + s.tent.SizeBytes() + s.blocked.SizeBytes()
+}
+
 // Snapshot/Restore implement pregel.Snapshotter. The dense program
 // snapshots only phase and color (checkpointing.go): the engine saves
 // its vertex values. The packed variant keeps vertex state in stores

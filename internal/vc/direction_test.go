@@ -180,8 +180,8 @@ func TestDirectionEquivalenceUnderFaults(t *testing.T) {
 
 // TestDirectionPushPinsWithoutCombiner: forcing pull on an algorithm
 // without a combiner must be a silent no-op (every superstep pushes),
-// not an error or a semantic change — k-core's messages carry sender
-// identity and cannot be combined.
+// not an error or a semantic change — k-core's messages are per-edge
+// estimate transitions and cannot be combined.
 func TestDirectionPushPinsWithoutCombiner(t *testing.T) {
 	g := graph.PreferentialAttachment(400, 3, 13)
 	base, err := KCore(g, Config{Workers: 4, Mode: runtime.DirectionPush})

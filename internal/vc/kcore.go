@@ -1,6 +1,8 @@
 package vc
 
 import (
+	"errors"
+
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/pregel"
@@ -14,6 +16,18 @@ import (
 // converge to the exact coreness. A natural fit for the vertex-centric
 // model — included as an extension beyond Table 1 to round out the
 // workload set the paper's §3.8 discusses.
+//
+// The vertex state lives in two StateStores, flat or bit-packed by
+// Config.PackedState: est holds each vertex's bound, and hist holds a
+// histogram per vertex of its neighbors' estimates capped at its own
+// bound — hist[offs[v]+k], for k up to that bound (≤ deg(v)), counts the
+// adjacency entries whose last report, capped, is k. A message carries the
+// sender's estimate transition, so a receipt moves one count between
+// two buckets in O(1), and the h-index is a scan down from the own
+// bound that folds the buckets above a lowered bound into it: O(d(v))
+// compute per superstep with no map and no allocation (BPPA P2).
+// Parallel edges are adjacency entries like any other, which is how
+// seq.KCore counts them too.
 
 // KCoreResult holds the coreness of every vertex and the degeneracy
 // (maximum coreness).
@@ -23,68 +37,116 @@ type KCoreResult struct {
 	Stats      *bsp.Stats
 }
 
-type kcoreMsg struct {
-	From VertexID
-	Est  int32
+// errKCoreDirected rejects directed input: a vertex hears from its
+// in-neighbors but counts its out-neighbors.
+var errKCoreDirected = errors.New("vc: k-core requires an undirected graph")
+
+// kcoreMsg is one neighbor's estimate dropping from Old to New. Old is
+// −1 on the superstep-0 report, which replaces the optimistic initial
+// assumption.
+type kcoreMsg struct{ Old, New int32 }
+
+// kcoreValue is read-only: the degree backs StateUnits, the P1 evidence
+// (one bound plus one estimate per neighbor).
+type kcoreValue struct{ deg int32 }
+
+type kcoreProgram struct {
+	est, hist StateStore // both over [0, Δ]
+	offs      []int      // v's buckets are hist[offs[v] .. offs[v+1])
 }
 
-type kcoreValue struct {
-	est    int32
-	nbrEst map[VertexID]int32
-}
-
-type kcoreProgram struct{}
-
-func (kcoreProgram) Init(g *graph.Graph, id VertexID) kcoreValue {
-	return kcoreValue{est: int32(g.Degree(id))}
-}
-
-// hIndex returns the largest k such that at least k of the capped
-// neighbor estimates are ≥ k.
-func hIndex(own int32, ests map[VertexID]int32) int32 {
-	counts := make([]int32, own+1)
-	for _, e := range ests {
-		if e > own {
-			e = own
-		}
-		if e > 0 {
-			counts[e]++
-		}
+func newKCoreProgram(g *graph.Graph, packed bool) *kcoreProgram {
+	n := g.N()
+	offs := make([]int, n+1)
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		d := g.Degree(VertexID(v))
+		offs[v+1] = offs[v] + d + 1
+		maxDeg = max(maxDeg, d)
 	}
-	var cum int32
-	for k := own; k >= 1; k-- {
-		cum += counts[k]
-		if cum >= k {
-			return k
-		}
+	domain := uint64(maxDeg) + 1
+	p := &kcoreProgram{
+		est:  NewStateStore(packed, n, domain),
+		hist: NewStateStore(packed, offs[n], domain),
+		offs: offs,
 	}
-	return 0
+	p.Restore(nil)
+	return p
 }
 
-func (kcoreProgram) Compute(ctx *pregel.Context[kcoreValue, kcoreMsg], msgs []kcoreMsg) {
-	v := ctx.Value()
+func (p *kcoreProgram) deg(v int) int { return p.offs[v+1] - p.offs[v] - 1 }
+
+func (p *kcoreProgram) Init(g *graph.Graph, id VertexID) kcoreValue {
+	return kcoreValue{deg: int32(p.deg(int(id)))}
+}
+
+func (p *kcoreProgram) Compute(ctx *pregel.Context[kcoreValue, kcoreMsg], msgs []kcoreMsg) {
+	v := int(ctx.ID())
+	base, own := p.offs[v], int(p.est.Get(v))
 	if ctx.Superstep() == 0 {
-		v.nbrEst = make(map[VertexID]int32, ctx.OutDegree())
-		// Until a neighbor reports, assume the most optimistic bound.
-		deg := int32(ctx.Degree())
-		ctx.ForEachOut(func(dst VertexID, _ float64) {
-			v.nbrEst[dst] = deg
-		})
-		ctx.SendToNeighbors(kcoreMsg{From: ctx.ID(), Est: v.est})
+		// Until a neighbor reports, assume the most optimistic bound:
+		// every adjacency entry counts at the vertex's own degree.
+		for k := 0; k < own; k++ {
+			p.hist.Set(base+k, 0)
+		}
+		p.hist.Set(base+own, uint64(own))
+		ctx.SendToNeighbors(kcoreMsg{Old: -1, New: int32(own)})
 		return // everyone re-evaluates at superstep 1
 	}
 	for _, m := range msgs {
-		v.nbrEst[m.From] = m.Est
+		from, to := own, min(int(m.New), own)
+		if m.Old >= 0 {
+			from = min(int(m.Old), own)
+		}
+		if from != to {
+			p.hist.Set(base+from, p.hist.Get(base+from)-1)
+			p.hist.Set(base+to, p.hist.Get(base+to)+1)
+		}
 	}
-	ctx.Charge(int64(len(v.nbrEst)))
-	if newEst := hIndex(v.est, v.nbrEst); newEst < v.est {
-		v.est = newEst
-		ctx.SendToNeighbors(kcoreMsg{From: ctx.ID(), Est: v.est})
+	ctx.Charge(int64(p.deg(v)))
+	// h-index: the largest k with at least k capped estimates ≥ k.
+	k, cum := own, uint64(0)
+	for ; k >= 1; k-- {
+		if cum += p.hist.Get(base + k); cum >= uint64(k) {
+			break
+		}
+	}
+	if k < own {
+		// Fold the buckets above the new bound into it. Nothing reads
+		// above the bound again (the scan starts there and receipts are
+		// capped at it), and the scan never reads bucket 0.
+		p.hist.Set(base+k, cum)
+		p.est.Set(v, uint64(k))
+		ctx.SendToNeighbors(kcoreMsg{Old: int32(own), New: int32(k)})
 	}
 	ctx.VoteToHalt()
 }
 
-func (kcoreProgram) StateUnits(v *kcoreValue) int64 { return int64(1 + len(v.nbrEst)) }
+func (p *kcoreProgram) StateUnits(v *kcoreValue) int64 { return int64(1 + v.deg) }
+
+// kcoreSnap is one checkpoint generation of the two stores.
+type kcoreSnap struct{ est, hist StateStore }
+
+func (s kcoreSnap) SizeBytes() int { return s.est.SizeBytes() + s.hist.SizeBytes() }
+
+// Snapshot/Restore implement pregel.Snapshotter. Restore(nil) resets
+// the bounds to the degrees; the buckets need no reset because the
+// superstep-0 restart rewrites every vertex's range.
+func (p *kcoreProgram) Snapshot() any {
+	return kcoreSnap{est: p.est.Clone(), hist: p.hist.Clone()}
+}
+
+func (p *kcoreProgram) Restore(s any) {
+	if s == nil {
+		for v := 0; v < p.est.Len(); v++ {
+			p.est.Set(v, uint64(p.deg(v)))
+		}
+		return
+	}
+	snap := s.(kcoreSnap)
+	p.est.CopyFrom(snap.est)
+	p.hist.CopyFrom(snap.hist)
+}
 
 // KCore computes the coreness of every vertex of an undirected graph.
 func KCore(g *graph.Graph, cfg Config) (*KCoreResult, error) {
@@ -110,28 +172,19 @@ func PrepareKCore(g *graph.Graph, cfg Config) func() (*KCoreResult, error) {
 }
 
 // kcorePregel is the (kcore, pregel) matrix row over integer coreness
-// (see integers), dense or bit-packed by env.PackedState. Coreness
-// estimates have no sound warm start, so the seed is unused.
+// (see integers), over flat or bit-packed stores by env.PackedState.
+// Coreness estimates have no sound warm start, so the seed is unused.
 func kcorePregel(g *graph.Graph, _ Args, _ []int32, env Env) func() ([]int32, *bsp.Stats, error) {
-	ecfg := pregelCfg[kcoreMsg](env)
-	if env.PackedState {
-		prog := newKCorePackedProgram(g)
-		eng := pregel.NewEngine[kcorePackedValue, kcoreMsg](g, prog, ecfg)
-		return func() ([]int32, *bsp.Stats, error) {
-			res, err := eng.Run()
-			core := make([]int32, len(res.Values))
-			for v := range core {
-				core[v] = int32(prog.est.Get(v))
-			}
-			return core, res.Stats, err
-		}
+	if g.Directed {
+		return func() ([]int32, *bsp.Stats, error) { return nil, nil, errKCoreDirected }
 	}
-	eng := pregel.NewEngine[kcoreValue, kcoreMsg](g, kcoreProgram{}, ecfg)
+	prog := newKCoreProgram(g, env.PackedState)
+	eng := pregel.NewEngine[kcoreValue, kcoreMsg](g, prog, pregelCfg[kcoreMsg](env))
 	return func() ([]int32, *bsp.Stats, error) {
 		res, err := eng.Run()
 		core := make([]int32, len(res.Values))
-		for v, val := range res.Values {
-			core[v] = val.est
+		for v := range core {
+			core[v] = int32(prog.est.Get(v))
 		}
 		return core, res.Stats, err
 	}

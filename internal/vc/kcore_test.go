@@ -1,6 +1,7 @@
 package vc
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +142,36 @@ func TestKCoreCliquePlusTail(t *testing.T) {
 	}
 	if res.Degeneracy != 4 {
 		t.Fatalf("degeneracy = %d", res.Degeneracy)
+	}
+}
+
+// TestKCoreMultigraph: parallel edges are adjacency entries, so a
+// doubled triangle is a 4-core, as seq.KCore counts it, on both stores.
+func TestKCoreMultigraph(t *testing.T) {
+	g := graph.New(3, false)
+	for r := 0; r < 2; r++ {
+		g.AddEdge(0, 1)
+		g.AddEdge(1, 2)
+		g.AddEdge(2, 0)
+	}
+	want := seq.KCore(g, &seq.Ops{})
+	if !reflect.DeepEqual(want, []int32{4, 4, 4}) {
+		t.Fatalf("seq.KCore = %v, want [4 4 4]", want)
+	}
+	for _, packed := range []bool{false, true} {
+		res, err := KCore(g, Config{Workers: 2, PackedState: packed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Core, want) {
+			t.Fatalf("packed=%v: core = %v, want %v", packed, res.Core, want)
+		}
+	}
+}
+
+func TestKCoreRejectsDirected(t *testing.T) {
+	if _, err := KCore(graph.RandomDirected(20, 60, 1), Config{PackedState: true}); err == nil {
+		t.Fatal("k-core accepted a directed graph")
 	}
 }
 

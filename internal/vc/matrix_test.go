@@ -36,8 +36,8 @@ func drawGraphs() map[string]*graph.Graph {
 		case "path":
 			g = graph.Path(n)
 		case "disconnected":
-			// A random half (simple: k-core assumes no parallel edges),
-			// an isolated vertex n/2, and a chain.
+			// A random simple half, an isolated vertex n/2, and a
+			// chain.
 			g = graph.New(n, false)
 			seen := map[[2]int]bool{}
 			for e := 0; e < n; e++ {

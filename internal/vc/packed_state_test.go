@@ -12,84 +12,73 @@ import (
 	"vcgraph/internal/graph"
 	"vcgraph/internal/pregel"
 	rt "vcgraph/internal/runtime"
+	"vcgraph/internal/seq"
 )
 
-// Packed-state differential suite: every algorithm with a bit-packed
-// variant (PackedState) must produce runs byte-identical to its dense
-// twin — same outputs AND same per-superstep cost records — across
-// engines, partitioners, direction modes, and fault plans, on both
-// flat (int32) and varint-delta-packed CSR snapshots. Byte-packing
-// state or edges is a representation change only; any observable
-// difference is a bug.
+// Packed-state differential suite: every algorithm with bit-packed
+// vertex state (PackedState) must produce runs byte-identical to its
+// dense-state run — same outputs AND same per-superstep cost records —
+// across partitioners, direction modes, and fault plans, on both flat
+// (int32) and varint-delta-packed CSR snapshots. Byte-packing state or
+// edges is a representation change only; any observable difference is
+// a bug. Packed state is a pregel-program feature; the other engines'
+// CC is held to the packed pregel labels over the same fault matrix.
 
-// packedCell pairs a dense run with its packed-state twin under one
-// engine × configuration.
+// packedCell holds a run to a fault-free baseline under one engine ×
+// configuration: on pregel the baseline is the dense-state run and the
+// run is its packed-state counterpart.
 type packedCell struct {
 	name       string
 	epochSaves bool
-	// looseWork marks engines whose Work counters depend on map
-	// iteration order run-to-run (the block-centric local BFS rescans),
-	// where only the order-independent superstep fields can be compared.
-	looseWork bool
+	// crossEngine marks cells whose run is another engine's CC held to
+	// the packed pregel labels, where only the values can agree.
+	crossEngine bool
 	// noLanes marks cells that move no message batches over lanes (the
 	// GAS pull path gathers neighbor state directly), where lane fault
 	// events can never fire: output identity is still asserted but the
 	// recovery counters are not.
 	noLanes bool
-	dense   func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
-	packed  func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
+	base    func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
+	run     func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
 }
 
-// stripWork zeroes the order-dependent fields of a superstep record.
-func stripWork(ss []bsp.SuperstepStats) []bsp.SuperstepStats {
-	out := make([]bsp.SuperstepStats, len(ss))
-	for i, s := range ss {
-		s.Work = nil
-		s.MaxWork = 0
-		s.Cost = 0
-		out[i] = s
-	}
-	return out
-}
-
-// runPackedDifferential holds each cell's packed variant to its dense
-// baseline: identical values and superstep records fault-free, and
-// identical values again under every fault case and seeded plan.
+// runPackedDifferential holds each cell's run to its baseline:
+// identical values (and, unless crossEngine, superstep records)
+// fault-free, and identical values again under every fault case and
+// seeded plan.
 func runPackedDifferential(t *testing.T, cells []packedCell) {
 	for _, cell := range cells {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
-			base, dstats, err := cell.dense(0, nil)
+			base, bstats, err := cell.base(0, nil)
 			if err != nil {
-				t.Fatalf("dense run: %v", err)
+				t.Fatalf("baseline run: %v", err)
 			}
-			got, pstats, err := cell.packed(0, nil)
+			got, rstats, err := cell.run(0, nil)
 			if err != nil {
-				t.Fatalf("packed run: %v", err)
+				t.Fatalf("run: %v", err)
 			}
 			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("packed values differ from dense")
+				t.Fatalf("values differ from the baseline")
 			}
-			ds, ps := dstats.Supersteps, pstats.Supersteps
-			if cell.looseWork {
-				ds, ps = stripWork(ds), stripWork(ps)
-			}
-			if !reflect.DeepEqual(ds, ps) {
-				t.Fatalf("packed superstep records differ from dense:\ndense:  %+v\npacked: %+v", ds, ps)
-			}
-			if dstats.MaxStatePerDeg != pstats.MaxStatePerDeg {
-				t.Fatalf("state balance differs: dense %v, packed %v", dstats.MaxStatePerDeg, pstats.MaxStatePerDeg)
+			if !cell.crossEngine {
+				if bs, rs := bstats.Supersteps, rstats.Supersteps; !reflect.DeepEqual(bs, rs) {
+					t.Fatalf("superstep records differ from the baseline:\nbase: %+v\nrun:  %+v", bs, rs)
+				}
+				if bstats.MaxStatePerDeg != rstats.MaxStatePerDeg {
+					t.Fatalf("state balance differs: base %v, run %v", bstats.MaxStatePerDeg, rstats.MaxStatePerDeg)
+				}
 			}
 
 			for _, fc := range faultCases() {
 				fc := fc
 				t.Run(fc.name, func(t *testing.T) {
-					got, st, err := cell.packed(fc.ck, fc.plan(engineCell{epochSaves: cell.epochSaves}))
+					got, st, err := cell.run(fc.ck, fc.plan(engineCell{epochSaves: cell.epochSaves}))
 					if err != nil {
-						t.Fatalf("faulted packed run: %v", err)
+						t.Fatalf("faulted run: %v", err)
 					}
 					if !reflect.DeepEqual(got, base) {
-						t.Fatalf("faulted packed output differs from dense baseline\nrecovery: %+v", st.Recovery)
+						t.Fatalf("faulted output differs from the baseline\nrecovery: %+v", st.Recovery)
 					}
 					if cell.noLanes && (fc.name == "drop-lane" || fc.name == "dup-lane") {
 						return
@@ -100,12 +89,12 @@ func runPackedDifferential(t *testing.T, cells []packedCell) {
 			for seed := int64(1); seed <= 2; seed++ {
 				seed := seed
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-					got, st, err := cell.packed(2, rt.NewFaultPlan(seed))
+					got, st, err := cell.run(2, rt.NewFaultPlan(seed))
 					if err != nil {
-						t.Fatalf("seeded packed run: %v", err)
+						t.Fatalf("seeded run: %v", err)
 					}
 					if !reflect.DeepEqual(got, base) {
-						t.Fatalf("seed %d packed output differs from dense baseline\nrecovery: %+v", seed, st.Recovery)
+						t.Fatalf("seed %d output differs from the baseline\nrecovery: %+v", seed, st.Recovery)
 					}
 				})
 			}
@@ -137,7 +126,7 @@ func TestPackedStateCCDifferential(t *testing.T) {
 		ccCell := func(name string, cfg Config) packedCell {
 			return packedCell{
 				name: name,
-				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+				base: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 					c := cfg
 					c.CheckpointEvery, c.Faults = ck, plan
 					res, err := HashMinCC(g, c)
@@ -146,7 +135,7 @@ func TestPackedStateCCDifferential(t *testing.T) {
 					}
 					return res.Color, res.Stats, nil
 				},
-				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+				run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 					c := cfg
 					c.CheckpointEvery, c.Faults, c.PackedState = ck, plan, true
 					res, err := HashMinCC(g, c)
@@ -172,29 +161,22 @@ func TestPackedStateCCDifferential(t *testing.T) {
 			ccCell("pregel/fcs", Config{Workers: 3, FCS: 40}),
 		)
 
+		// The other engines keep their labels in the value array; their
+		// CC must reach the packed pregel labels under every fault plan.
+		packedLabels := ccCell("", Config{Workers: 3}).run
+		engineCC := func(name string, epochSaves, noLanes bool, run func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)) packedCell {
+			return packedCell{name: name, epochSaves: epochSaves, noLanes: noLanes, crossEngine: true, base: packedLabels, run: run}
+		}
 		gasCell := func(name string, cfg gas.Config) packedCell {
-			return packedCell{
-				name:    name,
-				noLanes: cfg.Mode == rt.DirectionPull,
-				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					c := cfg
-					c.CheckpointEvery, c.Faults = ck, plan
-					labels, res, err := gas.ConnectedComponents(g, c)
-					if err != nil {
-						return nil, nil, err
-					}
-					return labels, res.Stats, nil
-				},
-				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					c := cfg
-					c.CheckpointEvery, c.Faults, c.PackedState = ck, plan, true
-					labels, res, err := gas.ConnectedComponents(g, c)
-					if err != nil {
-						return nil, nil, err
-					}
-					return labels, res.Stats, nil
-				},
-			}
+			return engineCC(name, false, cfg.Mode == rt.DirectionPull, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+				c := cfg
+				c.CheckpointEvery, c.Faults = ck, plan
+				labels, res, err := gas.ConnectedComponents(g, c)
+				if err != nil {
+					return nil, nil, err
+				}
+				return labels, res.Stats, nil
+			})
 		}
 		for _, w := range []int{1, 3} {
 			cells = append(cells, gasCell(fmt.Sprintf("gas/w%d", w), gas.Config{Workers: w}))
@@ -202,45 +184,23 @@ func TestPackedStateCCDifferential(t *testing.T) {
 		cells = append(cells,
 			gasCell("gas/push", gas.Config{Workers: 3, Mode: rt.DirectionPush}),
 			gasCell("gas/pull", gas.Config{Workers: 3, Mode: rt.DirectionPull}),
-		)
-
-		cells = append(cells, packedCell{
-			name: "async", epochSaves: true,
-			dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+			engineCC("async", true, false, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 				labels, res, err := async.ConnectedComponents(g, async.Config{CheckpointEvery: ck, Faults: plan})
 				if err != nil {
 					return nil, nil, err
 				}
 				return labels, res.Stats, nil
-			},
-			packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				labels, res, err := async.ConnectedComponents(g, async.Config{CheckpointEvery: ck, Faults: plan, PackedState: true})
+			}),
+		)
+		for _, b := range []int{2, 3} {
+			b := b
+			cells = append(cells, engineCC(fmt.Sprintf("blockcentric/b%d", b), false, false, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, CheckpointEvery: ck, Faults: plan})
 				if err != nil {
 					return nil, nil, err
 				}
-				return labels, res.Stats, nil
-			},
-		})
-
-		for _, b := range []int{2, 3} {
-			b := b
-			cells = append(cells, packedCell{
-				name: fmt.Sprintf("blockcentric/b%d", b), looseWork: true,
-				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, CheckpointEvery: ck, Faults: plan})
-					if err != nil {
-						return nil, nil, err
-					}
-					return res.Color, res.Stats, nil
-				},
-				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, CheckpointEvery: ck, Faults: plan, PackedState: true})
-					if err != nil {
-						return nil, nil, err
-					}
-					return res.Color, res.Stats, nil
-				},
-			})
+				return res.Color, res.Stats, nil
+			}))
 		}
 
 		t.Run(enc.name, func(t *testing.T) { runPackedDifferential(t, cells) })
@@ -248,38 +208,43 @@ func TestPackedStateCCDifferential(t *testing.T) {
 }
 
 func TestPackedStateKCoreDifferential(t *testing.T) {
-	// Both graphs are simple (no parallel edges, no self-loops), which
-	// the packed k-core variant requires: its edge-slot store dedupes
-	// through the adjacency where the dense map dedupes by key.
+	// The multigraph doubles every edge in the grid's top half, so
+	// parallel edges raise the coreness there.
+	multi := graph.Grid(12, 12)
+	for u := 0; u < 72; u++ {
+		for _, e := range append([]graph.Edge(nil), multi.Out[u]...) {
+			if graph.VertexID(u) < e.Dst {
+				multi.AddEdge(graph.VertexID(u), e.Dst)
+			}
+		}
+	}
 	for _, gr := range []struct {
 		name string
 		g    *graph.Graph
 	}{
 		{"grid", graph.Grid(12, 12)},
 		{"powerlaw", graph.PreferentialAttachment(200, 3, 7)},
+		{"multigraph", multi},
 	} {
+		want := seq.KCore(gr.g, &seq.Ops{})
 		for _, encName := range []string{"int32", "vdelta"} {
 			g := gr.g
 			if encName == "vdelta" {
 				g = rebuildWithEncoding(gr.g)
 			}
-			runPackedDifferential(t, []packedCell{{
-				name: gr.name + "/" + encName,
-				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := KCore(g, Config{Workers: 3, CheckpointEvery: ck, Faults: plan})
+			kcore := func(packed bool) func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+				return func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+					res, err := KCore(g, Config{Workers: 3, CheckpointEvery: ck, Faults: plan, PackedState: packed})
 					if err != nil {
 						return nil, nil, err
 					}
-					return res.Core, res.Stats, nil
-				},
-				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := KCore(g, Config{Workers: 3, CheckpointEvery: ck, Faults: plan, PackedState: true})
-					if err != nil {
-						return nil, nil, err
+					if !reflect.DeepEqual(res.Core, want) {
+						return nil, nil, fmt.Errorf("coreness differs from seq.KCore (packed %v)", packed)
 					}
 					return res.Core, res.Stats, nil
-				},
-			}})
+				}
+			}
+			runPackedDifferential(t, []packedCell{{name: gr.name + "/" + encName, base: kcore(false), run: kcore(true)}})
 		}
 	}
 }
@@ -422,21 +387,23 @@ func TestPackedStateColoringDifferential(t *testing.T) {
 					t.Fatalf("packed coloring superstep records differ from dense")
 				}
 
-				// The packed program checkpoints its master counters
-				// (the dense one cannot), so it must survive the fault
-				// matrix against its own fault-free output.
+				// Both programs checkpoint their master counters (and
+				// the packed one its stores), so both must survive the
+				// fault matrix against the fault-free output.
 				for _, fc := range faultCases() {
 					fc := fc
 					t.Run(fc.name, func(t *testing.T) {
-						got, err := ColoringMIS(gr.g, Config{Workers: 3, Seed: seed, PackedState: true,
-							CheckpointEvery: fc.ck, Faults: fc.plan(engineCell{})})
-						if err != nil {
-							t.Fatalf("faulted: %v", err)
+						for _, packed := range []bool{false, true} {
+							got, err := ColoringMIS(gr.g, Config{Workers: 3, Seed: seed, PackedState: packed,
+								CheckpointEvery: fc.ck, Faults: fc.plan(engineCell{})})
+							if err != nil {
+								t.Fatalf("faulted (packed %v): %v", packed, err)
+							}
+							if !reflect.DeepEqual(got.Colors, dense.Colors) || got.K != dense.K {
+								t.Fatalf("faulted coloring (packed %v) differs\nrecovery: %+v", packed, got.Stats.Recovery)
+							}
+							fc.check(t, got.Stats.Recovery)
 						}
-						if !reflect.DeepEqual(got.Colors, dense.Colors) || got.K != dense.K {
-							t.Fatalf("faulted packed coloring differs\nrecovery: %+v", got.Stats.Recovery)
-						}
-						fc.check(t, got.Stats.Recovery)
 					})
 				}
 			})

@@ -60,14 +60,12 @@ type Config struct {
 	// FCS enables finishing-computations-serially with the given
 	// active-vertex threshold for algorithms that support it (Hash-Min).
 	FCS int
-	// PackedState selects the bit-packed vertex-state variant for the
-	// small-domain algorithms that have one (Hash-Min CC, k-core,
-	// coloring): per-vertex state lives in a PackedInts store at
-	// ⌈log₂ domain⌉ bits per entry instead of a full value slot. The
-	// message flow is unchanged, so packed runs are byte-identical to
-	// dense ones (see the differential suite). K-core additionally
-	// assumes a simple graph: its dense variant dedupes parallel edges
-	// through a map, its packed variant through the adjacency itself.
+	// PackedState selects bit-packed vertex state for the small-domain
+	// pregel algorithms that have it (Hash-Min CC, k-core, coloring):
+	// per-vertex state lives in a PackedInts store at ⌈log₂ domain⌉
+	// bits per entry instead of a full value slot. The message flow is
+	// unchanged, so packed runs are byte-identical to dense ones (see
+	// the differential suite).
 	PackedState bool
 	// Ctx and Job pass through to the engine's job-scoped runtime: Ctx
 	// aborts the run at the next superstep barrier, and Job binds the
