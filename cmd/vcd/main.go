@@ -22,7 +22,7 @@
 // checkpoint-every and full-snapshot-every set server-wide checkpoint
 // cadence defaults for jobs that leave the corresponding spec fields
 // unset; full-snapshot-every > 1 stores the checkpoints between full
-// snapshots as dirty-set deltas (see internal/runtime.DeltaPolicy).
+// snapshots as dirty-set deltas (see internal/runtime.Checkpoints).
 package main
 
 import (

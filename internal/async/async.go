@@ -49,9 +49,10 @@ type Config struct {
 	// Prioritized switches the scheduler from FIFO to a max-priority
 	// queue ordered by the program's Priority hook (GraphLab's
 	// residual scheduling). Programs that do not implement
-	// Prioritizer fall back to FIFO. Incompatible with Faults: the
-	// heap order is not part of any snapshot, so a rollback could not
-	// reproduce the schedule.
+	// Prioritizer fall back to FIFO. The heap order is not part of any
+	// checkpoint frame, so a rollback could not reproduce the schedule:
+	// with a Prioritizer, Prepare rejects Faults (ErrFaultsNeedFIFO)
+	// and CheckpointEvery (ErrCheckpointsNeedFIFO).
 	Prioritized bool
 	// CheckpointEvery, when positive, snapshots the computation state
 	// (values, worklist, update count) every k updates — the
@@ -60,8 +61,8 @@ type Config struct {
 	CheckpointEvery int
 	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
 	// a full snapshot; the generations between are dirty-set deltas
-	// covering just the vertices updated since the previous frame
-	// (runtime.DeltaPolicy). 0 or 1 keeps every checkpoint full.
+	// covering just the vertices updated since the previous frame. 0 or
+	// 1 keeps every checkpoint full.
 	FullSnapshotEvery int
 	// Snapshot, when non-nil, is an already-pinned CSR generation the
 	// engine must run against instead of pinning the graph's current
@@ -92,6 +93,10 @@ type Config struct {
 // ErrFaultsNeedFIFO rejects fault injection under the prioritized
 // scheduler, whose heap order a snapshot cannot reproduce.
 var ErrFaultsNeedFIFO = errors.New("async: fault injection requires the FIFO scheduler")
+
+// ErrCheckpointsNeedFIFO rejects checkpointing under the prioritized
+// scheduler, which has no epoch boundaries to save frames at.
+var ErrCheckpointsNeedFIFO = errors.New("async: checkpointing requires the FIFO scheduler")
 
 // defaultEpoch is the fault-detection epoch length (in updates) used
 // when CheckpointEvery is unset.
@@ -184,6 +189,18 @@ func Run[V any](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], error)
 // bracket it with its graph lock and invoke the returned closure
 // lock-free. The closure unpins the snapshot when it returns.
 func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result[V], error) {
+	if _, ok := prog.(Prioritizer[V]); ok && cfg.Prioritized {
+		var err error
+		switch {
+		case cfg.Faults.NewInjector(1) != nil:
+			err = ErrFaultsNeedFIFO
+		case cfg.CheckpointEvery > 0:
+			err = ErrCheckpointsNeedFIFO
+		}
+		if err != nil {
+			return func() (*Result[V], error) { return nil, err }
+		}
+	}
 	csr := cfg.Snapshot
 	if csr == nil {
 		csr = g.Pin()
@@ -206,9 +223,6 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 			return func() (*Result[V], error) {
 				defer g.Unpin(csr)
 				defer rt.PutScratch(ctx.s)
-				if cfg.Faults.NewInjector(1) != nil {
-					return nil, ErrFaultsNeedFIFO
-				}
 				return runPrioritized(ctx, prog, pr, cfg)
 			}
 		}

@@ -1,12 +1,14 @@
 package async_test
 
 import (
-	. "vcgraph/internal/async"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+	. "vcgraph/internal/async"
 
 	"vcgraph/internal/graph"
+	rt "vcgraph/internal/runtime"
 	"vcgraph/internal/seq"
 	"vcgraph/internal/vc"
 )
@@ -216,6 +218,46 @@ func TestPrioritizedFallsBackWithoutPrioritizer(t *testing.T) {
 	labels, _, err := ConnectedComponents(g, Config{Prioritized: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for v, l := range labels {
+		if l != 0 {
+			t.Fatalf("vertex %d label %d", v, l)
+		}
+	}
+}
+
+func TestPrioritizedRejectsFaultsAndCheckpoints(t *testing.T) {
+	// The heap order is in no checkpoint frame, so a Prioritizer program
+	// under Prioritized refuses faults and checkpoints up front, before
+	// Prepare pins the snapshot.
+	g := graph.Grid(10, 10)
+	crash := rt.PlanOf(rt.Crash(2))
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want error
+	}{
+		{"faults", Config{Prioritized: true, Faults: crash}, ErrFaultsNeedFIFO},
+		{"faults+checkpoints", Config{Prioritized: true, CheckpointEvery: 4, Faults: crash}, ErrFaultsNeedFIFO},
+		{"checkpoints", Config{Prioritized: true, CheckpointEvery: 4}, ErrCheckpointsNeedFIFO},
+	} {
+		run := Prepare(g, SSSPProgram(0, nil), tc.cfg)
+		if pins := g.Pins(); pins != 0 {
+			t.Errorf("%s: rejected run holds %d pins", tc.name, pins)
+		}
+		if _, err := run(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+
+	// Without Priority the program runs under FIFO, which checkpoints
+	// and recovers as usual.
+	labels, res, err := ConnectedComponents(g, Config{Prioritized: true, CheckpointEvery: 4, Faults: crash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res.Stats.Recovery; r.CheckpointsSaved == 0 || r.Rollbacks != 1 {
+		t.Fatalf("FIFO fallback did not checkpoint and recover: %+v", r)
 	}
 	for v, l := range labels {
 		if l != 0 {

@@ -50,8 +50,8 @@ type Config struct {
 	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
 	// a full snapshot; the generations between are dirty-set deltas
 	// covering just the blocks that computed or received boundary
-	// messages since the previous frame (runtime.DeltaPolicy). 0 or 1
-	// keeps every checkpoint full.
+	// messages since the previous frame. 0 or 1 keeps every checkpoint
+	// full.
 	FullSnapshotEvery int
 	// Faults, when non-nil, schedules deterministic fault injection
 	// (runtime.FaultPlan): a block crash or a dropped boundary-message
@@ -126,8 +126,8 @@ type Engine[V, M any] struct {
 	// checkpoint frame: a block is dirty once it computes (values, halt
 	// flag, inbox consumption) or receives a boundary message. The
 	// parallel phase writes only each goroutine's own block; boundary
-	// delivery marks destinations single-threaded. Snapshot,
-	// SnapshotDelta, and Restore clear it.
+	// delivery marks destinations single-threaded. Snapshot and Restore
+	// clear it.
 	dirtyBlocks []bool
 
 	// Block-local pull state. pullBlock says, per block, whether its
@@ -152,21 +152,17 @@ type Engine[V, M any] struct {
 	scratch []*graph.Scratch
 }
 
-// bcSnapshot is one checkpoint generation: the barrier state entering
-// a superstep (boundary messages already delivered to inboxes). A delta
-// frame (SnapshotDelta) sets delta and carries only the dirty blocks:
-// blocks lists them ascending, blockVals holds each one's member
-// values, and halted/inbox/inboxLocal are indexed by position in
-// blocks instead of by block ID.
+// bcSnapshot is one checkpoint frame: the barrier state entering a
+// superstep (boundary messages already delivered to inboxes) of the
+// blocks it lists ascending in blocks (nil: every block). blockVals
+// holds each listed block's member values, and halted/inbox/inboxLocal
+// are indexed by position in blocks.
 type bcSnapshot[V, M any] struct {
-	values     []V
+	blocks     []int
+	blockVals  [][]V
 	halted     []bool
 	inbox      []map[VertexID][]M
 	inboxLocal []int64
-
-	delta     bool
-	blocks    []int
-	blockVals [][]V
 }
 
 type addr[M any] struct {
@@ -296,46 +292,24 @@ func (e *Engine[V, M]) Quiescent(step, pending int) bool {
 }
 
 // Snapshot implements runtime.Policy: it deep-copies the barrier state
-// (boundary messages already delivered to inboxes).
-func (e *Engine[V, M]) Snapshot() *bcSnapshot[V, M] {
-	nb := e.cfg.Blocks
-	ck := &bcSnapshot[V, M]{
-		values:     rt.CloneValues[V](e.prog, e.values),
-		halted:     append([]bool(nil), e.halted...),
-		inbox:      make([]map[VertexID][]M, nb),
-		inboxLocal: append([]int64(nil), e.inboxLocal...),
-	}
-	for b := 0; b < nb; b++ {
-		ck.inbox[b] = make(map[VertexID][]M, len(e.inbox[b]))
-		for v, ms := range e.inbox[b] {
-			ck.inbox[b][v] = append([]M(nil), ms...)
-		}
-	}
-	e.clearDirty()
-	return ck
-}
-
-// SnapshotDelta implements runtime.DeltaPolicy: it deep-copies only
-// the blocks dirtied since the previous frame — computed or mailed
-// across a boundary — and resets the dirty tracking so the next frame
-// patches this one.
-func (e *Engine[V, M]) SnapshotDelta() *bcSnapshot[V, M] {
-	var blocks []int
-	for b, d := range e.dirtyBlocks {
-		if d {
-			blocks = append(blocks, b)
-			e.dirtyBlocks[b] = false
-		}
+// (boundary messages already delivered to inboxes) of every block
+// (full) or of the blocks computed or mailed across a boundary since
+// the previous frame (delta), and resets the dirty tracking.
+func (e *Engine[V, M]) Snapshot(full bool) *bcSnapshot[V, M] {
+	blocks := rt.TakeDirty[int](e.dirtyBlocks, full)
+	nb := len(e.halted)
+	if blocks != nil {
+		nb = len(blocks)
 	}
 	ck := &bcSnapshot[V, M]{
-		delta:      true,
 		blocks:     blocks,
-		blockVals:  make([][]V, len(blocks)),
-		halted:     make([]bool, len(blocks)),
-		inbox:      make([]map[VertexID][]M, len(blocks)),
-		inboxLocal: make([]int64, len(blocks)),
+		blockVals:  make([][]V, nb),
+		halted:     make([]bool, nb),
+		inbox:      make([]map[VertexID][]M, nb),
+		inboxLocal: make([]int64, nb),
 	}
-	for i, b := range blocks {
+	for i := range ck.halted {
+		b := rt.FrameID(blocks, i)
 		ck.blockVals[i] = rt.CloneValuesAt(e.prog, e.values, e.blocks[b])
 		ck.halted[i] = e.halted[b]
 		ck.inboxLocal[i] = e.inboxLocal[b]
@@ -347,35 +321,10 @@ func (e *Engine[V, M]) SnapshotDelta() *bcSnapshot[V, M] {
 	return ck
 }
 
-// RestoreDelta implements runtime.DeltaPolicy: it patches the dirty
-// blocks of one delta frame onto the state already rebuilt from the
-// chain so far. A block's members are exactly its writable vertices,
-// so per-block value patches cover every write since the parent frame.
-func (e *Engine[V, M]) RestoreDelta(ck *bcSnapshot[V, M]) {
-	cloner, hasCloner := e.prog.(rt.ValueCloner[V])
-	for i, b := range ck.blocks {
-		for j, v := range e.blocks[b] {
-			if hasCloner {
-				e.values[v] = cloner.CloneValue(ck.blockVals[i][j])
-			} else {
-				e.values[v] = ck.blockVals[i][j]
-			}
-		}
-		e.halted[b] = ck.halted[i]
-		e.inboxLocal[b] = ck.inboxLocal[i]
-		clear(e.inbox[b])
-		for v, ms := range ck.inbox[i] {
-			e.inbox[b][v] = append([]M(nil), ms...)
-		}
-	}
-}
-
-// FrameBytes implements runtime.SnapshotSizer: a deterministic
-// resident-byte estimate of a frame (full or delta).
+// FrameBytes implements runtime.Policy.
 func (e *Engine[V, M]) FrameBytes(ck *bcSnapshot[V, M]) int64 {
 	szV := rt.SizeOf[V]()
-	b := int64(len(ck.values))*szV +
-		int64(len(ck.halted)) +
+	b := int64(len(ck.halted)) +
 		int64(len(ck.inboxLocal))*8 +
 		int64(len(ck.blocks))*8
 	for _, vs := range ck.blockVals {
@@ -390,16 +339,13 @@ func (e *Engine[V, M]) FrameBytes(ck *bcSnapshot[V, M]) int64 {
 	return b
 }
 
-func (e *Engine[V, M]) clearDirty() {
-	for b := range e.dirtyBlocks {
-		e.dirtyBlocks[b] = false
-	}
-}
-
-// Restore implements runtime.Policy: it rolls the engine back to a
-// checkpoint read by the driver's store (ok), or to a fresh start when
-// no readable checkpoint exists (!ok).
+// Restore implements runtime.Policy: it writes the frame's blocks back
+// over the engine state — every block for a full frame, the dirty ones
+// for a delta (a block's members are exactly its writable vertices, so
+// per-block patches cover every write since the parent frame) — or
+// restarts from scratch when no readable checkpoint exists (!ok).
 func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int, ok bool) {
+	clear(e.dirtyBlocks)
 	if !ok {
 		// Restart from the pristine Init-time values: re-running Init
 		// here would read the mutable graph mid-run.
@@ -413,15 +359,15 @@ func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int, ok bool) {
 				e.localOut[b] = e.localOut[b][:0]
 			}
 		}
-		e.clearDirty()
 		return
 	}
-	e.values = rt.CloneValues[V](e.prog, ck.values)
-	copy(e.halted, ck.halted)
-	copy(e.inboxLocal, ck.inboxLocal)
-	for b := range e.inbox {
+	for i, h := range ck.halted {
+		b := rt.FrameID(ck.blocks, i)
+		rt.RestoreValuesAt(e.prog, e.values, ck.blockVals[i], e.blocks[b])
+		e.halted[b] = h
+		e.inboxLocal[b] = ck.inboxLocal[i]
 		clear(e.inbox[b])
-		for v, ms := range ck.inbox[b] {
+		for v, ms := range ck.inbox[i] {
 			e.inbox[b][v] = append([]M(nil), ms...)
 		}
 		e.outbox[b] = e.outbox[b][:0]
@@ -429,7 +375,6 @@ func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int, ok bool) {
 			e.localOut[b] = e.localOut[b][:0]
 		}
 	}
-	e.clearDirty()
 }
 
 // Superstep implements runtime.Policy: compute every awake block in

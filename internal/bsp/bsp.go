@@ -185,7 +185,7 @@ type Recovery struct {
 	CorruptedCheckpoints int
 	// DeltaCheckpointsSaved counts the subset of CheckpointsSaved
 	// stored as dirty-set delta frames rather than full snapshots
-	// (Config.FullSnapshotEvery with a delta-capable engine).
+	// (Config.FullSnapshotEvery > 1).
 	DeltaCheckpointsSaved int
 	// InvalidatedCheckpoints counts readable frames discarded during
 	// recovery because a frame they depend on — the base full snapshot

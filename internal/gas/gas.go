@@ -377,89 +377,58 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 	return p.activeCount, nil
 }
 
-// Snapshot implements runtime.Policy.
-func (p *policy[V, G]) Snapshot() *gasSnapshot[V] {
-	p.clearDirty()
-	return &gasSnapshot[V]{
-		values:      rt.CloneValues[V](p.prog, p.cur),
-		active:      append([]bool(nil), p.active...),
+// Snapshot implements runtime.Policy: the values of every vertex (full)
+// or of those dirtied since the previous frame (delta), plus the
+// complete active set — dense in a full frame, sparse in a delta, where
+// it is small exactly when deltas pay off.
+func (p *policy[V, G]) Snapshot(full bool) *gasSnapshot[V] {
+	ids := rt.TakeDirty[VertexID](p.dirty, full)
+	snap := &gasSnapshot[V]{
+		ids:         ids,
+		values:      rt.CloneValuesAt(p.prog, p.cur, ids),
 		activeCount: p.activeCount,
 	}
-}
-
-// SnapshotDelta implements runtime.DeltaPolicy: only the values
-// dirtied since the previous frame and the complete active set in
-// sparse form (it is small exactly when deltas pay off).
-func (p *policy[V, G]) SnapshotDelta() *gasSnapshot[V] {
-	var ids []VertexID
-	for v, d := range p.dirty {
-		if d {
-			ids = append(ids, VertexID(v))
-			p.dirty[v] = false
-		}
+	if full {
+		snap.active = append([]bool(nil), p.active...)
+		return snap
 	}
-	activeIDs := make([]VertexID, 0, p.activeCount)
+	snap.activeIDs = make([]VertexID, 0, p.activeCount)
 	for v, a := range p.active {
 		if a {
-			activeIDs = append(activeIDs, VertexID(v))
+			snap.activeIDs = append(snap.activeIDs, VertexID(v))
 		}
 	}
-	return &gasSnapshot[V]{
-		delta:     true,
-		ids:       ids,
-		values:    rt.CloneValuesAt(p.prog, p.cur, ids),
-		activeIDs: activeIDs,
-	}
+	return snap
 }
 
-// Restore implements runtime.Policy.
+// Restore implements runtime.Policy: write the frame's values back and
+// replace the active set wholesale (every frame carries it complete).
 func (p *policy[V, G]) Restore(snap *gasSnapshot[V], step int, ok bool) {
-	if ok {
-		p.cur = rt.CloneValues[V](p.prog, snap.values)
-		copy(p.active, snap.active)
-		p.activeCount = snap.activeCount
-	} else {
+	if !ok {
 		// Restart from the pristine Init-time values: re-running Init
 		// here would read the mutable graph mid-run.
 		p.cur = rt.CloneValues[V](p.prog, p.pristine)
-		for v := 0; v < p.n; v++ {
+		for v := range p.active {
 			p.active[v] = true
 		}
 		p.activeCount = p.n
-	}
-	p.clearDirty()
-	for i := range p.nextActive {
-		p.nextActive[i] = false
-	}
-}
-
-// RestoreDelta implements runtime.DeltaPolicy: patch the dirty values
-// onto the chain state, then replace the active set wholesale (each
-// delta carries it complete).
-func (p *policy[V, G]) RestoreDelta(snap *gasSnapshot[V]) {
-	if cloner, ok := p.prog.(rt.ValueCloner[V]); ok {
-		for i, id := range snap.ids {
-			p.cur[id] = cloner.CloneValue(snap.values[i])
-		}
 	} else {
-		for i, id := range snap.ids {
-			p.cur[id] = snap.values[i]
+		rt.RestoreValuesAt(p.prog, p.cur, snap.values, snap.ids)
+		if snap.ids == nil {
+			copy(p.active, snap.active)
+		} else {
+			clear(p.active)
+			for _, id := range snap.activeIDs {
+				p.active[id] = true
+			}
 		}
+		p.activeCount = snap.activeCount
 	}
-	for v := range p.active {
-		p.active[v] = false
-	}
-	for _, id := range snap.activeIDs {
-		p.active[id] = true
-	}
-	p.activeCount = len(snap.activeIDs)
-	for i := range p.nextActive {
-		p.nextActive[i] = false
-	}
+	clear(p.dirty)
+	clear(p.nextActive)
 }
 
-// FrameBytes implements runtime.SnapshotSizer: a deterministic
-// resident-byte estimate of a frame.
+// FrameBytes implements runtime.Policy.
 func (p *policy[V, G]) FrameBytes(snap *gasSnapshot[V]) int64 {
 	szID := rt.SizeOf[VertexID]()
 	return int64(len(snap.values))*rt.SizeOf[V]() +
@@ -468,24 +437,16 @@ func (p *policy[V, G]) FrameBytes(snap *gasSnapshot[V]) int64 {
 		int64(len(snap.activeIDs))*szID + 8
 }
 
-func (p *policy[V, G]) clearDirty() {
-	for v := range p.dirty {
-		p.dirty[v] = false
-	}
-}
-
-// gasSnapshot is one checkpoint generation of a GAS run: the barrier
-// state entering an iteration. A delta frame (SnapshotDelta) sets delta
-// and indexes values by position in ids; activeIDs is the complete
-// active set in sparse form.
+// gasSnapshot is one checkpoint frame of a GAS run, the barrier state
+// entering an iteration: the values of the vertices in ids (nil: every
+// vertex), indexed by position in ids, and the active set — active
+// (dense) in a full frame, activeIDs (sparse) in a delta.
 type gasSnapshot[V any] struct {
+	ids         []VertexID
 	values      []V
 	active      []bool
+	activeIDs   []VertexID
 	activeCount int
-
-	delta     bool
-	ids       []VertexID
-	activeIDs []VertexID
 }
 
 // --- GAS PageRank ---

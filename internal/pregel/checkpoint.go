@@ -1,35 +1,22 @@
 package pregel
 
 import (
+	"maps"
+
 	"vcgraph/internal/graph"
 	rt "vcgraph/internal/runtime"
 )
 
-// Checkpointing: Pregel's fault-tolerance mechanism. When
-// Config.CheckpointEvery is set, the engine snapshots the complete
-// computation state (vertex values, halt flags, undelivered messages,
-// mutated adjacency, globals, and — via Snapshotter — master state) at
-// every k-th superstep barrier, retaining the last two generations
-// (runtime.Checkpoints). A failure — a crash or a lost message batch
-// scheduled by Config.Faults — rolls the computation back to the
-// newest checkpoint that passes validation: a corrupted snapshot is
-// detected at recovery time and skipped in favor of the previous
-// generation (or a fresh restart). The redone supersteps stay in the
-// Stats, as they would on a real cluster; Stats.Recovery itemizes the
-// recovery cost.
-//
-// With Config.FullSnapshotEvery > 1 the engine additionally implements
-// runtime.DeltaPolicy: between full snapshots it saves dirty-set delta
-// frames covering only the vertices that computed, received mail, or
-// were reactivated since the previous frame. Recovery then rebuilds a
-// generation by restoring the newest readable full frame and applying
-// its delta chain in order; a corrupt frame anywhere in a chain
-// invalidates every frame above it (see runtime.Checkpoints).
-//
-// Vertex values and messages are copied shallowly; programs whose V
-// carries reference types (slices, maps) must implement
-// runtime.ValueCloner to deep-copy them, or recovery would alias live
-// state.
+// Checkpointing is Pregel's fault-tolerance mechanism; cadence, the
+// frame chain store, corruption and rollback are runtime.Driver's and
+// runtime.Checkpoints'. The engine contributes its one frame: vertex
+// values, halt flags, undelivered messages and adjacency overrides of
+// the vertices the frame carries — every vertex in a full frame, those
+// that computed, received mail or were reactivated since the previous
+// frame in a delta — plus globals, aggregators and (via Snapshotter)
+// master state whole. Values and messages are copied shallowly;
+// programs whose V carries reference types must implement
+// runtime.ValueCloner.
 
 // Snapshotter lets a program (typically one with master state) save
 // and restore that state across a rollback. A snapshot value with a
@@ -40,104 +27,52 @@ type Snapshotter interface {
 	Restore(snapshot any)
 }
 
+// checkpoint is one frame. ids lists the carried vertices ascending
+// (nil: every vertex); values, halted, inbox and rawRecv are indexed by
+// position in ids.
 type checkpoint[V, M any] struct {
+	ids     []VertexID
 	values  []V
 	halted  []bool
 	inbox   [][]M
 	rawRecv []int64
-	// adj records only the vertices whose adjacency diverged from the
-	// CSR snapshot (SetOutEdges); everything else restores to the
-	// immutable snapshot for free, so a checkpoint is O(mutations)
-	// instead of O(m) in adjacency.
+	// adj holds the overrides of the carried vertices whose adjacency
+	// diverged from the CSR snapshot (SetOutEdges); everything else
+	// restores to the immutable snapshot for free, so a frame is
+	// O(mutations) instead of O(m) in adjacency.
 	adj         map[VertexID][]graph.Edge
 	globals     map[string]any
 	aggCurrent  map[string]any
 	masterState any
-	// Delta frames (SnapshotDelta): ids lists the dirty vertices in
-	// ascending order, and values/halted/inbox/rawRecv are indexed by
-	// position in ids instead of by VertexID; adj holds the overrides
-	// of dirty mutated vertices. The tiny whole-run state — globals,
-	// aggregators, master state — is always carried in full.
-	delta bool
-	ids   []VertexID
-}
-
-func (e *Engine[V, M]) cloneValues(src []V) []V {
-	return rt.CloneValues(e.prog, src)
 }
 
 // Snapshot implements runtime.Policy: it deep-copies the state
-// reachable at the current barrier. The driver owns the checkpoint
-// store, the save cadence, and the corruption injection.
-func (e *Engine[V, M]) Snapshot() *checkpoint[V, M] {
-	n := e.g.N()
+// reachable at the current barrier — every vertex when full, else the
+// dirty ones — and resets the dirty tracking.
+func (e *Engine[V, M]) Snapshot(full bool) *checkpoint[V, M] {
+	ids := rt.TakeDirty[VertexID](e.dirty, full)
+	n := len(e.halted)
+	if ids != nil {
+		n = len(ids)
+	}
 	ck := &checkpoint[V, M]{
-		values:     e.cloneValues(e.values),
-		halted:     append([]bool(nil), e.halted...),
+		ids:        ids,
+		values:     rt.CloneValuesAt(e.prog, e.values, ids),
+		halted:     make([]bool, n),
 		inbox:      make([][]M, n),
 		rawRecv:    make([]int64, n),
 		adj:        make(map[VertexID][]graph.Edge),
-		globals:    make(map[string]any, len(e.globals)),
-		aggCurrent: make(map[string]any, len(e.aggCurrent)),
+		globals:    maps.Clone(e.globals),
+		aggCurrent: maps.Clone(e.aggCurrent),
 	}
-	for v := 0; v < n; v++ {
-		ck.inbox[v] = append([]M(nil), e.mbox.Inbox(VertexID(v))...)
-		ck.rawRecv[v] = e.mbox.RawCount(VertexID(v))
-	}
-	for v, isMut := range e.mutated {
-		if isMut {
-			ck.adj[VertexID(v)] = append([]graph.Edge(nil), e.adj[v]...)
+	for i := range ck.halted {
+		v := rt.FrameID(ids, i)
+		ck.halted[i] = e.halted[v]
+		ck.inbox[i] = append([]M(nil), e.mbox.Inbox(v)...)
+		ck.rawRecv[i] = e.mbox.RawCount(v)
+		if e.mutated[v] {
+			ck.adj[v] = append([]graph.Edge(nil), e.adj[v]...)
 		}
-	}
-	for k, v := range e.globals {
-		ck.globals[k] = v
-	}
-	for k, v := range e.aggCurrent {
-		ck.aggCurrent[k] = v
-	}
-	if s, ok := e.prog.(Snapshotter); ok {
-		ck.masterState = s.Snapshot()
-	}
-	e.clearDirty()
-	return ck
-}
-
-// SnapshotDelta implements runtime.DeltaPolicy: it deep-copies only
-// the vertices dirtied since the previous frame — computed, mailed, or
-// reactivated — plus the full (small) globals/aggregator/master state,
-// and resets the dirty tracking so the next frame patches this one.
-func (e *Engine[V, M]) SnapshotDelta() *checkpoint[V, M] {
-	var ids []VertexID
-	for v, d := range e.dirty {
-		if d {
-			ids = append(ids, VertexID(v))
-			e.dirty[v] = false
-		}
-	}
-	ck := &checkpoint[V, M]{
-		delta:      true,
-		ids:        ids,
-		values:     rt.CloneValuesAt(e.prog, e.values, ids),
-		halted:     make([]bool, len(ids)),
-		inbox:      make([][]M, len(ids)),
-		rawRecv:    make([]int64, len(ids)),
-		adj:        make(map[VertexID][]graph.Edge),
-		globals:    make(map[string]any, len(e.globals)),
-		aggCurrent: make(map[string]any, len(e.aggCurrent)),
-	}
-	for i, id := range ids {
-		ck.halted[i] = e.halted[id]
-		ck.inbox[i] = append([]M(nil), e.mbox.Inbox(id)...)
-		ck.rawRecv[i] = e.mbox.RawCount(id)
-		if e.mutated[id] {
-			ck.adj[id] = append([]graph.Edge(nil), e.adj[id]...)
-		}
-	}
-	for k, v := range e.globals {
-		ck.globals[k] = v
-	}
-	for k, v := range e.aggCurrent {
-		ck.aggCurrent[k] = v
 	}
 	if s, ok := e.prog.(Snapshotter); ok {
 		ck.masterState = s.Snapshot()
@@ -145,47 +80,11 @@ func (e *Engine[V, M]) SnapshotDelta() *checkpoint[V, M] {
 	return ck
 }
 
-// RestoreDelta implements runtime.DeltaPolicy: it patches the dirty
-// vertices of one delta frame onto the state already rebuilt from the
-// chain so far. Adjacency overrides only accumulate between frames
-// (mutated never clears mid-run), so applying them additively is exact.
-func (e *Engine[V, M]) RestoreDelta(ck *checkpoint[V, M]) {
-	if cloner, ok := e.prog.(rt.ValueCloner[V]); ok {
-		for i, id := range ck.ids {
-			e.values[id] = cloner.CloneValue(ck.values[i])
-		}
-	} else {
-		for i, id := range ck.ids {
-			e.values[id] = ck.values[i]
-		}
-	}
-	for i, id := range ck.ids {
-		e.halted[id] = ck.halted[i]
-		e.mbox.LoadVertex(id, ck.inbox[i], ck.rawRecv[i])
-	}
-	for v, a := range ck.adj {
-		e.adj[v] = append([]graph.Edge(nil), a...)
-		e.mutated[v] = true
-	}
-	e.globals = make(map[string]any, len(ck.globals))
-	for k, v := range ck.globals {
-		e.globals[k] = v
-	}
-	for k, v := range ck.aggCurrent {
-		e.aggCurrent[k] = v
-	}
-	if s, hasState := e.prog.(Snapshotter); hasState {
-		s.Restore(ck.masterState)
-	}
-	e.rebuildWorklists()
-}
-
-// FrameBytes implements runtime.SnapshotSizer: a deterministic
-// resident-byte estimate of a frame (full or delta) — element sizes
-// times element counts. Boxed global/aggregator values are opaque and
-// charged a flat per-entry cost on both frame kinds; the Snapshotter
-// state is charged its SizeBytes when it reports one (program-private
-// vertex stores), and nothing otherwise (a few master counters).
+// FrameBytes implements runtime.Policy: element sizes times element
+// counts. Boxed global/aggregator values are opaque and charged a flat
+// per-entry cost; the Snapshotter state is charged its SizeBytes when it
+// reports one (program-private vertex stores), and nothing otherwise (a
+// few master counters).
 func (e *Engine[V, M]) FrameBytes(ck *checkpoint[V, M]) int64 {
 	b := int64(len(ck.values))*rt.SizeOf[V]() +
 		int64(len(ck.halted)) +
@@ -206,27 +105,24 @@ func (e *Engine[V, M]) FrameBytes(ck *checkpoint[V, M]) int64 {
 	return b
 }
 
-func (e *Engine[V, M]) clearDirty() {
-	for v := range e.dirty {
-		e.dirty[v] = false
-	}
-}
-
-// Restore implements runtime.Policy: it rolls the engine back to a
-// checkpoint read by the driver's store (ok), or to a fresh start when
-// no readable checkpoint exists (!ok).
+// Restore implements runtime.Policy: a full frame replaces the engine
+// state, a delta patches its vertices onto the state the chain has
+// rebuilt so far (adjacency overrides only accumulate between frames,
+// so applying them additively is exact); !ok restarts from scratch.
 func (e *Engine[V, M]) Restore(ck *checkpoint[V, M], step int, ok bool) {
-	e.recoveries++
+	if !ok || ck.ids == nil {
+		e.recoveries++ // once per rollback: every chain starts full
+		e.resetAdjacency()
+	}
 	if !ok {
 		// No checkpoint yet: restart from the pristine Init-time values
 		// kept by NewEngine — re-running Init here would read the
 		// mutable graph mid-run.
 		e.values = rt.CloneValues[V](e.prog, e.pristine)
-		for v := 0; v < e.g.N(); v++ {
-			e.halted[v] = false
+		clear(e.halted)
+		for v := range e.halted {
 			e.mbox.ResetVertex(VertexID(v))
 		}
-		e.resetAdjacency()
 		for name, a := range e.aggs {
 			e.aggCurrent[name] = a.Zero()
 		}
@@ -234,31 +130,24 @@ func (e *Engine[V, M]) Restore(ck *checkpoint[V, M], step int, ok bool) {
 		if s, hasState := e.prog.(Snapshotter); hasState {
 			s.Restore(nil)
 		}
-		e.clearDirty()
-		e.rebuildWorklists()
-		return
+	} else {
+		rt.RestoreValuesAt(e.prog, e.values, ck.values, ck.ids)
+		for i, h := range ck.halted {
+			v := rt.FrameID(ck.ids, i)
+			e.halted[v] = h
+			e.mbox.LoadVertex(v, ck.inbox[i], ck.rawRecv[i])
+		}
+		for v, a := range ck.adj {
+			e.adj[v] = append([]graph.Edge(nil), a...)
+			e.mutated[v] = true
+		}
+		e.globals = maps.Clone(ck.globals)
+		maps.Copy(e.aggCurrent, ck.aggCurrent)
+		if s, hasState := e.prog.(Snapshotter); hasState {
+			s.Restore(ck.masterState)
+		}
 	}
-	e.values = e.cloneValues(ck.values)
-	copy(e.halted, ck.halted)
-	for v := 0; v < e.g.N(); v++ {
-		e.mbox.LoadVertex(VertexID(v), ck.inbox[v], ck.rawRecv[v])
-	}
-	e.resetAdjacency()
-	for v, a := range ck.adj {
-		e.adj[v] = append([]graph.Edge(nil), a...)
-		e.mutated[v] = true
-	}
-	e.globals = make(map[string]any, len(ck.globals))
-	for k, v := range ck.globals {
-		e.globals[k] = v
-	}
-	for k, v := range ck.aggCurrent {
-		e.aggCurrent[k] = v
-	}
-	if s, hasState := e.prog.(Snapshotter); hasState {
-		s.Restore(ck.masterState)
-	}
-	e.clearDirty()
+	clear(e.dirty)
 	e.rebuildWorklists()
 }
 

@@ -169,8 +169,8 @@ type Engine[V, M any] struct {
 	// dirty marks vertices whose engine-visible state may have changed
 	// since the last checkpoint frame: computed vertices (value, halt
 	// flag, inbox reset, adjacency mutation), mail receivers (inbox,
-	// raw count), and master reactivations. Snapshot/SnapshotDelta
-	// clear it; delta frames carry exactly this set.
+	// raw count), and master reactivations. Snapshot and Restore clear
+	// it; a delta frame carries exactly this set.
 	dirty   []bool
 	csr     *graph.CSR     // pinned immutable adjacency snapshot, the hot-loop view
 	adj     [][]graph.Edge // per-vertex materialized/mutated out-edges; nil = read the CSR

@@ -1,13 +1,12 @@
 package runtime
 
 // Checkpoints is the shared checkpoint store under the engines'
-// rollback recovery. Frames come in two kinds: a *full* frame is a
-// complete deep copy of the barrier state, and a *delta* frame is a
-// dirty-set patch against the frame saved immediately before it (see
-// DeltaPolicy). A delta frame is readable only through its whole
-// ancestor chain — every frame from the nearest full frame below it up
-// to the frame itself — so corrupting one frame silently poisons every
-// frame that depends on it.
+// rollback recovery. Every engine has one frame shape (Policy.Snapshot):
+// a *full* frame carries every vertex, and a *delta* frame carries only
+// the state dirtied since the frame saved immediately before it. A delta
+// frame is readable only through its whole ancestor chain — every frame
+// from the nearest full frame below it up to the frame itself — so
+// corrupting one frame silently poisons every frame that depends on it.
 //
 // Retention follows Pregel's write-then-retire checkpoint files:
 // whenever a full frame lands, the store prunes everything older than
@@ -153,10 +152,46 @@ func CloneValues[V any](prog any, src []V) []V {
 	return out
 }
 
-// CloneValuesAt gathers src[id] for each id, deep-copying when the
-// program implements ValueCloner[V] — the dirty-set analogue of
-// CloneValues for delta checkpoint frames.
-func CloneValuesAt[V any, ID ~int | ~int32 | ~int64](prog any, src []V, ids []ID) []V {
+// A checkpoint frame lists the indices (vertices, or blocks) it carries
+// in ids and stores their state by position in ids. A full frame is the
+// delta over everything: ids == nil means every index, in order.
+// TakeDirty picks a frame's ids, FrameID maps a position back to its
+// index, and CloneValuesAt / RestoreValuesAt gather and scatter values
+// by them.
+
+// TakeDirty returns the ids a frame carries and clears dirty: nil for a
+// full frame, the marked indices ascending for a delta — never nil, so
+// an empty delta is not mistaken for a full frame.
+func TakeDirty[ID ~int | ~int32](dirty []bool, full bool) []ID {
+	if full {
+		clear(dirty)
+		return nil
+	}
+	ids := []ID{}
+	for i, d := range dirty {
+		if d {
+			ids = append(ids, ID(i))
+			dirty[i] = false
+		}
+	}
+	return ids
+}
+
+// FrameID maps position i of a frame to the index it covers: i itself
+// in a full frame (ids == nil), ids[i] in a delta.
+func FrameID[ID ~int | ~int32](ids []ID, i int) ID {
+	if ids == nil {
+		return ID(i)
+	}
+	return ids[i]
+}
+
+// CloneValuesAt gathers src[id] for each id (all of src when ids is
+// nil), deep-copying when the program implements ValueCloner[V].
+func CloneValuesAt[V any, ID ~int | ~int32](prog any, src []V, ids []ID) []V {
+	if ids == nil {
+		return CloneValues(prog, src)
+	}
 	out := make([]V, len(ids))
 	if cloner, ok := prog.(ValueCloner[V]); ok {
 		for i, id := range ids {
@@ -168,4 +203,17 @@ func CloneValuesAt[V any, ID ~int | ~int32 | ~int64](prog any, src []V, ids []ID
 		}
 	}
 	return out
+}
+
+// RestoreValuesAt is the scatter counterpart of CloneValuesAt: it writes
+// src[i] back to dst[ids[i]] (to dst[i] when ids is nil), deep-copying
+// when the program implements ValueCloner[V].
+func RestoreValuesAt[V any, ID ~int | ~int32](prog any, dst, src []V, ids []ID) {
+	cloner, hasCloner := prog.(ValueCloner[V])
+	for i, v := range src {
+		if hasCloner {
+			v = cloner.CloneValue(v)
+		}
+		dst[FrameID(ids, i)] = v
+	}
 }

@@ -27,8 +27,8 @@ var ErrHandoff = errors.New("handoff requested at superstep barrier")
 // time-processor product identically.
 //
 // An engine is a Policy: it fills the per-worker Work/Sent/Recv/Active
-// slices while a superstep runs and defines what quiescence, a
-// snapshot, and a restore mean for its model. Optional extensions
+// slices while a superstep runs and defines what quiescence and its one
+// checkpoint frame mean for its model. Optional extensions
 // (MasterPolicy, SerialFinishPolicy, BarrierFaultPolicy, EarlyStopper,
 // RollbackWeigher) are discovered by type assertion.
 type Policy[S any] interface {
@@ -43,11 +43,21 @@ type Policy[S any] interface {
 	// transit must call Driver.LoseBatch; a policy that enforces its
 	// own cap returns a non-nil error, which aborts the run verbatim.
 	Superstep(step int, ss *bsp.SuperstepStats) (pending int, err error)
-	// Snapshot deep-copies the barrier state for a checkpoint.
-	Snapshot() S
-	// Restore reloads a snapshot taken at barrier step (ok), or
-	// reinitializes the computation from scratch (!ok, step 0).
+	// Snapshot deep-copies the barrier state into a checkpoint frame and
+	// resets the policy's dirty tracking: every vertex when full, else
+	// only the state dirtied since the previous frame, so each delta
+	// patches exactly the frame before it.
+	Snapshot(full bool) S
+	// Restore applies a frame of the chain that reconstructs barrier
+	// step (ok): a full frame replaces the whole state, a delta patches
+	// it. A rollback calls it for the chain's full base frame, then for
+	// each later frame in save order. !ok reinitializes the computation
+	// from scratch (step 0).
 	Restore(snap S, step int, ok bool)
+	// FrameBytes reports a frame's deterministic resident-byte estimate
+	// (element sizes times element counts), feeding
+	// Recovery.CheckpointBytesFull/Delta.
+	FrameBytes(snap S) int64
 }
 
 // MasterPolicy is an optional Policy extension: BeforeSuperstep runs
@@ -92,34 +102,6 @@ type RollbackWeigher interface {
 	RedoneUnits(resumed, failed int) int
 }
 
-// DeltaPolicy is an optional Policy extension enabling delta
-// checkpoints. SnapshotDelta deep-copies only the state dirtied since
-// the previous snapshot (full or delta) into a patch frame; both
-// Snapshot and SnapshotDelta reset the policy's dirty tracking, so each
-// frame patches exactly the one before it. RestoreDelta applies a patch
-// on top of already-restored state: the driver rebuilds a generation by
-// calling Restore with the chain's base full frame, then RestoreDelta
-// for each dependent delta frame in save order.
-//
-// The driver only takes delta snapshots between full ones
-// (DriverConfig.FullSnapshotEvery) and forces the save after any
-// rollback to be full — a restore rewrites state wholesale, so the
-// dirty set no longer describes a patch against any stored frame.
-type DeltaPolicy[S any] interface {
-	SnapshotDelta() S
-	RestoreDelta(patch S)
-}
-
-// SnapshotSizer is an optional Policy extension reporting the estimated
-// resident bytes of a checkpoint frame (full or delta), feeding
-// Recovery.CheckpointBytesFull/Delta. Estimates must be deterministic —
-// they are benchmarked ratios, not allocator truth; opaque
-// program-private state may be excluded as long as full and delta
-// frames exclude it alike.
-type SnapshotSizer[S any] interface {
-	FrameBytes(snap S) int64
-}
-
 // DriverConfig parameterizes a Driver run.
 type DriverConfig struct {
 	// Name prefixes the cap error ("pregel: superstep cap reached ...").
@@ -133,10 +115,8 @@ type DriverConfig struct {
 	// CheckpointEvery > 0 snapshots the barrier state every k steps.
 	CheckpointEvery int
 	// FullSnapshotEvery > 1 stores only every Nth checkpoint as a full
-	// snapshot when the policy implements DeltaPolicy; the saves in
-	// between are dirty-set delta frames patching the previous one.
-	// 0 (or 1, or a policy without delta support) keeps every
-	// checkpoint full.
+	// snapshot; the saves in between are dirty-set delta frames patching
+	// the previous one. 0 or 1 keeps every checkpoint full.
 	FullSnapshotEvery int
 	// Faults schedules deterministic fault injection (nil = none).
 	Faults *FaultPlan
@@ -183,7 +163,8 @@ type Driver[S any] struct {
 	step  int
 	// sinceFull counts delta frames saved since the last full one;
 	// forceFull pins the next save to a full frame after a rollback
-	// (the dirty set no longer patches any stored frame).
+	// (frames above the restored generation are unreadable, and a delta
+	// saved now would chain through them).
 	sinceFull int
 	forceFull bool
 	// scratch holds the superstep being measured; a field rather than a
@@ -390,34 +371,25 @@ func (d *Driver[S]) record(ss bsp.SuperstepStats) {
 	}
 }
 
-// save checkpoints the barrier state entering step — a full snapshot,
-// or a dirty-set delta against the previous frame when the policy
-// supports deltas and the chain is not due for a full one. A scheduled
-// FaultCorruptCheckpoint damages the frame silently; the store only
-// discovers it when a recovery reads the frame's chain back.
+// save checkpoints the barrier state entering step — a full frame, or
+// a dirty-set delta against the previous frame when the chain is not
+// due for a full one. A scheduled FaultCorruptCheckpoint damages the
+// frame silently; the store only discovers it when a recovery reads the
+// frame's chain back.
 func (d *Driver[S]) save(step, pending int) {
-	dp, deltaCapable := d.pol.(DeltaPolicy[S])
-	full := !deltaCapable || d.cfg.FullSnapshotEvery <= 1 ||
-		d.forceFull || d.cks.Saved() == 0 ||
+	full := d.cfg.FullSnapshotEvery <= 1 || d.forceFull || d.cks.Saved() == 0 ||
 		d.sinceFull >= d.cfg.FullSnapshotEvery-1
-	var snap S
-	if full {
-		snap = d.pol.Snapshot()
-		d.sinceFull = 0
-		d.forceFull = false
-	} else {
-		snap = dp.SnapshotDelta()
-		d.sinceFull++
-		d.stats.Recovery.DeltaCheckpointsSaved++
-	}
+	snap := d.pol.Snapshot(full)
 	d.cks.Save(step, ckFrame[S]{snap: snap, pending: pending}, full, d.inj.CorruptSave(step))
 	d.stats.Recovery.CheckpointsSaved++
-	if sizer, sized := d.pol.(SnapshotSizer[S]); sized {
-		if b := sizer.FrameBytes(snap); full {
-			d.stats.Recovery.CheckpointBytesFull += b
-		} else {
-			d.stats.Recovery.CheckpointBytesDelta += b
-		}
+	b := d.pol.FrameBytes(snap)
+	if full {
+		d.sinceFull, d.forceFull = 0, false
+		d.stats.Recovery.CheckpointBytesFull += b
+	} else {
+		d.sinceFull++
+		d.stats.Recovery.DeltaCheckpointsSaved++
+		d.stats.Recovery.CheckpointBytesDelta += b
 	}
 }
 
@@ -435,12 +407,8 @@ func (d *Driver[S]) rollback() (resumed, pending int) {
 		d.pol.Restore(zero, 0, false)
 		step, pending = 0, 0
 	} else {
-		d.pol.Restore(chain[0].snap, step, true)
-		if len(chain) > 1 {
-			dp := d.pol.(DeltaPolicy[S]) // delta frames only exist for delta policies
-			for _, f := range chain[1:] {
-				dp.RestoreDelta(f.snap)
-			}
+		for _, f := range chain {
+			d.pol.Restore(f.snap, step, true)
 		}
 		pending = chain[len(chain)-1].pending
 	}

@@ -52,7 +52,7 @@ type WorklistRunner[V any] struct {
 	updates int
 	// dirty marks the vertices popped (and therefore possibly
 	// rewritten — Update writes only values[v]) since the last
-	// checkpoint frame; Snapshot, SnapshotDelta, and Restore clear it.
+	// checkpoint frame; Snapshot and Restore clear it.
 	// Allocated lazily at the first epoch.
 	dirty []bool
 }
@@ -123,56 +123,21 @@ func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, er
 	return p.Queue.Len(), nil
 }
 
-// Snapshot implements Policy: values plus the worklist in arrival
-// order. The update count is implied by the boundary step
-// (step · EpochLen), so it is not stored.
-func (p *WorklistRunner[V]) Snapshot() *WorklistSnapshot[V] {
-	p.clearDirty()
+// Snapshot implements Policy: the values of every vertex (full) or of
+// the vertices popped since the previous frame (delta), plus the whole
+// worklist in arrival order — small on sparse tails, and required, since
+// a queue cannot be patched. The update count is implied by the boundary
+// step (step · EpochLen), so it is not stored.
+func (p *WorklistRunner[V]) Snapshot(full bool) *WorklistSnapshot[V] {
+	ids := TakeDirty[VertexID](p.dirty, full)
 	return &WorklistSnapshot[V]{
-		values: CloneValues[V](p.Prog, *p.Values),
-		queue:  p.Queue.Snapshot(),
-	}
-}
-
-// SnapshotDelta implements DeltaPolicy: only the values of vertices
-// popped since the previous frame and the complete worklist (small on
-// sparse tails, and required — the queue cannot be patched).
-func (p *WorklistRunner[V]) SnapshotDelta() *WorklistSnapshot[V] {
-	var ids []VertexID
-	for v, d := range p.dirty {
-		if d {
-			ids = append(ids, VertexID(v))
-			p.dirty[v] = false
-		}
-	}
-	return &WorklistSnapshot[V]{
-		delta:  true,
 		ids:    ids,
 		values: CloneValuesAt(p.Prog, *p.Values, ids),
 		queue:  p.Queue.Snapshot(),
 	}
 }
 
-// RestoreDelta implements DeltaPolicy: patch the popped vertices'
-// values onto the chain state and replace the worklist wholesale (each
-// frame carries it complete). The update count was already set by the
-// base Restore from the chain's final step.
-func (p *WorklistRunner[V]) RestoreDelta(snap *WorklistSnapshot[V]) {
-	vals := *p.Values
-	if cloner, ok := p.Prog.(ValueCloner[V]); ok {
-		for i, id := range snap.ids {
-			vals[id] = cloner.CloneValue(snap.values[i])
-		}
-	} else {
-		for i, id := range snap.ids {
-			vals[id] = snap.values[i]
-		}
-	}
-	p.Queue.Load(snap.queue)
-}
-
-// FrameBytes implements SnapshotSizer: a deterministic resident-byte
-// estimate of a frame (full or delta).
+// FrameBytes implements Policy.
 func (p *WorklistRunner[V]) FrameBytes(snap *WorklistSnapshot[V]) int64 {
 	szID := SizeOf[VertexID]()
 	return int64(len(snap.values))*SizeOf[V]() +
@@ -180,19 +145,13 @@ func (p *WorklistRunner[V]) FrameBytes(snap *WorklistSnapshot[V]) int64 {
 		int64(len(snap.queue))*szID
 }
 
-func (p *WorklistRunner[V]) clearDirty() {
-	for v := range p.dirty {
-		p.dirty[v] = false
-	}
-}
-
-// Restore implements Policy: a readable checkpoint restores its values
-// and worklist; a checkpoint-free rollback replays the pristine seed
-// state captured before the run.
+// Restore implements Policy: a readable frame writes back its values and
+// replaces the worklist; a checkpoint-free rollback replays the pristine
+// seed state captured before the run.
 func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int, ok bool) {
-	p.clearDirty()
+	clear(p.dirty)
 	if ok {
-		*p.Values = CloneValues[V](p.Prog, snap.values)
+		RestoreValuesAt(p.Prog, *p.Values, snap.values, snap.ids)
 		p.Queue.Load(snap.queue)
 		p.updates = step * p.EpochLen
 		return
@@ -209,14 +168,12 @@ func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int, ok bool
 	p.updates = 0
 }
 
-// WorklistSnapshot is one checkpoint generation of a worklist run: the
-// values and the worklist (in arrival order) at an epoch boundary. A
-// delta frame (SnapshotDelta) sets delta and indexes values by position
-// in ids; the queue is always complete.
+// WorklistSnapshot is one checkpoint frame of a worklist run at an epoch
+// boundary: the values of the vertices in ids (nil: every vertex),
+// indexed by position in ids, and the complete worklist in arrival
+// order.
 type WorklistSnapshot[V any] struct {
+	ids    []VertexID
 	values []V
 	queue  []VertexID
-
-	delta bool
-	ids   []VertexID
 }

@@ -5,7 +5,7 @@ import "unsafe"
 // SizeOf reports the in-memory size of T's direct representation in
 // bytes (unsafe.Sizeof of the zero value — excludes anything behind
 // pointers, slices, or maps). Engines use it for deterministic
-// checkpoint-frame byte estimates (SnapshotSizer): element size times
+// checkpoint-frame byte estimates (Policy.FrameBytes): element size times
 // element count, identical across runs on the same platform.
 func SizeOf[T any]() int64 {
 	var t T

@@ -84,7 +84,7 @@ type JobSpec struct {
 	// Faults seeds a deterministic runtime.FaultPlan. CheckpointEvery
 	// is a wire alias of Checkpoint (withDefaults folds it in);
 	// FullSnapshot > 1 stores only every Nth checkpoint full, the
-	// generations between as dirty-set deltas (runtime.DeltaPolicy).
+	// generations between as dirty-set deltas (runtime.Checkpoints).
 	Checkpoint      int   `json:"checkpoint,omitempty"`
 	CheckpointEvery int   `json:"checkpoint_every,omitempty"`
 	FullSnapshot    int   `json:"full_snapshot_every,omitempty"`

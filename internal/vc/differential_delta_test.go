@@ -18,7 +18,8 @@ import (
 // differential_test.go rerun with checkpoints stored as dirty-set
 // delta chains (CheckpointEvery=1, FullSnapshotEvery=3), so saves land
 // at steps 1 (full), 2 (delta), 3 (delta), 4 (full), ... Every run —
-// fault-free, crash-mid-chain, corrupt-delta, corrupt-base — must stay
+// fault-free, crash-mid-chain, corrupt-delta, corrupt-base,
+// crash-after-rollback — must stay
 // byte-identical to the engine's full-snapshot fault-free baseline,
 // and corrupting a frame must invalidate exactly the frames that
 // depend on it.
@@ -114,6 +115,24 @@ func deltaCases() []deltaCase {
 			},
 		},
 		{
+			// Two crashes: the first reads a chain whose delta (frame 2)
+			// is corrupt and falls back to full frame 1; the second reads
+			// the frame saved right after that rollback. That save must be
+			// full — a delta there would chain through the unreadable
+			// frame 2, and the second recovery would invalidate it and
+			// fall back further.
+			name: "crash-after-rollback",
+			plan: func(cell deltaCell) *rt.FaultPlan {
+				c := deltaCrashStep(cell) - 1
+				return rt.PlanOf(rt.CorruptCheckpoint(2), rt.Crash(c), rt.Crash(c))
+			},
+			check: func(t *testing.T, r bsp.Recovery) {
+				if r.Rollbacks != 2 || r.CorruptedCheckpoints != 1 || r.InvalidatedCheckpoints != 0 {
+					t.Errorf("crash after rollback: rollbacks=%d corrupted=%d invalidated=%d, want 2/1/0", r.Rollbacks, r.CorruptedCheckpoints, r.InvalidatedCheckpoints)
+				}
+			},
+		},
+		{
 			// A message batch lost in transit at superstep 1 forces a
 			// rollback that restores through whatever chain is resident.
 			name: "drop-lane-mid-chain",
@@ -159,6 +178,28 @@ func runDeltaDifferential(t *testing.T, cells []deltaCell) {
 				}
 				if r.CheckpointBytesFull == 0 || r.CheckpointBytesDelta == 0 {
 					t.Fatalf("checkpoint byte accounting empty: full=%d delta=%d", r.CheckpointBytesFull, r.CheckpointBytesDelta)
+				}
+			})
+
+			// FullSnapshotEvery 0 and 1 are the same degenerate cadence:
+			// every frame full, and the same recovery under a crash.
+			t.Run("all-full-cadence", func(t *testing.T) {
+				var recs [2]bsp.Recovery
+				for i, fullEvery := range []int{0, 1} {
+					got, st, err := cell.run(deltaCK, fullEvery, rt.PlanOf(rt.Crash(deltaCrashStep(cell))))
+					if err != nil {
+						t.Fatalf("full-every %d: %v", fullEvery, err)
+					}
+					if !reflect.DeepEqual(got, base) {
+						t.Fatalf("full-every %d output differs from fault-free run", fullEvery)
+					}
+					if st.Recovery.DeltaCheckpointsSaved != 0 {
+						t.Fatalf("full-every %d saved %d delta frames", fullEvery, st.Recovery.DeltaCheckpointsSaved)
+					}
+					recs[i] = st.Recovery
+				}
+				if !reflect.DeepEqual(recs[0], recs[1]) {
+					t.Fatalf("full-every 0 and 1 recover differently:\n0: %+v\n1: %+v", recs[0], recs[1])
 				}
 			})
 

@@ -44,10 +44,12 @@ type IncConfig struct {
 	// CheckpointEvery, when positive, snapshots values + worklist every
 	// k updates and sets the fault-detection epoch length.
 	CheckpointEvery int
-	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
-	// a full snapshot; the generations between are dirty-set deltas
-	// covering just the vertices updated since the previous frame
-	// (runtime.DeltaPolicy). 0 or 1 keeps every checkpoint full.
+	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint of
+	// incremental CC/SSSP as a full snapshot; the generations between
+	// are dirty-set deltas covering just the vertices updated since the
+	// previous frame. 0 or 1 keeps every checkpoint full. Incremental
+	// PageRank ignores it: each superstep replaces its frame, the rank
+	// vector, wholesale, so every one of its checkpoints is full.
 	FullSnapshotEvery int
 	// Faults schedules deterministic fault injection at epoch
 	// boundaries (crash, drop/dup of the activation batch, checkpoint

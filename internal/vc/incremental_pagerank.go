@@ -76,16 +76,16 @@ func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *Inc
 	p.cur = r0
 	p.mark = make([]bool, n)
 	stats := &bsp.Stats{Workers: 1, N: n}
+	// No FullSnapshotEvery: every frame is full (see incPRPolicy.Snapshot).
 	d := rt.NewDriver[*incPRSnap](p, stats, rt.DriverConfig{
-		Name:              "vc: incremental pagerank",
-		Workers:           1,
-		MaxSteps:          k + 1,
-		CapErr:            bsp.ErrSuperstepCap,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		FullSnapshotEvery: cfg.FullSnapshotEvery,
-		Faults:            cfg.Faults,
-		Ctx:               cfg.Ctx,
-		Job:               cfg.Job,
+		Name:            "vc: incremental pagerank",
+		Workers:         1,
+		MaxSteps:        k + 1,
+		CapErr:          bsp.ErrSuperstepCap,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Faults:          cfg.Faults,
+		Ctx:             cfg.Ctx,
+		Job:             cfg.Job,
 	})
 	return func() (*IncPRState, *bsp.Stats, error) {
 		defer g.UnpinDelta(view)
@@ -220,13 +220,20 @@ func (p *incPRPolicy) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 }
 
 // Snapshot implements runtime.Policy: the current rank vector and
-// change frontier. The hist prefix written so far survives rollback —
-// replayed supersteps overwrite their slots deterministically.
-func (p *incPRPolicy) Snapshot() *incPRSnap {
+// change frontier. Every frame is full — each superstep replaces the
+// rank vector wholesale, so there is no delta to take. The hist prefix
+// written so far survives rollback — replayed supersteps overwrite
+// their slots deterministically.
+func (p *incPRPolicy) Snapshot(bool) *incPRSnap {
 	return &incPRSnap{
 		cur:     append([]float64(nil), p.cur...),
 		changed: append([]VertexID(nil), p.changed...),
 	}
+}
+
+// FrameBytes implements runtime.Policy.
+func (p *incPRPolicy) FrameBytes(snap *incPRSnap) int64 {
+	return int64(len(snap.cur))*rt.SizeOf[float64]() + int64(len(snap.changed))*rt.SizeOf[VertexID]()
 }
 
 // Restore implements runtime.Policy.

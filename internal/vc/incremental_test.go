@@ -257,6 +257,60 @@ func TestIncrementalPageRankWarmEqualsCold(t *testing.T) {
 	}
 }
 
+// TestIncrementalPageRankCheckpointsAreFull: incremental PageRank's
+// frame is the rank vector, replaced wholesale every superstep, so a
+// delta cadence still saves only full frames, each charged its rank
+// vector (8 B a vertex) plus its change frontier (4 B a changed vertex).
+func TestIncrementalPageRankCheckpointsAreFull(t *testing.T) {
+	const alpha, k = 0.85, 15
+	g := graph.RandomConnected(48, 120, 11)
+	cfg := IncConfig{CheckpointEvery: 1, FullSnapshotEvery: 4}
+	cold, cst, err := IncrementalPageRank(g, alpha, k, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMutate(t, g, ins(0, 40, 1))
+	warm, wst, err := IncrementalPageRank(g, alpha, k, cold, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Cold {
+		t.Fatal("expected warm run")
+	}
+	n := g.N()
+	for _, tc := range []struct {
+		name         string
+		st, prior    *IncPRState
+		stats        *bsp.Stats
+		wantFrontier bool
+	}{{"cold", cold, nil, cst, false}, {"warm", warm, cold, wst, true}} {
+		// One frame per superstep s = 1..k, saved once r_s is computed;
+		// its frontier is {v : r_s[v] differs from the prior r_s}, empty
+		// on a cold run.
+		var want, frontier int64
+		for s := 1; s <= k; s++ {
+			changed := 0
+			if tc.prior != nil {
+				for v, r := range tc.st.Hist[s] {
+					if r != tc.prior.Hist[s][v] {
+						changed++
+					}
+				}
+			}
+			frontier += int64(changed)
+			want += int64(8*n + 4*changed)
+		}
+		if tc.wantFrontier && frontier == 0 {
+			t.Fatalf("%s: the mutation changed no rank", tc.name)
+		}
+		r := tc.stats.Recovery
+		if r.CheckpointsSaved != k || r.DeltaCheckpointsSaved != 0 || r.CheckpointBytesDelta != 0 || r.CheckpointBytesFull != want {
+			t.Errorf("%s: saved %d (%d delta), bytes full %d delta %d; want %d full frames, %d B",
+				tc.name, r.CheckpointsSaved, r.DeltaCheckpointsSaved, r.CheckpointBytesFull, r.CheckpointBytesDelta, k, want)
+		}
+	}
+}
+
 // TestIncrementalPageRankParamMismatch: changed alpha or K invalidates
 // the memoized history.
 func TestIncrementalPageRankParamMismatch(t *testing.T) {
