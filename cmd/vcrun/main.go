@@ -149,10 +149,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	share := *workers
-	if *engine == "async" {
-		share = 1 // the asynchronous engine is sequential
-	}
+	share := vc.LeaseShare(*engine, *workers)
 	var summary string
 	var stats *bsp.Stats
 	start := time.Now()

@@ -39,12 +39,12 @@ func main() {
 	// Block-centric quality depends on the partition: ID ranges scatter
 	// a permuted path across blocks (every edge a boundary edge), while
 	// a locality-aware partition keeps path segments together.
-	bc, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: 4})
+	bc, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: 4})
 	must(err)
 	row("block-centric, ID ranges", bc.Stats)
 
 	bcGood, err := blockcentric.ConnectedComponents(g, blockcentric.Config{
-		Blocks:    4,
+		Workers:   4,
 		Partition: pathSegments(g),
 	})
 	must(err)

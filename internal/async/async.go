@@ -17,12 +17,6 @@
 package async
 
 import (
-	"container/heap"
-	"context"
-	"errors"
-	"fmt"
-	"math"
-
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	rt "vcgraph/internal/runtime"
@@ -41,76 +35,14 @@ type Program[V any] interface {
 	Update(ctx *Context[V], v VertexID) []VertexID
 }
 
-// Config controls a run.
-type Config struct {
-	// MaxUpdates caps the total number of vertex updates
-	// (default 200·(n+64)).
-	MaxUpdates int
-	// Prioritized switches the scheduler from FIFO to a max-priority
-	// queue ordered by the program's Priority hook (GraphLab's
-	// residual scheduling). Programs that do not implement
-	// Prioritizer fall back to FIFO. The heap order is not part of any
-	// checkpoint frame, so a rollback could not reproduce the schedule:
-	// with a Prioritizer, Prepare rejects Faults (ErrFaultsNeedFIFO)
-	// and CheckpointEvery (ErrCheckpointsNeedFIFO).
-	Prioritized bool
-	// CheckpointEvery, when positive, snapshots the computation state
-	// (values, worklist, update count) every k updates — the
-	// asynchronous analogue of a superstep-interval checkpoint. It
-	// also sets the epoch length at which faults are detected.
-	CheckpointEvery int
-	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
-	// a full snapshot; the generations between are dirty-set deltas
-	// covering just the vertices updated since the previous frame. 0 or
-	// 1 keeps every checkpoint full.
-	FullSnapshotEvery int
-	// Snapshot, when non-nil, is an already-pinned CSR generation the
-	// engine must run against instead of pinning the graph's current
-	// one (the adaptive plan layer re-prepares engines mid-job; see
-	// graph.PinSnapshot).
-	Snapshot *graph.CSR
-	// Replan, when non-nil, is consulted at every epoch boundary;
-	// returning true aborts the run with runtime.ErrHandoff and the
-	// values at the boundary (see runtime.DriverConfig.Replan). Ignored
-	// by the prioritized scheduler, which bypasses the driver.
-	Replan func(step, pending int) bool
-	// Faults, when non-nil, schedules deterministic fault injection
-	// (runtime.FaultPlan) at epoch boundaries: a crash or a lost
-	// activation batch rolls the run back to its newest readable
-	// snapshot (or a fresh restart); a duplicated batch is absorbed
-	// because the FIFO worklist deduplicates scheduled vertices.
-	// FaultEvent.Step counts epochs, not individual updates.
-	Faults *rt.FaultPlan
-	// Ctx, when non-nil, aborts the run at the next epoch boundary (or
-	// between prioritized updates) once cancelled or past its deadline.
-	Ctx context.Context
-	// Job, when non-nil, binds the run to a scheduler-admitted job. The
-	// engine is sequential, so the job must be submitted with a worker
-	// share of 1.
-	Job *rt.Job
-}
+// Config is the asynchronous engine's run environment, the one every
+// engine shares (runtime.EngineConfig states what each field means
+// here: MaxSupersteps caps updates, CheckpointEvery sets the epoch, and
+// Workers, Partition, Mode and PullThreshold are ignored).
+type Config = rt.EngineConfig
 
-// ErrFaultsNeedFIFO rejects fault injection under the prioritized
-// scheduler, whose heap order a snapshot cannot reproduce.
-var ErrFaultsNeedFIFO = errors.New("async: fault injection requires the FIFO scheduler")
-
-// ErrCheckpointsNeedFIFO rejects checkpointing under the prioritized
-// scheduler, which has no epoch boundaries to save frames at.
-var ErrCheckpointsNeedFIFO = errors.New("async: checkpointing requires the FIFO scheduler")
-
-// defaultEpoch is the fault-detection epoch length (in updates) used
-// when CheckpointEvery is unset.
-const defaultEpoch = 64
-
-// Prioritizer is the optional program extension priority scheduling
-// requires: Priority returns the urgency of updating v given the
-// current state (e.g. the PageRank residual). Larger runs first.
-type Prioritizer[V any] interface {
-	Priority(ctx *Context[V], v VertexID) float64
-}
-
-// ErrUpdateCap reports a run exceeding Config.MaxUpdates. It aliases
-// bsp.ErrSuperstepCap, the sentinel shared by every engine, so
+// ErrUpdateCap reports a run exceeding Config.MaxSupersteps updates. It
+// aliases bsp.ErrSuperstepCap, the sentinel shared by every engine, so
 // errors.Is works across engines.
 var ErrUpdateCap = bsp.ErrSuperstepCap
 
@@ -176,9 +108,8 @@ type Preparer interface {
 	PrepareAsync(csr *graph.CSR)
 }
 
-// Run executes prog to quiescence under the FIFO scheduler (or the
-// priority scheduler when Config.Prioritized is set and the program
-// implements Prioritizer). Run is Prepare(g, prog, cfg)().
+// Run executes prog to quiescence under the FIFO scheduler. Run is
+// Prepare(g, prog, cfg)().
 func Run[V any](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], error) {
 	return Prepare(g, prog, cfg)()
 }
@@ -189,43 +120,17 @@ func Run[V any](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], error)
 // bracket it with its graph lock and invoke the returned closure
 // lock-free. The closure unpins the snapshot when it returns.
 func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result[V], error) {
-	if _, ok := prog.(Prioritizer[V]); ok && cfg.Prioritized {
-		var err error
-		switch {
-		case cfg.Faults.NewInjector(1) != nil:
-			err = ErrFaultsNeedFIFO
-		case cfg.CheckpointEvery > 0:
-			err = ErrCheckpointsNeedFIFO
-		}
-		if err != nil {
-			return func() (*Result[V], error) { return nil, err }
-		}
+	pr, err := cfg.Prepare(g, rt.EngineDefaults{Name: "async", Cap: func(n int) int { return 200 * (n + 64) }})
+	if err != nil {
+		return func() (*Result[V], error) { return &Result[V]{Stats: &bsp.Stats{}}, err }
 	}
-	csr := cfg.Snapshot
-	if csr == nil {
-		csr = g.Pin()
-	} else {
-		g.PinSnapshot(csr)
-	}
-	n := csr.N()
-	if cfg.MaxUpdates <= 0 {
-		cfg.MaxUpdates = 200 * (n + 64)
-	}
+	csr, n := pr.CSR, pr.CSR.N()
 	if prep, ok := any(prog).(Preparer); ok {
 		prep.PrepareAsync(csr)
 	}
 	ctx := &Context[V]{g: g, csr: csr, values: make([]V, n), s: rt.GetScratch()}
 	for v := 0; v < n; v++ {
 		ctx.values[v] = prog.Init(g, VertexID(v))
-	}
-	if cfg.Prioritized {
-		if pr, ok := prog.(Prioritizer[V]); ok {
-			return func() (*Result[V], error) {
-				defer g.Unpin(csr)
-				defer rt.PutScratch(ctx.s)
-				return runPrioritized(ctx, prog, pr, cfg)
-			}
-		}
 	}
 	// The deduplicating FIFO worklist from the shared runtime replaces
 	// the previous slice+inQueue pair; its in-place compaction keeps a
@@ -234,30 +139,18 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 	for v := 0; v < n; v++ {
 		queue.Push(VertexID(v))
 	}
-	epochLen := cfg.CheckpointEvery
-	if epochLen <= 0 {
-		epochLen = defaultEpoch
-	}
 	stats := &bsp.Stats{Workers: 1, N: n}
-	// One driver step is one epoch of up to epochLen updates; the
-	// driver's barrier is the epoch boundary, where faults are detected
-	// and checkpoints taken (FaultEvent.Step counts epochs). EpochSaves
-	// selects the asynchronous checkpoint ordering: snapshot at the top
-	// of each boundary, after fault detection. The update cap is the
-	// policy's own (checked per update, not per epoch), so the driver's
-	// step cap is unreachable. The policy itself is the shared
-	// runtime.WorklistRunner — the same FIFO-epoch machinery that
+	// One driver step is one epoch of updates; the driver's barrier is
+	// the epoch boundary, where faults are detected and checkpoints
+	// taken (FaultEvent.Step counts epochs). The policy itself is the
+	// shared runtime.WorklistRunner — the same FIFO-epoch machinery that
 	// drives the incremental evolving-graph programs.
 	p := &rt.WorklistRunner[V]{
-		Name:       "async",
-		Update:     func(v VertexID) []VertexID { return prog.Update(ctx, v) },
-		Prog:       prog,
-		Values:     &ctx.values,
-		Queue:      queue,
-		N:          n,
-		EpochLen:   epochLen,
-		MaxUpdates: cfg.MaxUpdates,
-		CapErr:     ErrUpdateCap,
+		Update: func(v VertexID) []VertexID { return prog.Update(ctx, v) },
+		Prog:   prog,
+		Values: &ctx.values,
+		Queue:  queue,
+		N:      n,
 	}
 	if cfg.Faults != nil {
 		// Checkpoint-free restarts restore these pristine Init-time
@@ -265,104 +158,13 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 		// a restart reseeds every vertex).
 		p.PristineValues = rt.CloneValues[V](prog, ctx.values)
 	}
-	d := rt.NewDriver[*rt.WorklistSnapshot[V]](p, stats, rt.DriverConfig{
-		Name:              "async",
-		Workers:           1,
-		MaxSteps:          math.MaxInt,
-		CapErr:            ErrUpdateCap,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		FullSnapshotEvery: cfg.FullSnapshotEvery,
-		Faults:            cfg.Faults,
-		EpochSaves:        true,
-		Ctx:               cfg.Ctx,
-		Job:               cfg.Job,
-		Replan:            cfg.Replan,
-	})
+	d := rt.NewWorklistDriver(p, stats, pr.Driver)
 	return func() (*Result[V], error) {
-		defer g.Unpin(csr)
+		defer pr.Release()
 		defer rt.PutScratch(ctx.s)
 		_, err := d.Run()
 		return &Result[V]{Values: ctx.values, Updates: p.Updates(), Stats: stats}, err
 	}
-}
-
-// runPrioritized drains a lazy max-priority queue: every activation
-// pushes (v, current priority); stale entries (v re-updated since the
-// push) are skipped at pop time.
-func runPrioritized[V any](ctx *Context[V], prog Program[V], pr Prioritizer[V], cfg Config) (*Result[V], error) {
-	goCtx := cfg.Ctx
-	if cfg.Job != nil {
-		goCtx = cfg.Job.Context()
-	}
-	if goCtx == nil {
-		goCtx = context.Background()
-	}
-	n := ctx.g.N()
-	pq := &prioQueue{}
-	scheduled := make([]bool, n)
-	// Decrease-key by duplication: re-activations push a fresh entry
-	// with the current priority; pops skip entries whose vertex was
-	// already processed since (scheduled flag cleared).
-	push := func(v VertexID) {
-		scheduled[v] = true
-		heap.Push(pq, prioItem{v: v, p: pr.Priority(ctx, v)})
-	}
-	for v := 0; v < n; v++ {
-		push(VertexID(v))
-	}
-	stats := &bsp.Stats{Workers: 1, N: n}
-	updates := 0
-	// On a packed snapshot the activation span Update returns lives in
-	// the context's decode buffer, and push -> Priority -> ctx.Out would
-	// overwrite it mid-iteration; copy it out first (reused buffer). A
-	// flat snapshot's spans alias immutable CSR arrays — no copy.
-	copyActs := ctx.csr.Packed()
-	var actBuf []VertexID
-	for pq.Len() > 0 {
-		// This loop bypasses the superstep driver (there are no epoch
-		// boundaries), so cancellation is checked between updates.
-		if goCtx.Err() != nil {
-			return &Result[V]{Values: ctx.values, Updates: updates, Stats: stats},
-				fmt.Errorf("async: %w", context.Cause(goCtx))
-		}
-		if updates >= cfg.MaxUpdates {
-			return &Result[V]{Values: ctx.values, Updates: updates, Stats: stats},
-				fmt.Errorf("async: %w (cap %d)", ErrUpdateCap, cfg.MaxUpdates)
-		}
-		it := heap.Pop(pq).(prioItem)
-		if !scheduled[it.v] {
-			continue // stale entry
-		}
-		scheduled[it.v] = false
-		updates++
-		acts := prog.Update(ctx, it.v)
-		if copyActs {
-			actBuf = append(actBuf[:0], acts...)
-			acts = actBuf
-		}
-		for _, w := range acts {
-			push(w)
-		}
-	}
-	return &Result[V]{Values: ctx.values, Updates: updates, Stats: stats}, nil
-}
-
-type prioItem struct {
-	v VertexID
-	p float64
-}
-
-type prioQueue struct{ items []prioItem }
-
-func (q *prioQueue) Len() int           { return len(q.items) }
-func (q *prioQueue) Less(i, j int) bool { return q.items[i].p > q.items[j].p }
-func (q *prioQueue) Swap(i, j int)      { q.items[i], q.items[j] = q.items[j], q.items[i] }
-func (q *prioQueue) Push(x any)         { q.items = append(q.items, x.(prioItem)) }
-func (q *prioQueue) Pop() any {
-	old := q.items
-	x := old[len(old)-1]
-	q.items = old[:len(old)-1]
-	return x
 }
 
 // --- Async SSSP (label-correcting) ---
@@ -387,8 +189,9 @@ func (p *ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
 }
 
 // DistInf is what the async SSSP program holds for "unreached": a
-// finite stand-in for +Inf so priority arithmetic stays ordered. Seeds
-// handed to SSSPProgram must use it too.
+// finite stand-in for +Inf, shared with the incremental engine and the
+// serving wire (vc.Unreachable). Seeds handed to SSSPProgram must use
+// it too.
 const DistInf = 1e308
 
 func (p *ssspProgram) Update(ctx *Context[float64], v VertexID) []VertexID {
@@ -418,32 +221,8 @@ func (p *ssspProgram) Update(ctx *Context[float64], v VertexID) []VertexID {
 	return nil
 }
 
-// Priority orders SSSP updates closest-first by the distance v WOULD
-// settle to (the best current offer from its neighbors): with this
-// schedule the label-correcting process becomes label-setting,
-// Dijkstra-style — most vertices update exactly once.
-func (p *ssspProgram) Priority(ctx *Context[float64], v VertexID) float64 {
-	best := *ctx.Value(v)
-	dsts := ctx.Out(v)
-	if ws := ctx.OutWeights(v); ws == nil {
-		for _, u := range dsts {
-			if cand := *ctx.Value(u) + 1; cand < best {
-				best = cand
-			}
-		}
-	} else {
-		for i, u := range dsts {
-			if cand := *ctx.Value(u) + ws[i]; cand < best {
-				best = cand
-			}
-		}
-	}
-	return -best
-}
-
 // SSSP computes single-source shortest paths asynchronously
 // (label-correcting over live values) on an undirected weighted graph.
-// With cfg.Prioritized the schedule is closest-first.
 func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64], error) {
 	return PrepareSSSP(g, src, cfg)()
 }

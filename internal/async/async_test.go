@@ -1,14 +1,12 @@
 package async_test
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 	. "vcgraph/internal/async"
 
 	"vcgraph/internal/graph"
-	rt "vcgraph/internal/runtime"
 	"vcgraph/internal/seq"
 	"vcgraph/internal/vc"
 )
@@ -90,7 +88,7 @@ func TestAsyncPropagatesWithinOneDrain(t *testing.T) {
 
 func TestAsyncUpdateCap(t *testing.T) {
 	g := graph.Path(100)
-	if _, _, err := ConnectedComponents(g, Config{MaxUpdates: 5}); err == nil {
+	if _, _, err := ConnectedComponents(g, Config{MaxSupersteps: 5}); err == nil {
 		t.Fatal("expected update cap error")
 	}
 }
@@ -166,102 +164,5 @@ func TestAsyncPageRankUpdateCountComparableToSync(t *testing.T) {
 	syncWork := iters * g.N()
 	if updates := prRes2.Updates; updates > 2*syncWork || updates*4 < syncWork {
 		t.Fatalf("async updates %d implausibly far from sync %d", updates, syncWork)
-	}
-}
-
-func TestPrioritizedSSSPMatchesFIFO(t *testing.T) {
-	// Correctness of the priority scheduler on assorted shapes.
-	for _, g := range []*graph.Graph{
-		graph.RandomConnected(400, 1600, 12),
-		graph.PreferentialAttachment(500, 3, 4),
-	} {
-		graph.RandomWeights(g, 13)
-		fifo, _, err := SSSP(g, 0, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prio, _, err := SSSP(g, 0, Config{Prioritized: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range fifo {
-			if math.Abs(fifo[v]-prio[v]) > 1e-9 {
-				t.Fatalf("vertex %d: fifo=%v prio=%v", v, fifo[v], prio[v])
-			}
-		}
-	}
-}
-
-func TestPrioritizedSSSPBeatsFIFOOnCorrectionHeavyGraphs(t *testing.T) {
-	// On weighted high-diameter graphs, FIFO re-corrects distances as
-	// cheaper long-hop paths arrive late; closest-first scheduling is
-	// nearly label-setting and does measurably fewer updates.
-	g := graph.Grid(30, 30)
-	graph.RandomWeights(g, 3)
-	_, fifoRes, err := SSSP(g, 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, prioRes, err := SSSP(g, 0, Config{Prioritized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prioUpdates, fifoUpdates := prioRes.Updates, fifoRes.Updates
-	if prioUpdates*5 > fifoUpdates*4 { // require ≥20% fewer updates
-		t.Fatalf("prioritized %d updates not clearly below FIFO %d", prioUpdates, fifoUpdates)
-	}
-}
-
-func TestPrioritizedFallsBackWithoutPrioritizer(t *testing.T) {
-	// ccProgram has no Priority: Prioritized must silently use FIFO.
-	g := graph.Path(50)
-	labels, _, err := ConnectedComponents(g, Config{Prioritized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, l := range labels {
-		if l != 0 {
-			t.Fatalf("vertex %d label %d", v, l)
-		}
-	}
-}
-
-func TestPrioritizedRejectsFaultsAndCheckpoints(t *testing.T) {
-	// The heap order is in no checkpoint frame, so a Prioritizer program
-	// under Prioritized refuses faults and checkpoints up front, before
-	// Prepare pins the snapshot.
-	g := graph.Grid(10, 10)
-	crash := rt.PlanOf(rt.Crash(2))
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want error
-	}{
-		{"faults", Config{Prioritized: true, Faults: crash}, ErrFaultsNeedFIFO},
-		{"faults+checkpoints", Config{Prioritized: true, CheckpointEvery: 4, Faults: crash}, ErrFaultsNeedFIFO},
-		{"checkpoints", Config{Prioritized: true, CheckpointEvery: 4}, ErrCheckpointsNeedFIFO},
-	} {
-		run := Prepare(g, SSSPProgram(0, nil), tc.cfg)
-		if pins := g.Pins(); pins != 0 {
-			t.Errorf("%s: rejected run holds %d pins", tc.name, pins)
-		}
-		if _, err := run(); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		}
-	}
-
-	// Without Priority the program runs under FIFO, which checkpoints
-	// and recovers as usual.
-	labels, res, err := ConnectedComponents(g, Config{Prioritized: true, CheckpointEvery: 4, Faults: crash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := res.Stats.Recovery; r.CheckpointsSaved == 0 || r.Rollbacks != 1 {
-		t.Fatalf("FIFO fallback did not checkpoint and recover: %+v", r)
-	}
-	for v, l := range labels {
-		if l != 0 {
-			t.Fatalf("vertex %d label %d", v, l)
-		}
 	}
 }

@@ -11,12 +11,10 @@
 package blockcentric
 
 import (
-	"context"
 	"math"
 
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
-	"vcgraph/internal/pregel"
 	rt "vcgraph/internal/runtime"
 )
 
@@ -33,66 +31,12 @@ type Program[V, M any] interface {
 	ComputeBlock(ctx *BlockContext[V, M], msgs map[VertexID][]M)
 }
 
-// Config controls a block-centric run.
-type Config struct {
-	// Blocks is the number of blocks (default 4). Blocks are also the
-	// parallelism unit: each runs on its own goroutine per superstep.
-	Blocks int
-	// Partition assigns vertices to blocks (default pregel.PartitionRange,
-	// which keeps blocks contiguous — the usual choice for this model).
-	Partition pregel.Partitioner
-	// MaxSupersteps caps the run (default 1 + 10·(n+64)).
-	MaxSupersteps int
-	// CheckpointEvery, when positive, snapshots the computation state
-	// (values, halt flags, undelivered boundary messages) every k
-	// supersteps for rollback recovery.
-	CheckpointEvery int
-	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
-	// a full snapshot; the generations between are dirty-set deltas
-	// covering just the blocks that computed or received boundary
-	// messages since the previous frame. 0 or 1 keeps every checkpoint
-	// full.
-	FullSnapshotEvery int
-	// Faults, when non-nil, schedules deterministic fault injection
-	// (runtime.FaultPlan): a block crash or a dropped boundary-message
-	// batch rolls the run back to its newest readable snapshot; a
-	// duplicated batch is detected by its sequence number and
-	// discarded. FaultEvent.Worker/Lane address source/destination
-	// blocks.
-	Faults *rt.FaultPlan
-	// Snapshot, when non-nil, is an already-pinned CSR generation the
-	// engine must run against instead of pinning the graph's current
-	// one (the adaptive plan layer re-prepares engines mid-job; see
-	// graph.PinSnapshot). The default partitioner then sizes from the
-	// snapshot; a custom Partition must be derived from the same
-	// snapshot.
-	Snapshot *graph.CSR
-	// Replan, when non-nil, is consulted at every superstep barrier;
-	// returning true aborts the run with runtime.ErrHandoff and the
-	// values at the barrier (see runtime.DriverConfig.Replan).
-	Replan func(step, pending int) bool
-	// Mode selects block-local pull: messages whose destination lives in
-	// the sending block bypass the shared outbox and the sequential
-	// boundary exchange entirely — each block folds them into its own
-	// inbox during the parallel phase, before the boundary push.
-	// Sent/Recv then count boundary traffic only (the quantity the BSP h
-	// term models), and such supersteps are marked Pulled.
-	// DirectionPull enables it for every block; DirectionPush for none.
-	// DirectionAuto (the zero value) decides per block from the
-	// boundary/local edge ratio (runtime.BlockLocalFractions): a block
-	// pulls only when at least half of its out-edges stay inside the
-	// block, where rerouting actually removes wire traffic. Programs
-	// that only ever send across boundaries (the CC and SSSP block
-	// programs here) are unaffected either way.
-	Mode rt.DirectionMode
-	// Ctx, when non-nil, aborts the run at the next superstep barrier
-	// once cancelled or past its deadline (see runtime.DriverConfig).
-	Ctx context.Context
-	// Job, when non-nil, binds the run to a scheduler-admitted job:
-	// Blocks is taken from the job's lease, the run executes under the
-	// job's context, and superstep records stream to the handle.
-	Job *rt.Job
-}
+// Config is the block-centric engine's run environment, the one every
+// engine shares (runtime.EngineConfig states what each field means
+// here: Workers is the block count, each block runs on its own worker,
+// and the default partition is range, which keeps blocks contiguous —
+// the usual choice for this model).
+type Config = rt.EngineConfig
 
 // ErrSuperstepCap mirrors pregel.ErrSuperstepCap. It aliases
 // bsp.ErrSuperstepCap, the sentinel shared by every engine, so
@@ -107,10 +51,14 @@ type Result[V any] struct {
 
 // Engine executes a block Program.
 type Engine[V, M any] struct {
-	g        *graph.Graph
-	csr      *graph.CSR
-	prog     Program[V, M]
-	cfg      Config
+	g    *graph.Graph
+	csr  *graph.CSR
+	prog Program[V, M]
+	cfg  Config // resolved by Prepare; Workers is the block count
+	// prepared holds the pin and the driver config; nil when prepare
+	// failed with err, which Run then returns.
+	prepared *rt.Prepared
+	err      error
 	owner    []int32
 	blocks   [][]VertexID
 	values   []V
@@ -176,45 +124,34 @@ type addr[M any] struct {
 // happens here, so a serving layer can construct engines under a graph
 // read lock and Run them lock-free while writers mutate and republish.
 func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine[V, M] {
-	if cfg.Job != nil {
-		cfg.Blocks = cfg.Job.Workers()
+	p, err := cfg.Prepare(g, rt.EngineDefaults{
+		Name:      "blockcentric",
+		Workers:   4,
+		Cap:       func(n int) int { return 1 + 10*(n+64) },
+		Partition: rt.PartitionRangeN,
+	})
+	if err != nil {
+		return &Engine[V, M]{err: err}
 	}
-	if cfg.Blocks <= 0 {
-		cfg.Blocks = 4
-	}
-	csr := cfg.Snapshot
-	if csr == nil {
-		csr = g.Pin()
-	} else {
-		g.PinSnapshot(csr)
-	}
-	n := csr.N()
-	if cfg.MaxSupersteps <= 0 {
-		cfg.MaxSupersteps = 1 + 10*(n+64)
-	}
-	var owner []int32
-	if cfg.Partition != nil {
-		owner = cfg.Partition(g, cfg.Blocks)
-	} else {
-		// The default range partition sizes from the pinned snapshot, not
-		// the live graph, which may have grown past it.
-		owner = rt.PartitionRangeN(n, cfg.Blocks)
-	}
+	cfg = p.Driver.EngineConfig
+	csr, n, nb := p.CSR, p.CSR.N(), cfg.Workers
 	e := &Engine[V, M]{
-		g:      g,
-		csr:    csr,
-		prog:   prog,
-		cfg:    cfg,
-		owner:  owner,
-		values: make([]V, n),
-		halted: make([]bool, cfg.Blocks),
-		inbox:  make([]map[VertexID][]M, cfg.Blocks),
-		outbox: make([][]addr[M], cfg.Blocks),
-		stats:  &bsp.Stats{Workers: cfg.Blocks, N: n},
+		g:        g,
+		csr:      csr,
+		prog:     prog,
+		cfg:      cfg,
+		prepared: p,
+		owner:    p.Owner,
+		blocks:   p.Verts,
+		values:   make([]V, n),
+		halted:   make([]bool, nb),
+		inbox:    make([]map[VertexID][]M, nb),
+		outbox:   make([][]addr[M], nb),
+		stats:    &bsp.Stats{Workers: nb, N: n},
 	}
-	e.dirtyBlocks = make([]bool, cfg.Blocks)
-	e.scratch = rt.GetScratches(cfg.Blocks)
-	e.pullBlock = make([]bool, cfg.Blocks)
+	e.dirtyBlocks = make([]bool, nb)
+	e.scratch = rt.GetScratches(nb)
+	e.pullBlock = make([]bool, nb)
 	switch cfg.Mode {
 	case rt.DirectionPull:
 		for b := range e.pullBlock {
@@ -224,7 +161,7 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		// all false
 	default:
 		// DirectionAuto: pull only where intra-block traffic dominates.
-		for b, frac := range rt.BlockLocalFractions(csr, e.owner, cfg.Blocks) {
+		for b, frac := range rt.BlockLocalFractions(csr, e.owner, nb) {
 			e.pullBlock[b] = frac >= 0.5
 		}
 	}
@@ -234,10 +171,9 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		}
 	}
 	if e.anyPull {
-		e.localOut = make([][]addr[M], cfg.Blocks)
+		e.localOut = make([][]addr[M], nb)
 	}
-	e.inboxLocal = make([]int64, cfg.Blocks)
-	e.blocks = rt.GroupByOwner("blockcentric", e.owner, cfg.Blocks)
+	e.inboxLocal = make([]int64, nb)
 	for b := range e.inbox {
 		e.inbox[b] = map[VertexID][]M{}
 	}
@@ -258,20 +194,12 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 // accounting — is owned by the shared runtime.Driver; this engine
 // contributes the block-compute and boundary-delivery policy.
 func (e *Engine[V, M]) Run() (*Result[V], error) {
-	defer e.g.Unpin(e.csr)
+	if e.err != nil {
+		return &Result[V]{Stats: &bsp.Stats{}}, e.err
+	}
+	defer e.prepared.Release()
 	defer rt.PutScratches(e.scratch)
-	e.driver = rt.NewDriver[*bcSnapshot[V, M]](e, e.stats, rt.DriverConfig{
-		Name:              "blockcentric",
-		Workers:           e.cfg.Blocks,
-		MaxSteps:          e.cfg.MaxSupersteps,
-		CapErr:            ErrSuperstepCap,
-		CheckpointEvery:   e.cfg.CheckpointEvery,
-		FullSnapshotEvery: e.cfg.FullSnapshotEvery,
-		Faults:            e.cfg.Faults,
-		Ctx:               e.cfg.Ctx,
-		Job:               e.cfg.Job,
-		Replan:            e.cfg.Replan,
-	})
+	e.driver = rt.NewDriver[*bcSnapshot[V, M]](e, e.stats, e.prepared.Driver)
 	_, err := e.driver.Run()
 	e.driver = nil
 	return &Result[V]{Values: e.values, Stats: e.stats}, err
@@ -382,7 +310,7 @@ func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int, ok bool) {
 // messages sequentially — where a src->dst batch can be lost in transit
 // or redelivered.
 func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, error) {
-	nb := e.cfg.Blocks
+	nb := e.cfg.Workers
 	ss.Pulled = e.anyPull
 	// Frontier: members of the blocks that will wake this superstep —
 	// the block-granular activity signal the adaptive planner reads.

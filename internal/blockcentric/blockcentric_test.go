@@ -1,9 +1,9 @@
 package blockcentric_test
 
 import (
-	. "vcgraph/internal/blockcentric"
 	"testing"
 	"testing/quick"
+	. "vcgraph/internal/blockcentric"
 
 	"vcgraph/internal/graph"
 	"vcgraph/internal/seq"
@@ -23,7 +23,7 @@ func TestBlockCCMatchesBFS(t *testing.T) {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			for _, blocks := range []int{1, 3, 8} {
-				res, err := ConnectedComponents(g, Config{Blocks: blocks})
+				res, err := ConnectedComponents(g, Config{Workers: blocks})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -42,7 +42,7 @@ func TestBlockCCMatchesBFS(t *testing.T) {
 func TestBlockCCQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.Random(80, 110, seed)
-		res, err := ConnectedComponents(g, Config{Blocks: 5})
+		res, err := ConnectedComponents(g, Config{Workers: 5})
 		if err != nil {
 			return false
 		}
@@ -65,7 +65,7 @@ func TestBlockCCQuick(t *testing.T) {
 // supersteps while the block-centric version needs Θ(B).
 func TestBlockCentricBeatsVertexCentricOnSupersteps(t *testing.T) {
 	g := graph.Path(2048)
-	bc, err := ConnectedComponents(g, Config{Blocks: 8})
+	bc, err := ConnectedComponents(g, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBlockCentricBeatsVertexCentricOnSupersteps(t *testing.T) {
 
 func TestBlockCountOneIsSequential(t *testing.T) {
 	g := graph.RandomConnected(500, 1200, 5)
-	res, err := ConnectedComponents(g, Config{Blocks: 1})
+	res, err := ConnectedComponents(g, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBlockCountOneIsSequential(t *testing.T) {
 
 func TestBlockEngineSuperstepCap(t *testing.T) {
 	g := graph.Path(64)
-	_, err := ConnectedComponents(g, Config{Blocks: 16, MaxSupersteps: 2})
+	_, err := ConnectedComponents(g, Config{Workers: 16, MaxSupersteps: 2})
 	if err == nil {
 		t.Fatal("expected superstep cap error")
 	}
@@ -113,7 +113,7 @@ func TestBlockPartitionCustom(t *testing.T) {
 		}
 		return o
 	}
-	res, err := ConnectedComponents(g, Config{Blocks: 4, Partition: interleaved})
+	res, err := ConnectedComponents(g, Config{Workers: 4, Partition: interleaved})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestBlockPartitionCustom(t *testing.T) {
 
 func TestBlockCCStatsShape(t *testing.T) {
 	g := graph.Path(100)
-	res, err := ConnectedComponents(g, Config{Blocks: 4})
+	res, err := ConnectedComponents(g, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestBlockCCStatsShape(t *testing.T) {
 
 func TestBlockCountExceedingVertices(t *testing.T) {
 	g := graph.Path(3)
-	res, err := ConnectedComponents(g, Config{Blocks: 8})
+	res, err := ConnectedComponents(g, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestBlockCountExceedingVertices(t *testing.T) {
 func TestBlockCCWeightedLabelsIgnoreWeights(t *testing.T) {
 	g := graph.RandomConnected(60, 150, 9)
 	graph.RandomWeights(g, 10)
-	res, err := ConnectedComponents(g, Config{Blocks: 3})
+	res, err := ConnectedComponents(g, Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,7 +328,7 @@ func ParadigmComparison(cfg vc.Config) (string, error) {
 	fmt.Fprintf(&out, "%-26s %12s %14d %14d\n", "async (GraphLab-style)", "-", asyncRes.Updates, asyncRes.Updates)
 
 	for _, blocks := range []int{4, 16} {
-		bc, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: blocks})
+		bc, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: blocks})
 		if err != nil {
 			return "", err
 		}

@@ -1,10 +1,10 @@
 package gas_test
 
 import (
-	. "vcgraph/internal/gas"
 	"math"
 	"testing"
 	"testing/quick"
+	. "vcgraph/internal/gas"
 
 	"vcgraph/internal/graph"
 	"vcgraph/internal/seq"
@@ -97,7 +97,7 @@ func TestGASQuick(t *testing.T) {
 func TestGASIterationCap(t *testing.T) {
 	g := graph.Cycle(32)
 	prog := &neverConverge{}
-	if _, err := Run[int, int](g, prog, Config{Workers: 2, MaxIterations: 5}); err == nil {
+	if _, err := Run[int, int](g, prog, Config{Workers: 2, MaxSupersteps: 5}); err == nil {
 		t.Fatal("expected iteration cap error")
 	}
 }

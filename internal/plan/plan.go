@@ -8,7 +8,7 @@
 // submitted with engine "auto" lands on a sensible configuration
 // without the user reading Table 1, and can be re-planned mid-run with
 // a live engine handoff at a superstep barrier (see internal/vc's auto
-// runner and runtime.DriverConfig.Replan).
+// runner and runtime.EngineConfig.Replan).
 //
 // The package is deliberately small and engine-agnostic: it imports
 // only the graph snapshot, the instrumentation record, and the shared

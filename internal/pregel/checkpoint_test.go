@@ -55,12 +55,10 @@ func runCK(t *testing.T, g *graph.Graph, cfg Config[VertexID]) ([]VertexID, int,
 
 func TestCheckpointRecoveryMatchesCleanRun(t *testing.T) {
 	g := graph.Path(64)
-	clean, cleanSS, _ := runCK(t, g, Config[VertexID]{Workers: 3})
+	clean, cleanSS, _ := runCK(t, g, Config[VertexID]{EngineConfig: rt.EngineConfig{Workers: 3}})
 	for _, failAt := range []int{1, 5, 17, 40} {
 		vals, ss, recov := runCK(t, g, Config[VertexID]{
-			Workers:         3,
-			CheckpointEvery: 8,
-			Faults:          rt.PlanOf(rt.Crash(failAt)),
+			EngineConfig: rt.EngineConfig{Workers: 3, CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(failAt))},
 		})
 		if recov != 1 {
 			t.Fatalf("failAt=%d: recoveries=%d, want 1", failAt, recov)
@@ -79,8 +77,8 @@ func TestCheckpointRecoveryMatchesCleanRun(t *testing.T) {
 
 func TestFailureWithoutCheckpointRestartsFromScratch(t *testing.T) {
 	g := graph.Path(32)
-	clean, _, _ := runCK(t, g, Config[VertexID]{Workers: 2})
-	vals, _, recov := runCK(t, g, Config[VertexID]{Workers: 2, Faults: rt.PlanOf(rt.Crash(9))})
+	clean, _, _ := runCK(t, g, Config[VertexID]{EngineConfig: rt.EngineConfig{Workers: 2}})
+	vals, _, recov := runCK(t, g, Config[VertexID]{EngineConfig: rt.EngineConfig{Workers: 2, Faults: rt.PlanOf(rt.Crash(9))}})
 	if recov != 1 {
 		t.Fatalf("recoveries=%d", recov)
 	}
@@ -128,8 +126,8 @@ func TestCheckpointDeepCopiesWithValueCloner(t *testing.T) {
 		}
 		return out
 	}
-	clean := run(Config[VertexID]{Workers: 2})
-	recovered := run(Config[VertexID]{Workers: 2, CheckpointEvery: 2, Faults: rt.PlanOf(rt.Crash(5))})
+	clean := run(Config[VertexID]{EngineConfig: rt.EngineConfig{Workers: 2}})
+	recovered := run(Config[VertexID]{EngineConfig: rt.EngineConfig{Workers: 2, CheckpointEvery: 2, Faults: rt.PlanOf(rt.Crash(5))}})
 	for v := range clean {
 		if len(clean[v]) != len(recovered[v]) {
 			t.Fatalf("vertex %d: %d messages vs %d after recovery", v, len(clean[v]), len(recovered[v]))
@@ -144,7 +142,7 @@ func TestCheckpointWithMasterStateAndGlobals(t *testing.T) {
 	g := graph.Path(16)
 	prog := &ckProgram{}
 	eng := NewEngine[VertexID, VertexID](g, prog, Config[VertexID]{
-		Workers: 2, CheckpointEvery: 4, Faults: rt.PlanOf(rt.Crash(7)),
+		EngineConfig: rt.EngineConfig{Workers: 2, CheckpointEvery: 4, Faults: rt.PlanOf(rt.Crash(7))},
 	})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,8 @@ func TestFCSMatchesFullRun(t *testing.T) {
 	g := permutedPath(512, 7)
 	run := func(threshold int) ([]VertexID, int) {
 		eng := NewEngine[VertexID, VertexID](g, fcsProgram{}, Config[VertexID]{
-			Workers: 3, FCSThreshold: threshold,
+			EngineConfig: rt.EngineConfig{Workers: 3},
+			FCSThreshold: threshold,
 		})
 		res, err := eng.Run()
 		if err != nil {
@@ -114,7 +115,8 @@ func TestFCSTriggersOnlyBelowThreshold(t *testing.T) {
 	// threshold 1 never triggers.
 	g := graph.Star(64)
 	eng := NewEngine[VertexID, VertexID](g, fcsProgram{}, Config[VertexID]{
-		Workers: 2, FCSThreshold: 1,
+		EngineConfig: rt.EngineConfig{Workers: 2},
+		FCSThreshold: 1,
 	})
 	res, err := eng.Run()
 	if err != nil {
@@ -146,8 +148,9 @@ func TestFCSPinsPushOnTinyFrontierUnderAutoPull(t *testing.T) {
 		pulled   bool
 	}) {
 		eng := NewEngine[VertexID, VertexID](g, fcsProgram{}, Config[VertexID]{
-			Workers: 3, Mode: rt.DirectionAuto, PullThreshold: 1e-9,
-			Combiner: minC, FCSThreshold: fcs,
+			EngineConfig: rt.EngineConfig{Workers: 3, Mode: rt.DirectionAuto, PullThreshold: 1e-9},
+			Combiner:     minC,
+			FCSThreshold: fcs,
 		})
 		res, err := eng.Run()
 		if err != nil {
@@ -206,7 +209,8 @@ func TestFCSWithoutFinisherIsIgnored(t *testing.T) {
 	// echoProgram has no FinishSerially: threshold must be a no-op.
 	g := graph.Cycle(16)
 	eng := NewEngine[int, int](g, &echoProgram{rounds: 3}, Config[int]{
-		Workers: 2, FCSThreshold: 100,
+		EngineConfig: rt.EngineConfig{Workers: 2},
+		FCSThreshold: 100,
 	})
 	res, err := eng.Run()
 	if err != nil {
@@ -222,7 +226,8 @@ func TestFCSWithoutFinisherIsIgnored(t *testing.T) {
 func TestFCSChargesSerialWorkToOneWorker(t *testing.T) {
 	g := graph.Path(256)
 	eng := NewEngine[VertexID, VertexID](g, fcsProgram{}, Config[VertexID]{
-		Workers: 4, FCSThreshold: 4,
+		EngineConfig: rt.EngineConfig{Workers: 4},
+		FCSThreshold: 4,
 	})
 	res, err := eng.Run()
 	if err != nil {

@@ -1,9 +1,11 @@
 package pregel
 
 import (
+	"strings"
 	"testing"
 
 	"vcgraph/internal/graph"
+	rt "vcgraph/internal/runtime"
 )
 
 func checkPartition(t *testing.T, owner []int32, workers, n int) {
@@ -83,7 +85,7 @@ func TestResultsInvariantUnderPartitioning(t *testing.T) {
 	g := graph.PreferentialAttachment(400, 3, 9)
 	run := func(p Partitioner) []int {
 		prog := &echoProgram{rounds: 3}
-		eng := NewEngine[int, int](g, prog, Config[int]{Workers: 4, Partition: p})
+		eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 4, Partition: p}})
 		res, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +108,7 @@ func TestPartitioningChangesLoadBalance(t *testing.T) {
 	g := graph.PreferentialAttachment(3000, 3, 11)
 	run := func(p Partitioner) float64 {
 		prog := &echoProgram{rounds: 4}
-		eng := NewEngine[int, int](g, prog, Config[int]{Workers: 4, Partition: p})
+		eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 4, Partition: p}})
 		res, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +130,7 @@ func TestCustomPartitioner(t *testing.T) {
 	g := graph.Path(10)
 	all0 := func(g *graph.Graph, workers int) []int32 { return make([]int32, g.N()) }
 	prog := &echoProgram{rounds: 2}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 3, Partition: all0})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 3, Partition: all0}})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -141,24 +143,26 @@ func TestCustomPartitioner(t *testing.T) {
 	}
 }
 
-func TestBadPartitionerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range assignment")
-		}
-	}()
+func TestBadPartitionerFails(t *testing.T) {
+	g := graph.Path(4)
 	bad := func(g *graph.Graph, workers int) []int32 {
 		o := make([]int32, g.N())
 		o[0] = int32(workers) // out of range
 		return o
 	}
-	NewEngine[int, int](graph.Path(4), &echoProgram{}, Config[int]{Workers: 2, Partition: bad})
+	_, err := NewEngine[int, int](g, &echoProgram{}, Config[int]{EngineConfig: rt.EngineConfig{Workers: 2, Partition: bad}}).Run()
+	if err == nil || !strings.Contains(err.Error(), "pregel: partitioner assigned vertex 0 to worker 2") {
+		t.Fatalf("err = %v, want the out-of-range placement named", err)
+	}
+	if g.Pins() != 0 {
+		t.Fatalf("%d pins held after a failed prepare", g.Pins())
+	}
 }
 
 func TestInboxDeliveriesStat(t *testing.T) {
 	g := graph.Star(50)
 	prog := &sendAllToCenter{}
-	withComb := Config[int]{Workers: 2, Combiner: func(a, b int) int { return a + b }}
+	withComb := Config[int]{EngineConfig: rt.EngineConfig{Workers: 2}, Combiner: func(a, b int) int { return a + b }}
 	eng := NewEngine[int, int](g, prog, withComb)
 	res, err := eng.Run()
 	if err != nil {
@@ -173,7 +177,7 @@ func TestInboxDeliveriesStat(t *testing.T) {
 	if res.Stats.InboxDeliveries != 1 {
 		t.Fatalf("combined deliveries %d, want 1", res.Stats.InboxDeliveries)
 	}
-	eng2 := NewEngine[int, int](g, prog, Config[int]{Workers: 2})
+	eng2 := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 2}})
 	res2, err := eng2.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func (p *echoProgram) Compute(ctx *Context[int, int], msgs []int) {
 
 func TestEngineMessageDelivery(t *testing.T) {
 	g := graph.Cycle(10)
-	eng := NewEngine[int, int](g, &echoProgram{rounds: 3}, Config[int]{Workers: 3})
+	eng := NewEngine[int, int](g, &echoProgram{rounds: 3}, Config[int]{EngineConfig: rt.EngineConfig{Workers: 3}})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestEngineHaltAndReactivate(t *testing.T) {
 	g := graph.New(2, false)
 	g.AddEdge(0, 1)
 	prog := &pokeProgram{}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 2})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 2}})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func (pokeProgram) Compute(ctx *Context[int, int], msgs []int) {
 func TestEngineCombiner(t *testing.T) {
 	g := graph.Star(6) // center 0
 	prog := &sendAllToCenter{}
-	cfg := Config[int]{Workers: 2, Combiner: func(a, b int) int { return a + b }}
+	cfg := Config[int]{EngineConfig: rt.EngineConfig{Workers: 2}, Combiner: func(a, b int) int { return a + b }}
 	eng := NewEngine[int, int](g, prog, cfg)
 	res, err := eng.Run()
 	if err != nil {
@@ -112,7 +112,7 @@ func (sendAllToCenter) Compute(ctx *Context[int, int], msgs []int) {
 func TestEngineAggregator(t *testing.T) {
 	g := graph.Path(8)
 	prog := &aggProgram{}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 4})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 4}})
 	eng.RegisterAggregator("sum", SumInt64())
 	eng.RegisterAggregator("max", MaxInt64())
 	res, err := eng.Run()
@@ -171,7 +171,7 @@ func (p *masterProgram) Compute(ctx *Context[int, int], msgs []int) {
 func TestEngineMasterControl(t *testing.T) {
 	g := graph.New(5, false)
 	prog := &masterProgram{}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 2})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 2}})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestEngineMasterControl(t *testing.T) {
 func TestEngineSuperstepCap(t *testing.T) {
 	g := graph.Cycle(4)
 	prog := &echoProgram{rounds: 1 << 30}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 1, MaxSupersteps: 5})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 1, MaxSupersteps: 5}})
 	_, err := eng.Run()
 	if !errors.Is(err, ErrSuperstepCap) {
 		t.Fatalf("err = %v, want ErrSuperstepCap", err)
@@ -202,7 +202,7 @@ func TestEngineSuperstepCap(t *testing.T) {
 func TestEngineMutation(t *testing.T) {
 	g := graph.Complete(4)
 	prog := &pruneProgram{}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 2})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 2}})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 	g := graph.Random(100, 300, 17)
 	run := func(workers int) []int {
 		prog := &echoProgram{rounds: 4}
-		eng := NewEngine[int, int](g, prog, Config[int]{Workers: workers})
+		eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: workers}})
 		res, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +263,7 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 func TestEngineStatsShape(t *testing.T) {
 	g := graph.Path(20)
 	prog := &echoProgram{rounds: 2}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 4})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 4}})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestEngineStatsShape(t *testing.T) {
 func TestEngineMessageSortDeterminism(t *testing.T) {
 	g := graph.Star(30)
 	prog := &firstMsgProgram{}
-	cfg := Config[int]{Workers: 7, MessageLess: func(a, b int) bool { return a < b }}
+	cfg := Config[int]{EngineConfig: rt.EngineConfig{Workers: 7}, MessageLess: func(a, b int) bool { return a < b }}
 	eng := NewEngine[int, int](g, prog, cfg)
 	res, err := eng.Run()
 	if err != nil {
@@ -323,7 +323,7 @@ func TestEngineRandDeterministic(t *testing.T) {
 	g := graph.New(3, false)
 	prog := &randProgram{}
 	run := func() []int {
-		eng := NewEngine[int, int](g, prog, Config[int]{Workers: 2, Seed: 99})
+		eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 2}, Seed: 99})
 		res, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -356,7 +356,7 @@ func TestEngineInEdgesDirected(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.EnsureIn()
 	prog := &inEdgeCounter{}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 2})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 2}})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +378,7 @@ func (inEdgeCounter) Compute(ctx *Context[int, int], msgs []int) {
 func TestEngineCollectAggregator(t *testing.T) {
 	g := graph.Path(5)
 	prog := &collectProgram{}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 3})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 3}})
 	eng.RegisterAggregator("ids", Collect[VertexID]())
 	res, err := eng.Run()
 	if err != nil {
@@ -411,7 +411,7 @@ func (p *collectProgram) Compute(ctx *Context[int, int], msgs []int) {
 func TestEnginePendingMessagesVisibleToMaster(t *testing.T) {
 	g := graph.Star(9)
 	prog := &pendingWatcher{}
-	eng := NewEngine[int, int](g, prog, Config[int]{Workers: 2})
+	eng := NewEngine[int, int](g, prog, Config[int]{EngineConfig: rt.EngineConfig{Workers: 2}})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -444,9 +444,9 @@ func TestEngineMessageLessWithCombiner(t *testing.T) {
 	// regardless of workers.
 	g := graph.Star(40)
 	cfg := Config[int]{
-		Workers:     6,
-		Combiner:    func(a, b int) int { return a + b },
-		MessageLess: func(a, b int) bool { return a < b },
+		EngineConfig: rt.EngineConfig{Workers: 6},
+		Combiner:     func(a, b int) int { return a + b },
+		MessageLess:  func(a, b int) bool { return a < b },
 	}
 	eng := NewEngine[int, int](g, &sendAllToCenter{}, cfg)
 	res, err := eng.Run()
@@ -468,10 +468,9 @@ func TestCheckpointWithCustomPartition(t *testing.T) {
 		}
 		return res.Values
 	}
-	clean := run(Config[VertexID]{Workers: 3, Partition: PartitionDegreeBalanced})
+	clean := run(Config[VertexID]{EngineConfig: rt.EngineConfig{Workers: 3, Partition: PartitionDegreeBalanced}})
 	rec := run(Config[VertexID]{
-		Workers: 3, Partition: PartitionDegreeBalanced,
-		CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(20)),
+		EngineConfig: rt.EngineConfig{Workers: 3, Partition: PartitionDegreeBalanced, CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(20))},
 	})
 	for v := range clean {
 		if clean[v] != rec[v] {

@@ -102,24 +102,18 @@ type RollbackWeigher interface {
 	RedoneUnits(resumed, failed int) int
 }
 
-// DriverConfig parameterizes a Driver run.
+// DriverConfig parameterizes a Driver run: the engine's resolved run
+// environment (EngineConfig.Prepare fills it) plus what only the driver
+// reads. Workers sizes the pool and the per-superstep stat slices, and
+// a Job's admitted share must equal it. MaxSupersteps caps the driver's
+// steps; async and the incremental engine cap updates in their policy
+// and set it to math.MaxInt on their copy.
 type DriverConfig struct {
-	// Name prefixes the cap error ("pregel: superstep cap reached ...").
+	EngineConfig
+	// Name prefixes the run's errors ("pregel: superstep cap reached ...").
 	Name string
-	// Workers sizes the pool and the per-superstep stat slices.
-	Workers int
-	// MaxSteps caps the run; exceeding it returns CapErr wrapped.
-	MaxSteps int
-	// CapErr is the engine's sentinel (normally bsp.ErrSuperstepCap).
+	// CapErr is the sentinel the cap error wraps (bsp.ErrSuperstepCap).
 	CapErr error
-	// CheckpointEvery > 0 snapshots the barrier state every k steps.
-	CheckpointEvery int
-	// FullSnapshotEvery > 1 stores only every Nth checkpoint as a full
-	// snapshot; the saves in between are dirty-set delta frames patching
-	// the previous one. 0 or 1 keeps every checkpoint full.
-	FullSnapshotEvery int
-	// Faults schedules deterministic fault injection (nil = none).
-	Faults *FaultPlan
 	// EpochSaves selects the async engine's checkpoint ordering: the
 	// snapshot is taken at the top of every barrier, after fault
 	// detection — instead of at the end of every k-th superstep, before
@@ -127,26 +121,6 @@ type DriverConfig struct {
 	EpochSaves bool
 	// Model prices each superstep; zero value means bsp.DefaultModel.
 	Model bsp.CostModel
-	// Ctx, when non-nil, gates every superstep barrier: once it is
-	// cancelled or past its deadline the run aborts at the next barrier
-	// — before fault firing and rollback, so an abort never replays
-	// work — and Run returns the context's cause. nil = never aborted.
-	Ctx context.Context
-	// Job, when non-nil, binds the run to a scheduler-admitted job
-	// handle: the run executes on the job's lease, under the job's
-	// context (overriding Ctx), and publishes each superstep record to
-	// the handle for streaming. The job's admitted share must equal
-	// Workers — engines derive Workers from Job.Workers() to guarantee
-	// it.
-	Job *Job
-	// Replan, when non-nil, is consulted at every superstep barrier
-	// after fault detection, rollback, and the quiescence check — the
-	// point where the engine's state is complete and consistent.
-	// Returning true stops the run with ErrHandoff (wrapped): the
-	// adaptive plan layer then exports the engine's values and resumes
-	// the computation under a different engine or mode. pending is the
-	// in-flight message count entering the barrier, as for Quiescent.
-	Replan func(step, pending int) bool
 }
 
 // Driver runs a Policy to termination. One Driver serves one Run.
@@ -235,6 +209,9 @@ func (d *Driver[S]) Run() (steps int, err error) {
 			panic("runtime: Driver run under a job with no lease (jobs must come from Scheduler.Submit)")
 		}
 		if l.Workers() != d.cfg.Workers {
+			// An invariant, not an input check: EngineConfig.Prepare takes
+			// Workers from the job, or fails a sequential engine's run
+			// whose job holds a share other than 1.
 			panic(fmt.Sprintf("runtime: job lease share %d != driver workers %d", l.Workers(), d.cfg.Workers))
 		}
 		d.lease = l
@@ -262,7 +239,7 @@ func (d *Driver[S]) Run() (steps int, err error) {
 			aborted = true
 			break
 		}
-		if d.step >= d.cfg.MaxSteps {
+		if d.step >= d.cfg.MaxSupersteps {
 			capHit = true
 			break
 		}
@@ -332,7 +309,7 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		return d.step, fmt.Errorf("%s: %w", d.cfg.Name, context.Cause(ctx))
 	}
 	if capHit {
-		return d.step, fmt.Errorf("%s: %w (cap %d)", d.cfg.Name, d.cfg.CapErr, d.cfg.MaxSteps)
+		return d.step, fmt.Errorf("%s: %w (cap %d)", d.cfg.Name, d.cfg.CapErr, d.cfg.MaxSupersteps)
 	}
 	return d.step, nil
 }

@@ -2,13 +2,14 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 
 	"vcgraph/internal/bsp"
 )
 
 // WorklistRunner is the FIFO-worklist execution policy shared by the
 // asynchronous engine and the incremental (evolving-graph) programs:
-// one Driver step is one epoch of up to EpochLen updates popped from a
+// one Driver step is one epoch of up to epochLen updates popped from a
 // deduplicating FIFO, each applied immediately and pushing its
 // activations back. The Driver supplies the barrier lifecycle — fault
 // detection, checkpoint cadence (EpochSaves ordering), rollback — so a
@@ -20,8 +21,6 @@ import (
 // exactly that seed set, keeping faulted incremental runs byte-identical
 // to fault-free ones.
 type WorklistRunner[V any] struct {
-	// Name prefixes error messages ("async", "vc: incremental sssp").
-	Name string
 	// Update recomputes v from current values and returns the vertices
 	// to (re)activate. The returned slice is consumed before the next
 	// call, so implementations may reuse a scratch buffer.
@@ -35,13 +34,6 @@ type WorklistRunner[V any] struct {
 	Queue *FIFO
 	// N is the vertex count.
 	N int
-	// EpochLen is the number of updates per driver step (fault
-	// detection / checkpoint granularity).
-	EpochLen int
-	// MaxUpdates caps total updates; exceeding it returns CapErr.
-	MaxUpdates int
-	// CapErr is the sentinel wrapped into the cap error.
-	CapErr error
 	// PristineValues, when set, are the seed-time values restored by a
 	// checkpoint-free rollback (required when faults are injected).
 	PristineValues []V
@@ -49,12 +41,38 @@ type WorklistRunner[V any] struct {
 	// rollback; nil means every vertex 0..N-1.
 	PristineQueue []VertexID
 
-	updates int
+	// name, epochLen (updates per driver step, the fault-detection and
+	// checkpoint granularity), limit (the update cap) and capErr come
+	// from the run environment (NewWorklistDriver).
+	name     string
+	epochLen int
+	limit    int
+	capErr   error
+	updates  int
 	// dirty marks the vertices popped (and therefore possibly
 	// rewritten — Update writes only values[v]) since the last
 	// checkpoint frame; Snapshot and Restore clear it.
 	// Allocated lazily at the first epoch.
 	dirty []bool
+}
+
+// defaultEpoch is the epoch, in updates, when CheckpointEvery is unset.
+const defaultEpoch = 64
+
+// NewWorklistDriver binds p to its run environment dc, which
+// EngineConfig.Prepare resolved: one driver step is one epoch of
+// CheckpointEvery updates (64 when unset), at whose boundary faults
+// fire and checkpoints are taken (EpochSaves). MaxSupersteps caps
+// updates; p checks it per update, so the driver's own step cap is
+// unreachable.
+func NewWorklistDriver[V any](p *WorklistRunner[V], stats *bsp.Stats, dc DriverConfig) *Driver[*WorklistSnapshot[V]] {
+	p.name, p.limit, p.capErr = dc.Name, dc.MaxSupersteps, dc.CapErr
+	p.epochLen = dc.CheckpointEvery
+	if p.epochLen <= 0 {
+		p.epochLen = defaultEpoch
+	}
+	dc.MaxSupersteps, dc.EpochSaves = math.MaxInt, true
+	return NewDriver[*WorklistSnapshot[V]](p, stats, dc)
 }
 
 // Updates returns the total number of vertex updates applied.
@@ -67,7 +85,7 @@ func (p *WorklistRunner[V]) Quiescent(step, pending int) bool { return p.Queue.L
 // with the worklist drained, so the run is over without another
 // boundary's fault/checkpoint processing.
 func (p *WorklistRunner[V]) Stopped() bool {
-	return p.updates%p.EpochLen != 0 && p.Queue.Len() == 0
+	return p.updates%p.epochLen != 0 && p.Queue.Len() == 0
 }
 
 // BarrierFaults implements BarrierFaultPolicy: activation-batch faults
@@ -89,7 +107,7 @@ func (p *WorklistRunner[V]) BarrierFaults(inj *Injector, step int) (lost bool) {
 // RedoneUnits implements RollbackWeigher: recovery cost is counted in
 // redone updates, not epochs.
 func (p *WorklistRunner[V]) RedoneUnits(resumed, failed int) int {
-	return (failed - resumed) * p.EpochLen
+	return (failed - resumed) * p.epochLen
 }
 
 // Superstep implements Policy: drain up to one epoch of updates,
@@ -104,14 +122,14 @@ func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, er
 	if p.dirty == nil {
 		p.dirty = make([]bool, p.N)
 	}
-	for i := 0; i < p.EpochLen; i++ {
+	for i := 0; i < p.epochLen; i++ {
 		v, ok := p.Queue.Pop()
 		if !ok {
 			break
 		}
 		p.dirty[v] = true
-		if p.updates >= p.MaxUpdates {
-			return p.Queue.Len(), fmt.Errorf("%s: %w (cap %d)", p.Name, p.CapErr, p.MaxUpdates)
+		if p.updates >= p.limit {
+			return p.Queue.Len(), fmt.Errorf("%s: %w (cap %d)", p.name, p.capErr, p.limit)
 		}
 		p.updates++
 		ss.Work[0]++
@@ -127,7 +145,7 @@ func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, er
 // the vertices popped since the previous frame (delta), plus the whole
 // worklist in arrival order — small on sparse tails, and required, since
 // a queue cannot be patched. The update count is implied by the boundary
-// step (step · EpochLen), so it is not stored.
+// step (step · epochLen), so it is not stored.
 func (p *WorklistRunner[V]) Snapshot(full bool) *WorklistSnapshot[V] {
 	ids := TakeDirty[VertexID](p.dirty, full)
 	return &WorklistSnapshot[V]{
@@ -153,7 +171,7 @@ func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int, ok bool
 	if ok {
 		RestoreValuesAt(p.Prog, *p.Values, snap.values, snap.ids)
 		p.Queue.Load(snap.queue)
-		p.updates = step * p.EpochLen
+		p.updates = step * p.epochLen
 		return
 	}
 	*p.Values = CloneValues[V](p.Prog, p.PristineValues)

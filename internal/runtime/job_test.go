@@ -82,7 +82,7 @@ func TestDriverProcessPoolServesRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				p, d, _ := runCounting(4, DriverConfig{Name: "test", Workers: 8, MaxSteps: 100})
+				p, d, _ := runCounting(4, DriverConfig{Name: "test", EngineConfig: EngineConfig{Workers: 8, MaxSupersteps: 100}})
 				steps, err := d.Run()
 				if err != nil || steps != 4 || p.steps != 4 {
 					t.Errorf("run %d: steps=%d err=%v", i, steps, err)
@@ -98,10 +98,10 @@ func TestDriverCtxAbortsWithoutRollback(t *testing.T) {
 	cancel()
 	// Faults scheduled but the abort must win at the barrier: no fault
 	// fires, no rollback happens, and the cause comes back wrapped.
-	_, d, stats := runCounting(1000, DriverConfig{
-		Name: "test", Workers: 2, MaxSteps: 10000, Ctx: ctx,
+	_, d, stats := runCounting(1000, DriverConfig{Name: "test", EngineConfig: EngineConfig{
+		Workers: 2, MaxSupersteps: 10000, Ctx: ctx,
 		CheckpointEvery: 2, Faults: NewFaultPlan(7),
-	})
+	}})
 	steps, err := d.Run()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -118,7 +118,7 @@ func TestDriverCtxDeadlineCause(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	<-ctx.Done()
-	_, d, _ := runCounting(1000, DriverConfig{Name: "test", Workers: 1, MaxSteps: 10000, Ctx: ctx})
+	_, d, _ := runCounting(1000, DriverConfig{Name: "test", EngineConfig: EngineConfig{Workers: 1, MaxSupersteps: 10000, Ctx: ctx}})
 	if _, err := d.Run(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -221,7 +221,7 @@ func TestJobCancelMidRunFreesSlotAndRunsCleanups(t *testing.T) {
 	job := s.Submit(context.Background(), "test", 2, func(j *Job) error {
 		j.OnCleanup(func() { cleaned = append(cleaned, "first") })
 		j.OnCleanup(func() { cleaned = append(cleaned, "second") })
-		p, d, _ := runCounting(1000, DriverConfig{Name: "test", Workers: 2, MaxSteps: 10000, Job: j})
+		p, d, _ := runCounting(1000, DriverConfig{Name: "test", EngineConfig: EngineConfig{Workers: 2, MaxSupersteps: 10000, Job: j}})
 		p.block = block
 		_, err := d.Run()
 		return err
@@ -252,7 +252,7 @@ func TestJobTraceStreams(t *testing.T) {
 	s := NewScheduler(2, 1)
 	defer s.Close()
 	job := s.Submit(context.Background(), "trace", 2, func(j *Job) error {
-		_, d, _ := runCounting(5, DriverConfig{Name: "trace", Workers: 2, MaxSteps: 100, Job: j})
+		_, d, _ := runCounting(5, DriverConfig{Name: "trace", EngineConfig: EngineConfig{Workers: 2, MaxSupersteps: 100, Job: j}})
 		_, err := d.Run()
 		return err
 	})

@@ -1,10 +1,6 @@
 package runtime
 
-import (
-	"fmt"
-
-	"vcgraph/internal/graph"
-)
+import "vcgraph/internal/graph"
 
 // Graph partitioning: how vertices map to workers. The paper's §1
 // names partitioning among the key system-level optimizations for
@@ -138,24 +134,4 @@ func BlockLocalFractions(c *graph.CSR, owner []int32, blocks int) []float64 {
 		}
 	}
 	return frac
-}
-
-// GroupByOwner buckets vertices by owning worker, ascending within each
-// bucket — the worker -> owned-vertices view every engine derives from
-// a Partitioner's output. Empty buckets are non-nil, so a bucket is
-// never read as "every vertex" by the checkpoint-frame helpers. It
-// panics (prefixed with name, the engine) when the assignment maps a
-// vertex outside [0, workers).
-func GroupByOwner(name string, owner []int32, workers int) [][]graph.VertexID {
-	verts := make([][]graph.VertexID, workers)
-	for w := range verts {
-		verts[w] = []graph.VertexID{}
-	}
-	for v, w := range owner {
-		if w < 0 || int(w) >= workers {
-			panic(fmt.Sprintf("%s: partitioner assigned vertex %d to out-of-range worker %d (of %d)", name, v, w, workers))
-		}
-		verts[w] = append(verts[w], graph.VertexID(v))
-	}
-	return verts
 }

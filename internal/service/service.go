@@ -24,6 +24,7 @@ import (
 	"vcgraph/internal/graph"
 	"vcgraph/internal/plan"
 	rt "vcgraph/internal/runtime"
+	"vcgraph/internal/vc"
 )
 
 // GraphSpec describes a graph to register: either a named generator
@@ -368,13 +369,7 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	share := spec.Workers
-	if spec.Engine == "async" || spec.Engine == "inc" {
-		// The asynchronous engine and the incremental worklist drain are
-		// sequential by construction; their drivers run one worker, so
-		// the lease share must match.
-		share = 1
-	}
+	share := vc.LeaseShare(spec.Engine, spec.Workers)
 	ctx := context.Background()
 	var timeoutCancel context.CancelFunc
 	if spec.TimeoutMS > 0 {

@@ -1,7 +1,7 @@
 // Adaptive plan layer orchestration: run an algorithm under engine
 // "auto". A planner (internal/plan) picks the starting configuration
 // from sampled graph statistics, every engine run is consulted at its
-// superstep barriers through runtime.DriverConfig.Replan, and when the
+// superstep barriers through runtime.EngineConfig.Replan, and when the
 // planner decides mid-run that another configuration wins, the engine
 // aborts with runtime.ErrHandoff, the orchestrator exports the vertex
 // values at the barrier, and a freshly prepared engine resumes them.
@@ -197,8 +197,6 @@ func runAuto(g *graph.Graph, csr *graph.CSR, a Args, cfg AutoConfig, gs plan.Gra
 		switch row, ok := autoRow(caps, engine); {
 		case !ok:
 			err = fmt.Errorf("plan: engine %q cannot run %s", engine, caps.Algorithm)
-		case engine == plan.EngineAsync && cfg.Job != nil && caps.Workers != 1:
-			err = fmt.Errorf("plan: async engine is sequential; job worker share is %d", caps.Workers)
 		default:
 			env := Env{Config: cfg.Config, Snapshot: csr, Replan: hook}
 			env.Workers = caps.Workers

@@ -169,7 +169,7 @@ func BCC(g *graph.Graph, cfg Config) (*BCCResult, error) {
 		}
 	}
 	lh := &bccLowHigh{pre: en.pre, parent: en.parent, children: children, isTree: isTree}
-	eng := pregel.NewEngine[bccValue, bccMsg](g, lh, engineCfg[bccMsg](cfg))
+	eng := pregel.NewEngine[bccValue, bccMsg](g, lh, pregelConfig[bccMsg](Env{Config: cfg}))
 	lhRes, err := eng.Run()
 	if err != nil {
 		return nil, err

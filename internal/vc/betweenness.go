@@ -251,7 +251,7 @@ func BetweennessShared(g *graph.Graph, sources []VertexID, cfg Config) (*Between
 		return nil, errTooManySources
 	}
 	prog := &bcBatchProgram{sources: sources}
-	eng := pregel.NewEngine[bcBatchValue, bcBatchMsg](g, prog, engineCfg[bcBatchMsg](cfg))
+	eng := pregel.NewEngine[bcBatchValue, bcBatchMsg](g, prog, pregelConfig[bcBatchMsg](Env{Config: cfg}))
 	res, err := eng.Run()
 	if err != nil {
 		return nil, err
@@ -282,7 +282,7 @@ func Betweenness(g *graph.Graph, sources []VertexID, cfg Config) (*BetweennessRe
 	var parts []*bsp.Stats
 	for _, s := range sources {
 		prog := &bcProgram{src: s}
-		eng := pregel.NewEngine[bcValue, bcMsg](g, prog, engineCfg[bcMsg](cfg))
+		eng := pregel.NewEngine[bcValue, bcMsg](g, prog, pregelConfig[bcMsg](Env{Config: cfg}))
 		res, err := eng.Run()
 		if err != nil {
 			return nil, err

@@ -145,7 +145,7 @@ func (p *colProgram) StateUnits(v *colValue) int64 { return 3 }
 // ColoringMIS colors the graph with Luby-MIS phases. The result is
 // deterministic for a given Config.Seed.
 func ColoringMIS(g *graph.Graph, cfg Config) (*ColoringResult, error) {
-	ecfg := engineCfg[colMsg](cfg)
+	ecfg := pregelConfig[colMsg](Env{Config: cfg})
 	if cfg.PackedState {
 		prog := newColPackedProgram(g)
 		eng := pregel.NewEngine[struct{}, colMsg](g, prog, ecfg)

@@ -101,7 +101,7 @@ func TestCombinerEquivalenceHashMin(t *testing.T) {
 func TestCombinerEquivalencePageRank(t *testing.T) {
 	g := graph.PreferentialAttachment(300, 3, 5)
 	run := func(workers int, part pregel.Partitioner, combine bool) (*pregel.Result[prValue], error) {
-		cfg := pregel.Config[float64]{Workers: workers, Partition: part, Mode: runtime.DirectionPush}
+		cfg := pregel.Config[float64]{EngineConfig: runtime.EngineConfig{Workers: workers, Partition: part, Mode: runtime.DirectionPush}}
 		if combine {
 			cfg.Combiner = func(a, b float64) float64 { return a + b }
 		}

@@ -87,7 +87,7 @@ func LabelPropagation(g *graph.Graph, maxRounds int, cfg Config) (*CommunityResu
 		maxRounds = 32
 	}
 	prog := &lpaProgram{maxRounds: maxRounds}
-	ecfg := engineCfg[VertexID](cfg)
+	ecfg := pregelConfig[VertexID](Env{Config: cfg})
 	if ecfg.MaxSupersteps == 0 {
 		ecfg.MaxSupersteps = maxRounds + 8
 	}

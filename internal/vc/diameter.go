@@ -75,7 +75,7 @@ func (p *diamProgram) StateUnits(v *diamValue) int64 { return v.seen }
 // deliberately not BPPA, as the paper observes.
 func Diameter(g *graph.Graph, cfg Config) (*DiameterResult, error) {
 	prog := &diamProgram{n: g.N()}
-	eng := pregel.NewEngine[diamValue, VertexID](g, prog, engineCfg[VertexID](cfg))
+	eng := pregel.NewEngine[diamValue, VertexID](g, prog, pregelConfig[VertexID](Env{Config: cfg}))
 	eng.RegisterAggregator("ecc", pregel.MaxInt64())
 	res, err := eng.Run()
 	if err != nil {

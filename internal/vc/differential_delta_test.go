@@ -283,7 +283,7 @@ func TestDeltaDifferentialConnectedComponents(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan})
+				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: b, CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -337,7 +337,7 @@ func TestDeltaDifferentialSSSP(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.SSSP(g, src, blockcentric.Config{Blocks: b, CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan})
+				res, err := blockcentric.SSSP(g, src, blockcentric.Config{Workers: b, CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -392,7 +392,7 @@ func TestDeltaDifferentialPageRank(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.PageRank(g, alpha, k, blockcentric.Config{Blocks: b, CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan})
+				res, err := blockcentric.PageRank(g, alpha, k, blockcentric.Config{Workers: b, CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan})
 				if err != nil {
 					return nil, nil, err
 				}

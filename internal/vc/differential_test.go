@@ -209,7 +209,7 @@ func TestDifferentialConnectedComponents(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, CheckpointEvery: ck, Faults: plan})
+				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: b, CheckpointEvery: ck, Faults: plan})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -271,7 +271,7 @@ func TestDifferentialSSSP(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.SSSP(g, src, blockcentric.Config{Blocks: b, CheckpointEvery: ck, Faults: plan})
+				res, err := blockcentric.SSSP(g, src, blockcentric.Config{Workers: b, CheckpointEvery: ck, Faults: plan})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -340,7 +340,7 @@ func TestDifferentialPageRank(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.PageRank(g, alpha, k, blockcentric.Config{Blocks: b, CheckpointEvery: ck, Faults: plan})
+				res, err := blockcentric.PageRank(g, alpha, k, blockcentric.Config{Workers: b, CheckpointEvery: ck, Faults: plan})
 				if err != nil {
 					return nil, nil, err
 				}

@@ -303,11 +303,11 @@ func TestDirectionEquivalenceGas(t *testing.T) {
 func TestDirectionEquivalenceBlockcentric(t *testing.T) {
 	g := graph.WattsStrogatz(600, 2, 0.05, 19)
 	t.Run("cc", func(t *testing.T) {
-		push, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: 4})
+		push, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pull, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})
+		pull, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: 4, Mode: runtime.DirectionPull})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,11 +333,11 @@ func TestDirectionEquivalenceBlockcentric(t *testing.T) {
 	})
 	t.Run("sssp", func(t *testing.T) {
 		graph.RandomWeights(g, 23)
-		push, err := blockcentric.SSSP(g, 0, blockcentric.Config{Blocks: 4})
+		push, err := blockcentric.SSSP(g, 0, blockcentric.Config{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pull, err := blockcentric.SSSP(g, 0, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})
+		pull, err := blockcentric.SSSP(g, 0, blockcentric.Config{Workers: 4, Mode: runtime.DirectionPull})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,11 +354,11 @@ func TestDirectionEquivalenceBlockcentric(t *testing.T) {
 		// PageRank's sum folds local contributions before boundary ones
 		// under pull (push interleaves them by source block), so ranks
 		// are equal up to float regrouping, not bitwise.
-		push, err := blockcentric.PageRank(g, 0.85, 10, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPush})
+		push, err := blockcentric.PageRank(g, 0.85, 10, blockcentric.Config{Workers: 4, Mode: runtime.DirectionPush})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pull, err := blockcentric.PageRank(g, 0.85, 10, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})
+		pull, err := blockcentric.PageRank(g, 0.85, 10, blockcentric.Config{Workers: 4, Mode: runtime.DirectionPull})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,12 +382,12 @@ func TestDirectionEquivalenceBlockcentric(t *testing.T) {
 		// A crash mid-run under block-local pull must recover to the
 		// same labels: inboxLocal is checkpointed with the inboxes, so
 		// the restored barrier state replays identically.
-		clean, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})
+		clean, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: 4, Mode: runtime.DirectionPull})
 		if err != nil {
 			t.Fatal(err)
 		}
 		faulty, err := blockcentric.ConnectedComponents(g, blockcentric.Config{
-			Blocks: 4, Mode: runtime.DirectionPull,
+			Workers: 4, Mode: runtime.DirectionPull,
 			CheckpointEvery: 2, Faults: runtime.PlanOf(runtime.Crash(3)),
 		})
 		if err != nil {

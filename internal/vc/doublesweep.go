@@ -55,7 +55,7 @@ func (p *dsProgram) StateUnits(v *dsValue) int64 { return 1 }
 // reached vertex (ties to the smallest ID).
 func bfsWave(g *graph.Graph, src VertexID, cfg Config) ([]int32, VertexID, *bsp.Stats, error) {
 	prog := &dsProgram{src: src}
-	ecfg := engineCfg[int32](cfg)
+	ecfg := pregelConfig[int32](Env{Config: cfg})
 	ecfg.Combiner = func(a, b int32) int32 {
 		if a < b {
 			return a

@@ -63,7 +63,7 @@ func EulerTour(t *graph.Graph, cfg Config) (*EulerTourResult, error) {
 		return nil, fmt.Errorf("vc: EulerTour requires a tree (n=%d, m=%d)", t.N(), t.M())
 	}
 	t.SortAdjacency()
-	eng := pregel.NewEngine[eulerValue, eulerMsg](t, eulerProgram{}, engineCfg[eulerMsg](cfg))
+	eng := pregel.NewEngine[eulerValue, eulerMsg](t, eulerProgram{}, pregelConfig[eulerMsg](Env{Config: cfg}))
 	res, err := eng.Run()
 	if err != nil {
 		return nil, err

@@ -115,7 +115,7 @@ func PrepareHashMinCC(g *graph.Graph, cfg Config) func() (*CCResult, error) {
 // hashMinPregel is the (cc, pregel) matrix row over integer labels
 // (see integers), dense or bit-packed by env.PackedState.
 func hashMinPregel(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
-	ecfg := pregelCfg[VertexID](env)
+	ecfg := pregelConfig[VertexID](env)
 	if !env.NoCombiner {
 		ecfg.Combiner = func(a, b VertexID) VertexID {
 			if a < b {

@@ -99,7 +99,7 @@ func HITS(g *graph.Graph, k int, cfg Config) (*HITSResult, error) {
 	}
 	g.EnsureIn()
 	prog := &hitsProgram{k: k}
-	ecfg := engineCfg[float64](cfg)
+	ecfg := pregelConfig[float64](Env{Config: cfg})
 	if ecfg.MaxSupersteps == 0 {
 		ecfg.MaxSupersteps = 4*k + 8
 	}

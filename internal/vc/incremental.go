@@ -25,42 +25,19 @@
 package vc
 
 import (
-	"context"
 	"errors"
-	"math"
 
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	rt "vcgraph/internal/runtime"
 )
 
-// IncConfig controls an incremental run. The fault/checkpoint/job
-// fields mirror async.Config: one driver step is one epoch of up to
-// CheckpointEvery (default 64) updates, at whose boundary faults fire
-// and checkpoints are taken.
-type IncConfig struct {
-	// MaxUpdates caps total vertex updates (default 200·(n+64)).
-	MaxUpdates int
-	// CheckpointEvery, when positive, snapshots values + worklist every
-	// k updates and sets the fault-detection epoch length.
-	CheckpointEvery int
-	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint of
-	// incremental CC/SSSP as a full snapshot; the generations between
-	// are dirty-set deltas covering just the vertices updated since the
-	// previous frame. 0 or 1 keeps every checkpoint full. Incremental
-	// PageRank ignores it: each superstep replaces its frame, the rank
-	// vector, wholesale, so every one of its checkpoints is full.
-	FullSnapshotEvery int
-	// Faults schedules deterministic fault injection at epoch
-	// boundaries (crash, drop/dup of the activation batch, checkpoint
-	// corruption), exactly as in the async engine.
-	Faults *rt.FaultPlan
-	// Ctx aborts the run at the next epoch boundary.
-	Ctx context.Context
-	// Job, when non-nil, binds the run to a scheduler-admitted job
-	// (share must be 1 — the worklist drain is sequential).
-	Job *rt.Job
-}
+// IncConfig is the incremental engine's run environment, the one every
+// engine shares (runtime.EngineConfig states what each field means
+// here): CC and SSSP drain one sequential worklist, so MaxSupersteps
+// caps updates and CheckpointEvery sets the epoch (64 updates when
+// unset), exactly as in the async engine; a job needs a share of 1.
+type IncConfig = rt.EngineConfig
 
 // ErrIncrementalDirected rejects incremental CC/SSSP on directed
 // graphs: their update rules pull over out-spans, which equals the
@@ -68,28 +45,17 @@ type IncConfig struct {
 // same restriction).
 var ErrIncrementalDirected = errors.New("vc: incremental cc/sssp require an undirected graph")
 
-// incEpochLen mirrors the async engine's default fault-detection epoch.
-const incEpochLen = 64
-
-func (cfg *IncConfig) epochLen() int {
-	if cfg.CheckpointEvery > 0 {
-		return cfg.CheckpointEvery
-	}
-	return incEpochLen
-}
-
-func (cfg *IncConfig) maxUpdates(n int) int {
-	if cfg.MaxUpdates > 0 {
-		return cfg.MaxUpdates
-	}
-	return 200 * (n + 64)
+// incDefaults are the incremental engine's: sequential, an update cap
+// of 200·(n+64), the graph's delta view pinned.
+func incDefaults(name string) rt.EngineDefaults {
+	return rt.EngineDefaults{Name: name, Cap: func(n int) int { return 200 * (n + 64) }, Delta: true}
 }
 
 // runIncWorklist drains the seeded worklist to quiescence under the
 // shared FIFO-epoch policy. seeds nil means every vertex (a cold
 // start); otherwise a rollback with no readable checkpoint replays
 // exactly the seed set, keeping faulted runs byte-identical.
-func runIncWorklist[V any](name string, values *[]V, update func(VertexID) []VertexID, seeds []VertexID, n int, cold bool, cfg IncConfig) (*bsp.Stats, error) {
+func runIncWorklist[V any](values *[]V, update func(VertexID) []VertexID, seeds []VertexID, n int, cold bool, dc rt.DriverConfig) (*bsp.Stats, error) {
 	queue := rt.NewFIFO(n)
 	if cold {
 		for v := 0; v < n; v++ {
@@ -99,35 +65,14 @@ func runIncWorklist[V any](name string, values *[]V, update func(VertexID) []Ver
 		queue.PushAll(seeds)
 	}
 	stats := &bsp.Stats{Workers: 1, N: n}
-	p := &rt.WorklistRunner[V]{
-		Name:       name,
-		Update:     update,
-		Values:     values,
-		Queue:      queue,
-		N:          n,
-		EpochLen:   cfg.epochLen(),
-		MaxUpdates: cfg.maxUpdates(n),
-		CapErr:     bsp.ErrSuperstepCap,
-	}
-	if cfg.Faults != nil {
+	p := &rt.WorklistRunner[V]{Update: update, Values: values, Queue: queue, N: n}
+	if dc.Faults != nil {
 		p.PristineValues = append([]V(nil), *values...)
 		if !cold {
 			p.PristineQueue = queue.Snapshot()
 		}
 	}
-	d := rt.NewDriver[*rt.WorklistSnapshot[V]](p, stats, rt.DriverConfig{
-		Name:              name,
-		Workers:           1,
-		MaxSteps:          math.MaxInt,
-		CapErr:            bsp.ErrSuperstepCap,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		FullSnapshotEvery: cfg.FullSnapshotEvery,
-		Faults:            cfg.Faults,
-		EpochSaves:        true,
-		Ctx:               cfg.Ctx,
-		Job:               cfg.Job,
-	})
-	_, err := d.Run()
+	_, err := rt.NewWorklistDriver(p, stats, dc).Run()
 	return stats, err
 }
 
@@ -167,7 +112,11 @@ func PrepareIncrementalCC(g *graph.Graph, prior *IncCCState, cfg IncConfig) func
 	if g.Directed {
 		return func() (*IncCCState, *bsp.Stats, error) { return nil, nil, ErrIncrementalDirected }
 	}
-	view := g.PinDelta()
+	pr, err := cfg.Prepare(g, incDefaults("vc: incremental cc"))
+	if err != nil {
+		return func() (*IncCCState, *bsp.Stats, error) { return nil, nil, err }
+	}
+	view := pr.Delta
 	n := view.N()
 	labels := make([]VertexID, n)
 	var seeds []VertexID
@@ -186,8 +135,8 @@ func PrepareIncrementalCC(g *graph.Graph, prior *IncCCState, cfg IncConfig) func
 	}
 	update := makeCCUpdate(view, &labels)
 	return func() (*IncCCState, *bsp.Stats, error) {
-		defer g.UnpinDelta(view)
-		stats, err := runIncWorklist[VertexID]("vc: incremental cc", &labels, update, seeds, n, cold, cfg)
+		defer pr.Release()
+		stats, err := runIncWorklist(&labels, update, seeds, n, cold, pr.Driver)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -48,7 +48,11 @@ func IncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *IncPRState
 // lock-free (under runtime.Driver, so checkpoint/rollback and fault
 // injection work exactly as in the BSP engines) and unpins.
 func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *IncPRState, cfg IncConfig) func() (*IncPRState, *bsp.Stats, error) {
-	view := g.PinDelta()
+	pr, err := cfg.Prepare(g, incDefaults("vc: incremental pagerank"))
+	if err != nil {
+		return func() (*IncPRState, *bsp.Stats, error) { return nil, nil, err }
+	}
+	view := pr.Delta
 	n := view.N()
 	view.Base().EnsureIn() // the sweep pulls over the transpose
 	p := &incPRPolicy{view: view, n: n, alpha: alpha, k: k}
@@ -76,19 +80,13 @@ func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *Inc
 	p.cur = r0
 	p.mark = make([]bool, n)
 	stats := &bsp.Stats{Workers: 1, N: n}
-	// No FullSnapshotEvery: every frame is full (see incPRPolicy.Snapshot).
-	d := rt.NewDriver[*incPRSnap](p, stats, rt.DriverConfig{
-		Name:            "vc: incremental pagerank",
-		Workers:         1,
-		MaxSteps:        k + 1,
-		CapErr:          bsp.ErrSuperstepCap,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Faults:          cfg.Faults,
-		Ctx:             cfg.Ctx,
-		Job:             cfg.Job,
-	})
+	// K supersteps, always; every frame is full (see
+	// incPRPolicy.Snapshot), so FullSnapshotEvery has nothing to do.
+	dc := pr.Driver
+	dc.MaxSupersteps, dc.FullSnapshotEvery = k+1, 0
+	d := rt.NewDriver[*incPRSnap](p, stats, dc)
 	return func() (*IncPRState, *bsp.Stats, error) {
-		defer g.UnpinDelta(view)
+		defer pr.Release()
 		if _, err := d.Run(); err != nil {
 			return nil, stats, err
 		}

@@ -55,7 +55,11 @@ func PrepareIncrementalSSSP(g *graph.Graph, src VertexID, prior *IncSSSPState, c
 	if g.Directed {
 		return func() (*IncSSSPState, *bsp.Stats, error) { return nil, nil, ErrIncrementalDirected }
 	}
-	view := g.PinDelta()
+	pr, err := cfg.Prepare(g, incDefaults("vc: incremental sssp"))
+	if err != nil {
+		return func() (*IncSSSPState, *bsp.Stats, error) { return nil, nil, err }
+	}
+	view := pr.Delta
 	n := view.N()
 	dist := make([]float64, n)
 	var seeds []VertexID
@@ -75,8 +79,8 @@ func PrepareIncrementalSSSP(g *graph.Graph, src VertexID, prior *IncSSSPState, c
 	}
 	update := makeSSSPUpdate(view, &dist, src)
 	return func() (*IncSSSPState, *bsp.Stats, error) {
-		defer g.UnpinDelta(view)
-		stats, err := runIncWorklist[float64]("vc: incremental sssp", &dist, update, seeds, n, cold, cfg)
+		defer pr.Release()
+		stats, err := runIncWorklist(&dist, update, seeds, n, cold, pr.Driver)
 		if err != nil {
 			return nil, stats, err
 		}

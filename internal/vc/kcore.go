@@ -179,7 +179,7 @@ func kcorePregel(g *graph.Graph, _ Args, _ []int32, env Env) func() ([]int32, *b
 		return func() ([]int32, *bsp.Stats, error) { return nil, nil, errKCoreDirected }
 	}
 	prog := newKCoreProgram(g, env.PackedState)
-	eng := pregel.NewEngine[kcoreValue, kcoreMsg](g, prog, pregelCfg[kcoreMsg](env))
+	eng := pregel.NewEngine[kcoreValue, kcoreMsg](g, prog, pregelConfig[kcoreMsg](env))
 	return func() ([]int32, *bsp.Stats, error) {
 		res, err := eng.Run()
 		core := make([]int32, len(res.Values))

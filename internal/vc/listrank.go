@@ -88,7 +88,7 @@ func ListRank(pred []VertexID, val []int64, cfg Config) (*ListRankResult, error)
 	}
 	g.EnsureIn()
 	prog := &lrProgram{pred: pred, val: val}
-	eng := pregel.NewEngine[lrValue, lrMsg](g, prog, engineCfg[lrMsg](cfg))
+	eng := pregel.NewEngine[lrValue, lrMsg](g, prog, pregelConfig[lrMsg](Env{Config: cfg}))
 	res, err := eng.Run()
 	if err != nil {
 		return nil, err

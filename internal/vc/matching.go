@@ -132,7 +132,7 @@ func (p *mwmProgram) StateUnits(v *mwmValue) int64 { return 3 }
 // the result equals the sequential greedy-by-weight matching.
 func MaxWeightMatching(g *graph.Graph, cfg Config) (*MatchingResult, error) {
 	prog := &mwmProgram{}
-	eng := pregel.NewEngine[mwmValue, mwmMsg](g, prog, engineCfg[mwmMsg](cfg))
+	eng := pregel.NewEngine[mwmValue, mwmMsg](g, prog, pregelConfig[mwmMsg](Env{Config: cfg}))
 	eng.RegisterAggregator("live", pregel.SumInt64())
 	res, err := eng.Run()
 	if err != nil {
@@ -298,7 +298,7 @@ func BipartiteMatching(g *graph.Graph, nl int, cfg Config) (*MatchingResult, err
 		return nil, errNotBipartite
 	}
 	prog := &bpmProgram{nl: nl}
-	eng := pregel.NewEngine[bpmValue, bpmMsg](g, prog, engineCfg[bpmMsg](cfg))
+	eng := pregel.NewEngine[bpmValue, bpmMsg](g, prog, pregelConfig[bpmMsg](Env{Config: cfg}))
 	eng.RegisterAggregator("requests", pregel.SumInt64())
 	res, err := eng.Run()
 	if err != nil {

@@ -22,7 +22,6 @@ import (
 	"vcgraph/internal/gas"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/plan"
-	"vcgraph/internal/pregel"
 	"vcgraph/internal/runtime"
 )
 
@@ -36,7 +35,8 @@ type Args struct {
 
 // Env is a row's run environment: the shared engine knobs plus the two
 // things only the adaptive plan layer sets when it re-prepares engines
-// mid-job. PackedState and Seed reach the pregel rows only.
+// mid-job. PackedState, Seed, FCS and NoCombiner reach the pregel rows
+// only.
 type Env struct {
 	Config
 	// Snapshot, when non-nil, is the already-pinned CSR generation
@@ -93,6 +93,16 @@ var FixedKPageRank = map[string]Row{
 	plan.EngineBlockcentric: pageRankBlockPush,
 }
 
+// LeaseShare is the worker share a job running engine with workers
+// requested is admitted with: async and the incremental engine ("inc")
+// drain one sequential worklist, so their share is 1.
+func LeaseShare(engine string, workers int) int {
+	if engine == plan.EngineAsync || engine == "inc" {
+		return 1
+	}
+	return workers
+}
+
 // Verdict is the one-line human summary of a row's values, shared by
 // the daemon's job status and cmd/vcrun. It accepts either spelling of
 // an unreachable distance (+Inf or the wire sentinel).
@@ -130,7 +140,15 @@ func Verdict(algo string, a Args, values []float64) string {
 	return ""
 }
 
-// --- run environment -> engine Config, once per engine ---
+// --- run environment -> engine Config ---
+
+// engine overlays the plan layer's pinned snapshot and replan hook on
+// the run environment of env.Config.
+func (env Env) engine() runtime.EngineConfig {
+	c := env.Config.engine()
+	c.Snapshot, c.Replan = env.Snapshot, env.Replan
+	return c
+}
 
 // fixedOwner adapts a snapshot-derived owner array to the engines'
 // Partitioner hook, ignoring the live graph entirely.
@@ -138,40 +156,10 @@ func fixedOwner(owner []int32) runtime.Partitioner {
 	return func(*graph.Graph, int) []int32 { return owner }
 }
 
-func pregelCfg[M any](env Env) pregel.Config[M] {
-	c := engineCfg[M](env.Config)
-	c.Snapshot, c.Replan = env.Snapshot, env.Replan
-	return c
-}
-
-func gasCfg(env Env) gas.Config {
-	return gas.Config{
-		Workers: env.Workers, MaxIterations: env.MaxSupersteps, Partition: env.Partition,
-		Mode: env.Mode, PullThreshold: env.PullThreshold,
-		CheckpointEvery: env.CheckpointEvery, FullSnapshotEvery: env.FullSnapshotEvery, Faults: env.Faults,
-		Snapshot: env.Snapshot, Replan: env.Replan, Ctx: env.Ctx, Job: env.Job,
-	}
-}
-
-func asyncCfg(env Env) async.Config {
-	return async.Config{
-		CheckpointEvery: env.CheckpointEvery, FullSnapshotEvery: env.FullSnapshotEvery, Faults: env.Faults,
-		Snapshot: env.Snapshot, Replan: env.Replan, Ctx: env.Ctx, Job: env.Job,
-	}
-}
-
-func blockCfg(env Env) blockcentric.Config {
-	return blockcentric.Config{
-		Blocks: env.Workers, MaxSupersteps: env.MaxSupersteps, Partition: env.Partition, Mode: env.Mode,
-		CheckpointEvery: env.CheckpointEvery, FullSnapshotEvery: env.FullSnapshotEvery, Faults: env.Faults,
-		Snapshot: env.Snapshot, Replan: env.Replan, Ctx: env.Ctx, Job: env.Job,
-	}
-}
-
 // --- one prepare per engine; the rows below differ only in program ---
 
 func gasRun[V, G any](g *graph.Graph, prog gas.Program[V, G], env Env) func() ([]V, *bsp.Stats, error) {
-	run := gas.Prepare(g, prog, gasCfg(env))
+	run := gas.Prepare(g, prog, env.engine())
 	return func() ([]V, *bsp.Stats, error) {
 		res, err := run()
 		return res.Values, res.Stats, err
@@ -179,7 +167,7 @@ func gasRun[V, G any](g *graph.Graph, prog gas.Program[V, G], env Env) func() ([
 }
 
 func asyncRun[V any](g *graph.Graph, prog async.Program[V], env Env) func() ([]V, *bsp.Stats, error) {
-	run := async.Prepare(g, prog, asyncCfg(env))
+	run := async.Prepare(g, prog, env.engine())
 	return func() ([]V, *bsp.Stats, error) {
 		res, err := run()
 		return res.Values, res.Stats, err
@@ -187,7 +175,7 @@ func asyncRun[V any](g *graph.Graph, prog async.Program[V], env Env) func() ([]V
 }
 
 func blockRun[V, M any](g *graph.Graph, prog blockcentric.Program[V, M], env Env) func() ([]V, *bsp.Stats, error) {
-	eng := blockcentric.NewEngine(g, prog, blockCfg(env))
+	eng := blockcentric.NewEngine(g, prog, env.engine())
 	return func() ([]V, *bsp.Stats, error) {
 		res, err := eng.Run()
 		return res.Values, res.Stats, err
@@ -233,7 +221,7 @@ var errNoWarmStart = errors.New("vc: this (algorithm, engine) row has no warm st
 // --- PageRank ---
 
 func pageRankGASConverged(g *graph.Graph, a Args, _ []float64, env Env) Run {
-	run := gas.PreparePageRank(g, a.Alpha, a.Eps, gasCfg(env))
+	run := gas.PreparePageRank(g, a.Alpha, a.Eps, env.engine())
 	return func() ([]float64, *bsp.Stats, error) {
 		ranks, res, err := run()
 		if err != nil {
@@ -248,7 +236,7 @@ func pageRankGASFixedK(g *graph.Graph, a Args, seed []float64, env Env) Run {
 }
 
 func pageRankAsync(g *graph.Graph, a Args, _ []float64, env Env) Run {
-	run := async.PreparePageRank(g, a.Alpha, a.Eps, asyncCfg(env))
+	run := async.PreparePageRank(g, a.Alpha, a.Eps, env.engine())
 	return func() ([]float64, *bsp.Stats, error) {
 		ranks, res, err := run()
 		return ranks, res.Stats, err

@@ -249,7 +249,7 @@ func (p *mcstProgram) StateUnits(v *mcstValue) int64 { return int64(4 + len(v.ed
 // weights it is the unique MST.
 func MCST(g *graph.Graph, cfg Config) (*MCSTResult, error) {
 	prog := &mcstProgram{}
-	ecfg := engineCfg[mcstMsg](cfg)
+	ecfg := pregelConfig[mcstMsg](Env{Config: cfg})
 	if ecfg.MaxSupersteps == 0 {
 		ecfg.MaxSupersteps = 1 + 40*(bitsLen(g.N())+2)*(bitsLen(g.N())+2)
 	}

@@ -123,7 +123,7 @@ func (p *misProgram) StateUnits(v *misValue) int64 { return 1 }
 // deterministic for a given Config.Seed.
 func MaximalIndependentSet(g *graph.Graph, cfg Config) (*MISResult, error) {
 	prog := &misProgram{}
-	eng := pregel.NewEngine[misValue, colMsg](g, prog, engineCfg[colMsg](cfg))
+	eng := pregel.NewEngine[misValue, colMsg](g, prog, pregelConfig[colMsg](Env{Config: cfg}))
 	eng.RegisterAggregator("undecided", pregel.SumInt64())
 	res, err := eng.Run()
 	if err != nil {

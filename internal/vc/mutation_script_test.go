@@ -188,14 +188,14 @@ func scratchMatrix() []scratchCell {
 		cells = append(cells, scratchCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			cc: func(g *graph.Graph) ([]VertexID, error) {
-				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b})
+				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: b})
 				if err != nil {
 					return nil, err
 				}
 				return res.Color, nil
 			},
 			sssp: func(g *graph.Graph, src VertexID) ([]float64, error) {
-				res, err := blockcentric.SSSP(g, src, blockcentric.Config{Blocks: b})
+				res, err := blockcentric.SSSP(g, src, blockcentric.Config{Workers: b})
 				if err != nil {
 					return nil, err
 				}

@@ -195,7 +195,7 @@ func TestPackedStateCCDifferential(t *testing.T) {
 		for _, b := range []int{2, 3} {
 			b := b
 			cells = append(cells, engineCC(fmt.Sprintf("blockcentric/b%d", b), false, false, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, CheckpointEvery: ck, Faults: plan})
+				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: b, CheckpointEvery: ck, Faults: plan})
 				if err != nil {
 					return nil, nil, err
 				}

@@ -105,7 +105,7 @@ func (p *prConvergeProgram) StateUnits(v *prValue) int64 { return 1 }
 // supersteps that took.
 func PageRankConverge(g *graph.Graph, alpha, eps float64, cfg Config) (*PageRankResult, int, error) {
 	prog := &prConvergeProgram{n: g.N(), alpha: alpha, eps: eps}
-	eng := pregel.NewEngine[prValue, float64](g, prog, engineCfg[float64](cfg))
+	eng := pregel.NewEngine[prValue, float64](g, prog, pregelConfig[float64](Env{Config: cfg}))
 	eng.RegisterAggregator("delta", pregel.SumFloat64())
 	res, err := eng.Run()
 	if err != nil {
@@ -146,7 +146,7 @@ func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*
 // pageRankPregel is the (pagerank, pregel) matrix row: a.K folds from
 // seed ranks (nil is the uniform cold start).
 func pageRankPregel(g *graph.Graph, a Args, seed []float64, env Env) Run {
-	ecfg := pregelCfg[float64](env)
+	ecfg := pregelConfig[float64](env)
 	if !env.NoCombiner {
 		ecfg.Combiner = func(a, b float64) float64 { return a + b }
 	}

@@ -72,7 +72,7 @@ func PersonalizedPageRank(g *graph.Graph, src VertexID, walks int, c float64, cf
 		walks = 10000
 	}
 	prog := &pprProgram{src: src, walks: walks, restart: c, maxLen: 128}
-	ecfg := engineCfg[int8](cfg)
+	ecfg := pregelConfig[int8](Env{Config: cfg})
 	if ecfg.MaxSupersteps == 0 {
 		ecfg.MaxSupersteps = prog.maxLen + 8
 	}

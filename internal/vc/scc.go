@@ -134,7 +134,7 @@ func SCC(g *graph.Graph, cfg Config) (*SCCResult, error) {
 	}
 	g.EnsureIn()
 	prog := &sccProgram{}
-	eng := pregel.NewEngine[sccValue, VertexID](g, prog, engineCfg[VertexID](cfg))
+	eng := pregel.NewEngine[sccValue, VertexID](g, prog, pregelConfig[VertexID](Env{Config: cfg}))
 	eng.RegisterAggregator("changed", pregel.BoolOr())
 	eng.RegisterAggregator("remaining", pregel.SumInt64())
 	res, err := eng.Run()

@@ -181,7 +181,7 @@ func (p *scProgram) StateUnits(v *scValue) int64 {
 func SemiClustering(g *graph.Graph, sc SemiClusterConfig, cfg Config) (*SemiClusterResult, error) {
 	sc.defaults()
 	prog := &scProgram{p: sc}
-	ecfg := engineCfg[scMsg](cfg)
+	ecfg := pregelConfig[scMsg](Env{Config: cfg})
 	if ecfg.MaxSupersteps == 0 {
 		ecfg.MaxSupersteps = sc.Iterations + 4
 	}

@@ -180,7 +180,7 @@ func runSim(g, q *graph.Graph, dual bool, cfg Config) (*SimResult, error) {
 	g.EnsureIn()
 	q.EnsureIn()
 	prog := &simProgram{q: q, dual: dual}
-	eng := pregel.NewEngine[simValue, simMsg](g, prog, engineCfg[simMsg](cfg))
+	eng := pregel.NewEngine[simValue, simMsg](g, prog, pregelConfig[simMsg](Env{Config: cfg}))
 	res, err := eng.Run()
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, 
 
 // ssspPregel is the (sssp, pregel) matrix row.
 func ssspPregel(g *graph.Graph, a Args, seed []float64, env Env) Run {
-	ecfg := pregelCfg[float64](env)
+	ecfg := pregelConfig[float64](env)
 	// SSSP sends a distinct distance per edge (SendTo, never a
 	// broadcast), so a pulled superstep would find no broadcast slots
 	// and waste an O(n+m) transpose scan. Pin the push path.

@@ -71,7 +71,7 @@ func TestStatsParityPageRank(t *testing.T) {
 		// Pin push here too: under auto, blocks whose traffic is mostly
 		// intra-block reroute it around the wire, and Sent would
 		// (correctly) drop to the boundary-only count.
-		res, err := blockcentric.PageRank(g, 0.85, k, blockcentric.Config{Blocks: b, Mode: runtime.DirectionPush})
+		res, err := blockcentric.PageRank(g, 0.85, k, blockcentric.Config{Workers: b, Mode: runtime.DirectionPush})
 		if err != nil {
 			t.Fatalf("blockcentric blocks=%d: %v", b, err)
 		}
@@ -325,12 +325,12 @@ func TestDriverMeasuredAccounting(t *testing.T) {
 	} else {
 		stats["gas/pagerank"] = res.Stats
 	}
-	if res, err := blockcentric.SSSP(g, 0, blockcentric.Config{Blocks: 3}); err != nil {
+	if res, err := blockcentric.SSSP(g, 0, blockcentric.Config{Workers: 3}); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["blockcentric/sssp"] = res.Stats
 	}
-	if res, err := blockcentric.PageRank(g, 0.85, 6, blockcentric.Config{Blocks: 3}); err != nil {
+	if res, err := blockcentric.PageRank(g, 0.85, 6, blockcentric.Config{Workers: 3}); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["blockcentric/pagerank"] = res.Stats
@@ -377,9 +377,9 @@ func TestCapSentinelCrossesEngines(t *testing.T) {
 	g := parityGraph(t)
 
 	_, pregelErr := SSSP(g, 0, Config{MaxSupersteps: 1})
-	_, _, gasErr := gas.SSSP(g, 0, gas.Config{MaxIterations: 1})
+	_, _, gasErr := gas.SSSP(g, 0, gas.Config{MaxSupersteps: 1})
 	_, bcErr := blockcentric.SSSP(g, 0, blockcentric.Config{MaxSupersteps: 1})
-	_, _, asyncErr := async.SSSP(g, 0, async.Config{MaxUpdates: 1})
+	_, _, asyncErr := async.SSSP(g, 0, async.Config{MaxSupersteps: 1})
 
 	for name, err := range map[string]error{
 		"pregel":       pregelErr,

@@ -233,7 +233,7 @@ func StrongSimulation(g, q *graph.Graph, cfg Config) (*StrongSimResult, error) {
 	}
 	dq := int(seq.QueryDiameter(q))
 	prog := &ssProgram{q: q, dq: dq, dual: dualRes.Match}
-	eng := pregel.NewEngine[ssValue, ssMsg](g, prog, engineCfg[ssMsg](cfg))
+	eng := pregel.NewEngine[ssValue, ssMsg](g, prog, pregelConfig[ssMsg](Env{Config: cfg}))
 	res, err := eng.Run()
 	if err != nil {
 		return nil, err

@@ -230,7 +230,7 @@ func SVCCTrace(g *graph.Graph, cfg Config) (*SVResult, [][]VertexID, error) {
 
 func runSV(g *graph.Graph, cfg Config, trace bool) (*SVResult, error) {
 	prog := &svProgram{trace: trace}
-	eng := pregel.NewEngine[svValue, svMsg](g, prog, engineCfg[svMsg](cfg))
+	eng := pregel.NewEngine[svValue, svMsg](g, prog, pregelConfig[svMsg](Env{Config: cfg}))
 	eng.RegisterAggregator("changed", pregel.BoolOr())
 	eng.RegisterAggregator("hooked", pregel.Collect[[2]VertexID]())
 	eng.RegisterAggregator("snapshot", pregel.Collect[[2]VertexID]())

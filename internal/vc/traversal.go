@@ -152,7 +152,7 @@ func eulerPipeline(t *graph.Graph, root VertexID, cfg Config) (*eulerNumbers, er
 	}
 	eg.EnsureIn()
 	fw := &fwProgram{rev: rev, sum1: lr1.Sum}
-	fwEng := pregel.NewEngine[fwValue, int64](eg, fw, engineCfg[int64](cfg))
+	fwEng := pregel.NewEngine[fwValue, int64](eg, fw, pregelConfig[int64](Env{Config: cfg}))
 	fwRes, err := fwEng.Run()
 	if err != nil {
 		return nil, err

@@ -132,7 +132,7 @@ func Triangles(g *graph.Graph, cfg Config) (*TriangleResult, error) {
 		rank[v] = int32(i)
 	}
 	prog := &triProgram{rank: rank}
-	eng := pregel.NewEngine[triValue, triMsg](g, prog, engineCfg[triMsg](cfg))
+	eng := pregel.NewEngine[triValue, triMsg](g, prog, pregelConfig[triMsg](Env{Config: cfg}))
 	res, err := eng.Run()
 	if err != nil {
 		return nil, err
