@@ -16,65 +16,25 @@ import (
 	"vcgraph/internal/vc"
 )
 
-// evolve runs the incremental-vs-recompute loop. The graph already
-// carries the weights the main run assigned (sssp); incremental CC and
-// SSSP additionally require it to be undirected.
+// evolve runs the incremental-vs-recompute loop on the algorithm's inc
+// row of the engine matrix. The graph already carries the weights the
+// main run assigned (sssp); incremental CC and SSSP additionally require
+// it to be undirected.
 func evolve(g *graph.Graph, algo string, src graph.VertexID, rounds, batch int, seed int64) error {
-	var (
-		ccPrior *vc.IncCCState
-		ssPrior *vc.IncSSSPState
-		prPrior *vc.IncPRState
-	)
-	// runInc computes the current answer; warm advances the retained
-	// state, cold recomputes from scratch and leaves the state alone.
-	runInc := func(warm bool) ([]float64, int64, error) {
-		var cfg vc.IncConfig
-		switch algo {
-		case "hashmin":
-			prior := ccPrior
-			if !warm {
-				prior = nil
-			}
-			st, stats, err := vc.IncrementalCC(g, prior, cfg)
-			if err != nil {
-				return nil, 0, err
-			}
-			if warm {
-				ccPrior = st
-			}
-			vals := make([]float64, len(st.Labels))
-			for i, l := range st.Labels {
-				vals[i] = float64(l)
-			}
-			return vals, stats.TotalWork, nil
-		case "sssp":
-			prior := ssPrior
-			if !warm {
-				prior = nil
-			}
-			st, stats, err := vc.IncrementalSSSP(g, src, prior, cfg)
-			if err != nil {
-				return nil, 0, err
-			}
-			if warm {
-				ssPrior = st
-			}
-			return st.Dist, stats.TotalWork, nil
-		case "pagerank":
-			prior := prPrior
-			if !warm {
-				prior = nil
-			}
-			st, stats, err := vc.IncrementalPageRank(g, 0.85, 30, prior, cfg)
-			if err != nil {
-				return nil, 0, err
-			}
-			if warm {
-				prPrior = st
-			}
-			return st.Ranks(), stats.TotalWork, nil
+	row, ok := vc.Matrix[vc.Key{Algo: matrixAlgos[algo], Engine: vc.EngineInc}]
+	if !ok {
+		return fmt.Errorf("-mutations supports pagerank, sssp, and hashmin, not %q", algo)
+	}
+	args := vc.Args{Src: src, Alpha: 0.85, K: 30}
+	var retained vc.Prior
+	// runInc computes the current answer: resuming from prior advances
+	// it, a nil prior recomputes from scratch and keeps nothing.
+	runInc := func(prior *vc.Prior) ([]float64, int64, error) {
+		values, stats, err := row(g, args, nil, vc.Env{Prior: prior})()
+		if err != nil {
+			return nil, 0, err
 		}
-		return nil, 0, fmt.Errorf("-mutations supports pagerank, sssp, and hashmin, not %q", algo)
+		return values, stats.TotalWork, nil
 	}
 
 	// Live-edge multiset so every generated batch validates: deletes
@@ -112,7 +72,7 @@ func evolve(g *graph.Graph, algo string, src graph.VertexID, rounds, batch int, 
 
 	// Round 0 is the cold run that seeds the retained state.
 	start := time.Now()
-	if _, _, err := runInc(true); err != nil {
+	if _, _, err := runInc(&retained); err != nil {
 		return err
 	}
 	coldSeed := time.Since(start)
@@ -124,13 +84,13 @@ func evolve(g *graph.Graph, algo string, src graph.VertexID, rounds, batch int, 
 			return fmt.Errorf("round %d: %w", round, err)
 		}
 		t0 := time.Now()
-		warmVals, ww, err := runInc(true)
+		warmVals, ww, err := runInc(&retained)
 		if err != nil {
 			return fmt.Errorf("round %d (incremental): %w", round, err)
 		}
 		warmTime += time.Since(t0)
 		t0 = time.Now()
-		coldVals, cw, err := runInc(false)
+		coldVals, cw, err := runInc(nil)
 		if err != nil {
 			return fmt.Errorf("round %d (recompute): %w", round, err)
 		}

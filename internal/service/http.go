@@ -196,22 +196,23 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		"workers": job.Workers(),
 		"steps":   job.Steps(),
 	}
+	res := rec.result()
 	if rec.spec.Incremental {
 		status["incremental"] = true
 		if rec.spec.Resume != 0 {
 			status["resume"] = rec.spec.Resume
 		}
+		if res != nil {
+			status["cold"] = res.prior.Cold
+		}
 	}
 	if err := job.Err(); err != nil {
 		status["error"] = err.Error()
 	}
-	if res := rec.result(); res != nil {
+	if res != nil {
 		status["verdict"] = res.verdict
 		status["summary"] = res.summary
-		status["epoch"] = res.epoch
-		if res.inc != nil {
-			status["cold"] = res.inc.cold()
-		}
+		status["epoch"] = res.prior.Epoch
 		if res.auto != nil {
 			status["plan"] = res.auto
 		}

@@ -85,7 +85,7 @@ func TestIncrementalJobChain(t *testing.T) {
 	ssJob, ss0 := submitJob(JobSpec{Graph: "g", Algo: "sssp", Incremental: true, Src: 3})
 	prJob, pr0 := submitJob(JobSpec{Graph: "g", Algo: "pagerank", Engine: "inc", K: 15})
 	for _, res := range []*runResult{cc0, ss0, pr0} {
-		if res.inc == nil || !res.inc.cold() {
+		if !res.prior.Cold {
 			t.Fatal("first incremental run should be cold and carry state")
 		}
 	}
@@ -102,7 +102,7 @@ func TestIncrementalJobChain(t *testing.T) {
 	ss1 := submit(JobSpec{Graph: "g", Algo: "sssp", Engine: "inc", Src: 3, Resume: ssJob.ID()})
 	pr1 := submit(JobSpec{Graph: "g", Algo: "pagerank", Engine: "inc", K: 15, Resume: prJob.ID()})
 	for _, res := range []*runResult{cc1, ss1, pr1} {
-		if res.inc.cold() {
+		if res.prior.Cold {
 			t.Fatal("resumed run fell back to cold")
 		}
 	}
@@ -151,7 +151,7 @@ func TestIncrementalResumeFromPlainJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := waitResult(t, s, job)
-	if res.inc.cold() {
+	if res.prior.Cold {
 		t.Fatal("resume from plain CC job fell back to cold")
 	}
 	scratch, err := s.Submit(JobSpec{Graph: "g", Algo: "cc", Engine: "async"})
@@ -197,6 +197,59 @@ func TestResumeValidation(t *testing.T) {
 		if _, err := s.Submit(tc.spec); err == nil {
 			t.Errorf("%s: submit accepted", tc.name)
 		}
+	}
+}
+
+// TestResumeRejectsReRegisteredGraph: epochs count mutations of one
+// registration, so a graph evicted and registered again under the same
+// name can reach the prior job's epoch with other edges. Resuming across
+// the two registrations must fail at submit, not warm-start from the
+// old graph's answer.
+func TestResumeRejectsReRegisteredGraph(t *testing.T) {
+	s := NewServer(Options{Workers: 1, MaxJobs: 1, GraphTTL: time.Minute})
+	defer s.Close()
+	base := time.Now()
+	s.now = func() time.Time { return base }
+	register := func(edges [][]float64) {
+		t.Helper()
+		if err := s.RegisterGraph(GraphSpec{Name: "g", N: 4, Edges: edges}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register([][]float64{{0, 1}, {2, 3}})
+	job, err := s.Submit(JobSpec{Graph: "g", Algo: "cc", Engine: "pregel", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := waitResult(t, s, job); res.prior.Epoch != 2 || !reflect.DeepEqual(res.values, []float64{0, 0, 2, 2}) {
+		t.Fatalf("first registration: epoch %d, labels %v", res.prior.Epoch, res.values)
+	}
+
+	s.now = func() time.Time { return base.Add(2 * time.Minute) }
+	if evicted := s.EvictGraphs(); !reflect.DeepEqual(evicted, []string{"g"}) {
+		t.Fatalf("evicted %v, want [g]", evicted)
+	}
+	register([][]float64{{0, 2}, {1, 3}})
+	if _, _, _, epoch, _ := s.GraphInfo("g"); epoch != 2 {
+		t.Fatalf("second registration at epoch %d, want 2 like the first", epoch)
+	}
+	_, err = s.Submit(JobSpec{Graph: "g", Algo: "cc", Engine: "inc", Resume: job.ID()})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("job %d", job.ID())) || !strings.Contains(err.Error(), `"g"`) {
+		t.Fatalf("resume across registrations: err = %v", err)
+	}
+}
+
+// TestIncrementalNeedsIncEngine: "incremental" names the inc engine, so
+// pairing it with another engine is refused at submit rather than run
+// as a plain job whose status claims it was incremental.
+func TestIncrementalNeedsIncEngine(t *testing.T) {
+	s := New(1, 1)
+	defer s.Close()
+	if err := s.RegisterGraph(GraphSpec{Name: "g", Gen: "path", N: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(JobSpec{Graph: "g", Algo: "cc", Engine: "pregel", Incremental: true}); err == nil {
+		t.Fatal("incremental job on pregel accepted")
 	}
 }
 

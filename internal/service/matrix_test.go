@@ -11,8 +11,8 @@ import (
 )
 
 // TestServiceServesExactlyTheMatrix: Submit accepts a (algorithm,
-// engine) pair iff it is a row of vc.Matrix or one of the two harnesses
-// ("auto", "inc") over an algorithm they take — and nothing else.
+// engine) pair iff it is a row of vc.Matrix or the "auto" harness over
+// an algorithm it takes — and nothing else.
 func TestServiceServesExactlyTheMatrix(t *testing.T) {
 	s := New(2, 1)
 	defer s.Close()
@@ -20,7 +20,7 @@ func TestServiceServesExactlyTheMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	algos := map[string]bool{"mincut": true}
-	engines := map[string]bool{"auto": true, "inc": true, "warp": true}
+	engines := map[string]bool{"auto": true, "warp": true}
 	for key := range vc.Matrix {
 		algos[key.Algo], engines[key.Engine] = true, true
 	}
@@ -28,7 +28,7 @@ func TestServiceServesExactlyTheMatrix(t *testing.T) {
 	for algo := range algos {
 		for engine := range engines {
 			_, want := vc.Matrix[vc.Key{Algo: algo, Engine: engine}]
-			if engine == "auto" || engine == "inc" {
+			if engine == "auto" {
 				want = harnessed[algo]
 			}
 			job, err := s.Submit(JobSpec{Graph: "g", Algo: algo, Engine: engine, Workers: 1, K: 3})

@@ -16,70 +16,21 @@ import (
 // runResult is the normalized output of any algorithm × engine pair:
 // one float64 per vertex (ranks, distances, component labels, or
 // coreness — labels and coreness are integers, exact in a float64),
-// the job-level stats summary, and a one-line human verdict. epoch is
-// the graph's mutation epoch at prepare time, so a later incremental
-// job can resume from this result; inc carries the richer incremental
-// state when the job ran on the inc engine.
+// the job-level stats summary, a one-line human verdict, and the Prior
+// a later inc job resumes from (its Values are values).
 type runResult struct {
 	values  []float64
 	summary bsp.Summary
 	verdict string
-	epoch   int64
-	inc     *incState
+	prior   vc.Prior
 	// auto carries the plan layer's decision log and sampled graph
 	// statistics when the job ran on the "auto" engine.
 	auto *vc.AutoResult
 }
 
-// incState holds whichever incremental state a job produced, or a
-// resuming job warm-starts from.
-type incState struct {
-	cc   *vc.IncCCState
-	sssp *vc.IncSSSPState
-	pr   *vc.IncPRState
-}
-
-// cold reports whether the run recomputed from scratch (no usable
-// prior state — first run, mismatched resume, or truncated log).
-func (b *incState) cold() bool {
-	switch {
-	case b.cc != nil:
-		return b.cc.Cold
-	case b.sssp != nil:
-		return b.sssp.Cold
-	case b.pr != nil:
-		return b.pr.Cold
-	}
-	return true
-}
-
-// priorFromResult reconstructs warm-start state from a prior job's
-// result. An incremental prior hands over its state directly; a plain
-// prior seeds CC/SSSP from its converged values and prepare-time epoch
-// (their fixpoints are engine-independent, and result already put the
-// unreachable distances in the incremental engine's spelling).
-func priorFromResult(spec JobSpec, res *runResult) *incState {
-	if res.inc != nil {
-		return res.inc
-	}
-	switch spec.Algo {
-	case "cc":
-		labels := make([]graph.VertexID, len(res.values))
-		for i, v := range res.values {
-			labels[i] = graph.VertexID(v)
-		}
-		return &incState{cc: &vc.IncCCState{Epoch: res.epoch, Labels: labels}}
-	case "sssp":
-		dist := append([]float64(nil), res.values...)
-		return &incState{sssp: &vc.IncSSSPState{Epoch: res.epoch, Src: graph.VertexID(spec.Src), Dist: dist}}
-	}
-	return nil
-}
-
 // validEngines enumerates the engines an algorithm runs on, sorted:
-// its rows of the engine matrix, plus the two harnesses that are not
-// rows — "auto" (the plan layer, which moves between rows mid-run) and
-// "inc" (resumable evolving-graph state) — where they take it. Empty
+// its rows of the engine matrix, plus "auto" — the plan layer, which
+// moves between rows mid-run — where it takes the algorithm. Empty
 // means the algorithm is unknown.
 func validEngines(algo string) []string {
 	var names []string
@@ -90,9 +41,6 @@ func validEngines(algo string) []string {
 	}
 	if _, ok := vc.AutoAlgorithms[algo]; ok {
 		names = append(names, "auto")
-	}
-	if incRuns[algo] != nil {
-		names = append(names, "inc")
 	}
 	slices.Sort(names)
 	return names
@@ -147,8 +95,8 @@ func validateSpec(spec JobSpec) error {
 		return fmt.Errorf("service: algorithm %q does not run on engine %q (valid engines: %s)",
 			spec.Algo, spec.Engine, strings.Join(valid, ", "))
 	}
-	if spec.Resume != 0 && spec.Engine != "inc" {
-		return fmt.Errorf("service: resume requires the inc engine, got %q", spec.Engine)
+	if (spec.Incremental || spec.Resume != 0) && spec.Engine != "inc" {
+		return fmt.Errorf("service: incremental and resume require the inc engine, got %q", spec.Engine)
 	}
 	if _, err := rt.ParseDirectionMode(spec.Mode); err != nil {
 		return fmt.Errorf("service: %w", err)
@@ -165,14 +113,12 @@ func faultPlan(spec JobSpec) *rt.FaultPlan {
 
 // prepareRunner is the prepare phase of a job: it is called with the
 // graph's read lock held, prepares spec's (algorithm, engine) row of
-// the engine matrix — or one of the two harnesses around it — pinning a
-// CSR snapshot and performing every read of the mutable adjacency, and
+// the engine matrix — or the auto harness around it — pinning a CSR
+// snapshot and performing every read of the mutable adjacency, and
 // returns a closure that runs lock-free against the snapshot. spec has
-// passed withDefaults and validateSpec.
-func (s *Server) prepareRunner(g *graph.Graph, spec JobSpec, prior *incState, job *rt.Job) (func() (*runResult, error), error) {
-	if spec.Engine == "inc" {
-		return prepareInc(g, spec, prior, job)
-	}
+// passed withDefaults and validateSpec; resume is the Prior an inc job
+// resumes from, or nil.
+func (s *Server) prepareRunner(g *graph.Graph, spec JobSpec, resume *vc.Prior, job *rt.Job) (func() (*runResult, error), error) {
 	mode, err := rt.ParseDirectionMode(spec.Mode)
 	if err != nil {
 		return nil, err
@@ -186,6 +132,13 @@ func (s *Server) prepareRunner(g *graph.Graph, spec JobSpec, prior *incState, jo
 		Faults:            faultPlan(spec),
 		FCS:               spec.FCS,
 		Job:               job,
+	}
+	// Every job leaves a Prior: an inc row overwrites this one with its
+	// own state, any other job leaves its values (result fills them in)
+	// at the prepare-time epoch.
+	prior := resume
+	if prior == nil {
+		prior = &vc.Prior{Epoch: g.Epoch(), Args: args}
 	}
 	if spec.Engine == "auto" {
 		// The orchestrator samples the pinned snapshot, picks the initial
@@ -203,98 +156,32 @@ func (s *Server) prepareRunner(g *graph.Graph, spec JobSpec, prior *incState, jo
 			if err != nil {
 				return nil, err
 			}
-			out := result(spec, values, ar.Stats)
+			out := result(spec, values, ar.Stats, prior)
 			out.auto = ar
 			return out, nil
 		}, nil
 	}
-	run := vc.Matrix[vc.Key{Algo: spec.Algo, Engine: spec.Engine}](g, args, nil, vc.Env{Config: cfg})
+	run := vc.Matrix[vc.Key{Algo: spec.Algo, Engine: spec.Engine}](g, args, nil, vc.Env{Config: cfg, Prior: prior})
 	return func() (*runResult, error) {
 		values, stats, err := run()
 		if err != nil {
 			return nil, err
 		}
-		return result(spec, values, stats), nil
-	}, nil
-}
-
-type incRun func() ([]float64, *bsp.Stats, *incState, error)
-
-// incRuns is the evolving-graph engine, one entry per algorithm: each
-// pins a delta view and performs the seed analysis under the graph read
-// lock, and its run drains (or for PageRank, sweeps) lock-free,
-// returning the values alongside the state the next resume chains from.
-var incRuns = map[string]func(*graph.Graph, JobSpec, *incState, vc.IncConfig) incRun{
-	"pagerank": func(g *graph.Graph, spec JobSpec, prior *incState, cfg vc.IncConfig) incRun {
-		run := vc.PrepareIncrementalPageRank(g, spec.Alpha, spec.K, prior.pr, cfg)
-		return func() ([]float64, *bsp.Stats, *incState, error) {
-			st, stats, err := run()
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return st.Ranks(), stats, &incState{pr: st}, nil
-		}
-	},
-	"sssp": func(g *graph.Graph, spec JobSpec, prior *incState, cfg vc.IncConfig) incRun {
-		run := vc.PrepareIncrementalSSSP(g, graph.VertexID(spec.Src), prior.sssp, cfg)
-		return func() ([]float64, *bsp.Stats, *incState, error) {
-			st, stats, err := run()
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return st.Dist, stats, &incState{sssp: st}, nil
-		}
-	},
-	"cc": func(g *graph.Graph, spec JobSpec, prior *incState, cfg vc.IncConfig) incRun {
-		run := vc.PrepareIncrementalCC(g, prior.cc, cfg)
-		return func() ([]float64, *bsp.Stats, *incState, error) {
-			st, stats, err := run()
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			values := make([]float64, len(st.Labels))
-			for i, l := range st.Labels {
-				values[i] = float64(l)
-			}
-			return values, stats, &incState{cc: st}, nil
-		}
-	},
-}
-
-func prepareInc(g *graph.Graph, spec JobSpec, prior *incState, job *rt.Job) (func() (*runResult, error), error) {
-	if g.Directed && spec.Algo != "pagerank" {
-		return nil, fmt.Errorf("service: incremental %s requires an undirected graph", spec.Algo)
-	}
-	if prior == nil {
-		prior = &incState{}
-	}
-	run := incRuns[spec.Algo](g, spec, prior, vc.IncConfig{
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	})
-	return func() (*runResult, error) {
-		values, stats, state, err := run()
-		if err != nil {
-			return nil, err
-		}
-		out := result(spec, values, stats)
-		out.inc = state
-		return out, nil
+		return result(spec, values, stats, prior), nil
 	}, nil
 }
 
 // result is the one exit every job's values leave through. The engine
 // matrix reports an unreachable SSSP vertex as +Inf, which JSON cannot
 // carry; here, once, it becomes vc.Unreachable — the finite sentinel
-// the incremental engine already holds and the wire documents.
-func result(spec JobSpec, values []float64, stats *bsp.Stats) *runResult {
+// the wire documents.
+func result(spec JobSpec, values []float64, stats *bsp.Stats, prior *vc.Prior) *runResult {
 	for i, v := range values {
 		if math.IsInf(v, 1) {
 			values[i] = vc.Unreachable
 		}
 	}
+	prior.Values = values
 	args := vc.Args{Src: graph.VertexID(spec.Src)}
-	return &runResult{values: values, summary: stats.Summarize(), verdict: vc.Verdict(spec.Algo, args, values)}
+	return &runResult{values: values, summary: stats.Summarize(), verdict: vc.Verdict(spec.Algo, args, values), prior: *prior}
 }

@@ -63,12 +63,14 @@ type JobSpec struct {
 	Algo   string `json:"algo"`             // pagerank | sssp | cc | kcore
 	Engine string `json:"engine,omitempty"` // pregel (default) | gas | async | blockcentric | inc | auto
 	// Incremental runs the algorithm's evolving-graph form (engine
-	// "inc"): warm-started from the job named by Resume when its state
-	// is still valid for the graph's mutation log, cold otherwise.
+	// "inc", which it implies and no other engine takes): warm-started
+	// from the job named by Resume when its state is still valid for the
+	// graph's mutation log, cold otherwise.
 	Incremental bool `json:"incremental,omitempty"`
 	// Resume names a prior job ID to warm-start from. The prior job
-	// must have succeeded on the same graph with the same algorithm and
-	// parameters. 0 means a cold incremental run.
+	// must have succeeded on the same registration of the same graph
+	// with the same algorithm and parameters. 0 means a cold incremental
+	// run.
 	Resume int64 `json:"resume,omitempty"`
 	// Mode is the direction mode of the engines that have one (pregel,
 	// gas, blockcentric): push, pull, or auto (default).
@@ -136,6 +138,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	graphs   map[string]*graphEntry
+	regs     int64 // graph registrations so far, numbering graphEntry.reg
 	jobs     map[int64]*jobRecord
 	jobOrder []int64 // submission order, for oldest-first eviction
 }
@@ -145,16 +148,20 @@ type Server struct {
 type graphEntry struct {
 	mu sync.RWMutex
 	g  *graph.Graph
+	// reg numbers this registration: a name evicted and registered again
+	// is another graph, whose epochs restart.
+	reg int64
 
 	// lastUsed is the last registration, mutation, or job submission
 	// touching this graph, guarded by the server mutex (not mu).
 	lastUsed time.Time
 }
 
-// jobRecord pairs a runtime job handle with its spec and, once the
-// run succeeds, its result.
+// jobRecord pairs a runtime job handle with its spec, the graph
+// registration it ran on and, once the run succeeds, its result.
 type jobRecord struct {
 	spec JobSpec
+	reg  int64
 	job  *rt.Job
 
 	mu  sync.Mutex
@@ -214,7 +221,8 @@ func (s *Server) RegisterGraph(spec GraphSpec) error {
 	if _, dup := s.graphs[spec.Name]; dup {
 		return fmt.Errorf("service: graph %q already registered", spec.Name)
 	}
-	s.graphs[spec.Name] = &graphEntry{g: g, lastUsed: s.now()}
+	s.regs++
+	s.graphs[spec.Name] = &graphEntry{g: g, reg: s.regs, lastUsed: s.now()}
 	return nil
 }
 
@@ -365,7 +373,7 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
-	prior, err := s.resumeState(spec)
+	resume, err := s.resumeState(spec, ent.reg)
 	if err != nil {
 		return nil, err
 	}
@@ -375,12 +383,11 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 	if spec.TimeoutMS > 0 {
 		ctx, timeoutCancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMS)*time.Millisecond)
 	}
-	rec := &jobRecord{spec: spec}
+	rec := &jobRecord{spec: spec, reg: ent.reg}
 	name := spec.Algo + "/" + spec.Engine
 	job := s.sched.Submit(ctx, name, share, func(j *rt.Job) error {
 		ent.mu.RLock()
-		epoch := ent.g.Epoch()
-		run, err := s.prepareRunner(ent.g, spec, prior, j)
+		run, err := s.prepareRunner(ent.g, spec, resume, j)
 		ent.mu.RUnlock()
 		if err != nil {
 			return err
@@ -389,7 +396,6 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 		if err != nil {
 			return err
 		}
-		res.epoch = epoch
 		rec.mu.Lock()
 		rec.res = res
 		rec.mu.Unlock()
@@ -407,13 +413,13 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 	return job, nil
 }
 
-// resumeState resolves spec.Resume into warm-start state for an
-// incremental job: the prior job must have succeeded on the same graph
-// with the same algorithm and parameters. CC and SSSP can seed from any
-// engine's converged values (unique fixpoints); PageRank needs the
-// memoized history only an incremental prior carries.
-func (s *Server) resumeState(spec JobSpec) (*incState, error) {
-	if spec.Engine != "inc" || spec.Resume == 0 {
+// resumeState resolves spec.Resume into a copy of the prior job's
+// Prior: the prior job must have succeeded on the same registration of
+// the same graph with the same algorithm and parameters. CC and SSSP
+// resume from any engine's converged values (unique fixpoints);
+// PageRank needs the rank history only an inc prior carries.
+func (s *Server) resumeState(spec JobSpec, reg int64) (*vc.Prior, error) {
+	if spec.Resume == 0 {
 		return nil, nil
 	}
 	rec, err := s.JobRecord(spec.Resume)
@@ -429,6 +435,9 @@ func (s *Server) resumeState(spec JobSpec) (*incState, error) {
 		return nil, fmt.Errorf("service: resume job %d ran %s on graph %q, want %s on %q",
 			spec.Resume, p.Algo, p.Graph, spec.Algo, spec.Graph)
 	}
+	if rec.reg != reg {
+		return nil, fmt.Errorf("service: resume job %d ran on an earlier registration of graph %q", spec.Resume, spec.Graph)
+	}
 	switch spec.Algo {
 	case "sssp":
 		if p.Src != spec.Src {
@@ -439,11 +448,12 @@ func (s *Server) resumeState(spec JobSpec) (*incState, error) {
 			return nil, fmt.Errorf("service: resume job %d used alpha=%v k=%d, want alpha=%v k=%d",
 				spec.Resume, p.Alpha, p.K, spec.Alpha, spec.K)
 		}
-		if res.inc == nil || res.inc.pr == nil {
+		if res.prior.Hist == nil {
 			return nil, fmt.Errorf("service: pagerank resume needs an incremental prior, job %d ran engine %q", spec.Resume, p.Engine)
 		}
 	}
-	return priorFromResult(spec, res), nil
+	prior := res.prior
+	return &prior, nil
 }
 
 // JobRecord returns the record for a submitted job ID.

@@ -264,11 +264,7 @@ func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *Au
 		if err != nil {
 			return nil, ar, err
 		}
-		color := make([]VertexID, len(labels))
-		for v, l := range labels {
-			color[v] = VertexID(l)
-		}
-		return &CCResult{Color: color, Stats: ar.Stats}, ar, nil
+		return &CCResult{Color: ints[VertexID](labels), Stats: ar.Stats}, ar, nil
 	}
 }
 

@@ -6,18 +6,14 @@ import (
 	"vcgraph/internal/graph"
 )
 
-// incInf is the unreachable-distance sentinel: the async engine's
-// label-correcting SSSP one (1e308, not math.Inf), so incremental and
-// async from-scratch results are byte-identical including unreachable
-// vertices.
-const incInf = async.DistInf
-
 // Unreachable is the one finite spelling of an unreachable distance:
-// what the incremental SSSP state holds and what the serving layer
-// puts on the wire in place of the engine matrix's +Inf. Callers
-// seeding IncSSSPState.Dist from a matrix row must normalize +Inf
-// entries to this value.
-const Unreachable = incInf
+// the async engine's label-correcting sentinel (1e308, not math.Inf),
+// so incremental and async from-scratch states are byte-identical
+// including unreachable vertices. It is what IncSSSPState.Dist holds
+// and what the serving layer puts on the wire in place of the engine
+// matrix's +Inf. Callers seeding IncSSSPState.Dist from a matrix row
+// must normalize +Inf entries to this value (the inc row does).
+const Unreachable = async.DistInf
 
 // IncSSSPState is the persistent state of incremental SSSP: converged
 // distances from Src at graph epoch Epoch.
@@ -73,7 +69,7 @@ func PrepareIncrementalSSSP(g *graph.Graph, src VertexID, prior *IncSSSPState, c
 	}
 	if cold {
 		for v := range dist {
-			dist[v] = incInf
+			dist[v] = Unreachable
 		}
 		dist[src] = 0
 	}
@@ -129,7 +125,7 @@ func seedSSSP(view *graph.DeltaCSR, dist []float64, src VertexID, muts []graph.M
 		})
 	}
 	for v := range invalid {
-		dist[v] = incInf
+		dist[v] = Unreachable
 	}
 	// Activate the closure and its current neighbors (the neighbors
 	// hold the valid distances re-relaxation pulls from; the closure's
@@ -159,7 +155,7 @@ func makeSSSPUpdate(view *graph.DeltaCSR, dist *[]float64, src VertexID) func(Ve
 	var scratch []VertexID
 	return func(v VertexID) []VertexID {
 		ds := *dist
-		d := incInf
+		d := Unreachable
 		if v == src {
 			d = 0
 		}

@@ -153,7 +153,7 @@ func TestIncrementalSSSPDeleteLengthens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.Dist[3] != incInf {
+	if st3.Dist[3] != Unreachable {
 		t.Fatalf("disconnected vertex dist = %v, want sentinel", st3.Dist[3])
 	}
 	if got := asyncSSSP(t, g, 0); !reflect.DeepEqual(st3.Dist, got) {

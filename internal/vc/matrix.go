@@ -2,7 +2,9 @@
 // engine E — which program, seeded how, under which engine Config,
 // returning what. Every consumer that runs "the same algorithm under a
 // different execution model" (the adaptive plan layer, the serving
-// daemon, cmd/vcrun, the planner ablation) looks its run up here.
+// daemon, cmd/vcrun, the planner ablation) looks its run up here. The
+// incremental engine is a column like the others: the async worklist
+// model started from a prior result (Env.Prior).
 //
 // Values are one float64 per vertex: ranks, distances, component
 // labels, coreness (the integers are exact in a float64). An
@@ -33,10 +35,10 @@ type Args struct {
 	Eps   float64  // pagerank: per-vertex tolerance of the converged rows
 }
 
-// Env is a row's run environment: the shared engine knobs plus the two
+// Env is a row's run environment: the shared engine knobs, the two
 // things only the adaptive plan layer sets when it re-prepares engines
-// mid-job. PackedState, Seed, FCS and NoCombiner reach the pregel rows
-// only.
+// mid-job, and the prior result an inc row resumes from. PackedState,
+// Seed, FCS and NoCombiner reach the pregel rows only.
 type Env struct {
 	Config
 	// Snapshot, when non-nil, is the already-pinned CSR generation
@@ -46,6 +48,26 @@ type Env struct {
 	// Replan, when non-nil, is consulted at every superstep barrier;
 	// returning true stops the run with runtime.ErrHandoff.
 	Replan func(step, pending int) bool
+	// Prior is read by the inc rows only. nil runs cold and keeps
+	// nothing; otherwise the row resumes from *Prior (its zero value is
+	// a cold start) and a successful run overwrites it with the state
+	// the next run resumes from.
+	Prior *Prior
+}
+
+// Prior is a result a later inc run resumes from: the values in the
+// matrix's float64 shape (either spelling of an unreachable distance),
+// the graph epoch they are valid for, and the args they were computed
+// under — a row whose args differ starts cold. Hist is PageRank's
+// per-superstep rank history, which a byte-identical warm start needs;
+// only an inc row leaves one. Cold reports whether the inc run that
+// left the Prior recomputed from scratch.
+type Prior struct {
+	Epoch  int64
+	Args   Args
+	Values []float64
+	Hist   [][]float64
+	Cold   bool
 }
 
 // Run executes a prepared row lock-free against its pinned snapshot.
@@ -62,8 +84,12 @@ type Row func(g *graph.Graph, a Args, seed []float64, env Env) Run
 // Key names a row.
 type Key struct{ Algo, Engine string }
 
+// EngineInc names the incremental engine's column. No plan selects it,
+// so the plan layer never hands off into it.
+const EngineInc = "inc"
+
 // Matrix is every served (algorithm, engine) pair. PageRank is
-// fixed-iteration on the message-passing engines (K folds) and
+// fixed-iteration on the message-passing engines and inc (K folds) and
 // eps-converged on gas and async, as each model runs it natively.
 var Matrix = map[Key]Row{
 	{"pagerank", plan.EnginePregel}:       pageRankPregel,
@@ -79,6 +105,9 @@ var Matrix = map[Key]Row{
 	{"cc", plan.EngineAsync}:              integers(ccAsync),
 	{"cc", plan.EngineBlockcentric}:       integers(ccBlock),
 	{"kcore", plan.EnginePregel}:          coldOnly(integers(kcorePregel)),
+	{"pagerank", EngineInc}:               coldOnly(pageRankInc),
+	{"sssp", EngineInc}:                   coldOnly(ssspInc),
+	{"cc", EngineInc}:                     coldOnly(ccInc),
 }
 
 // FixedKPageRank is the canonical fold-order family: exactly K
@@ -94,10 +123,10 @@ var FixedKPageRank = map[string]Row{
 }
 
 // LeaseShare is the worker share a job running engine with workers
-// requested is admitted with: async and the incremental engine ("inc")
-// drain one sequential worklist, so their share is 1.
+// requested is admitted with: async and the incremental engine drain
+// one sequential worklist, so their share is 1.
 func LeaseShare(engine string, workers int) int {
-	if engine == plan.EngineAsync || engine == "inc" {
+	if engine == plan.EngineAsync || engine == EngineInc {
 		return 1
 	}
 	return workers
@@ -186,23 +215,33 @@ func blockRun[V, M any](g *graph.Graph, prog blockcentric.Program[V, M], env Env
 // coreness) to the matrix's float64 shape, in both directions.
 func integers[V ~int32](row func(*graph.Graph, Args, []V, Env) func() ([]V, *bsp.Stats, error)) Row {
 	return func(g *graph.Graph, a Args, seed []float64, env Env) Run {
-		var ints []V
-		if seed != nil {
-			ints = make([]V, len(seed))
-			for i, x := range seed {
-				ints[i] = V(x)
-			}
-		}
-		run := row(g, a, ints, env)
+		run := row(g, a, ints[V](seed), env)
 		return func() ([]float64, *bsp.Stats, error) {
 			vals, stats, err := run()
-			out := make([]float64, len(vals))
-			for i, x := range vals {
-				out[i] = float64(x)
-			}
-			return out, stats, err
+			return floats(vals), stats, err
 		}
 	}
+}
+
+// floats and ints convert integer vertex values to the matrix's
+// float64 shape and back; ints keeps a nil seed nil.
+func floats[V ~int32](xs []V) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
+	}
+	return out
+}
+
+func ints[V ~int32](xs []float64) []V {
+	if xs == nil {
+		return nil
+	}
+	out := make([]V, len(xs))
+	for i, x := range xs {
+		out[i] = V(x)
+	}
+	return out
 }
 
 // coldOnly marks a row outside the handoff family: handed a seed, it
@@ -267,16 +306,21 @@ func ssspBlock(g *graph.Graph, a Args, seed []float64, env Env) Run {
 // ssspAsync translates the async program's finite unreached sentinel
 // at both boundaries, so callers and the other rows only ever see +Inf.
 func ssspAsync(g *graph.Graph, a Args, seed []float64, env Env) Run {
-	if seed != nil {
-		seed = append([]float64(nil), seed...)
-		replace(seed, math.Inf(1), async.DistInf)
-	}
-	run := asyncRun(g, async.SSSPProgram(a.Src, seed), env)
+	run := asyncRun(g, async.SSSPProgram(a.Src, finite(seed)), env)
 	return func() ([]float64, *bsp.Stats, error) {
 		dist, stats, err := run()
-		replace(dist, async.DistInf, math.Inf(1))
+		replace(dist, Unreachable, math.Inf(1))
 		return dist, stats, err
 	}
+}
+
+// finite is a copy of dist (nil stays nil) with every unreachable
+// distance spelled Unreachable, the way the async and incremental
+// engines hold it.
+func finite(dist []float64) []float64 {
+	out := append([]float64(nil), dist...)
+	replace(out, math.Inf(1), Unreachable)
+	return out
 }
 
 func replace(xs []float64, from, to float64) {
@@ -299,4 +343,54 @@ func ccAsync(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexI
 
 func ccBlock(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
 	return blockRun(g, blockcentric.CCProgram(seed), env)
+}
+
+// --- the incremental engine ---
+
+// incRun runs a prepared typed inc run and, on success, hands the
+// Prior its state converts to back through env.Prior; the returned
+// values are that Prior's.
+func incRun[S any](env Env, run func() (S, *bsp.Stats, error), prior func(S) Prior) Run {
+	return func() ([]float64, *bsp.Stats, error) {
+		st, stats, err := run()
+		if err != nil {
+			return nil, stats, err
+		}
+		p := prior(st)
+		if env.Prior != nil {
+			*env.Prior = p
+		}
+		return p.Values, stats, nil
+	}
+}
+
+func pageRankInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
+	var prior *IncPRState
+	if p := env.Prior; p != nil && p.Hist != nil {
+		prior = &IncPRState{Epoch: p.Epoch, Alpha: p.Args.Alpha, K: p.Args.K, Hist: p.Hist}
+	}
+	return incRun(env, PrepareIncrementalPageRank(g, a.Alpha, a.K, prior, env.engine()), func(st *IncPRState) Prior {
+		return Prior{Epoch: st.Epoch, Args: a, Values: st.Ranks(), Hist: st.Hist, Cold: st.Cold}
+	})
+}
+
+func ssspInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
+	var prior *IncSSSPState
+	if p := env.Prior; p != nil && p.Values != nil {
+		prior = &IncSSSPState{Epoch: p.Epoch, Src: p.Args.Src, Dist: finite(p.Values)}
+	}
+	return incRun(env, PrepareIncrementalSSSP(g, a.Src, prior, env.engine()), func(st *IncSSSPState) Prior {
+		replace(st.Dist, Unreachable, math.Inf(1))
+		return Prior{Epoch: st.Epoch, Args: a, Values: st.Dist, Cold: st.Cold}
+	})
+}
+
+func ccInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
+	var prior *IncCCState
+	if p := env.Prior; p != nil && p.Values != nil {
+		prior = &IncCCState{Epoch: p.Epoch, Labels: ints[VertexID](p.Values)}
+	}
+	return incRun(env, PrepareIncrementalCC(g, prior, env.engine()), func(st *IncCCState) Prior {
+		return Prior{Epoch: st.Epoch, Args: a, Values: floats(st.Labels), Cold: st.Cold}
+	})
 }

@@ -69,14 +69,6 @@ type matrixCase struct {
 	tol            float64
 }
 
-func floats[V ~int32](xs []V) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // half keeps want at even vertices and cold at odd ones: for the
 // monotone min-fold algorithms that is a sound partial warm start.
 func half(want []float64, cold func(v int) float64) []float64 {
@@ -170,7 +162,12 @@ func TestMatrixAgainstSeq(t *testing.T) {
 			if !ok {
 				t.Fatalf("matrix algorithm %q has no sequential oracle in this test", key.Algo)
 			}
-			workers = workers%4 + 1
+			// The inc rows ignore Workers and take no turn in the
+			// rotation, so every other row keeps its worker count and
+			// subtest name.
+			if key.Engine != EngineInc {
+				workers = workers%4 + 1
+			}
 			env := Env{Config: Config{Workers: workers}}
 			t.Run(fmt.Sprintf("%s/%s/%s/w%d", key.Algo, key.Engine, name, workers), func(t *testing.T) {
 				got, stats, err := row(g, c.args, nil, env)()
@@ -215,4 +212,109 @@ func TestMatrixPinsReleased(t *testing.T) {
 			t.Fatalf("%v left %d snapshot pins", key, g.Pins())
 		}
 	}
+}
+
+// TestIncRowsResume: an inc row run cold into a Prior and resumed from
+// it across one seeded mixed insert/delete batch answers, warm, bit for
+// bit what a cold inc row answers on the mutated graph. The Prior is
+// the only thing carried between the runs: CC labels as floats, SSSP
+// distances with unreachable as +Inf, PageRank's rank history. A row
+// must resume alike from either spelling of an unreachable distance —
+// same values, same work — and exit with +Inf.
+func TestIncRowsResume(t *testing.T) {
+	args := Args{Src: 0, Alpha: 0.85, K: 20}
+	unreached := 0
+	for _, algo := range []string{"cc", "sssp", "pagerank"} {
+		row := Matrix[Key{algo, EngineInc}]
+		graphs := drawGraphs() // fresh: the batch below mutates them
+		names := make([]string, 0, len(graphs))
+		for name := range graphs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for i, name := range names {
+			g := graphs[name]
+			t.Run(algo+"/"+name, func(t *testing.T) {
+				var prior Prior
+				if _, _, err := row(g, args, nil, Env{Prior: &prior})(); err != nil {
+					t.Fatalf("cold: %v", err)
+				}
+				if !prior.Cold || prior.Epoch != g.Epoch() {
+					t.Fatalf("cold run left Cold=%v at epoch %d, graph at %d", prior.Cold, prior.Epoch, g.Epoch())
+				}
+				finitePrior := prior
+				finitePrior.Values = finite(prior.Values)
+				mustMutate(t, g, mixedBatch(g, rand.New(rand.NewSource(int64(i))), 8)...)
+				want, _, err := row(g, args, nil, Env{})()
+				if err != nil {
+					t.Fatalf("recompute: %v", err)
+				}
+				var work []int64
+				for _, p := range []*Prior{&prior, &finitePrior} {
+					got, stats, err := row(g, args, nil, Env{Prior: p})()
+					if err != nil {
+						t.Fatalf("warm: %v", err)
+					}
+					if p.Cold {
+						t.Fatal("resume fell back to a cold run")
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%d values, want %d", len(got), len(want))
+					}
+					for v := range want {
+						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("value[%d] = %v warm, %v cold", v, got[v], want[v])
+						}
+						if got[v] == Unreachable {
+							t.Fatalf("value[%d] is the finite sentinel; a row exits with +Inf", v)
+						}
+					}
+					work = append(work, stats.TotalWork)
+				}
+				if work[0] != work[1] {
+					t.Fatalf("resumed with %d work units from +Inf, %d from Unreachable", work[0], work[1])
+				}
+				for _, x := range want {
+					if math.IsInf(x, 1) {
+						unreached++
+					}
+				}
+				if g.Pins() != 0 {
+					t.Fatalf("%d snapshot pins left", g.Pins())
+				}
+			})
+		}
+	}
+	if unreached == 0 {
+		t.Error("no drawn graph left an SSSP vertex unreachable; the +Inf path went untested")
+	}
+}
+
+// mixedBatch draws k mutations, about half inserts of weighted random
+// edges and half deletes of edges g has.
+func mixedBatch(g *graph.Graph, rng *rand.Rand, k int) []graph.Mutation {
+	var live [][2]VertexID
+	c := g.Pin()
+	for u := 0; u < g.N(); u++ {
+		c.ForEachOut(VertexID(u), func(v VertexID, _ float64) {
+			if VertexID(u) <= v {
+				live = append(live, [2]VertexID{VertexID(u), v})
+			}
+		})
+	}
+	g.Unpin(c)
+	muts := make([]graph.Mutation, 0, k)
+	for len(muts) < k {
+		if rng.Intn(2) == 0 || len(live) == 0 {
+			u, v := VertexID(rng.Intn(g.N())), VertexID(rng.Intn(g.N()))
+			if u != v {
+				muts = append(muts, ins(u, v, 0.5+3*rng.Float64()))
+			}
+			continue
+		}
+		j := rng.Intn(len(live))
+		muts = append(muts, del(live[j][0], live[j][1]))
+		live = append(live[:j], live[j+1:]...)
+	}
+	return muts
 }
