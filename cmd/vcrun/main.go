@@ -139,11 +139,9 @@ func main() {
 	if *input != "" {
 		source = "input:" + *input
 	}
-	// The run goes through the job-scoped runtime: one scheduler over a
-	// shared pool, the run submitted as a job so -timeout cancellation
-	// aborts it at a superstep barrier instead of killing the process.
-	sched := runtime.NewScheduler(*workers, 1)
-	defer sched.Close()
+	// The run is a job of the default scheduler, submitted under a
+	// context so -timeout cancellation aborts it at a superstep barrier
+	// instead of killing the process.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -154,7 +152,7 @@ func main() {
 	var summary string
 	var stats *bsp.Stats
 	start := time.Now()
-	job := sched.Submit(ctx, name, share, func(j *runtime.Job) error {
+	job := runtime.Default().Submit(ctx, name, share, func(j *runtime.Job) error {
 		cfg := vc.Config{Workers: *workers, Seed: *seed, CheckpointEvery: *checkpoint, FullSnapshotEvery: *fullSnapshot, Faults: fplan, Mode: mode, Job: j, PackedState: *packedState}
 		var err error
 		if _, ok := matrixAlgos[*algo]; ok {

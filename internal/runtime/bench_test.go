@@ -15,8 +15,8 @@ func BenchmarkDispatchPool(b *testing.B) {
 	defer p.Close()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Run(func(int) {})
-		p.Run(func(int) {})
+		p.Lease(0).Run(func(int) {})
+		p.Lease(0).Run(func(int) {})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"runtime/debug"
 
 	"vcgraph/internal/bsp"
 )
@@ -104,8 +105,8 @@ type RollbackWeigher interface {
 
 // DriverConfig parameterizes a Driver run: the engine's resolved run
 // environment (EngineConfig.Prepare fills it) plus what only the driver
-// reads. Workers sizes the pool and the per-superstep stat slices, and
-// a Job's admitted share must equal it. MaxSupersteps caps the driver's
+// reads. Workers sizes the per-superstep stat slices, and the Job's
+// admitted share must equal it. MaxSupersteps caps the driver's
 // steps; async and the incremental engine cap updates in their policy
 // and set it to math.MaxInt on their copy.
 type DriverConfig struct {
@@ -180,9 +181,31 @@ func (d *Driver[S]) Injector() *Injector { return d.inj }
 func (d *Driver[S]) LoseBatch() { d.lost = true }
 
 // Run executes the policy to termination: quiescence, a master halt, a
-// serial finish, the step cap, or a policy error. It returns the number
-// of steps executed (the barrier index at which the run stopped).
+// serial finish, the step cap, a policy error, or cancellation of the
+// run's job. It returns the number of steps executed (the barrier index
+// at which the run stopped). A run without a Job becomes a job of
+// Default(). Run is the run's panic boundary: a panic in a pool task or
+// on the driver's goroutine ends the run with a *PanicError, wrapped
+// with the run's name, and fails its job.
 func (d *Driver[S]) Run() (steps int, err error) {
+	if d.cfg.Job == nil {
+		err = Default().Submit(context.Background(), d.cfg.Name, d.cfg.Workers, func(j *Job) error {
+			d.cfg.Job = j
+			steps, err = d.Run()
+			return err
+		}).Wait()
+		return steps, err
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			pe, ok := v.(*PanicError)
+			if !ok {
+				pe = &PanicError{Worker: -1, Value: v, Stack: debug.Stack()}
+			}
+			pe.Superstep = d.step
+			steps, err = d.step, fmt.Errorf("%s: %w", d.cfg.Name, pe)
+		}
+	}()
 	// Memory observability: bracket the run with ReadMemStats so every
 	// engine reports how much heap the run grew and allocated — the
 	// comparative counters behind the memory-lean substrate.
@@ -194,29 +217,13 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		d.stats.HeapInuseDelta += int64(m1.HeapInuse) - int64(m0.HeapInuse)
 		d.stats.TotalAllocDelta += m1.TotalAlloc - m0.TotalAlloc
 	}()
-	ctx := d.cfg.Ctx
-	if d.cfg.Job != nil {
-		ctx = d.cfg.Job.Context()
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Worker substrate: the job's admitted lease, or for a run outside
-	// any scheduler a lease on the process pool.
-	if d.cfg.Job != nil {
-		l := d.cfg.Job.leaseHandle()
-		if l == nil {
-			panic("runtime: Driver run under a job with no lease (jobs must come from Scheduler.Submit)")
-		}
-		if l.Workers() != d.cfg.Workers {
-			// An invariant, not an input check: EngineConfig.Prepare takes
-			// Workers from the job, or fails a sequential engine's run
-			// whose job holds a share other than 1.
-			panic(fmt.Sprintf("runtime: job lease share %d != driver workers %d", l.Workers(), d.cfg.Workers))
-		}
-		d.lease = l
-	} else {
-		d.lease = processPool().Lease(d.cfg.Workers)
+	ctx := d.cfg.Job.Context()
+	d.lease = d.cfg.Job.leaseHandle()
+	if d.lease.Workers() != d.cfg.Workers {
+		// An invariant, not an input check: EngineConfig.Prepare takes
+		// Workers from the job, or fails a sequential engine's run whose
+		// job holds a share other than 1.
+		return 0, fmt.Errorf("%s: job lease share %d != driver workers %d", d.cfg.Name, d.lease.Workers(), d.cfg.Workers)
 	}
 	defer func() { d.lease = nil }()
 	d.inj = d.cfg.Faults.NewInjector(d.cfg.Workers)
@@ -343,9 +350,7 @@ func (d *Driver[S]) record(ss bsp.SuperstepStats) {
 	}
 	d.stats.MeasuredTime += ss.Cost
 	d.stats.Supersteps = append(d.stats.Supersteps, ss)
-	if d.cfg.Job != nil {
-		d.cfg.Job.observe(ss)
-	}
+	d.cfg.Job.observe(ss)
 }
 
 // save checkpoints the barrier state entering step — a full frame, or

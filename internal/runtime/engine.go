@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 
 	"vcgraph/internal/bsp"
@@ -10,8 +9,8 @@ import (
 
 // EngineConfig is the run environment every engine shares: workers, a
 // step cap, vertex placement, message direction, checkpoint cadence,
-// faults, the pinned snapshot, the handoff hook, and the context or job
-// the run belongs to. The engines differ in their model, not in this
+// faults, the pinned snapshot, the handoff hook, and the job the run
+// belongs to. The engines differ in their model, not in this
 // environment, so it is declared once; what a field means on each
 // engine is stated on the field.
 type EngineConfig struct {
@@ -79,15 +78,13 @@ type EngineConfig struct {
 	// ErrHandoff (wrapped) and the values at that barrier. pending is the
 	// barrier's in-flight message count.
 	Replan func(step, pending int) bool
-	// Ctx, when non-nil, aborts the run at the next barrier once
-	// cancelled or past its deadline — before fault firing and rollback,
-	// so an abort never replays work — and the run returns the context's
-	// cause.
-	Ctx context.Context
-	// Job, when non-nil, binds the run to a scheduler-admitted job: its
-	// share sets Workers, its context overrides Ctx, and every superstep
-	// record streams to the handle. async and the incremental engine
-	// need a share of 1.
+	// Job is the scheduler-admitted job the run belongs to: its share
+	// sets Workers, every superstep record streams to it, and a panic in
+	// the run fails it. Its context aborts the run at the next barrier
+	// once cancelled or past its deadline — before fault firing and
+	// rollback, so an abort never replays work — and the run returns the
+	// context's cause. nil runs the engine as a job of Default(). async
+	// and the incremental engine need a share of 1.
 	Job *Job
 }
 

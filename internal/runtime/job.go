@@ -17,7 +17,8 @@ const (
 	JobRunning
 	// JobSucceeded: the run function returned nil.
 	JobSucceeded
-	// JobFailed: the run function returned a non-context error.
+	// JobFailed: the run function returned an error, such as a
+	// *PanicError.
 	JobFailed
 	// JobCancelled: the job's context was cancelled or timed out,
 	// before or during the run.
@@ -44,12 +45,13 @@ func (s JobState) String() string {
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool { return s >= JobSucceeded }
 
-// Job is the handle binding one engine run to the shared substrate: it
-// owns the run's context (cancellation and deadline), its pool lease
-// (granted by the scheduler at admission), a per-superstep trace the
-// driver publishes into as barriers complete (so callers can stream
-// progress from a live run), and the cleanups that release pinned
-// resources when the job ends however it ends.
+// Job is the handle binding engine runs to the shared substrate; a run
+// started without one becomes a job of Default(). It owns the run's
+// context (cancellation and deadline), its pool lease (granted by the
+// scheduler at admission), a per-superstep trace the driver publishes
+// into as barriers complete (so callers can stream progress from a live
+// run), and the cleanups that release pinned resources when the job
+// ends however it ends. A panic in a run fails only its job.
 //
 // A Job is created by Scheduler.Submit and safe for concurrent use.
 type Job struct {

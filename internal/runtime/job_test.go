@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,12 +21,17 @@ type countPolicy struct {
 	// block, when non-nil, is received from at the top of every
 	// superstep so tests can hold a run mid-flight.
 	block chan struct{}
+	// boom, when non-nil, is called at the top of every superstep.
+	boom func(step int)
 }
 
 func (p *countPolicy) Quiescent(step, pending int) bool { return p.steps >= p.limit }
 func (p *countPolicy) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 	if p.block != nil {
 		<-p.block
+	}
+	if p.boom != nil {
+		p.boom(step)
 	}
 	p.d.Lease().Run(func(w int) {})
 	ss.Work[0]++
@@ -72,9 +78,8 @@ func TestLeaseZeroShareDefaultsToPoolWidth(t *testing.T) {
 	}
 }
 
-// A run outside any scheduler leases from the one process pool, so
-// repeated and concurrent runs share it — including shares wider than
-// the pool has goroutines.
+// A run outside any job becomes a job of Default(), so repeated and
+// concurrent runs share its one pool and leave no job in flight.
 func TestDriverProcessPoolServesRuns(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -91,18 +96,79 @@ func TestDriverProcessPoolServesRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if Default().InFlight() != 0 || Default().QueueLen() != 0 {
+		t.Fatalf("default scheduler not drained: inflight=%d queued=%d", Default().InFlight(), Default().QueueLen())
+	}
+}
+
+// A panic in a pool task, or on the driver's goroutine (worker -1),
+// ends the run with a *PanicError naming its superstep and worker; the
+// pool goroutine that ran the task survives.
+func TestPanicFailsTheRun(t *testing.T) {
+	pool := NewPool(1)
+	defer pool.Close()
+	l := pool.Lease(2)
+	func() {
+		defer func() {
+			if pe, ok := recover().(*PanicError); !ok || pe.Worker != 1 {
+				t.Fatalf("Lease.Run re-raised %v, want a *PanicError from worker 1", pe)
+			}
+		}()
+		l.Run(func(w int) {
+			if w == 1 {
+				panic("boom")
+			}
+		})
+	}()
+	l.Run(func(int) {}) // hangs if the pool's only goroutine died
+
+	for _, worker := range []int{1, -1} {
+		p, d, _ := runCounting(10, DriverConfig{Name: "test", EngineConfig: EngineConfig{Workers: 2, MaxSupersteps: 100}})
+		p.boom = func(step int) {
+			if step != 3 {
+				return
+			}
+			if worker < 0 {
+				panic("boom")
+			}
+			d.Lease().Run(func(w int) {
+				if w == worker {
+					panic("boom")
+				}
+			})
+		}
+		steps, err := d.Run()
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Superstep != 3 || pe.Worker != worker || pe.Value != "boom" || len(pe.Stack) == 0 {
+			t.Fatalf("worker %d: err = %v, want a panic at superstep 3 on worker %d", worker, err, worker)
+		}
+		if steps != 3 || err.Error() != fmt.Sprintf("test: panic at superstep 3 on worker %d: boom", worker) {
+			t.Fatalf("steps = %d, err = %q", steps, err)
+		}
+	}
+	if Default().InFlight() != 0 {
+		t.Fatalf("inflight = %d after failed runs, want 0", Default().InFlight())
+	}
 }
 
 func TestDriverCtxAbortsWithoutRollback(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	// Faults scheduled but the abort must win at the barrier: no fault
 	// fires, no rollback happens, and the cause comes back wrapped.
-	_, d, stats := runCounting(1000, DriverConfig{Name: "test", EngineConfig: EngineConfig{
-		Workers: 2, MaxSupersteps: 10000, Ctx: ctx,
-		CheckpointEvery: 2, Faults: NewFaultPlan(7),
-	}})
-	steps, err := d.Run()
+	var (
+		steps int
+		stats *bsp.Stats
+	)
+	err := Default().Submit(context.Background(), "test", 2, func(j *Job) error {
+		j.Cancel(nil)
+		var d *Driver[int]
+		_, d, stats = runCounting(1000, DriverConfig{Name: "test", EngineConfig: EngineConfig{
+			Workers: 2, MaxSupersteps: 10000, Job: j,
+			CheckpointEvery: 2, Faults: NewFaultPlan(7),
+		}})
+		var err error
+		steps, err = d.Run()
+		return err
+	}).Wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -115,11 +181,15 @@ func TestDriverCtxAbortsWithoutRollback(t *testing.T) {
 }
 
 func TestDriverCtxDeadlineCause(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	<-ctx.Done()
-	_, d, _ := runCounting(1000, DriverConfig{Name: "test", EngineConfig: EngineConfig{Workers: 1, MaxSupersteps: 10000, Ctx: ctx}})
-	if _, err := d.Run(); !errors.Is(err, context.DeadlineExceeded) {
+	err := Default().Submit(ctx, "test", 1, func(j *Job) error {
+		<-j.Context().Done()
+		_, d, _ := runCounting(1000, DriverConfig{Name: "test", EngineConfig: EngineConfig{Workers: 1, MaxSupersteps: 10000, Job: j}})
+		_, err := d.Run()
+		return err
+	}).Wait()
+	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -213,38 +283,46 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// A running job cancelled with or without a cause ends cancelled, not
+// failed, and returns the cause.
 func TestJobCancelMidRunFreesSlotAndRunsCleanups(t *testing.T) {
 	s := NewScheduler(2, 2)
 	defer s.Close()
-	block := make(chan struct{}, 1)
-	var cleaned []string
-	job := s.Submit(context.Background(), "test", 2, func(j *Job) error {
-		j.OnCleanup(func() { cleaned = append(cleaned, "first") })
-		j.OnCleanup(func() { cleaned = append(cleaned, "second") })
-		p, d, _ := runCounting(1000, DriverConfig{Name: "test", EngineConfig: EngineConfig{Workers: 2, MaxSupersteps: 10000, Job: j}})
-		p.block = block
-		_, err := d.Run()
-		return err
-	})
-	block <- struct{}{} // let one superstep through
-	for job.Steps() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	job.Cancel(nil)
-	block <- struct{}{} // release the superstep in flight
-	err := job.Wait()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st := job.State(); st != JobCancelled {
-		t.Fatalf("state = %v, want cancelled", st)
-	}
-	// The admission slot is back and cleanups ran LIFO.
-	if s.InFlight() != 0 {
-		t.Fatalf("inflight = %d after cancel, want 0", s.InFlight())
-	}
-	if len(cleaned) != 2 || cleaned[0] != "second" || cleaned[1] != "first" {
-		t.Fatalf("cleanups = %v, want LIFO [second first]", cleaned)
+	for _, cause := range []error{nil, errors.New("operator cancelled")} {
+		block := make(chan struct{}, 1)
+		var cleaned []string
+		job := s.Submit(context.Background(), "test", 2, func(j *Job) error {
+			j.OnCleanup(func() { cleaned = append(cleaned, "first") })
+			j.OnCleanup(func() { cleaned = append(cleaned, "second") })
+			p, d, _ := runCounting(1000, DriverConfig{Name: "test", EngineConfig: EngineConfig{Workers: 2, MaxSupersteps: 10000, Job: j}})
+			p.block = block
+			_, err := d.Run()
+			return err
+		})
+		block <- struct{}{} // let one superstep through
+		for job.Steps() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		job.Cancel(cause)
+		block <- struct{}{} // release the superstep in flight
+		err := job.Wait()
+		want := cause
+		if want == nil {
+			want = context.Canceled
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("err = %v, want %v", err, want)
+		}
+		if st := job.State(); st != JobCancelled {
+			t.Fatalf("cause %v: state = %v, want cancelled", cause, st)
+		}
+		// The admission slot is back and cleanups ran LIFO.
+		if s.InFlight() != 0 {
+			t.Fatalf("inflight = %d after cancel, want 0", s.InFlight())
+		}
+		if len(cleaned) != 2 || cleaned[0] != "second" || cleaned[1] != "first" {
+			t.Fatalf("cleanups = %v, want LIFO [second first]", cleaned)
+		}
 	}
 }
 

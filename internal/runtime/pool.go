@@ -5,13 +5,14 @@
 //   - Pool / Lease: a shared worker pool whose goroutines are started
 //     once per process and fed phase tasks through one queue; engines
 //     dispatch phases through a Lease, a per-run view that carries the
-//     run's virtual worker share and
-//     its own completion channel, so many runs can share one pool
-//     concurrently without their barriers interfering.
+//     run's virtual worker share and its own completion channel, so
+//     many runs can share one pool concurrently without their barriers
+//     interfering. A panicking task fails its lease's run, not the pool.
 //   - Scheduler / Job: admission control over a shared pool — at most
 //     maxJobs runs in flight, FIFO queueing beyond that — plus the Job
 //     handle that owns a run's context, lease, per-superstep trace,
-//     and cleanups.
+//     and cleanups. Every run is a job: one submitted without a
+//     scheduler of its own runs under Default().
 //   - Mailbox[M]: generic sharded mailboxes with per-(src,dst)-worker
 //     lanes, optional sender-side combining, and buffer reuse across
 //     supersteps.
@@ -26,8 +27,11 @@
 package runtime
 
 import (
+	"fmt"
 	stdruntime "runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultWorkers returns the engines' default parallelism:
@@ -44,9 +48,37 @@ func DefaultWorkers() int {
 // task is one unit of phase work: fn(idx) for one virtual worker of
 // some lease, acknowledged on the lease's completion channel.
 type task struct {
-	fn   func(worker int)
-	idx  int
-	done chan<- struct{}
+	fn    func(worker int)
+	idx   int
+	lease *Lease
+}
+
+// run executes the task and acknowledges it however fn ends: a panic
+// is kept on the lease for Lease.Run to re-raise, so the pool goroutine
+// survives and the phase barrier still completes.
+func (t task) run() {
+	defer func() {
+		if v := recover(); v != nil {
+			t.lease.panicked.CompareAndSwap(nil, &PanicError{Worker: t.idx, Value: v, Stack: debug.Stack()})
+		}
+		t.lease.done <- struct{}{}
+	}()
+	t.fn(t.idx)
+}
+
+// PanicError is a panic in a run, recovered by Driver.Run and returned
+// as the run's error. Worker is the virtual worker whose pool task
+// panicked, or -1 for the driver's own goroutine (master, serial
+// finish, checkpoint code).
+type PanicError struct {
+	Superstep int
+	Worker    int
+	Value     any
+	Stack     []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("panic at superstep %d on worker %d: %v", e.Superstep, e.Worker, e.Value)
 }
 
 // Pool is a shared worker pool: W goroutines draining one task queue.
@@ -77,27 +109,19 @@ func NewPool(workers int) *Pool {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for t := range p.tasks {
-				t.fn(t.idx)
-				t.done <- struct{}{}
+				t.run()
 			}
 		}()
 	}
 	return p
 }
 
-// NewProcessPool builds a process-wide pool sized to GOMAXPROCS, the
-// substrate a Scheduler shares among concurrent jobs.
-func NewProcessPool() *Pool { return NewPool(stdruntime.GOMAXPROCS(0)) }
-
-// processPool returns the one pool every run outside a scheduler leases
-// from. It starts on first use and lives for the process.
-var processPool = sync.OnceValue(func() *Pool { return NewPool(processPoolWorkers) })
-
-// processPoolWorkers is sized well past any run's worker count rather
-// than at GOMAXPROCS. With a goroutine behind every virtual worker,
-// where a phase's tasks run is the Go scheduler's choice — it keeps
-// them near the goroutine that readied them while other runs compete
-// for the CPUs — instead of strict queue order across every CPU.
+// processPoolWorkers sizes the pool of Default(). It is sized well past
+// any run's worker count rather than at GOMAXPROCS. With a goroutine
+// behind every virtual worker, where a phase's tasks run is the Go
+// scheduler's choice — it keeps them near the goroutine that readied
+// them while other runs compete for the CPUs — instead of strict queue
+// order across every CPU.
 // Measured on cmd/table1's parallel golden test (two concurrent
 // 4-worker runs, 2 CPUs): a GOMAXPROCS-sized pool took 3.4x the CPU
 // time of this one, with Worklists.Add alone 16x slower — the workers
@@ -118,11 +142,6 @@ func (p *Pool) Lease(share int) *Lease {
 	}
 	return &Lease{pool: p, share: share, done: make(chan struct{}, share)}
 }
-
-// Run executes fn(w) for every w in [0, P) over the pool's own width,
-// through a transient lease. Engines inside a run use their Lease
-// directly; Run is the convenience form for tests and one-off phases.
-func (p *Pool) Run(fn func(worker int)) { p.Lease(p.workers).Run(fn) }
 
 // Close parks the pool permanently, releasing its goroutines. The pool
 // must not be used afterwards. Close is idempotent.
@@ -146,19 +165,25 @@ type Lease struct {
 	done    chan struct{}
 	release func()
 	once    sync.Once
+	// panicked is the phase's first task panic.
+	panicked atomic.Pointer[PanicError]
 }
 
 // Workers returns the lease's virtual worker share (the engine's P).
 func (l *Lease) Workers() int { return l.share }
 
 // Run executes fn(w) for every virtual worker w in [0, share) and
-// waits for all of them.
+// waits for all of them. If a task panicked, Run re-raises the first
+// such panic as a *PanicError once every task has been acknowledged.
 func (l *Lease) Run(fn func(worker int)) {
 	for i := 0; i < l.share; i++ {
-		l.pool.tasks <- task{fn: fn, idx: i, done: l.done}
+		l.pool.tasks <- task{fn: fn, idx: i, lease: l}
 	}
 	for i := 0; i < l.share; i++ {
 		<-l.done
+	}
+	if pe := l.panicked.Swap(nil); pe != nil {
+		panic(pe)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestPoolRunsEveryWorkerAndBarriers(t *testing.T) {
 	seen := make([]int, 4)
 	var total atomic.Int64
 	for phase := 0; phase < 100; phase++ {
-		p.Run(func(w int) {
+		p.Lease(0).Run(func(w int) {
 			seen[w]++
 			total.Add(1)
 		})
@@ -41,7 +41,7 @@ func TestPoolDefaultWorkers(t *testing.T) {
 
 func TestPoolCloseIdempotent(t *testing.T) {
 	p := NewPool(2)
-	p.Run(func(int) {})
+	p.Lease(0).Run(func(int) {})
 	p.Close()
 	p.Close()
 }

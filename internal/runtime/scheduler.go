@@ -2,7 +2,8 @@ package runtime
 
 import (
 	"context"
-	"errors"
+	"math"
+	stdruntime "runtime"
 	"sync"
 )
 
@@ -38,17 +39,21 @@ func NewScheduler(workers, maxJobs int) *Scheduler {
 	if maxJobs <= 0 {
 		maxJobs = 1
 	}
-	var pool *Pool
 	if workers <= 0 {
-		pool = NewProcessPool()
-	} else {
-		pool = NewPool(workers)
+		workers = stdruntime.GOMAXPROCS(0)
 	}
-	return &Scheduler{pool: pool, maxJobs: maxJobs}
+	return &Scheduler{pool: NewPool(workers), maxJobs: maxJobs}
 }
 
-// Pool returns the scheduler's shared worker pool.
-func (s *Scheduler) Pool() *Pool { return s.pool }
+// Default returns the process-wide scheduler a run without a Job
+// submits itself to (see Driver.Run). It starts on first use, lives for
+// the process, admits without limit, and runs over a pool of
+// processPoolWorkers goroutines.
+func Default() *Scheduler { return defaultScheduler() }
+
+var defaultScheduler = sync.OnceValue(func() *Scheduler {
+	return &Scheduler{pool: NewPool(processPoolWorkers), maxJobs: math.MaxInt}
+})
 
 // MaxJobs returns the admission limit.
 func (s *Scheduler) MaxJobs() int { return s.maxJobs }
@@ -139,9 +144,10 @@ func (s *Scheduler) releaseLocked() {
 // runs fn with its lease attached, then releases the lease and runs
 // its cleanups. fn observes cancellation through job.Context() — the
 // driver checks it at every barrier — and the job's terminal state
-// reflects how fn ended: nil = JobSucceeded, a context error (the
-// job's own or inherited from ctx) = JobCancelled, anything else =
-// JobFailed.
+// reflects how fn ended: nil = JobSucceeded, an error once the job's
+// context has ended (Cancel with any cause, or ctx's cancellation or
+// deadline) = JobCancelled, any other error = JobFailed. A terminal
+// state is published only after the admission slot is back.
 //
 // Submit never blocks; poll the returned handle (Wait, Done, State,
 // TraceSince) for progress.
@@ -169,14 +175,14 @@ func (s *Scheduler) Submit(ctx context.Context, name string, share int, fn func(
 			j.finish(JobCancelled, err)
 			return
 		}
-		defer lease.Release()
 		j.setRunning(lease)
 
 		err = fn(j)
+		lease.Release()
 		switch {
 		case err == nil:
 			j.finish(JobSucceeded, nil)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		case jctx.Err() != nil:
 			j.finish(JobCancelled, err)
 		default:
 			j.finish(JobFailed, err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vcgraph/internal/graph"
+	"vcgraph/internal/runtime"
 	"vcgraph/internal/seq"
 )
 
@@ -210,6 +211,9 @@ func TestMatrixPinsReleased(t *testing.T) {
 		_, _, _ = row(g, Args{Alpha: 0.85, K: 3, Eps: 1e-6}, make([]float64, g.N()), Env{})()
 		if g.Pins() != 0 {
 			t.Fatalf("%v left %d snapshot pins", key, g.Pins())
+		}
+		if d := runtime.Default(); d.InFlight() != 0 || d.QueueLen() != 0 {
+			t.Fatalf("%v left a job running: inflight %d, queued %d", key, d.InFlight(), d.QueueLen())
 		}
 	}
 }

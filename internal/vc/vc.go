@@ -6,7 +6,6 @@
 package vc
 
 import (
-	"context"
 	"errors"
 
 	"vcgraph/internal/bsp"
@@ -27,7 +26,7 @@ var errTooManySources = errors.New("vc: superstep sharing supports at most 32768
 // VertexID aliases graph.VertexID.
 type VertexID = graph.VertexID
 
-// Config carries the knobs every algorithm takes. The first ten are
+// Config carries the knobs every algorithm takes. The first nine are
 // the run environment every engine shares, documented once on
 // runtime.EngineConfig (MaxSupersteps counts updates on async); they
 // are declared rather than embedded so a Config literal can name them.
@@ -41,7 +40,6 @@ type Config struct {
 	CheckpointEvery   int
 	FullSnapshotEvery int
 	Faults            *runtime.FaultPlan
-	Ctx               context.Context
 	Job               *runtime.Job
 
 	// Seed drives the randomized algorithms (Luby MIS, bipartite
@@ -76,7 +74,6 @@ func (c Config) engine() runtime.EngineConfig {
 		CheckpointEvery:   c.CheckpointEvery,
 		FullSnapshotEvery: c.FullSnapshotEvery,
 		Faults:            c.Faults,
-		Ctx:               c.Ctx,
 		Job:               c.Job,
 	}
 }
