@@ -17,6 +17,9 @@
 package async
 
 import (
+	"errors"
+	"fmt"
+
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	rt "vcgraph/internal/runtime"
@@ -27,7 +30,8 @@ type VertexID = graph.VertexID
 
 // Program is an asynchronous vertex program.
 type Program[V any] interface {
-	// Init seeds values; every vertex is initially scheduled.
+	// Init seeds values; Prepare schedules every vertex, PrepareSeeded
+	// its seeds.
 	Init(g *graph.Graph, id VertexID) V
 	// Update recomputes v from the current values of its neighbors and
 	// returns the neighbors to (re)activate. ctx exposes reads of any
@@ -55,50 +59,45 @@ type Result[V any] struct {
 
 // Context exposes the live computation state to Update.
 type Context[V any] struct {
-	g      *graph.Graph
 	csr    *graph.CSR
+	delta  *graph.DeltaCSR // when set, every span is read here, never from csr (its base)
 	values []V
-	work   int64
-	s      *graph.Scratch // pooled span-decode buffers for packed snapshots
+	s      *graph.Scratch // pooled span-decode buffers for packed snapshots and delta views
 }
-
-// Graph returns the input graph. Only its construction-immutable
-// properties (N, Directed) are safe to read from Update when a writer
-// may be mutating adjacency between jobs; structural reads must go
-// through the snapshot accessors (Out, OutWeights, OutEdges).
-func (c *Context[V]) Graph() *graph.Graph { return c.g }
 
 // Value returns a pointer to any vertex's current value (reads of
 // neighbors see the latest state — the asynchronous semantics).
 func (c *Context[V]) Value(v VertexID) *V { return &c.values[v] }
 
-// OutEdges returns v's adjacency as []Edge, materialized fresh from
-// the pinned CSR snapshot (never the live graph). Hot update loops
-// should prefer the CSR spans (Out/OutWeights), which avoid the
-// per-call allocation and the 32-byte Edge layout and let a program
-// return the span as its activation list without allocating.
-func (c *Context[V]) OutEdges(v VertexID) []graph.Edge {
-	d := c.csr.OutDegree(v)
-	if d == 0 {
-		return nil
+// Out returns v's out-neighbor span from the pinned snapshot or delta
+// view. The slice aliases the snapshot (or the context's decode buffer —
+// the next Out call overwrites it) and must not be modified; returning
+// it from Update as the activation list is allocation-free.
+func (c *Context[V]) Out(v VertexID) []VertexID {
+	if c.delta != nil {
+		return c.delta.OutSpan(v, c.s)
 	}
-	return c.csr.AppendOutEdges(make([]graph.Edge, 0, d), v)
+	return c.csr.OutSpan(v, c.s)
 }
 
-// Out returns v's out-neighbor span from the CSR snapshot. The slice
-// aliases the snapshot (or, on a packed snapshot, the context's decode
-// buffer — the next Out call overwrites it) and must not be modified;
-// returning it from Update as the activation list is allocation-free.
-func (c *Context[V]) Out(v VertexID) []VertexID { return c.csr.OutSpan(v, c.s) }
-
-// In returns v's in-neighbor span from the CSR snapshot (the out span
-// for undirected graphs). It shares the context's decode buffers with
-// Out the way OutSpan/InSpan do: one live span per direction.
-func (c *Context[V]) In(v VertexID) []VertexID { return c.csr.InSpan(v, c.s) }
+// In returns v's in-neighbor span (the out span for undirected graphs).
+// It shares the context's decode buffers with Out the way OutSpan/InSpan
+// do: one live span per direction.
+func (c *Context[V]) In(v VertexID) []VertexID {
+	if c.delta != nil {
+		return c.delta.InSpan(v, c.s)
+	}
+	return c.csr.InSpan(v, c.s)
+}
 
 // OutWeights returns v's out-edge weight span aligned with Out(v), or
-// nil when the graph is unweighted.
-func (c *Context[V]) OutWeights(v VertexID) []float64 { return c.csr.OutWeights(v) }
+// nil when every weight is 1.
+func (c *Context[V]) OutWeights(v VertexID) []float64 {
+	if c.delta != nil {
+		return c.delta.OutWeights(v, c.s)
+	}
+	return c.csr.OutWeights(v)
+}
 
 // Preparer is the optional program hook invoked during Prepare with
 // the pinned CSR snapshot. Programs that read graph structure outside
@@ -107,6 +106,15 @@ func (c *Context[V]) OutWeights(v VertexID) []float64 { return c.csr.OutWeights(
 type Preparer interface {
 	PrepareAsync(csr *graph.CSR)
 }
+
+// ErrDirected refuses the min-label CC and label-correcting SSSP
+// programs on a directed graph: their updates pull over out-spans, which
+// are the in-neighborhood only when the graph is undirected.
+var ErrDirected = errors.New("this program pulls over out-spans and needs an undirected graph")
+
+// defaults are the async engine's: sequential, an update cap of
+// 200·(n+64).
+var defaults = rt.EngineDefaults{Name: "async", Cap: func(n int) int { return 200 * (n + 64) }}
 
 // Run executes prog to quiescence under the FIFO scheduler. Run is
 // Prepare(g, prog, cfg)().
@@ -118,33 +126,47 @@ func Run[V any](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], error)
 // snapshot pinning, the Preparer hook, Init, worklist seeding —
 // happens inside Prepare, so a caller serving concurrent jobs can
 // bracket it with its graph lock and invoke the returned closure
-// lock-free. The closure unpins the snapshot when it returns.
+// lock-free. The closure unpins the snapshot when it returns. Every
+// vertex starts on the worklist.
 func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result[V], error) {
-	pr, err := cfg.Prepare(g, rt.EngineDefaults{Name: "async", Cap: func(n int) int { return 200 * (n + 64) }})
+	pr, err := cfg.Prepare(g, defaults)
 	if err != nil {
-		return func() (*Result[V], error) { return &Result[V]{Stats: &bsp.Stats{}}, err }
+		return failed[V](err)
+	}
+	return PrepareSeeded(g, prog, pr, Every(pr.CSR.N()))
+}
+
+// PrepareSeeded is Prepare from a run environment the caller already
+// resolved and from a seed worklist: pr may pin a delta view
+// (EngineDefaults.Delta), which every Context span then reads, and the
+// worklist starts as seeds in order, so an empty seed list drains
+// nothing. The returned closure releases pr; a refused program releases
+// it at once.
+func PrepareSeeded[V any](g *graph.Graph, prog Program[V], pr *rt.Prepared, seeds []VertexID) func() (*Result[V], error) {
+	switch any(prog).(type) {
+	case ccProgram, *ssspProgram:
+		if g.Directed {
+			pr.Release()
+			return failed[V](fmt.Errorf("%s: %w", pr.Driver.Name, ErrDirected))
+		}
 	}
 	csr, n := pr.CSR, pr.CSR.N()
 	if prep, ok := any(prog).(Preparer); ok {
 		prep.PrepareAsync(csr)
 	}
-	ctx := &Context[V]{g: g, csr: csr, values: make([]V, n), s: rt.GetScratch()}
+	ctx := &Context[V]{csr: csr, delta: pr.Delta, values: make([]V, n), s: rt.GetScratch()}
 	for v := 0; v < n; v++ {
 		ctx.values[v] = prog.Init(g, VertexID(v))
 	}
-	// The deduplicating FIFO worklist from the shared runtime replaces
-	// the previous slice+inQueue pair; its in-place compaction keeps a
-	// long drain with re-activations from reallocating the queue.
+	// The deduplicating FIFO worklist from the shared runtime; its
+	// in-place compaction keeps a long drain with re-activations from
+	// reallocating the queue.
 	queue := rt.NewFIFO(n)
-	for v := 0; v < n; v++ {
-		queue.Push(VertexID(v))
-	}
+	queue.PushAll(seeds)
 	stats := &bsp.Stats{Workers: 1, N: n}
 	// One driver step is one epoch of updates; the driver's barrier is
 	// the epoch boundary, where faults are detected and checkpoints
-	// taken (FaultEvent.Step counts epochs). The policy itself is the
-	// shared runtime.WorklistRunner — the same FIFO-epoch machinery that
-	// drives the incremental evolving-graph programs.
+	// taken (FaultEvent.Step counts epochs).
 	p := &rt.WorklistRunner[V]{
 		Update: func(v VertexID) []VertexID { return prog.Update(ctx, v) },
 		Prog:   prog,
@@ -152,11 +174,11 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 		Queue:  queue,
 		N:      n,
 	}
-	if cfg.Faults != nil {
-		// Checkpoint-free restarts restore these pristine Init-time
-		// values instead of re-running Init mid-run (PristineQueue nil:
-		// a restart reseeds every vertex).
+	if pr.Driver.Faults != nil {
+		// Checkpoint-free restarts replay these pristine Init-time
+		// values and the seed worklist instead of re-running Init mid-run.
 		p.PristineValues = rt.CloneValues[V](prog, ctx.values)
+		p.PristineQueue = seeds
 	}
 	d := rt.NewWorklistDriver(p, stats, pr.Driver)
 	return func() (*Result[V], error) {
@@ -167,12 +189,39 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 	}
 }
 
+// Every is the cold-start worklist: every vertex of an n-vertex graph,
+// in ID order.
+func Every(n int) []VertexID {
+	all := make([]VertexID, n)
+	for v := range all {
+		all[v] = VertexID(v)
+	}
+	return all
+}
+
+// failed is a prepared run that only reports err.
+func failed[V any](err error) func() (*Result[V], error) {
+	return func() (*Result[V], error) { return &Result[V]{Stats: &bsp.Stats{}}, err }
+}
+
+// valuesOf adapts a prepared run to the algorithm entry points' shape.
+func valuesOf[V any](run func() (*Result[V], error)) func() ([]V, *Result[V], error) {
+	return func() ([]V, *Result[V], error) {
+		res, err := run()
+		if err != nil {
+			return nil, res, err
+		}
+		return res.Values, res, nil
+	}
+}
+
 // --- Async SSSP (label-correcting) ---
 
 // ssspProgram is label-correcting SSSP from src. seed warm-starts the
-// tentative distances from another engine's barrier values (nil is the
-// source-only cold start): Update only ever improves a value, so any
-// sound upper bound converges to the same distances.
+// tentative distances from another engine's barrier values or an
+// incremental run's repaired prior (nil is the source-only cold start):
+// Update only ever improves a value, so any sound upper bound converges
+// to the same distances.
 type ssspProgram struct {
 	src  VertexID
 	seed []float64
@@ -230,14 +279,7 @@ func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64]
 // PrepareSSSP is the job-scoped form of SSSP: graph reads happen now,
 // the returned closure runs against the pinned snapshot.
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *Result[float64], error) {
-	run := Prepare(g, SSSPProgram(src, nil), cfg)
-	return func() ([]float64, *Result[float64], error) {
-		res, err := run()
-		if err != nil {
-			return nil, res, err
-		}
-		return res.Values, res, nil
-	}
+	return valuesOf(Prepare(g, SSSPProgram(src, nil), cfg))
 }
 
 // --- Async PageRank (Gauss–Seidel with delta scheduling) ---
@@ -293,22 +335,15 @@ func PageRank(g *graph.Graph, alpha, eps float64, cfg Config) ([]float64, *Resul
 // and out-degrees are captured from the pinned snapshot now, the
 // returned closure runs lock-free.
 func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]float64, *Result[float64], error) {
-	run := Prepare[float64](g, &prProgram{n: g.N(), alpha: alpha, eps: eps}, cfg)
-	return func() ([]float64, *Result[float64], error) {
-		res, err := run()
-		if err != nil {
-			return nil, res, err
-		}
-		return res.Values, res, nil
-	}
+	return valuesOf(Prepare[float64](g, &prProgram{n: g.N(), alpha: alpha, eps: eps}, cfg))
 }
 
 // --- Async connected components (min-label) ---
 
 // ccProgram is min-label propagation. seed warm-starts the labels (nil
 // is the identity cold start): Update recomputes from live neighbor
-// values, so re-seeding the full FIFO with partially converged labels
-// reaches the same fixpoint.
+// values, so draining a worklist that covers every vertex whose label
+// is not yet final reaches the same fixpoint.
 type ccProgram struct{ seed []VertexID }
 
 func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
@@ -342,17 +377,10 @@ func ConnectedComponents(g *graph.Graph, cfg Config) ([]VertexID, *Result[Vertex
 // PrepareConnectedComponents is the job-scoped form of
 // ConnectedComponents.
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, *Result[VertexID], error) {
-	run := Prepare(g, CCProgram(nil), cfg)
-	return func() ([]VertexID, *Result[VertexID], error) {
-		res, err := run()
-		if err != nil {
-			return nil, res, err
-		}
-		return res.Values, res, nil
-	}
+	return valuesOf(Prepare(g, CCProgram(nil), cfg))
 }
 
-// --- Programs the engine matrix (internal/vc) prepares itself ---
+// --- Programs internal/vc prepares itself (matrix and inc rows) ---
 
 // CCProgram is the min-label component program started from seed
 // labels (nil is the identity cold start).

@@ -7,10 +7,13 @@ package graph
 // same time (the async PageRank update holds both). A span returned
 // from OutSpan/InSpan is valid until the same method is called again on
 // the same Scratch, and must never be written to or retained: on a flat
-// snapshot it aliases the snapshot itself.
+// snapshot it aliases the snapshot itself. A DeltaCSR assembles the
+// spans of the vertices its overlay touches in the same buffers, and
+// their weight spans in a third.
 type Scratch struct {
 	out []VertexID
 	in  []VertexID
+	w   []float64
 }
 
 // OutSpan returns v's out-neighbor span in adjacency order. On a flat

@@ -219,3 +219,48 @@ func (d *DeltaCSR) ForEachIn(v VertexID, f func(src VertexID, w float64)) {
 		f(adds[ai].Dst, adds[ai].W)
 	}
 }
+
+// touched reports whether the overlay changes v's out-adjacency.
+func (d *DeltaCSR) touched(v VertexID) bool { return d.delCnt[v] != 0 || len(d.adds[v]) != 0 }
+
+// OutSpan returns v's out-neighbor span in ForEachOut's canonical order,
+// under CSR.OutSpan's contract. When the overlay leaves v alone it is the
+// base span itself; otherwise it is assembled in s (which must be
+// non-nil), allocation-free once s has grown.
+func (d *DeltaCSR) OutSpan(v VertexID, s *Scratch) []VertexID {
+	if !d.touched(v) {
+		return d.base.OutSpan(v, s)
+	}
+	s.out = s.out[:0]
+	d.ForEachOut(v, func(dst VertexID, _ float64) { s.out = append(s.out, dst) })
+	return s.out
+}
+
+// OutWeights returns v's out-edge weight span aligned with OutSpan(v, s),
+// or nil when every one of those weights is 1. When the overlay leaves v
+// alone it is the base span itself; otherwise it is assembled in s.
+func (d *DeltaCSR) OutWeights(v VertexID, s *Scratch) []float64 {
+	if !d.touched(v) {
+		return d.base.OutWeights(v)
+	}
+	s.w = s.w[:0]
+	d.ForEachOut(v, func(_ VertexID, w float64) { s.w = append(s.w, w) })
+	return s.w
+}
+
+// InSpan returns v's in-neighbor span in ForEachIn's canonical order,
+// under CSR.InSpan's contract: the base span when the overlay leaves v's
+// in-adjacency alone, else assembled in s.
+func (d *DeltaCSR) InSpan(v VertexID, s *Scratch) []VertexID {
+	if d.directed {
+		if len(d.inAdds[v]) == 0 && len(d.delPairs) == 0 {
+			d.base.EnsureIn()
+			return d.base.InSpan(v, s)
+		}
+	} else if !d.touched(v) {
+		return d.base.InSpan(v, s)
+	}
+	s.in = s.in[:0]
+	d.ForEachIn(v, func(src VertexID, _ float64) { s.in = append(s.in, src) })
+	return s.in
+}

@@ -31,6 +31,51 @@ func checkViewsIdentical(t *testing.T, flat, packed *DeltaCSR) {
 			t.Fatalf("vertex %d: packed in %v, flat %v", v, got, want)
 		}
 	}
+	checkSpans(t, flat)
+	checkSpans(t, packed)
+}
+
+// checkSpans holds a view's span accessors to its enumerations — OutSpan
+// with OutWeights to ForEachOut, InSpan to ForEachIn — and requires a
+// full out sweep to allocate nothing once it has grown the Scratch.
+func checkSpans(t *testing.T, d *DeltaCSR) {
+	t.Helper()
+	s := new(Scratch)
+	for v := VertexID(0); int(v) < d.N(); v++ {
+		dsts, ws := d.OutSpan(v, s), d.OutWeights(v, s)
+		if ws != nil && len(ws) != len(dsts) {
+			t.Fatalf("vertex %d: %d weights for %d destinations", v, len(ws), len(dsts))
+		}
+		var got []entry
+		for i, dst := range dsts {
+			w := 1.0
+			if ws != nil {
+				w = ws[i]
+			}
+			got = append(got, entry{dst, w})
+		}
+		if want := collectOut(d.ForEachOut, v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("vertex %d: out spans %v, ForEachOut %v", v, got, want)
+		}
+		var in []entry
+		for _, src := range d.InSpan(v, s) {
+			in = append(in, entry{V: src})
+		}
+		var want []entry
+		d.ForEachIn(v, func(src VertexID, _ float64) { want = append(want, entry{V: src}) })
+		if !reflect.DeepEqual(in, want) {
+			t.Fatalf("vertex %d: InSpan %v, ForEachIn %v", v, in, want)
+		}
+	}
+	sweep := func() {
+		for v := VertexID(0); int(v) < d.N(); v++ {
+			d.OutSpan(v, s)
+			d.OutWeights(v, s)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, sweep); allocs != 0 {
+		t.Fatalf("out-span sweep allocated %v times per run", allocs)
+	}
 }
 
 // runDualMutationScript drives the same seeded script through a flat

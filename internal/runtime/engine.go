@@ -25,8 +25,9 @@ type EngineConfig struct {
 	// bsp.ErrSuperstepCap wrapped with the cap. 0 is the engine's
 	// default for n vertices: 1+10·(n+64) supersteps on pregel and
 	// blockcentric, 10·(n+64) iterations on gas, 200·(n+64) vertex
-	// updates on async and incremental CC/SSSP. Incremental PageRank
-	// always runs exactly its K supersteps and ignores it.
+	// updates on async, whose worklist incremental CC/SSSP drain.
+	// Incremental PageRank always runs exactly its K supersteps and
+	// ignores it.
 	MaxSupersteps int
 	// Partition assigns vertices to workers; nil is the engine's default,
 	// hash on pregel and gas, range on blockcentric. Placement changes
@@ -48,8 +49,9 @@ type EngineConfig struct {
 	// edge fractions instead; async and the incremental engine ignore it.
 	PullThreshold float64
 	// CheckpointEvery > 0 snapshots the barrier state every k supersteps.
-	// On async and incremental CC/SSSP it counts updates and also sets
-	// the epoch, the fault-detection granularity (64 updates when unset).
+	// On async, and so on incremental CC/SSSP, it counts updates and also
+	// sets the epoch, the fault-detection granularity (64 updates when
+	// unset).
 	CheckpointEvery int
 	// FullSnapshotEvery > 1 stores only every Nth checkpoint as a full
 	// frame; the ones between are dirty-set deltas patching the frame

@@ -7,19 +7,16 @@ import (
 	"vcgraph/internal/bsp"
 )
 
-// WorklistRunner is the FIFO-worklist execution policy shared by the
-// asynchronous engine and the incremental (evolving-graph) programs:
-// one Driver step is one epoch of up to epochLen updates popped from a
-// deduplicating FIFO, each applied immediately and pushing its
+// WorklistRunner is the asynchronous engine's FIFO-worklist execution
+// policy: one Driver step is one epoch of up to epochLen updates popped
+// from a deduplicating FIFO, each applied immediately and pushing its
 // activations back. The Driver supplies the barrier lifecycle — fault
 // detection, checkpoint cadence (EpochSaves ordering), rollback — so a
 // program gets crash/drop/dup/corrupt recovery by filling in Update.
 //
-// The restart state is parameterized: a full run seeds every vertex
-// (PristineQueue nil), an incremental run seeds only the vertices its
-// delta analysis dirtied — a checkpoint-free rollback then replays
-// exactly that seed set, keeping faulted incremental runs byte-identical
-// to fault-free ones.
+// A checkpoint-free rollback replays the seed state the run started from
+// (PristineValues, PristineQueue), keeping faulted runs byte-identical to
+// fault-free ones.
 type WorklistRunner[V any] struct {
 	// Update recomputes v from current values and returns the vertices
 	// to (re)activate. The returned slice is consumed before the next
@@ -37,8 +34,8 @@ type WorklistRunner[V any] struct {
 	// PristineValues, when set, are the seed-time values restored by a
 	// checkpoint-free rollback (required when faults are injected).
 	PristineValues []V
-	// PristineQueue is the seed worklist for a checkpoint-free
-	// rollback; nil means every vertex 0..N-1.
+	// PristineQueue is the seed worklist a checkpoint-free rollback
+	// replays (required alongside PristineValues).
 	PristineQueue []VertexID
 
 	// name, epochLen (updates per driver step, the fault-detection and
@@ -175,14 +172,7 @@ func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int, ok bool
 		return
 	}
 	*p.Values = CloneValues[V](p.Prog, p.PristineValues)
-	if p.PristineQueue != nil {
-		p.Queue.Load(p.PristineQueue)
-	} else {
-		p.Queue.Load(nil)
-		for v := 0; v < p.N; v++ {
-			p.Queue.Push(VertexID(v))
-		}
-	}
+	p.Queue.Load(p.PristineQueue)
 	p.updates = 0
 }
 

@@ -1,9 +1,10 @@
 // Incremental maintenance for the monotone vertex programs on evolving
 // graphs: instead of recomputing from scratch after every mutation
 // batch, a prior job's converged state is repaired by re-activating
-// only the vertices the graph delta could have affected, and draining
-// them through the async engine's worklist FIFO (the shared
-// runtime.WorklistRunner) against a pinned graph.DeltaCSR view.
+// only the vertices the graph delta could have affected. CC and SSSP
+// are a seed analysis and then the async engine's own program
+// (async.CCProgram, async.SSSPProgram), drained from the seeds against
+// a pinned graph.DeltaCSR view (async.PrepareSeeded).
 //
 // The correctness contract is strict: an incremental run converges to a
 // result byte-identical to a from-scratch run on the mutated graph.
@@ -25,8 +26,7 @@
 package vc
 
 import (
-	"errors"
-
+	"vcgraph/internal/async"
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	rt "vcgraph/internal/runtime"
@@ -34,46 +34,22 @@ import (
 
 // IncConfig is the incremental engine's run environment, the one every
 // engine shares (runtime.EngineConfig states what each field means
-// here): CC and SSSP drain one sequential worklist, so MaxSupersteps
-// caps updates and CheckpointEvery sets the epoch (64 updates when
-// unset), exactly as in the async engine; a job needs a share of 1.
+// here): CC and SSSP drain the async engine's sequential worklist, so
+// MaxSupersteps caps updates and CheckpointEvery sets the epoch (64
+// updates when unset), exactly as in the async engine; a job needs a
+// share of 1.
 type IncConfig = rt.EngineConfig
 
 // ErrIncrementalDirected rejects incremental CC/SSSP on directed
-// graphs: their update rules pull over out-spans, which equals the
-// in-neighborhood only for undirected graphs (the async engine has the
-// same restriction).
-var ErrIncrementalDirected = errors.New("vc: incremental cc/sssp require an undirected graph")
+// graphs. It is the async programs' own refusal: their updates pull
+// over out-spans, which equal the in-neighborhood only for undirected
+// graphs.
+var ErrIncrementalDirected = async.ErrDirected
 
 // incDefaults are the incremental engine's: sequential, an update cap
 // of 200·(n+64), the graph's delta view pinned.
 func incDefaults(name string) rt.EngineDefaults {
 	return rt.EngineDefaults{Name: name, Cap: func(n int) int { return 200 * (n + 64) }, Delta: true}
-}
-
-// runIncWorklist drains the seeded worklist to quiescence under the
-// shared FIFO-epoch policy. seeds nil means every vertex (a cold
-// start); otherwise a rollback with no readable checkpoint replays
-// exactly the seed set, keeping faulted runs byte-identical.
-func runIncWorklist[V any](values *[]V, update func(VertexID) []VertexID, seeds []VertexID, n int, cold bool, dc rt.DriverConfig) (*bsp.Stats, error) {
-	queue := rt.NewFIFO(n)
-	if cold {
-		for v := 0; v < n; v++ {
-			queue.Push(VertexID(v))
-		}
-	} else {
-		queue.PushAll(seeds)
-	}
-	stats := &bsp.Stats{Workers: 1, N: n}
-	p := &rt.WorklistRunner[V]{Update: update, Values: values, Queue: queue, N: n}
-	if dc.Faults != nil {
-		p.PristineValues = append([]V(nil), *values...)
-		if !cold {
-			p.PristineQueue = queue.Snapshot()
-		}
-	}
-	_, err := rt.NewWorklistDriver(p, stats, dc).Run()
-	return stats, err
 }
 
 // --- Incremental connected components (hash-min) ---
@@ -109,38 +85,31 @@ func IncrementalCC(g *graph.Graph, prior *IncCCState, cfg IncConfig) (*IncCCStat
 // too-small label must be the prior minimum of a component some
 // deletion touched, and that entire class is reset.
 func PrepareIncrementalCC(g *graph.Graph, prior *IncCCState, cfg IncConfig) func() (*IncCCState, *bsp.Stats, error) {
-	if g.Directed {
-		return func() (*IncCCState, *bsp.Stats, error) { return nil, nil, ErrIncrementalDirected }
-	}
 	pr, err := cfg.Prepare(g, incDefaults("vc: incremental cc"))
 	if err != nil {
 		return func() (*IncCCState, *bsp.Stats, error) { return nil, nil, err }
 	}
 	view := pr.Delta
 	n := view.N()
-	labels := make([]VertexID, n)
-	var seeds []VertexID
+	var labels, seeds []VertexID // labels nil: the identity cold start
 	cold := true
 	if prior != nil && len(prior.Labels) == n {
 		if muts, ok := g.MutationsSince(prior.Epoch); ok {
 			cold = false
-			copy(labels, prior.Labels)
+			labels = append([]VertexID(nil), prior.Labels...)
 			seeds = seedCC(labels, muts)
 		}
 	}
 	if cold {
-		for v := range labels {
-			labels[v] = VertexID(v)
-		}
+		seeds = async.Every(n)
 	}
-	update := makeCCUpdate(view, &labels)
+	run := async.PrepareSeeded(g, async.CCProgram(labels), pr, seeds)
 	return func() (*IncCCState, *bsp.Stats, error) {
-		defer pr.Release()
-		stats, err := runIncWorklist(&labels, update, seeds, n, cold, pr.Driver)
+		res, err := run()
 		if err != nil {
-			return nil, stats, err
+			return nil, res.Stats, err
 		}
-		return &IncCCState{Epoch: view.Epoch(), Labels: labels, Cold: cold}, stats, nil
+		return &IncCCState{Epoch: view.Epoch(), Labels: res.Values, Cold: cold}, res.Stats, nil
 	}
 }
 
@@ -171,28 +140,4 @@ func seedCC(labels []VertexID, muts []graph.Mutation) []VertexID {
 		}
 	}
 	return seeds
-}
-
-// makeCCUpdate returns the hash-min update over the delta view: adopt
-// the minimum label among self and neighbors; on change, re-activate
-// the neighborhood. The activation slice is a reused scratch buffer
-// (the FIFO copies it before the next update).
-func makeCCUpdate(view *graph.DeltaCSR, labels *[]VertexID) func(VertexID) []VertexID {
-	var scratch []VertexID
-	return func(v VertexID) []VertexID {
-		ls := *labels
-		min := ls[v]
-		scratch = scratch[:0]
-		view.ForEachOut(v, func(d VertexID, _ float64) {
-			scratch = append(scratch, d)
-			if ls[d] < min {
-				min = ls[d]
-			}
-		})
-		if min < ls[v] {
-			ls[v] = min
-			return scratch
-		}
-		return nil
-	}
 }

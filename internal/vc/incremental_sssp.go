@@ -48,39 +48,32 @@ func IncrementalSSSP(g *graph.Graph, src VertexID, prior *IncSSSPState, cfg IncC
 // such a distance was produced by a chain of tight edges from the
 // source that now crosses a deleted edge.
 func PrepareIncrementalSSSP(g *graph.Graph, src VertexID, prior *IncSSSPState, cfg IncConfig) func() (*IncSSSPState, *bsp.Stats, error) {
-	if g.Directed {
-		return func() (*IncSSSPState, *bsp.Stats, error) { return nil, nil, ErrIncrementalDirected }
-	}
 	pr, err := cfg.Prepare(g, incDefaults("vc: incremental sssp"))
 	if err != nil {
 		return func() (*IncSSSPState, *bsp.Stats, error) { return nil, nil, err }
 	}
 	view := pr.Delta
 	n := view.N()
-	dist := make([]float64, n)
+	var dist []float64 // nil: the source-only cold start
 	var seeds []VertexID
 	cold := true
 	if prior != nil && prior.Src == src && len(prior.Dist) == n {
 		if muts, ok := g.MutationsSince(prior.Epoch); ok {
 			cold = false
-			copy(dist, prior.Dist)
+			dist = append([]float64(nil), prior.Dist...)
 			seeds = seedSSSP(view, dist, src, muts)
 		}
 	}
 	if cold {
-		for v := range dist {
-			dist[v] = Unreachable
-		}
-		dist[src] = 0
+		seeds = async.Every(n)
 	}
-	update := makeSSSPUpdate(view, &dist, src)
+	run := async.PrepareSeeded(g, async.SSSPProgram(src, dist), pr, seeds)
 	return func() (*IncSSSPState, *bsp.Stats, error) {
-		defer pr.Release()
-		stats, err := runIncWorklist(&dist, update, seeds, n, cold, pr.Driver)
+		res, err := run()
 		if err != nil {
-			return nil, stats, err
+			return nil, res.Stats, err
 		}
-		return &IncSSSPState{Epoch: view.Epoch(), Src: src, Dist: dist, Cold: cold}, stats, nil
+		return &IncSSSPState{Epoch: view.Epoch(), Src: src, Dist: res.Values, Cold: cold}, res.Stats, nil
 	}
 }
 
@@ -145,31 +138,4 @@ func seedSSSP(view *graph.DeltaCSR, dist []float64, src VertexID, muts []graph.M
 		}
 	}
 	return seeds
-}
-
-// makeSSSPUpdate returns the label-correcting update over the delta
-// view, matching the async engine's ssspProgram: recompute the best
-// offer from the (undirected) neighborhood; on improvement, adopt it
-// and re-activate the neighbors.
-func makeSSSPUpdate(view *graph.DeltaCSR, dist *[]float64, src VertexID) func(VertexID) []VertexID {
-	var scratch []VertexID
-	return func(v VertexID) []VertexID {
-		ds := *dist
-		d := Unreachable
-		if v == src {
-			d = 0
-		}
-		scratch = scratch[:0]
-		view.ForEachOut(v, func(u VertexID, w float64) {
-			scratch = append(scratch, u)
-			if nd := ds[u] + w; nd < d {
-				d = nd
-			}
-		})
-		if d < ds[v] {
-			ds[v] = d
-			return scratch
-		}
-		return nil
-	}
 }

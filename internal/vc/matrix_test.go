@@ -218,6 +218,54 @@ func TestMatrixPinsReleased(t *testing.T) {
 	}
 }
 
+// TestMatrixRefusesDirectedPull: the async and inc rows of cc and sssp
+// pull over out-spans, which are the in-neighborhood only on an
+// undirected graph, so on a directed one they fail — with the inc
+// engine's sentinel — and hold no pin.
+func TestMatrixRefusesDirectedPull(t *testing.T) {
+	g := graph.RandomDirected(200, 400, 1)
+	for _, algo := range []string{"cc", "sssp"} {
+		for _, engine := range []string{"async", EngineInc} {
+			_, _, err := Matrix[Key{algo, engine}](g, Args{Src: 0}, nil, Env{})()
+			if !errors.Is(err, ErrIncrementalDirected) {
+				t.Errorf("%s/%s on a directed graph: err = %v", algo, engine, err)
+			}
+			if g.Pins() != 0 {
+				t.Fatalf("%s/%s left %d snapshot pins", algo, engine, g.Pins())
+			}
+		}
+	}
+}
+
+// TestIncRowsResumeUnmutated: an inc row resumed at the epoch its Prior
+// was left at has nothing to repair — it resumes warm, does no work and
+// answers the Prior's values bit for bit.
+func TestIncRowsResumeUnmutated(t *testing.T) {
+	args := Args{Src: 0, Alpha: 0.85, K: 20}
+	g := graph.PreferentialAttachment(120, 3, 7)
+	graph.RandomWeights(g, 8)
+	for _, algo := range []string{"cc", "sssp", "pagerank"} {
+		row := Matrix[Key{algo, EngineInc}]
+		var prior Prior
+		want, _, err := row(g, args, nil, Env{Prior: &prior})()
+		if err != nil {
+			t.Fatalf("%s cold: %v", algo, err)
+		}
+		got, stats, err := row(g, args, nil, Env{Prior: &prior})()
+		if err != nil {
+			t.Fatalf("%s resume: %v", algo, err)
+		}
+		if prior.Cold || stats.TotalWork != 0 {
+			t.Fatalf("%s resume: Cold=%v with %d work units, want warm with none", algo, prior.Cold, stats.TotalWork)
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s value[%d] = %v resumed, %v cold", algo, v, got[v], want[v])
+			}
+		}
+	}
+}
+
 // TestIncRowsResume: an inc row run cold into a Prior and resumed from
 // it across one seeded mixed insert/delete batch answers, warm, bit for
 // bit what a cold inc row answers on the mutated graph. The Prior is
