@@ -12,6 +12,8 @@ package blockcentric
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
@@ -22,13 +24,14 @@ import (
 type VertexID = graph.VertexID
 
 // Program is a block program: Init seeds per-vertex values;
-// ComputeBlock runs once per block per superstep with all messages
-// addressed to the block's vertices. The msgs map (and its slices) is
-// owned by the engine and reused across supersteps; ComputeBlock must
-// not retain it after returning.
+// ComputeBlock runs once per block per superstep with every message
+// addressed to the block's vertices, bucketed by recipient in arrival
+// order. The Inbox (and every slice it hands out) is owned by the
+// engine and reused across supersteps; ComputeBlock must not retain it
+// after returning.
 type Program[V, M any] interface {
 	Init(g *graph.Graph, id VertexID) V
-	ComputeBlock(ctx *BlockContext[V, M], msgs map[VertexID][]M)
+	ComputeBlock(ctx *BlockContext[V, M], in *Inbox[M])
 }
 
 // Config is the block-centric engine's run environment, the one every
@@ -61,14 +64,28 @@ type Engine[V, M any] struct {
 	err      error
 	owner    []int32
 	blocks   [][]VertexID
+	// local maps a vertex to its position in its block (its local id):
+	// the index of every per-block slab below.
+	local    []int32
 	values   []V
 	pristine []V    // Init-time copy for checkpoint-free restarts (faults only)
 	halted   []bool // per block
+	stats    *bsp.Stats
+	driver   *rt.Driver[*bcSnapshot[V, M]]
 
-	inbox  []map[VertexID][]M // per block
-	outbox [][]addr[M]        // per block (source)
-	stats  *bsp.Stats
-	driver *rt.Driver[*bcSnapshot[V, M]]
+	// Per block: pending holds the messages for the block's next
+	// superstep in arrival order — its own local sends first, then
+	// boundary lanes in source-block order — and is the barrier state a
+	// checkpoint frame copies; inbox buckets them by recipient when the
+	// block wakes; outbox holds the boundary sends of the running
+	// superstep; ctx is the BlockContext handed to ComputeBlock. All keep
+	// their capacity across supersteps, and the growable buffers across
+	// runs: lanes are the pool leases they came from (see lane).
+	pending [][]addr[M]
+	inbox   []Inbox[M]
+	outbox  [][]addr[M]
+	ctx     []BlockContext[V, M]
+	lanes   []*lane[M]
 
 	// dirtyBlocks marks the blocks whose state diverged from the last
 	// checkpoint frame: a block is dirty once it computes (values, halt
@@ -79,18 +96,15 @@ type Engine[V, M any] struct {
 	dirtyBlocks []bool
 
 	// Block-local pull state. pullBlock says, per block, whether its
-	// intra-block sends are rerouted (all true under DirectionPull, all
-	// false under DirectionPush, decided per block from the local edge
-	// fraction under DirectionAuto); anyPull caches whether any block
-	// pulls (localOut is nil when none does). localOut buffers a pulling
-	// block's sends to its own vertices during ComputeBlock; they are
-	// folded into the block's inbox in the parallel phase, so localOut
-	// is always empty at the barrier. inboxLocal counts how many of the
-	// messages sitting in each inbox arrived locally, so Recv can be
-	// reported boundary-only.
+	// intra-block sends skip the outbox (all true under DirectionPull,
+	// all false under DirectionPush, decided per block from the local
+	// edge fraction under DirectionAuto): a pulling block appends its
+	// sends to its own vertices straight to its own pending list during
+	// ComputeBlock. inboxLocal counts how many of the messages pending
+	// for each block arrived that way, so Recv can be reported
+	// boundary-only.
 	pullBlock  []bool
 	anyPull    bool
-	localOut   [][]addr[M]
 	inboxLocal []int64
 
 	// scratch holds each block's span-decode buffers: ComputeBlock runs
@@ -101,21 +115,116 @@ type Engine[V, M any] struct {
 }
 
 // bcSnapshot is one checkpoint frame: the barrier state entering a
-// superstep (boundary messages already delivered to inboxes) of the
-// blocks it lists ascending in blocks (nil: every block). blockVals
-// holds each listed block's member values, and halted/inbox/inboxLocal
-// are indexed by position in blocks.
+// superstep (boundary messages already delivered) of the blocks it
+// lists ascending in blocks (nil: every block). blockVals holds each
+// listed block's member values, and halted/inbox/inboxLocal are
+// indexed by position in blocks.
 type bcSnapshot[V, M any] struct {
 	blocks     []int
 	blockVals  [][]V
 	halted     []bool
-	inbox      []map[VertexID][]M
+	inbox      []inboxFrame[M]
 	inboxLocal []int64
+}
+
+// inboxFrame is a block's pending messages as its inbox buckets them:
+// the recipients in first-arrival order, each one's message count, and
+// the messages grouped by recipient. Replaying it as a pending list
+// refills an identical Inbox.
+type inboxFrame[M any] struct {
+	verts []VertexID
+	n     []int32
+	msgs  []M
 }
 
 type addr[M any] struct {
 	dst VertexID
 	m   M
+}
+
+// lane is one block's growable message buffers. An engine leases a lane
+// per block from the pool for its message type and returns them when
+// its run ends, so the capacity one run's first superstep grew serves
+// the next run instead of being grown again as garbage.
+type lane[M any] struct {
+	pending, outbox []addr[M]
+	msgs            []M
+	verts, marked   []VertexID
+}
+
+// lanePools holds one sync.Pool of *lane[M] per message type M, keyed
+// by the typed nil *M (interface keys compare by dynamic type).
+var lanePools sync.Map
+
+func lanePool[M any]() *sync.Pool {
+	if p, ok := lanePools.Load(any((*M)(nil))); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := lanePools.LoadOrStore(any((*M)(nil)), new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// Inbox is one block's messages for one superstep, bucketed by
+// recipient: a counting sort of the block's pending list over the local
+// ids it touches, so filling and emptying it costs the messages, never
+// the block size.
+type Inbox[M any] struct {
+	local []int32 // the engine's vertex -> local id map
+	// slot holds, per local id, the recipient's bucket in msgs; n is
+	// zero for every vertex without messages.
+	slot  []struct{ at, n int32 }
+	verts []VertexID
+	msgs  []M
+}
+
+// To returns the messages addressed to v, a vertex of the block, in
+// arrival order (nil when there are none).
+func (in *Inbox[M]) To(v VertexID) []M {
+	s := in.slot[in.local[v]]
+	if s.n == 0 {
+		return nil
+	}
+	return in.msgs[s.at : s.at+s.n : s.at+s.n]
+}
+
+// Vertices lists the block's vertices that have messages, in the order
+// their first message arrived.
+func (in *Inbox[M]) Vertices() []VertexID { return in.verts }
+
+// fill buckets pending by recipient, keeping arrival order within each
+// bucket.
+func (in *Inbox[M]) fill(pending []addr[M]) {
+	for _, am := range pending {
+		s := &in.slot[in.local[am.dst]]
+		if s.n == 0 {
+			in.verts = append(in.verts, am.dst)
+		}
+		s.n++
+	}
+	var at int32
+	for _, v := range in.verts {
+		s := &in.slot[in.local[v]]
+		s.at = at
+		at += s.n
+	}
+	in.msgs = slices.Grow(in.msgs[:0], len(pending))[:len(pending)]
+	for _, am := range pending {
+		s := &in.slot[in.local[am.dst]]
+		in.msgs[s.at] = am.m
+		s.at++
+	}
+	for _, v := range in.verts {
+		s := &in.slot[in.local[v]]
+		s.at -= s.n
+	}
+}
+
+// reset empties the inbox, touching only the buckets fill used.
+func (in *Inbox[M]) reset() {
+	for _, v := range in.verts {
+		in.slot[in.local[v]].n = 0
+	}
+	in.verts = in.verts[:0]
 }
 
 // NewEngine builds the engine and materializes the block partition:
@@ -136,18 +245,47 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 	cfg = p.Driver.EngineConfig
 	csr, n, nb := p.CSR, p.CSR.N(), cfg.Workers
 	e := &Engine[V, M]{
-		g:        g,
-		csr:      csr,
-		prog:     prog,
-		cfg:      cfg,
-		prepared: p,
-		owner:    p.Owner,
-		blocks:   p.Verts,
-		values:   make([]V, n),
-		halted:   make([]bool, nb),
-		inbox:    make([]map[VertexID][]M, nb),
-		outbox:   make([][]addr[M], nb),
-		stats:    &bsp.Stats{Workers: nb, N: n},
+		g:          g,
+		csr:        csr,
+		prog:       prog,
+		cfg:        cfg,
+		prepared:   p,
+		owner:      p.Owner,
+		blocks:     p.Verts,
+		local:      make([]int32, n),
+		values:     make([]V, n),
+		halted:     make([]bool, nb),
+		pending:    make([][]addr[M], nb),
+		inbox:      make([]Inbox[M], nb),
+		outbox:     make([][]addr[M], nb),
+		ctx:        make([]BlockContext[V, M], nb),
+		lanes:      make([]*lane[M], nb),
+		stats:      &bsp.Stats{Workers: nb, N: n},
+		inboxLocal: make([]int64, nb),
+	}
+	pool := lanePool[M]()
+	for b, blk := range e.blocks {
+		for i, v := range blk {
+			e.local[v] = int32(i)
+		}
+		l, _ := pool.Get().(*lane[M])
+		if l == nil {
+			l = new(lane[M])
+		}
+		e.lanes[b] = l
+		e.pending[b], e.outbox[b] = l.pending[:0], l.outbox[:0]
+		e.inbox[b] = Inbox[M]{
+			local: e.local,
+			slot:  make([]struct{ at, n int32 }, len(blk)),
+			verts: l.verts[:0],
+			msgs:  l.msgs[:0],
+		}
+		e.ctx[b] = BlockContext[V, M]{
+			engine: e,
+			block:  b,
+			marks:  make([]uint64, (len(blk)+63)/64),
+			marked: l.marked[:0],
+		}
 	}
 	e.dirtyBlocks = make([]bool, nb)
 	e.scratch = rt.GetScratches(nb)
@@ -169,13 +307,6 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		if p {
 			e.anyPull = true
 		}
-	}
-	if e.anyPull {
-		e.localOut = make([][]addr[M], nb)
-	}
-	e.inboxLocal = make([]int64, nb)
-	for b := range e.inbox {
-		e.inbox[b] = map[VertexID][]M{}
 	}
 	for v := 0; v < n; v++ {
 		e.values[v] = prog.Init(g, VertexID(v))
@@ -199,10 +330,28 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	}
 	defer e.prepared.Release()
 	defer rt.PutScratches(e.scratch)
+	defer e.putLanes()
 	e.driver = rt.NewDriver[*bcSnapshot[V, M]](e, e.stats, e.prepared.Driver)
 	_, err := e.driver.Run()
 	e.driver = nil
 	return &Result[V]{Values: e.values, Stats: e.stats}, err
+}
+
+// putLanes hands every block's buffers, grown to this run's peak, back
+// to the pool and drops the engine's references to them.
+func (e *Engine[V, M]) putLanes() {
+	pool := lanePool[M]()
+	for b, l := range e.lanes {
+		*l = lane[M]{
+			pending: e.pending[b][:0],
+			outbox:  e.outbox[b][:0],
+			msgs:    e.inbox[b].msgs[:0],
+			verts:   e.inbox[b].verts[:0],
+			marked:  e.ctx[b].marked[:0],
+		}
+		pool.Put(l)
+	}
+	e.lanes, e.pending, e.outbox, e.inbox, e.ctx = nil, nil, nil, nil, nil
 }
 
 // Quiescent implements runtime.Policy: every block halted with no
@@ -220,9 +369,9 @@ func (e *Engine[V, M]) Quiescent(step, pending int) bool {
 }
 
 // Snapshot implements runtime.Policy: it deep-copies the barrier state
-// (boundary messages already delivered to inboxes) of every block
-// (full) or of the blocks computed or mailed across a boundary since
-// the previous frame (delta), and resets the dirty tracking.
+// (boundary messages already delivered) of every block (full) or of the
+// blocks computed or mailed across a boundary since the previous frame
+// (delta), and resets the dirty tracking.
 func (e *Engine[V, M]) Snapshot(full bool) *bcSnapshot[V, M] {
 	blocks := rt.TakeDirty[int](e.dirtyBlocks, full)
 	nb := len(e.halted)
@@ -233,7 +382,7 @@ func (e *Engine[V, M]) Snapshot(full bool) *bcSnapshot[V, M] {
 		blocks:     blocks,
 		blockVals:  make([][]V, nb),
 		halted:     make([]bool, nb),
-		inbox:      make([]map[VertexID][]M, nb),
+		inbox:      make([]inboxFrame[M], nb),
 		inboxLocal: make([]int64, nb),
 	}
 	for i := range ck.halted {
@@ -241,10 +390,20 @@ func (e *Engine[V, M]) Snapshot(full bool) *bcSnapshot[V, M] {
 		ck.blockVals[i] = rt.CloneValuesAt(e.prog, e.values, e.blocks[b])
 		ck.halted[i] = e.halted[b]
 		ck.inboxLocal[i] = e.inboxLocal[b]
-		ck.inbox[i] = make(map[VertexID][]M, len(e.inbox[b]))
-		for v, ms := range e.inbox[b] {
-			ck.inbox[i][v] = append([]M(nil), ms...)
+		// The inboxes are idle at the barrier: bucket the pending list
+		// through the block's own to take the frame.
+		in := &e.inbox[b]
+		in.fill(e.pending[b])
+		f := inboxFrame[M]{
+			verts: slices.Clone(in.verts),
+			n:     make([]int32, len(in.verts)),
+			msgs:  slices.Clone(in.msgs),
 		}
+		for j, v := range in.verts {
+			f.n[j] = in.slot[e.local[v]].n
+		}
+		in.reset()
+		ck.inbox[i] = f
 	}
 	return ck
 }
@@ -258,11 +417,9 @@ func (e *Engine[V, M]) FrameBytes(ck *bcSnapshot[V, M]) int64 {
 	for _, vs := range ck.blockVals {
 		b += int64(len(vs)) * szV
 	}
-	szM := rt.SizeOf[M]()
-	for _, in := range ck.inbox {
-		for _, ms := range in {
-			b += rt.MapEntryBytes + int64(len(ms))*szM
-		}
+	szM, szRecipient := rt.SizeOf[M](), rt.SizeOf[VertexID]()+rt.SizeOf[int32]()
+	for _, f := range ck.inbox {
+		b += int64(len(f.verts))*szRecipient + int64(len(f.msgs))*szM
 	}
 	return b
 }
@@ -280,12 +437,9 @@ func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int, ok bool) {
 		e.values = rt.CloneValues[V](e.prog, e.pristine)
 		for b := range e.halted {
 			e.halted[b] = false
-			clear(e.inbox[b])
+			e.pending[b] = e.pending[b][:0]
 			e.outbox[b] = e.outbox[b][:0]
 			e.inboxLocal[b] = 0
-			if e.localOut != nil {
-				e.localOut[b] = e.localOut[b][:0]
-			}
 		}
 		return
 	}
@@ -294,14 +448,16 @@ func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int, ok bool) {
 		rt.RestoreValuesAt(e.prog, e.values, ck.blockVals[i], e.blocks[b])
 		e.halted[b] = h
 		e.inboxLocal[b] = ck.inboxLocal[i]
-		clear(e.inbox[b])
-		for v, ms := range ck.inbox[i] {
-			e.inbox[b][v] = append([]M(nil), ms...)
+		f, p := ck.inbox[i], e.pending[b][:0]
+		k := int32(0)
+		for j, v := range f.verts {
+			for _, m := range f.msgs[k : k+f.n[j]] {
+				p = append(p, addr[M]{dst: v, m: m})
+			}
+			k += f.n[j]
 		}
+		e.pending[b] = p
 		e.outbox[b] = e.outbox[b][:0]
-		if e.localOut != nil {
-			e.localOut[b] = e.localOut[b][:0]
-		}
 	}
 }
 
@@ -315,56 +471,47 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 	// Frontier: members of the blocks that will wake this superstep —
 	// the block-granular activity signal the adaptive planner reads.
 	for b := 0; b < nb; b++ {
-		if !(e.halted[b] && len(e.inbox[b]) == 0 && superstep > 0) {
+		if !(e.halted[b] && len(e.pending[b]) == 0 && superstep > 0) {
 			ss.Frontier += int64(len(e.blocks[b]))
 		}
 	}
 	e.driver.Lease().Run(func(b int) {
-		msgs := e.inbox[b]
-		if e.halted[b] && len(msgs) == 0 && superstep > 0 {
+		if e.halted[b] && len(e.pending[b]) == 0 && superstep > 0 {
 			return
 		}
-		// Computing mutates the block's values, halt flag, and inbox;
-		// each goroutine writes only its own flag, so this is race-free.
+		// Computing mutates the block's values, halt flag, and pending
+		// list; each goroutine writes only its own block's state, so this
+		// is race-free.
 		e.dirtyBlocks[b] = true
 		e.halted[b] = false
 		ss.Active[b] = int64(len(e.blocks[b]))
-		for _, ms := range msgs {
-			ss.Recv[b] += int64(len(ms))
-		}
 		// Locally-pulled messages never crossed a block boundary; Recv
 		// reports boundary traffic only (the h term the cost model
 		// charges). inboxLocal is zero when pull is off.
-		ss.Recv[b] -= e.inboxLocal[b]
-		e.inboxLocal[b] = 0
-		ctx := &BlockContext[V, M]{engine: e, block: b, superstep: superstep}
-		e.prog.ComputeBlock(ctx, msgs)
-		// Reuse the inbox map's buckets across supersteps instead of
-		// allocating a fresh map (ComputeBlock must not retain msgs).
-		clear(msgs)
+		ss.Recv[b] = int64(len(e.pending[b])) - e.inboxLocal[b]
+		in := &e.inbox[b]
+		in.fill(e.pending[b])
+		// The pending list is consumed: a pulling block's local sends
+		// append to it during ComputeBlock — no shared outbox, no
+		// boundary exchange, no in-transit window for fault injection.
+		e.pending[b] = e.pending[b][:0]
+		ctx := &e.ctx[b]
+		ctx.superstep, ctx.sent, ctx.work, ctx.halt = superstep, 0, 0, false
+		e.prog.ComputeBlock(ctx, in)
+		in.reset()
+		ctx.unmarkAll()
 		if ctx.halt {
 			e.halted[b] = true
 		}
 		ss.Work[b] = ctx.work + 1
 		ss.Sent[b] = ctx.sent
-		if e.pullBlock[b] {
-			// Block-local pull: fold this block's sends to itself into
-			// its own (just-cleared) inbox right here in the parallel
-			// phase — no shared outbox, no boundary exchange, no
-			// in-transit window for fault injection. Each block touches
-			// only inbox[b], so the concurrent folds are race-free.
-			for _, am := range e.localOut[b] {
-				msgs[am.dst] = append(msgs[am.dst], am.m)
-			}
-			e.inboxLocal[b] = int64(len(e.localOut[b]))
-			e.localOut[b] = e.localOut[b][:0]
-		}
+		e.inboxLocal[b] = int64(len(e.pending[b]))
 	})
 
 	// Deliver boundary messages. Locally-pulled deliveries still count
 	// toward pending — a halted block with fresh local mail must wake,
-	// and Quiescent must not declare the run drained while any inbox
-	// holds messages.
+	// and Quiescent must not declare the run drained while any block
+	// has messages pending.
 	inj := e.driver.Injector()
 	pending := 0
 	for b := 0; b < nb; b++ {
@@ -396,7 +543,7 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 			if drop != nil && drop[dst] {
 				continue
 			}
-			e.inbox[dst][am.dst] = append(e.inbox[dst][am.dst], am.m)
+			e.pending[dst] = append(e.pending[dst], am)
 			e.dirtyBlocks[dst] = true
 			pending++
 		}
@@ -405,7 +552,8 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 	return pending, nil
 }
 
-// BlockContext is the per-block view handed to ComputeBlock.
+// BlockContext is the per-block view handed to ComputeBlock. The engine
+// keeps one per block and reuses it across supersteps.
 type BlockContext[V, M any] struct {
 	engine    *Engine[V, M]
 	block     int
@@ -413,6 +561,10 @@ type BlockContext[V, M any] struct {
 	sent      int64
 	work      int64
 	halt      bool
+	// marks is the block's mark bitmap by local id; marked lists the
+	// marked vertices in insertion order.
+	marks  []uint64
+	marked []VertexID
 }
 
 // Superstep returns the current superstep (0-based).
@@ -430,19 +582,6 @@ func (c *BlockContext[V, M]) Value(v VertexID) *V { return &c.engine.values[v] }
 // Local reports whether v belongs to this block.
 func (c *BlockContext[V, M]) Local(v VertexID) bool { return int(c.engine.owner[v]) == c.block }
 
-// OutEdges returns v's adjacency as []Edge, materialized fresh from
-// the pinned CSR snapshot (never the live graph). Block programs'
-// sequential sweeps should prefer the CSR spans below, which avoid the
-// per-call allocation and the 32-byte Edge layout.
-func (c *BlockContext[V, M]) OutEdges(v VertexID) []graph.Edge {
-	csr := c.engine.csr
-	d := csr.OutDegree(v)
-	if d == 0 {
-		return nil
-	}
-	return csr.AppendOutEdges(make([]graph.Edge, 0, d), v)
-}
-
 // Out returns v's out-neighbor span from the CSR snapshot. The slice
 // aliases the snapshot (or, on a packed snapshot, the block's decode
 // buffer — the next Out call in this block overwrites it) and must not
@@ -455,30 +594,44 @@ func (c *BlockContext[V, M]) Out(v VertexID) []VertexID {
 // nil when the graph is unweighted.
 func (c *BlockContext[V, M]) OutWeights(v VertexID) []float64 { return c.engine.csr.OutWeights(v) }
 
-// OutDegree returns v's out-degree.
-func (c *BlockContext[V, M]) OutDegree(v VertexID) int { return c.engine.csr.OutDegree(v) }
+// Mark adds v, a vertex of the block, to the block's marked set for
+// this superstep. Marking is idempotent; the set empties when
+// ComputeBlock returns.
+func (c *BlockContext[V, M]) Mark(v VertexID) {
+	l := c.engine.local[v]
+	if w, bit := l>>6, uint64(1)<<(l&63); c.marks[w]&bit == 0 {
+		c.marks[w] |= bit
+		c.marked = append(c.marked, v)
+	}
+}
 
-// ForEachOut calls f for every out-edge of v in adjacency order,
-// without allocating.
-func (c *BlockContext[V, M]) ForEachOut(v VertexID, f func(dst VertexID, w float64)) {
-	c.engine.csr.ForEachOut(v, f)
+// Marked lists the marked vertices in the order they were first
+// marked. The slice is reused; it must not be retained.
+func (c *BlockContext[V, M]) Marked() []VertexID { return c.marked }
+
+// unmarkAll empties the marked set, touching only its members.
+func (c *BlockContext[V, M]) unmarkAll() {
+	for _, v := range c.marked {
+		l := c.engine.local[v]
+		c.marks[l>>6] &^= uint64(1) << (l & 63)
+	}
+	c.marked = c.marked[:0]
 }
 
 // SendTo sends m to a (typically remote) vertex for the next superstep.
 // When block-local pull is enabled for the sending block (see
-// Config.Mode) a message to a vertex of that block is buffered locally
-// and folded into the block's own inbox in the parallel phase; it is
-// not counted in Sent, which then reports boundary traffic only. Within
-// one destination
-// vertex all same-source-block messages are either all local or all
-// boundary, so each slice's internal order matches push mode — only the
+// Config.Mode) a message to a vertex of that block goes straight to the
+// block's own pending list; it is not counted in Sent, which then
+// reports boundary traffic only. Within one destination vertex all
+// same-source-block messages are either all local or all boundary, so
+// each bucket's internal order matches push mode — only the
 // local-before-boundary interleaving differs (visible solely to
 // order-sensitive float folds such as PageRank's sum, which stays
 // deterministic and equal up to rounding).
 func (c *BlockContext[V, M]) SendTo(dst VertexID, m M) {
 	e := c.engine
 	if e.pullBlock[c.block] && int(e.owner[dst]) == c.block {
-		e.localOut[c.block] = append(e.localOut[c.block], addr[M]{dst: dst, m: m})
+		e.pending[c.block] = append(e.pending[c.block], addr[M]{dst: dst, m: m})
 		return
 	}
 	c.sent++
@@ -510,11 +663,11 @@ func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
 	return id
 }
 
-func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], msgs map[VertexID][]VertexID) {
+func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], in *Inbox[VertexID]) {
 	// Absorb boundary updates.
-	dirty := make([]VertexID, 0, len(msgs))
-	for v, ms := range msgs {
-		for _, m := range ms {
+	dirty := make([]VertexID, 0, len(in.Vertices()))
+	for _, v := range in.Vertices() {
+		for _, m := range in.To(v) {
 			ctx.Charge(1)
 			if m < *ctx.Value(v) {
 				*ctx.Value(v) = m
@@ -526,8 +679,7 @@ func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], msgs map[Ve
 		dirty = append(dirty, ctx.Block()...)
 	}
 	// Local min-label BFS from every updated vertex, confined to the
-	// block.
-	changed := map[VertexID]bool{}
+	// block; every vertex whose label changed is marked.
 	queue := dirty
 	for len(queue) > 0 {
 		v := queue[0]
@@ -541,18 +693,18 @@ func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], msgs map[Ve
 			if label < *ctx.Value(u) {
 				*ctx.Value(u) = label
 				queue = append(queue, u)
-				changed[u] = true
+				ctx.Mark(u)
 			}
 		}
 		if ctx.Superstep() == 0 {
-			changed[v] = true
+			ctx.Mark(v)
 		}
 	}
 	for _, v := range dirty {
-		changed[v] = true
+		ctx.Mark(v)
 	}
 	// Push labels over boundary edges for every changed vertex.
-	for v := range changed {
+	for _, v := range ctx.Marked() {
 		label := *ctx.Value(v)
 		for _, u := range ctx.Out(v) {
 			if !ctx.Local(u) {
@@ -613,19 +765,21 @@ func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
 	return math.Inf(1)
 }
 
-func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[VertexID][]float64) {
-	// Absorb boundary offers.
-	changed := map[VertexID]bool{}
-	dirty := make([]VertexID, 0, len(msgs))
-	for v, ms := range msgs {
-		for _, d := range ms {
+func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], in *Inbox[float64]) {
+	// Absorb boundary offers. Every vertex whose distance improves is
+	// marked.
+	dirty := make([]VertexID, 0, len(in.Vertices()))
+	for _, v := range in.Vertices() {
+		improved := false
+		for _, d := range in.To(v) {
 			ctx.Charge(1)
 			if d < *ctx.Value(v) {
 				*ctx.Value(v) = d
-				changed[v] = true
+				improved = true
 			}
 		}
-		if changed[v] {
+		if improved {
+			ctx.Mark(v)
 			dirty = append(dirty, v)
 		}
 	}
@@ -637,7 +791,7 @@ func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[
 		for _, v := range ctx.Block() {
 			if !math.IsInf(*ctx.Value(v), 1) {
 				dirty = append(dirty, v)
-				changed[v] = true
+				ctx.Mark(v)
 			}
 		}
 	}
@@ -660,13 +814,13 @@ func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[
 			}
 			if nd := d + w; nd < *ctx.Value(u) {
 				*ctx.Value(u) = nd
-				changed[u] = true
+				ctx.Mark(u)
 				queue = append(queue, u)
 			}
 		}
 	}
 	// Offer improved distances over boundary edges.
-	for v := range changed {
+	for _, v := range ctx.Marked() {
 		d := *ctx.Value(v)
 		dsts := ctx.Out(v)
 		ws := ctx.OutWeights(v)
@@ -737,12 +891,12 @@ func (p prProgram) Init(g *graph.Graph, id VertexID) float64 {
 	return 1 / float64(p.n)
 }
 
-func (p prProgram) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[VertexID][]float64) {
+func (p prProgram) ComputeBlock(ctx *BlockContext[float64, float64], in *Inbox[float64]) {
 	s := ctx.Superstep()
 	for _, v := range ctx.Block() {
 		if s > 0 {
 			var sum float64
-			for _, m := range msgs[v] {
+			for _, m := range in.To(v) {
 				ctx.Charge(1)
 				sum += m
 			}
@@ -812,8 +966,8 @@ func SSSPProgram(src VertexID, seed []float64) Program[float64, float64] {
 // PageRankProgram is the fixed-iteration PageRank program: k folds
 // from seed ranks (nil is the uniform cold start). It is bit-compatible
 // with single-worker Pregel only under DirectionPush over a range
-// partition: per-block pull reroutes intra-block shares around the
-// inbox and changes the fold order.
+// partition: per-block pull queues intra-block shares ahead of the
+// boundary ones and changes the fold order.
 func PageRankProgram(n, k int, alpha float64, seed []float64) Program[float64, float64] {
 	return prProgram{n: n, k: k, alpha: alpha, seed: seed}
 }

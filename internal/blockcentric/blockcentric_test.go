@@ -1,6 +1,7 @@
 package blockcentric_test
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	. "vcgraph/internal/blockcentric"
@@ -167,6 +168,33 @@ func TestBlockCCWeightedLabelsIgnoreWeights(t *testing.T) {
 	for _, c := range res.Color {
 		if c != 0 {
 			t.Fatalf("connected graph split: %v", c)
+		}
+	}
+}
+
+// TestBlockSuperstepAllocs: a steady-state block-centric PageRank
+// superstep allocates almost nothing — the inbox slabs, pending lists,
+// outboxes and contexts are reused, so the per-superstep cost is the
+// driver's stat record, not a map or slice per block or vertex. The
+// difference between a 20- and a 10-iteration run isolates ten
+// steady-state supersteps from prepare and first-superstep growth.
+func TestBlockSuperstepAllocs(t *testing.T) {
+	g := graph.RMAT(12, 40000, 1)
+	mallocs := func(k, blocks int) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := PageRank(g, 0.85, k, Config{Workers: blocks}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	for _, blocks := range []int{2, 4} {
+		mallocs(10, blocks) // warm the buffer pools and the run scheduler
+		per := (float64(mallocs(20, blocks)) - float64(mallocs(10, blocks))) / 10
+		t.Logf("blocks=%d: %.1f allocs per steady-state superstep", blocks, per)
+		if per > float64(2*blocks) {
+			t.Errorf("blocks=%d: %.1f allocs per steady-state superstep, want at most %d", blocks, per, 2*blocks)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func (restlessGAS) Sum(a, b int) int                  { return a + b }
 func (restlessGAS) Apply(v *int, _ int) bool          { *v++; return true }
 
 func (restlessBlock) Init(*graph.Graph, VertexID) int { return 0 }
-func (restlessBlock) ComputeBlock(*blockcentric.BlockContext[int, int], map[VertexID][]int) {
+func (restlessBlock) ComputeBlock(*blockcentric.BlockContext[int, int], *blockcentric.Inbox[int]) {
 }
 
 func (restlessAsync) Init(*graph.Graph, VertexID) int { return 0 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/runtime"
 	"vcgraph/internal/seq"
@@ -96,6 +99,19 @@ func pageRankCase(g *graph.Graph, k, done int, tol float64) matrixCase {
 	}
 }
 
+// sortedKeys lists the rows' keys in algorithm/engine order, so
+// subtests run and are named in a fixed order.
+func sortedKeys(rows map[Key]Row) []Key {
+	keys := make([]Key, 0, len(rows))
+	for key := range rows {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return keys[i].Algo+"/"+keys[i].Engine < keys[j].Algo+"/"+keys[j].Engine
+	})
+	return keys
+}
+
 func matrixCases(g *graph.Graph) map[string]matrixCase {
 	cc := floats(seq.Components(g, &seq.Ops{}))
 	dist := seq.Dijkstra(g, 0, &seq.Ops{})
@@ -139,13 +155,7 @@ func TestMatrixAgainstSeq(t *testing.T) {
 	for engine, row := range FixedKPageRank {
 		rows[Key{"pagerank/fixedk", engine}] = row
 	}
-	keys := make([]Key, 0, len(rows))
-	for key := range rows {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return keys[i].Algo+"/"+keys[i].Engine < keys[j].Algo+"/"+keys[j].Engine
-	})
+	keys := sortedKeys(rows)
 	graphs := drawGraphs()
 	names := make([]string, 0, len(graphs))
 	for name := range graphs {
@@ -369,4 +379,61 @@ func mixedBatch(g *graph.Graph, rng *rand.Rand, k int) []graph.Mutation {
 		live = append(live[:j], live[j+1:]...)
 	}
 	return muts
+}
+
+// TestMatrixDeterministic: every row is reproducible. Run twice on the
+// same graph, worker count and fault plan, a row answers the same values
+// bit for bit and reports the same bsp.Stats — every superstep's
+// per-worker work, messages and frontier, the model cost and the
+// recovery counters — apart from the heap and allocation deltas, which
+// measure the process rather than the run.
+func TestMatrixDeterministic(t *testing.T) {
+	graphs := drawGraphs()
+	var names []string
+	for _, prefix := range []string{"powerlaw/", "rmat/"} {
+		var first string
+		for name := range graphs {
+			if strings.HasPrefix(name, prefix) && (first == "" || name < first) {
+				first = name
+			}
+		}
+		names = append(names, first)
+	}
+	args := Args{Src: 0, Alpha: 0.85, K: 20, Eps: 1e-6}
+	for _, name := range names {
+		g := graphs[name]
+		for _, key := range sortedKeys(Matrix) {
+			for _, workers := range []int{1, 2, 4} {
+				for _, faults := range []int64{0, 7} {
+					cfg := Config{Workers: workers}
+					if faults != 0 {
+						cfg.CheckpointEvery, cfg.FullSnapshotEvery = 1, 3
+						cfg.Faults = runtime.NewFaultPlan(faults)
+					}
+					t.Run(fmt.Sprintf("%s/%s/%s/w%d/faults=%d", key.Algo, key.Engine, name, workers, faults), func(t *testing.T) {
+						var vals [2][]float64
+						var stats [2]*bsp.Stats
+						for i := range vals {
+							var err error
+							vals[i], stats[i], err = Matrix[key](g, args, nil, Env{Config: cfg})()
+							if err != nil {
+								t.Fatal(err)
+							}
+							stats[i].HeapInuseDelta, stats[i].TotalAllocDelta = 0, 0
+						}
+						for v := range vals[0] {
+							if math.Float64bits(vals[0][v]) != math.Float64bits(vals[1][v]) {
+								t.Fatalf("value[%d] = %v, then %v", v, vals[0][v], vals[1][v])
+							}
+						}
+						if !reflect.DeepEqual(stats[0], stats[1]) {
+							t.Fatalf("stats differ between two runs: work %d vs %d, messages %d vs %d, model time %v vs %v",
+								stats[0].TotalWork, stats[1].TotalWork, stats[0].TotalMessages, stats[1].TotalMessages,
+								stats[0].MeasuredTime, stats[1].MeasuredTime)
+						}
+					})
+				}
+			}
+		}
+	}
 }
