@@ -30,6 +30,27 @@ func renderCSV(t *testing.T, workers int, rows ...string) string {
 	return core.RenderCSV(outs)
 }
 
+// cheapRows is the row subset the stability tests run. cheapRuns keeps
+// one run of it per worker count, so those tests compare renderings of
+// one run instead of each paying for its own.
+var (
+	cheapRows = []string{"T1.03", "T1.08", "T1.16"}
+	cheapRuns = map[int][]*core.Outcome{}
+)
+
+func runCheapRows(t *testing.T, workers int) []*core.Outcome {
+	t.Helper()
+	if outs, ok := cheapRuns[workers]; ok {
+		return outs
+	}
+	outs, err := core.RunAll(vc.Config{Workers: workers}, cheapRows...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cheapRuns[workers] = outs
+	return outs
+}
+
 func readGolden(t *testing.T) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", goldenFile))
@@ -79,12 +100,49 @@ func TestTable1Golden(t *testing.T) {
 // process reproduces the stored run exactly, not merely a run being
 // equal to itself.
 func TestTable1StableAcrossRuns(t *testing.T) {
-	rows := []string{"T1.03", "T1.08", "T1.16"}
-	got := renderCSV(t, 4, rows...)
+	got := core.RenderCSV(runCheapRows(t, 4))
 	want := readGolden(t)
 	for _, line := range strings.Split(strings.TrimSuffix(got, "\n"), "\n")[1:] {
 		if !strings.Contains(want, line+"\n") {
 			t.Errorf("line not present in golden file:\n%s", line)
+		}
+	}
+}
+
+// TestTable1DetailsDeterministic: the -details rendering of the cheap
+// rows is byte-identical across two runs at 4 workers, and its
+// superstep and verdict lines equal the 2-worker rendering's.
+func TestTable1DetailsDeterministic(t *testing.T) {
+	first := core.RenderDetails(runCheapRows(t, 4))
+	again, err := core.RunAll(vc.Config{Workers: 4}, cheapRows...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second := core.RenderDetails(again); first != second {
+		t.Fatalf("two 4-worker -details renderings differ:\n%s\n---\n%s", first, second)
+	}
+	// Superstep counts close the evidence line; the verdict line is
+	// whole. Everything else may scale with P.
+	invariant := func(details string) []string {
+		var out []string
+		for _, line := range strings.Split(details, "\n") {
+			line = strings.TrimSpace(line)
+			if i := strings.Index(line, "supersteps "); i >= 0 && strings.HasPrefix(line, "evidence:") {
+				out = append(out, line[i:])
+			}
+			if strings.HasPrefix(line, "verdicts vs paper:") {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	w4, w2 := invariant(first), invariant(core.RenderDetails(runCheapRows(t, 2)))
+	if len(w4) != 2*len(cheapRows) || len(w2) != len(w4) {
+		t.Fatalf("found %d and %d superstep and verdict lines, want %d", len(w4), len(w2), 2*len(cheapRows))
+	}
+	for i := range w4 {
+		if w2[i] != w4[i] {
+			t.Errorf("2 workers %q, 4 workers %q", w2[i], w4[i])
 		}
 	}
 }
@@ -94,8 +152,7 @@ func TestTable1StableAcrossRuns(t *testing.T) {
 // (sizes, sequential ops, superstep counts, verdicts) agrees with the
 // 4-worker golden. Only the P-scaled columns (PT, ratio) may move.
 func TestTable1VerdictsStableAcrossWorkers(t *testing.T) {
-	rows := []string{"T1.03", "T1.08", "T1.16"}
-	got := renderCSV(t, 2, rows...)
+	got := core.RenderCSV(runCheapRows(t, 2))
 	gotRecs, err := csv.NewReader(strings.NewReader(got)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +165,8 @@ func TestTable1VerdictsStableAcrossWorkers(t *testing.T) {
 	for _, r := range wantRecs[1:] {
 		byID[r[0]] = r
 	}
-	if len(gotRecs) != len(rows)+1 {
-		t.Fatalf("got %d records, want %d", len(gotRecs)-1, len(rows))
+	if len(gotRecs) != len(cheapRows)+1 {
+		t.Fatalf("got %d records, want %d", len(gotRecs)-1, len(cheapRows))
 	}
 	for _, r := range gotRecs[1:] {
 		w, ok := byID[r[0]]

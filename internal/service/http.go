@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -73,6 +74,8 @@ func codeFor(err error) int {
 	return http.StatusBadRequest
 }
 
+// decodeBody decodes a request body that must hold exactly one JSON
+// value; trailing data (a second value, garbage) is a bad request.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -80,8 +83,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		writeErr(w, http.StatusBadRequest, err)
 		return false
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeErr(w, http.StatusBadRequest, errTrailingData)
+		return false
+	}
 	return true
 }
+
+var errTrailingData = errors.New("service: request body holds data after its JSON value")
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,6 +118,35 @@ func TestHTTPEndToEnd(t *testing.T) {
 	query := doJSON(t, "GET", jobURL+"/query?vertex=17", nil, http.StatusOK)
 	if got := query["value"].(float64); got != res.Ranks[17] {
 		t.Fatalf("query value %v != library run %v", got, res.Ranks[17])
+	}
+}
+
+// TestHTTPRejectsTrailingData: a request body is one JSON value. A
+// second value or garbage after it is a bad request and submits no job.
+func TestHTTPRejectsTrailingData(t *testing.T) {
+	s := New(2, 1)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	doJSON(t, "POST", ts.URL+"/v1/graphs", GraphSpec{Name: "g", Gen: "path", N: 8}, http.StatusCreated)
+	for _, body := range []string{
+		`{"graph":"g","algo":"cc"}{"graph":"g","algo":"pagerank"}`,
+		`{"graph":"g","algo":"cc"}garbage`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want %d", body, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 {
+		t.Fatalf("rejected bodies submitted %d jobs", jobs)
 	}
 }
 

@@ -232,13 +232,8 @@ func runAuto(g *graph.Graph, csr *graph.CSR, a Args, cfg AutoConfig, gs plan.Gra
 	}
 }
 
-// PageRankAuto runs k iterations of PageRank under the adaptive plan
-// layer.
-func PageRankAuto(g *graph.Graph, alpha float64, k int, cfg AutoConfig) (*PageRankResult, *AutoResult, error) {
-	return PrepareAutoPageRank(g, alpha, k, cfg)()
-}
-
-// PrepareAutoPageRank is the job-scoped form of PageRankAuto.
+// PrepareAutoPageRank prepares k iterations of PageRank under the
+// adaptive plan layer.
 func PrepareAutoPageRank(g *graph.Graph, alpha float64, k int, cfg AutoConfig) func() (*PageRankResult, *AutoResult, error) {
 	run := PrepareAuto(g, "pagerank", Args{Alpha: alpha, K: k}, cfg)
 	return func() (*PageRankResult, *AutoResult, error) {
@@ -250,13 +245,8 @@ func PrepareAutoPageRank(g *graph.Graph, alpha float64, k int, cfg AutoConfig) f
 	}
 }
 
-// HashMinCCAuto runs connected components under the adaptive plan
-// layer.
-func HashMinCCAuto(g *graph.Graph, cfg AutoConfig) (*CCResult, *AutoResult, error) {
-	return PrepareAutoHashMinCC(g, cfg)()
-}
-
-// PrepareAutoHashMinCC is the job-scoped form of HashMinCCAuto.
+// PrepareAutoHashMinCC prepares connected components under the adaptive
+// plan layer.
 func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *AutoResult, error) {
 	run := PrepareAuto(g, "cc", Args{}, cfg)
 	return func() (*CCResult, *AutoResult, error) {
@@ -268,13 +258,8 @@ func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *Au
 	}
 }
 
-// SSSPAuto runs single-source shortest paths under the adaptive plan
-// layer.
-func SSSPAuto(g *graph.Graph, src VertexID, cfg AutoConfig) (*SSSPResult, *AutoResult, error) {
-	return PrepareAutoSSSP(g, src, cfg)()
-}
-
-// PrepareAutoSSSP is the job-scoped form of SSSPAuto.
+// PrepareAutoSSSP prepares single-source shortest paths under the
+// adaptive plan layer.
 func PrepareAutoSSSP(g *graph.Graph, src VertexID, cfg AutoConfig) func() (*SSSPResult, *AutoResult, error) {
 	run := PrepareAuto(g, "sssp", Args{Src: src}, cfg)
 	return func() (*SSSPResult, *AutoResult, error) {

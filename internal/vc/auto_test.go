@@ -93,7 +93,7 @@ func TestAutoHandoffDifferentialCC(t *testing.T) {
 						dec(2, e2, partFor(e2), "auto"),
 					},
 				}
-				res, ar, err := HashMinCCAuto(g, cfg)
+				res, ar, err := PrepareAutoHashMinCC(g, cfg)()
 				if err != nil {
 					t.Fatalf("auto: %v", err)
 				}
@@ -140,7 +140,7 @@ func TestAutoHandoffDifferentialSSSP(t *testing.T) {
 						dec(2, e2, partFor(e2), "auto"),
 					},
 				}
-				res, ar, err := SSSPAuto(g, src, cfg)
+				res, ar, err := PrepareAutoSSSP(g, src, cfg)()
 				if err != nil {
 					t.Fatalf("auto: %v", err)
 				}
@@ -205,7 +205,7 @@ func TestAutoHandoffDifferentialPageRank(t *testing.T) {
 	)
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
-			res, ar, err := PageRankAuto(g, alpha, k, AutoConfig{Config: Config{Workers: c.workers}, Script: c.script})
+			res, ar, err := PrepareAutoPageRank(g, alpha, k, AutoConfig{Config: Config{Workers: c.workers}, Script: c.script})()
 			if err != nil {
 				t.Fatalf("auto: %v", err)
 			}
@@ -222,10 +222,10 @@ func TestAutoHandoffDifferentialPageRank(t *testing.T) {
 	// Multi-worker pregel folds per-lane, which reorders the sum:
 	// tolerance comparison only.
 	t.Run("pregel->gas/w4-tolerance", func(t *testing.T) {
-		res, ar, err := PageRankAuto(g, alpha, k, AutoConfig{Config: Config{Workers: 4}, Script: []plan.Decision{
+		res, ar, err := PrepareAutoPageRank(g, alpha, k, AutoConfig{Config: Config{Workers: 4}, Script: []plan.Decision{
 			dec(0, plan.EnginePregel, "hash", "auto"),
 			dec(3, plan.EngineGAS, "hash", "auto"),
-		}})
+		}})()
 		if err != nil {
 			t.Fatalf("auto: %v", err)
 		}
@@ -250,11 +250,11 @@ func TestAutoDoubleHandoffPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	res, ar, err := PageRankAuto(g, alpha, k, AutoConfig{Config: Config{Workers: 1}, Script: []plan.Decision{
+	res, ar, err := PrepareAutoPageRank(g, alpha, k, AutoConfig{Config: Config{Workers: 1}, Script: []plan.Decision{
 		dec(0, plan.EnginePregel, "hash", "auto"),
 		dec(3, plan.EngineGAS, "hash", "auto"),
 		dec(9, plan.EngineBlockcentric, "range", "auto"),
-	}})
+	}})()
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
@@ -283,13 +283,13 @@ func TestAutoHandoffUnderFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("native: %v", err)
 			}
-			res, ar, err := HashMinCCAuto(g, AutoConfig{
+			res, ar, err := PrepareAutoHashMinCC(g, AutoConfig{
 				Config: Config{Workers: 4, CheckpointEvery: 2, Faults: faults},
 				Script: []plan.Decision{
 					dec(0, pair[0], partFor(pair[0]), "auto"),
 					dec(2, pair[1], partFor(pair[1]), "auto"),
 				},
-			})
+			})()
 			if err != nil {
 				t.Fatalf("auto: %v", err)
 			}
@@ -308,13 +308,13 @@ func TestAutoHandoffUnderFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("native: %v", err)
 			}
-			res, ar, err := SSSPAuto(g, 0, AutoConfig{
+			res, ar, err := PrepareAutoSSSP(g, 0, AutoConfig{
 				Config: Config{Workers: 4, CheckpointEvery: 2, Faults: faults},
 				Script: []plan.Decision{
 					dec(0, pair[0], partFor(pair[0]), "auto"),
 					dec(2, pair[1], partFor(pair[1]), "auto"),
 				},
-			})
+			})()
 			if err != nil {
 				t.Fatalf("auto: %v", err)
 			}
@@ -338,7 +338,7 @@ func TestAutoPlannerInitialCC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	res, ar, err := HashMinCCAuto(g, AutoConfig{Config: Config{Workers: 4}})
+	res, ar, err := PrepareAutoHashMinCC(g, AutoConfig{Config: Config{Workers: 4}})()
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
@@ -368,10 +368,10 @@ func TestAutoPlannerMidRunSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	res, ar, err := SSSPAuto(g, 0, AutoConfig{
+	res, ar, err := PrepareAutoSSSP(g, 0, AutoConfig{
 		Config:  Config{Workers: 4},
 		Planner: &plan.Planner{Every: 4},
-	})
+	})()
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
@@ -402,7 +402,7 @@ func TestAutoPageRankPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	res, ar, err := PageRankAuto(g, alpha, k, AutoConfig{Config: Config{Workers: 1}})
+	res, ar, err := PrepareAutoPageRank(g, alpha, k, AutoConfig{Config: Config{Workers: 1}})()
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}

@@ -187,7 +187,7 @@ func TestSequentialEnginesRefuseAWideJob(t *testing.T) {
 			return err
 		}},
 		{"vc: incremental cc", func(j *runtime.Job) error {
-			_, _, err := IncrementalCC(g, nil, IncConfig{Job: j})
+			_, _, err := incRow(g, "cc", Args{}, nil, Config{Job: j})
 			return err
 		}},
 	} {

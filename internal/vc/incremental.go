@@ -1,10 +1,12 @@
 // Incremental maintenance for the monotone vertex programs on evolving
 // graphs: instead of recomputing from scratch after every mutation
 // batch, a prior job's converged state is repaired by re-activating
-// only the vertices the graph delta could have affected. CC and SSSP
-// are a seed analysis and then the async engine's own program
-// (async.CCProgram, async.SSSPProgram), drained from the seeds against
-// a pinned graph.DeltaCSR view (async.PrepareSeeded).
+// only the vertices the graph delta could have affected. The inc rows
+// of the engine matrix (ccInc, ssspInc, pageRankInc) are the
+// incremental engine. CC and SSSP are a seed analysis and then the
+// async engine's own program (async.CCProgram, async.SSSPProgram),
+// drained from the seeds against a pinned graph.DeltaCSR view
+// (async.PrepareSeeded).
 //
 // The correctness contract is strict: an incremental run converges to a
 // result byte-identical to a from-scratch run on the mutated graph.
@@ -17,12 +19,12 @@
 // memoizes a fixed-K power iteration (incremental_pagerank.go) and is
 // byte-identical by construction.
 //
-// Each incremental state records the graph epoch it is valid for;
-// Graph.MutationsSince(epoch) supplies the delta. If the history is
-// unavailable — out-of-band mutation, truncated log, stale parameters —
-// the run falls back to a cold start (Cold=true on the returned state),
-// which is itself the from-scratch baseline the differential suite
-// compares against.
+// Each row resumes from Env.Prior, which records the graph epoch its
+// values are valid for; Graph.MutationsSince(epoch) supplies the delta.
+// If the history is unavailable — out-of-band mutation, truncated log,
+// changed args — the run falls back to a cold start (Prior.Cold), which
+// is itself the from-scratch baseline the differential suite compares
+// against.
 package vc
 
 import (
@@ -32,47 +34,34 @@ import (
 	rt "vcgraph/internal/runtime"
 )
 
-// IncConfig is the incremental engine's run environment, the one every
-// engine shares (runtime.EngineConfig states what each field means
-// here): CC and SSSP drain the async engine's sequential worklist, so
-// MaxSupersteps caps updates and CheckpointEvery sets the epoch (64
-// updates when unset), exactly as in the async engine; a job needs a
-// share of 1.
-type IncConfig = rt.EngineConfig
-
-// ErrIncrementalDirected rejects incremental CC/SSSP on directed
-// graphs. It is the async programs' own refusal: their updates pull
-// over out-spans, which equal the in-neighborhood only for undirected
-// graphs.
-var ErrIncrementalDirected = async.ErrDirected
-
 // incDefaults are the incremental engine's: sequential, an update cap
-// of 200·(n+64), the graph's delta view pinned.
+// of 200·(n+64), the graph's delta view pinned. CC and SSSP drain the
+// async engine's worklist, so MaxSupersteps caps updates and
+// CheckpointEvery sets the epoch (64 updates when unset), exactly as in
+// the async engine.
 func incDefaults(name string) rt.EngineDefaults {
 	return rt.EngineDefaults{Name: name, Cap: func(n int) int { return 200 * (n + 64) }, Delta: true}
 }
 
+// keep hands the state a successful inc run leaves to the next run
+// through env.Prior (nil keeps nothing) and returns its values.
+func keep(env Env, p Prior) []float64 {
+	if env.Prior != nil {
+		*env.Prior = p
+	}
+	return p.Values
+}
+
+// failed is a Run that fails with err before anything ran.
+func failed(err error) Run {
+	return func() ([]float64, *bsp.Stats, error) { return nil, nil, err }
+}
+
 // --- Incremental connected components (hash-min) ---
 
-// IncCCState is the persistent state of incremental CC: the converged
-// min-member labels and the graph epoch they are valid for. Cold
-// reports whether the run that produced it had to recompute from
-// scratch (no usable prior state or history).
-type IncCCState struct {
-	Epoch  int64
-	Labels []VertexID
-	Cold   bool
-}
-
-// IncrementalCC computes (or incrementally repairs) hash-min connected
-// component labels. IncrementalCC is PrepareIncrementalCC(g, prior, cfg)().
-func IncrementalCC(g *graph.Graph, prior *IncCCState, cfg IncConfig) (*IncCCState, *bsp.Stats, error) {
-	return PrepareIncrementalCC(g, prior, cfg)()
-}
-
-// PrepareIncrementalCC splits the run in two, like every engine's
-// Prepare form: the delta view is pinned and the seed analysis done now
-// (under the caller's graph lock), the returned closure drains the
+// ccInc computes (or incrementally repairs) hash-min connected
+// component labels. The delta view is pinned and the seed analysis done
+// now (under the caller's graph lock); the returned Run drains the
 // worklist lock-free and unpins.
 //
 // Seeding: an inserted edge re-activates its endpoints (min-label
@@ -80,23 +69,23 @@ func IncrementalCC(g *graph.Graph, prior *IncCCState, cfg IncConfig) (*IncCCStat
 // it). A deleted edge may split a component, and hash-min cannot raise
 // a label — so every vertex whose prior label matches a deleted edge's
 // endpoint labels is re-seeded to its own ID and activated (the
-// affected component only, per the tentpole). Resetting a whole prior
-// label class is what makes multi-batch windows safe: any stale
-// too-small label must be the prior minimum of a component some
-// deletion touched, and that entire class is reset.
-func PrepareIncrementalCC(g *graph.Graph, prior *IncCCState, cfg IncConfig) func() (*IncCCState, *bsp.Stats, error) {
-	pr, err := cfg.Prepare(g, incDefaults("vc: incremental cc"))
+// affected component only). Resetting a whole prior label class is
+// what makes multi-batch windows safe: any stale too-small label must
+// be the prior minimum of a component some deletion touched, and that
+// entire class is reset.
+func ccInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
+	pr, err := env.engine().Prepare(g, incDefaults("vc: incremental cc"))
 	if err != nil {
-		return func() (*IncCCState, *bsp.Stats, error) { return nil, nil, err }
+		return failed(err)
 	}
 	view := pr.Delta
 	n := view.N()
 	var labels, seeds []VertexID // labels nil: the identity cold start
 	cold := true
-	if prior != nil && len(prior.Labels) == n {
-		if muts, ok := g.MutationsSince(prior.Epoch); ok {
+	if p := env.Prior; p != nil && p.Values != nil && len(p.Values) == n {
+		if muts, ok := g.MutationsSince(p.Epoch); ok {
 			cold = false
-			labels = append([]VertexID(nil), prior.Labels...)
+			labels = ints[VertexID](p.Values)
 			seeds = seedCC(labels, muts)
 		}
 	}
@@ -104,12 +93,12 @@ func PrepareIncrementalCC(g *graph.Graph, prior *IncCCState, cfg IncConfig) func
 		seeds = async.Every(n)
 	}
 	run := async.PrepareSeeded(g, async.CCProgram(labels), pr, seeds)
-	return func() (*IncCCState, *bsp.Stats, error) {
+	return func() ([]float64, *bsp.Stats, error) {
 		res, err := run()
 		if err != nil {
 			return nil, res.Stats, err
 		}
-		return &IncCCState{Epoch: view.Epoch(), Labels: res.Values, Cold: cold}, res.Stats, nil
+		return keep(env, Prior{Epoch: view.Epoch(), Args: a, Values: floats(res.Values), Cold: cold}), res.Stats, nil
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"vcgraph/internal/async"
 	"vcgraph/internal/graph"
 )
 
@@ -26,41 +25,28 @@ func FuzzMutationScript(f *testing.F) {
 		g := graph.RandomConnected(n, 24, seed)
 		graph.RandomWeights(g, seed+1)
 		g.RebuildEvery = 5 // cross rebuild boundaries often
-		var (
-			ccSt *IncCCState
-			ssSt *IncSSSPState
-			prSt *IncPRState
-		)
+		var ccSt, ssSt, prSt Prior
+		prArgs := Args{Alpha: 0.85, K: k}
 		check := func() {
-			var err error
-			ccSt, _, err = IncrementalCC(g, ccSt, IncConfig{})
+			inc, _, err := incRow(g, "cc", Args{}, &ccSt, Config{})
 			if err != nil {
 				t.Fatalf("incremental CC: %v", err)
 			}
-			labels, _, err := async.ConnectedComponents(g, async.Config{})
-			if err != nil {
-				t.Fatalf("async CC: %v", err)
+			if labels := asyncCC(t, g); !reflect.DeepEqual(inc, labels) {
+				t.Fatalf("incremental CC %v != from-scratch %v", inc, labels)
 			}
-			if !reflect.DeepEqual(ccSt.Labels, labels) {
-				t.Fatalf("incremental CC %v != from-scratch %v", ccSt.Labels, labels)
-			}
-			ssSt, _, err = IncrementalSSSP(g, 0, ssSt, IncConfig{})
+			inc, _, err = incRow(g, "sssp", Args{Src: 0}, &ssSt, Config{})
 			if err != nil {
 				t.Fatalf("incremental SSSP: %v", err)
 			}
-			dist, _, err := async.SSSP(g, 0, async.Config{})
-			if err != nil {
-				t.Fatalf("async SSSP: %v", err)
+			if dist := asyncSSSP(t, g, 0); !reflect.DeepEqual(inc, dist) {
+				t.Fatalf("incremental SSSP %v != from-scratch %v", inc, dist)
 			}
-			if !reflect.DeepEqual(ssSt.Dist, dist) {
-				t.Fatalf("incremental SSSP %v != from-scratch %v", ssSt.Dist, dist)
-			}
-			prSt, _, err = IncrementalPageRank(g, 0.85, k, prSt, IncConfig{})
-			if err != nil {
+			if _, _, err := incRow(g, "pagerank", prArgs, &prSt, Config{}); err != nil {
 				t.Fatalf("incremental PageRank: %v", err)
 			}
-			scratch, _, err := IncrementalPageRank(g, 0.85, k, nil, IncConfig{})
-			if err != nil {
+			var scratch Prior
+			if _, _, err := incRow(g, "pagerank", prArgs, &scratch, Config{}); err != nil {
 				t.Fatalf("cold PageRank: %v", err)
 			}
 			if !reflect.DeepEqual(prSt.Hist, scratch.Hist) {

@@ -6,27 +6,8 @@ import (
 	rt "vcgraph/internal/runtime"
 )
 
-// IncPRState is the persistent state of incremental PageRank: the full
-// per-superstep rank history of a fixed-K power iteration at graph
-// epoch Epoch. Keeping all K+1 vectors (not just the final ranks) is
-// what makes warm starts byte-identical: superstep s of a warm run
-// recomputes only vertices whose superstep-s inputs changed and copies
-// every other value verbatim from Hist[s+1] — by induction the copied
-// values are bit-for-bit what a from-scratch run would recompute.
-type IncPRState struct {
-	Epoch int64
-	Alpha float64
-	K     int
-	Hist  [][]float64
-	Cold  bool
-}
-
-// Ranks returns the final rank vector (Hist[K]).
-func (s *IncPRState) Ranks() []float64 { return s.Hist[len(s.Hist)-1] }
-
-// IncrementalPageRank computes (or incrementally repairs) a fixed-K
-// power-iteration PageRank. IncrementalPageRank is
-// PrepareIncrementalPageRank(g, alpha, k, prior, cfg)().
+// pageRankInc computes (or incrementally repairs) a fixed-K
+// power-iteration PageRank.
 //
 // Unlike incremental CC/SSSP — unique fixpoints a worklist drain
 // reaches from any seed superset — PageRank's converged low bits depend
@@ -39,19 +20,24 @@ func (s *IncPRState) Ranks() []float64 { return s.Hist[len(s.Hist)-1] }
 // the change frontier collapses wherever a perturbation rounds away on
 // a high-degree sum, which is where the speedup over recompute comes
 // from.
-func IncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *IncPRState, cfg IncConfig) (*IncPRState, *bsp.Stats, error) {
-	return PrepareIncrementalPageRank(g, alpha, k, prior, cfg)()
-}
-
-// PrepareIncrementalPageRank pins the delta view and performs the
-// dirty-set analysis now; the returned closure runs the supersteps
-// lock-free (under runtime.Driver, so checkpoint/rollback and fault
-// injection work exactly as in the BSP engines) and unpins.
-func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *IncPRState, cfg IncConfig) func() (*IncPRState, *bsp.Stats, error) {
-	pr, err := cfg.Prepare(g, incDefaults("vc: incremental pagerank"))
+//
+// The Prior a run leaves holds the full per-superstep rank history
+// (Hist, K+1 vectors), not just the final ranks: that is what makes
+// warm starts byte-identical. Superstep s of a warm run recomputes only
+// vertices whose superstep-s inputs changed and copies every other
+// value verbatim from Hist[s+1] — by induction the copied values are
+// bit-for-bit what a from-scratch run would recompute.
+//
+// The delta view is pinned and the dirty set found now; the returned
+// Run does the supersteps lock-free (under runtime.Driver, so
+// checkpoint/rollback and fault injection work exactly as in the BSP
+// engines) and unpins.
+func pageRankInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
+	pr, err := env.engine().Prepare(g, incDefaults("vc: incremental pagerank"))
 	if err != nil {
-		return func() (*IncPRState, *bsp.Stats, error) { return nil, nil, err }
+		return failed(err)
 	}
+	alpha, k := a.Alpha, a.K
 	view := pr.Delta
 	n := view.N()
 	view.Base().EnsureIn() // the sweep pulls over the transpose
@@ -64,7 +50,7 @@ func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *Inc
 		}
 		p.outDeg[v] = float64(d)
 	}
-	if prior != nil && prior.Alpha == alpha && prior.K == k &&
+	if prior := env.Prior; prior != nil && prior.Args.Alpha == alpha && prior.Args.K == k &&
 		len(prior.Hist) == k+1 && len(prior.Hist[0]) == n {
 		if muts, ok := g.MutationsSince(prior.Epoch); ok {
 			p.prior = prior.Hist
@@ -85,12 +71,12 @@ func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *Inc
 	dc := pr.Driver
 	dc.MaxSupersteps, dc.FullSnapshotEvery = k+1, 0
 	d := rt.NewDriver[*incPRSnap](p, stats, dc)
-	return func() (*IncPRState, *bsp.Stats, error) {
+	return func() ([]float64, *bsp.Stats, error) {
 		defer pr.Release()
 		if _, err := d.Run(); err != nil {
 			return nil, stats, err
 		}
-		return &IncPRState{Epoch: view.Epoch(), Alpha: alpha, K: k, Hist: p.hist, Cold: p.prior == nil}, stats, nil
+		return keep(env, Prior{Epoch: view.Epoch(), Args: a, Values: p.hist[k], Hist: p.hist, Cold: p.prior == nil}), stats, nil
 	}
 }
 

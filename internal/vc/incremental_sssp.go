@@ -1,6 +1,8 @@
 package vc
 
 import (
+	"math"
+
 	"vcgraph/internal/async"
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
@@ -8,30 +10,15 @@ import (
 
 // Unreachable is the one finite spelling of an unreachable distance:
 // the async engine's label-correcting sentinel (1e308, not math.Inf),
-// so incremental and async from-scratch states are byte-identical
-// including unreachable vertices. It is what IncSSSPState.Dist holds
-// and what the serving layer puts on the wire in place of the engine
-// matrix's +Inf. Callers seeding IncSSSPState.Dist from a matrix row
-// must normalize +Inf entries to this value (the inc row does).
+// so incremental and async from-scratch runs are byte-identical
+// including unreachable vertices. The async and inc SSSP rows hold it
+// inside and answer +Inf; the serving layer puts it on the wire in
+// place of the engine matrix's +Inf.
 const Unreachable = async.DistInf
 
-// IncSSSPState is the persistent state of incremental SSSP: converged
-// distances from Src at graph epoch Epoch.
-type IncSSSPState struct {
-	Epoch int64
-	Src   VertexID
-	Dist  []float64
-	Cold  bool
-}
-
-// IncrementalSSSP computes (or incrementally repairs) single-source
-// shortest paths. IncrementalSSSP is PrepareIncrementalSSSP(g, src, prior, cfg)().
-func IncrementalSSSP(g *graph.Graph, src VertexID, prior *IncSSSPState, cfg IncConfig) (*IncSSSPState, *bsp.Stats, error) {
-	return PrepareIncrementalSSSP(g, src, prior, cfg)()
-}
-
-// PrepareIncrementalSSSP pins the delta view and performs the seed
-// analysis now; the returned closure drains the worklist lock-free.
+// ssspInc computes (or incrementally repairs) single-source shortest
+// paths. The delta view is pinned and the seed analysis done now; the
+// returned Run drains the worklist lock-free.
 //
 // Seeding: an inserted edge can only shorten distances, so its
 // endpoints re-relax and propagate. A deleted edge can lengthen them —
@@ -47,33 +34,34 @@ func IncrementalSSSP(g *graph.Graph, src VertexID, prior *IncSSSPState, cfg IncC
 // contains every vertex whose recorded distance became unachievable:
 // such a distance was produced by a chain of tight edges from the
 // source that now crosses a deleted edge.
-func PrepareIncrementalSSSP(g *graph.Graph, src VertexID, prior *IncSSSPState, cfg IncConfig) func() (*IncSSSPState, *bsp.Stats, error) {
-	pr, err := cfg.Prepare(g, incDefaults("vc: incremental sssp"))
+func ssspInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
+	pr, err := env.engine().Prepare(g, incDefaults("vc: incremental sssp"))
 	if err != nil {
-		return func() (*IncSSSPState, *bsp.Stats, error) { return nil, nil, err }
+		return failed(err)
 	}
 	view := pr.Delta
 	n := view.N()
 	var dist []float64 // nil: the source-only cold start
 	var seeds []VertexID
 	cold := true
-	if prior != nil && prior.Src == src && len(prior.Dist) == n {
-		if muts, ok := g.MutationsSince(prior.Epoch); ok {
+	if p := env.Prior; p != nil && p.Values != nil && p.Args.Src == a.Src && len(p.Values) == n {
+		if muts, ok := g.MutationsSince(p.Epoch); ok {
 			cold = false
-			dist = append([]float64(nil), prior.Dist...)
-			seeds = seedSSSP(view, dist, src, muts)
+			dist = finite(p.Values)
+			seeds = seedSSSP(view, dist, a.Src, muts)
 		}
 	}
 	if cold {
 		seeds = async.Every(n)
 	}
-	run := async.PrepareSeeded(g, async.SSSPProgram(src, dist), pr, seeds)
-	return func() (*IncSSSPState, *bsp.Stats, error) {
+	run := async.PrepareSeeded(g, async.SSSPProgram(a.Src, dist), pr, seeds)
+	return func() ([]float64, *bsp.Stats, error) {
 		res, err := run()
 		if err != nil {
 			return nil, res.Stats, err
 		}
-		return &IncSSSPState{Epoch: view.Epoch(), Src: src, Dist: res.Values, Cold: cold}, res.Stats, nil
+		replace(res.Values, Unreachable, math.Inf(1))
+		return keep(env, Prior{Epoch: view.Epoch(), Args: a, Values: res.Values, Cold: cold}), res.Stats, nil
 	}
 }
 

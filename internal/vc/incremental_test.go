@@ -2,6 +2,7 @@ package vc
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,22 +12,34 @@ import (
 	"vcgraph/internal/graph"
 )
 
-func asyncCC(t *testing.T, g *graph.Graph) []VertexID {
+// asyncCC is the async engine's from-scratch labels in the matrix's
+// float64 shape.
+func asyncCC(t *testing.T, g *graph.Graph) []float64 {
 	t.Helper()
 	labels, _, err := async.ConnectedComponents(g, async.Config{})
 	if err != nil {
 		t.Fatalf("async CC: %v", err)
 	}
-	return labels
+	return floats(labels)
 }
 
+// asyncSSSP is the async engine's from-scratch distances in the
+// matrix's shape: an unreachable vertex is +Inf.
 func asyncSSSP(t *testing.T, g *graph.Graph, src VertexID) []float64 {
 	t.Helper()
 	dist, _, err := async.SSSP(g, src, async.Config{})
 	if err != nil {
 		t.Fatalf("async SSSP: %v", err)
 	}
+	replace(dist, Unreachable, math.Inf(1))
 	return dist
+}
+
+// incRow runs algo's inc row on g under cfg, resuming from *p and
+// leaving there the Prior the next run resumes from (nil runs cold and
+// keeps nothing).
+func incRow(g *graph.Graph, algo string, a Args, p *Prior, cfg Config) ([]float64, *bsp.Stats, error) {
+	return Matrix[Key{algo, EngineInc}](g, a, nil, Env{Config: cfg, Prior: p})()
 }
 
 func mustMutate(t *testing.T, g *graph.Graph, muts ...graph.Mutation) {
@@ -52,42 +65,43 @@ func TestIncrementalCCInsertDelete(t *testing.T) {
 	for _, e := range [][2]VertexID{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
 		g.AddEdge(e[0], e[1])
 	}
-	st, _, err := IncrementalCC(g, nil, IncConfig{})
+	var st Prior
+	labels, _, err := incRow(g, "cc", Args{}, &st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Cold {
 		t.Fatal("first run with no prior state should be cold")
 	}
-	if got := asyncCC(t, g); !reflect.DeepEqual(st.Labels, got) {
-		t.Fatalf("cold labels %v != from-scratch %v", st.Labels, got)
+	if got := asyncCC(t, g); !reflect.DeepEqual(labels, got) {
+		t.Fatalf("cold labels %v != from-scratch %v", labels, got)
 	}
 
 	mustMutate(t, g, ins(2, 3, 1))
-	st2, _, err := IncrementalCC(g, st, IncConfig{})
+	labels, _, err = incRow(g, "cc", Args{}, &st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Cold {
+	if st.Cold {
 		t.Fatal("run with valid prior state should be warm")
 	}
-	if got := asyncCC(t, g); !reflect.DeepEqual(st2.Labels, got) {
-		t.Fatalf("after insert: incremental %v != from-scratch %v", st2.Labels, got)
+	if got := asyncCC(t, g); !reflect.DeepEqual(labels, got) {
+		t.Fatalf("after insert: incremental %v != from-scratch %v", labels, got)
 	}
 
 	mustMutate(t, g, del(2, 3))
-	st3, _, err := IncrementalCC(g, st2, IncConfig{})
+	labels, _, err = incRow(g, "cc", Args{}, &st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.Cold {
+	if st.Cold {
 		t.Fatal("expected warm run after delete")
 	}
-	if got := asyncCC(t, g); !reflect.DeepEqual(st3.Labels, got) {
-		t.Fatalf("after delete: incremental %v != from-scratch %v", st3.Labels, got)
+	if got := asyncCC(t, g); !reflect.DeepEqual(labels, got) {
+		t.Fatalf("after delete: incremental %v != from-scratch %v", labels, got)
 	}
-	if st3.Labels[3] != 3 || st3.Labels[0] != 0 {
-		t.Fatalf("split not repaired: %v", st3.Labels)
+	if labels[3] != 3 || labels[0] != 0 {
+		t.Fatalf("split not repaired: %v", labels)
 	}
 }
 
@@ -96,20 +110,20 @@ func TestIncrementalCCInsertDelete(t *testing.T) {
 // history and fall back to a cold recompute — and still be right.
 func TestIncrementalCCOutOfBandMutation(t *testing.T) {
 	g := graph.RandomConnected(16, 24, 5)
-	st, _, err := IncrementalCC(g, nil, IncConfig{})
-	if err != nil {
+	var st Prior
+	if _, _, err := incRow(g, "cc", Args{}, &st, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	g.AddEdge(0, 9) // bypasses the mutation log
-	st2, _, err := IncrementalCC(g, st, IncConfig{})
+	labels, _, err := incRow(g, "cc", Args{}, &st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st2.Cold {
+	if !st.Cold {
 		t.Fatal("out-of-band mutation must force a cold run")
 	}
-	if got := asyncCC(t, g); !reflect.DeepEqual(st2.Labels, got) {
-		t.Fatalf("cold fallback labels %v != from-scratch %v", st2.Labels, got)
+	if got := asyncCC(t, g); !reflect.DeepEqual(labels, got) {
+		t.Fatalf("cold fallback labels %v != from-scratch %v", labels, got)
 	}
 }
 
@@ -122,55 +136,56 @@ func TestIncrementalSSSPDeleteLengthens(t *testing.T) {
 	g.AddWeightedEdge(1, 2, 1)
 	g.AddWeightedEdge(0, 2, 1) // shortcut: dist[2] = 1
 	g.AddWeightedEdge(2, 3, 1)
-	st, _, err := IncrementalSSSP(g, 0, nil, IncConfig{})
+	var st Prior
+	dist, _, err := incRow(g, "sssp", Args{Src: 0}, &st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []float64{0, 1, 1, 2}; !reflect.DeepEqual(st.Dist, want) {
-		t.Fatalf("cold dist %v, want %v", st.Dist, want)
+	if want := []float64{0, 1, 1, 2}; !reflect.DeepEqual(dist, want) {
+		t.Fatalf("cold dist %v, want %v", dist, want)
 	}
 
 	// Deleting the shortcut lengthens 2 and 3.
 	mustMutate(t, g, del(0, 2))
-	st2, _, err := IncrementalSSSP(g, 0, st, IncConfig{})
+	dist, _, err = incRow(g, "sssp", Args{Src: 0}, &st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Cold {
+	if st.Cold {
 		t.Fatal("expected warm run")
 	}
-	if want := []float64{0, 1, 2, 3}; !reflect.DeepEqual(st2.Dist, want) {
-		t.Fatalf("after shortcut delete: %v, want %v", st2.Dist, want)
+	if want := []float64{0, 1, 2, 3}; !reflect.DeepEqual(dist, want) {
+		t.Fatalf("after shortcut delete: %v, want %v", dist, want)
 	}
-	if got := asyncSSSP(t, g, 0); !reflect.DeepEqual(st2.Dist, got) {
-		t.Fatalf("incremental %v != from-scratch %v", st2.Dist, got)
+	if got := asyncSSSP(t, g, 0); !reflect.DeepEqual(dist, got) {
+		t.Fatalf("incremental %v != from-scratch %v", dist, got)
 	}
 
 	// Disconnect vertex 3 entirely: its distance must match the async
-	// engine's unreachable sentinel bit-for-bit.
+	// engine's unreachable distance bit-for-bit.
 	mustMutate(t, g, del(2, 3))
-	st3, _, err := IncrementalSSSP(g, 0, st2, IncConfig{})
+	dist, _, err = incRow(g, "sssp", Args{Src: 0}, &st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.Dist[3] != Unreachable {
-		t.Fatalf("disconnected vertex dist = %v, want sentinel", st3.Dist[3])
+	if dist[3] != math.Inf(1) {
+		t.Fatalf("disconnected vertex dist = %v, want +Inf", dist[3])
 	}
-	if got := asyncSSSP(t, g, 0); !reflect.DeepEqual(st3.Dist, got) {
-		t.Fatalf("incremental %v != from-scratch %v", st3.Dist, got)
+	if got := asyncSSSP(t, g, 0); !reflect.DeepEqual(dist, got) {
+		t.Fatalf("incremental %v != from-scratch %v", dist, got)
 	}
 
 	// Reconnect cheaper than ever.
 	mustMutate(t, g, ins(0, 3, 0.5))
-	st4, _, err := IncrementalSSSP(g, 0, st3, IncConfig{})
+	dist, _, err = incRow(g, "sssp", Args{Src: 0}, &st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := asyncSSSP(t, g, 0); !reflect.DeepEqual(st4.Dist, got) {
-		t.Fatalf("incremental %v != from-scratch %v", st4.Dist, got)
+	if got := asyncSSSP(t, g, 0); !reflect.DeepEqual(dist, got) {
+		t.Fatalf("incremental %v != from-scratch %v", dist, got)
 	}
-	if st4.Dist[3] != 0.5 {
-		t.Fatalf("dist[3] = %v, want 0.5", st4.Dist[3])
+	if dist[3] != 0.5 {
+		t.Fatalf("dist[3] = %v, want 0.5", dist[3])
 	}
 }
 
@@ -179,19 +194,19 @@ func TestIncrementalSSSPDeleteLengthens(t *testing.T) {
 func TestIncrementalSSSPSourceChange(t *testing.T) {
 	g := graph.RandomConnected(12, 20, 7)
 	graph.RandomWeights(g, 7)
-	st, _, err := IncrementalSSSP(g, 0, nil, IncConfig{})
+	var st Prior
+	if _, _, err := incRow(g, "sssp", Args{Src: 0}, &st, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	dist, _, err := incRow(g, "sssp", Args{Src: 3}, &st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, _, err := IncrementalSSSP(g, 3, st, IncConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Cold {
+	if !st.Cold {
 		t.Fatal("prior state for source 0 reused for source 3")
 	}
-	if got := asyncSSSP(t, g, 3); !reflect.DeepEqual(st2.Dist, got) {
-		t.Fatalf("incremental %v != from-scratch %v", st2.Dist, got)
+	if got := asyncSSSP(t, g, 3); !reflect.DeepEqual(dist, got) {
+		t.Fatalf("incremental %v != from-scratch %v", dist, got)
 	}
 }
 
@@ -201,10 +216,10 @@ func TestIncrementalSSSPSourceChange(t *testing.T) {
 func TestIncrementalDirectedRejected(t *testing.T) {
 	g := graph.New(3, true)
 	g.AddEdge(0, 1)
-	if _, _, err := IncrementalCC(g, nil, IncConfig{}); !errors.Is(err, ErrIncrementalDirected) {
+	if _, _, err := incRow(g, "cc", Args{}, nil, Config{}); !errors.Is(err, async.ErrDirected) {
 		t.Fatalf("CC on directed graph: err = %v", err)
 	}
-	if _, _, err := IncrementalSSSP(g, 0, nil, IncConfig{}); !errors.Is(err, ErrIncrementalDirected) {
+	if _, _, err := incRow(g, "sssp", Args{Src: 0}, nil, Config{}); !errors.Is(err, async.ErrDirected) {
 		t.Fatalf("SSSP on directed graph: err = %v", err)
 	}
 }
@@ -213,10 +228,10 @@ func TestIncrementalDirectedRejected(t *testing.T) {
 // byte-identical to a cold fixed-K recompute on the mutated graph, and
 // must do strictly less gather work.
 func TestIncrementalPageRankWarmEqualsCold(t *testing.T) {
-	const alpha, k = 0.85, 15
+	a := Args{Alpha: 0.85, K: 15}
 	g := graph.RandomConnected(48, 120, 11)
-	cold, _, err := IncrementalPageRank(g, alpha, k, nil, IncConfig{})
-	if err != nil {
+	var cold Prior
+	if _, _, err := incRow(g, "pagerank", a, &cold, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if !cold.Cold {
@@ -238,14 +253,16 @@ func TestIncrementalPageRankWarmEqualsCold(t *testing.T) {
 	}
 	mustMutate(t, g, ins(0, 40, 1), del(du, dv))
 
-	warm, wst, err := IncrementalPageRank(g, alpha, k, cold, IncConfig{})
+	warm := cold
+	_, wst, err := incRow(g, "pagerank", a, &warm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Cold {
 		t.Fatal("expected warm run")
 	}
-	scratch, cst, err := IncrementalPageRank(g, alpha, k, nil, IncConfig{})
+	var scratch Prior
+	_, cst, err := incRow(g, "pagerank", a, &scratch, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,15 +279,18 @@ func TestIncrementalPageRankWarmEqualsCold(t *testing.T) {
 // delta cadence still saves only full frames, each charged its rank
 // vector (8 B a vertex) plus its change frontier (4 B a changed vertex).
 func TestIncrementalPageRankCheckpointsAreFull(t *testing.T) {
-	const alpha, k = 0.85, 15
+	const k = 15
+	a := Args{Alpha: 0.85, K: k}
 	g := graph.RandomConnected(48, 120, 11)
-	cfg := IncConfig{CheckpointEvery: 1, FullSnapshotEvery: 4}
-	cold, cst, err := IncrementalPageRank(g, alpha, k, nil, cfg)
+	cfg := Config{CheckpointEvery: 1, FullSnapshotEvery: 4}
+	var cold Prior
+	_, cst, err := incRow(g, "pagerank", a, &cold, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustMutate(t, g, ins(0, 40, 1))
-	warm, wst, err := IncrementalPageRank(g, alpha, k, cold, cfg)
+	warm := cold
+	_, wst, err := incRow(g, "pagerank", a, &warm, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +300,10 @@ func TestIncrementalPageRankCheckpointsAreFull(t *testing.T) {
 	n := g.N()
 	for _, tc := range []struct {
 		name         string
-		st, prior    *IncPRState
+		st, prior    *Prior
 		stats        *bsp.Stats
 		wantFrontier bool
-	}{{"cold", cold, nil, cst, false}, {"warm", warm, cold, wst, true}} {
+	}{{"cold", &cold, nil, cst, false}, {"warm", &warm, &cold, wst, true}} {
 		// One frame per superstep s = 1..k, saved once r_s is computed;
 		// its frontier is {v : r_s[v] differs from the prior r_s}, empty
 		// on a cold run.
@@ -315,8 +335,8 @@ func TestIncrementalPageRankCheckpointsAreFull(t *testing.T) {
 // the memoized history.
 func TestIncrementalPageRankParamMismatch(t *testing.T) {
 	g := graph.RandomConnected(20, 40, 13)
-	st, _, err := IncrementalPageRank(g, 0.85, 10, nil, IncConfig{})
-	if err != nil {
+	var st Prior
+	if _, _, err := incRow(g, "pagerank", Args{Alpha: 0.85, K: 10}, &st, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	mustMutate(t, g, ins(0, 10, 1))
@@ -325,8 +345,8 @@ func TestIncrementalPageRankParamMismatch(t *testing.T) {
 		alpha float64
 		k     int
 	}{{"alpha", 0.9, 10}, {"k", 0.85, 12}} {
-		got, _, err := IncrementalPageRank(g, tc.alpha, tc.k, st, IncConfig{})
-		if err != nil {
+		got := st
+		if _, _, err := incRow(g, "pagerank", Args{Alpha: tc.alpha, K: tc.k}, &got, Config{}); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Cold {
@@ -338,28 +358,27 @@ func TestIncrementalPageRankParamMismatch(t *testing.T) {
 // TestIncrementalPageRankDirected: PageRank has no undirected
 // restriction — the warm path must track directed in/out asymmetry.
 func TestIncrementalPageRankDirected(t *testing.T) {
-	const alpha, k = 0.85, 12
+	a := Args{Alpha: 0.85, K: 12}
 	g := graph.New(8, true)
 	for _, e := range [][2]VertexID{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}, {6, 0}, {7, 6}, {3, 7}} {
 		g.AddEdge(e[0], e[1])
 	}
-	cold, _, err := IncrementalPageRank(g, alpha, k, nil, IncConfig{})
-	if err != nil {
+	var st Prior
+	if _, _, err := incRow(g, "pagerank", a, &st, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	mustMutate(t, g, ins(1, 5, 1), del(2, 3))
-	warm, _, err := IncrementalPageRank(g, alpha, k, cold, IncConfig{})
-	if err != nil {
+	if _, _, err := incRow(g, "pagerank", a, &st, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Cold {
+	if st.Cold {
 		t.Fatal("expected warm run")
 	}
-	scratch, _, err := IncrementalPageRank(g, alpha, k, nil, IncConfig{})
-	if err != nil {
+	var scratch Prior
+	if _, _, err := incRow(g, "pagerank", a, &scratch, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(warm.Hist, scratch.Hist) {
+	if !reflect.DeepEqual(st.Hist, scratch.Hist) {
 		t.Fatal("directed warm history differs from cold recompute")
 	}
 }
@@ -369,30 +388,31 @@ func TestIncrementalPageRankDirected(t *testing.T) {
 func TestIncrementalWorkSavings(t *testing.T) {
 	g := graph.RandomConnected(400, 1200, 17)
 	graph.RandomWeights(g, 17)
-	cc, ccCold, err := IncrementalCC(g, nil, IncConfig{})
+	var cc, ss Prior
+	_, ccCold, err := incRow(g, "cc", Args{}, &cc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, ssCold, err := IncrementalSSSP(g, 0, nil, IncConfig{})
+	_, ssCold, err := incRow(g, "sssp", Args{Src: 0}, &ss, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustMutate(t, g, ins(5, 300, 2))
-	cc2, ccWarm, err := IncrementalCC(g, cc, IncConfig{})
+	labels, ccWarm, err := incRow(g, "cc", Args{}, &cc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss2, ssWarm, err := IncrementalSSSP(g, 0, ss, IncConfig{})
+	dist, ssWarm, err := incRow(g, "sssp", Args{Src: 0}, &ss, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc2.Cold || ss2.Cold {
+	if cc.Cold || ss.Cold {
 		t.Fatal("expected warm runs")
 	}
-	if got := asyncCC(t, g); !reflect.DeepEqual(cc2.Labels, got) {
+	if got := asyncCC(t, g); !reflect.DeepEqual(labels, got) {
 		t.Fatal("warm CC wrong")
 	}
-	if got := asyncSSSP(t, g, 0); !reflect.DeepEqual(ss2.Dist, got) {
+	if got := asyncSSSP(t, g, 0); !reflect.DeepEqual(dist, got) {
 		t.Fatal("warm SSSP wrong")
 	}
 	if w, c := ccWarm.TotalWork, ccCold.TotalWork; w*4 >= c {
@@ -429,16 +449,9 @@ func incWorkRounds(t *testing.T, algo string, k int, insertOnly bool) []incRound
 		})
 	}
 	g.Unpin(c)
-	var cc *IncCCState
-	var ss *IncSSSPState
+	var prior Prior
 	repair := func() int64 {
-		var st *bsp.Stats
-		var err error
-		if algo == "cc" {
-			cc, st, err = IncrementalCC(g, cc, IncConfig{})
-		} else {
-			ss, st, err = IncrementalSSSP(g, 0, ss, IncConfig{})
-		}
+		_, st, err := incRow(g, algo, Args{Src: 0}, &prior, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +480,7 @@ func incWorkRounds(t *testing.T, algo string, k int, insertOnly bool) []incRound
 		}
 		mustMutate(t, g, muts...)
 		rounds[i].cold, rounds[i].warm = cold, repair()
-		if (cc != nil && cc.Cold) || (ss != nil && ss.Cold) {
+		if prior.Cold {
 			t.Fatalf("batch %d: warm repair fell back to a cold run", i)
 		}
 	}

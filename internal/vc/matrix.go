@@ -249,7 +249,7 @@ func ints[V ~int32](xs []float64) []V {
 func coldOnly(row Row) Row {
 	return func(g *graph.Graph, a Args, seed []float64, env Env) Run {
 		if seed != nil {
-			return func() ([]float64, *bsp.Stats, error) { return nil, nil, errNoWarmStart }
+			return failed(errNoWarmStart)
 		}
 		return row(g, a, nil, env)
 	}
@@ -343,54 +343,4 @@ func ccAsync(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexI
 
 func ccBlock(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
 	return blockRun(g, blockcentric.CCProgram(seed), env)
-}
-
-// --- the incremental engine ---
-
-// incRun runs a prepared typed inc run and, on success, hands the
-// Prior its state converts to back through env.Prior; the returned
-// values are that Prior's.
-func incRun[S any](env Env, run func() (S, *bsp.Stats, error), prior func(S) Prior) Run {
-	return func() ([]float64, *bsp.Stats, error) {
-		st, stats, err := run()
-		if err != nil {
-			return nil, stats, err
-		}
-		p := prior(st)
-		if env.Prior != nil {
-			*env.Prior = p
-		}
-		return p.Values, stats, nil
-	}
-}
-
-func pageRankInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
-	var prior *IncPRState
-	if p := env.Prior; p != nil && p.Hist != nil {
-		prior = &IncPRState{Epoch: p.Epoch, Alpha: p.Args.Alpha, K: p.Args.K, Hist: p.Hist}
-	}
-	return incRun(env, PrepareIncrementalPageRank(g, a.Alpha, a.K, prior, env.engine()), func(st *IncPRState) Prior {
-		return Prior{Epoch: st.Epoch, Args: a, Values: st.Ranks(), Hist: st.Hist, Cold: st.Cold}
-	})
-}
-
-func ssspInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
-	var prior *IncSSSPState
-	if p := env.Prior; p != nil && p.Values != nil {
-		prior = &IncSSSPState{Epoch: p.Epoch, Src: p.Args.Src, Dist: finite(p.Values)}
-	}
-	return incRun(env, PrepareIncrementalSSSP(g, a.Src, prior, env.engine()), func(st *IncSSSPState) Prior {
-		replace(st.Dist, Unreachable, math.Inf(1))
-		return Prior{Epoch: st.Epoch, Args: a, Values: st.Dist, Cold: st.Cold}
-	})
-}
-
-func ccInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
-	var prior *IncCCState
-	if p := env.Prior; p != nil && p.Values != nil {
-		prior = &IncCCState{Epoch: p.Epoch, Labels: ints[VertexID](p.Values)}
-	}
-	return incRun(env, PrepareIncrementalCC(g, prior, env.engine()), func(st *IncCCState) Prior {
-		return Prior{Epoch: st.Epoch, Args: a, Values: floats(st.Labels), Cold: st.Cold}
-	})
 }

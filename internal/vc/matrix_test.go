@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"vcgraph/internal/async"
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/runtime"
@@ -230,14 +231,14 @@ func TestMatrixPinsReleased(t *testing.T) {
 
 // TestMatrixRefusesDirectedPull: the async and inc rows of cc and sssp
 // pull over out-spans, which are the in-neighborhood only on an
-// undirected graph, so on a directed one they fail — with the inc
-// engine's sentinel — and hold no pin.
+// undirected graph, so on a directed one they fail — with
+// async.ErrDirected — and hold no pin.
 func TestMatrixRefusesDirectedPull(t *testing.T) {
 	g := graph.RandomDirected(200, 400, 1)
 	for _, algo := range []string{"cc", "sssp"} {
 		for _, engine := range []string{"async", EngineInc} {
 			_, _, err := Matrix[Key{algo, engine}](g, Args{Src: 0}, nil, Env{})()
-			if !errors.Is(err, ErrIncrementalDirected) {
+			if !errors.Is(err, async.ErrDirected) {
 				t.Errorf("%s/%s on a directed graph: err = %v", algo, engine, err)
 			}
 			if g.Pins() != 0 {

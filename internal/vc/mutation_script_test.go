@@ -25,8 +25,8 @@ import (
 //
 // CC and SSSP have schedule-free fixpoints, so every engine agrees on
 // the exact floats (SSSP modulo the unreachable sentinel: the async
-// engine and the incremental programs use 1e308 where the barrier
-// engines use +Inf — both mean "unreachable" and the verdicts agree).
+// engine uses 1e308 where the barrier engines and the inc rows use
+// +Inf — both mean "unreachable" and the verdicts agree).
 // PageRank's low bits are schedule-dependent, so its byte-identity
 // baseline is the canonical memoized recompute (a cold incremental
 // run), with a tolerance check against the barrier engines.
@@ -232,12 +232,10 @@ func checkSSSPAgainst(t *testing.T, cell scratchCell, inc, scratch []float64) {
 	}
 }
 
-// queryAll runs one query point: advance the incremental states and
-// compare values + verdicts against the given from-scratch cells.
+// incStates are the Priors the three inc rows resume from between
+// query points.
 type incStates struct {
-	cc   *IncCCState
-	sssp *IncSSSPState
-	pr   *IncPRState
+	cc, sssp, pr Prior
 }
 
 const (
@@ -246,55 +244,66 @@ const (
 	scriptSrc   = VertexID(0)
 )
 
-func (st *incStates) query(t *testing.T, g *graph.Graph, cells []scratchCell, wantWarm bool, cfg IncConfig) {
+// The inc rows' args at every query point.
+var (
+	scriptSSSP = Args{Src: scriptSrc}
+	scriptPR   = Args{Alpha: scriptAlpha, K: scriptK}
+)
+
+// query runs one query point: advance the incremental states and
+// compare values + verdicts against the given from-scratch cells.
+func (st *incStates) query(t *testing.T, g *graph.Graph, cells []scratchCell, wantWarm bool, cfg Config) {
 	t.Helper()
-	cc, _, err := IncrementalCC(g, st.cc, cfg)
+	labels, _, err := incRow(g, "cc", Args{}, &st.cc, cfg)
 	if err != nil {
 		t.Fatalf("incremental CC: %v", err)
 	}
-	ss, _, err := IncrementalSSSP(g, scriptSrc, st.sssp, cfg)
+	dist, _, err := incRow(g, "sssp", scriptSSSP, &st.sssp, cfg)
 	if err != nil {
 		t.Fatalf("incremental SSSP: %v", err)
 	}
-	pr, _, err := IncrementalPageRank(g, scriptAlpha, scriptK, st.pr, cfg)
+	ranks, _, err := incRow(g, "pagerank", scriptPR, &st.pr, cfg)
 	if err != nil {
 		t.Fatalf("incremental PageRank: %v", err)
 	}
-	if wantWarm && (cc.Cold || ss.Cold || pr.Cold) {
-		t.Fatalf("expected warm runs: cc=%v sssp=%v pr=%v", cc.Cold, ss.Cold, pr.Cold)
+	if wantWarm && (st.cc.Cold || st.sssp.Cold || st.pr.Cold) {
+		t.Fatalf("expected warm runs: cc=%v sssp=%v pr=%v", st.cc.Cold, st.sssp.Cold, st.pr.Cold)
 	}
-	st.cc, st.sssp, st.pr = cc, ss, pr
+	cc := ints[VertexID](labels)
+	// The from-scratch async run spells unreachable 1e308; compare in
+	// its spelling.
+	ss := finite(dist)
 
 	for _, cell := range cells {
 		labels, err := cell.cc(g)
 		if err != nil {
 			t.Fatalf("%s CC: %v", cell.name, err)
 		}
-		if !reflect.DeepEqual(cc.Labels, labels) {
+		if !reflect.DeepEqual(cc, labels) {
 			t.Fatalf("%s: incremental CC labels differ from from-scratch run", cell.name)
 		}
-		if iv, sv := ccVerdictOf(cc.Labels), ccVerdictOf(labels); iv != sv {
+		if iv, sv := ccVerdictOf(cc), ccVerdictOf(labels); iv != sv {
 			t.Fatalf("%s: CC verdict %q != %q", cell.name, iv, sv)
 		}
 		dist, err := cell.sssp(g, scriptSrc)
 		if err != nil {
 			t.Fatalf("%s SSSP: %v", cell.name, err)
 		}
-		checkSSSPAgainst(t, cell, ss.Dist, dist)
-		if iv, sv := ssspVerdictOf(ss.Dist, scriptSrc), ssspVerdictOf(dist, scriptSrc); iv != sv {
+		checkSSSPAgainst(t, cell, ss, dist)
+		if iv, sv := ssspVerdictOf(ss, scriptSrc), ssspVerdictOf(dist, scriptSrc); iv != sv {
 			t.Fatalf("%s: SSSP verdict %q != %q", cell.name, iv, sv)
 		}
 	}
 
 	// PageRank byte-identity baseline: the canonical cold recompute.
-	scratch, _, err := IncrementalPageRank(g, scriptAlpha, scriptK, nil, cfg)
-	if err != nil {
+	var scratch Prior
+	if _, _, err := incRow(g, "pagerank", scriptPR, &scratch, cfg); err != nil {
 		t.Fatalf("cold PageRank: %v", err)
 	}
-	if !reflect.DeepEqual(pr.Hist, scratch.Hist) {
+	if !reflect.DeepEqual(st.pr.Hist, scratch.Hist) {
 		t.Fatal("incremental PageRank history differs from cold recompute")
 	}
-	if iv, sv := prVerdictOf(pr.Ranks()), prVerdictOf(scratch.Ranks()); iv != sv {
+	if iv, sv := prVerdictOf(ranks), prVerdictOf(scratch.Values); iv != sv {
 		t.Fatalf("PageRank verdict %q != %q", iv, sv)
 	}
 	// Cross-engine tolerance check (summation order differs).
@@ -302,7 +311,7 @@ func (st *incStates) query(t *testing.T, g *graph.Graph, cells []scratchCell, wa
 	if err != nil {
 		t.Fatalf("pregel PageRank: %v", err)
 	}
-	for v, r := range pr.Ranks() {
+	for v, r := range ranks {
 		if math.Abs(r-res.Ranks[v]) > 1e-9 {
 			t.Fatalf("vertex %d: incremental rank %v vs pregel %v", v, r, res.Ranks[v])
 		}
@@ -318,11 +327,11 @@ func TestMutationScriptMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rig := newScriptRig(t, 28, 56, seed)
 			st := &incStates{}
-			st.query(t, rig.g, cells, false, IncConfig{})
+			st.query(t, rig.g, cells, false, Config{})
 			for step := 1; step <= 9; step++ {
 				rig.step(1 + rig.rng.Intn(5))
 				if step%3 == 0 {
-					st.query(t, rig.g, cells, true, IncConfig{})
+					st.query(t, rig.g, cells, true, Config{})
 				}
 			}
 		})
@@ -342,11 +351,11 @@ func TestMutationScriptMany(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rig := newScriptRig(t, 20, 40, seed)
 			st := &incStates{}
-			st.query(t, rig.g, exact, false, IncConfig{})
+			st.query(t, rig.g, exact, false, Config{})
 			for step := 1; step <= 6; step++ {
 				rig.step(1 + rig.rng.Intn(4))
 				if step%3 == 0 {
-					st.query(t, rig.g, exact, true, IncConfig{})
+					st.query(t, rig.g, exact, true, Config{})
 				}
 			}
 		})
@@ -375,7 +384,7 @@ func TestMutationScriptFaults(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rig := newScriptRig(t, 24, 48, seed)
 			st := &incStates{}
-			st.query(t, rig.g, nil, false, IncConfig{})
+			st.query(t, rig.g, nil, false, Config{})
 			for step := 1; step <= 6; step++ {
 				rig.step(1 + rig.rng.Intn(4))
 				if step%2 != 0 {
@@ -383,27 +392,29 @@ func TestMutationScriptFaults(t *testing.T) {
 				}
 				// Fault-free warm baselines from the current states.
 				prior := *st
-				st.query(t, rig.g, []scratchCell{scratchMatrix()[8]}, true, IncConfig{})
+				st.query(t, rig.g, []scratchCell{scratchMatrix()[8]}, true, Config{})
 				for _, fp := range plans {
 					fp := fp
 					t.Run(fmt.Sprintf("step%d/%s", step, fp.name), func(t *testing.T) {
-						cfg := IncConfig{CheckpointEvery: fp.ck, Faults: fp.plan()}
-						cc, _, err := IncrementalCC(rig.g, prior.cc, cfg)
+						cfg := Config{CheckpointEvery: fp.ck, Faults: fp.plan()}
+						cc := prior.cc
+						labels, _, err := incRow(rig.g, "cc", Args{}, &cc, cfg)
 						if err != nil {
 							t.Fatalf("faulted CC: %v", err)
 						}
-						if !reflect.DeepEqual(cc.Labels, st.cc.Labels) {
+						if !reflect.DeepEqual(labels, st.cc.Values) {
 							t.Fatal("faulted incremental CC differs from fault-free run")
 						}
-						ss, _, err := IncrementalSSSP(rig.g, scriptSrc, prior.sssp, cfg)
+						ss := prior.sssp
+						dist, _, err := incRow(rig.g, "sssp", scriptSSSP, &ss, cfg)
 						if err != nil {
 							t.Fatalf("faulted SSSP: %v", err)
 						}
-						if !reflect.DeepEqual(ss.Dist, st.sssp.Dist) {
+						if !reflect.DeepEqual(dist, st.sssp.Values) {
 							t.Fatal("faulted incremental SSSP differs from fault-free run")
 						}
-						pr, _, err := IncrementalPageRank(rig.g, scriptAlpha, scriptK, prior.pr, cfg)
-						if err != nil {
+						pr := prior.pr
+						if _, _, err := incRow(rig.g, "pagerank", scriptPR, &pr, cfg); err != nil {
 							t.Fatalf("faulted PageRank: %v", err)
 						}
 						if !reflect.DeepEqual(pr.Hist, st.pr.Hist) {
@@ -421,25 +432,26 @@ func TestMutationScriptFaults(t *testing.T) {
 // run spans many epochs, so a crash at epoch boundary 1 must roll back.
 func TestMutationScriptFaultsFire(t *testing.T) {
 	g := graph.RandomConnected(64, 128, 9)
-	st, stats, err := IncrementalCC(g, nil, IncConfig{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(1))})
+	labels, stats, err := incRow(g, "cc", Args{}, nil, Config{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Recovery.Rollbacks == 0 {
 		t.Fatalf("crash plan fired no rollback: %+v", stats.Recovery)
 	}
-	if got := asyncCC(t, g); !reflect.DeepEqual(st.Labels, got) {
+	if got := asyncCC(t, g); !reflect.DeepEqual(labels, got) {
 		t.Fatal("recovered cold CC differs from from-scratch run")
 	}
-	pr, prStats, err := IncrementalPageRank(g, 0.85, 10, nil, IncConfig{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(3))})
+	prArgs := Args{Alpha: 0.85, K: 10}
+	var pr, scratch Prior
+	_, prStats, err := incRow(g, "pagerank", prArgs, &pr, Config{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(3))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prStats.Recovery.Rollbacks == 0 {
 		t.Fatalf("PageRank crash plan fired no rollback: %+v", prStats.Recovery)
 	}
-	scratch, _, err := IncrementalPageRank(g, 0.85, 10, nil, IncConfig{})
-	if err != nil {
+	if _, _, err := incRow(g, "pagerank", prArgs, &scratch, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(pr.Hist, scratch.Hist) {

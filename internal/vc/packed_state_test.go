@@ -295,41 +295,37 @@ func TestMutationScriptPackedBase(t *testing.T) {
 			flat, packed := &incStates{}, &incStates{}
 			check := func() {
 				t.Helper()
-				ccF, _, err := IncrementalCC(rig.g, flat.cc, IncConfig{})
+				ccF, _, err := incRow(rig.g, "cc", Args{}, &flat.cc, Config{})
 				if err != nil {
 					t.Fatalf("flat incremental CC: %v", err)
 				}
-				ccP, _, err := IncrementalCC(twin, packed.cc, IncConfig{})
+				ccP, _, err := incRow(twin, "cc", Args{}, &packed.cc, Config{})
 				if err != nil {
 					t.Fatalf("packed incremental CC: %v", err)
 				}
-				if ccF.Cold != ccP.Cold || !reflect.DeepEqual(ccF.Labels, ccP.Labels) {
-					t.Fatalf("incremental CC over packed base differs (cold %v/%v)", ccF.Cold, ccP.Cold)
+				if flat.cc.Cold != packed.cc.Cold || !reflect.DeepEqual(ccF, ccP) {
+					t.Fatalf("incremental CC over packed base differs (cold %v/%v)", flat.cc.Cold, packed.cc.Cold)
 				}
-				ssF, _, err := IncrementalSSSP(rig.g, scriptSrc, flat.sssp, IncConfig{})
+				ssF, _, err := incRow(rig.g, "sssp", scriptSSSP, &flat.sssp, Config{})
 				if err != nil {
 					t.Fatalf("flat incremental SSSP: %v", err)
 				}
-				ssP, _, err := IncrementalSSSP(twin, scriptSrc, packed.sssp, IncConfig{})
+				ssP, _, err := incRow(twin, "sssp", scriptSSSP, &packed.sssp, Config{})
 				if err != nil {
 					t.Fatalf("packed incremental SSSP: %v", err)
 				}
-				if !reflect.DeepEqual(ssF.Dist, ssP.Dist) {
+				if !reflect.DeepEqual(ssF, ssP) {
 					t.Fatal("incremental SSSP over packed base differs")
 				}
-				prF, _, err := IncrementalPageRank(rig.g, scriptAlpha, scriptK, flat.pr, IncConfig{})
-				if err != nil {
+				if _, _, err := incRow(rig.g, "pagerank", scriptPR, &flat.pr, Config{}); err != nil {
 					t.Fatalf("flat incremental PageRank: %v", err)
 				}
-				prP, _, err := IncrementalPageRank(twin, scriptAlpha, scriptK, packed.pr, IncConfig{})
-				if err != nil {
+				if _, _, err := incRow(twin, "pagerank", scriptPR, &packed.pr, Config{}); err != nil {
 					t.Fatalf("packed incremental PageRank: %v", err)
 				}
-				if !reflect.DeepEqual(prF.Hist, prP.Hist) {
+				if !reflect.DeepEqual(flat.pr.Hist, packed.pr.Hist) {
 					t.Fatal("incremental PageRank over packed base differs")
 				}
-				flat.cc, flat.sssp, flat.pr = ccF, ssF, prF
-				packed.cc, packed.sssp, packed.pr = ccP, ssP, prP
 
 				// From-scratch engine run combining every axis: flat
 				// graph + dense state vs compressed mutated base +
