@@ -5,9 +5,11 @@
 // vertex GATHERs an associative summary over its in-neighbors' values,
 // APPLYs it to its own value, and — when the value changed — SCATTERs
 // activation to its out-neighbors. There are no messages; each
-// iteration reads a consistent snapshot of the previous iteration's
-// values (double buffering), so the engine is deterministic and
-// race-free by construction.
+// iteration gathers from the previous iteration's values (an active
+// vertex applies into a scratch slot, written back after the barrier),
+// so the engine is deterministic and race-free by construction. The
+// active set lives on the shared runtime.Worklists, so an iteration
+// costs O(active vertices + their in-edges), not O(n).
 package gas
 
 import (
@@ -102,23 +104,22 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 	csr, n := pr.CSR, pr.CSR.N()
 	csr.EnsureIn() // pull model gathers over the transpose
 	p := &policy[V, G]{
-		g:          g,
-		prog:       prog,
-		cfg:        cfg,
-		csr:        csr,
-		verts:      pr.Verts,
-		n:          n,
-		cur:        make([]V, n),
-		next:       make([]V, n),
-		active:     make([]bool, n),
-		nextActive: make([]bool, n),
-		dirty:      make([]bool, n),
-		wake:       make([][]VertexID, cfg.Workers),
-		scratch:    rt.GetScratches(cfg.Workers),
+		g:       g,
+		prog:    prog,
+		cfg:     cfg,
+		csr:     csr,
+		verts:   pr.Verts,
+		owner:   pr.Owner,
+		n:       n,
+		cur:     make([]V, n),
+		next:    make([]V, n),
+		wl:      rt.NewWorklists(cfg.Workers, n),
+		dirty:   make([]bool, n),
+		wake:    make([][]VertexID, cfg.Workers),
+		scratch: rt.GetScratches(cfg.Workers),
 	}
 	if cfg.Mode != rt.DirectionPush {
 		p.bcast = rt.NewBroadcasts[struct{}](n)
-		p.wakeCount = make([]int64, cfg.Workers)
 	}
 	if prep, ok := any(prog).(Preparer); ok {
 		prep.PrepareGAS(csr)
@@ -131,10 +132,7 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 		// keep a pristine copy so the restart never re-reads the graph.
 		p.pristine = rt.CloneValues[V](prog, p.cur)
 	}
-	for i := range p.active {
-		p.active[i] = true
-	}
-	p.activeCount = n // O(1) quiescence check instead of an O(n) scan
+	p.wl.FillAll(p.verts)
 
 	stats := &bsp.Stats{Workers: cfg.Workers, N: n}
 	p.driver = rt.NewDriver[*gasSnapshot[V]](p, stats, pr.Driver)
@@ -146,27 +144,28 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 	}
 }
 
-// policy is the GAS engine as a runtime.Policy: double-buffered values,
-// an active set maintained by scatter-side wake buffers, and
-// partitioned vertex-to-worker assignment (hash by default, matching
-// the historical strided schedule).
+// policy is the GAS engine as a runtime.Policy: values with a scratch
+// slot per active vertex, an active set on the runtime worklists (fed
+// by scatter-side wake buffers or the pull activation pass, as in
+// pregel), and partitioned vertex-to-worker assignment (hash by
+// default, matching the historical strided schedule).
 type policy[V, G any] struct {
 	g      *graph.Graph
 	prog   Program[V, G]
 	cfg    Config
 	csr    *graph.CSR
 	verts  [][]VertexID // worker -> owned vertices, ascending
+	owner  []int32      // vertex -> worker
 	n      int
 	driver *rt.Driver[*gasSnapshot[V]]
 
-	cur, next          []V
-	pristine           []V // Init-time copy for checkpoint-free restarts (faults only)
-	active, nextActive []bool
-	activeCount        int
+	cur      []V
+	next     []V // scratch: an active vertex applies here, written back to cur after the barrier
+	pristine []V // Init-time copy for checkpoint-free restarts (faults only)
+	wl       *rt.Worklists
 	// dirty marks vertices whose value may have changed since the last
-	// checkpoint frame. Under double buffering only vertices that ran
-	// Apply can differ (everyone else's next is a verbatim copy), so
-	// the iteration's active set is exactly the write set.
+	// checkpoint frame: only vertices that ran Apply are written back,
+	// so the iteration's active set is exactly the write set.
 	dirty   []bool
 	wake    [][]VertexID     // per-worker scatter buffers, reused
 	scratch []*graph.Scratch // pooled per-worker span-decode buffers (packed snapshots)
@@ -174,12 +173,11 @@ type policy[V, G any] struct {
 	// Pull-mode scatter (Mode pull/auto): changed vertices mark their
 	// broadcast bit; the activation pass scans transpose spans for
 	// marked in-neighbors instead of merging wake buffers.
-	bcast     *rt.Broadcasts[struct{}]
-	wakeCount []int64 // per-worker activation counts for the pull pass
+	bcast *rt.Broadcasts[struct{}]
 }
 
 // Quiescent implements runtime.Policy.
-func (p *policy[V, G]) Quiescent(step, pending int) bool { return p.activeCount == 0 }
+func (p *policy[V, G]) Quiescent(step, pending int) bool { return p.wl.Pending() == 0 }
 
 // Superstep implements runtime.Policy: one gather/apply/scatter
 // iteration over the active set, then the single-threaded wake-buffer
@@ -190,22 +188,22 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 	if st, ok := any(prog).(Stepper); ok {
 		st.BeforeStep(step)
 	}
-	ss.Frontier = int64(p.activeCount)
+	frontier := p.wl.Pending()
+	ss.Frontier = int64(frontier)
 	// Direction choice for the scatter half: GAS Sum is associative and
 	// commutative by contract, so pull is always legal when enabled.
-	pull := rt.ChoosePull(p.cfg.Mode, p.bcast != nil, p.activeCount, p.n, p.cfg.PullThreshold)
+	pull := rt.ChoosePull(p.cfg.Mode, p.bcast != nil, frontier, p.n, p.cfg.PullThreshold)
 	ss.Pulled = pull
 	if pull {
 		p.bcast.Advance()
 	}
+	p.wl.Flip()
 	p.driver.Lease().Run(func(w int) {
-		var workW, sentW, activeW int64
-		for _, vid := range p.verts[w] {
+		var workW, sentW int64
+		for _, vid := range p.wl.Cur(w) {
 			v := int(vid)
+			p.wl.Unmark(vid)
 			p.next[v] = p.cur[v]
-			if !p.active[v] {
-				continue
-			}
 			p.dirty[v] = true
 			total := prog.Zero()
 			srcs := csr.InSpan(vid, p.scratch[w])
@@ -235,41 +233,36 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 				}
 			}
 			workW++
-			activeW++
 		}
 		ss.Work[w] = workW
 		ss.Sent[w] = sentW
-		ss.Active[w] = activeW
+		ss.Active[w] = int64(len(p.wl.Cur(w)))
 	})
-	p.activeCount = 0
 	if pull {
 		// Pull-mode activation: each worker scans its owned vertices'
 		// transpose spans for a marked in-neighbor. The set computed is
 		// exactly ∪ Out(changed) — identical to the wake-buffer merge —
 		// and the writes are sharded by owner, so the pass is race-free
 		// and runs in parallel (the single-threaded merge below is the
-		// push path's serialization point). Nothing is in transit, so
-		// scatter-batch faults have nothing to drop on a pulled
-		// iteration.
+		// push path's serialization point). The pass reads bcast, never
+		// cur, so it also writes back the worker's applied values.
+		// Nothing is in transit, so scatter-batch faults have nothing
+		// to drop on a pulled iteration.
 		p.driver.Lease().Run(func(w int) {
-			var cnt int64
+			p.writeBack(w)
 			for _, vid := range p.verts[w] {
 				for _, u := range csr.InSpan(vid, p.scratch[w]) {
 					if p.bcast.Has(u) {
-						p.nextActive[vid] = true
-						cnt++
+						p.wl.Add(w, vid)
 						break
 					}
 				}
 			}
-			p.wakeCount[w] = cnt
 		})
-		for w := 0; w < workers; w++ {
-			p.activeCount += int(p.wakeCount[w])
-		}
 	} else {
 		inj := p.driver.Injector()
 		for w := 0; w < workers; w++ {
+			p.writeBack(w)
 			passes := 1
 			switch inj.LaneFault(step, w, 0) {
 			case rt.FaultDropLane:
@@ -285,21 +278,22 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 			}
 			for pass := 0; pass < passes; pass++ {
 				for _, v := range p.wake[w] {
-					if !p.nextActive[v] {
-						p.nextActive[v] = true
-						p.activeCount++
-					}
+					p.wl.Add(int(p.owner[v]), v)
 				}
 			}
 			p.wake[w] = p.wake[w][:0]
 		}
 	}
-	p.cur, p.next = p.next, p.cur
-	p.active, p.nextActive = p.nextActive, p.active
-	for i := range p.nextActive {
-		p.nextActive[i] = false
+	return p.wl.Pending(), nil
+}
+
+// writeBack publishes worker w's applied values: cur[v] = next[v] for
+// every vertex the iteration ran. Only after the barrier, when no
+// gather still reads cur.
+func (p *policy[V, G]) writeBack(w int) {
+	for _, v := range p.wl.Cur(w) {
+		p.cur[v] = p.next[v]
 	}
-	return p.activeCount, nil
 }
 
 // Snapshot implements runtime.Policy: the values of every vertex (full)
@@ -308,20 +302,19 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 // it is small exactly when deltas pay off.
 func (p *policy[V, G]) Snapshot(full bool) *gasSnapshot[V] {
 	ids := rt.TakeDirty[VertexID](p.dirty, full)
-	snap := &gasSnapshot[V]{
-		ids:         ids,
-		values:      rt.CloneValuesAt(p.prog, p.cur, ids),
-		activeCount: p.activeCount,
-	}
+	snap := &gasSnapshot[V]{ids: ids, values: rt.CloneValuesAt(p.prog, p.cur, ids)}
 	if full {
-		snap.active = append([]bool(nil), p.active...)
+		snap.active = make([]bool, p.n)
+		for w := range p.verts {
+			for _, v := range p.wl.Next(w) {
+				snap.active[v] = true
+			}
+		}
 		return snap
 	}
-	snap.activeIDs = make([]VertexID, 0, p.activeCount)
-	for v, a := range p.active {
-		if a {
-			snap.activeIDs = append(snap.activeIDs, VertexID(v))
-		}
+	snap.activeIDs = make([]VertexID, 0, p.wl.Pending())
+	for w := range p.verts {
+		snap.activeIDs = append(snap.activeIDs, p.wl.Next(w)...)
 	}
 	return snap
 }
@@ -333,27 +326,24 @@ func (p *policy[V, G]) Restore(snap *gasSnapshot[V], step int, ok bool) {
 		// Restart from the pristine Init-time values: re-running Init
 		// here would read the mutable graph mid-run.
 		p.cur = rt.CloneValues[V](p.prog, p.pristine)
-		for v := range p.active {
-			p.active[v] = true
-		}
-		p.activeCount = p.n
+		p.wl.FillAll(p.verts)
 	} else {
 		rt.RestoreValuesAt(p.prog, p.cur, snap.values, snap.ids)
-		if snap.ids == nil {
-			copy(p.active, snap.active)
-		} else {
-			clear(p.active)
-			for _, id := range snap.activeIDs {
-				p.active[id] = true
+		p.wl.Clear()
+		for v, a := range snap.active {
+			if a {
+				p.wl.Add(int(p.owner[v]), VertexID(v))
 			}
 		}
-		p.activeCount = snap.activeCount
+		for _, v := range snap.activeIDs {
+			p.wl.Add(int(p.owner[v]), v)
+		}
 	}
 	clear(p.dirty)
-	clear(p.nextActive)
 }
 
-// FrameBytes implements runtime.Policy.
+// FrameBytes implements runtime.Policy; the trailing 8 bytes are the
+// active set's length word.
 func (p *policy[V, G]) FrameBytes(snap *gasSnapshot[V]) int64 {
 	szID := rt.SizeOf[VertexID]()
 	return int64(len(snap.values))*rt.SizeOf[V]() +
@@ -367,11 +357,10 @@ func (p *policy[V, G]) FrameBytes(snap *gasSnapshot[V]) int64 {
 // vertex), indexed by position in ids, and the active set — active
 // (dense) in a full frame, activeIDs (sparse) in a delta.
 type gasSnapshot[V any] struct {
-	ids         []VertexID
-	values      []V
-	active      []bool
-	activeIDs   []VertexID
-	activeCount int
+	ids       []VertexID
+	values    []V
+	active    []bool
+	activeIDs []VertexID
 }
 
 // --- GAS PageRank ---

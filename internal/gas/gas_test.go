@@ -2,8 +2,10 @@ package gas_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 	. "vcgraph/internal/gas"
 
 	"vcgraph/internal/graph"
@@ -180,5 +182,51 @@ func TestGASDanglingVerticesMatchPregelConvention(t *testing.T) {
 	}
 	if ranks[0] <= ranks[1] {
 		t.Fatalf("sink should outrank leaves: %v", ranks)
+	}
+}
+
+// TestGASThinFrontierIndependentOfN: a GAS superstep costs O(active
+// vertices + their in-edges), not O(n). SSSP from 0 over a weighted
+// path of L vertices beside n-L isolated ones has a frontier of at most
+// two vertices for L supersteps. The clock starts at superstep 1, after
+// the one superstep that activates all n vertices, and the steady cost
+// per superstep is (T(L=400) - T(L=200)) / 200, each T the best of 5
+// runs. It must not grow with n. Timing bounds only log under -race.
+func TestGASThinFrontierIndependentOfN(t *testing.T) {
+	perStep := func(n int) time.Duration {
+		best := func(l int) time.Duration {
+			g := graph.New(n, false)
+			for v := 1; v < l; v++ {
+				g.AddWeightedEdge(VertexID(v-1), VertexID(v), float64(1+v%3))
+			}
+			b := time.Duration(math.MaxInt64)
+			for range 5 {
+				prog := &clockedSSSP{Program: SSSPProgram(0, nil)}
+				runtime.GC() // keep a collection of the last run's garbage out of the clock
+				if _, err := Run(g, prog, Config{Workers: 2}); err != nil {
+					t.Fatal(err)
+				}
+				b = min(b, time.Since(prog.start))
+			}
+			return b
+		}
+		return (best(400) - best(200)) / 200
+	}
+	small, large := perStep(1<<10), perStep(1<<18)
+	t.Logf("per thin superstep: %v at n=2^10, %v at n=2^18 (%.1fx)", small, large, float64(large)/float64(small))
+	if large > 8*small && !raceEnabled {
+		t.Errorf("a thin-frontier superstep costs %v at n=2^18 against %v at n=2^10: more than 8x, so it scales with n", large, small)
+	}
+}
+
+// clockedSSSP notes the time superstep 1 starts.
+type clockedSSSP struct {
+	Program[float64, float64]
+	start time.Time
+}
+
+func (c *clockedSSSP) BeforeStep(step int) {
+	if step == 1 {
+		c.start = time.Now()
 	}
 }
