@@ -28,14 +28,16 @@ type Snapshotter interface {
 }
 
 // checkpoint is one frame. ids lists the carried vertices ascending
-// (nil: every vertex); values, halted, inbox and rawRecv are indexed by
-// position in ids.
+// (nil: every vertex); values, halted, inboxLen and rawRecv are indexed
+// by position in ids. inbox holds the carried inboxes back to back, the
+// i-th inboxLen[i] messages long.
 type checkpoint[V, M any] struct {
-	ids     []VertexID
-	values  []V
-	halted  []bool
-	inbox   [][]M
-	rawRecv []int64
+	ids      []VertexID
+	values   []V
+	halted   []bool
+	inbox    []M
+	inboxLen []int32
+	rawRecv  []int64
 	// adj holds the overrides of the carried vertices whose adjacency
 	// diverged from the CSR snapshot (SetOutEdges); everything else
 	// restores to the immutable snapshot for free, so a frame is
@@ -59,7 +61,7 @@ func (e *Engine[V, M]) Snapshot(full bool) *checkpoint[V, M] {
 		ids:        ids,
 		values:     rt.CloneValuesAt(e.prog, e.values, ids),
 		halted:     make([]bool, n),
-		inbox:      make([][]M, n),
+		inboxLen:   make([]int32, n),
 		rawRecv:    make([]int64, n),
 		adj:        make(map[VertexID][]graph.Edge),
 		globals:    maps.Clone(e.globals),
@@ -68,7 +70,9 @@ func (e *Engine[V, M]) Snapshot(full bool) *checkpoint[V, M] {
 	for i := range ck.halted {
 		v := rt.FrameID(ids, i)
 		ck.halted[i] = e.halted[v]
-		ck.inbox[i] = append([]M(nil), e.mbox.Inbox(v)...)
+		in := e.mbox.Inbox(v)
+		ck.inbox = append(ck.inbox, in...)
+		ck.inboxLen[i] = int32(len(in))
 		ck.rawRecv[i] = e.mbox.RawCount(v)
 		if e.mutated[v] {
 			ck.adj[v] = append([]graph.Edge(nil), e.adj[v]...)
@@ -89,11 +93,8 @@ func (e *Engine[V, M]) FrameBytes(ck *checkpoint[V, M]) int64 {
 	b := int64(len(ck.values))*rt.SizeOf[V]() +
 		int64(len(ck.halted)) +
 		int64(len(ck.rawRecv))*8 +
-		int64(len(ck.ids))*rt.SizeOf[VertexID]()
-	szM := rt.SizeOf[M]()
-	for _, in := range ck.inbox {
-		b += int64(len(in)) * szM
-	}
+		int64(len(ck.ids))*rt.SizeOf[VertexID]() +
+		int64(len(ck.inbox))*rt.SizeOf[M]()
 	szE := rt.SizeOf[graph.Edge]()
 	for _, a := range ck.adj {
 		b += rt.MapEntryBytes + int64(len(a))*szE
@@ -132,10 +133,12 @@ func (e *Engine[V, M]) Restore(ck *checkpoint[V, M], step int, ok bool) {
 		}
 	} else {
 		rt.RestoreValuesAt(e.prog, e.values, ck.values, ck.ids)
+		inbox := ck.inbox
 		for i, h := range ck.halted {
 			v := rt.FrameID(ck.ids, i)
 			e.halted[v] = h
-			e.mbox.LoadVertex(v, ck.inbox[i], ck.rawRecv[i])
+			e.mbox.LoadVertex(v, inbox[:ck.inboxLen[i]], ck.rawRecv[i])
+			inbox = inbox[ck.inboxLen[i]:]
 		}
 		for v, a := range ck.adj {
 			e.adj[v] = append([]graph.Edge(nil), a...)

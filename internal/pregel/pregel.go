@@ -393,9 +393,6 @@ func (e *Engine[V, M]) Quiescent(step, pending int) bool { return e.wl.Pending()
 func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 	e.superstep = step
 	p := e.cfg.Workers
-	for w := range e.workerMax {
-		e.workerMax[w] = maxima{}
-	}
 	inj := e.driver.Injector()
 
 	// Direction choice: pull this superstep when a combiner exists and
@@ -429,6 +426,9 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 	e.driver.Lease().Run(func(w int) {
 		e.wl.SortCur(w, e.verts[w])
 		ctx := &e.ctxs[w]
+		// Tally in locals: ss's and workerMax's worker slots share lines.
+		var work, sent, active int64
+		var mm maxima
 		for _, vid := range e.wl.Cur(w) {
 			v := int(vid)
 			e.wl.Unmark(vid)
@@ -472,13 +472,12 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 			// the superstep's h charges only wire messages (ctx.wire,
 			// what actually crossed the mailbox — equal to ctx.sent in
 			// push mode, boundary-only in pull mode).
-			work := 1 + raw + ctx.sent + ctx.charge
-			ss.Work[w] += work
-			ss.Sent[w] += ctx.wire
-			ss.Active[w]++
+			vwork := 1 + raw + ctx.sent + ctx.charge
+			work += vwork
+			sent += ctx.wire
+			active++
 			d := float64(e.deg[v] + 1)
-			mm := &e.workerMax[w]
-			if r := float64(work) / d; r > mm.compute {
+			if r := float64(vwork) / d; r > mm.compute {
 				mm.compute = r
 			}
 			if r := float64(ctx.sent) / d; r > mm.sent {
@@ -494,6 +493,10 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 				}
 			}
 		}
+		ss.Work[w] += work
+		ss.Sent[w] += sent
+		ss.Active[w] += active
+		e.workerMax[w] = mm
 	})
 
 	// Delivery phase: worker j drains every mailbox lane addressed to

@@ -1,18 +1,23 @@
 package runtime
 
-import "vcgraph/internal/graph"
+import (
+	"slices"
+
+	"vcgraph/internal/graph"
+)
 
 // VertexID aliases graph.VertexID.
 type VertexID = graph.VertexID
 
-// entry is one outbox lane slot: a destination vertex, the (possibly
-// sender-side combined) message, and the number of raw messages folded
-// into it. The raw count is what the BSP model's h charges — Stats are
-// always recorded pre-combining.
+// entry is one outbox lane slot: a destination vertex, the number of
+// raw messages folded into it (what the BSP model's h charges — Stats
+// are always recorded pre-combining), and the possibly sender-side
+// combined message. int32 suffices: one entry folds only one worker's
+// sends to one vertex in one superstep. With an 8-byte M it is 16 bytes.
 type entry[M any] struct {
 	dst VertexID
+	raw int32
 	m   M
-	raw int64
 }
 
 // lane is the outbox of one (src worker, dst worker) pair. The slice
@@ -21,23 +26,41 @@ type lane[M any] struct {
 	entries []entry[M]
 }
 
+// push appends one raw message and returns its entry index. The lane
+// grows by doubling: append's ~1.25× growth of large slices allocates
+// about 5× the final size on the way up.
+func (ln *lane[M]) push(dst VertexID, m M) int32 {
+	if n := len(ln.entries); n == cap(ln.entries) {
+		ln.entries = slices.Grow(ln.entries, max(n, 16))
+	}
+	ln.entries = append(ln.entries, entry[M]{dst: dst, raw: 1, m: m})
+	return int32(len(ln.entries) - 1)
+}
+
 // Mailbox is a sharded message store for P workers over n vertices:
-// P×P outbox lanes plus a per-vertex inbox. The sharding makes both
-// phases race-free by construction: during compute, worker w appends
-// only to lanes[w][*]; during delivery, worker w drains only
-// lanes[*][w] and touches only inboxes of vertices it owns.
+// P×P outbox lanes plus flat inboxes. The sharding makes both phases
+// race-free by construction: during compute, worker w appends only to
+// lanes[w][*]; during delivery, worker w drains only lanes[*][w] and
+// touches only inboxes of vertices it owns.
 //
-// All buffers (lanes, per-vertex inboxes, combiner indices) keep their
-// capacity across supersteps, so a steady-state superstep allocates
-// nothing on the message path.
+// No inbox owns an allocation: with a combiner v's inbox is slot[v],
+// else a run of its owner's slab, which delivery fills by counting-
+// sorting the incoming lanes by destination (int32 offsets: under 2^31
+// messages per worker per superstep). All buffers keep their capacity,
+// so a steady-state superstep allocates nothing on the message path.
 type Mailbox[M any] struct {
 	workers int
 	owner   []int32 // vertex -> owning worker
 	comb    func(a, b M) M
 
 	lanes   [][]lane[M] // [src][dst]
-	inbox   [][]M
-	rawRecv []int64 // raw (pre-combining) messages delivered per vertex
+	rawRecv []int64     // raw (pre-combining) messages delivered per vertex
+	cnt     []int32     // messages in v's inbox
+
+	slot []M          // combiner only
+	slab [][]M        // no combiner: worker -> its vertices' runs
+	off  []int32      // no combiner: start of v's run
+	recv [][]VertexID // worker -> vertices the current delivery places
 
 	// Sender-side combining index (combiner installed only): slots[src][v]
 	// is the entry index of v in lane[src][owner[v]], valid while
@@ -61,20 +84,25 @@ func NewMailbox[M any](workers int, owner []int32, comb func(a, b M) M) *Mailbox
 		owner:   owner,
 		comb:    comb,
 		lanes:   make([][]lane[M], workers),
-		inbox:   make([][]M, n),
 		rawRecv: make([]int64, n),
+		cnt:     make([]int32, n),
+		recv:    make([][]VertexID, workers),
 	}
 	for src := range mb.lanes {
 		mb.lanes[src] = make([]lane[M], workers)
 	}
-	if comb != nil {
-		mb.epoch = 1
-		mb.slots = make([][]int32, workers)
-		mb.tags = make([][]uint32, workers)
-		for src := 0; src < workers; src++ {
-			mb.slots[src] = make([]int32, n)
-			mb.tags[src] = make([]uint32, n)
-		}
+	if comb == nil {
+		mb.slab = make([][]M, workers)
+		mb.off = make([]int32, n)
+		return mb
+	}
+	mb.slot = make([]M, n)
+	mb.epoch = 1
+	mb.slots = make([][]int32, workers)
+	mb.tags = make([][]uint32, workers)
+	for src := 0; src < workers; src++ {
+		mb.slots[src] = make([]int32, n)
+		mb.tags[src] = make([]uint32, n)
 	}
 	return mb
 }
@@ -102,18 +130,7 @@ func (mb *Mailbox[M]) Owner(v VertexID) int { return int(mb.owner[v]) }
 // combiner installed the message may fold into an existing lane slot
 // (sender-side combining); the slot's raw count still grows by one.
 func (mb *Mailbox[M]) Send(src int, dst VertexID, m M) {
-	ln := &mb.lanes[src][mb.owner[dst]]
-	if mb.comb != nil {
-		if mb.tags[src][dst] == mb.epoch {
-			e := &ln.entries[mb.slots[src][dst]]
-			e.m = mb.comb(e.m, m)
-			e.raw++
-			return
-		}
-		mb.tags[src][dst] = mb.epoch
-		mb.slots[src][dst] = int32(len(ln.entries))
-	}
-	ln.entries = append(ln.entries, entry[M]{dst: dst, m: m, raw: 1})
+	mb.SendAll(src, []VertexID{dst}, m)
 }
 
 // SendAll records one raw message from src worker to each vertex in
@@ -126,8 +143,7 @@ func (mb *Mailbox[M]) SendAll(src int, dsts []VertexID, m M) {
 	owner := mb.owner
 	if mb.comb == nil {
 		for _, dst := range dsts {
-			ln := &lanes[owner[dst]]
-			ln.entries = append(ln.entries, entry[M]{dst: dst, m: m, raw: 1})
+			lanes[owner[dst]].push(dst, m)
 		}
 		return
 	}
@@ -141,8 +157,7 @@ func (mb *Mailbox[M]) SendAll(src int, dsts []VertexID, m M) {
 			continue
 		}
 		tags[dst] = epoch
-		slots[dst] = int32(len(ln.entries))
-		ln.entries = append(ln.entries, entry[M]{dst: dst, m: m, raw: 1})
+		slots[dst] = ln.push(dst, m)
 	}
 }
 
@@ -165,8 +180,10 @@ func (mb *Mailbox[M]) Deliver(w int, onFirstMail func(VertexID)) (delivered, pla
 // after the original; batches carry per-lane sequence numbers, so the
 // replay fails the receiver's sequence check and is discarded without
 // touching any inbox (the injector tallies the rejected duplicate). A
-// nil injector makes this identical to Deliver.
+// nil injector makes this identical to Deliver. Without a combiner the
+// drain only counts per destination; scatter then places the messages.
 func (mb *Mailbox[M]) DeliverFaulty(w, step int, inj *Injector, onFirstMail func(VertexID)) (delivered, placements int64, dropped bool) {
+	recv := mb.recv[w][:0]
 	for src := 0; src < mb.workers; src++ {
 		ln := &mb.lanes[src][w]
 		if inj != nil {
@@ -187,62 +204,127 @@ func (mb *Mailbox[M]) DeliverFaulty(w, step int, inj *Injector, onFirstMail func
 		for i := range ln.entries {
 			e := &ln.entries[i]
 			v := e.dst
-			if mb.rawRecv[v] == 0 && onFirstMail != nil {
-				onFirstMail(v)
+			mb.note(v, int64(e.raw), onFirstMail)
+			delivered += int64(e.raw)
+			if mb.comb != nil {
+				placements += mb.fold(v, e.m)
+			} else if mb.cnt[v]++; mb.cnt[v] == 1 {
+				recv = append(recv, v)
 			}
-			mb.rawRecv[v] += e.raw
-			delivered += e.raw
-			if mb.comb != nil && len(mb.inbox[v]) == 1 {
-				mb.inbox[v][0] = mb.comb(mb.inbox[v][0], e.m)
-			} else {
-				mb.inbox[v] = append(mb.inbox[v], e.m)
-				placements++
-			}
+		}
+		if mb.comb != nil {
+			ln.entries = ln.entries[:0]
+		}
+	}
+	mb.recv[w] = recv
+	if mb.comb == nil {
+		placements = mb.scatter(w, recv)
+	}
+	return delivered, placements, dropped
+}
+
+// scatter is pass 2 of a combiner-less delivery to worker w: it gives
+// each receiving vertex its run of w's slab, then copies the lanes'
+// messages into the runs in source-worker lane order — the order the
+// inbox would have been appended in — and drains the lanes.
+func (mb *Mailbox[M]) scatter(w int, recv []VertexID) (placements int64) {
+	var at int32
+	for _, v := range recv {
+		mb.off[v] = at
+		at += mb.cnt[v]
+		mb.cnt[v] = 0
+	}
+	// Refilling the slab from the start is sound only because every
+	// vertex holding mail computed and called ResetVertex in the
+	// superstep before this delivery: no live inbox points into it.
+	slab := slices.Grow(mb.slab[w][:0], int(at))[:at]
+	for src := 0; src < mb.workers; src++ {
+		ln := &mb.lanes[src][w]
+		for i := range ln.entries {
+			e := &ln.entries[i]
+			slab[mb.off[e.dst]+mb.cnt[e.dst]] = e.m
+			mb.cnt[e.dst]++
 		}
 		ln.entries = ln.entries[:0]
 	}
-	return delivered, placements, dropped
+	mb.slab[w] = slab
+	return int64(at)
+}
+
+// note counts raw messages reaching v, firing the first-mail hook on
+// v's zero→nonzero transition.
+func (mb *Mailbox[M]) note(v VertexID, raw int64, onFirstMail func(VertexID)) {
+	if mb.rawRecv[v] == 0 && onFirstMail != nil {
+		onFirstMail(v)
+	}
+	mb.rawRecv[v] += raw
+}
+
+// fold places m into v's combiner slot, combining with the message
+// already there. It returns the number of new placements (0 or 1).
+func (mb *Mailbox[M]) fold(v VertexID, m M) int64 {
+	if mb.cnt[v] != 0 {
+		mb.slot[v] = mb.comb(mb.slot[v], m)
+		return 0
+	}
+	mb.slot[v], mb.cnt[v] = m, 1
+	return 1
 }
 
 // DepositPulled merges one gathered accumulator value into v's inbox,
 // exactly as delivering a single combined lane entry carrying raw
 // pre-combining messages would: the first-mail hook fires on the
 // zero→nonzero raw transition, the raw count reaches RawCount, and
-// with a combiner the value folds into the existing inbox slot. It
-// returns the number of inbox placements (0 when the value was folded
-// into an occupied slot). Only v's owning worker may call it, during
-// the delivery phase — the same sharding discipline as DeliverFaulty.
+// the value folds into v's combiner slot. It returns the number of
+// inbox placements (0 when the value was folded into an occupied
+// slot). It needs a combiner (pulling does), and only v's owning
+// worker may call it, during the delivery phase — the same sharding
+// discipline as DeliverFaulty.
 func (mb *Mailbox[M]) DepositPulled(v VertexID, m M, raw int64, onFirstMail func(VertexID)) (placements int64) {
-	if mb.rawRecv[v] == 0 && onFirstMail != nil {
-		onFirstMail(v)
-	}
-	mb.rawRecv[v] += raw
-	if mb.comb != nil && len(mb.inbox[v]) == 1 {
-		mb.inbox[v][0] = mb.comb(mb.inbox[v][0], m)
-		return 0
-	}
-	mb.inbox[v] = append(mb.inbox[v], m)
-	return 1
+	mb.note(v, raw, onFirstMail)
+	return mb.fold(v, m)
 }
 
 // Inbox returns v's delivered messages. The slice is valid until v's
-// next ResetVertex/LoadVertex and must not be retained across
-// supersteps (its backing array is reused).
-func (mb *Mailbox[M]) Inbox(v VertexID) []M { return mb.inbox[v] }
+// next ResetVertex/LoadVertex or the next delivery to its owner, and
+// must not be retained across supersteps (its backing array is
+// reused).
+func (mb *Mailbox[M]) Inbox(v VertexID) []M {
+	c := mb.cnt[v]
+	switch {
+	case c == 0:
+		return nil
+	case mb.comb != nil:
+		return mb.slot[v : v+1 : v+1]
+	}
+	o := mb.off[v]
+	return mb.slab[mb.owner[v]][o : o+c : o+c]
+}
 
 // RawCount returns the raw (pre-combining) number of messages
 // delivered to v in the last delivery phase.
 func (mb *Mailbox[M]) RawCount(v VertexID) int64 { return mb.rawRecv[v] }
 
-// ResetVertex empties v's inbox, keeping its capacity for reuse.
+// ResetVertex empties v's inbox. Its storage stays with the mailbox.
 func (mb *Mailbox[M]) ResetVertex(v VertexID) {
-	mb.inbox[v] = mb.inbox[v][:0]
+	mb.cnt[v] = 0
 	mb.rawRecv[v] = 0
 }
 
 // LoadVertex replaces v's inbox contents and raw count (checkpoint
-// recovery), copying msgs into v's reusable buffer.
+// recovery, which is serial). With a combiner msgs fold left into v's
+// slot; without one they are appended to the owner's slab.
 func (mb *Mailbox[M]) LoadVertex(v VertexID, msgs []M, raw int64) {
-	mb.inbox[v] = append(mb.inbox[v][:0], msgs...)
 	mb.rawRecv[v] = raw
+	mb.cnt[v] = 0
+	if mb.comb != nil {
+		for _, m := range msgs {
+			mb.fold(v, m)
+		}
+		return
+	}
+	w := mb.owner[v]
+	mb.off[v] = int32(len(mb.slab[w]))
+	mb.slab[w] = append(mb.slab[w], msgs...)
+	mb.cnt[v] = int32(len(msgs))
 }
