@@ -60,8 +60,8 @@ func main() {
 		DefaultCheckpointEvery:   *ckEvery,
 		DefaultFullSnapshotEvery: *fullEvery,
 		PlanTrace: func(jobID int64, d plan.Decision) {
-			fmt.Printf("vcd: job %d plan: step=%d engine=%s partition=%s mode=%s fcs=%d (%s)\n",
-				jobID, d.Step, d.Plan.Engine, d.Plan.Partition, d.Plan.Mode, d.Plan.FCS, d.Reason)
+			fmt.Printf("vcd: job %d plan: step=%d engine=%s partition=%s mode=%s (%s)\n",
+				jobID, d.Step, d.Plan.Engine, d.Plan.Partition, d.Plan.Mode, d.Reason)
 		},
 	})
 	go func() {

@@ -30,7 +30,7 @@ func evolve(g *graph.Graph, algo string, src graph.VertexID, rounds, batch int, 
 	// runInc computes the current answer: resuming from prior advances
 	// it, a nil prior recomputes from scratch and keeps nothing.
 	runInc := func(prior *vc.Prior) ([]float64, int64, error) {
-		values, stats, err := row(g, args, nil, vc.Env{Prior: prior})()
+		values, stats, err := row(g, args, vc.Env{Prior: prior})()
 		if err != nil {
 			return nil, 0, err
 		}

@@ -509,13 +509,13 @@ var (
 		"blockcc":     {Algo: "hashmin", Engine: "blockcentric"},
 	}
 	// packedStateAlgos have bit-packed vertex state; it is a pregel
-	// program feature, which -engine auto reaches through its pregel
-	// segments.
+	// program feature, which -engine auto reaches when it plans
+	// pregel.
 	packedStateAlgos = map[string]bool{"hashmin": true, "kcore": true, "coloring": true}
 )
 
 // runMatrix runs one cell of the engine matrix, or — under -engine
-// auto — the adaptive plan layer over its row, printing each plan
+// auto — the adaptive plan layer over its row, printing the plan
 // decision as it is taken.
 func runMatrix(cliAlgo, engine string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed int64) (string, *bsp.Stats, error) {
 	algo := matrixAlgos[cliAlgo]
@@ -525,13 +525,13 @@ func runMatrix(cliAlgo, engine string, g *graph.Graph, src graph.VertexID, cfg v
 	args := vc.Args{Src: src, Alpha: 0.85, K: 30, Eps: 1e-9}
 	if engine == "auto" {
 		values, ar, err := vc.PrepareAuto(g, algo, args, vc.AutoConfig{Config: cfg, Trace: func(d plan.Decision) {
-			fmt.Printf("plan: step=%d engine=%s partition=%s mode=%s fcs=%d (%s)\n",
-				d.Step, d.Plan.Engine, d.Plan.Partition, d.Plan.Mode, d.Plan.FCS, d.Reason)
+			fmt.Printf("plan: step=%d engine=%s partition=%s mode=%s (%s)\n",
+				d.Step, d.Plan.Engine, d.Plan.Partition, d.Plan.Mode, d.Reason)
 		}})()
 		if err != nil {
 			return "", nil, err
 		}
-		return fmt.Sprintf("%s (%d plan segments)", vc.Verdict(algo, args, values), ar.Segments), ar.Stats, nil
+		return vc.Verdict(algo, args, values), ar.Stats, nil
 	}
 	if engine == "" {
 		engine = plan.EnginePregel
@@ -540,7 +540,7 @@ func runMatrix(cliAlgo, engine string, g *graph.Graph, src graph.VertexID, cfg v
 	if !ok {
 		return "", nil, fmt.Errorf("%s does not run on engine %q", cliAlgo, engine)
 	}
-	values, stats, err := row(g, args, nil, vc.Env{Config: cfg})()
+	values, stats, err := row(g, args, vc.Env{Config: cfg})()
 	if err != nil {
 		return "", nil, err
 	}

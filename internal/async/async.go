@@ -218,10 +218,9 @@ func valuesOf[V any](run func() (*Result[V], error)) func() ([]V, *Result[V], er
 // --- Async SSSP (label-correcting) ---
 
 // ssspProgram is label-correcting SSSP from src. seed warm-starts the
-// tentative distances from another engine's barrier values or an
-// incremental run's repaired prior (nil is the source-only cold start):
-// Update only ever improves a value, so any sound upper bound converges
-// to the same distances.
+// tentative distances from an incremental run's repaired prior (nil is
+// the source-only cold start): Update only ever improves a value, so
+// any sound upper bound converges to the same distances.
 type ssspProgram struct {
 	src  VertexID
 	seed []float64

@@ -650,18 +650,10 @@ func (c *BlockContext[V, M]) VoteToHalt() { c.halt = true }
 // sequential BFS sweeps per superstep (minimum label within each
 // block-local region), then pushes changed labels over boundary edges
 // only. On a path split into B blocks this takes Θ(B) supersteps,
-// versus Θ(n) for vertex-centric Hash-Min. seed warm-starts the labels
-// from another engine's barrier values (nil is the identity cold
-// start); the superstep-0 whole-block sweep already re-broadcasts every
-// label over boundary edges, so only Init differs.
-type ccProgram struct{ seed []VertexID }
+// versus Θ(n) for vertex-centric Hash-Min.
+type ccProgram struct{}
 
-func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return id
-}
+func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
 
 func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], in *Inbox[VertexID]) {
 	// Absorb boundary updates.
@@ -731,7 +723,7 @@ func ConnectedComponents(g *graph.Graph, cfg Config) (*CCResult, error) {
 // now (NewEngine), the returned closure runs lock-free on the pinned
 // snapshot.
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() (*CCResult, error) {
-	eng := NewEngine(g, CCProgram(nil), cfg)
+	eng := NewEngine(g, CCProgram(), cfg)
 	return func() (*CCResult, error) {
 		res, err := eng.Run()
 		if err != nil {
@@ -747,18 +739,10 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() (*CCResult, e
 // relaxation to a fixpoint inside the block per superstep, then offers
 // dist+w over boundary edges for vertices whose distance improved.
 // Min-relaxation is order-independent, so values are byte-identical
-// across schedules and fault plans. seed warm-starts the tentative
-// distances from another engine's barrier values (+Inf for unreached
-// vertices; nil is the source-only cold start).
-type ssspProgram struct {
-	src  VertexID
-	seed []float64
-}
+// across schedules and fault plans.
+type ssspProgram struct{ src VertexID }
 
 func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
 	if id == p.src {
 		return 0
 	}
@@ -784,10 +768,8 @@ func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], in *Inbox
 		}
 	}
 	if ctx.Superstep() == 0 {
-		// Every finite distance seeds the local relaxation and is offered
-		// over boundary edges: on a cold start that is the source alone, on
-		// a warm restart the whole reached frontier, which dominates any
-		// offer that was in flight when the previous engine stopped.
+		// The source, the only finite distance yet, seeds the local
+		// relaxation of its block and is offered over boundary edges.
 		for _, v := range ctx.Block() {
 			if !math.IsInf(*ctx.Value(v), 1) {
 				dirty = append(dirty, v)
@@ -852,7 +834,7 @@ func SSSP(g *graph.Graph, src VertexID, cfg Config) (*SSSPResult, error) {
 // PrepareSSSP is the two-phase form of SSSP (see
 // PrepareConnectedComponents).
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, error) {
-	eng := NewEngine(g, SSSPProgram(src, nil), cfg)
+	eng := NewEngine(g, SSSPProgram(src), cfg)
 	return func() (*SSSPResult, error) {
 		res, err := eng.Run()
 		if err != nil {
@@ -874,20 +856,14 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, 
 // source-block order); under push mode with a range partition that
 // order is ascending source ID — single-worker Pregel's combiner order
 // — so the two engines' iterates are bit-identical. Matches
-// seq.PageRank element-wise, including the dangling leak. seed
-// warm-starts the ranks from another engine's barrier values (nil is
-// the uniform cold start), re-sending shares for the current iterate.
+// seq.PageRank element-wise, including the dangling leak.
 type prProgram struct {
 	n     int
 	k     int
 	alpha float64
-	seed  []float64
 }
 
 func (p prProgram) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
 	return 1 / float64(p.n)
 }
 
@@ -935,7 +911,7 @@ func PageRank(g *graph.Graph, alpha float64, k int, cfg Config) (*PRResult, erro
 // PreparePageRank is the two-phase form of PageRank (see
 // PrepareConnectedComponents).
 func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*PRResult, error) {
-	eng := NewEngine(g, PageRankProgram(g.N(), k, alpha, nil), cfg)
+	eng := NewEngine(g, PageRankProgram(g.N(), k, alpha), cfg)
 	return func() (*PRResult, error) {
 		res, err := eng.Run()
 		if err != nil {
@@ -947,27 +923,20 @@ func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*
 
 // --- Programs the engine matrix (internal/vc) prepares itself ---
 //
-// A live engine handoff exports vertex values at a superstep barrier
-// and resumes them here. Warm restarts re-announce state instead of
-// replaying lost inboxes: the min-fold programs re-offer every finite
-// label or distance at superstep 0, and fixed-iteration PageRank
-// re-sends shares for the current iterate (see prProgram).
+// The matrix runs every block-centric row through NewEngine and one
+// generic adapter, so it builds these programs itself.
 
-// CCProgram is the min-label component program started from seed
-// labels (nil is the identity cold start).
-func CCProgram(seed []VertexID) Program[VertexID, VertexID] { return ccProgram{seed: seed} }
+// CCProgram is the min-label component program.
+func CCProgram() Program[VertexID, VertexID] { return ccProgram{} }
 
-// SSSPProgram is the block-relaxation SSSP program started from seed
-// distances (nil is the source-only cold start).
-func SSSPProgram(src VertexID, seed []float64) Program[float64, float64] {
-	return ssspProgram{src: src, seed: seed}
-}
+// SSSPProgram is the block-relaxation SSSP program from src.
+func SSSPProgram(src VertexID) Program[float64, float64] { return ssspProgram{src: src} }
 
 // PageRankProgram is the fixed-iteration PageRank program: k folds
-// from seed ranks (nil is the uniform cold start). It is bit-compatible
-// with single-worker Pregel only under DirectionPush over a range
-// partition: per-block pull queues intra-block shares ahead of the
-// boundary ones and changes the fold order.
-func PageRankProgram(n, k int, alpha float64, seed []float64) Program[float64, float64] {
-	return prProgram{n: n, k: k, alpha: alpha, seed: seed}
+// from the uniform start. It is bit-compatible with single-worker
+// Pregel only under DirectionPush over a range partition: per-block
+// pull queues intra-block shares ahead of the boundary ones and
+// changes the fold order.
+func PageRankProgram(n, k int, alpha float64) Program[float64, float64] {
+	return prProgram{n: n, k: k, alpha: alpha}
 }

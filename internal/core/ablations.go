@@ -525,8 +525,8 @@ func CheckpointCompactionSweep(cfg vc.Config) (string, error) {
 // engine choice on workloads with opposing winners: regular structures
 // where block-centric collapses propagation, and skewed structures
 // where pregel with degree-balanced partitions wins. Fixed configs run
-// through the same auto harness via a one-entry script, so the only
-// difference is who picked the plan. The acceptance bar (auto within
+// through the same auto harness as a forced AutoConfig.Plan, so the
+// only difference is who picked the plan. The acceptance bar (auto within
 // 10% of the best fixed config everywhere, and at least 1.5x better
 // than the worst on two or more workloads) is enforced, not just
 // reported — drifting planner rules fail the ablation run.
@@ -539,8 +539,10 @@ func PlannerAblation(cfg vc.Config) (string, error) {
 	workloads := []workload{
 		{"pagerank/powerlaw", graph.PreferentialAttachment(4000, 3, 31), "pagerank"},
 		{"cc/path", graph.Path(4096), "cc"},
+		{"cc/caterpillar", graph.CaterpillarTree(4096), "cc"},
 		{"cc/powerlaw", graph.PreferentialAttachment(4000, 3, 32), "cc"},
 		{"sssp/grid", weighted(graph.Grid(48, 48), 33), "sssp"},
+		{"sssp/caterpillar", weighted(graph.CaterpillarTree(4096), 35), "sssp"},
 		{"sssp/powerlaw", weighted(graph.PreferentialAttachment(4000, 3, 34), 34), "sssp"},
 	}
 	fixed := []plan.Plan{
@@ -554,9 +556,9 @@ func PlannerAblation(cfg vc.Config) (string, error) {
 		"workload", "pregel", "gas", "blockcentric", "auto", "auto picked")
 	beatWorst := 0
 	for _, w := range workloads {
-		runPlan := func(script []plan.Decision) (float64, *vc.AutoResult, error) {
+		runPlan := func(forced *plan.Plan) (float64, *vc.AutoResult, error) {
 			args := vc.Args{Alpha: 0.85, K: 20}
-			_, ar, err := vc.PrepareAuto(w.g, w.algo, args, vc.AutoConfig{Config: cfg, Script: script})()
+			_, ar, err := vc.PrepareAuto(w.g, w.algo, args, vc.AutoConfig{Config: cfg, Plan: forced})()
 			if err != nil {
 				return 0, nil, err
 			}
@@ -564,7 +566,7 @@ func PlannerAblation(cfg vc.Config) (string, error) {
 		}
 		tpps := make([]float64, len(fixed))
 		for i, f := range fixed {
-			tpp, _, err := runPlan([]plan.Decision{{Plan: f, Reason: "fixed"}})
+			tpp, _, err := runPlan(&f)
 			if err != nil {
 				return "", fmt.Errorf("%s on fixed %s: %w", w.name, f.Engine, err)
 			}
@@ -583,12 +585,8 @@ func PlannerAblation(cfg vc.Config) (string, error) {
 				worst = t
 			}
 		}
-		picked := ar.Decisions[0].Plan.Engine
-		if len(ar.Decisions) > 1 {
-			picked += "->" + ar.Decisions[len(ar.Decisions)-1].Plan.Engine
-		}
 		fmt.Fprintf(&out, "%-18s %14.0f %14.0f %14.0f %14.0f  %s\n",
-			w.name, tpps[0], tpps[1], tpps[2], autoTPP, picked)
+			w.name, tpps[0], tpps[1], tpps[2], autoTPP, ar.Decisions[0].Plan.Engine)
 		if autoTPP > 1.10*best {
 			return "", fmt.Errorf("planner ablation: %s: auto P·T %.0f is more than 10%% over best fixed %.0f",
 				w.name, autoTPP, best)

@@ -435,18 +435,10 @@ func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]f
 
 // --- GAS connected components (HashMin) ---
 
-// ccProgram is HashMin over gathers. seed warm-starts the labels from
-// another engine's barrier values (nil is the identity cold start):
-// min-folding is monotone, so any sound upper bound reaches the same
-// fixpoint bit for bit.
-type ccProgram struct{ seed []VertexID }
+// ccProgram is HashMin over gathers, from the identity labeling.
+type ccProgram struct{}
 
-func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return id
-}
+func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
 
 func (ccProgram) Gather(u VertexID, w float64, uVal VertexID) VertexID { return uVal }
 
@@ -486,7 +478,7 @@ func ConnectedComponents(g *graph.Graph, cfg Config) ([]VertexID, *Result[Vertex
 // PrepareConnectedComponents is the two-phase form of
 // ConnectedComponents (see Prepare).
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, *Result[VertexID], error) {
-	run := Prepare(g, CCProgram(nil), cfg)
+	run := Prepare(g, CCProgram(), cfg)
 	return func() ([]VertexID, *Result[VertexID], error) {
 		res, err := run()
 		if err != nil {
@@ -498,18 +490,10 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, 
 
 // --- GAS single-source shortest paths ---
 
-// ssspProgram is pull relaxation from src. seed warm-starts the
-// tentative distances (+Inf for unreached vertices; nil is the
-// source-only cold start).
-type ssspProgram struct {
-	src  VertexID
-	seed []float64
-}
+// ssspProgram is pull relaxation from src.
+type ssspProgram struct{ src VertexID }
 
 func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
 	if id == p.src {
 		return 0
 	}
@@ -545,7 +529,7 @@ func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64]
 
 // PrepareSSSP is the two-phase form of SSSP (see Prepare).
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *Result[float64], error) {
-	run := Prepare(g, SSSPProgram(src, nil), cfg)
+	run := Prepare(g, SSSPProgram(src), cfg)
 	return func() ([]float64, *Result[float64], error) {
 		res, err := run()
 		if err != nil {
@@ -557,24 +541,17 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *R
 
 // --- Programs the engine matrix (internal/vc) prepares itself ---
 //
-// A live engine handoff exports vertex values at a superstep barrier
-// and resumes them under another engine; the matrix rows therefore
-// build these programs with a seed and run them through Prepare, which
-// (unlike the Prepare* conveniences above) returns the barrier values
-// alongside runtime.ErrHandoff.
+// The matrix runs every GAS row through Prepare and one generic
+// adapter, so it builds these programs itself.
 
-// CCProgram is the HashMin component program started from seed labels
-// (nil is the identity cold start).
-func CCProgram(seed []VertexID) Program[VertexID, VertexID] { return ccProgram{seed: seed} }
+// CCProgram is the HashMin component program.
+func CCProgram() Program[VertexID, VertexID] { return ccProgram{} }
 
-// SSSPProgram is the pull-relaxation SSSP program started from seed
-// distances (nil is the source-only cold start).
-func SSSPProgram(src VertexID, seed []float64) Program[float64, float64] {
-	return ssspProgram{src: src, seed: seed}
-}
+// SSSPProgram is the pull-relaxation SSSP program from src.
+func SSSPProgram(src VertexID) Program[float64, float64] { return ssspProgram{src: src} }
 
 // prFixedK is synchronous power-iteration PageRank for exactly k
-// folds, used by the adaptive plan layer so a GAS segment is
+// folds, which engine "auto" runs so that a GAS PageRank is
 // bit-compatible with the Pregel fixed-iteration variant. Unlike the
 // adaptive eps-scheduled prProgram it never stops early on small
 // deltas: a vertex stays asleep only while every in-neighbor's rank is

@@ -201,7 +201,7 @@ func TestGASThinFrontierIndependentOfN(t *testing.T) {
 			}
 			b := time.Duration(math.MaxInt64)
 			for range 5 {
-				prog := &clockedSSSP{Program: SSSPProgram(0, nil)}
+				prog := &clockedSSSP{Program: SSSPProgram(0)}
 				runtime.GC() // keep a collection of the last run's garbage out of the clock
 				if _, err := Run(g, prog, Config{Workers: 2}); err != nil {
 					t.Fatal(err)

@@ -317,10 +317,9 @@ func (g *Graph) Pin() *CSR {
 }
 
 // PinSnapshot takes an additional reference on an already-pinned
-// snapshot, so a multi-segment computation (the adaptive plan layer's
-// engine handoff) can hand the same generation to several engine
-// prepares even while writers mutate and republish the graph in
-// between. It panics if c is not currently pinned — the caller must
+// snapshot, so a caller that sampled a generation (the adaptive plan
+// layer) can hand that same generation to an engine prepare even while
+// writers mutate and republish the graph in between. It panics if c is not currently pinned — the caller must
 // hold its own Pin for the duration.
 func (g *Graph) PinSnapshot(c *CSR) *CSR {
 	g.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/plan"
 )
@@ -26,6 +25,8 @@ func TestInitialDecisionTable(t *testing.T) {
 		{"star", graph.Star(128)},
 		{"powerlaw", graph.PreferentialAttachment(400, 3, 7)},
 		{"random", graph.Random(300, 900, 5)},
+		{"caterpillar", graph.CaterpillarTree(256)},
+		{"bintree", graph.BalancedBinaryTree(255)},
 	}
 	type key struct{ graph, algo string }
 	golden := map[key]plan.Plan{
@@ -57,14 +58,21 @@ func TestInitialDecisionTable(t *testing.T) {
 		{"random", "pagerank"}: {Engine: "gas", Partition: "hash", Mode: "auto"},
 		{"random", "cc"}:       {Engine: "gas", Partition: "hash", Mode: "auto"},
 		{"random", "sssp"}:     {Engine: "pregel", Partition: "hash", Mode: "push"},
+		// Thin trees: average degree 2 and skew exactly 1.5 (degree-3
+		// vertices) still count as chain-like.
+		{"caterpillar", "pagerank"}: {Engine: "gas", Partition: "hash", Mode: "auto"},
+		{"caterpillar", "cc"}:       {Engine: "blockcentric", Partition: "range", Mode: "auto"},
+		{"caterpillar", "sssp"}:     {Engine: "blockcentric", Partition: "range", Mode: "auto"},
+		{"bintree", "pagerank"}:     {Engine: "gas", Partition: "hash", Mode: "auto"},
+		{"bintree", "cc"}:           {Engine: "blockcentric", Partition: "range", Mode: "auto"},
+		{"bintree", "sssp"}:         {Engine: "blockcentric", Partition: "range", Mode: "auto"},
 	}
-	var p plan.Planner
 	for _, gc := range graphs {
 		csr := gc.g.Pin()
 		gs := plan.Sample(csr, 4)
 		for _, algo := range []string{"pagerank", "cc", "sssp"} {
 			caps := plan.Caps{Algorithm: algo, HasCombiner: true, FixedK: algo == "pagerank", Workers: 4}
-			d := p.Initial(gs, caps)
+			d := plan.Initial(gs, caps)
 			want := golden[key{gc.name, algo}]
 			if d.Plan != want {
 				t.Errorf("%s/%s: plan %+v, want %+v (stats %+v)", gc.name, algo, d.Plan, want, gs)
@@ -120,79 +128,6 @@ func TestSampleStats(t *testing.T) {
 	}
 }
 
-// TestHarvestSignals checks the barrier-signal math: growth ratio,
-// pulled fraction, and the trailing narrow-step counter.
-func TestHarvestSignals(t *testing.T) {
-	mk := func(frontiers ...int64) []bsp.SuperstepStats {
-		out := make([]bsp.SuperstepStats, len(frontiers))
-		for i, f := range frontiers {
-			out[i].Frontier = f
-			out[i].Cost = 2
-			out[i].Pulled = i%2 == 0
-		}
-		return out
-	}
-	sig := plan.Harvest(mk(100, 50, 4, 2, 1, 1), 1000, 4, 0.02)
-	if sig.Frontier != 1 {
-		t.Fatalf("frontier %d, want 1", sig.Frontier)
-	}
-	if sig.Growth != 1 {
-		t.Fatalf("growth %v, want 1", sig.Growth)
-	}
-	// narrow threshold = 20: trailing 4,2,1,1 are all narrow, 50 is not.
-	if sig.NarrowSteps != 4 {
-		t.Fatalf("narrow steps %d, want 4", sig.NarrowSteps)
-	}
-	if sig.CostPerStep != 2 {
-		t.Fatalf("cost/step %v, want 2", sig.CostPerStep)
-	}
-	if sig.PulledFrac != 0.5 {
-		t.Fatalf("pulled frac %v, want 0.5", sig.PulledFrac)
-	}
-	if empty := plan.Harvest(nil, 100, 4, 0); empty.Growth != 1 || empty.Frontier != 0 {
-		t.Fatalf("empty harvest = %+v", empty)
-	}
-}
-
-// TestReplanRules pins the replanning rule set: one-way handoff to
-// block-centric on a sustained narrow frontier, gated by the switch
-// budget and the FixedK capability.
-func TestReplanRules(t *testing.T) {
-	var p plan.Planner
-	gs := plan.GraphStats{N: 1000, AvgDegree: 2, Skew: 3}
-	caps := plan.Caps{Algorithm: "sssp", HasCombiner: true, Workers: 4}
-	cur := plan.Plan{Engine: "pregel", Partition: "hash", Mode: "push"}
-	narrow := plan.Signals{Frontier: 3, NarrowSteps: p.ReplanEvery()}
-
-	d, ok := p.Replan(cur, gs, caps, narrow, 16, 0)
-	if !ok || d.Plan.Engine != "blockcentric" || d.Plan.Partition != "range" {
-		t.Fatalf("narrow frontier must switch to blockcentric/range, got %+v (ok=%v)", d.Plan, ok)
-	}
-	if d.Step != 16 || d.Reason == "" {
-		t.Fatalf("decision step/reason not set: %+v", d)
-	}
-	if _, ok := p.Replan(cur, gs, caps, plan.Signals{Frontier: 900}, 16, 0); ok {
-		t.Fatal("wide frontier must not switch")
-	}
-	dense := gs
-	dense.AvgDegree = 4
-	if _, ok := p.Replan(cur, dense, caps, narrow, 16, 0); ok {
-		t.Fatal("dense graphs must not switch: a narrow wavefront is not a chain tail")
-	}
-	if _, ok := p.Replan(cur, gs, caps, narrow, 16, p.SwitchBudget()); ok {
-		t.Fatal("switch budget must gate replanning")
-	}
-	fixed := caps
-	fixed.FixedK = true
-	if _, ok := p.Replan(cur, gs, fixed, narrow, 16, 0); ok {
-		t.Fatal("fixed-K runs must not switch")
-	}
-	bc := plan.Plan{Engine: "blockcentric", Partition: "range", Mode: "auto"}
-	if _, ok := p.Replan(bc, gs, caps, narrow, 16, 0); ok {
-		t.Fatal("blockcentric must never switch back (one-way rule)")
-	}
-}
-
 // TestPlanOwner checks that each partition spelling materializes a
 // snapshot-sized owner array with the right worker range.
 func TestPlanOwner(t *testing.T) {
@@ -221,7 +156,7 @@ func TestPlanOwner(t *testing.T) {
 // TestPlanJSONSpellings: a Plan marshals with the wire spellings the
 // serving layer exposes in job status.
 func TestPlanJSONSpellings(t *testing.T) {
-	p := plan.Plan{Engine: "pregel", Partition: "degree", Mode: "push", FCS: 64}
+	p := plan.Plan{Engine: "pregel", Partition: "degree", Mode: "push"}
 	got := fmt.Sprintf("%+v", p)
 	if got == "" {
 		t.Fatal("unreachable")

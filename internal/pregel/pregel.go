@@ -401,8 +401,8 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 	// mode). In a pulled superstep SendToNeighbors publishes a
 	// broadcast slot instead of materializing per-edge mailbox
 	// messages; destinations gather over their transpose spans below.
-	// Frontier entering the superstep: the signal both the direction
-	// choice below and the adaptive planner's replan decisions see.
+	// Frontier entering the superstep: the signal the direction choice
+	// below reads, recorded for the superstep's statistics.
 	ss.Frontier = int64(e.wl.Pending())
 	e.pullStep = rt.ChoosePull(e.cfg.Mode, e.bcast != nil, e.wl.Pending(), e.stats.N, e.cfg.PullThreshold)
 	if e.pullStep && e.cfg.FCSThreshold > 0 && e.wl.Pending() <= e.cfg.FCSThreshold {

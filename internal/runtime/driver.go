@@ -2,21 +2,12 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	goruntime "runtime"
 	"runtime/debug"
 
 	"vcgraph/internal/bsp"
 )
-
-// ErrHandoff is the sentinel returned by Driver.Run when the configured
-// Replan hook requested a live engine handoff at a superstep barrier.
-// The run stops with the barrier state consistent (all messages of the
-// previous superstep delivered, no rollback pending); the caller
-// harvests the engine's partial values and resumes them under a fresh
-// engine prepare. Match with errors.Is.
-var ErrHandoff = errors.New("handoff requested at superstep barrier")
 
 // Driver is the shared superstep kernel under all four engines. It owns
 // the full per-barrier lifecycle — worker-pool dispatch, fault-plan
@@ -236,7 +227,6 @@ func (d *Driver[S]) Run() (steps int, err error) {
 	pending := 0
 	capHit := false
 	aborted := false
-	handoff := false
 	var polErr error
 	for d.step = 0; ; d.step++ {
 		// Cancellation wins over everything at the barrier: an aborted
@@ -273,13 +263,6 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		if d.pol.Quiescent(d.step, pending) {
 			break
 		}
-		// The handoff point: past fault detection and rollback (the
-		// barrier state is consistent) and past the quiescence check (a
-		// finished run never switches engines).
-		if d.cfg.Replan != nil && d.cfg.Replan(d.step, pending) {
-			handoff = true
-			break
-		}
 		pending, polErr = d.runSuperstep()
 		if polErr != nil {
 			break
@@ -308,9 +291,6 @@ func (d *Driver[S]) Run() (steps int, err error) {
 	}
 	if polErr != nil {
 		return d.step, polErr
-	}
-	if handoff {
-		return d.step, fmt.Errorf("%s: %w (barrier %d)", d.cfg.Name, ErrHandoff, d.step)
 	}
 	if aborted {
 		return d.step, fmt.Errorf("%s: %w", d.cfg.Name, context.Cause(ctx))

@@ -9,7 +9,7 @@ import (
 
 // EngineConfig is the run environment every engine shares: workers, a
 // step cap, vertex placement, message direction, checkpoint cadence,
-// faults, the pinned snapshot, the handoff hook, and the job the run
+// faults, the pinned snapshot, and the job the run
 // belongs to. The engines differ in their model, not in this
 // environment, so it is declared once; what a field means on each
 // engine is stated on the field.
@@ -69,17 +69,12 @@ type EngineConfig struct {
 	// FaultEvent.Step counts epochs.
 	Faults *FaultPlan
 	// Snapshot, when non-nil, is an already-pinned CSR generation to run
-	// against instead of the graph's current one: the plan layer hands
-	// every segment of one job the same generation. The engine takes and
-	// releases its own reference, and a custom Partition must be derived
-	// from the same snapshot. The incremental engine pins the graph's
-	// delta view and ignores it.
+	// against instead of the graph's current one: the plan layer runs on
+	// the generation it sampled. The engine takes and releases its own
+	// reference, and a custom Partition must be derived from the same
+	// snapshot. The incremental engine pins the graph's delta view and
+	// ignores it.
 	Snapshot *graph.CSR
-	// Replan, when non-nil, is consulted at every barrier after rollback
-	// and the quiescence check; returning true stops the run with
-	// ErrHandoff (wrapped) and the values at that barrier. pending is the
-	// barrier's in-flight message count.
-	Replan func(step, pending int) bool
 	// Job is the scheduler-admitted job the run belongs to: its share
 	// sets Workers, every superstep record streams to it, and a panic in
 	// the run fails it. Its context aborts the run at the next barrier

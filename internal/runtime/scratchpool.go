@@ -8,11 +8,11 @@ import (
 
 // Scratch pooling: packed-snapshot span decoding needs a worker-local
 // buffer that grows to the graph's maximum degree. The buffers are tiny
-// but the serving workloads (the daemon, incremental queries, the
-// adaptive planner's engine handoffs) construct engines in a steady
-// stream, and re-growing a fresh buffer per run is avoidable garbage —
-// so every engine leases its decode buffers here and returns them when
-// the run ends, keeping the grown capacity alive across runs.
+// but the serving workloads (the daemon, incremental queries, engine
+// "auto" jobs) construct engines in a steady stream, and re-growing a
+// fresh buffer per run is avoidable garbage — so every engine leases
+// its decode buffers here and returns them when the run ends, keeping
+// the grown capacity alive across runs.
 
 var scratchPool = sync.Pool{New: func() any { return new(graph.Scratch) }}
 

@@ -141,10 +141,9 @@ func (s *Server) prepareRunner(g *graph.Graph, spec JobSpec, resume *vc.Prior, j
 		prior = &vc.Prior{Epoch: g.Epoch(), Args: args}
 	}
 	if spec.Engine == "auto" {
-		// The orchestrator samples the pinned snapshot, picks the initial
-		// engine/partition/mode, and replans at superstep barriers;
-		// spec.Mode and spec.FCS are overridden per segment — under
-		// "auto" the planner owns both knobs.
+		// The orchestrator samples the pinned snapshot and picks the
+		// engine, partition and mode once; spec.Mode and spec.FCS are
+		// overridden — under "auto" the planner owns both knobs.
 		acfg := vc.AutoConfig{Config: cfg}
 		if trace := s.opts.PlanTrace; trace != nil {
 			id := job.ID()
@@ -161,7 +160,7 @@ func (s *Server) prepareRunner(g *graph.Graph, spec JobSpec, resume *vc.Prior, j
 			return out, nil
 		}, nil
 	}
-	run := vc.Matrix[vc.Key{Algo: spec.Algo, Engine: spec.Engine}](g, args, nil, vc.Env{Config: cfg, Prior: prior})
+	run := vc.Matrix[vc.Key{Algo: spec.Algo, Engine: spec.Engine}](g, args, vc.Env{Config: cfg, Prior: prior})
 	return func() (*runResult, error) {
 		values, stats, err := run()
 		if err != nil {

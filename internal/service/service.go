@@ -117,11 +117,10 @@ type Options struct {
 	// (delta checkpointing) applied to jobs that leave
 	// full_snapshot_every unset.
 	DefaultFullSnapshotEvery int
-	// PlanTrace, when non-nil, observes every plan decision an
-	// engine-"auto" job takes as it happens — the initial pick at
-	// prepare time and any live handoffs at superstep barriers. The
-	// daemon uses it to log decisions; the full log is also available
-	// from job status once the run finishes.
+	// PlanTrace, when non-nil, observes the plan decision an
+	// engine-"auto" job takes at prepare time. The daemon uses it to log
+	// decisions; the decision is also in job status once the run
+	// finishes.
 	PlanTrace func(jobID int64, d plan.Decision)
 }
 

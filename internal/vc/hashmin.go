@@ -15,19 +15,9 @@ type CCResult struct {
 
 type hashMinValue struct{ min VertexID }
 
-type hashMinProgram struct {
-	// seed warm-starts the run from exported labels (adaptive plan
-	// layer handoff); nil means the identity cold start. Superstep 0
-	// still folds structural neighbor IDs and re-broadcasts — both are
-	// monotone min steps, so a warm restart reaches the same fixpoint
-	// as the unswitched run.
-	seed []VertexID
-}
+type hashMinProgram struct{}
 
-func (p hashMinProgram) Init(g *graph.Graph, id VertexID) hashMinValue {
-	if p.seed != nil {
-		return hashMinValue{min: p.seed[id]}
-	}
+func (hashMinProgram) Init(g *graph.Graph, id VertexID) hashMinValue {
 	return hashMinValue{min: id}
 }
 
@@ -102,7 +92,7 @@ func HashMinCC(g *graph.Graph, cfg Config) (*CCResult, error) {
 // constructed (and the snapshot pinned) now, under whatever lock the
 // caller holds; the returned closure runs lock-free.
 func PrepareHashMinCC(g *graph.Graph, cfg Config) func() (*CCResult, error) {
-	run := hashMinPregel(g, Args{}, nil, Env{Config: cfg})
+	run := hashMinPregel(g, Args{}, Env{Config: cfg})
 	return func() (*CCResult, error) {
 		color, stats, err := run()
 		if err != nil {
@@ -114,7 +104,7 @@ func PrepareHashMinCC(g *graph.Graph, cfg Config) func() (*CCResult, error) {
 
 // hashMinPregel is the (cc, pregel) matrix row over integer labels
 // (see integers), dense or bit-packed by env.PackedState.
-func hashMinPregel(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
+func hashMinPregel(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, error) {
 	ecfg := pregelConfig[VertexID](env)
 	if !env.NoCombiner {
 		ecfg.Combiner = func(a, b VertexID) VertexID {
@@ -125,7 +115,7 @@ func hashMinPregel(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]V
 		}
 	}
 	if env.PackedState {
-		prog := newHashMinPackedProgram(g.N(), seed)
+		prog := newHashMinPackedProgram(g.N())
 		eng := pregel.NewEngine[struct{}, VertexID](g, prog, ecfg)
 		return func() ([]VertexID, *bsp.Stats, error) {
 			res, err := eng.Run()
@@ -136,7 +126,7 @@ func hashMinPregel(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]V
 			return color, res.Stats, err
 		}
 	}
-	eng := pregel.NewEngine[hashMinValue, VertexID](g, hashMinProgram{seed: seed}, ecfg)
+	eng := pregel.NewEngine[hashMinValue, VertexID](g, hashMinProgram{}, ecfg)
 	return func() ([]VertexID, *bsp.Stats, error) {
 		res, err := eng.Run()
 		color := make([]VertexID, len(res.Values))

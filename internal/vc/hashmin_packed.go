@@ -16,29 +16,18 @@ import (
 // differential suite holds the two together across the whole
 // engine×direction×fault matrix.
 
-type hashMinPackedProgram struct {
-	labels StateStore
-	// seed warm-starts from exported labels, as in hashMinProgram.
-	seed []VertexID
-}
+type hashMinPackedProgram struct{ labels StateStore }
 
-func newHashMinPackedProgram(n int, seed []VertexID) *hashMinPackedProgram {
+func newHashMinPackedProgram(n int) *hashMinPackedProgram {
 	domain := uint64(n)
 	if domain == 0 {
 		domain = 1
 	}
-	return &hashMinPackedProgram{labels: NewPackedInts(n, domain), seed: seed}
-}
-
-func (p *hashMinPackedProgram) initLabel(id VertexID) uint64 {
-	if p.seed != nil {
-		return uint64(p.seed[id])
-	}
-	return uint64(id)
+	return &hashMinPackedProgram{labels: NewPackedInts(n, domain)}
 }
 
 func (p *hashMinPackedProgram) Init(g *graph.Graph, id VertexID) struct{} {
-	p.labels.Set(int(id), p.initLabel(id))
+	p.labels.Set(int(id), uint64(id))
 	return struct{}{}
 }
 
@@ -112,7 +101,7 @@ func (p *hashMinPackedProgram) Snapshot() any { return p.labels.Clone() }
 func (p *hashMinPackedProgram) Restore(s any) {
 	if s == nil {
 		for v := 0; v < p.labels.Len(); v++ {
-			p.labels.Set(v, p.initLabel(VertexID(v)))
+			p.labels.Set(v, uint64(v))
 		}
 		return
 	}

@@ -73,7 +73,7 @@ func failed(err error) Run {
 // what makes multi-batch windows safe: any stale too-small label must
 // be the prior minimum of a component some deletion touched, and that
 // entire class is reset.
-func ccInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
+func ccInc(g *graph.Graph, a Args, env Env) Run {
 	pr, err := env.engine().Prepare(g, incDefaults("vc: incremental cc"))
 	if err != nil {
 		return failed(err)

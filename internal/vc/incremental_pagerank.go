@@ -32,7 +32,7 @@ import (
 // Run does the supersteps lock-free (under runtime.Driver, so
 // checkpoint/rollback and fault injection work exactly as in the BSP
 // engines) and unpins.
-func pageRankInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
+func pageRankInc(g *graph.Graph, a Args, env Env) Run {
 	pr, err := env.engine().Prepare(g, incDefaults("vc: incremental pagerank"))
 	if err != nil {
 		return failed(err)

@@ -34,7 +34,7 @@ const Unreachable = async.DistInf
 // contains every vertex whose recorded distance became unachievable:
 // such a distance was produced by a chain of tight edges from the
 // source that now crosses a deleted edge.
-func ssspInc(g *graph.Graph, a Args, _ []float64, env Env) Run {
+func ssspInc(g *graph.Graph, a Args, env Env) Run {
 	pr, err := env.engine().Prepare(g, incDefaults("vc: incremental sssp"))
 	if err != nil {
 		return failed(err)

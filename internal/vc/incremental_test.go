@@ -39,7 +39,7 @@ func asyncSSSP(t *testing.T, g *graph.Graph, src VertexID) []float64 {
 // leaving there the Prior the next run resumes from (nil runs cold and
 // keeps nothing).
 func incRow(g *graph.Graph, algo string, a Args, p *Prior, cfg Config) ([]float64, *bsp.Stats, error) {
-	return Matrix[Key{algo, EngineInc}](g, a, nil, Env{Config: cfg, Prior: p})()
+	return Matrix[Key{algo, EngineInc}](g, a, Env{Config: cfg, Prior: p})()
 }
 
 func mustMutate(t *testing.T, g *graph.Graph, muts ...graph.Mutation) {

@@ -157,7 +157,7 @@ func KCore(g *graph.Graph, cfg Config) (*KCoreResult, error) {
 // constructed (and the snapshot pinned) now, under whatever lock the
 // caller holds; the returned closure runs lock-free.
 func PrepareKCore(g *graph.Graph, cfg Config) func() (*KCoreResult, error) {
-	run := kcorePregel(g, Args{}, nil, Env{Config: cfg})
+	run := kcorePregel(g, Args{}, Env{Config: cfg})
 	return func() (*KCoreResult, error) {
 		core, stats, err := run()
 		if err != nil {
@@ -173,8 +173,7 @@ func PrepareKCore(g *graph.Graph, cfg Config) func() (*KCoreResult, error) {
 
 // kcorePregel is the (kcore, pregel) matrix row over integer coreness
 // (see integers), over flat or bit-packed stores by env.PackedState.
-// Coreness estimates have no sound warm start, so the seed is unused.
-func kcorePregel(g *graph.Graph, _ Args, _ []int32, env Env) func() ([]int32, *bsp.Stats, error) {
+func kcorePregel(g *graph.Graph, _ Args, env Env) func() ([]int32, *bsp.Stats, error) {
 	if g.Directed {
 		return func() ([]int32, *bsp.Stats, error) { return nil, nil, errKCoreDirected }
 	}

@@ -1,6 +1,6 @@
 // Engine matrix: the one place that knows how algorithm A runs on
-// engine E — which program, seeded how, under which engine Config,
-// returning what. Every consumer that runs "the same algorithm under a
+// engine E — which program, under which engine Config, returning
+// what. Every consumer that runs "the same algorithm under a
 // different execution model" (the adaptive plan layer, the serving
 // daemon, cmd/vcrun, the planner ablation) looks its run up here. The
 // incremental engine is a column like the others: the async worklist
@@ -14,7 +14,6 @@
 package vc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -35,19 +34,16 @@ type Args struct {
 	Eps   float64  // pagerank: per-vertex tolerance of the converged rows
 }
 
-// Env is a row's run environment: the shared engine knobs, the two
-// things only the adaptive plan layer sets when it re-prepares engines
-// mid-job, and the prior result an inc row resumes from. PackedState,
-// Seed, FCS and NoCombiner reach the pregel rows only.
+// Env is a row's run environment: the shared engine knobs, the
+// snapshot the adaptive plan layer sampled, and the prior result an
+// inc row resumes from. PackedState, Seed, FCS and NoCombiner reach the
+// pregel rows only.
 type Env struct {
 	Config
-	// Snapshot, when non-nil, is the already-pinned CSR generation
-	// every segment of one job runs against; Config.Partition must then
-	// be derived from it (see fixedOwner).
+	// Snapshot, when non-nil, is the already-pinned CSR generation the
+	// run uses; Config.Partition must then be derived from it (see
+	// fixedOwner).
 	Snapshot *graph.CSR
-	// Replan, when non-nil, is consulted at every superstep barrier;
-	// returning true stops the run with runtime.ErrHandoff.
-	Replan func(step, pending int) bool
 	// Prior is read by the inc rows only. nil runs cold and keeps
 	// nothing; otherwise the row resumes from *Prior (its zero value is
 	// a cold start) and a successful run overwrites it with the state
@@ -71,21 +67,16 @@ type Prior struct {
 }
 
 // Run executes a prepared row lock-free against its pinned snapshot.
-// When the run stops early (runtime.ErrHandoff, a cap, cancellation)
-// the values are those at the barrier it stopped at.
 type Run func() ([]float64, *bsp.Stats, error)
 
 // Row prepares one (algorithm, engine) run: every read of the mutable
-// graph happens now, under whatever lock the caller holds. A nil seed
-// is the algorithm's cold start; a non-nil seed resumes another row's
-// barrier values (rows outside the handoff family reject one).
-type Row func(g *graph.Graph, a Args, seed []float64, env Env) Run
+// graph happens now, under whatever lock the caller holds.
+type Row func(g *graph.Graph, a Args, env Env) Run
 
 // Key names a row.
 type Key struct{ Algo, Engine string }
 
-// EngineInc names the incremental engine's column. No plan selects it,
-// so the plan layer never hands off into it.
+// EngineInc names the incremental engine's column. No plan selects it.
 const EngineInc = "inc"
 
 // Matrix is every served (algorithm, engine) pair. PageRank is
@@ -93,8 +84,8 @@ const EngineInc = "inc"
 // eps-converged on gas and async, as each model runs it natively.
 var Matrix = map[Key]Row{
 	{"pagerank", plan.EnginePregel}:       pageRankPregel,
-	{"pagerank", plan.EngineGAS}:          coldOnly(pageRankGASConverged),
-	{"pagerank", plan.EngineAsync}:        coldOnly(pageRankAsync),
+	{"pagerank", plan.EngineGAS}:          pageRankGASConverged,
+	{"pagerank", plan.EngineAsync}:        pageRankAsync,
 	{"pagerank", plan.EngineBlockcentric}: pageRankBlock,
 	{"sssp", plan.EnginePregel}:           ssspPregel,
 	{"sssp", plan.EngineGAS}:              ssspGAS,
@@ -104,18 +95,19 @@ var Matrix = map[Key]Row{
 	{"cc", plan.EngineGAS}:                integers(ccGAS),
 	{"cc", plan.EngineAsync}:              integers(ccAsync),
 	{"cc", plan.EngineBlockcentric}:       integers(ccBlock),
-	{"kcore", plan.EnginePregel}:          coldOnly(integers(kcorePregel)),
-	{"pagerank", EngineInc}:               coldOnly(pageRankInc),
-	{"sssp", EngineInc}:                   coldOnly(ssspInc),
-	{"cc", EngineInc}:                     coldOnly(ccInc),
+	{"kcore", plan.EnginePregel}:          integers(kcorePregel),
+	{"pagerank", EngineInc}:               pageRankInc,
+	{"sssp", EngineInc}:                   ssspInc,
+	{"cc", EngineInc}:                     ccInc,
 }
 
 // FixedKPageRank is the canonical fold-order family: exactly K
 // synchronous folds with the Pregel variant's arithmetic, bit-identical
 // across single-worker pregel, gas at any worker count, and
-// block-centric push over a range partition. It is what the plan layer
-// hands PageRank off between; the async engine has no global iterate
-// and so no row.
+// block-centric push over a range partition. Engine "auto" runs
+// PageRank from it, because Matrix's gas row is eps-converged and
+// cannot promise exactly K folds; the async engine has no global
+// iterate and so no row.
 var FixedKPageRank = map[string]Row{
 	plan.EnginePregel:       pageRankPregel,
 	plan.EngineGAS:          pageRankGASFixedK,
@@ -171,11 +163,11 @@ func Verdict(algo string, a Args, values []float64) string {
 
 // --- run environment -> engine Config ---
 
-// engine overlays the plan layer's pinned snapshot and replan hook on
-// the run environment of env.Config.
+// engine overlays the plan layer's pinned snapshot on the run
+// environment of env.Config.
 func (env Env) engine() runtime.EngineConfig {
 	c := env.Config.engine()
-	c.Snapshot, c.Replan = env.Snapshot, env.Replan
+	c.Snapshot = env.Snapshot
 	return c
 }
 
@@ -212,10 +204,10 @@ func blockRun[V, M any](g *graph.Graph, prog blockcentric.Program[V, M], env Env
 }
 
 // integers lifts a row over integer vertex values (component labels,
-// coreness) to the matrix's float64 shape, in both directions.
-func integers[V ~int32](row func(*graph.Graph, Args, []V, Env) func() ([]V, *bsp.Stats, error)) Row {
-	return func(g *graph.Graph, a Args, seed []float64, env Env) Run {
-		run := row(g, a, ints[V](seed), env)
+// coreness) to the matrix's float64 shape.
+func integers[V ~int32](row func(*graph.Graph, Args, Env) func() ([]V, *bsp.Stats, error)) Row {
+	return func(g *graph.Graph, a Args, env Env) Run {
+		run := row(g, a, env)
 		return func() ([]float64, *bsp.Stats, error) {
 			vals, stats, err := run()
 			return floats(vals), stats, err
@@ -224,7 +216,7 @@ func integers[V ~int32](row func(*graph.Graph, Args, []V, Env) func() ([]V, *bsp
 }
 
 // floats and ints convert integer vertex values to the matrix's
-// float64 shape and back; ints keeps a nil seed nil.
+// float64 shape and back.
 func floats[V ~int32](xs []V) []float64 {
 	out := make([]float64, len(xs))
 	for i, x := range xs {
@@ -234,9 +226,6 @@ func floats[V ~int32](xs []V) []float64 {
 }
 
 func ints[V ~int32](xs []float64) []V {
-	if xs == nil {
-		return nil
-	}
 	out := make([]V, len(xs))
 	for i, x := range xs {
 		out[i] = V(x)
@@ -244,22 +233,9 @@ func ints[V ~int32](xs []float64) []V {
 	return out
 }
 
-// coldOnly marks a row outside the handoff family: handed a seed, it
-// fails instead of silently running cold.
-func coldOnly(row Row) Row {
-	return func(g *graph.Graph, a Args, seed []float64, env Env) Run {
-		if seed != nil {
-			return failed(errNoWarmStart)
-		}
-		return row(g, a, nil, env)
-	}
-}
-
-var errNoWarmStart = errors.New("vc: this (algorithm, engine) row has no warm start")
-
 // --- PageRank ---
 
-func pageRankGASConverged(g *graph.Graph, a Args, _ []float64, env Env) Run {
+func pageRankGASConverged(g *graph.Graph, a Args, env Env) Run {
 	run := gas.PreparePageRank(g, a.Alpha, a.Eps, env.engine())
 	return func() ([]float64, *bsp.Stats, error) {
 		ranks, res, err := run()
@@ -270,11 +246,11 @@ func pageRankGASConverged(g *graph.Graph, a Args, _ []float64, env Env) Run {
 	}
 }
 
-func pageRankGASFixedK(g *graph.Graph, a Args, seed []float64, env Env) Run {
-	return gasRun(g, gas.PageRankFixedK(g.N(), a.K, a.Alpha, seed), env)
+func pageRankGASFixedK(g *graph.Graph, a Args, env Env) Run {
+	return gasRun(g, gas.PageRankFixedK(g.N(), a.K, a.Alpha, nil), env)
 }
 
-func pageRankAsync(g *graph.Graph, a Args, _ []float64, env Env) Run {
+func pageRankAsync(g *graph.Graph, a Args, env Env) Run {
 	run := async.PreparePageRank(g, a.Alpha, a.Eps, env.engine())
 	return func() ([]float64, *bsp.Stats, error) {
 		ranks, res, err := run()
@@ -282,31 +258,31 @@ func pageRankAsync(g *graph.Graph, a Args, _ []float64, env Env) Run {
 	}
 }
 
-func pageRankBlock(g *graph.Graph, a Args, seed []float64, env Env) Run {
-	return blockRun(g, blockcentric.PageRankProgram(g.N(), a.K, a.Alpha, seed), env)
+func pageRankBlock(g *graph.Graph, a Args, env Env) Run {
+	return blockRun(g, blockcentric.PageRankProgram(g.N(), a.K, a.Alpha), env)
 }
 
-func pageRankBlockPush(g *graph.Graph, a Args, seed []float64, env Env) Run {
+func pageRankBlockPush(g *graph.Graph, a Args, env Env) Run {
 	// The program's fold order matches pregel only when every share
 	// crosses the inbox: pin push.
 	env.Mode = runtime.DirectionPush
-	return pageRankBlock(g, a, seed, env)
+	return pageRankBlock(g, a, env)
 }
 
 // --- SSSP ---
 
-func ssspGAS(g *graph.Graph, a Args, seed []float64, env Env) Run {
-	return gasRun(g, gas.SSSPProgram(a.Src, seed), env)
+func ssspGAS(g *graph.Graph, a Args, env Env) Run {
+	return gasRun(g, gas.SSSPProgram(a.Src), env)
 }
 
-func ssspBlock(g *graph.Graph, a Args, seed []float64, env Env) Run {
-	return blockRun(g, blockcentric.SSSPProgram(a.Src, seed), env)
+func ssspBlock(g *graph.Graph, a Args, env Env) Run {
+	return blockRun(g, blockcentric.SSSPProgram(a.Src), env)
 }
 
 // ssspAsync translates the async program's finite unreached sentinel
-// at both boundaries, so callers and the other rows only ever see +Inf.
-func ssspAsync(g *graph.Graph, a Args, seed []float64, env Env) Run {
-	run := asyncRun(g, async.SSSPProgram(a.Src, finite(seed)), env)
+// back to +Inf, so callers only ever see +Inf.
+func ssspAsync(g *graph.Graph, a Args, env Env) Run {
+	run := asyncRun(g, async.SSSPProgram(a.Src, nil), env)
 	return func() ([]float64, *bsp.Stats, error) {
 		dist, stats, err := run()
 		replace(dist, Unreachable, math.Inf(1))
@@ -333,14 +309,14 @@ func replace(xs []float64, from, to float64) {
 
 // --- connected components ---
 
-func ccGAS(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
-	return gasRun(g, gas.CCProgram(seed), env)
+func ccGAS(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, error) {
+	return gasRun(g, gas.CCProgram(), env)
 }
 
-func ccAsync(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
-	return asyncRun(g, async.CCProgram(seed), env)
+func ccAsync(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, error) {
+	return asyncRun(g, async.CCProgram(nil), env)
 }
 
-func ccBlock(g *graph.Graph, _ Args, seed []VertexID, env Env) func() ([]VertexID, *bsp.Stats, error) {
-	return blockRun(g, blockcentric.CCProgram(seed), env)
+func ccBlock(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, error) {
+	return blockRun(g, blockcentric.CCProgram(), env)
 }

@@ -65,38 +65,21 @@ func drawGraphs() map[string]*graph.Graph {
 	return out
 }
 
-// matrixCase is one algorithm's oracle on one graph: the cold-start
-// arguments and answer, and a sound warm start that must reach want
-// too (for the rows that take one).
+// matrixCase is one algorithm's oracle on one graph: the arguments and
+// the answer.
 type matrixCase struct {
-	args, warmArgs Args
-	want, seed     []float64
-	tol            float64
+	args Args
+	want []float64
+	tol  float64
 }
 
-// half keeps want at even vertices and cold at odd ones: for the
-// monotone min-fold algorithms that is a sound partial warm start.
-func half(want []float64, cold func(v int) float64) []float64 {
-	seed := make([]float64, len(want))
-	for v := range seed {
-		seed[v] = want[v]
-		if v%2 == 1 {
-			seed[v] = cold(v)
-		}
-	}
-	return seed
-}
-
-// pageRankCase is k folds checked against seq.PageRank; the warm start
-// resumes the oracle's iterate after done folds for the remaining ones.
-func pageRankCase(g *graph.Graph, k, done int, tol float64) matrixCase {
+// pageRankCase is k folds checked against seq.PageRank.
+func pageRankCase(g *graph.Graph, k int, tol float64) matrixCase {
 	const alpha = 0.85
 	return matrixCase{
-		args:     Args{Alpha: alpha, K: k, Eps: 1e-9},
-		want:     seq.PageRank(g, alpha, k, &seq.Ops{}),
-		tol:      tol,
-		seed:     seq.PageRank(g, alpha, done, &seq.Ops{}),
-		warmArgs: Args{Alpha: alpha, K: k - done, Eps: 1e-9},
+		args: Args{Alpha: alpha, K: k, Eps: 1e-9},
+		want: seq.PageRank(g, alpha, k, &seq.Ops{}),
+		tol:  tol,
 	}
 }
 
@@ -119,16 +102,10 @@ func matrixCases(g *graph.Graph) map[string]matrixCase {
 	return map[string]matrixCase{
 		// 200 folds is the fixpoint to 1e-14, so the fixed-iteration
 		// and the eps-converged rows share one oracle.
-		"pagerank": pageRankCase(g, 200, 5, 1e-6),
-		"sssp": {
-			args: Args{Src: 0}, warmArgs: Args{Src: 0}, want: dist,
-			seed: half(dist, func(int) float64 { return math.Inf(1) }),
-		},
-		"cc": {
-			want: cc,
-			seed: half(cc, func(v int) float64 { return float64(v) }),
-		},
-		"kcore": {want: floats(seq.KCore(g, &seq.Ops{}))},
+		"pagerank": pageRankCase(g, 200, 1e-6),
+		"sssp":     {args: Args{Src: 0}, want: dist},
+		"cc":       {want: cc},
+		"kcore":    {want: floats(seq.KCore(g, &seq.Ops{}))},
 	}
 }
 
@@ -146,8 +123,7 @@ func checkValues(t *testing.T, got, want []float64, tol float64) {
 
 // TestMatrixAgainstSeq walks every row of the engine matrix — so a new
 // row is tested by existing — over drawn graphs and compares it with
-// the sequential baselines, cold and (unless the row rejects a seed)
-// from a partial warm start.
+// the sequential baselines.
 func TestMatrixAgainstSeq(t *testing.T) {
 	rows := map[Key]Row{}
 	for key, row := range Matrix {
@@ -167,7 +143,7 @@ func TestMatrixAgainstSeq(t *testing.T) {
 	for _, name := range names {
 		g := graphs[name]
 		cases := matrixCases(g)
-		cases["pagerank/fixedk"] = pageRankCase(g, 20, 7, 1e-12)
+		cases["pagerank/fixedk"] = pageRankCase(g, 20, 1e-12)
 		for _, key := range keys {
 			row := rows[key]
 			c, ok := cases[key.Algo]
@@ -182,7 +158,7 @@ func TestMatrixAgainstSeq(t *testing.T) {
 			}
 			env := Env{Config: Config{Workers: workers}}
 			t.Run(fmt.Sprintf("%s/%s/%s/w%d", key.Algo, key.Engine, name, workers), func(t *testing.T) {
-				got, stats, err := row(g, c.args, nil, env)()
+				got, stats, err := row(g, c.args, env)()
 				if err != nil {
 					t.Fatalf("cold: %v", err)
 				}
@@ -190,36 +166,18 @@ func TestMatrixAgainstSeq(t *testing.T) {
 					t.Fatalf("cold: no statistics")
 				}
 				checkValues(t, got, c.want, c.tol)
-
-				seed := c.seed
-				if seed == nil {
-					seed = c.want
-				}
-				got, _, err = row(g, c.warmArgs, seed, env)()
-				if errors.Is(err, errNoWarmStart) {
-					return
-				}
-				if err != nil {
-					t.Fatalf("warm: %v", err)
-				}
-				if c.seed == nil {
-					t.Fatalf("row accepted a seed but the test has no sound warm start for %q", key.Algo)
-				}
-				checkValues(t, got, c.want, c.tol)
 			})
 		}
 	}
 }
 
-// TestMatrixPinsReleased: a prepared row holds one pin until it runs;
-// a rejected seed must not leak one.
+// TestMatrixPinsReleased: a prepared row holds one pin until it runs.
 func TestMatrixPinsReleased(t *testing.T) {
 	g := graph.Grid(4, 4)
 	for key, row := range Matrix {
-		if _, _, err := row(g, Args{Alpha: 0.85, K: 3, Eps: 1e-6}, nil, Env{})(); err != nil {
+		if _, _, err := row(g, Args{Alpha: 0.85, K: 3, Eps: 1e-6}, Env{})(); err != nil {
 			t.Fatalf("%v: %v", key, err)
 		}
-		_, _, _ = row(g, Args{Alpha: 0.85, K: 3, Eps: 1e-6}, make([]float64, g.N()), Env{})()
 		if g.Pins() != 0 {
 			t.Fatalf("%v left %d snapshot pins", key, g.Pins())
 		}
@@ -237,7 +195,7 @@ func TestMatrixRefusesDirectedPull(t *testing.T) {
 	g := graph.RandomDirected(200, 400, 1)
 	for _, algo := range []string{"cc", "sssp"} {
 		for _, engine := range []string{"async", EngineInc} {
-			_, _, err := Matrix[Key{algo, engine}](g, Args{Src: 0}, nil, Env{})()
+			_, _, err := Matrix[Key{algo, engine}](g, Args{Src: 0}, Env{})()
 			if !errors.Is(err, async.ErrDirected) {
 				t.Errorf("%s/%s on a directed graph: err = %v", algo, engine, err)
 			}
@@ -258,11 +216,11 @@ func TestIncRowsResumeUnmutated(t *testing.T) {
 	for _, algo := range []string{"cc", "sssp", "pagerank"} {
 		row := Matrix[Key{algo, EngineInc}]
 		var prior Prior
-		want, _, err := row(g, args, nil, Env{Prior: &prior})()
+		want, _, err := row(g, args, Env{Prior: &prior})()
 		if err != nil {
 			t.Fatalf("%s cold: %v", algo, err)
 		}
-		got, stats, err := row(g, args, nil, Env{Prior: &prior})()
+		got, stats, err := row(g, args, Env{Prior: &prior})()
 		if err != nil {
 			t.Fatalf("%s resume: %v", algo, err)
 		}
@@ -299,7 +257,7 @@ func TestIncRowsResume(t *testing.T) {
 			g := graphs[name]
 			t.Run(algo+"/"+name, func(t *testing.T) {
 				var prior Prior
-				if _, _, err := row(g, args, nil, Env{Prior: &prior})(); err != nil {
+				if _, _, err := row(g, args, Env{Prior: &prior})(); err != nil {
 					t.Fatalf("cold: %v", err)
 				}
 				if !prior.Cold || prior.Epoch != g.Epoch() {
@@ -308,13 +266,13 @@ func TestIncRowsResume(t *testing.T) {
 				finitePrior := prior
 				finitePrior.Values = finite(prior.Values)
 				mustMutate(t, g, mixedBatch(g, rand.New(rand.NewSource(int64(i))), 8)...)
-				want, _, err := row(g, args, nil, Env{})()
+				want, _, err := row(g, args, Env{})()
 				if err != nil {
 					t.Fatalf("recompute: %v", err)
 				}
 				var work []int64
 				for _, p := range []*Prior{&prior, &finitePrior} {
-					got, stats, err := row(g, args, nil, Env{Prior: p})()
+					got, stats, err := row(g, args, Env{Prior: p})()
 					if err != nil {
 						t.Fatalf("warm: %v", err)
 					}
@@ -416,7 +374,7 @@ func TestMatrixDeterministic(t *testing.T) {
 						var stats [2]*bsp.Stats
 						for i := range vals {
 							var err error
-							vals[i], stats[i], err = Matrix[key](g, args, nil, Env{Config: cfg})()
+							vals[i], stats[i], err = Matrix[key](g, args, Env{Config: cfg})()
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -18,17 +18,9 @@ type prProgram struct {
 	n     int
 	alpha float64
 	k     int // number of rank-update iterations
-	// seed warm-starts the run from exported ranks (adaptive plan
-	// layer handoff); nil means the uniform 1/n cold start. Compute is
-	// untouched, so a resumed segment is bit-identical to the suffix
-	// of an unswitched run.
-	seed []float64
 }
 
 func (p *prProgram) Init(g *graph.Graph, id VertexID) prValue {
-	if p.seed != nil {
-		return prValue{rank: p.seed[id]}
-	}
 	return prValue{rank: 1 / float64(p.n)}
 }
 
@@ -133,7 +125,7 @@ func PageRank(g *graph.Graph, alpha float64, k int, cfg Config) (*PageRankResult
 // constructed (and the snapshot pinned) now, under whatever lock the
 // caller holds; the returned closure runs lock-free.
 func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*PageRankResult, error) {
-	run := pageRankPregel(g, Args{Alpha: alpha, K: k}, nil, Env{Config: cfg})
+	run := pageRankPregel(g, Args{Alpha: alpha, K: k}, Env{Config: cfg})
 	return func() (*PageRankResult, error) {
 		ranks, stats, err := run()
 		if err != nil {
@@ -144,13 +136,13 @@ func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*
 }
 
 // pageRankPregel is the (pagerank, pregel) matrix row: a.K folds from
-// seed ranks (nil is the uniform cold start).
-func pageRankPregel(g *graph.Graph, a Args, seed []float64, env Env) Run {
+// the uniform start.
+func pageRankPregel(g *graph.Graph, a Args, env Env) Run {
 	ecfg := pregelConfig[float64](env)
 	if !env.NoCombiner {
 		ecfg.Combiner = func(a, b float64) float64 { return a + b }
 	}
-	prog := &prProgram{n: g.N(), alpha: a.Alpha, k: a.K, seed: seed}
+	prog := &prProgram{n: g.N(), alpha: a.Alpha, k: a.K}
 	eng := pregel.NewEngine[prValue, float64](g, prog, ecfg)
 	return func() ([]float64, *bsp.Stats, error) {
 		res, err := eng.Run()

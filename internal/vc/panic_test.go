@@ -51,7 +51,7 @@ func TestPanickingProgramFailsOneJob(t *testing.T) {
 	got := make([][]float64, len(keys))
 	for i, k := range keys {
 		jobs[i] = sched.Submit(context.Background(), k.Algo+"/"+k.Engine, 4, func(j *runtime.Job) (err error) {
-			got[i], _, err = Matrix[k](g, args, nil, Env{Config: Config{Workers: 4, Job: j}})()
+			got[i], _, err = Matrix[k](g, args, Env{Config: Config{Workers: 4, Job: j}})()
 			return err
 		})
 	}
@@ -63,7 +63,7 @@ func TestPanickingProgramFailsOneJob(t *testing.T) {
 		if err := jobs[i].Wait(); err != nil || jobs[i].State() != runtime.JobSucceeded {
 			t.Fatalf("%v: state %v err %v, want succeeded", k, jobs[i].State(), err)
 		}
-		want, _, err := Matrix[k](g, args, nil, Env{Config: Config{Workers: 4}})()
+		want, _, err := Matrix[k](g, args, Env{Config: Config{Workers: 4}})()
 		if err != nil {
 			t.Fatalf("%v job-less: %v", k, err)
 		}

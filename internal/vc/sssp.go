@@ -18,20 +18,9 @@ type SSSPResult struct {
 
 type ssspValue struct{ dist float64 }
 
-type ssspProgram struct {
-	src VertexID
-	// seed warm-starts the run from exported tentative distances
-	// (adaptive plan layer handoff); nil means the cold start where
-	// only the source is finite. A warm restart re-announces every
-	// finite distance at superstep 0, which dominates any message that
-	// was in flight when the previous engine stopped.
-	seed []float64
-}
+type ssspProgram struct{ src VertexID }
 
 func (p *ssspProgram) Init(g *graph.Graph, id VertexID) ssspValue {
-	if p.seed != nil {
-		return ssspValue{dist: p.seed[id]}
-	}
 	if id == p.src {
 		return ssspValue{dist: 0}
 	}
@@ -41,9 +30,6 @@ func (p *ssspProgram) Init(g *graph.Graph, id VertexID) ssspValue {
 func (p *ssspProgram) Compute(ctx *pregel.Context[ssspValue, float64], msgs []float64) {
 	v := ctx.Value()
 	improved := ctx.Superstep() == 0 && ctx.ID() == p.src
-	if p.seed != nil && ctx.Superstep() == 0 {
-		improved = !math.IsInf(v.dist, 1)
-	}
 	for _, m := range msgs {
 		if m < v.dist {
 			v.dist = m
@@ -71,7 +57,7 @@ func SSSP(g *graph.Graph, src VertexID, cfg Config) (*SSSPResult, error) {
 // constructed (and the snapshot pinned) now, under whatever lock the
 // caller holds; the returned closure runs lock-free.
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, error) {
-	run := ssspPregel(g, Args{Src: src}, nil, Env{Config: cfg})
+	run := ssspPregel(g, Args{Src: src}, Env{Config: cfg})
 	return func() (*SSSPResult, error) {
 		dist, stats, err := run()
 		if err != nil {
@@ -82,7 +68,7 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, 
 }
 
 // ssspPregel is the (sssp, pregel) matrix row.
-func ssspPregel(g *graph.Graph, a Args, seed []float64, env Env) Run {
+func ssspPregel(g *graph.Graph, a Args, env Env) Run {
 	ecfg := pregelConfig[float64](env)
 	// SSSP sends a distinct distance per edge (SendTo, never a
 	// broadcast), so a pulled superstep would find no broadcast slots
@@ -96,7 +82,7 @@ func ssspPregel(g *graph.Graph, a Args, seed []float64, env Env) Run {
 			return b
 		}
 	}
-	eng := pregel.NewEngine[ssspValue, float64](g, &ssspProgram{src: a.Src, seed: seed}, ecfg)
+	eng := pregel.NewEngine[ssspValue, float64](g, &ssspProgram{src: a.Src}, ecfg)
 	return func() ([]float64, *bsp.Stats, error) {
 		res, err := eng.Run()
 		dist := make([]float64, len(res.Values))
