@@ -42,7 +42,7 @@ type Program[V any] interface {
 // Config is the asynchronous engine's run environment, the one every
 // engine shares (runtime.EngineConfig states what each field means
 // here: MaxSupersteps caps updates, CheckpointEvery sets the epoch, and
-// Workers, Partition, Mode and PullThreshold are ignored).
+// Workers, Partition and Mode are ignored).
 type Config = rt.EngineConfig
 
 // ErrUpdateCap reports a run exceeding Config.MaxSupersteps updates. It
@@ -109,8 +109,9 @@ type Preparer interface {
 
 // ErrDirected refuses the min-label CC and label-correcting SSSP
 // programs on a directed graph: their updates pull over out-spans, which
-// are the in-neighborhood only when the graph is undirected.
-var ErrDirected = errors.New("this program pulls over out-spans and needs an undirected graph")
+// are the in-neighborhood only when the graph is undirected. Every cc
+// row of the engine matrix (internal/vc) refuses with it too.
+var ErrDirected = errors.New("this program needs an undirected graph")
 
 // defaults are the async engine's: sequential, an update cap of
 // 200·(n+64).

@@ -192,7 +192,7 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 	ss.Frontier = int64(frontier)
 	// Direction choice for the scatter half: GAS Sum is associative and
 	// commutative by contract, so pull is always legal when enabled.
-	pull := rt.ChoosePull(p.cfg.Mode, p.bcast != nil, frontier, p.n, p.cfg.PullThreshold)
+	pull := rt.ChoosePull(p.cfg.Mode, p.bcast != nil, frontier, p.n)
 	ss.Pulled = pull
 	if pull {
 		p.bcast.Advance()

@@ -355,10 +355,13 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	}, err
 }
 
-// BeforeSuperstep implements runtime.MasterPolicy: the single-threaded
-// master-compute hook, which can publish globals, re-activate every
-// vertex, or halt the run.
-func (e *Engine[V, M]) BeforeSuperstep(step, pending int) (halt bool) {
+// Quiescent implements runtime.Policy. It is the single-threaded hook
+// before each superstep, so master compute runs here first: it can
+// publish globals, re-activate every vertex, or halt the run. Then a
+// vertex computes if it is active or has mail; the worklist holds
+// exactly those vertices, so the check is an O(P) counter read instead
+// of an O(n) halt-flag scan.
+func (e *Engine[V, M]) Quiescent(step, pending int) bool {
 	e.superstep = step
 	e.activateAll = false
 	if master, hasMaster := e.prog.(Master); hasMaster {
@@ -379,13 +382,8 @@ func (e *Engine[V, M]) BeforeSuperstep(step, pending int) (halt bool) {
 		}
 		e.wl.FillAll(e.verts)
 	}
-	return false
+	return e.wl.Pending() == 0
 }
-
-// Quiescent implements runtime.Policy: a vertex computes if it is
-// active or has mail; the worklist holds exactly those vertices, so the
-// check is an O(P) counter read instead of an O(n) halt-flag scan.
-func (e *Engine[V, M]) Quiescent(step, pending int) bool { return e.wl.Pending() == 0 }
 
 // Superstep implements runtime.Policy: one compute + delivery round,
 // returning the number of raw messages delivered for the next
@@ -404,7 +402,7 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 	// Frontier entering the superstep: the signal the direction choice
 	// below reads, recorded for the superstep's statistics.
 	ss.Frontier = int64(e.wl.Pending())
-	e.pullStep = rt.ChoosePull(e.cfg.Mode, e.bcast != nil, e.wl.Pending(), e.stats.N, e.cfg.PullThreshold)
+	e.pullStep = rt.ChoosePull(e.cfg.Mode, e.bcast != nil, e.wl.Pending(), e.stats.N)
 	if e.pullStep && e.cfg.FCSThreshold > 0 && e.wl.Pending() <= e.cfg.FCSThreshold {
 		// FCS regime: the frontier is already small enough for the
 		// serial finisher, so a pulled superstep would scan every

@@ -60,8 +60,8 @@ func ParseDirectionMode(s string) (DirectionMode, error) {
 // ChoosePull decides whether the upcoming superstep runs the pull
 // path. combinable reports whether the engine has a combiner (pull is
 // never legal without one); frontier is the number of vertices that
-// will compute; threshold <= 0 means DefaultPullThreshold.
-func ChoosePull(mode DirectionMode, combinable bool, frontier, n int, threshold float64) bool {
+// will compute. Auto pulls above DefaultPullThreshold.
+func ChoosePull(mode DirectionMode, combinable bool, frontier, n int) bool {
 	if !combinable {
 		return false
 	}
@@ -71,10 +71,7 @@ func ChoosePull(mode DirectionMode, combinable bool, frontier, n int, threshold 
 	case DirectionPull:
 		return true
 	}
-	if threshold <= 0 {
-		threshold = DefaultPullThreshold
-	}
-	return float64(frontier) > threshold*float64(n)
+	return float64(frontier) > DefaultPullThreshold*float64(n)
 }
 
 // Broadcasts holds one message slot per vertex: the value a vertex

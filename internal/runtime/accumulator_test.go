@@ -11,20 +11,17 @@ func TestChoosePull(t *testing.T) {
 		combinable bool
 		frontier   int
 		n          int
-		threshold  float64
 		want       bool
 	}{
-		{"no combiner blocks even forced pull", DirectionPull, false, 1000, 1000, 0, false},
-		{"push pins regardless of density", DirectionPush, true, 1000, 1000, 0, false},
-		{"pull forces regardless of density", DirectionPull, true, 0, 1000, 0, true},
-		{"auto pulls a dense frontier", DirectionAuto, true, 51, 1000, 0, true},
-		{"auto pushes at exactly n/20", DirectionAuto, true, 50, 1000, 0, false},
-		{"auto pushes a sparse frontier", DirectionAuto, true, 3, 1000, 0, false},
-		{"custom threshold", DirectionAuto, true, 300, 1000, 0.5, false},
-		{"custom threshold crossed", DirectionAuto, true, 501, 1000, 0.5, true},
+		{"no combiner blocks even forced pull", DirectionPull, false, 1000, 1000, false},
+		{"push pins regardless of density", DirectionPush, true, 1000, 1000, false},
+		{"pull forces regardless of density", DirectionPull, true, 0, 1000, true},
+		{"auto pulls a dense frontier", DirectionAuto, true, 51, 1000, true},
+		{"auto pushes at exactly n/20", DirectionAuto, true, 50, 1000, false},
+		{"auto pushes a sparse frontier", DirectionAuto, true, 3, 1000, false},
 	}
 	for _, tc := range cases {
-		if got := ChoosePull(tc.mode, tc.combinable, tc.frontier, tc.n, tc.threshold); got != tc.want {
+		if got := ChoosePull(tc.mode, tc.combinable, tc.frontier, tc.n); got != tc.want {
 			t.Errorf("%s: ChoosePull = %v, want %v", tc.name, got, tc.want)
 		}
 	}

@@ -21,13 +21,15 @@ import (
 // An engine is a Policy: it fills the per-worker Work/Sent/Recv/Active
 // slices while a superstep runs and defines what quiescence and its one
 // checkpoint frame mean for its model. Optional extensions
-// (MasterPolicy, SerialFinishPolicy, BarrierFaultPolicy, EarlyStopper,
+// (SerialFinishPolicy, BarrierFaultPolicy, EarlyStopper,
 // RollbackWeigher) are discovered by type assertion.
 type Policy[S any] interface {
 	// Quiescent reports whether the computation has converged at the
 	// barrier entering step, after fault detection and rollback.
 	// pending is the superstep's in-flight message count as returned by
-	// the previous Superstep (or restored from a checkpoint).
+	// the previous Superstep (or restored from a checkpoint). It is the
+	// one single-threaded hook before each superstep, so pregel runs
+	// its master compute here, and a master halt reads as quiescence.
 	Quiescent(step, pending int) bool
 	// Superstep executes one superstep's phases, charging per-worker
 	// load into ss, and returns the number of messages pending for the
@@ -50,14 +52,6 @@ type Policy[S any] interface {
 	// (element sizes times element counts), feeding
 	// Recovery.CheckpointBytesFull/Delta.
 	FrameBytes(snap S) int64
-}
-
-// MasterPolicy is an optional Policy extension: BeforeSuperstep runs
-// single-threaded before each superstep, after fault detection but
-// before the quiescence check (pregel's master compute). Returning
-// halt=true terminates the run at this barrier.
-type MasterPolicy interface {
-	BeforeSuperstep(step, pending int) (halt bool)
 }
 
 // SerialFinishPolicy is an optional Policy extension for "finishing
@@ -104,15 +98,11 @@ type DriverConfig struct {
 	EngineConfig
 	// Name prefixes the run's errors ("pregel: superstep cap reached ...").
 	Name string
-	// CapErr is the sentinel the cap error wraps (bsp.ErrSuperstepCap).
-	CapErr error
 	// EpochSaves selects the async engine's checkpoint ordering: the
 	// snapshot is taken at the top of every barrier, after fault
 	// detection — instead of at the end of every k-th superstep, before
 	// the next barrier's fault check.
 	EpochSaves bool
-	// Model prices each superstep; zero value means bsp.DefaultModel.
-	Model bsp.CostModel
 }
 
 // Driver runs a Policy to termination. One Driver serves one Run.
@@ -120,7 +110,6 @@ type Driver[S any] struct {
 	cfg   DriverConfig
 	pol   Policy[S]
 	stats *bsp.Stats
-	model bsp.CostModel
 
 	lease *Lease
 	inj   *Injector
@@ -149,11 +138,7 @@ type ckFrame[S any] struct {
 // NewDriver builds a driver for pol, charging instrumentation into
 // stats.
 func NewDriver[S any](pol Policy[S], stats *bsp.Stats, cfg DriverConfig) *Driver[S] {
-	model := cfg.Model
-	if model == (bsp.CostModel{}) {
-		model = bsp.DefaultModel
-	}
-	return &Driver[S]{cfg: cfg, pol: pol, stats: stats, model: model}
+	return &Driver[S]{cfg: cfg, pol: pol, stats: stats}
 }
 
 // Lease returns the run's worker lease (valid during Run): the view
@@ -171,13 +156,13 @@ func (d *Driver[S]) Injector() *Injector { return d.inj }
 // phases), not from pool workers.
 func (d *Driver[S]) LoseBatch() { d.lost = true }
 
-// Run executes the policy to termination: quiescence, a master halt, a
-// serial finish, the step cap, a policy error, or cancellation of the
-// run's job. It returns the number of steps executed (the barrier index
-// at which the run stopped). A run without a Job becomes a job of
-// Default(). Run is the run's panic boundary: a panic in a pool task or
-// on the driver's goroutine ends the run with a *PanicError, wrapped
-// with the run's name, and fails its job.
+// Run executes the policy to termination: quiescence (on pregel, also
+// a master halt), a serial finish, the step cap, a policy error, or
+// cancellation of the run's job. It returns the number of steps
+// executed (the barrier index at which the run stopped). A run without
+// a Job becomes a job of Default(). Run is the run's panic boundary: a
+// panic in a pool task or on the driver's goroutine ends the run with a
+// *PanicError, wrapped with the run's name, and fails its job.
 func (d *Driver[S]) Run() (steps int, err error) {
 	if d.cfg.Job == nil {
 		err = Default().Submit(context.Background(), d.cfg.Name, d.cfg.Workers, func(j *Job) error {
@@ -219,7 +204,6 @@ func (d *Driver[S]) Run() (steps int, err error) {
 	defer func() { d.lease = nil }()
 	d.inj = d.cfg.Faults.NewInjector(d.cfg.Workers)
 
-	master, hasMaster := d.pol.(MasterPolicy)
 	finisher, hasFinisher := d.pol.(SerialFinishPolicy)
 	barrier, hasBarrier := d.pol.(BarrierFaultPolicy)
 	stopper, hasStopper := d.pol.(EarlyStopper)
@@ -257,9 +241,6 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		if d.cfg.EpochSaves && d.cfg.CheckpointEvery > 0 && d.step > 0 {
 			d.save(d.step, pending)
 		}
-		if hasMaster && master.BeforeSuperstep(d.step, pending) {
-			break
-		}
 		if d.pol.Quiescent(d.step, pending) {
 			break
 		}
@@ -296,7 +277,7 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		return d.step, fmt.Errorf("%s: %w", d.cfg.Name, context.Cause(ctx))
 	}
 	if capHit {
-		return d.step, fmt.Errorf("%s: %w (cap %d)", d.cfg.Name, d.cfg.CapErr, d.cfg.MaxSupersteps)
+		return d.step, fmt.Errorf("%s: %w (cap %d)", d.cfg.Name, bsp.ErrSuperstepCap, d.cfg.MaxSupersteps)
 	}
 	return d.step, nil
 }
@@ -323,7 +304,7 @@ func (d *Driver[S]) recordSerialStep(work, active int64) {
 func (d *Driver[S]) record(ss bsp.SuperstepStats) {
 	ss.MaxWork = ss.W()
 	ss.MaxComm = ss.H()
-	ss.Cost = d.model.SuperstepTime(ss)
+	ss.Cost = bsp.DefaultModel.SuperstepTime(ss)
 	for w := range ss.Work {
 		d.stats.TotalWork += ss.Work[w]
 		d.stats.TotalMessages += ss.Sent[w]

@@ -39,12 +39,11 @@ type WorklistRunner[V any] struct {
 	PristineQueue []VertexID
 
 	// name, epochLen (updates per driver step, the fault-detection and
-	// checkpoint granularity), limit (the update cap) and capErr come
-	// from the run environment (NewWorklistDriver).
+	// checkpoint granularity) and limit (the update cap) come from the
+	// run environment (NewWorklistDriver).
 	name     string
 	epochLen int
 	limit    int
-	capErr   error
 	updates  int
 	// dirty marks the vertices popped (and therefore possibly
 	// rewritten — Update writes only values[v]) since the last
@@ -63,7 +62,7 @@ const defaultEpoch = 64
 // updates; p checks it per update, so the driver's own step cap is
 // unreachable.
 func NewWorklistDriver[V any](p *WorklistRunner[V], stats *bsp.Stats, dc DriverConfig) *Driver[*WorklistSnapshot[V]] {
-	p.name, p.limit, p.capErr = dc.Name, dc.MaxSupersteps, dc.CapErr
+	p.name, p.limit = dc.Name, dc.MaxSupersteps
 	p.epochLen = dc.CheckpointEvery
 	if p.epochLen <= 0 {
 		p.epochLen = defaultEpoch
@@ -115,7 +114,7 @@ func (p *WorklistRunner[V]) RedoneUnits(resumed, failed int) int {
 // pushes, with the queue bookkeeping hoisted out of the loop).
 func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 	ss.Frontier = int64(p.Queue.Len())
-	ss.Pulled = ChoosePull(DirectionAuto, true, p.Queue.Len(), p.N, 0)
+	ss.Pulled = ChoosePull(DirectionAuto, true, p.Queue.Len(), p.N)
 	if p.dirty == nil {
 		p.dirty = make([]bool, p.N)
 	}
@@ -126,7 +125,7 @@ func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, er
 		}
 		p.dirty[v] = true
 		if p.updates >= p.limit {
-			return p.Queue.Len(), fmt.Errorf("%s: %w (cap %d)", p.name, p.capErr, p.limit)
+			return p.Queue.Len(), fmt.Errorf("%s: %w (cap %d)", p.name, bsp.ErrSuperstepCap, p.limit)
 		}
 		p.updates++
 		ss.Work[0]++

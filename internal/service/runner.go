@@ -30,8 +30,8 @@ type runResult struct {
 
 // validEngines enumerates the engines an algorithm runs on, sorted:
 // its rows of the engine matrix, plus "auto" — the plan layer, which
-// moves between rows mid-run — where it takes the algorithm. Empty
-// means the algorithm is unknown.
+// picks one row before the run starts — where it takes the algorithm.
+// Empty means the algorithm is unknown.
 func validEngines(algo string) []string {
 	var names []string
 	for k := range vc.Matrix {

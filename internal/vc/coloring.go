@@ -77,7 +77,16 @@ func (p *colProgram) BeforeSuperstep(mc *pregel.MasterContext) {
 }
 
 func (p *colProgram) Compute(ctx *pregel.Context[colValue, colMsg], msgs []colMsg) {
-	v := ctx.Value()
+	colStep(ctx, ctx.Value(), msgs)
+}
+
+func (p *colProgram) StateUnits(v *colValue) int64 { return 3 }
+
+// colStep is one coloring superstep at ctx's vertex, whose state is v,
+// in the micro-phase the master published. Both the dense program (v
+// is the engine's value) and the packed one (v is loaded from its
+// stores) run this body.
+func colStep[V any](ctx *pregel.Context[V, colMsg], v *colValue, msgs []colMsg) {
 	if v.color >= 0 {
 		return
 	}
@@ -140,41 +149,118 @@ func (p *colProgram) Compute(ctx *pregel.Context[colValue, colMsg], msgs []colMs
 	}
 }
 
-func (p *colProgram) StateUnits(v *colValue) int64 { return 3 }
+// colPacked is Luby coloring over bit-packed state
+// (Config.PackedState): colValue's {color, tentative, blockedPhase}
+// triple lives in three stores and the engine's value array is empty.
+// Colors are bounded by Δ+1 — a vertex left uncolored after a phase has
+// a neighbor that won that phase's color, and it has at most Δ
+// neighbors to lose to — so color and blockedPhase (stored +1, with 0
+// meaning -1) fit in ⌈log₂(Δ+3)⌉ bits and tentative in one. Each
+// superstep loads the triple, runs colStep and stores back the fields
+// that changed; ctx.Rand() is per-(vertex, superstep), so the coin
+// flips, and the whole run, match the dense program's.
+type colPacked struct {
+	colProgram
+	color, tent, blocked StateStore
+}
+
+func newColPacked(g *graph.Graph) *colPacked {
+	n := g.N()
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, g.Degree(VertexID(v)))
+	}
+	domain := uint64(maxDeg) + 3 // colors in [0, Δ+1], stored +1, plus "none"
+	return &colPacked{
+		color:   NewPackedInts(n, domain),
+		tent:    NewPackedInts(n, 2),
+		blocked: NewPackedInts(n, domain),
+	}
+}
+
+func (p *colPacked) Init(g *graph.Graph, id VertexID) struct{} { return struct{}{} }
+
+func (p *colPacked) Compute(ctx *pregel.Context[struct{}, colMsg], msgs []colMsg) {
+	id := int(ctx.ID())
+	old := colValue{
+		color:        int(p.color.Get(id)) - 1,
+		tentative:    p.tent.Get(id) == 1,
+		blockedPhase: int(p.blocked.Get(id)) - 1,
+	}
+	v := old
+	colStep(ctx, &v, msgs)
+	if v.color != old.color {
+		p.color.Set(id, uint64(v.color+1))
+	}
+	if v.tentative != old.tentative {
+		p.tent.Set(id, 1-p.tent.Get(id)) // a one-bit flag that moved flips
+	}
+	if v.blockedPhase != old.blockedPhase {
+		p.blocked.Set(id, uint64(v.blockedPhase+1))
+	}
+}
+
+func (p *colPacked) StateUnits(v *struct{}) int64 { return 3 }
+
+// colPackedSnap is one checkpoint generation: the stores plus the
+// master's snapshot.
+type colPackedSnap struct {
+	color, tent, blocked StateStore
+	master               any
+}
+
+func (s colPackedSnap) SizeBytes() int {
+	return s.color.SizeBytes() + s.tent.SizeBytes() + s.blocked.SizeBytes()
+}
+
+// Snapshot/Restore implement pregel.Snapshotter. The dense program
+// snapshots only its master counters (checkpointing.go), since the
+// engine saves its vertex values; the packed one saves its stores too.
+func (p *colPacked) Snapshot() any {
+	return colPackedSnap{p.color.Clone(), p.tent.Clone(), p.blocked.Clone(), p.colProgram.Snapshot()}
+}
+
+func (p *colPacked) Restore(s any) {
+	if s == nil {
+		for _, st := range []StateStore{p.color, p.tent, p.blocked} {
+			for i := 0; i < st.Len(); i++ {
+				st.Set(i, 0)
+			}
+		}
+		p.colProgram.Restore(nil)
+		return
+	}
+	snap := s.(colPackedSnap)
+	p.color.CopyFrom(snap.color)
+	p.tent.CopyFrom(snap.tent)
+	p.blocked.CopyFrom(snap.blocked)
+	p.colProgram.Restore(snap.master)
+}
 
 // ColoringMIS colors the graph with Luby-MIS phases. The result is
 // deterministic for a given Config.Seed.
 func ColoringMIS(g *graph.Graph, cfg Config) (*ColoringResult, error) {
-	ecfg := pregelConfig[colMsg](Env{Config: cfg})
 	if cfg.PackedState {
-		prog := newColPackedProgram(g)
-		eng := pregel.NewEngine[struct{}, colMsg](g, prog, ecfg)
-		eng.RegisterAggregator("uncolored", pregel.SumInt64())
-		eng.RegisterAggregator("remaining", pregel.SumInt64())
-		res, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		out := &ColoringResult{Colors: make([]int, g.N()), K: prog.c + 1, Stats: res.Stats}
-		for v := range res.Values {
-			out.Colors[v] = int(prog.color.Get(v)) - 1
-		}
-		if g.N() == 0 {
-			out.K = 0
-		}
-		return out, nil
+		prog := newColPacked(g)
+		return runColoring(g, prog, &prog.colProgram, cfg, func(v int, _ *struct{}) int { return int(prog.color.Get(v)) - 1 })
 	}
 	prog := &colProgram{}
-	eng := pregel.NewEngine[colValue, colMsg](g, prog, ecfg)
+	return runColoring(g, prog, prog, cfg, func(_ int, val *colValue) int { return val.color })
+}
+
+// runColoring runs prog, whose master is m, and reads each vertex's
+// color through color.
+func runColoring[V any](g *graph.Graph, prog pregel.Program[V, colMsg], m *colProgram, cfg Config, color func(v int, val *V) int) (*ColoringResult, error) {
+	eng := pregel.NewEngine[V, colMsg](g, prog, pregelConfig[colMsg](Env{Config: cfg}))
 	eng.RegisterAggregator("uncolored", pregel.SumInt64())
 	eng.RegisterAggregator("remaining", pregel.SumInt64())
 	res, err := eng.Run()
 	if err != nil {
 		return nil, err
 	}
-	out := &ColoringResult{Colors: make([]int, g.N()), K: prog.c + 1, Stats: res.Stats}
-	for v, val := range res.Values {
-		out.Colors[v] = val.color
+	out := &ColoringResult{Colors: make([]int, g.N()), K: m.c + 1, Stats: res.Stats}
+	for v := range res.Values {
+		out.Colors[v] = color(v, &res.Values[v])
 	}
 	if g.N() == 0 {
 		out.K = 0

@@ -309,7 +309,20 @@ func replace(xs []float64, from, to float64) {
 
 // --- connected components ---
 
+// refuseDirected is every cc row's answer on a directed graph, given
+// before anything is pinned: min-label propagation along one edge
+// direction labels ancestors, not components, and the paper's Hash-Min
+// is an undirected algorithm. The async row refuses inside
+// async.PrepareSeeded with the same sentinel.
+func refuseDirected(engine string) func() ([]VertexID, *bsp.Stats, error) {
+	err := fmt.Errorf("%s: %w", engine, async.ErrDirected)
+	return func() ([]VertexID, *bsp.Stats, error) { return nil, nil, err }
+}
+
 func ccGAS(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, error) {
+	if g.Directed {
+		return refuseDirected(plan.EngineGAS)
+	}
 	return gasRun(g, gas.CCProgram(), env)
 }
 
@@ -318,5 +331,8 @@ func ccAsync(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, er
 }
 
 func ccBlock(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, error) {
+	if g.Directed {
+		return refuseDirected(plan.EngineBlockcentric)
+	}
 	return blockRun(g, blockcentric.CCProgram(), env)
 }

@@ -189,12 +189,18 @@ func TestMatrixPinsReleased(t *testing.T) {
 
 // TestMatrixRefusesDirectedPull: the async and inc rows of cc and sssp
 // pull over out-spans, which are the in-neighborhood only on an
-// undirected graph, so on a directed one they fail — with
-// async.ErrDirected — and hold no pin.
+// undirected graph, and min-label cc on any engine labels ancestors
+// rather than components, so on a directed graph they fail — with
+// async.ErrDirected — and hold no pin. The auto cc path refuses
+// through the row it plans.
 func TestMatrixRefusesDirectedPull(t *testing.T) {
 	g := graph.RandomDirected(200, 400, 1)
-	for _, algo := range []string{"cc", "sssp"} {
-		for _, engine := range []string{"async", EngineInc} {
+	refuses := map[string][]string{
+		"cc":   {"async", EngineInc, "pregel", "gas", "blockcentric"},
+		"sssp": {"async", EngineInc},
+	}
+	for algo, engines := range refuses {
+		for _, engine := range engines {
 			_, _, err := Matrix[Key{algo, engine}](g, Args{Src: 0}, Env{})()
 			if !errors.Is(err, async.ErrDirected) {
 				t.Errorf("%s/%s on a directed graph: err = %v", algo, engine, err)
@@ -203,6 +209,12 @@ func TestMatrixRefusesDirectedPull(t *testing.T) {
 				t.Fatalf("%s/%s left %d snapshot pins", algo, engine, g.Pins())
 			}
 		}
+	}
+	if _, _, err := PrepareAuto(g, "cc", Args{}, AutoConfig{})(); !errors.Is(err, async.ErrDirected) {
+		t.Errorf("cc/auto on a directed graph: err = %v", err)
+	}
+	if g.Pins() != 0 {
+		t.Fatalf("cc/auto left %d snapshot pins", g.Pins())
 	}
 }
 

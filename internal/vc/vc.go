@@ -36,7 +36,6 @@ type Config struct {
 	MaxSupersteps     int
 	Partition         runtime.Partitioner
 	Mode              runtime.DirectionMode
-	PullThreshold     float64
 	CheckpointEvery   int
 	FullSnapshotEvery int
 	Faults            *runtime.FaultPlan
@@ -70,7 +69,6 @@ func (c Config) engine() runtime.EngineConfig {
 		MaxSupersteps:     c.MaxSupersteps,
 		Partition:         c.Partition,
 		Mode:              c.Mode,
-		PullThreshold:     c.PullThreshold,
 		CheckpointEvery:   c.CheckpointEvery,
 		FullSnapshotEvery: c.FullSnapshotEvery,
 		Faults:            c.Faults,
