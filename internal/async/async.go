@@ -171,15 +171,9 @@ func PrepareSeeded[V any](g *graph.Graph, prog Program[V], pr *rt.Prepared, seed
 	p := &rt.WorklistRunner[V]{
 		Update: func(v VertexID) []VertexID { return prog.Update(ctx, v) },
 		Prog:   prog,
-		Values: &ctx.values,
+		Values: ctx.values,
 		Queue:  queue,
 		N:      n,
-	}
-	if pr.Driver.Faults != nil {
-		// Checkpoint-free restarts replay these pristine Init-time
-		// values and the seed worklist instead of re-running Init mid-run.
-		p.PristineValues = rt.CloneValues[V](prog, ctx.values)
-		p.PristineQueue = seeds
 	}
 	d := rt.NewWorklistDriver(p, stats, pr.Driver)
 	return func() (*Result[V], error) {

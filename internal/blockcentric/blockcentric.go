@@ -66,12 +66,11 @@ type Engine[V, M any] struct {
 	blocks   [][]VertexID
 	// local maps a vertex to its position in its block (its local id):
 	// the index of every per-block slab below.
-	local    []int32
-	values   []V
-	pristine []V    // Init-time copy for checkpoint-free restarts (faults only)
-	halted   []bool // per block
-	stats    *bsp.Stats
-	driver   *rt.Driver[*bcSnapshot[V, M]]
+	local  []int32
+	values []V
+	halted []bool // per block
+	stats  *bsp.Stats
+	driver *rt.Driver[*bcSnapshot[V, M]]
 
 	// Per block: pending holds the messages for the block's next
 	// superstep in arrival order — its own local sends first, then
@@ -311,11 +310,6 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 	for v := 0; v < n; v++ {
 		e.values[v] = prog.Init(g, VertexID(v))
 	}
-	if cfg.Faults != nil {
-		// A rollback with no readable checkpoint restarts from scratch;
-		// keep a pristine copy so the restart never re-reads the graph.
-		e.pristine = rt.CloneValues[V](prog, e.values)
-	}
 	return e
 }
 
@@ -427,22 +421,9 @@ func (e *Engine[V, M]) FrameBytes(ck *bcSnapshot[V, M]) int64 {
 // Restore implements runtime.Policy: it writes the frame's blocks back
 // over the engine state — every block for a full frame, the dirty ones
 // for a delta (a block's members are exactly its writable vertices, so
-// per-block patches cover every write since the parent frame) — or
-// restarts from scratch when no readable checkpoint exists (!ok).
-func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int, ok bool) {
+// per-block patches cover every write since the parent frame).
+func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int) {
 	clear(e.dirtyBlocks)
-	if !ok {
-		// Restart from the pristine Init-time values: re-running Init
-		// here would read the mutable graph mid-run.
-		e.values = rt.CloneValues[V](e.prog, e.pristine)
-		for b := range e.halted {
-			e.halted[b] = false
-			e.pending[b] = e.pending[b][:0]
-			e.outbox[b] = e.outbox[b][:0]
-			e.inboxLocal[b] = 0
-		}
-		return
-	}
 	for i, h := range ck.halted {
 		b := rt.FrameID(ck.blocks, i)
 		rt.RestoreValuesAt(e.prog, e.values, ck.blockVals[i], e.blocks[b])

@@ -127,11 +127,6 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 	for v := 0; v < n; v++ {
 		p.cur[v] = prog.Init(g, VertexID(v))
 	}
-	if cfg.Faults != nil {
-		// A rollback with no readable checkpoint restarts from scratch;
-		// keep a pristine copy so the restart never re-reads the graph.
-		p.pristine = rt.CloneValues[V](prog, p.cur)
-	}
 	p.wl.FillAll(p.verts)
 
 	stats := &bsp.Stats{Workers: cfg.Workers, N: n}
@@ -159,10 +154,9 @@ type policy[V, G any] struct {
 	n      int
 	driver *rt.Driver[*gasSnapshot[V]]
 
-	cur      []V
-	next     []V // scratch: an active vertex applies here, written back to cur after the barrier
-	pristine []V // Init-time copy for checkpoint-free restarts (faults only)
-	wl       *rt.Worklists
+	cur  []V
+	next []V // scratch: an active vertex applies here, written back to cur after the barrier
+	wl   *rt.Worklists
 	// dirty marks vertices whose value may have changed since the last
 	// checkpoint frame: only vertices that ran Apply are written back,
 	// so the iteration's active set is exactly the write set.
@@ -321,23 +315,16 @@ func (p *policy[V, G]) Snapshot(full bool) *gasSnapshot[V] {
 
 // Restore implements runtime.Policy: write the frame's values back and
 // replace the active set wholesale (every frame carries it complete).
-func (p *policy[V, G]) Restore(snap *gasSnapshot[V], step int, ok bool) {
-	if !ok {
-		// Restart from the pristine Init-time values: re-running Init
-		// here would read the mutable graph mid-run.
-		p.cur = rt.CloneValues[V](p.prog, p.pristine)
-		p.wl.FillAll(p.verts)
-	} else {
-		rt.RestoreValuesAt(p.prog, p.cur, snap.values, snap.ids)
-		p.wl.Clear()
-		for v, a := range snap.active {
-			if a {
-				p.wl.Add(int(p.owner[v]), VertexID(v))
-			}
+func (p *policy[V, G]) Restore(snap *gasSnapshot[V], step int) {
+	rt.RestoreValuesAt(p.prog, p.cur, snap.values, snap.ids)
+	p.wl.Clear()
+	for v, a := range snap.active {
+		if a {
+			p.wl.Add(int(p.owner[v]), VertexID(v))
 		}
-		for _, v := range snap.activeIDs {
-			p.wl.Add(int(p.owner[v]), v)
-		}
+	}
+	for _, v := range snap.activeIDs {
+		p.wl.Add(int(p.owner[v]), v)
 	}
 	clear(p.dirty)
 }

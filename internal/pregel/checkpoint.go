@@ -109,46 +109,27 @@ func (e *Engine[V, M]) FrameBytes(ck *checkpoint[V, M]) int64 {
 // Restore implements runtime.Policy: a full frame replaces the engine
 // state, a delta patches its vertices onto the state the chain has
 // rebuilt so far (adjacency overrides only accumulate between frames,
-// so applying them additively is exact); !ok restarts from scratch.
-func (e *Engine[V, M]) Restore(ck *checkpoint[V, M], step int, ok bool) {
-	if !ok || ck.ids == nil {
-		e.recoveries++ // once per rollback: every chain starts full
+// so applying them additively is exact).
+func (e *Engine[V, M]) Restore(ck *checkpoint[V, M], step int) {
+	if ck.ids == nil {
 		e.resetAdjacency()
 	}
-	if !ok {
-		// No checkpoint yet: restart from the pristine Init-time values
-		// kept by NewEngine — re-running Init here would read the
-		// mutable graph mid-run.
-		e.values = rt.CloneValues[V](e.prog, e.pristine)
-		clear(e.halted)
-		for v := range e.halted {
-			e.mbox.ResetVertex(VertexID(v))
-		}
-		for name, a := range e.aggs {
-			e.aggCurrent[name] = a.Zero()
-		}
-		e.globals = make(map[string]any)
-		if s, hasState := e.prog.(Snapshotter); hasState {
-			s.Restore(nil)
-		}
-	} else {
-		rt.RestoreValuesAt(e.prog, e.values, ck.values, ck.ids)
-		inbox := ck.inbox
-		for i, h := range ck.halted {
-			v := rt.FrameID(ck.ids, i)
-			e.halted[v] = h
-			e.mbox.LoadVertex(v, inbox[:ck.inboxLen[i]], ck.rawRecv[i])
-			inbox = inbox[ck.inboxLen[i]:]
-		}
-		for v, a := range ck.adj {
-			e.adj[v] = append([]graph.Edge(nil), a...)
-			e.mutated[v] = true
-		}
-		e.globals = maps.Clone(ck.globals)
-		maps.Copy(e.aggCurrent, ck.aggCurrent)
-		if s, hasState := e.prog.(Snapshotter); hasState {
-			s.Restore(ck.masterState)
-		}
+	rt.RestoreValuesAt(e.prog, e.values, ck.values, ck.ids)
+	inbox := ck.inbox
+	for i, h := range ck.halted {
+		v := rt.FrameID(ck.ids, i)
+		e.halted[v] = h
+		e.mbox.LoadVertex(v, inbox[:ck.inboxLen[i]], ck.rawRecv[i])
+		inbox = inbox[ck.inboxLen[i]:]
+	}
+	for v, a := range ck.adj {
+		e.adj[v] = append([]graph.Edge(nil), a...)
+		e.mutated[v] = true
+	}
+	e.globals = maps.Clone(ck.globals)
+	maps.Copy(e.aggCurrent, ck.aggCurrent)
+	if s, hasState := e.prog.(Snapshotter); hasState {
+		s.Restore(ck.masterState)
 	}
 	clear(e.dirty)
 	e.rebuildWorklists()
@@ -176,6 +157,3 @@ func (e *Engine[V, M]) rebuildWorklists() {
 		}
 	}
 }
-
-// Recoveries reports how many failure recoveries the run performed.
-func (e *Engine[V, M]) Recoveries() int { return e.recoveries }

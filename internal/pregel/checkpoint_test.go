@@ -19,13 +19,7 @@ func (p *ckProgram) BeforeSuperstep(mc *MasterContext) { p.rounds++ }
 
 func (p *ckProgram) Snapshot() any { return p.rounds }
 
-func (p *ckProgram) Restore(s any) {
-	if s == nil {
-		p.rounds = 0
-		return
-	}
-	p.rounds = s.(int)
-}
+func (p *ckProgram) Restore(s any) { p.rounds = s.(int) }
 
 func (p *ckProgram) Compute(ctx *Context[VertexID, VertexID], msgs []VertexID) {
 	v := ctx.Value()
@@ -50,7 +44,7 @@ func runCK(t *testing.T, g *graph.Graph, cfg Config[VertexID]) ([]VertexID, int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Values, res.Supersteps, eng.Recoveries()
+	return res.Values, res.Supersteps, res.Stats.Recovery.Rollbacks
 }
 
 func TestCheckpointRecoveryMatchesCleanRun(t *testing.T) {
@@ -144,10 +138,11 @@ func TestCheckpointWithMasterStateAndGlobals(t *testing.T) {
 	eng := NewEngine[VertexID, VertexID](g, prog, Config[VertexID]{
 		EngineConfig: rt.EngineConfig{Workers: 2, CheckpointEvery: 4, Faults: rt.PlanOf(rt.Crash(7))},
 	})
-	if _, err := eng.Run(); err != nil {
+	res, err := eng.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Recoveries() != 1 {
-		t.Fatalf("recoveries = %d", eng.Recoveries())
+	if r := res.Stats.Recovery.Rollbacks; r != 1 {
+		t.Fatalf("rollbacks = %d", r)
 	}
 }

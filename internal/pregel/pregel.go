@@ -16,7 +16,6 @@ package pregel
 
 import (
 	"math/rand"
-	"slices"
 
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
@@ -69,9 +68,6 @@ type Config[M any] struct {
 	// (EngineConfig.Mode) requires one; without it every superstep
 	// pushes.
 	Combiner Combiner[M]
-	// MessageLess, when set, sorts each vertex's inbox before Compute,
-	// making message order deterministic regardless of worker count.
-	MessageLess func(a, b M) bool
 	// Seed feeds Context.Rand. Defaults to 1.
 	Seed int64
 	// FCSThreshold enables "finishing computations serially": when the
@@ -117,9 +113,8 @@ type Engine[V, M any] struct {
 	prepared *rt.Prepared
 	err      error
 
-	values   []V
-	pristine []V // Init-time copy for checkpoint-free restarts (faults only)
-	halted   []bool
+	values []V
+	halted []bool
 	// dirty marks vertices whose engine-visible state may have changed
 	// since the last checkpoint frame: computed vertices (value, halt
 	// flag, inbox reset, adjacency mutation), mail receivers (inbox,
@@ -173,7 +168,6 @@ type Engine[V, M any] struct {
 	activateAll bool
 
 	dropScratch []bool // per-worker drop flags filled during delivery
-	recoveries  int
 }
 
 // NewEngine builds an engine for prog over g: the prepare phase. It
@@ -226,11 +220,6 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[M]) *Eng
 	}
 	for v := 0; v < n; v++ {
 		e.values[v] = prog.Init(g, VertexID(v))
-	}
-	if cfg.Faults != nil {
-		// A rollback with no readable checkpoint restarts from scratch;
-		// keep a pristine copy so the restart never re-reads the graph.
-		e.pristine = rt.CloneValues[V](prog, e.values)
 	}
 	e.ownerOf, e.verts = p.Owner, p.Verts
 	e.mbox = rt.NewMailbox[M](cfg.Workers, e.ownerOf, cfg.Combiner)
@@ -438,18 +427,6 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 			e.dirty[v] = true
 			if raw > 0 {
 				e.halted[v] = false
-			}
-			if e.cfg.MessageLess != nil && len(msgs) > 1 {
-				less := e.cfg.MessageLess
-				slices.SortStableFunc(msgs, func(a, b M) int {
-					switch {
-					case less(a, b):
-						return -1
-					case less(b, a):
-						return 1
-					}
-					return 0
-				})
 			}
 			ctx.id = vid
 			ctx.sent = 0

@@ -291,34 +291,6 @@ func TestEngineStatsShape(t *testing.T) {
 	}
 }
 
-func TestEngineMessageSortDeterminism(t *testing.T) {
-	g := graph.Star(30)
-	prog := &firstMsgProgram{}
-	cfg := Config[int]{EngineConfig: rt.EngineConfig{Workers: 7}, MessageLess: func(a, b int) bool { return a < b }}
-	eng := NewEngine[int, int](g, prog, cfg)
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Values[0] != 1 {
-		t.Fatalf("first sorted message = %d, want 1", res.Values[0])
-	}
-}
-
-type firstMsgProgram struct{}
-
-func (firstMsgProgram) Init(g *graph.Graph, id VertexID) int { return 0 }
-
-func (firstMsgProgram) Compute(ctx *Context[int, int], msgs []int) {
-	if ctx.Superstep() == 0 && ctx.ID() != 0 {
-		ctx.SendTo(0, int(ctx.ID()))
-	}
-	if len(msgs) > 0 {
-		*ctx.Value() = msgs[0]
-	}
-	ctx.VoteToHalt()
-}
-
 func TestEngineRandDeterministic(t *testing.T) {
 	g := graph.New(3, false)
 	prog := &randProgram{}
@@ -438,15 +410,13 @@ func (p *pendingWatcher) Compute(ctx *Context[int, int], msgs []int) {
 	ctx.VoteToHalt()
 }
 
-func TestEngineMessageLessWithCombiner(t *testing.T) {
-	// Sorting applies to the (possibly combined) inbox; with a sum
-	// combiner there is a single message, and the result is exact
-	// regardless of workers.
+func TestEngineCombinedSum(t *testing.T) {
+	// With a sum combiner the center's inbox is a single message, and
+	// the result is exact regardless of workers.
 	g := graph.Star(40)
 	cfg := Config[int]{
 		EngineConfig: rt.EngineConfig{Workers: 6},
 		Combiner:     func(a, b int) int { return a + b },
-		MessageLess:  func(a, b int) bool { return a < b },
 	}
 	eng := NewEngine[int, int](g, &sendAllToCenter{}, cfg)
 	res, err := eng.Run()

@@ -72,8 +72,8 @@ func (c *Checkpoints[S]) Save(step int, state S, full, corrupt bool) {
 // chain crosses a corrupt frame is discarded — the corrupt frame is
 // counted once in skipped, and every still-readable frame depending on
 // it is marked unreadable and counted in invalidated. ok is false when
-// no reconstructible generation exists — the engine must restart from
-// scratch.
+// no reconstructible generation exists — the driver then restores its
+// start frame.
 func (c *Checkpoints[S]) Recover() (chain []S, step int, skipped, invalidated int, ok bool) {
 	for i := len(c.frames) - 1; i >= 0; i-- {
 		if !c.frames[i].ok {
@@ -138,9 +138,9 @@ type ValueCloner[V any] interface {
 	CloneValue(v V) V
 }
 
-// CloneValues snapshots a value slice, deep-copying each element when
+// cloneValues snapshots a value slice, deep-copying each element when
 // the program implements ValueCloner[V].
-func CloneValues[V any](prog any, src []V) []V {
+func cloneValues[V any](prog any, src []V) []V {
 	out := make([]V, len(src))
 	if cloner, ok := prog.(ValueCloner[V]); ok {
 		for i, v := range src {
@@ -190,7 +190,7 @@ func FrameID[ID ~int | ~int32](ids []ID, i int) ID {
 // nil), deep-copying when the program implements ValueCloner[V].
 func CloneValuesAt[V any, ID ~int | ~int32](prog any, src []V, ids []ID) []V {
 	if ids == nil {
-		return CloneValues(prog, src)
+		return cloneValues(prog, src)
 	}
 	out := make([]V, len(ids))
 	if cloner, ok := prog.(ValueCloner[V]); ok {

@@ -43,11 +43,11 @@ type Policy[S any] interface {
 	// patches exactly the frame before it.
 	Snapshot(full bool) S
 	// Restore applies a frame of the chain that reconstructs barrier
-	// step (ok): a full frame replaces the whole state, a delta patches
-	// it. A rollback calls it for the chain's full base frame, then for
-	// each later frame in save order. !ok reinitializes the computation
-	// from scratch (step 0).
-	Restore(snap S, step int, ok bool)
+	// step: a full frame replaces the whole state, a delta patches it.
+	// A rollback calls it for the chain's full base frame, then for each
+	// later frame in save order; with no readable chain, once for the
+	// full frame the driver took before superstep 0.
+	Restore(snap S, step int)
 	// FrameBytes reports a frame's deterministic resident-byte estimate
 	// (element sizes times element counts), feeding
 	// Recovery.CheckpointBytesFull/Delta.
@@ -114,6 +114,11 @@ type Driver[S any] struct {
 	lease *Lease
 	inj   *Injector
 	cks   Checkpoints[ckFrame[S]]
+	// start is the full frame of the state before superstep 0, taken
+	// only when faults are injected: a rollback with no readable chain
+	// restores it. It is kept out of cks, so it is never counted,
+	// charged or corrupted as a checkpoint.
+	start S
 	lost  bool
 	step  int
 	// sinceFull counts delta frames saved since the last full one;
@@ -203,6 +208,9 @@ func (d *Driver[S]) Run() (steps int, err error) {
 	}
 	defer func() { d.lease = nil }()
 	d.inj = d.cfg.Faults.NewInjector(d.cfg.Workers)
+	if d.inj != nil {
+		d.start = d.pol.Snapshot(true)
+	}
 
 	finisher, hasFinisher := d.pol.(SerialFinishPolicy)
 	barrier, hasBarrier := d.pol.(BarrierFaultPolicy)
@@ -337,8 +345,8 @@ func (d *Driver[S]) save(step, pending int) {
 }
 
 // rollback restores the newest reconstructible generation (base full
-// frame plus its delta chain, or a fresh start) and returns the barrier
-// position to resume from.
+// frame plus its delta chain, or the start frame) and returns the
+// barrier position to resume from.
 func (d *Driver[S]) rollback() (resumed, pending int) {
 	d.stats.Recovery.Rollbacks++
 	chain, step, skipped, invalidated, ok := d.cks.Recover()
@@ -346,12 +354,11 @@ func (d *Driver[S]) rollback() (resumed, pending int) {
 	d.stats.Recovery.InvalidatedCheckpoints += invalidated
 	d.forceFull = true
 	if !ok {
-		var zero S
-		d.pol.Restore(zero, 0, false)
+		d.pol.Restore(d.start, 0)
 		step, pending = 0, 0
 	} else {
 		for _, f := range chain {
-			d.pol.Restore(f.snap, step, true)
+			d.pol.Restore(f.snap, step)
 		}
 		pending = chain[len(chain)-1].pending
 	}

@@ -13,10 +13,6 @@ import (
 // activations back. The Driver supplies the barrier lifecycle — fault
 // detection, checkpoint cadence (EpochSaves ordering), rollback — so a
 // program gets crash/drop/dup/corrupt recovery by filling in Update.
-//
-// A checkpoint-free rollback replays the seed state the run started from
-// (PristineValues, PristineQueue), keeping faulted runs byte-identical to
-// fault-free ones.
 type WorklistRunner[V any] struct {
 	// Update recomputes v from current values and returns the vertices
 	// to (re)activate. The returned slice is consumed before the next
@@ -25,18 +21,12 @@ type WorklistRunner[V any] struct {
 	// Prog is consulted for the optional ValueCloner deep-copy hook
 	// when values are snapshotted or restored.
 	Prog any
-	// Values points at the live value slice; Restore replaces it.
-	Values *[]V
+	// Values is the live value slice; Restore writes into it.
+	Values []V
 	// Queue is the worklist, seeded by the caller before Run.
 	Queue *FIFO
 	// N is the vertex count.
 	N int
-	// PristineValues, when set, are the seed-time values restored by a
-	// checkpoint-free rollback (required when faults are injected).
-	PristineValues []V
-	// PristineQueue is the seed worklist a checkpoint-free rollback
-	// replays (required alongside PristineValues).
-	PristineQueue []VertexID
 
 	// name, epochLen (updates per driver step, the fault-detection and
 	// checkpoint granularity) and limit (the update cap) come from the
@@ -146,7 +136,7 @@ func (p *WorklistRunner[V]) Snapshot(full bool) *WorklistSnapshot[V] {
 	ids := TakeDirty[VertexID](p.dirty, full)
 	return &WorklistSnapshot[V]{
 		ids:    ids,
-		values: CloneValuesAt(p.Prog, *p.Values, ids),
+		values: CloneValuesAt(p.Prog, p.Values, ids),
 		queue:  p.Queue.Snapshot(),
 	}
 }
@@ -159,20 +149,13 @@ func (p *WorklistRunner[V]) FrameBytes(snap *WorklistSnapshot[V]) int64 {
 		int64(len(snap.queue))*szID
 }
 
-// Restore implements Policy: a readable frame writes back its values and
-// replaces the worklist; a checkpoint-free rollback replays the pristine
-// seed state captured before the run.
-func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int, ok bool) {
+// Restore implements Policy: write the frame's values back and replace
+// the worklist.
+func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int) {
 	clear(p.dirty)
-	if ok {
-		RestoreValuesAt(p.Prog, *p.Values, snap.values, snap.ids)
-		p.Queue.Load(snap.queue)
-		p.updates = step * p.epochLen
-		return
-	}
-	*p.Values = CloneValues[V](p.Prog, p.PristineValues)
-	p.Queue.Load(p.PristineQueue)
-	p.updates = 0
+	RestoreValuesAt(p.Prog, p.Values, snap.values, snap.ids)
+	p.Queue.Load(snap.queue)
+	p.updates = step * p.epochLen
 }
 
 // WorklistSnapshot is one checkpoint frame of a worklist run at an epoch

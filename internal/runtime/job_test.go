@@ -38,9 +38,9 @@ func (p *countPolicy) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 	p.steps++
 	return 1, nil
 }
-func (p *countPolicy) Snapshot(full bool) int              { return p.steps }
-func (p *countPolicy) Restore(snap int, step int, ok bool) { p.steps = snap }
-func (p *countPolicy) FrameBytes(snap int) int64           { return 8 }
+func (p *countPolicy) Snapshot(full bool) int     { return p.steps }
+func (p *countPolicy) Restore(snap int, step int) { p.steps = snap }
+func (p *countPolicy) FrameBytes(snap int) int64  { return 8 }
 
 func runCounting(limit int, cfg DriverConfig) (*countPolicy, *Driver[int], *bsp.Stats) {
 	stats := &bsp.Stats{Workers: cfg.Workers}

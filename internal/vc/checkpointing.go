@@ -15,11 +15,9 @@ import "maps"
 //     state while the master keeps marching forward — e.g. the S-V
 //     phase machine would resume mid-cycle against round-0 values.
 //
-// Restore(nil) means "fresh restart": every program here is
-// constructed with zero-valued master state (all phase enums start at
-// iota 0), so resetting the mutable fields to their zero values is
-// exactly the initial state. Config-like fields (source lists, k, nl,
-// trace) are never touched.
+// Restore only ever receives a value Snapshot returned: a rollback with
+// no readable checkpoint restores the snapshot the driver took before
+// superstep 0.
 
 // --- vertex-value deep copies ---
 
@@ -96,10 +94,6 @@ func (p *svProgram) Snapshot() any {
 }
 
 func (p *svProgram) Restore(s any) {
-	if s == nil {
-		p.roundChanged, p.edges, p.snapshots = false, nil, nil
-		return
-	}
 	m := s.(svMasterSnap)
 	p.roundChanged = m.roundChanged
 	// Copy on restore too: the same snapshot generation can be
@@ -118,86 +112,36 @@ func (p *mcstProgram) Snapshot() any {
 }
 
 func (p *mcstProgram) Restore(s any) {
-	if s == nil {
-		p.phase, p.picked = 0, nil
-		return
-	}
 	m := s.(mcstMasterSnap)
 	p.phase = m.phase
 	p.picked = append([]pickedEdge(nil), m.picked...)
 }
 
 func (p *bcProgram) Snapshot() any { return p.mode }
-func (p *bcProgram) Restore(s any) {
-	if s == nil {
-		p.mode = 0
-		return
-	}
-	p.mode = s.(int)
-}
+func (p *bcProgram) Restore(s any) { p.mode = s.(int) }
 
 func (p *bcBatchProgram) Snapshot() any { return p.mode }
-func (p *bcBatchProgram) Restore(s any) {
-	if s == nil {
-		p.mode = 0
-		return
-	}
-	p.mode = s.(int)
-}
+func (p *bcBatchProgram) Restore(s any) { p.mode = s.(int) }
 
 func (p *mwmProgram) Snapshot() any { return p.phase }
-func (p *mwmProgram) Restore(s any) {
-	if s == nil {
-		p.phase = 0
-		return
-	}
-	p.phase = s.(int)
-}
+func (p *mwmProgram) Restore(s any) { p.phase = s.(int) }
 
 func (p *bpmProgram) Snapshot() any { return p.phase }
-func (p *bpmProgram) Restore(s any) {
-	if s == nil {
-		p.phase = 0
-		return
-	}
-	p.phase = s.(int)
-}
+func (p *bpmProgram) Restore(s any) { p.phase = s.(int) }
 
 func (p *misProgram) Snapshot() any { return p.phase }
-func (p *misProgram) Restore(s any) {
-	if s == nil {
-		p.phase = 0
-		return
-	}
-	p.phase = s.(int)
-}
+func (p *misProgram) Restore(s any) { p.phase = s.(int) }
 
 func (p *sccProgram) Snapshot() any { return p.phase }
-func (p *sccProgram) Restore(s any) {
-	if s == nil {
-		p.phase = 0
-		return
-	}
-	p.phase = s.(int)
-}
+func (p *sccProgram) Restore(s any) { p.phase = s.(int) }
 
 type colMasterSnap struct{ phase, c int }
 
 func (p *colProgram) Snapshot() any { return colMasterSnap{p.phase, p.c} }
 func (p *colProgram) Restore(s any) {
-	if s == nil {
-		p.phase, p.c = 0, 0
-		return
-	}
 	m := s.(colMasterSnap)
 	p.phase, p.c = m.phase, m.c
 }
 
 func (p *hitsProgram) Snapshot() any { return p.norm }
-func (p *hitsProgram) Restore(s any) {
-	if s == nil {
-		p.norm = 0
-		return
-	}
-	p.norm = s.(float64)
-}
+func (p *hitsProgram) Restore(s any) { p.norm = s.(float64) }

@@ -221,15 +221,6 @@ func (p *colPacked) Snapshot() any {
 }
 
 func (p *colPacked) Restore(s any) {
-	if s == nil {
-		for _, st := range []StateStore{p.color, p.tent, p.blocked} {
-			for i := 0; i < st.Len(); i++ {
-				st.Set(i, 0)
-			}
-		}
-		p.colProgram.Restore(nil)
-		return
-	}
 	snap := s.(colPackedSnap)
 	p.color.CopyFrom(snap.color)
 	p.tent.CopyFrom(snap.tent)

@@ -125,18 +125,10 @@ func (p *hashMinPacked) FinishSerially(fc *pregel.FinishContext[struct{}, Vertex
 
 // Snapshot/Restore implement pregel.Snapshotter: the engine's
 // checkpoints carry only the (empty) value array, so the store rides
-// along here. Restore(nil) is the pristine restart.
+// along here.
 func (p *hashMinPacked) Snapshot() any { return p.labels.Clone() }
 
-func (p *hashMinPacked) Restore(s any) {
-	if s == nil {
-		for v := 0; v < p.labels.Len(); v++ {
-			p.labels.Set(v, uint64(v))
-		}
-		return
-	}
-	p.labels.CopyFrom(s.(StateStore))
-}
+func (p *hashMinPacked) Restore(s any) { p.labels.CopyFrom(s.(StateStore)) }
 
 // HashMinCC runs the Hash-Min connected components algorithm of the
 // Pregel paper (Table 1 row 3: O(δ) supersteps, O(mδ) work, vs. the
@@ -163,7 +155,7 @@ func PrepareHashMinCC(g *graph.Graph, cfg Config) func() (*CCResult, error) {
 // (see integers), dense or bit-packed by env.PackedState.
 func hashMinPregel(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, error) {
 	if g.Directed {
-		return refuseDirected(plan.EnginePregel)
+		return refuseDirected[VertexID](plan.EnginePregel)
 	}
 	ecfg := pregelConfig[VertexID](env)
 	if !env.NoCombiner {

@@ -221,14 +221,9 @@ func (p *incPRPolicy) FrameBytes(snap *incPRSnap) int64 {
 }
 
 // Restore implements runtime.Policy.
-func (p *incPRPolicy) Restore(snap *incPRSnap, step int, ok bool) {
-	if ok {
-		p.cur = append([]float64(nil), snap.cur...)
-		p.changed = append([]VertexID(nil), snap.changed...)
-		return
-	}
-	p.cur = p.hist[0]
-	p.changed = nil
+func (p *incPRPolicy) Restore(snap *incPRSnap, step int) {
+	p.cur = append([]float64(nil), snap.cur...)
+	p.changed = append([]VertexID(nil), snap.changed...)
 }
 
 type incPRSnap struct {

@@ -1,10 +1,9 @@
 package vc
 
 import (
-	"errors"
-
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
+	"vcgraph/internal/plan"
 	"vcgraph/internal/pregel"
 )
 
@@ -37,10 +36,6 @@ type KCoreResult struct {
 	Stats      *bsp.Stats
 }
 
-// errKCoreDirected rejects directed input: a vertex hears from its
-// in-neighbors but counts its out-neighbors.
-var errKCoreDirected = errors.New("vc: k-core requires an undirected graph")
-
 // kcoreMsg is one neighbor's estimate dropping from Old to New. Old is
 // −1 on the superstep-0 report, which replaces the optimistic initial
 // assumption.
@@ -70,7 +65,9 @@ func newKCoreProgram(g *graph.Graph, packed bool) *kcoreProgram {
 		hist: NewStateStore(packed, offs[n], domain),
 		offs: offs,
 	}
-	p.Restore(nil)
+	for v := 0; v < n; v++ {
+		p.est.Set(v, uint64(p.deg(v)))
+	}
 	return p
 }
 
@@ -129,20 +126,12 @@ type kcoreSnap struct{ est, hist StateStore }
 
 func (s kcoreSnap) SizeBytes() int { return s.est.SizeBytes() + s.hist.SizeBytes() }
 
-// Snapshot/Restore implement pregel.Snapshotter. Restore(nil) resets
-// the bounds to the degrees; the buckets need no reset because the
-// superstep-0 restart rewrites every vertex's range.
+// Snapshot/Restore implement pregel.Snapshotter.
 func (p *kcoreProgram) Snapshot() any {
 	return kcoreSnap{est: p.est.Clone(), hist: p.hist.Clone()}
 }
 
 func (p *kcoreProgram) Restore(s any) {
-	if s == nil {
-		for v := 0; v < p.est.Len(); v++ {
-			p.est.Set(v, uint64(p.deg(v)))
-		}
-		return
-	}
 	snap := s.(kcoreSnap)
 	p.est.CopyFrom(snap.est)
 	p.hist.CopyFrom(snap.hist)
@@ -173,9 +162,11 @@ func PrepareKCore(g *graph.Graph, cfg Config) func() (*KCoreResult, error) {
 
 // kcorePregel is the (kcore, pregel) matrix row over integer coreness
 // (see integers), over flat or bit-packed stores by env.PackedState.
+// A directed graph is refused: a vertex would hear from its
+// in-neighbors but count its out-neighbors.
 func kcorePregel(g *graph.Graph, _ Args, env Env) func() ([]int32, *bsp.Stats, error) {
 	if g.Directed {
-		return func() ([]int32, *bsp.Stats, error) { return nil, nil, errKCoreDirected }
+		return refuseDirected[int32](plan.EnginePregel)
 	}
 	prog := newKCoreProgram(g, env.PackedState)
 	eng := pregel.NewEngine[kcoreValue, kcoreMsg](g, prog, pregelConfig[kcoreMsg](env))

@@ -309,19 +309,19 @@ func replace(xs []float64, from, to float64) {
 
 // --- connected components ---
 
-// refuseDirected is every cc row's answer on a directed graph, given
-// before anything is pinned: min-label propagation along one edge
-// direction labels ancestors, not components, and the paper's Hash-Min
-// is an undirected algorithm. The async row refuses inside
-// async.PrepareSeeded with the same sentinel.
-func refuseDirected(engine string) func() ([]VertexID, *bsp.Stats, error) {
+// refuseDirected is every cc row's answer on a directed graph (and the
+// kcore row's), given before anything is pinned: min-label propagation
+// along one edge direction labels ancestors, not components, and the
+// paper's Hash-Min is an undirected algorithm. The async row refuses
+// inside async.PrepareSeeded with the same sentinel.
+func refuseDirected[T any](engine string) func() ([]T, *bsp.Stats, error) {
 	err := fmt.Errorf("%s: %w", engine, async.ErrDirected)
-	return func() ([]VertexID, *bsp.Stats, error) { return nil, nil, err }
+	return func() ([]T, *bsp.Stats, error) { return nil, nil, err }
 }
 
 func ccGAS(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, error) {
 	if g.Directed {
-		return refuseDirected(plan.EngineGAS)
+		return refuseDirected[VertexID](plan.EngineGAS)
 	}
 	return gasRun(g, gas.CCProgram(), env)
 }
@@ -332,7 +332,7 @@ func ccAsync(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, er
 
 func ccBlock(g *graph.Graph, _ Args, env Env) func() ([]VertexID, *bsp.Stats, error) {
 	if g.Directed {
-		return refuseDirected(plan.EngineBlockcentric)
+		return refuseDirected[VertexID](plan.EngineBlockcentric)
 	}
 	return blockRun(g, blockcentric.CCProgram(), env)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -65,6 +66,32 @@ func drawGraphs() map[string]*graph.Graph {
 	return out
 }
 
+// drawDirected draws two random directed graphs from a fixed stream,
+// weighted (SSSP). Only TestMatrixAgainstSeq walks them: every row
+// outside refusesDirected has a directed meaning and must match seq.
+func drawDirected() map[string]*graph.Graph {
+	rng := rand.New(rand.NewSource(20261017))
+	out := map[string]*graph.Graph{}
+	for _, n := range []int{64, 200} {
+		m, seed := n*(1+rng.Intn(4)), rng.Int63n(1<<30)
+		g := graph.RandomDirected(n, m, seed)
+		graph.RandomWeights(g, seed+1)
+		out[fmt.Sprintf("directed/n=%d/m=%d/seed=%d", n, m, seed)] = g
+	}
+	return out
+}
+
+// refusesDirected lists the rows that fail on a directed graph with
+// async.ErrDirected: the async and inc rows of cc and sssp pull over
+// out-spans, which are the in-neighborhood only on an undirected graph;
+// min-label cc on any engine labels ancestors rather than components;
+// and k-core would hear from in-neighbors but count out-neighbors.
+var refusesDirected = map[string][]string{
+	"cc":    {"async", EngineInc, "pregel", "gas", "blockcentric"},
+	"sssp":  {"async", EngineInc},
+	"kcore": {"pregel"},
+}
+
 // matrixCase is one algorithm's oracle on one graph: the arguments and
 // the answer.
 type matrixCase struct {
@@ -97,16 +124,17 @@ func sortedKeys(rows map[Key]Row) []Key {
 }
 
 func matrixCases(g *graph.Graph) map[string]matrixCase {
-	cc := floats(seq.Components(g, &seq.Ops{}))
-	dist := seq.Dijkstra(g, 0, &seq.Ops{})
-	return map[string]matrixCase{
+	cases := map[string]matrixCase{
 		// 200 folds is the fixpoint to 1e-14, so the fixed-iteration
 		// and the eps-converged rows share one oracle.
 		"pagerank": pageRankCase(g, 200, 1e-6),
-		"sssp":     {args: Args{Src: 0}, want: dist},
-		"cc":       {want: cc},
-		"kcore":    {want: floats(seq.KCore(g, &seq.Ops{}))},
+		"sssp":     {args: Args{Src: 0}, want: seq.Dijkstra(g, 0, &seq.Ops{})},
 	}
+	if !g.Directed { // every cc and kcore row refuses a directed graph
+		cases["cc"] = matrixCase{want: floats(seq.Components(g, &seq.Ops{}))}
+		cases["kcore"] = matrixCase{want: floats(seq.KCore(g, &seq.Ops{}))}
+	}
+	return cases
 }
 
 func checkValues(t *testing.T, got, want []float64, tol float64) {
@@ -123,7 +151,8 @@ func checkValues(t *testing.T, got, want []float64, tol float64) {
 
 // TestMatrixAgainstSeq walks every row of the engine matrix — so a new
 // row is tested by existing — over drawn graphs and compares it with
-// the sequential baselines.
+// the sequential baselines. On the directed draws it skips the rows
+// TestMatrixRefusesDirectedPull checks.
 func TestMatrixAgainstSeq(t *testing.T) {
 	rows := map[Key]Row{}
 	for key, row := range Matrix {
@@ -134,17 +163,24 @@ func TestMatrixAgainstSeq(t *testing.T) {
 	}
 	keys := sortedKeys(rows)
 	graphs := drawGraphs()
-	names := make([]string, 0, len(graphs))
-	for name := range graphs {
-		names = append(names, name)
+	var names []string // each draw sorted, the directed one last
+	for _, draw := range []map[string]*graph.Graph{graphs, drawDirected()} {
+		first := len(names)
+		for name, g := range draw {
+			graphs[name] = g
+			names = append(names, name)
+		}
+		sort.Strings(names[first:])
 	}
-	sort.Strings(names)
 	workers := 0
 	for _, name := range names {
 		g := graphs[name]
 		cases := matrixCases(g)
 		cases["pagerank/fixedk"] = pageRankCase(g, 20, 1e-12)
 		for _, key := range keys {
+			if g.Directed && slices.Contains(refusesDirected[key.Algo], key.Engine) {
+				continue
+			}
 			row := rows[key]
 			c, ok := cases[key.Algo]
 			if !ok {
@@ -187,19 +223,12 @@ func TestMatrixPinsReleased(t *testing.T) {
 	}
 }
 
-// TestMatrixRefusesDirectedPull: the async and inc rows of cc and sssp
-// pull over out-spans, which are the in-neighborhood only on an
-// undirected graph, and min-label cc on any engine labels ancestors
-// rather than components, so on a directed graph they fail — with
-// async.ErrDirected — and hold no pin. The auto cc path refuses
-// through the row it plans.
+// TestMatrixRefusesDirectedPull: every row in refusesDirected fails on
+// a directed graph with async.ErrDirected and holds no pin. The auto cc
+// path refuses through the row it plans.
 func TestMatrixRefusesDirectedPull(t *testing.T) {
 	g := graph.RandomDirected(200, 400, 1)
-	refuses := map[string][]string{
-		"cc":   {"async", EngineInc, "pregel", "gas", "blockcentric"},
-		"sssp": {"async", EngineInc},
-	}
-	for algo, engines := range refuses {
+	for algo, engines := range refusesDirected {
 		for _, engine := range engines {
 			_, _, err := Matrix[Key{algo, engine}](g, Args{Src: 0}, Env{})()
 			if !errors.Is(err, async.ErrDirected) {
