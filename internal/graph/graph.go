@@ -241,8 +241,10 @@ func (g *Graph) Neighbors(v VertexID) []VertexID {
 	return out
 }
 
-// EnsureIn builds the in-adjacency lists of a directed graph. It is a
-// no-op for undirected graphs or if already built.
+// EnsureIn builds the in-adjacency lists of a directed graph, each
+// ordered by source in Out order. It is a no-op for undirected graphs
+// or if already built. The rows are capacity-capped windows of one
+// exact-size buffer, so a later append to one row reallocates it.
 func (g *Graph) EnsureIn() {
 	if g.adopted != nil {
 		g.adopted.EnsureIn()
@@ -251,7 +253,22 @@ func (g *Graph) EnsureIn() {
 	if !g.Directed || g.In != nil {
 		return
 	}
+	at := make([]int, g.N()+1)
+	for u := range g.Out {
+		for _, e := range g.Out[u] {
+			at[e.Dst+1]++
+		}
+	}
+	for v := 1; v < len(at); v++ {
+		at[v] += at[v-1]
+	}
+	buf := make([]Edge, at[len(at)-1])
 	in := make([][]Edge, g.N())
+	for v := range in {
+		if at[v] < at[v+1] {
+			in[v] = buf[at[v]:at[v]:at[v+1]]
+		}
+	}
 	for u := range g.Out {
 		for _, e := range g.Out[u] {
 			in[e.Dst] = append(in[e.Dst], Edge{Dst: VertexID(u), W: e.W, L: e.L})
@@ -415,13 +432,18 @@ func (g *Graph) UndirectedEdges() []UndirectedEdge {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	sortUndirected(out)
 	return out
+}
+
+// sortUndirected sorts canonical edges by (U, V).
+func sortUndirected(es []UndirectedEdge) {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].U != es[j].U {
+			return es[i].U < es[j].U
+		}
+		return es[i].V < es[j].V
+	})
 }
 
 // Underlying returns the undirected graph obtained by forgetting edge

@@ -19,7 +19,9 @@ import (
 //
 // Lines starting with '#' and blank lines are ignored.
 
-// WriteEdgeList serializes g in the vcgraph edge-list format.
+// WriteEdgeList serializes g in the vcgraph edge-list format. It reads
+// adjacency through g.CSR(), so an adopted (.vcsr) graph writes its
+// edges too.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	dir := "undirected"
@@ -32,26 +34,22 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 			fmt.Fprintf(bw, "v %d %s\n", v, l)
 		}
 	}
-	emit := func(u, v VertexID, wt float64, l string) {
-		if l == "" {
-			fmt.Fprintf(bw, "e %d %d %g\n", u, v, wt)
-		} else {
-			fmt.Fprintf(bw, "e %d %d %g %s\n", u, v, wt, l)
-		}
-	}
-	if g.Directed {
-		for u := range g.Out {
-			for _, e := range g.Out[u] {
-				emit(VertexID(u), e.Dst, e.W, e.L)
+	c := g.CSR()
+	var row []Edge
+	var line []byte
+	for u := 0; u < c.N(); u++ {
+		row = c.AppendOutEdges(row[:0], VertexID(u))
+		for _, e := range row {
+			if !g.Directed && VertexID(u) > e.Dst {
+				continue
 			}
-		}
-	} else {
-		for u := range g.Out {
-			for _, e := range g.Out[u] {
-				if VertexID(u) <= e.Dst {
-					emit(VertexID(u), e.Dst, e.W, e.L)
-				}
+			line = appendArc(append(line[:0], "e "...), VertexID(u), " ", e.Dst)
+			line = strconv.AppendFloat(append(line, ' '), e.W, 'g', -1, 64)
+			if e.L != "" {
+				line = append(append(line, ' '), e.L...)
 			}
+			line = append(line, '\n')
+			bw.Write(line)
 		}
 	}
 	return bw.Flush()
@@ -59,12 +57,12 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 
 // WriteDOT serializes g in Graphviz DOT format for visualization:
 // vertex labels become node labels, weights become edge labels (only
-// when not 1).
+// when not 1). Like WriteEdgeList it reads adjacency through g.CSR().
 func WriteDOT(w io.Writer, g *Graph, name string) error {
 	bw := bufio.NewWriter(w)
-	kind, sep := "graph", "--"
+	kind, sep := "graph", " -- "
 	if g.Directed {
-		kind, sep = "digraph", "->"
+		kind, sep = "digraph", " -> "
 	}
 	if name == "" {
 		name = "vcgraph"
@@ -75,26 +73,40 @@ func WriteDOT(w io.Writer, g *Graph, name string) error {
 			fmt.Fprintf(bw, "  %d [label=%q];\n", v, fmt.Sprintf("%d:%s", v, l))
 		}
 	}
+	var line []byte
 	emit := func(u, v VertexID, wt float64) {
+		line = appendArc(append(line[:0], "  "...), u, sep, v)
 		if wt != 1 {
-			fmt.Fprintf(bw, "  %d %s %d [label=\"%g\"];\n", u, sep, v, wt)
-		} else {
-			fmt.Fprintf(bw, "  %d %s %d;\n", u, sep, v)
+			line = append(strconv.AppendFloat(append(line, ` [label="`...), wt, 'g', -1, 64), "\"]"...)
 		}
+		line = append(line, ";\n"...)
+		bw.Write(line)
 	}
-	if g.Directed {
-		for u := range g.Out {
-			for _, e := range g.Out[u] {
+	c := g.CSR()
+	var row []Edge
+	var und []UndirectedEdge
+	for u := 0; u < c.N(); u++ {
+		row = c.AppendOutEdges(row[:0], VertexID(u))
+		for _, e := range row {
+			if g.Directed {
 				emit(VertexID(u), e.Dst, e.W)
+			} else if VertexID(u) <= e.Dst {
+				und = append(und, UndirectedEdge{U: VertexID(u), V: e.Dst, W: e.W})
 			}
 		}
-	} else {
-		for _, e := range g.UndirectedEdges() {
-			emit(e.U, e.V, e.W)
-		}
+	}
+	sortUndirected(und)
+	for _, e := range und {
+		emit(e.U, e.V, e.W)
 	}
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()
+}
+
+// appendArc appends "u<sep>v" to b.
+func appendArc(b []byte, u VertexID, sep string, v VertexID) []byte {
+	b = strconv.AppendInt(b, int64(u), 10)
+	return strconv.AppendInt(append(b, sep...), int64(v), 10)
 }
 
 // finite reports whether a parsed edge weight is usable: the file

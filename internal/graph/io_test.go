@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -164,6 +165,38 @@ func TestWriteDOT(t *testing.T) {
 	for _, want := range []string{`digraph "vcgraph"`, "0 -> 1", `label="0:A"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DOT missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestWritersReadAdoptedGraphs: a graph opened from a .vcsr file has no
+// Out rows, so the writers must read its adjacency through the CSR and
+// print what the graph it was written from prints.
+func TestWritersReadAdoptedGraphs(t *testing.T) {
+	undirected := RandomConnected(80, 240, 3)
+	RandomWeights(undirected, 4)
+	directed := RandomDirected(60, 300, 5)
+	RandomWeights(directed, 6)
+	for name, g := range map[string]*Graph{"undirected": undirected, "directed": directed} {
+		adopted, err := OpenCSRFile(writeTempVCSR(t, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer adopted.Close()
+		for _, write := range []func(io.Writer, *Graph) error{
+			WriteEdgeList,
+			func(w io.Writer, g *Graph) error { return WriteDOT(w, g, name) },
+		} {
+			var want, got bytes.Buffer
+			if err := write(&want, g); err != nil {
+				t.Fatal(err)
+			}
+			if err := write(&got, adopted); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s: adopted graph wrote %d bytes, want %d", name, got.Len(), want.Len())
+			}
 		}
 	}
 }

@@ -2,10 +2,12 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // SNAPOptions control ReadSNAP's parsing policy. The zero value matches
@@ -34,82 +36,194 @@ type SNAPOptions struct {
 // are arbitrary tokens — LiveJournal-style integer IDs with gaps, or
 // strings — interned to dense VertexIDs deterministically in first-
 // appearance order (left field before right, line order), so the same
-// file always produces the same graph. Adjacency is sorted before
-// returning (the deterministic order the algorithms assume, and the
-// order under which the packed encoding compresses best); for directed
-// graphs the in-adjacency is built.
+// file always produces the same graph. Adjacency is sorted by
+// destination (the deterministic order the algorithms assume, and the
+// order under which the packed encoding compresses best), with parallel
+// edges in line order; for directed graphs the in-adjacency is built.
+//
+// The reader works on the scanner's line bytes: no string per line or
+// per known token, one per vertex. Edges are collected as parallel
+// source/destination arrays and laid out with two stable counting
+// sorts, so no comparison sort and no per-edge map runs, and every row
+// is a capacity-capped window of one exact-size []Edge.
 func ReadSNAP(r io.Reader, opt SNAPOptions) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	intern := make(map[string]VertexID)
 	var labels []string
-	id := func(tok string) VertexID {
-		if v, ok := intern[tok]; ok {
+	id := func(tok []byte) VertexID {
+		if v, ok := intern[string(tok)]; ok { // the lookup does not copy tok
 			return v
 		}
+		s := string(tok)
 		v := VertexID(len(intern))
-		intern[tok] = v
+		intern[s] = v
 		if opt.KeepIDs {
-			labels = append(labels, tok)
+			labels = append(labels, s)
 		}
 		return v
 	}
-	type pair struct {
-		u, v VertexID
-		w    float64
-	}
-	var edges []pair
-	var seen map[[2]VertexID]struct{}
-	if !opt.KeepDuplicates {
-		seen = make(map[[2]VertexID]struct{})
-	}
+	var src, dst []VertexID
+	var wts []float64 // nil while every weight is 1
+	var f [3][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
+		nf := snapFields(sc.Bytes(), &f)
+		if nf == 0 || f[0][0] == '#' || f[0][0] == '%' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("graph: snap line %d: want 'src dst [weight]', got %d fields", line, len(fields))
+		if nf < 2 || nf > 3 {
+			return nil, fmt.Errorf("graph: snap line %d: want 'src dst [weight]', got %d fields", line, nf)
 		}
 		w := 1.0
-		if len(fields) == 3 {
+		if nf == 3 {
 			var err error
-			if w, err = strconv.ParseFloat(fields[2], 64); err != nil || !finite(w) {
-				return nil, fmt.Errorf("graph: snap line %d: bad weight %q", line, fields[2])
+			if w, err = strconv.ParseFloat(string(f[2]), 64); err != nil || !finite(w) {
+				return nil, fmt.Errorf("graph: snap line %d: bad weight %q", line, f[2])
 			}
 		}
-		u, v := id(fields[0]), id(fields[1])
+		u, v := id(f[0]), id(f[1])
 		if u == v && !opt.KeepSelfLoops {
 			continue
 		}
-		if seen != nil {
-			k := [2]VertexID{u, v}
-			if !opt.Directed && u > v {
-				k = [2]VertexID{v, u}
-			}
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
+		if len(src) == math.MaxInt32/2 {
+			return nil, fmt.Errorf("graph: snap line %d: more than %d edges", line, len(src))
 		}
-		edges = append(edges, pair{u, v, w})
+		if w != 1 && wts == nil {
+			wts = make([]float64, len(src), cap(src))
+			for i := range wts {
+				wts[i] = 1
+			}
+		}
+		src, dst = append(src, u), append(dst, v)
+		if wts != nil {
+			wts = append(wts, w)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	g := New(len(intern), opt.Directed)
+	g := snapGraph(len(intern), src, dst, wts, opt)
 	if opt.KeepIDs {
 		g.Labels = labels
 	}
-	for _, e := range edges {
-		g.AddWeightedEdge(e.u, e.v, e.w)
-	}
-	g.SortAdjacency()
-	if g.Directed {
-		g.EnsureIn() // after the sort: parallel edges must keep the CSR transpose's order
-	}
 	return g, nil
+}
+
+// snapFields stores the first three whitespace-separated fields of b in
+// f and returns how many fields b holds in all. An ASCII line is split
+// in place; a line with any byte ≥ 0x80 goes through bytes.Fields, so
+// every Unicode space (unicode.IsSpace) separates fields there too.
+func snapFields(b []byte, f *[3][]byte) int {
+	n, start := 0, -1
+	for i, c := range b {
+		if c >= utf8.RuneSelf {
+			fs := bytes.Fields(b)
+			copy(f[:], fs)
+			return len(fs)
+		}
+		if c == ' ' || c-'\t' <= '\r'-'\t' {
+			if start >= 0 {
+				if n < len(f) {
+					f[n] = b[start:i]
+				}
+				n, start = n+1, -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = b[start:]
+		}
+		n++
+	}
+	return n
+}
+
+// snapGraph lays out the edges (src[i], dst[i], wts[i]) of an n-vertex
+// graph. Arc 2i reads edge i forward and, on an undirected graph, arc
+// 2i+1 reads it backward (a self-loop has only its forward arc). A
+// stable counting sort of the arcs by destination, then one by source,
+// leaves each row sorted by destination with parallel arcs in line
+// order. Unless opt.KeepDuplicates, the first arc of each run of equal
+// destinations is kept and the rest dropped: both rows of an undirected
+// pair see the same edges in the same order, so they agree, and the
+// first line's weight wins.
+func snapGraph(n int, src, dst []VertexID, wts []float64, opt SNAPOptions) *Graph {
+	g := New(n, opt.Directed)
+	arcDst := func(a uint32) VertexID {
+		if a&1 == 0 {
+			return dst[a>>1]
+		}
+		return src[a>>1]
+	}
+	at := make([]int32, n+1)
+	count := func(ends, others []VertexID) {
+		clear(at)
+		for i, e := range ends {
+			at[e+1]++
+			if !opt.Directed && e != others[i] {
+				at[others[i]+1]++
+			}
+		}
+		for v := 0; v < n; v++ {
+			at[v+1] += at[v]
+		}
+	}
+	count(dst, src)
+	byDst := make([]uint32, at[n])
+	for i := range src {
+		byDst[at[dst[i]]] = uint32(2 * i)
+		at[dst[i]]++
+		if !opt.Directed && src[i] != dst[i] {
+			byDst[at[src[i]]] = uint32(2*i + 1)
+			at[src[i]]++
+		}
+	}
+	count(src, dst)
+	rows := make([]uint32, len(byDst))
+	for _, a := range byDst {
+		s := arcDst(a ^ 1) // a's source: a^1 reads the edge the other way
+		rows[at[s]] = a
+		at[s]++
+	}
+	// at[v] now ends row v.
+	if !opt.KeepDuplicates {
+		k, lo := 0, int32(0)
+		for v := 0; v < n; v++ {
+			prev := NoVertex
+			for _, a := range rows[lo:at[v]] {
+				if d := arcDst(a); d != prev {
+					rows[k], prev = a, d
+					k++
+				}
+			}
+			lo, at[v] = at[v], int32(k)
+		}
+		rows = rows[:k]
+	}
+	buf := make([]Edge, len(rows))
+	for k, a := range rows {
+		buf[k] = Edge{Dst: arcDst(a), W: 1}
+		if wts != nil {
+			buf[k].W = wts[a>>1]
+		}
+		if a&1 == 0 {
+			g.numEdges++
+		}
+	}
+	lo := int32(0)
+	for v := range g.Out {
+		if hi := at[v]; hi > lo {
+			g.Out[v] = buf[lo:hi:hi]
+			lo = hi
+		}
+	}
+	if g.Directed {
+		g.EnsureIn()
+	}
+	return g
 }
