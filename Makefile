@@ -38,8 +38,9 @@ cover:
 	@$(GO) tool cover -func=$(COVERPROFILE) | awk '/^total:/ { pct = $$3; sub("%", "", pct); if (pct + 0 < 70) { printf "FAIL: total coverage %s below the 70%% floor\n", $$3; exit 1 } printf "total coverage %s (floor 70%%)\n", $$3 }'
 
 # Ten seconds of coverage-guided fuzzing per target: the generators,
-# CSR build, the mutation script, the varint codec, the SNAP parser (alone
-# and against its reference) and the pregel mailbox.
+# CSR build, the mutation script, the varint codec (and its block decoder
+# against its reference), the SNAP parser (alone and against its
+# reference) and the pregel mailbox.
 # The f.Add seed corpora also run on every plain `go test`.
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzRandom$$' -fuzztime=10s -run='^$$' ./internal/graph
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzCSRBuild$$' -fuzztime=10s -run='^$$' ./internal/graph
 	$(GO) test -fuzz='FuzzMutationScript$$' -fuzztime=10s -run='^$$' ./internal/vc
 	$(GO) test -fuzz='FuzzVarintBlockCodec$$' -fuzztime=10s -run='^$$' ./internal/graph
+	$(GO) test -fuzz='FuzzDecodeEdgeBlockMatchesReference$$' -fuzztime=10s -run='^$$' ./internal/graph
 	$(GO) test -fuzz='FuzzReadSNAP$$' -fuzztime=10s -run='^$$' ./internal/graph
 	$(GO) test -fuzz='FuzzReadSNAPMatchesReference$$' -fuzztime=10s -run='^$$' ./internal/graph
 	$(GO) test -fuzz='FuzzMailbox$$' -fuzztime=10s -run='^$$' ./internal/runtime

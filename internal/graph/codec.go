@@ -97,13 +97,40 @@ func edgeBlockLenBytes(src []VertexID) int {
 // accumulation wraps in int32, mirroring the encoder's wrapping
 // subtraction, so the codec is total: every int32 sequence round-trips
 // exactly, including MinInt32/MaxInt32 jumps.
+//
+// While a worst-case varint still fits in data, each entry is read from
+// a fixed 5-byte window with no per-byte bounds or truncation check;
+// only the last few entries of a block take the checked byte loop, so
+// truncation can only be detected there.
 func decodeEdgeBlock(data []byte, count int, out *[edgeBlockLen]VertexID) (int, error) {
 	if count < 0 || count > edgeBlockLen {
 		return 0, fmt.Errorf("%w: count %d out of range", errCorruptBlock, count)
 	}
-	pos := 0
+	pos, i := 0, 0
 	prev := int32(0)
-	for i := 0; i < count; i++ {
+	for ; i < count && pos+maxVarintLen32 <= len(data); i++ {
+		w := (*[maxVarintLen32]byte)(data[pos : pos+maxVarintLen32])
+		u, n := uint32(w[0]), 1
+		if u >= 0x80 {
+			u, n = u&0x7f|uint32(w[1]&0x7f)<<7, 2
+			if w[1] >= 0x80 {
+				u, n = u|uint32(w[2]&0x7f)<<14, 3
+				if w[2] >= 0x80 {
+					u, n = u|uint32(w[3]&0x7f)<<21, 4
+					if w[3] >= 0x80 {
+						if w[4] > 0x0f {
+							return 0, fmt.Errorf("%w: varint overflow at entry %d", errCorruptBlock, i)
+						}
+						u, n = u|uint32(w[4])<<28, 5
+					}
+				}
+			}
+		}
+		pos += n
+		prev += unzigzag(u)
+		out[i] = VertexID(prev)
+	}
+	for ; i < count; i++ {
 		var u uint32
 		var shift uint
 		for {
@@ -176,42 +203,41 @@ func (p *packedEdges) blockCount(b int) int {
 	return min(edgeBlockLen, int(p.n)-lo)
 }
 
-// mustDecodeBlock decodes block b into out. Corruption is impossible
-// for streams built by packEdges and is checked at load time for
-// mmap-backed streams, so failure here is a program bug.
-func (p *packedEdges) mustDecodeBlock(b int, out *[edgeBlockLen]VertexID) int {
-	cnt := p.blockCount(b)
-	if _, err := decodeEdgeBlock(p.block(b), cnt, out); err != nil {
+// mustDecodePrefix decodes the first k entries of block b into out.
+// Corruption is impossible for streams built by packEdges and is
+// checked at load time for mmap-backed streams, so failure here is a
+// program bug.
+func (p *packedEdges) mustDecodePrefix(b, k int, out *[edgeBlockLen]VertexID) {
+	if _, err := decodeEdgeBlock(p.block(b), k, out); err != nil {
 		panic(err)
 	}
-	return cnt
 }
 
 // at returns entry i, decoding its block prefix. O(edgeBlockLen): meant
 // for cold random access (mutation-overlay scans), not hot loops.
 func (p *packedEdges) at(i int32) VertexID {
-	b := int(i) / edgeBlockLen
-	k := int(i)%edgeBlockLen + 1
 	var buf [edgeBlockLen]VertexID
-	if _, err := decodeEdgeBlock(p.block(b), k, &buf); err != nil {
-		panic(err)
-	}
+	k := int(i)%edgeBlockLen + 1
+	p.mustDecodePrefix(int(i)/edgeBlockLen, k, &buf)
 	return buf[k-1]
 }
 
+// rangeBlock decodes the part of block b that the range [lo, hi) needs
+// into buf — the block's prefix up to the range's last entry in it —
+// and returns that part's bounds [s, e) within the block.
+func (p *packedEdges) rangeBlock(b int, lo, hi int32, buf *[edgeBlockLen]VertexID) (s, e int32) {
+	first := int32(b) * edgeBlockLen
+	s, e = max(lo-first, 0), min(hi-first, edgeBlockLen)
+	p.mustDecodePrefix(b, int(e), buf)
+	return s, e
+}
+
 // appendRange appends entries [lo, hi) to dst and returns it: the
-// span-decode primitive behind CSR.OutSpan/InSpan.
+// span decode behind Out/In and the Scratch-less readers.
 func (p *packedEdges) appendRange(dst []VertexID, lo, hi int32) []VertexID {
 	var buf [edgeBlockLen]VertexID
-	for b := int(lo) / edgeBlockLen; int32(b)*edgeBlockLen < hi; b++ {
-		cnt := p.mustDecodeBlock(b, &buf)
-		s, e := 0, cnt
-		if blo := int32(b) * edgeBlockLen; blo < lo {
-			s = int(lo - blo)
-		}
-		if blo := int32(b) * edgeBlockLen; blo+int32(cnt) > hi {
-			e = int(hi - blo)
-		}
+	for b := int(lo) / edgeBlockLen; lo < hi && int32(b)*edgeBlockLen < hi; b++ {
+		s, e := p.rangeBlock(b, lo, hi, &buf)
 		dst = append(dst, buf[s:e]...)
 	}
 	return dst
@@ -221,20 +247,56 @@ func (p *packedEdges) appendRange(dst []VertexID, lo, hi int32) []VertexID {
 // block by block into a stack buffer: zero heap allocation.
 func (p *packedEdges) forEachRange(lo, hi int32, f func(i int32, d VertexID)) {
 	var buf [edgeBlockLen]VertexID
-	for b := int(lo) / edgeBlockLen; int32(b)*edgeBlockLen < hi; b++ {
-		cnt := p.mustDecodeBlock(b, &buf)
-		blo := int32(b) * edgeBlockLen
-		s, e := int32(0), int32(cnt)
-		if blo < lo {
-			s = lo - blo
-		}
-		if blo+int32(cnt) > hi {
-			e = hi - blo
-		}
+	for b := int(lo) / edgeBlockLen; lo < hi && int32(b)*edgeBlockLen < hi; b++ {
+		s, e := p.rangeBlock(b, lo, hi, &buf)
+		first := int32(b) * edgeBlockLen
 		for i := s; i < e; i++ {
-			f(blo+i, buf[i])
+			f(first+i, buf[i])
 		}
 	}
+}
+
+// blockCache holds the last block a Scratch decoded from one stream, so
+// a worker sweeping vertices in ascending order decodes every block of
+// the stream once instead of once per span that touches it. It is keyed
+// on the stream pointer as well as the block index: one Scratch read
+// against two snapshots, a DeltaCSR and its base, or the out- and
+// in-streams of a directed graph never serves a stale block.
+type blockCache struct {
+	p   *packedEdges // stream buf was decoded from; nil when empty
+	b   int          // block index within p
+	buf [edgeBlockLen]VertexID
+}
+
+// load makes c hold block b of p, decoding only on a miss.
+func (c *blockCache) load(p *packedEdges, b int) {
+	if c.p != p || c.b != b {
+		p.mustDecodePrefix(b, p.blockCount(b), &c.buf)
+		c.p, c.b = p, b
+	}
+}
+
+// span returns entries [lo, hi) of p through the cache. A span inside
+// one block is a capacity-capped view of the cache, so appending to it
+// reallocates instead of overwriting the block; a span crossing blocks
+// is assembled in *asm, which keeps its grown capacity.
+func (c *blockCache) span(p *packedEdges, asm *[]VertexID, lo, hi int32) []VertexID {
+	if lo == hi {
+		return nil
+	}
+	b := int(lo) / edgeBlockLen
+	first := int32(b) * edgeBlockLen
+	if hi-first <= edgeBlockLen {
+		c.load(p, b)
+		return c.buf[lo-first : hi-first : hi-first]
+	}
+	dst := (*asm)[:0]
+	for ; first < hi; b, first = b+1, first+edgeBlockLen {
+		c.load(p, b)
+		dst = append(dst, c.buf[max(lo-first, 0):min(hi-first, edgeBlockLen)]...)
+	}
+	*asm = dst
+	return dst
 }
 
 // validate decodes every block once, proving that later internal

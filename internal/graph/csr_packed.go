@@ -2,24 +2,34 @@ package graph
 
 // Scratch is a worker-local decode buffer for reading adjacency spans
 // off a packed snapshot without per-call allocation. Each engine worker
-// (or sequential context) owns one; OutSpan and InSpan decode into
-// separate buffers so one out-span and one in-span can be live at the
-// same time (the async PageRank update holds both). A span returned
+// (or sequential context) owns one; OutSpan and InSpan read through
+// separate block caches and buffers, so one out-span and one in-span
+// can be live at the same time (the async PageRank update holds both).
+// Each cache keeps the last block it decoded, so a worker sweeping its
+// vertices in ascending order decodes every block once. A span returned
 // from OutSpan/InSpan is valid until the same method is called again on
 // the same Scratch, and must never be written to or retained: on a flat
-// snapshot it aliases the snapshot itself. A DeltaCSR assembles the
-// spans of the vertices its overlay touches in the same buffers, and
-// their weight spans in a third.
+// snapshot it aliases the snapshot itself, on a packed one it may be a
+// view of the cache. A DeltaCSR assembles the spans of the vertices its
+// overlay touches in the same buffers, and their weight spans in a
+// third.
 type Scratch struct {
 	out []VertexID
 	in  []VertexID
 	w   []float64
+	oc  blockCache // OutSpan's last decoded block
+	ic  blockCache // InSpan's last decoded block
 }
+
+// Reset empties both block caches, so a pooled Scratch keeps no
+// snapshot's stream reachable; the grown buffers stay.
+func (s *Scratch) Reset() { s.oc.p, s.ic.p = nil, nil }
 
 // OutSpan returns v's out-neighbor span in adjacency order. On a flat
 // snapshot it aliases the snapshot (identical to Out, zero cost and s
-// may be nil); on a packed snapshot it decodes into s's out buffer —
-// allocation-free once the buffer has grown to the graph's max degree.
+// may be nil); on a packed snapshot it reads through s's out cache —
+// allocation-free once the out buffer has grown to the graph's max
+// degree.
 func (c *CSR) OutSpan(v VertexID, s *Scratch) []VertexID {
 	lo, hi := c.Offsets[v], c.Offsets[v+1]
 	if c.packed == nil {
@@ -28,15 +38,14 @@ func (c *CSR) OutSpan(v VertexID, s *Scratch) []VertexID {
 	if s == nil {
 		return c.Out(v)
 	}
-	s.out = c.packed.appendRange(s.out[:0], lo, hi)
-	return s.out
+	return s.oc.span(c.packed, &s.out, lo, hi)
 }
 
 // InSpan returns v's in-neighbor (source) span, ordered by source
-// ascending, under the same contract as OutSpan but decoding into a
-// separate buffer. EnsureIn must have been called for directed graphs;
-// for undirected graphs the in-span is the out-span (decoded into the
-// in buffer, so it can coexist with an OutSpan).
+// ascending, under the same contract as OutSpan but through a separate
+// cache and buffer. EnsureIn must have been called for directed graphs;
+// for undirected graphs the in-span is the out-span (read through the
+// in cache, so it can coexist with an OutSpan).
 func (c *CSR) InSpan(v VertexID, s *Scratch) []VertexID {
 	var lo, hi int32
 	var p *packedEdges
@@ -56,8 +65,7 @@ func (c *CSR) InSpan(v VertexID, s *Scratch) []VertexID {
 	if s == nil {
 		return c.In(v)
 	}
-	s.in = p.appendRange(s.in[:0], lo, hi)
-	return s.in
+	return s.ic.span(p, &s.in, lo, hi)
 }
 
 // BuildPackedCSR builds a packed CSR snapshot of g: identical to

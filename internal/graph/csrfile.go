@@ -214,7 +214,7 @@ func parseVCSR(buf []byte) (*Graph, error) {
 	}
 	// Structural validation: offsets monotone and spanning entries,
 	// every block decodable, every destination in range. After this the
-	// trusted-stream decoders (mustDecodeBlock) cannot fail.
+	// trusted-stream decoders (mustDecodePrefix) cannot fail.
 	if c.Offsets[0] != 0 || c.Offsets[n] != int32(entries) {
 		return nil, vcsrErr("offsets do not span [0, %d]", entries)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -96,8 +97,16 @@ func ReadSNAP(r io.Reader, opt SNAPOptions) (*Graph, error) {
 				wts[i] = 1
 			}
 		}
+		// Double when full: append's 1.25x growth for large slices
+		// would reallocate each array about five times over.
+		if len(src) == cap(src) {
+			src, dst = slices.Grow(src, len(src)), slices.Grow(dst, len(dst))
+		}
 		src, dst = append(src, u), append(dst, v)
 		if wts != nil {
+			if len(wts) == cap(wts) {
+				wts = slices.Grow(wts, len(wts))
+			}
 			wts = append(wts, w)
 		}
 	}

@@ -628,8 +628,10 @@ func (c *Context[V, M]) OutDegree() int {
 }
 
 // ForEachOut calls f for every current out-edge in adjacency order.
-// For unmutated vertices it iterates the CSR snapshot without
-// allocating.
+// For unmutated vertices it iterates the CSR span without allocating,
+// reading a packed snapshot through the worker's Scratch. f may call
+// SendToNeighbors: its OutSpan on the same Scratch is the same vertex's
+// span, so it rewrites the span being walked with the same values.
 func (c *Context[V, M]) ForEachOut(f func(dst VertexID, w float64)) {
 	e := c.engine
 	if e.mutated[c.id] {
@@ -638,7 +640,17 @@ func (c *Context[V, M]) ForEachOut(f func(dst VertexID, w float64)) {
 		}
 		return
 	}
-	e.csr.ForEachOut(c.id, f)
+	dsts := e.csr.OutSpan(c.id, e.scratch[c.worker])
+	ws := e.csr.OutWeights(c.id)
+	if ws == nil {
+		for _, d := range dsts {
+			f(d, 1)
+		}
+		return
+	}
+	for i, d := range dsts {
+		f(d, ws[i])
+	}
 }
 
 // InEdges returns the vertex's in-edges for directed graphs

@@ -19,10 +19,12 @@ var scratchPool = sync.Pool{New: func() any { return new(graph.Scratch) }}
 // GetScratch leases one span-decode buffer from the shared pool.
 func GetScratch() *graph.Scratch { return scratchPool.Get().(*graph.Scratch) }
 
-// PutScratch returns a leased buffer to the pool. The caller must not
-// hold any span decoded into it afterwards.
+// PutScratch returns a leased buffer to the pool with its block caches
+// emptied, so the pool keeps no closed graph's stream reachable. The
+// caller must not hold any span decoded into it afterwards.
 func PutScratch(s *graph.Scratch) {
 	if s != nil {
+		s.Reset()
 		scratchPool.Put(s)
 	}
 }
