@@ -72,19 +72,12 @@ type Engine[V, M any] struct {
 	stats  *bsp.Stats
 	driver *rt.Driver[*bcSnapshot[V, M]]
 
-	// Per block: pending holds the messages for the block's next
-	// superstep in arrival order — its own local sends first, then
-	// boundary lanes in source-block order — and is the barrier state a
-	// checkpoint frame copies; inbox buckets them by recipient when the
-	// block wakes; outbox holds the boundary sends of the running
-	// superstep; ctx is the BlockContext handed to ComputeBlock. All keep
-	// their capacity across supersteps, and the growable buffers across
-	// runs: lanes are the pool leases they came from (see lane).
-	pending [][]addr[M]
-	inbox   []Inbox[M]
-	outbox  [][]addr[M]
-	ctx     []BlockContext[V, M]
-	lanes   []*lane[M]
+	// ctx holds each block's BlockContext, the state its goroutine
+	// writes on every send, in its own PerWorker slot. Its growable
+	// buffers keep their capacity across supersteps, and across runs:
+	// lanes are the pool leases they came from (see lane).
+	ctx   []rt.Padded[BlockContext[V, M]]
+	lanes []*lane[M]
 
 	// dirtyBlocks marks the blocks whose state diverged from the last
 	// checkpoint frame: a block is dirty once it computes (values, halt
@@ -254,10 +247,7 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		local:      make([]int32, n),
 		values:     make([]V, n),
 		halted:     make([]bool, nb),
-		pending:    make([][]addr[M], nb),
-		inbox:      make([]Inbox[M], nb),
-		outbox:     make([][]addr[M], nb),
-		ctx:        make([]BlockContext[V, M], nb),
+		ctx:        rt.PerWorker[BlockContext[V, M]](nb),
 		lanes:      make([]*lane[M], nb),
 		stats:      &bsp.Stats{Workers: nb, N: n},
 		inboxLocal: make([]int64, nb),
@@ -272,18 +262,19 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 			l = new(lane[M])
 		}
 		e.lanes[b] = l
-		e.pending[b], e.outbox[b] = l.pending[:0], l.outbox[:0]
-		e.inbox[b] = Inbox[M]{
-			local: e.local,
-			slot:  make([]struct{ at, n int32 }, len(blk)),
-			verts: l.verts[:0],
-			msgs:  l.msgs[:0],
-		}
-		e.ctx[b] = BlockContext[V, M]{
-			engine: e,
-			block:  b,
-			marks:  make([]uint64, (len(blk)+63)/64),
-			marked: l.marked[:0],
+		e.ctx[b].V = BlockContext[V, M]{
+			engine:  e,
+			block:   b,
+			marks:   make([]uint64, (len(blk)+63)/64),
+			marked:  l.marked[:0],
+			pending: l.pending[:0],
+			outbox:  l.outbox[:0],
+			inbox: Inbox[M]{
+				local: e.local,
+				slot:  make([]struct{ at, n int32 }, len(blk)),
+				verts: l.verts[:0],
+				msgs:  l.msgs[:0],
+			},
 		}
 	}
 	e.dirtyBlocks = make([]bool, nb)
@@ -336,17 +327,21 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 func (e *Engine[V, M]) putLanes() {
 	pool := lanePool[M]()
 	for b, l := range e.lanes {
+		c := e.block(b)
 		*l = lane[M]{
-			pending: e.pending[b][:0],
-			outbox:  e.outbox[b][:0],
-			msgs:    e.inbox[b].msgs[:0],
-			verts:   e.inbox[b].verts[:0],
-			marked:  e.ctx[b].marked[:0],
+			pending: c.pending[:0],
+			outbox:  c.outbox[:0],
+			msgs:    c.inbox.msgs[:0],
+			verts:   c.inbox.verts[:0],
+			marked:  c.marked[:0],
 		}
 		pool.Put(l)
 	}
-	e.lanes, e.pending, e.outbox, e.inbox, e.ctx = nil, nil, nil, nil, nil
+	e.lanes, e.ctx = nil, nil
 }
+
+// block returns block b's context.
+func (e *Engine[V, M]) block(b int) *BlockContext[V, M] { return &e.ctx[b].V }
 
 // Quiescent implements runtime.Policy: every block halted with no
 // boundary messages in flight.
@@ -386,8 +381,9 @@ func (e *Engine[V, M]) Snapshot(full bool) *bcSnapshot[V, M] {
 		ck.inboxLocal[i] = e.inboxLocal[b]
 		// The inboxes are idle at the barrier: bucket the pending list
 		// through the block's own to take the frame.
-		in := &e.inbox[b]
-		in.fill(e.pending[b])
+		c := e.block(b)
+		in := &c.inbox
+		in.fill(c.pending)
 		f := inboxFrame[M]{
 			verts: slices.Clone(in.verts),
 			n:     make([]int32, len(in.verts)),
@@ -429,7 +425,8 @@ func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int) {
 		rt.RestoreValuesAt(e.prog, e.values, ck.blockVals[i], e.blocks[b])
 		e.halted[b] = h
 		e.inboxLocal[b] = ck.inboxLocal[i]
-		f, p := ck.inbox[i], e.pending[b][:0]
+		c := e.block(b)
+		f, p := ck.inbox[i], c.pending[:0]
 		k := int32(0)
 		for j, v := range f.verts {
 			for _, m := range f.msgs[k : k+f.n[j]] {
@@ -437,8 +434,8 @@ func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int) {
 			}
 			k += f.n[j]
 		}
-		e.pending[b] = p
-		e.outbox[b] = e.outbox[b][:0]
+		c.pending = p
+		c.outbox = c.outbox[:0]
 	}
 }
 
@@ -452,12 +449,13 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 	// Frontier: members of the blocks that will wake this superstep —
 	// the block-granular activity signal the adaptive planner reads.
 	for b := 0; b < nb; b++ {
-		if !(e.halted[b] && len(e.pending[b]) == 0 && superstep > 0) {
+		if !(e.halted[b] && len(e.block(b).pending) == 0 && superstep > 0) {
 			ss.Frontier += int64(len(e.blocks[b]))
 		}
 	}
 	e.driver.Lease().Run(func(b int) {
-		if e.halted[b] && len(e.pending[b]) == 0 && superstep > 0 {
+		ctx := e.block(b)
+		if e.halted[b] && len(ctx.pending) == 0 && superstep > 0 {
 			return
 		}
 		// Computing mutates the block's values, halt flag, and pending
@@ -469,14 +467,13 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 		// Locally-pulled messages never crossed a block boundary; Recv
 		// reports boundary traffic only (the h term the cost model
 		// charges). inboxLocal is zero when pull is off.
-		ss.Recv[b] = int64(len(e.pending[b])) - e.inboxLocal[b]
-		in := &e.inbox[b]
-		in.fill(e.pending[b])
+		ss.Recv[b] = int64(len(ctx.pending)) - e.inboxLocal[b]
+		in := &ctx.inbox
+		in.fill(ctx.pending)
 		// The pending list is consumed: a pulling block's local sends
 		// append to it during ComputeBlock — no shared outbox, no
 		// boundary exchange, no in-transit window for fault injection.
-		e.pending[b] = e.pending[b][:0]
-		ctx := &e.ctx[b]
+		ctx.pending = ctx.pending[:0]
 		ctx.superstep, ctx.sent, ctx.work, ctx.halt = superstep, 0, 0, false
 		e.prog.ComputeBlock(ctx, in)
 		in.reset()
@@ -486,7 +483,7 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 		}
 		ss.Work[b] = ctx.work + 1
 		ss.Sent[b] = ctx.sent
-		e.inboxLocal[b] = int64(len(e.pending[b]))
+		e.inboxLocal[b] = int64(len(ctx.pending))
 	})
 
 	// Deliver boundary messages. Locally-pulled deliveries still count
@@ -519,16 +516,18 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 				}
 			}
 		}
-		for _, am := range e.outbox[src] {
+		out := e.block(src)
+		for _, am := range out.outbox {
 			dst := int(e.owner[am.dst])
 			if drop != nil && drop[dst] {
 				continue
 			}
-			e.pending[dst] = append(e.pending[dst], am)
+			in := e.block(dst)
+			in.pending = append(in.pending, am)
 			e.dirtyBlocks[dst] = true
 			pending++
 		}
-		e.outbox[src] = e.outbox[src][:0]
+		out.outbox = out.outbox[:0]
 	}
 	return pending, nil
 }
@@ -546,6 +545,13 @@ type BlockContext[V, M any] struct {
 	// marked vertices in insertion order.
 	marks  []uint64
 	marked []VertexID
+	// pending holds the messages for the block's next superstep in
+	// arrival order — its own local sends first, then boundary lanes in
+	// source-block order — and is the barrier state a checkpoint frame
+	// copies; inbox buckets them by recipient when the block wakes;
+	// outbox holds the boundary sends of the running superstep.
+	pending, outbox []addr[M]
+	inbox           Inbox[M]
 }
 
 // Superstep returns the current superstep (0-based).
@@ -612,11 +618,11 @@ func (c *BlockContext[V, M]) unmarkAll() {
 func (c *BlockContext[V, M]) SendTo(dst VertexID, m M) {
 	e := c.engine
 	if e.pullBlock[c.block] && int(e.owner[dst]) == c.block {
-		e.pending[c.block] = append(e.pending[c.block], addr[M]{dst: dst, m: m})
+		c.pending = append(c.pending, addr[M]{dst: dst, m: m})
 		return
 	}
 	c.sent++
-	e.outbox[c.block] = append(e.outbox[c.block], addr[M]{dst: dst, m: m})
+	c.outbox = append(c.outbox, addr[M]{dst: dst, m: m})
 }
 
 // Charge records units of sequential work done inside the block.

@@ -84,6 +84,14 @@ func Run[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) (*Result[V], 
 	return Prepare(g, prog, cfg)()
 }
 
+// defaults are the engine's run settings where Config leaves them unset.
+var defaults = rt.EngineDefaults{
+	Name:      "gas",
+	Workers:   4,
+	Cap:       func(n int) int { return 10 * (n + 64) },
+	Partition: rt.PartitionHashN,
+}
+
 // Prepare builds the engine for prog over g — pinning the CSR
 // snapshot, partitioning, and seeding every vertex value — and returns
 // the run. Every read of the mutable graph happens inside Prepare; the
@@ -91,16 +99,25 @@ func Run[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) (*Result[V], 
 // so a serving layer can construct jobs under a graph read lock and
 // execute them lock-free while writers mutate and republish.
 func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*Result[V], error) {
-	pr, err := cfg.Prepare(g, rt.EngineDefaults{
-		Name:      "gas",
-		Workers:   4,
-		Cap:       func(n int) int { return 10 * (n + 64) },
-		Partition: rt.PartitionHashN,
-	})
+	pr, err := cfg.Prepare(g, defaults)
 	if err != nil {
 		return func() (*Result[V], error) { return &Result[V]{Stats: &bsp.Stats{}}, err }
 	}
-	cfg = pr.Driver.EngineConfig
+	p := newPolicy(g, prog, pr)
+	stats := &bsp.Stats{Workers: p.cfg.Workers, N: p.n}
+	p.driver = rt.NewDriver[*gasSnapshot[V]](p, stats, pr.Driver)
+	return func() (*Result[V], error) {
+		defer pr.Release()
+		defer rt.PutScratches(p.scratch)
+		iters, err := p.driver.Run()
+		return &Result[V]{Values: p.cur, Iterations: iters, Stats: stats}, err
+	}
+}
+
+// newPolicy builds the engine state over a prepared run: values seeded
+// by Init, every vertex active.
+func newPolicy[V, G any](g *graph.Graph, prog Program[V, G], pr *rt.Prepared) *policy[V, G] {
+	cfg := pr.Driver.EngineConfig
 	csr, n := pr.CSR, pr.CSR.N()
 	csr.EnsureIn() // pull model gathers over the transpose
 	p := &policy[V, G]{
@@ -115,7 +132,7 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 		next:    make([]V, n),
 		wl:      rt.NewWorklists(cfg.Workers, n),
 		dirty:   make([]bool, n),
-		wake:    make([][]VertexID, cfg.Workers),
+		wake:    rt.PerWorker[[]VertexID](cfg.Workers),
 		scratch: rt.GetScratches(cfg.Workers),
 	}
 	if cfg.Mode != rt.DirectionPush {
@@ -128,15 +145,7 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 		p.cur[v] = prog.Init(g, VertexID(v))
 	}
 	p.wl.FillAll(p.verts)
-
-	stats := &bsp.Stats{Workers: cfg.Workers, N: n}
-	p.driver = rt.NewDriver[*gasSnapshot[V]](p, stats, pr.Driver)
-	return func() (*Result[V], error) {
-		defer pr.Release()
-		defer rt.PutScratches(p.scratch)
-		iters, err := p.driver.Run()
-		return &Result[V]{Values: p.cur, Iterations: iters, Stats: stats}, err
-	}
+	return p
 }
 
 // policy is the GAS engine as a runtime.Policy: values with a scratch
@@ -161,8 +170,8 @@ type policy[V, G any] struct {
 	// checkpoint frame: only vertices that ran Apply are written back,
 	// so the iteration's active set is exactly the write set.
 	dirty   []bool
-	wake    [][]VertexID     // per-worker scatter buffers, reused
-	scratch []*graph.Scratch // pooled per-worker span-decode buffers (packed snapshots)
+	wake    []rt.Padded[[]VertexID] // per-worker scatter buffers, reused
+	scratch []*graph.Scratch        // pooled per-worker span-decode buffers (packed snapshots)
 
 	// Pull-mode scatter (Mode pull/auto): changed vertices mark their
 	// broadcast bit; the activation pass scans transpose spans for
@@ -223,7 +232,7 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 					// worker; merged after the barrier).
 					out := csr.OutSpan(vid, p.scratch[w])
 					sentW += int64(len(out))
-					p.wake[w] = append(p.wake[w], out...)
+					p.wake[w].V = append(p.wake[w].V, out...)
 				}
 			}
 			workW++
@@ -271,11 +280,11 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 				passes = 2
 			}
 			for pass := 0; pass < passes; pass++ {
-				for _, v := range p.wake[w] {
+				for _, v := range p.wake[w].V {
 					p.wl.Add(int(p.owner[v]), v)
 				}
 			}
-			p.wake[w] = p.wake[w][:0]
+			p.wake[w].V = p.wake[w].V[:0]
 		}
 	}
 	return p.wl.Pending(), nil

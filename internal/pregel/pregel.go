@@ -146,7 +146,7 @@ type Engine[V, M any] struct {
 	// each worker's span-decode buffers: on a packed snapshot OutSpan/
 	// InSpan decode into them, on a flat snapshot they alias the CSR
 	// arrays and the buffers stay nil.
-	ctxs      []Context[V, M]
+	ctxs      []rt.Padded[Context[V, M]]
 	scratch   []*graph.Scratch // pooled span-decode buffers, returned when Run ends
 	workerMax []maxima
 	delivered []int64
@@ -236,7 +236,7 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[M]) *Eng
 			e.gather[w] = rt.NewGatherer[M](cfg.Workers)
 		}
 	}
-	e.ctxs = make([]Context[V, M], cfg.Workers)
+	e.ctxs = rt.PerWorker[Context[V, M]](cfg.Workers)
 	e.scratch = rt.GetScratches(cfg.Workers)
 	e.workerMax = make([]maxima, cfg.Workers)
 	e.delivered = make([]int64, cfg.Workers)
@@ -244,7 +244,7 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[M]) *Eng
 	e.pulledRaw = make([]int64, cfg.Workers)
 	e.onMail = make([]func(VertexID), cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
-		e.ctxs[w] = Context[V, M]{engine: e, worker: w}
+		e.ctxs[w].V = Context[V, M]{engine: e, worker: w}
 		// Delivery marks receivers dirty: the hook fires exactly once per
 		// vertex receiving mail in a superstep (rawRecv is zero at the
 		// first deposit — computed vertices reset theirs), and worker w
@@ -412,7 +412,7 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 	e.wl.Flip()
 	e.driver.Lease().Run(func(w int) {
 		e.wl.SortCur(w, e.verts[w])
-		ctx := &e.ctxs[w]
+		ctx := &e.ctxs[w].V
 		// Tally in locals: ss's and workerMax's worker slots share lines.
 		var work, sent, active int64
 		var mm maxima

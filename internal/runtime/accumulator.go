@@ -152,8 +152,10 @@ type Gatherer[M any] struct {
 }
 
 // NewGatherer builds gather scratch for engines with P source workers.
+// Gather writes both arrays on every edge, so they are Fenced: the
+// allocator would otherwise pack them beside another worker's.
 func NewGatherer[M any](workers int) *Gatherer[M] {
-	return &Gatherer[M]{partial: make([]M, workers), seen: make([]bool, workers)}
+	return &Gatherer[M]{partial: Fenced[M](workers), seen: Fenced[bool](workers)}
 }
 
 // Gather folds the broadcast contributions of srcs — destination v's

@@ -40,8 +40,10 @@ func (ln *lane[M]) push(dst VertexID, m M) int32 {
 // Mailbox is a sharded message store for P workers over n vertices:
 // P×P outbox lanes plus flat inboxes. The sharding makes both phases
 // race-free by construction: during compute, worker w appends only to
-// lanes[w][*]; during delivery, worker w drains only lanes[*][w] and
-// touches only inboxes of vertices it owns.
+// lanes (w, *); during delivery, worker w drains only lanes (*, w) and
+// touches only inboxes of vertices it owns. Each lane and each worker's
+// delivery state sits in its own PerWorker slot, so neither phase has
+// two workers writing one cache line.
 //
 // No inbox owns an allocation: with a combiner v's inbox is slot[v],
 // else a run of its owner's slab, which delivery fills by counting-
@@ -53,23 +55,33 @@ type Mailbox[M any] struct {
 	owner   []int32 // vertex -> owning worker
 	comb    func(a, b M) M
 
-	lanes   [][]lane[M] // [src][dst]
-	rawRecv []int64     // raw (pre-combining) messages delivered per vertex
-	cnt     []int32     // messages in v's inbox
+	lanes   []Padded[lane[M]] // lane (src, dst) at src*workers+dst
+	rawRecv []int64           // raw (pre-combining) messages delivered per vertex
+	cnt     []int32           // messages in v's inbox
 
-	slot []M          // combiner only
-	slab [][]M        // no combiner: worker -> its vertices' runs
-	off  []int32      // no combiner: start of v's run
-	recv [][]VertexID // worker -> vertices the current delivery places
+	slot  []M                  // combiner only
+	off   []int32              // no combiner: start of v's run
+	inbox []Padded[inboxOf[M]] // per worker
 
-	// Sender-side combining index (combiner installed only): slots[src][v]
-	// is the entry index of v in lane[src][owner[v]], valid while
-	// tags[src][v] == epoch. The epoch tag makes invalidation at the
-	// superstep barrier O(1) instead of an O(sent) map clear, and Send
-	// stays an array access instead of a hashed map probe.
-	slots [][]int32
-	tags  [][]uint32
+	// Sender-side combining index (combiner installed only): idx[src][v]
+	// holds the entry index of v in lane (src, owner[v]), valid while
+	// its tag == epoch. The epoch tag makes invalidation at the
+	// superstep barrier O(1) instead of an O(sent) map clear, and a send
+	// reads one index cell instead of a hashed map probe.
+	idx   [][]combIdx
 	epoch uint32
+}
+
+// inboxOf is one worker's delivery state.
+type inboxOf[M any] struct {
+	recv []VertexID // vertices the current delivery places
+	slab []M        // no combiner: its vertices' runs
+}
+
+// combIdx is one cell of the sender-side combining index.
+type combIdx struct {
+	tag  uint32
+	slot int32
 }
 
 // NewMailbox builds a mailbox for len(owner) vertices sharded over
@@ -83,26 +95,20 @@ func NewMailbox[M any](workers int, owner []int32, comb func(a, b M) M) *Mailbox
 		workers: workers,
 		owner:   owner,
 		comb:    comb,
-		lanes:   make([][]lane[M], workers),
+		lanes:   PerWorker[lane[M]](workers * workers),
 		rawRecv: make([]int64, n),
 		cnt:     make([]int32, n),
-		recv:    make([][]VertexID, workers),
-	}
-	for src := range mb.lanes {
-		mb.lanes[src] = make([]lane[M], workers)
+		inbox:   PerWorker[inboxOf[M]](workers),
 	}
 	if comb == nil {
-		mb.slab = make([][]M, workers)
 		mb.off = make([]int32, n)
 		return mb
 	}
 	mb.slot = make([]M, n)
 	mb.epoch = 1
-	mb.slots = make([][]int32, workers)
-	mb.tags = make([][]uint32, workers)
-	for src := 0; src < workers; src++ {
-		mb.slots[src] = make([]int32, n)
-		mb.tags[src] = make([]uint32, n)
+	mb.idx = make([][]combIdx, workers)
+	for src := range mb.idx {
+		mb.idx[src] = make([]combIdx, n)
 	}
 	return mb
 }
@@ -116,12 +122,15 @@ func (mb *Mailbox[M]) Advance() {
 	}
 	mb.epoch++
 	if mb.epoch == 0 { // wrapped: reset tags so stale slots cannot alias
-		for _, t := range mb.tags {
+		for _, t := range mb.idx {
 			clear(t)
 		}
 		mb.epoch = 1
 	}
 }
+
+// lane returns the outbox of the (src, dst) worker pair.
+func (mb *Mailbox[M]) lane(src, dst int) *lane[M] { return &mb.lanes[src*mb.workers+dst].V }
 
 // Owner returns the worker owning vertex v.
 func (mb *Mailbox[M]) Owner(v VertexID) int { return int(mb.owner[v]) }
@@ -139,25 +148,24 @@ func (mb *Mailbox[M]) Send(src int, dst VertexID, m M) {
 // calling Send per destination; the per-send lane/tag/slot lookups are
 // hoisted out of the loop.
 func (mb *Mailbox[M]) SendAll(src int, dsts []VertexID, m M) {
-	lanes := mb.lanes[src]
+	lanes := mb.lanes[src*mb.workers : (src+1)*mb.workers]
 	owner := mb.owner
 	if mb.comb == nil {
 		for _, dst := range dsts {
-			lanes[owner[dst]].push(dst, m)
+			lanes[owner[dst]].V.push(dst, m)
 		}
 		return
 	}
-	tags, slots, epoch := mb.tags[src], mb.slots[src], mb.epoch
+	idx, epoch, comb := mb.idx[src], mb.epoch, mb.comb
 	for _, dst := range dsts {
-		ln := &lanes[owner[dst]]
-		if tags[dst] == epoch {
-			e := &ln.entries[slots[dst]]
-			e.m = mb.comb(e.m, m)
+		ln := &lanes[owner[dst]].V
+		if c := &idx[dst]; c.tag == epoch {
+			e := &ln.entries[c.slot]
+			e.m = comb(e.m, m)
 			e.raw++
 			continue
 		}
-		tags[dst] = epoch
-		slots[dst] = ln.push(dst, m)
+		idx[dst] = combIdx{tag: epoch, slot: ln.push(dst, m)}
 	}
 }
 
@@ -183,9 +191,10 @@ func (mb *Mailbox[M]) Deliver(w int, onFirstMail func(VertexID)) (delivered, pla
 // nil injector makes this identical to Deliver. Without a combiner the
 // drain only counts per destination; scatter then places the messages.
 func (mb *Mailbox[M]) DeliverFaulty(w, step int, inj *Injector, onFirstMail func(VertexID)) (delivered, placements int64, dropped bool) {
-	recv := mb.recv[w][:0]
+	in := &mb.inbox[w].V
+	recv := in.recv[:0]
 	for src := 0; src < mb.workers; src++ {
-		ln := &mb.lanes[src][w]
+		ln := mb.lane(src, w)
 		if inj != nil {
 			switch inj.LaneFault(step, src, w) {
 			case FaultDropLane:
@@ -216,7 +225,7 @@ func (mb *Mailbox[M]) DeliverFaulty(w, step int, inj *Injector, onFirstMail func
 			ln.entries = ln.entries[:0]
 		}
 	}
-	mb.recv[w] = recv
+	in.recv = recv
 	if mb.comb == nil {
 		placements = mb.scatter(w, recv)
 	}
@@ -237,9 +246,10 @@ func (mb *Mailbox[M]) scatter(w int, recv []VertexID) (placements int64) {
 	// Refilling the slab from the start is sound only because every
 	// vertex holding mail computed and called ResetVertex in the
 	// superstep before this delivery: no live inbox points into it.
-	slab := slices.Grow(mb.slab[w][:0], int(at))[:at]
+	in := &mb.inbox[w].V
+	slab := slices.Grow(in.slab[:0], int(at))[:at]
 	for src := 0; src < mb.workers; src++ {
-		ln := &mb.lanes[src][w]
+		ln := mb.lane(src, w)
 		for i := range ln.entries {
 			e := &ln.entries[i]
 			slab[mb.off[e.dst]+mb.cnt[e.dst]] = e.m
@@ -247,7 +257,7 @@ func (mb *Mailbox[M]) scatter(w int, recv []VertexID) (placements int64) {
 		}
 		ln.entries = ln.entries[:0]
 	}
-	mb.slab[w] = slab
+	in.slab = slab
 	return int64(at)
 }
 
@@ -298,7 +308,7 @@ func (mb *Mailbox[M]) Inbox(v VertexID) []M {
 		return mb.slot[v : v+1 : v+1]
 	}
 	o := mb.off[v]
-	return mb.slab[mb.owner[v]][o : o+c : o+c]
+	return mb.inbox[mb.owner[v]].V.slab[o : o+c : o+c]
 }
 
 // RawCount returns the raw (pre-combining) number of messages
@@ -323,8 +333,8 @@ func (mb *Mailbox[M]) LoadVertex(v VertexID, msgs []M, raw int64) {
 		}
 		return
 	}
-	w := mb.owner[v]
-	mb.off[v] = int32(len(mb.slab[w]))
-	mb.slab[w] = append(mb.slab[w], msgs...)
+	in := &mb.inbox[mb.owner[v]].V
+	mb.off[v] = int32(len(in.slab))
+	in.slab = append(in.slab, msgs...)
 	mb.cnt[v] = int32(len(msgs))
 }

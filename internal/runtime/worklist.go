@@ -23,16 +23,20 @@ import "slices"
 // writes race-free: only vertex v's owning worker calls Unmark/Add
 // for v, in whichever phase it runs.
 type Worklists struct {
-	cur    [][]VertexID // drained this superstep, per worker
-	next   [][]VertexID // built for the next superstep, per worker
-	queued []bool       // vertex is in next
+	lists  []Padded[workList] // per worker, each on its own lines
+	queued []bool             // vertex is in next
+}
+
+// workList is one worker's pair of lists.
+type workList struct {
+	cur  []VertexID // drained this superstep
+	next []VertexID // built for the next superstep
 }
 
 // NewWorklists builds empty worklists for P workers over n vertices.
 func NewWorklists(workers, n int) *Worklists {
 	return &Worklists{
-		cur:    make([][]VertexID, workers),
-		next:   make([][]VertexID, workers),
+		lists:  PerWorker[workList](workers),
 		queued: make([]bool, n),
 	}
 }
@@ -40,13 +44,14 @@ func NewWorklists(workers, n int) *Worklists {
 // Flip swaps next into current (superstep barrier). Must be called
 // single-threaded between phases.
 func (wl *Worklists) Flip() {
-	for w := range wl.cur {
-		wl.cur[w], wl.next[w] = wl.next[w], wl.cur[w][:0]
+	for w := range wl.lists {
+		l := &wl.lists[w].V
+		l.cur, l.next = l.next, l.cur[:0]
 	}
 }
 
 // Cur returns worker w's vertices for the current superstep.
-func (wl *Worklists) Cur(w int) []VertexID { return wl.cur[w] }
+func (wl *Worklists) Cur(w int) []VertexID { return wl.lists[w].V.cur }
 
 // SortCur puts worker w's current list in ascending order, reproducing
 // the deterministic vertex order of a full partition scan. Safe to call
@@ -57,18 +62,18 @@ func (wl *Worklists) Cur(w int) []VertexID { return wl.cur[w] }
 // paying an O(f log f) comparison sort. owned may be nil to force the
 // sort path.
 func (wl *Worklists) SortCur(w int, owned []VertexID) {
-	cur := wl.cur[w]
-	if len(cur)*8 >= len(owned) && len(owned) > 0 {
-		cur = cur[:0]
+	l := &wl.lists[w].V
+	if len(l.cur)*8 >= len(owned) && len(owned) > 0 {
+		cur := l.cur[:0]
 		for _, v := range owned {
 			if wl.queued[v] {
 				cur = append(cur, v)
 			}
 		}
-		wl.cur[w] = cur
+		l.cur = cur
 		return
 	}
-	slices.Sort(cur)
+	slices.Sort(l.cur)
 }
 
 // Unmark clears v's queued flag; called by v's owner right before
@@ -82,15 +87,16 @@ func (wl *Worklists) Add(w int, v VertexID) {
 		return
 	}
 	wl.queued[v] = true
-	wl.next[w] = append(wl.next[w], v)
+	l := &wl.lists[w].V
+	l.next = append(l.next, v)
 }
 
 // Pending returns the number of vertices queued for the next
 // superstep (O(P)).
 func (wl *Worklists) Pending() int {
 	total := 0
-	for _, l := range wl.next {
-		total += len(l)
+	for w := range wl.lists {
+		total += len(wl.lists[w].V.next)
 	}
 	return total
 }
@@ -98,14 +104,15 @@ func (wl *Worklists) Pending() int {
 // Next returns worker w's queued vertices for the next superstep
 // (read-only; used by finishing-computations-serially to enumerate the
 // remaining frontier without an O(n) scan).
-func (wl *Worklists) Next(w int) []VertexID { return wl.next[w] }
+func (wl *Worklists) Next(w int) []VertexID { return wl.lists[w].V.next }
 
 // FillAll replaces the next-superstep lists with every vertex, sharded
 // by verts (worker -> owned vertices). Used at run start and by the
 // master's ActivateAll.
 func (wl *Worklists) FillAll(verts [][]VertexID) {
-	for w := range wl.next {
-		wl.next[w] = append(wl.next[w][:0], verts[w]...)
+	for w := range wl.lists {
+		l := &wl.lists[w].V
+		l.next = append(l.next[:0], verts[w]...)
 	}
 	for i := range wl.queued {
 		wl.queued[i] = true
@@ -115,8 +122,9 @@ func (wl *Worklists) FillAll(verts [][]VertexID) {
 // Clear empties the next-superstep lists (checkpoint recovery rebuilds
 // from scratch; FCS terminates the run).
 func (wl *Worklists) Clear() {
-	for w := range wl.next {
-		wl.next[w] = wl.next[w][:0]
+	for w := range wl.lists {
+		l := &wl.lists[w].V
+		l.next = l.next[:0]
 	}
 	for i := range wl.queued {
 		wl.queued[i] = false
