@@ -1,9 +1,10 @@
-// Evolving-graph mode: with -mutations > 0 (pagerank, sssp, and
-// hashmin only), vcrun applies that many seeded insert/delete batches
-// after the main run. After every batch it recomputes the answer twice
-// — incrementally, warm-started from the previous round's state, and
-// from scratch — checks the two are byte-identical, and reports the
-// accumulated time and local-work ratio between them.
+// Evolving-graph mode: with -mutations > 0 (sssp and hashmin only, the
+// algorithms with an inc row), vcrun applies that many seeded
+// insert/delete batches after the main run. After every batch it
+// recomputes the answer twice — incrementally, warm-started from the
+// previous round's state, and from scratch — checks the two are
+// byte-identical, and reports the accumulated time and local-work ratio
+// between them.
 package main
 
 import (
@@ -23,9 +24,9 @@ import (
 func evolve(g *graph.Graph, algo string, src graph.VertexID, rounds, batch int, seed int64) error {
 	row, ok := vc.Matrix[vc.Key{Algo: matrixAlgos[algo], Engine: vc.EngineInc}]
 	if !ok {
-		return fmt.Errorf("-mutations supports pagerank, sssp, and hashmin, not %q", algo)
+		return fmt.Errorf("-mutations supports sssp and hashmin, not %q", algo)
 	}
-	args := vc.Args{Src: src, Alpha: 0.85, K: 30}
+	args := vc.Args{Src: src}
 	var retained vc.Prior
 	// runInc computes the current answer: resuming from prior advances
 	// it, a nil prior recomputes from scratch and keeps nothing.

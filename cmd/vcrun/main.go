@@ -10,8 +10,8 @@
 //
 // pagerank, sssp, hashmin, and kcore are cells of the engine matrix
 // (internal/vc): -engine picks the column — pregel (the default), gas,
-// async, blockcentric, or inc (the incremental engine, run cold) where
-// the algorithm has one. -engine auto
+// async, blockcentric, or inc (the incremental engine, run cold; sssp
+// and hashmin only) where the algorithm has one. -engine auto
 // routes pagerank, sssp, and hashmin through the adaptive plan layer: a
 // planner samples the graph, picks the initial engine/partition/mode,
 // and may hand vertex state off to another engine live at a superstep
@@ -64,9 +64,9 @@ func main() {
 	fullSnapshot := flag.Int("full-snapshot-every", 0, "store only every Nth checkpoint full; the checkpoints between are dirty-set deltas (0 or 1 = every checkpoint full)")
 	faults := flag.Int64("faults", 0, "inject a seeded random fault plan (0 = none); implies -checkpoint 2 unless set")
 	modeFlag := flag.String("mode", "auto", "message direction: push, pull, or auto (pull dense supersteps when the algorithm has a combiner)")
-	engine := flag.String("engine", "", "for pagerank, sssp, hashmin, kcore: pregel (default), gas, async, blockcentric, inc, or auto = adaptive plan layer")
+	engine := flag.String("engine", "", "for pagerank, sssp, hashmin, kcore: pregel (default), gas, async, blockcentric, inc (sssp and hashmin), or auto = adaptive plan layer")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-	mutations := flag.Int("mutations", 0, "after the run, apply this many seeded mutation batches and compare incremental recomputation against from-scratch (pagerank, sssp, hashmin)")
+	mutations := flag.Int("mutations", 0, "after the run, apply this many seeded mutation batches and compare incremental recomputation against from-scratch (sssp and hashmin)")
 	mutBatch := flag.Int("mutbatch", 8, "mutations per batch in -mutations mode")
 	mutSeed := flag.Int64("mutseed", 1, "mutation generator seed")
 	flag.Parse()

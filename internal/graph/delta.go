@@ -139,9 +139,6 @@ func (d *DeltaCSR) M() int { return d.m }
 // Epoch returns the graph epoch this view was frozen at.
 func (d *DeltaCSR) Epoch() int64 { return d.epoch }
 
-// Directed reports whether the underlying graph is directed.
-func (d *DeltaCSR) Directed() bool { return d.directed }
-
 // Base returns the pinned base CSR the overlay applies to.
 func (d *DeltaCSR) Base() *CSR { return d.base }
 

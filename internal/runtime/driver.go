@@ -65,8 +65,9 @@ type SerialFinishPolicy interface {
 
 // BarrierFaultPolicy is an optional Policy extension for engines whose
 // message-lane faults fire at the barrier itself rather than inside a
-// delivery phase (the async engine's epoch boundaries): BarrierFaults
-// runs before crash detection and reports whether a batch was lost.
+// delivery phase: BarrierFaults runs before crash detection and reports
+// whether a batch was lost. Its one implementer is the async engine's
+// WorklistRunner, whose faults fire at epoch boundaries.
 type BarrierFaultPolicy interface {
 	BarrierFaults(inj *Injector, step int) (lost bool)
 }
@@ -92,8 +93,8 @@ type RollbackWeigher interface {
 // environment (EngineConfig.Prepare fills it) plus what only the driver
 // reads. Workers sizes the per-superstep stat slices, and the Job's
 // admitted share must equal it. MaxSupersteps caps the driver's
-// steps; async and the incremental engine cap updates in their policy
-// and set it to math.MaxInt on their copy.
+// steps; the async worklist, which the incremental engine drains too,
+// caps updates in its policy and sets it to math.MaxInt on its copy.
 type DriverConfig struct {
 	EngineConfig
 	// Name prefixes the run's errors ("pregel: superstep cap reached ...").

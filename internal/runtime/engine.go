@@ -25,8 +25,6 @@ type EngineConfig struct {
 	// default for n vertices: 1+10·(n+64) supersteps on pregel and
 	// blockcentric, 10·(n+64) iterations on gas, 200·(n+64) vertex
 	// updates on async, whose worklist incremental CC/SSSP drain.
-	// Incremental PageRank always runs exactly its K supersteps and
-	// ignores it.
 	MaxSupersteps int
 	// Partition assigns vertices to workers; nil is the engine's default,
 	// hash on pregel and gas, range on blockcentric. Placement changes
@@ -49,8 +47,7 @@ type EngineConfig struct {
 	CheckpointEvery int
 	// FullSnapshotEvery > 1 stores only every Nth checkpoint as a full
 	// frame; the ones between are dirty-set deltas patching the frame
-	// before them. 0 or 1 keeps every checkpoint full. Incremental
-	// PageRank replaces its frame whole each superstep and ignores it.
+	// before them. 0 or 1 keeps every checkpoint full.
 	FullSnapshotEvery int
 	// Faults schedules deterministic fault injection (nil = none):
 	// crashes at barriers, lost or duplicated message batches, corrupted

@@ -167,7 +167,7 @@ func TestEngineErrorEnumeratesRegistry(t *testing.T) {
 	if err == nil {
 		t.Fatal("Submit accepted an unknown engine")
 	}
-	for _, want := range []string{"async", "auto", "blockcentric", "gas", "inc", "pregel"} {
+	for _, want := range []string{"async", "auto", "blockcentric", "gas", "pregel"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not list engine %q", err, want)
 		}

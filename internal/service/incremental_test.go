@@ -83,8 +83,7 @@ func TestIncrementalJobChain(t *testing.T) {
 
 	ccJob, cc0 := submitJob(JobSpec{Graph: "g", Algo: "cc", Engine: "inc"})
 	ssJob, ss0 := submitJob(JobSpec{Graph: "g", Algo: "sssp", Incremental: true, Src: 3})
-	prJob, pr0 := submitJob(JobSpec{Graph: "g", Algo: "pagerank", Engine: "inc", K: 15})
-	for _, res := range []*runResult{cc0, ss0, pr0} {
+	for _, res := range []*runResult{cc0, ss0} {
 		if !res.prior.Cold {
 			t.Fatal("first incremental run should be cold and carry state")
 		}
@@ -100,32 +99,26 @@ func TestIncrementalJobChain(t *testing.T) {
 
 	cc1 := submit(JobSpec{Graph: "g", Algo: "cc", Engine: "inc", Resume: ccJob.ID()})
 	ss1 := submit(JobSpec{Graph: "g", Algo: "sssp", Engine: "inc", Src: 3, Resume: ssJob.ID()})
-	pr1 := submit(JobSpec{Graph: "g", Algo: "pagerank", Engine: "inc", K: 15, Resume: prJob.ID()})
-	for _, res := range []*runResult{cc1, ss1, pr1} {
+	for _, res := range []*runResult{cc1, ss1} {
 		if res.prior.Cold {
 			t.Fatal("resumed run fell back to cold")
 		}
 	}
 
 	// From-scratch ground truth on the mutated graph: async for the
-	// byte-exact fixpoints, a cold inc run for the canonical PageRank.
+	// byte-exact fixpoints.
 	ccScratch := submit(JobSpec{Graph: "g", Algo: "cc", Engine: "async"})
 	ssScratch := submit(JobSpec{Graph: "g", Algo: "sssp", Engine: "async", Src: 3})
-	prScratch := submit(JobSpec{Graph: "g", Algo: "pagerank", Engine: "inc", K: 15})
 	if !reflect.DeepEqual(cc1.values, ccScratch.values) || cc1.verdict != ccScratch.verdict {
 		t.Fatal("warm CC differs from from-scratch async run")
 	}
 	if !reflect.DeepEqual(ss1.values, ssScratch.values) || ss1.verdict != ssScratch.verdict {
 		t.Fatal("warm SSSP differs from from-scratch async run")
 	}
-	if !reflect.DeepEqual(pr1.values, prScratch.values) || pr1.verdict != prScratch.verdict {
-		t.Fatal("warm PageRank differs from canonical recompute")
-	}
 }
 
 // TestIncrementalResumeFromPlainJob: CC and SSSP warm-start from a
-// non-incremental job's converged values; PageRank must refuse (its
-// memoized history only exists on incremental runs).
+// non-incremental job's converged values.
 func TestIncrementalResumeFromPlainJob(t *testing.T) {
 	s := New(2, 1)
 	defer s.Close()
@@ -136,12 +129,7 @@ func TestIncrementalResumeFromPlainJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainPR, err := s.Submit(JobSpec{Graph: "g", Algo: "pagerank", Engine: "pregel", Workers: 2, K: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
 	waitResult(t, s, plainCC)
-	waitResult(t, s, plainPR)
 
 	if _, err := s.MutateGraph("g", []MutationSpec{{Op: "insert", U: 1, V: 399}}); err != nil {
 		t.Fatal(err)
@@ -160,11 +148,6 @@ func TestIncrementalResumeFromPlainJob(t *testing.T) {
 	}
 	if want := waitResult(t, s, scratch); !reflect.DeepEqual(res.values, want.values) {
 		t.Fatal("plain-seeded warm CC differs from from-scratch run")
-	}
-
-	if _, err := s.Submit(JobSpec{Graph: "g", Algo: "pagerank", Engine: "inc", K: 15, Resume: plainPR.ID()}); err == nil ||
-		!strings.Contains(err.Error(), "incremental prior") {
-		t.Fatalf("pagerank resume from plain job: err = %v", err)
 	}
 }
 
@@ -250,6 +233,32 @@ func TestIncrementalNeedsIncEngine(t *testing.T) {
 	}
 	if _, err := s.Submit(JobSpec{Graph: "g", Algo: "cc", Engine: "pregel", Incremental: true}); err == nil {
 		t.Fatal("incremental job on pregel accepted")
+	}
+}
+
+// TestPageRankHasNoIncEngine: PageRank has no inc row, so a pagerank
+// job asking for it, by engine name or by "incremental", is refused at
+// submit with the error that names the engines it does run on.
+func TestPageRankHasNoIncEngine(t *testing.T) {
+	s := New(1, 1)
+	defer s.Close()
+	if err := s.RegisterGraph(GraphSpec{Name: "g", Gen: "path", N: 8}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `service: algorithm "pagerank" does not run on engine "inc" (valid engines: async, auto, blockcentric, gas, pregel)`
+	for _, spec := range []JobSpec{
+		{Graph: "g", Algo: "pagerank", Engine: "inc"},
+		{Graph: "g", Algo: "pagerank", Incremental: true},
+	} {
+		if _, err := s.Submit(spec); err == nil || err.Error() != want {
+			t.Errorf("engine %q incremental %v: err = %v, want %q", spec.Engine, spec.Incremental, err, want)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := doJSON(t, "POST", ts.URL+"/v1/jobs", JobSpec{Graph: "g", Algo: "pagerank", Incremental: true}, http.StatusBadRequest)
+	if body["error"] != want {
+		t.Fatalf("HTTP error body = %v, want %q", body, want)
 	}
 }
 

@@ -63,9 +63,9 @@ type JobSpec struct {
 	Algo   string `json:"algo"`             // pagerank | sssp | cc | kcore
 	Engine string `json:"engine,omitempty"` // pregel (default) | gas | async | blockcentric | inc | auto
 	// Incremental runs the algorithm's evolving-graph form (engine
-	// "inc", which it implies and no other engine takes): warm-started
-	// from the job named by Resume when its state is still valid for the
-	// graph's mutation log, cold otherwise.
+	// "inc", which it implies and no other engine takes; cc and sssp
+	// only): warm-started from the job named by Resume when its state
+	// is still valid for the graph's mutation log, cold otherwise.
 	Incremental bool `json:"incremental,omitempty"`
 	// Resume names a prior job ID to warm-start from. The prior job
 	// must have succeeded on the same registration of the same graph
@@ -414,9 +414,9 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 
 // resumeState resolves spec.Resume into a copy of the prior job's
 // Prior: the prior job must have succeeded on the same registration of
-// the same graph with the same algorithm and parameters. CC and SSSP
-// resume from any engine's converged values (unique fixpoints);
-// PageRank needs the rank history only an inc prior carries.
+// the same graph with the same algorithm and parameters. CC and SSSP,
+// the two algorithms with an inc row, resume from any engine's
+// converged values (unique fixpoints).
 func (s *Server) resumeState(spec JobSpec, reg int64) (*vc.Prior, error) {
 	if spec.Resume == 0 {
 		return nil, nil
@@ -437,19 +437,8 @@ func (s *Server) resumeState(spec JobSpec, reg int64) (*vc.Prior, error) {
 	if rec.reg != reg {
 		return nil, fmt.Errorf("service: resume job %d ran on an earlier registration of graph %q", spec.Resume, spec.Graph)
 	}
-	switch spec.Algo {
-	case "sssp":
-		if p.Src != spec.Src {
-			return nil, fmt.Errorf("service: resume job %d used source %d, want %d", spec.Resume, p.Src, spec.Src)
-		}
-	case "pagerank":
-		if p.Alpha != spec.Alpha || p.K != spec.K {
-			return nil, fmt.Errorf("service: resume job %d used alpha=%v k=%d, want alpha=%v k=%d",
-				spec.Resume, p.Alpha, p.K, spec.Alpha, spec.K)
-		}
-		if res.prior.Hist == nil {
-			return nil, fmt.Errorf("service: pagerank resume needs an incremental prior, job %d ran engine %q", spec.Resume, p.Engine)
-		}
+	if spec.Algo == "sssp" && p.Src != spec.Src {
+		return nil, fmt.Errorf("service: resume job %d used source %d, want %d", spec.Resume, p.Src, spec.Src)
 	}
 	prior := res.prior
 	return &prior, nil

@@ -2,22 +2,18 @@
 // graphs: instead of recomputing from scratch after every mutation
 // batch, a prior job's converged state is repaired by re-activating
 // only the vertices the graph delta could have affected. The inc rows
-// of the engine matrix (ccInc, ssspInc, pageRankInc) are the
-// incremental engine. CC and SSSP are a seed analysis and then the
-// async engine's own program (async.CCProgram, async.SSSPProgram),
-// drained from the seeds against a pinned graph.DeltaCSR view
-// (async.PrepareSeeded).
+// of the engine matrix (ccInc, ssspInc) are the incremental engine:
+// a seed analysis and then the async engine's own program
+// (async.CCProgram, async.SSSPProgram), drained from the seeds against
+// a pinned graph.DeltaCSR view (async.PrepareSeeded).
 //
 // The correctness contract is strict: an incremental run converges to a
 // result byte-identical to a from-scratch run on the mutated graph.
-// For CC and SSSP that holds because both compute the unique fixpoint
-// of a monotone operator (min member ID per component; min path-sum per
+// That holds because CC and SSSP compute the unique fixpoint of a
+// monotone operator (min member ID per component; min path-sum per
 // vertex) whose value does not depend on the update schedule — the seed
 // analysis only has to re-activate a superset of the vertices whose
-// fixpoint value changed. PageRank's eps-thresholded fixpoint is
-// schedule-dependent in its low bits, so incremental PageRank instead
-// memoizes a fixed-K power iteration (incremental_pagerank.go) and is
-// byte-identical by construction.
+// fixpoint value changed. PageRank has no such fixpoint and no inc row.
 //
 // Each row resumes from Env.Prior, which records the graph epoch its
 // values are valid for; Graph.MutationsSince(epoch) supplies the delta.

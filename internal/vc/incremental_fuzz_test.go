@@ -11,22 +11,20 @@ import (
 // raw bytes: the input decodes to a sequence of mutation batches
 // (inserts with derived weights, deletes that may or may not exist —
 // invalid batches must be rejected atomically), and after every applied
-// batch the incrementally maintained CC/SSSP/PageRank answers are
+// batch the incrementally maintained CC/SSSP answers are
 // differentially checked against from-scratch runs on the mutated
 // graph. Any divergence — a wrong seed set, a delta-overlay
-// enumeration mismatch, a stale memoized rank — is a crash the fuzzer
-// can minimize.
+// enumeration mismatch — is a crash the fuzzer can minimize.
 func FuzzMutationScript(f *testing.F) {
 	f.Add(int64(1), []byte{2, 0, 1, 5, 1, 3, 9, 4, 2, 2})
 	f.Add(int64(3), []byte{1, 7, 3, 3, 0, 2, 2, 5, 5, 8, 8, 1, 1, 0})
 	f.Add(int64(9), []byte{0, 1, 1, 2, 4, 4, 6, 6, 3, 1, 2, 3, 0, 0, 0, 5})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
-		const n, k = 14, 6
+		const n = 14
 		g := graph.RandomConnected(n, 24, seed)
 		graph.RandomWeights(g, seed+1)
 		g.RebuildEvery = 5 // cross rebuild boundaries often
-		var ccSt, ssSt, prSt Prior
-		prArgs := Args{Alpha: 0.85, K: k}
+		var ccSt, ssSt Prior
 		check := func() {
 			inc, _, err := incRow(g, "cc", Args{}, &ccSt, Config{})
 			if err != nil {
@@ -41,16 +39,6 @@ func FuzzMutationScript(f *testing.F) {
 			}
 			if dist := asyncSSSP(t, g, 0); !reflect.DeepEqual(inc, dist) {
 				t.Fatalf("incremental SSSP %v != from-scratch %v", inc, dist)
-			}
-			if _, _, err := incRow(g, "pagerank", prArgs, &prSt, Config{}); err != nil {
-				t.Fatalf("incremental PageRank: %v", err)
-			}
-			var scratch Prior
-			if _, _, err := incRow(g, "pagerank", prArgs, &scratch, Config{}); err != nil {
-				t.Fatalf("cold PageRank: %v", err)
-			}
-			if !reflect.DeepEqual(prSt.Hist, scratch.Hist) {
-				t.Fatal("incremental PageRank differs from cold recompute")
 			}
 		}
 		check() // cold baselines

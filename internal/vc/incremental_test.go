@@ -224,165 +224,6 @@ func TestIncrementalDirectedRejected(t *testing.T) {
 	}
 }
 
-// TestIncrementalPageRankWarmEqualsCold: the memoized warm start must be
-// byte-identical to a cold fixed-K recompute on the mutated graph, and
-// must do strictly less gather work.
-func TestIncrementalPageRankWarmEqualsCold(t *testing.T) {
-	a := Args{Alpha: 0.85, K: 15}
-	g := graph.RandomConnected(48, 120, 11)
-	var cold Prior
-	if _, _, err := incRow(g, "pagerank", a, &cold, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if !cold.Cold {
-		t.Fatal("first run should be cold")
-	}
-
-	// Mutate: one insert, one delete of a known base edge.
-	c := g.Pin()
-	var du, dv VertexID
-	found := false
-	c.ForEachOut(2, func(v VertexID, _ float64) {
-		if !found {
-			du, dv, found = 2, v, true
-		}
-	})
-	g.Unpin(c)
-	if !found {
-		t.Fatal("vertex 2 has no edges")
-	}
-	mustMutate(t, g, ins(0, 40, 1), del(du, dv))
-
-	warm := cold
-	_, wst, err := incRow(g, "pagerank", a, &warm, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Cold {
-		t.Fatal("expected warm run")
-	}
-	var scratch Prior
-	_, cst, err := incRow(g, "pagerank", a, &scratch, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(warm.Hist, scratch.Hist) {
-		t.Fatal("warm history differs from cold recompute")
-	}
-	if wst.TotalWork >= cst.TotalWork {
-		t.Fatalf("warm run gathered %d edges, cold %d: no incremental savings", wst.TotalWork, cst.TotalWork)
-	}
-}
-
-// TestIncrementalPageRankCheckpointsAreFull: incremental PageRank's
-// frame is the rank vector, replaced wholesale every superstep, so a
-// delta cadence still saves only full frames, each charged its rank
-// vector (8 B a vertex) plus its change frontier (4 B a changed vertex).
-func TestIncrementalPageRankCheckpointsAreFull(t *testing.T) {
-	const k = 15
-	a := Args{Alpha: 0.85, K: k}
-	g := graph.RandomConnected(48, 120, 11)
-	cfg := Config{CheckpointEvery: 1, FullSnapshotEvery: 4}
-	var cold Prior
-	_, cst, err := incRow(g, "pagerank", a, &cold, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustMutate(t, g, ins(0, 40, 1))
-	warm := cold
-	_, wst, err := incRow(g, "pagerank", a, &warm, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Cold {
-		t.Fatal("expected warm run")
-	}
-	n := g.N()
-	for _, tc := range []struct {
-		name         string
-		st, prior    *Prior
-		stats        *bsp.Stats
-		wantFrontier bool
-	}{{"cold", &cold, nil, cst, false}, {"warm", &warm, &cold, wst, true}} {
-		// One frame per superstep s = 1..k, saved once r_s is computed;
-		// its frontier is {v : r_s[v] differs from the prior r_s}, empty
-		// on a cold run.
-		var want, frontier int64
-		for s := 1; s <= k; s++ {
-			changed := 0
-			if tc.prior != nil {
-				for v, r := range tc.st.Hist[s] {
-					if r != tc.prior.Hist[s][v] {
-						changed++
-					}
-				}
-			}
-			frontier += int64(changed)
-			want += int64(8*n + 4*changed)
-		}
-		if tc.wantFrontier && frontier == 0 {
-			t.Fatalf("%s: the mutation changed no rank", tc.name)
-		}
-		r := tc.stats.Recovery
-		if r.CheckpointsSaved != k || r.DeltaCheckpointsSaved != 0 || r.CheckpointBytesDelta != 0 || r.CheckpointBytesFull != want {
-			t.Errorf("%s: saved %d (%d delta), bytes full %d delta %d; want %d full frames, %d B",
-				tc.name, r.CheckpointsSaved, r.DeltaCheckpointsSaved, r.CheckpointBytesFull, r.CheckpointBytesDelta, k, want)
-		}
-	}
-}
-
-// TestIncrementalPageRankParamMismatch: changed alpha or K invalidates
-// the memoized history.
-func TestIncrementalPageRankParamMismatch(t *testing.T) {
-	g := graph.RandomConnected(20, 40, 13)
-	var st Prior
-	if _, _, err := incRow(g, "pagerank", Args{Alpha: 0.85, K: 10}, &st, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	mustMutate(t, g, ins(0, 10, 1))
-	for _, tc := range []struct {
-		name  string
-		alpha float64
-		k     int
-	}{{"alpha", 0.9, 10}, {"k", 0.85, 12}} {
-		got := st
-		if _, _, err := incRow(g, "pagerank", Args{Alpha: tc.alpha, K: tc.k}, &got, Config{}); err != nil {
-			t.Fatal(err)
-		}
-		if !got.Cold {
-			t.Errorf("%s mismatch reused stale history", tc.name)
-		}
-	}
-}
-
-// TestIncrementalPageRankDirected: PageRank has no undirected
-// restriction — the warm path must track directed in/out asymmetry.
-func TestIncrementalPageRankDirected(t *testing.T) {
-	a := Args{Alpha: 0.85, K: 12}
-	g := graph.New(8, true)
-	for _, e := range [][2]VertexID{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}, {6, 0}, {7, 6}, {3, 7}} {
-		g.AddEdge(e[0], e[1])
-	}
-	var st Prior
-	if _, _, err := incRow(g, "pagerank", a, &st, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	mustMutate(t, g, ins(1, 5, 1), del(2, 3))
-	if _, _, err := incRow(g, "pagerank", a, &st, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if st.Cold {
-		t.Fatal("expected warm run")
-	}
-	var scratch Prior
-	if _, _, err := incRow(g, "pagerank", a, &scratch, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st.Hist, scratch.Hist) {
-		t.Fatal("directed warm history differs from cold recompute")
-	}
-}
-
 // TestIncrementalWorkSavings: on a larger graph with a small delta, the
 // warm CC/SSSP runs must update far fewer vertices than cold runs.
 func TestIncrementalWorkSavings(t *testing.T) {

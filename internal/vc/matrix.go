@@ -54,15 +54,12 @@ type Env struct {
 // Prior is a result a later inc run resumes from: the values in the
 // matrix's float64 shape (either spelling of an unreachable distance),
 // the graph epoch they are valid for, and the args they were computed
-// under — a row whose args differ starts cold. Hist is PageRank's
-// per-superstep rank history, which a byte-identical warm start needs;
-// only an inc row leaves one. Cold reports whether the inc run that
-// left the Prior recomputed from scratch.
+// under — a row whose args differ starts cold. Cold reports whether the
+// inc run that left the Prior recomputed from scratch.
 type Prior struct {
 	Epoch  int64
 	Args   Args
 	Values []float64
-	Hist   [][]float64
 	Cold   bool
 }
 
@@ -80,8 +77,9 @@ type Key struct{ Algo, Engine string }
 const EngineInc = "inc"
 
 // Matrix is every served (algorithm, engine) pair. PageRank is
-// fixed-iteration on the message-passing engines and inc (K folds) and
-// eps-converged on gas and async, as each model runs it natively.
+// fixed-iteration on the message-passing engines (K folds) and
+// eps-converged on gas and async, as each model runs it natively. The
+// inc column holds cc and sssp only, whose fixpoints are unique.
 var Matrix = map[Key]Row{
 	{"pagerank", plan.EnginePregel}:       pageRankPregel,
 	{"pagerank", plan.EngineGAS}:          pageRankGASConverged,
@@ -96,7 +94,6 @@ var Matrix = map[Key]Row{
 	{"cc", plan.EngineAsync}:              integers(ccAsync),
 	{"cc", plan.EngineBlockcentric}:       integers(ccBlock),
 	{"kcore", plan.EnginePregel}:          integers(kcorePregel),
-	{"pagerank", EngineInc}:               pageRankInc,
 	{"sssp", EngineInc}:                   ssspInc,
 	{"cc", EngineInc}:                     ccInc,
 }

@@ -27,9 +27,6 @@ import (
 // the exact floats (SSSP modulo the unreachable sentinel: the async
 // engine uses 1e308 where the barrier engines and the inc rows use
 // +Inf — both mean "unreachable" and the verdicts agree).
-// PageRank's low bits are schedule-dependent, so its byte-identity
-// baseline is the canonical memoized recompute (a cold incremental
-// run), with a tolerance check against the barrier engines.
 
 // scriptRig drives one mutation script: it owns the evolving graph and
 // a live-edge list the generator draws delete targets from, so every
@@ -94,16 +91,6 @@ func (r *scriptRig) step(k int) {
 
 // Verdict helpers mirroring internal/service's query output, so the
 // suite proves verdict strings — not just raw values — are identical.
-
-func prVerdictOf(ranks []float64) string {
-	best, bestV := -1.0, 0
-	for v, r := range ranks {
-		if r > best {
-			best, bestV = r, v
-		}
-	}
-	return fmt.Sprintf("top vertex %d with rank %.6f", bestV, best)
-}
 
 func ssspVerdictOf(dist []float64, src VertexID) string {
 	reached := 0
@@ -232,23 +219,16 @@ func checkSSSPAgainst(t *testing.T, cell scratchCell, inc, scratch []float64) {
 	}
 }
 
-// incStates are the Priors the three inc rows resume from between
+// incStates are the Priors the two inc rows resume from between
 // query points.
 type incStates struct {
-	cc, sssp, pr Prior
+	cc, sssp Prior
 }
 
-const (
-	scriptAlpha = 0.85
-	scriptK     = 12
-	scriptSrc   = VertexID(0)
-)
+const scriptSrc = VertexID(0)
 
-// The inc rows' args at every query point.
-var (
-	scriptSSSP = Args{Src: scriptSrc}
-	scriptPR   = Args{Alpha: scriptAlpha, K: scriptK}
-)
+// scriptSSSP is the sssp inc row's args at every query point.
+var scriptSSSP = Args{Src: scriptSrc}
 
 // query runs one query point: advance the incremental states and
 // compare values + verdicts against the given from-scratch cells.
@@ -262,12 +242,8 @@ func (st *incStates) query(t *testing.T, g *graph.Graph, cells []scratchCell, wa
 	if err != nil {
 		t.Fatalf("incremental SSSP: %v", err)
 	}
-	ranks, _, err := incRow(g, "pagerank", scriptPR, &st.pr, cfg)
-	if err != nil {
-		t.Fatalf("incremental PageRank: %v", err)
-	}
-	if wantWarm && (st.cc.Cold || st.sssp.Cold || st.pr.Cold) {
-		t.Fatalf("expected warm runs: cc=%v sssp=%v pr=%v", st.cc.Cold, st.sssp.Cold, st.pr.Cold)
+	if wantWarm && (st.cc.Cold || st.sssp.Cold) {
+		t.Fatalf("expected warm runs: cc=%v sssp=%v", st.cc.Cold, st.sssp.Cold)
 	}
 	cc := ints[VertexID](labels)
 	// The from-scratch async run spells unreachable 1e308; compare in
@@ -294,28 +270,6 @@ func (st *incStates) query(t *testing.T, g *graph.Graph, cells []scratchCell, wa
 			t.Fatalf("%s: SSSP verdict %q != %q", cell.name, iv, sv)
 		}
 	}
-
-	// PageRank byte-identity baseline: the canonical cold recompute.
-	var scratch Prior
-	if _, _, err := incRow(g, "pagerank", scriptPR, &scratch, cfg); err != nil {
-		t.Fatalf("cold PageRank: %v", err)
-	}
-	if !reflect.DeepEqual(st.pr.Hist, scratch.Hist) {
-		t.Fatal("incremental PageRank history differs from cold recompute")
-	}
-	if iv, sv := prVerdictOf(ranks), prVerdictOf(scratch.Values); iv != sv {
-		t.Fatalf("PageRank verdict %q != %q", iv, sv)
-	}
-	// Cross-engine tolerance check (summation order differs).
-	res, err := PageRank(g, scriptAlpha, scriptK, Config{Workers: 2})
-	if err != nil {
-		t.Fatalf("pregel PageRank: %v", err)
-	}
-	for v, r := range ranks {
-		if math.Abs(r-res.Ranks[v]) > 1e-9 {
-			t.Fatalf("vertex %d: incremental rank %v vs pregel %v", v, r, res.Ranks[v])
-		}
-	}
 }
 
 // TestMutationScriptMatrix: a few scripts checked at every query point
@@ -339,8 +293,7 @@ func TestMutationScriptMatrix(t *testing.T) {
 }
 
 // TestMutationScriptMany: one hundred seeded scripts with the cheap
-// comparator (async engine — the byte-exact one — plus the canonical
-// PageRank recompute) at every query point.
+// comparator (async engine, the byte-exact one) at every query point.
 func TestMutationScriptMany(t *testing.T) {
 	exact := []scratchCell{scratchMatrix()[8]} // async
 	if exact[0].name != "async" || !exact[0].exact {
@@ -413,13 +366,6 @@ func TestMutationScriptFaults(t *testing.T) {
 						if !reflect.DeepEqual(dist, st.sssp.Values) {
 							t.Fatal("faulted incremental SSSP differs from fault-free run")
 						}
-						pr := prior.pr
-						if _, _, err := incRow(rig.g, "pagerank", scriptPR, &pr, cfg); err != nil {
-							t.Fatalf("faulted PageRank: %v", err)
-						}
-						if !reflect.DeepEqual(pr.Hist, st.pr.Hist) {
-							t.Fatal("faulted incremental PageRank differs from fault-free run")
-						}
 					})
 				}
 			}
@@ -441,20 +387,5 @@ func TestMutationScriptFaultsFire(t *testing.T) {
 	}
 	if got := asyncCC(t, g); !reflect.DeepEqual(labels, got) {
 		t.Fatal("recovered cold CC differs from from-scratch run")
-	}
-	prArgs := Args{Alpha: 0.85, K: 10}
-	var pr, scratch Prior
-	_, prStats, err := incRow(g, "pagerank", prArgs, &pr, Config{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(3))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prStats.Recovery.Rollbacks == 0 {
-		t.Fatalf("PageRank crash plan fired no rollback: %+v", prStats.Recovery)
-	}
-	if _, _, err := incRow(g, "pagerank", prArgs, &scratch, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pr.Hist, scratch.Hist) {
-		t.Fatal("recovered PageRank differs from fault-free run")
 	}
 }

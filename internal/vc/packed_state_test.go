@@ -317,15 +317,6 @@ func TestMutationScriptPackedBase(t *testing.T) {
 				if !reflect.DeepEqual(ssF, ssP) {
 					t.Fatal("incremental SSSP over packed base differs")
 				}
-				if _, _, err := incRow(rig.g, "pagerank", scriptPR, &flat.pr, Config{}); err != nil {
-					t.Fatalf("flat incremental PageRank: %v", err)
-				}
-				if _, _, err := incRow(twin, "pagerank", scriptPR, &packed.pr, Config{}); err != nil {
-					t.Fatalf("packed incremental PageRank: %v", err)
-				}
-				if !reflect.DeepEqual(flat.pr.Hist, packed.pr.Hist) {
-					t.Fatal("incremental PageRank over packed base differs")
-				}
 
 				// From-scratch engine run combining every axis: flat
 				// graph + dense state vs compressed mutated base +
