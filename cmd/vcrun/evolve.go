@@ -17,15 +17,10 @@ import (
 	"vcgraph/internal/vc"
 )
 
-// evolve runs the incremental-vs-recompute loop on the algorithm's inc
-// row of the engine matrix. The graph already carries the weights the
-// main run assigned (sssp); incremental CC and SSSP additionally require
-// it to be undirected.
-func evolve(g *graph.Graph, algo string, src graph.VertexID, rounds, batch int, seed int64) error {
-	row, ok := vc.Matrix[vc.Key{Algo: matrixAlgos[algo], Engine: vc.EngineInc}]
-	if !ok {
-		return fmt.Errorf("-mutations supports sssp and hashmin, not %q", algo)
-	}
+// evolve runs the incremental-vs-recompute loop on an inc row. The graph
+// already carries the weights the main run assigned (sssp); incremental
+// CC and SSSP additionally require it to be undirected.
+func evolve(g *graph.Graph, row vc.Row, src graph.VertexID, rounds, batch int, seed int64) error {
 	args := vc.Args{Src: src}
 	var retained vc.Prior
 	// runInc computes the current answer: resuming from prior advances

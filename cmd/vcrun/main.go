@@ -84,6 +84,13 @@ func main() {
 		fail(fmt.Errorf("-packed-state applies to hashmin, kcore, and coloring on pregel or auto, not %s on %q", name, *engine))
 	}
 
+	// -mutations resumes the algorithm's inc row: refuse a missing one
+	// before the main run prints anything.
+	evolveRow, ok := vc.Matrix[vc.Key{Algo: matrixAlgos[*algo], Engine: vc.EngineInc}]
+	if *mutations > 0 && !ok {
+		fail(fmt.Errorf("-mutations supports sssp and hashmin, not %q", *algo))
+	}
+
 	var fplan *runtime.FaultPlan
 	if *faults != 0 {
 		fplan = runtime.NewFaultPlan(*faults)
@@ -170,7 +177,7 @@ func main() {
 	elapsed := time.Since(start)
 	if *mutations > 0 {
 		defer func() {
-			if err := evolve(g, *algo, graph.VertexID(*src), *mutations, *mutBatch, *mutSeed); err != nil {
+			if err := evolve(g, evolveRow, graph.VertexID(*src), *mutations, *mutBatch, *mutSeed); err != nil {
 				fail(err)
 			}
 		}()

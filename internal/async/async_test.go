@@ -2,11 +2,13 @@ package async_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	. "vcgraph/internal/async"
 
 	"vcgraph/internal/graph"
+	rt "vcgraph/internal/runtime"
 	"vcgraph/internal/seq"
 	"vcgraph/internal/vc"
 )
@@ -121,6 +123,32 @@ func TestAsyncDeterministic(t *testing.T) {
 		if a[v] != b[v] {
 			t.Fatalf("vertex %d differs", v)
 		}
+	}
+}
+
+// A crash due at the barrier after the last epoch fires like any other:
+// the run rolls back to the frame saved after that part-full epoch, whose
+// update count is not a multiple of the epoch length, and ends with the
+// clean run's labels and update count.
+func TestAsyncCrashAtFinalBarrier(t *testing.T) {
+	g := graph.Grid(12, 12)
+	want, clean, err := ConnectedComponents(g, Config{CheckpointEvery: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs := clean.Stats.NumSupersteps()
+	got, res, err := ConnectedComponents(g, Config{CheckpointEvery: 5, Faults: rt.PlanOf(rt.Crash(epochs))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("labels after a crash at final barrier %d differ from the clean run's", epochs)
+	}
+	if res.Updates != clean.Updates {
+		t.Fatalf("updates %d after a crash at final barrier %d, clean run %d", res.Updates, epochs, clean.Updates)
+	}
+	if r := res.Stats.Recovery; r.Rollbacks != 1 {
+		t.Fatalf("crash at final barrier %d: rollbacks %d, want 1", epochs, r.Rollbacks)
 	}
 }
 

@@ -175,9 +175,9 @@ type Recovery struct {
 	// Rollbacks counts recoveries performed, whether triggered by a
 	// worker crash or by a lost (dropped) message batch.
 	Rollbacks int
-	// RedoneSupersteps counts supersteps re-executed after rollbacks
-	// (vertex updates, for the asynchronous engine). The redone work
-	// also stays in the Supersteps record, as it would on a cluster.
+	// RedoneSupersteps counts supersteps re-executed after rollbacks.
+	// The redone work also stays in the Supersteps record, as it would
+	// on a cluster.
 	RedoneSupersteps int
 	// CorruptedCheckpoints counts snapshots that failed validation
 	// when a recovery tried to read them; each forces a fallback to

@@ -20,9 +20,10 @@ import (
 //
 // An engine is a Policy: it fills the per-worker Work/Sent/Recv/Active
 // slices while a superstep runs and defines what quiescence and its one
-// checkpoint frame mean for its model. Optional extensions
-// (SerialFinishPolicy, BarrierFaultPolicy, EarlyStopper,
-// RollbackWeigher) are discovered by type assertion.
+// checkpoint frame mean for its model. Every engine runs the same
+// barrier order: fault check, rollback, quiescence, superstep, save.
+// The one optional extension, SerialFinishPolicy, is discovered by type
+// assertion.
 type Policy[S any] interface {
 	// Quiescent reports whether the computation has converged at the
 	// barrier entering step, after fault detection and rollback.
@@ -63,32 +64,6 @@ type SerialFinishPolicy interface {
 	FinishSerially(pending int) (work, active int64, done bool)
 }
 
-// BarrierFaultPolicy is an optional Policy extension for engines whose
-// message-lane faults fire at the barrier itself rather than inside a
-// delivery phase: BarrierFaults runs before crash detection and reports
-// whether a batch was lost. Its one implementer is the async engine's
-// WorklistRunner, whose faults fire at epoch boundaries.
-type BarrierFaultPolicy interface {
-	BarrierFaults(inj *Injector, step int) (lost bool)
-}
-
-// EarlyStopper is an optional Policy extension checked at the top of
-// each barrier, before fault detection: a policy whose previous
-// superstep ended mid-stride (the async engine draining its worklist
-// partway through an epoch) returns true to end the run without
-// another barrier's fault/checkpoint processing.
-type EarlyStopper interface {
-	Stopped() bool
-}
-
-// RollbackWeigher is an optional Policy extension that converts redone
-// barriers into the engine's work unit for Recovery.RedoneSupersteps
-// (the async engine counts redone updates, not epochs). Without it the
-// driver charges failed - resumed.
-type RollbackWeigher interface {
-	RedoneUnits(resumed, failed int) int
-}
-
 // DriverConfig parameterizes a Driver run: the engine's resolved run
 // environment (EngineConfig.Prepare fills it) plus what only the driver
 // reads. Workers sizes the per-superstep stat slices, and the Job's
@@ -99,11 +74,6 @@ type DriverConfig struct {
 	EngineConfig
 	// Name prefixes the run's errors ("pregel: superstep cap reached ...").
 	Name string
-	// EpochSaves selects the async engine's checkpoint ordering: the
-	// snapshot is taken at the top of every barrier, after fault
-	// detection — instead of at the end of every k-th superstep, before
-	// the next barrier's fault check.
-	EpochSaves bool
 }
 
 // Driver runs a Policy to termination. One Driver serves one Run.
@@ -214,8 +184,6 @@ func (d *Driver[S]) Run() (steps int, err error) {
 	}
 
 	finisher, hasFinisher := d.pol.(SerialFinishPolicy)
-	barrier, hasBarrier := d.pol.(BarrierFaultPolicy)
-	stopper, hasStopper := d.pol.(EarlyStopper)
 
 	pending := 0
 	capHit := false
@@ -233,22 +201,13 @@ func (d *Driver[S]) Run() (steps int, err error) {
 			capHit = true
 			break
 		}
-		if hasStopper && stopper.Stopped() {
-			break
-		}
 		// The barrier doubles as the failure-detection point: a crashed
 		// worker or a batch lost in the previous delivery rolls the run
 		// back to its newest readable checkpoint before the quiescence
 		// check (a lost batch can masquerade as quiescence).
-		if hasBarrier && barrier.BarrierFaults(d.inj, d.step) {
-			d.lost = true
-		}
 		if _, crashed := d.inj.CrashAt(d.step); crashed || d.lost {
 			d.lost = false
 			d.step, pending = d.rollback()
-		}
-		if d.cfg.EpochSaves && d.cfg.CheckpointEvery > 0 && d.step > 0 {
-			d.save(d.step, pending)
 		}
 		if d.pol.Quiescent(d.step, pending) {
 			break
@@ -262,7 +221,7 @@ func (d *Driver[S]) Run() (steps int, err error) {
 			// finished serially. Roll back at the top of the next step.
 			continue
 		}
-		if k := d.cfg.CheckpointEvery; !d.cfg.EpochSaves && k > 0 && (d.step+1)%k == 0 {
+		if k := d.cfg.CheckpointEvery; k > 0 && (d.step+1)%k == 0 {
 			d.save(d.step+1, pending)
 		}
 		if hasFinisher {
@@ -363,10 +322,6 @@ func (d *Driver[S]) rollback() (resumed, pending int) {
 		}
 		pending = chain[len(chain)-1].pending
 	}
-	redone := d.step - step
-	if w, isWeigher := d.pol.(RollbackWeigher); isWeigher {
-		redone = w.RedoneUnits(step, d.step)
-	}
-	d.stats.Recovery.RedoneSupersteps += redone
+	d.stats.Recovery.RedoneSupersteps += d.step - step
 	return step, pending
 }

@@ -41,9 +41,9 @@ type EngineConfig struct {
 	// inside. async and the incremental engine ignore it.
 	Mode DirectionMode
 	// CheckpointEvery > 0 snapshots the barrier state every k supersteps.
-	// On async, and so on incremental CC/SSSP, it counts updates and also
-	// sets the epoch, the fault-detection granularity (64 updates when
-	// unset).
+	// On async, and so on incremental CC/SSSP, it sets the epoch, the
+	// updates one superstep applies (64 when unset), and a snapshot
+	// follows every epoch.
 	CheckpointEvery int
 	// FullSnapshotEvery > 1 stores only every Nth checkpoint as a full
 	// frame; the ones between are dirty-set deltas patching the frame
@@ -56,8 +56,8 @@ type EngineConfig struct {
 	// sequence number on pregel and blockcentric, and absorbed on gas,
 	// async and the incremental engine, where activation is a set union.
 	// On blockcentric FaultEvent.Worker and Lane are the source and
-	// destination blocks; on async and the incremental engine
-	// FaultEvent.Step counts epochs.
+	// destination blocks; on async and the incremental engine a step is
+	// an epoch and its activations are lane 0 → 0's one batch.
 	Faults *FaultPlan
 	// Snapshot, when non-nil, is an already-pinned CSR generation to run
 	// against instead of the graph's current one: the plan layer runs on

@@ -10,8 +10,8 @@ import (
 // WorklistRunner is the asynchronous engine's FIFO-worklist execution
 // policy: one Driver step is one epoch of up to epochLen updates popped
 // from a deduplicating FIFO, each applied immediately and pushing its
-// activations back. The Driver supplies the barrier lifecycle — fault
-// detection, checkpoint cadence (EpochSaves ordering), rollback — so a
+// activations back. The Driver runs each epoch as an ordinary
+// superstep — fault check, rollback, quiescence, epoch, save — so a
 // program gets crash/drop/dup/corrupt recovery by filling in Update.
 type WorklistRunner[V any] struct {
 	// Update recomputes v from current values and returns the vertices
@@ -29,12 +29,13 @@ type WorklistRunner[V any] struct {
 	N int
 
 	// name, epochLen (updates per driver step, the fault-detection and
-	// checkpoint granularity) and limit (the update cap) come from the
-	// run environment (NewWorklistDriver).
+	// checkpoint granularity), limit (the update cap) and driver come
+	// from the run environment (NewWorklistDriver).
 	name     string
 	epochLen int
 	limit    int
 	updates  int
+	driver   *Driver[*WorklistSnapshot[V]]
 	// dirty marks the vertices popped (and therefore possibly
 	// rewritten — Update writes only values[v]) since the last
 	// checkpoint frame; Snapshot and Restore clear it.
@@ -47,18 +48,20 @@ const defaultEpoch = 64
 
 // NewWorklistDriver binds p to its run environment dc, which
 // EngineConfig.Prepare resolved: one driver step is one epoch of
-// CheckpointEvery updates (64 when unset), at whose boundary faults
-// fire and checkpoints are taken (EpochSaves). MaxSupersteps caps
-// updates; p checks it per update, so the driver's own step cap is
-// unreachable.
+// CheckpointEvery updates (64 when unset), and with checkpoints on the
+// driver saves a frame after every epoch. MaxSupersteps caps updates;
+// p checks it per update, so the driver's own step cap is unreachable.
 func NewWorklistDriver[V any](p *WorklistRunner[V], stats *bsp.Stats, dc DriverConfig) *Driver[*WorklistSnapshot[V]] {
 	p.name, p.limit = dc.Name, dc.MaxSupersteps
 	p.epochLen = dc.CheckpointEvery
 	if p.epochLen <= 0 {
 		p.epochLen = defaultEpoch
+	} else {
+		dc.CheckpointEvery = 1
 	}
-	dc.MaxSupersteps, dc.EpochSaves = math.MaxInt, true
-	return NewDriver[*WorklistSnapshot[V]](p, stats, dc)
+	dc.MaxSupersteps = math.MaxInt
+	p.driver = NewDriver[*WorklistSnapshot[V]](p, stats, dc)
+	return p.driver
 }
 
 // Updates returns the total number of vertex updates applied.
@@ -67,41 +70,15 @@ func (p *WorklistRunner[V]) Updates() int { return p.updates }
 // Quiescent implements Policy: the worklist drained.
 func (p *WorklistRunner[V]) Quiescent(step, pending int) bool { return p.Queue.Len() == 0 }
 
-// Stopped implements EarlyStopper: the previous epoch ended mid-stride
-// with the worklist drained, so the run is over without another
-// boundary's fault/checkpoint processing.
-func (p *WorklistRunner[V]) Stopped() bool {
-	return p.updates%p.epochLen != 0 && p.Queue.Len() == 0
-}
-
-// BarrierFaults implements BarrierFaultPolicy: activation-batch faults
-// fire at the epoch boundary itself. A dropped batch forces a rollback
-// (the worklist cannot be reconstructed in place); a duplicated batch
-// is absorbed because the FIFO deduplicates scheduled vertices.
-func (p *WorklistRunner[V]) BarrierFaults(inj *Injector, step int) (lost bool) {
-	switch inj.LaneFault(step, 0, 0) {
-	case FaultDropLane:
-		return true
-	case FaultDupLane:
-		for _, w := range p.Queue.Snapshot() {
-			p.Queue.Push(w)
-		}
-	}
-	return false
-}
-
-// RedoneUnits implements RollbackWeigher: recovery cost is counted in
-// redone updates, not epochs.
-func (p *WorklistRunner[V]) RedoneUnits(resumed, failed int) int {
-	return (failed - resumed) * p.epochLen
-}
-
 // Superstep implements Policy: drain up to one epoch of updates,
 // applying each immediately. Updates gather from live neighbor values,
 // so the engine is pull-based by construction; an epoch that starts
 // with a dense worklist is marked Pulled, and its activations take the
 // bulk FIFO.PushAll path (identical order and dedup to per-vertex
-// pushes, with the queue bookkeeping hoisted out of the loop).
+// pushes, with the queue bookkeeping hoisted out of the loop). The
+// epoch's activations are its one message batch: a dropped batch forces
+// a rollback (the worklist cannot be reconstructed in place), and a
+// duplicated one is absorbed because the FIFO already holds each vertex.
 func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 	ss.Frontier = int64(p.Queue.Len())
 	ss.Pulled = ChoosePull(DirectionAuto, true, p.Queue.Len(), p.N)
@@ -124,20 +101,23 @@ func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, er
 		ss.Sent[0] += int64(len(acts))
 		p.Queue.PushAll(acts)
 	}
+	if p.driver.Injector().LaneFault(step, 0, 0) == FaultDropLane {
+		p.driver.LoseBatch()
+	}
 	return p.Queue.Len(), nil
 }
 
 // Snapshot implements Policy: the values of every vertex (full) or of
 // the vertices popped since the previous frame (delta), plus the whole
 // worklist in arrival order — small on sparse tails, and required, since
-// a queue cannot be patched. The update count is implied by the boundary
-// step (step · epochLen), so it is not stored.
+// a queue cannot be patched — and the update count.
 func (p *WorklistRunner[V]) Snapshot(full bool) *WorklistSnapshot[V] {
 	ids := TakeDirty[VertexID](p.dirty, full)
 	return &WorklistSnapshot[V]{
-		ids:    ids,
-		values: CloneValuesAt(p.Prog, p.Values, ids),
-		queue:  p.Queue.Snapshot(),
+		ids:     ids,
+		values:  CloneValuesAt(p.Prog, p.Values, ids),
+		queue:   p.Queue.Snapshot(),
+		updates: p.updates,
 	}
 }
 
@@ -150,20 +130,21 @@ func (p *WorklistRunner[V]) FrameBytes(snap *WorklistSnapshot[V]) int64 {
 }
 
 // Restore implements Policy: write the frame's values back and replace
-// the worklist.
+// the worklist and the update count.
 func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int) {
 	clear(p.dirty)
 	RestoreValuesAt(p.Prog, p.Values, snap.values, snap.ids)
 	p.Queue.Load(snap.queue)
-	p.updates = step * p.epochLen
+	p.updates = snap.updates
 }
 
 // WorklistSnapshot is one checkpoint frame of a worklist run at an epoch
 // boundary: the values of the vertices in ids (nil: every vertex),
-// indexed by position in ids, and the complete worklist in arrival
-// order.
+// indexed by position in ids, the complete worklist in arrival order,
+// and the number of updates applied before it.
 type WorklistSnapshot[V any] struct {
-	ids    []VertexID
-	values []V
-	queue  []VertexID
+	ids     []VertexID
+	values  []V
+	queue   []VertexID
+	updates int
 }

@@ -33,33 +33,21 @@ const (
 // run under an explicit checkpoint and full-snapshot cadence.
 type deltaCell struct {
 	name string
-	// epochSaves marks engines that checkpoint after the barrier's
-	// fault check (the asynchronous engine): the newest save a crash at
-	// barrier k sees is the step k-1 one, so their crash step shifts by
-	// one to read the same three-frame chain as the barrier engines.
-	epochSaves bool
-	run        func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
+	run  func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
 }
 
 // deltaCase is a fault plan against the delta chain plus the exact
 // recovery accounting its firing must leave behind.
 type deltaCase struct {
 	name  string
-	plan  func(cell deltaCell) *rt.FaultPlan
+	plan  *rt.FaultPlan
 	check func(t *testing.T, r bsp.Recovery)
 }
 
-// deltaCrashStep picks the crash barrier so the recovery reads the
-// chain 1 (full) → 2 (delta) → 3 (delta): barrier engines save frame k
-// at the end of superstep k-1, so crash(3) already sees all three;
-// epoch-save engines write after the crash check, so barrier 4 is the
-// first to see frame 3.
-func deltaCrashStep(cell deltaCell) int {
-	if cell.epochSaves {
-		return 4
-	}
-	return 3
-}
+// deltaCrash is the barrier whose recovery reads the chain 1 (full) →
+// 2 (delta) → 3 (delta): frame k is saved at the end of superstep k-1,
+// so crash(3) already sees all three.
+const deltaCrash = 3
 
 func deltaCases() []deltaCase {
 	return []deltaCase{
@@ -68,9 +56,7 @@ func deltaCases() []deltaCase {
 			// reconstruct step 3 by applying frames 2 and 3 onto full
 			// frame 1 — and nothing may be skipped or invalidated.
 			name: "crash-mid-chain",
-			plan: func(cell deltaCell) *rt.FaultPlan {
-				return rt.PlanOf(rt.Crash(deltaCrashStep(cell)))
-			},
+			plan: rt.PlanOf(rt.Crash(deltaCrash)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.Rollbacks == 0 || r.DeltaCheckpointsSaved == 0 {
 					t.Errorf("chain crash: rollbacks=%d deltas=%d, want both > 0", r.Rollbacks, r.DeltaCheckpointsSaved)
@@ -85,9 +71,7 @@ func deltaCases() []deltaCase {
 			// must count it once, invalidate the still-readable dependent
 			// frame 3, and fall back to the full frame at step 1.
 			name: "corrupt-delta-mid-chain",
-			plan: func(cell deltaCell) *rt.FaultPlan {
-				return rt.PlanOf(rt.CorruptCheckpoint(2), rt.Crash(deltaCrashStep(cell)))
-			},
+			plan: rt.PlanOf(rt.CorruptCheckpoint(2), rt.Crash(deltaCrash)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.CorruptedCheckpoints != 1 || r.InvalidatedCheckpoints != 1 {
 					t.Errorf("corrupt mid-chain delta: corrupted=%d invalidated=%d, want 1/1", r.CorruptedCheckpoints, r.InvalidatedCheckpoints)
@@ -102,9 +86,7 @@ func deltaCases() []deltaCase {
 			// unreadable — both dependent deltas are invalidated and the
 			// engine restarts from scratch.
 			name: "corrupt-base-full",
-			plan: func(cell deltaCell) *rt.FaultPlan {
-				return rt.PlanOf(rt.CorruptCheckpoint(1), rt.Crash(deltaCrashStep(cell)))
-			},
+			plan: rt.PlanOf(rt.CorruptCheckpoint(1), rt.Crash(deltaCrash)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.CorruptedCheckpoints != 1 || r.InvalidatedCheckpoints != 2 {
 					t.Errorf("corrupt base full: corrupted=%d invalidated=%d, want 1/2", r.CorruptedCheckpoints, r.InvalidatedCheckpoints)
@@ -122,10 +104,7 @@ func deltaCases() []deltaCase {
 			// frame 2, and the second recovery would invalidate it and
 			// fall back further.
 			name: "crash-after-rollback",
-			plan: func(cell deltaCell) *rt.FaultPlan {
-				c := deltaCrashStep(cell) - 1
-				return rt.PlanOf(rt.CorruptCheckpoint(2), rt.Crash(c), rt.Crash(c))
-			},
+			plan: rt.PlanOf(rt.CorruptCheckpoint(2), rt.Crash(deltaCrash-1), rt.Crash(deltaCrash-1)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.Rollbacks != 2 || r.CorruptedCheckpoints != 1 || r.InvalidatedCheckpoints != 0 {
 					t.Errorf("crash after rollback: rollbacks=%d corrupted=%d invalidated=%d, want 2/1/0", r.Rollbacks, r.CorruptedCheckpoints, r.InvalidatedCheckpoints)
@@ -136,9 +115,7 @@ func deltaCases() []deltaCase {
 			// A message batch lost in transit at superstep 1 forces a
 			// rollback that restores through whatever chain is resident.
 			name: "drop-lane-mid-chain",
-			plan: func(cell deltaCell) *rt.FaultPlan {
-				return rt.PlanOf(rt.DropLane(1, 0, 0))
-			},
+			plan: rt.PlanOf(rt.DropLane(1, 0, 0)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.DroppedLanes == 0 || r.Rollbacks == 0 {
 					t.Errorf("dropped lane under delta cadence: dropped=%d rollbacks=%d, want both > 0", r.DroppedLanes, r.Rollbacks)
@@ -186,7 +163,7 @@ func runDeltaDifferential(t *testing.T, cells []deltaCell) {
 			t.Run("all-full-cadence", func(t *testing.T) {
 				var recs [2]bsp.Recovery
 				for i, fullEvery := range []int{0, 1} {
-					got, st, err := cell.run(deltaCK, fullEvery, rt.PlanOf(rt.Crash(deltaCrashStep(cell))))
+					got, st, err := cell.run(deltaCK, fullEvery, rt.PlanOf(rt.Crash(deltaCrash)))
 					if err != nil {
 						t.Fatalf("full-every %d: %v", fullEvery, err)
 					}
@@ -205,7 +182,7 @@ func runDeltaDifferential(t *testing.T, cells []deltaCell) {
 
 			for _, fc := range deltaCases() {
 				t.Run(fc.name, func(t *testing.T) {
-					got, st, err := cell.run(deltaCK, deltaFull, fc.plan(cell))
+					got, st, err := cell.run(deltaCK, deltaFull, fc.plan)
 					if err != nil {
 						t.Fatalf("faulted run: %v", err)
 					}
@@ -269,7 +246,7 @@ func TestDeltaDifferentialConnectedComponents(t *testing.T) {
 		})
 	}
 	cells = append(cells, deltaCell{
-		name: "async", epochSaves: true,
+		name: "async",
 		run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 			labels, res, err := async.ConnectedComponents(g, async.Config{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan})
 			if err != nil {
@@ -323,7 +300,7 @@ func TestDeltaDifferentialSSSP(t *testing.T) {
 		})
 	}
 	cells = append(cells, deltaCell{
-		name: "async", epochSaves: true,
+		name: "async",
 		run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 			dist, res, err := async.SSSP(g, src, async.Config{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan})
 			if err != nil {
@@ -378,7 +355,7 @@ func TestDeltaDifferentialPageRank(t *testing.T) {
 		})
 	}
 	cells = append(cells, deltaCell{
-		name: "async", epochSaves: true,
+		name: "async",
 		run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 			ranks, res, err := async.PageRank(g, alpha, 1e-10, async.Config{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan})
 			if err != nil {

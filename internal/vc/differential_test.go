@@ -29,11 +29,7 @@ import (
 // and returns the output values (a comparable slice) plus stats.
 type engineCell struct {
 	name string
-	// epochSaves marks engines that checkpoint after the barrier's
-	// fault check (the asynchronous engine), which shifts which save a
-	// corruption event lands on; see corruptPlan.
-	epochSaves bool
-	run        func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
+	run  func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
 }
 
 // faultCase is a fault plan plus what its firing must leave in
@@ -41,7 +37,7 @@ type engineCell struct {
 type faultCase struct {
 	name  string
 	ck    int
-	plan  func(cell engineCell) *rt.FaultPlan
+	plan  *rt.FaultPlan
 	check func(t *testing.T, r bsp.Recovery)
 }
 
@@ -50,7 +46,7 @@ func faultCases() []faultCase {
 		{
 			// Crash with no checkpoint: recovery is a fresh restart.
 			name: "crash-fresh", ck: 0,
-			plan: func(engineCell) *rt.FaultPlan { return rt.PlanOf(rt.Crash(1)) },
+			plan: rt.PlanOf(rt.Crash(1)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.Rollbacks == 0 || r.RedoneSupersteps == 0 {
 					t.Errorf("crash without checkpoint: rollbacks=%d redone=%d, want both > 0", r.Rollbacks, r.RedoneSupersteps)
@@ -60,7 +56,7 @@ func faultCases() []faultCase {
 		{
 			// Crash with checkpoints: rollback to the last snapshot.
 			name: "crash-checkpointed", ck: 2,
-			plan: func(engineCell) *rt.FaultPlan { return rt.PlanOf(rt.Crash(3)) },
+			plan: rt.PlanOf(rt.Crash(3)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.Rollbacks == 0 || r.CheckpointsSaved == 0 {
 					t.Errorf("checkpointed crash: rollbacks=%d saved=%d, want both > 0", r.Rollbacks, r.CheckpointsSaved)
@@ -70,7 +66,7 @@ func faultCases() []faultCase {
 		{
 			// A message batch lost in transit forces a rollback.
 			name: "drop-lane", ck: 2,
-			plan: func(engineCell) *rt.FaultPlan { return rt.PlanOf(rt.DropLane(1, 0, 0)) },
+			plan: rt.PlanOf(rt.DropLane(1, 0, 0)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.DroppedLanes == 0 || r.Rollbacks == 0 {
 					t.Errorf("dropped lane: dropped=%d rollbacks=%d, want both > 0", r.DroppedLanes, r.Rollbacks)
@@ -81,7 +77,7 @@ func faultCases() []faultCase {
 			// A duplicated batch is detected (or idempotently absorbed)
 			// without a rollback.
 			name: "dup-lane", ck: 0,
-			plan: func(engineCell) *rt.FaultPlan { return rt.PlanOf(rt.DupLane(1, 0, 0)) },
+			plan: rt.PlanOf(rt.DupLane(1, 0, 0)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.DuplicatedLanes == 0 {
 					t.Errorf("duplicated lane not detected: %+v", r)
@@ -95,17 +91,9 @@ func faultCases() []faultCase {
 			// The newest checkpoint is silently corrupt; recovery must
 			// fall back to the previous generation (or a fresh start).
 			name: "corrupt-checkpoint", ck: 1,
-			plan: func(cell engineCell) *rt.FaultPlan {
-				if cell.epochSaves {
-					// Saves happen after the crash check at each epoch
-					// barrier, so the newest save a crash at barrier 3
-					// sees is the step-2 one.
-					return rt.PlanOf(rt.CorruptCheckpoint(2), rt.Crash(3))
-				}
-				// Barrier engines save checkpoint k at the end of
-				// superstep k-1, so crash(3) reads save(3).
-				return rt.PlanOf(rt.CorruptCheckpoint(3), rt.Crash(3))
-			},
+			// Saves land at the end of every superstep, so crash(3) reads
+			// save(3).
+			plan: rt.PlanOf(rt.CorruptCheckpoint(3), rt.Crash(3)),
 			check: func(t *testing.T, r bsp.Recovery) {
 				if r.CorruptedCheckpoints == 0 || r.Rollbacks == 0 {
 					t.Errorf("corrupt checkpoint: corrupted=%d rollbacks=%d, want both > 0", r.CorruptedCheckpoints, r.Rollbacks)
@@ -132,7 +120,7 @@ func runDifferential(t *testing.T, cells []engineCell, checkOracle func(t *testi
 
 			for _, fc := range faultCases() {
 				t.Run(fc.name, func(t *testing.T) {
-					got, st, err := cell.run(fc.ck, fc.plan(cell))
+					got, st, err := cell.run(fc.ck, fc.plan)
 					if err != nil {
 						t.Fatalf("faulted run: %v", err)
 					}
@@ -195,7 +183,7 @@ func TestDifferentialConnectedComponents(t *testing.T) {
 		})
 	}
 	cells = append(cells, engineCell{
-		name: "async", epochSaves: true,
+		name: "async",
 		run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 			labels, res, err := async.ConnectedComponents(g, async.Config{CheckpointEvery: ck, Faults: plan})
 			if err != nil {
@@ -257,7 +245,7 @@ func TestDifferentialSSSP(t *testing.T) {
 		})
 	}
 	cells = append(cells, engineCell{
-		name: "async", epochSaves: true,
+		name: "async",
 		run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 			dist, res, err := async.SSSP(g, src, async.Config{CheckpointEvery: ck, Faults: plan})
 			if err != nil {
@@ -326,7 +314,7 @@ func TestDifferentialPageRank(t *testing.T) {
 		})
 	}
 	cells = append(cells, engineCell{
-		name: "async", epochSaves: true,
+		name: "async",
 		run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 			ranks, res, err := async.PageRank(g, alpha, 1e-10, async.Config{CheckpointEvery: ck, Faults: plan})
 			if err != nil {

@@ -28,8 +28,7 @@ import (
 // configuration: on pregel the baseline is the dense-state run and the
 // run is its packed-state counterpart.
 type packedCell struct {
-	name       string
-	epochSaves bool
+	name string
 	// crossEngine marks cells whose run is another engine's CC held to
 	// the packed pregel labels, where only the values can agree.
 	crossEngine bool
@@ -73,7 +72,7 @@ func runPackedDifferential(t *testing.T, cells []packedCell) {
 			for _, fc := range faultCases() {
 				fc := fc
 				t.Run(fc.name, func(t *testing.T) {
-					got, st, err := cell.run(fc.ck, fc.plan(engineCell{epochSaves: cell.epochSaves}))
+					got, st, err := cell.run(fc.ck, fc.plan)
 					if err != nil {
 						t.Fatalf("faulted run: %v", err)
 					}
@@ -164,11 +163,11 @@ func TestPackedStateCCDifferential(t *testing.T) {
 		// The other engines keep their labels in the value array; their
 		// CC must reach the packed pregel labels under every fault plan.
 		packedLabels := ccCell("", Config{Workers: 3}).run
-		engineCC := func(name string, epochSaves, noLanes bool, run func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)) packedCell {
-			return packedCell{name: name, epochSaves: epochSaves, noLanes: noLanes, crossEngine: true, base: packedLabels, run: run}
+		engineCC := func(name string, noLanes bool, run func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)) packedCell {
+			return packedCell{name: name, noLanes: noLanes, crossEngine: true, base: packedLabels, run: run}
 		}
 		gasCell := func(name string, cfg gas.Config) packedCell {
-			return engineCC(name, false, cfg.Mode == rt.DirectionPull, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+			return engineCC(name, cfg.Mode == rt.DirectionPull, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 				c := cfg
 				c.CheckpointEvery, c.Faults = ck, plan
 				labels, res, err := gas.ConnectedComponents(g, c)
@@ -184,7 +183,7 @@ func TestPackedStateCCDifferential(t *testing.T) {
 		cells = append(cells,
 			gasCell("gas/push", gas.Config{Workers: 3, Mode: rt.DirectionPush}),
 			gasCell("gas/pull", gas.Config{Workers: 3, Mode: rt.DirectionPull}),
-			engineCC("async", true, false, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+			engineCC("async", false, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 				labels, res, err := async.ConnectedComponents(g, async.Config{CheckpointEvery: ck, Faults: plan})
 				if err != nil {
 					return nil, nil, err
@@ -194,7 +193,7 @@ func TestPackedStateCCDifferential(t *testing.T) {
 		)
 		for _, b := range []int{2, 3} {
 			b := b
-			cells = append(cells, engineCC(fmt.Sprintf("blockcentric/b%d", b), false, false, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
+			cells = append(cells, engineCC(fmt.Sprintf("blockcentric/b%d", b), false, func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Workers: b, CheckpointEvery: ck, Faults: plan})
 				if err != nil {
 					return nil, nil, err
@@ -382,7 +381,7 @@ func TestPackedStateColoringDifferential(t *testing.T) {
 					t.Run(fc.name, func(t *testing.T) {
 						for _, packed := range []bool{false, true} {
 							got, err := ColoringMIS(gr.g, Config{Workers: 3, Seed: seed, PackedState: packed,
-								CheckpointEvery: fc.ck, Faults: fc.plan(engineCell{})})
+								CheckpointEvery: fc.ck, Faults: fc.plan})
 							if err != nil {
 								t.Fatalf("faulted (packed %v): %v", packed, err)
 							}
