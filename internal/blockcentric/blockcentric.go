@@ -229,7 +229,7 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		Name:      "blockcentric",
 		Workers:   4,
 		Cap:       func(n int) int { return 1 + 10*(n+64) },
-		Partition: rt.PartitionRangeN,
+		Partition: func(c *graph.CSR, w int) []int32 { return rt.PartitionRangeN(c.N(), w) },
 	})
 	if err != nil {
 		return &Engine[V, M]{err: err}

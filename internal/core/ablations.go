@@ -208,7 +208,7 @@ func SubgraphOverhead(cfg vc.Config) (string, error) {
 	return out.String(), nil
 }
 
-// PartitionAblation compares the three partitioning strategies on a
+// PartitionAblation compares the four partitioning strategies on a
 // degree-skewed graph: results are identical, but the measured
 // superstep cost max(w, g·h, L) tracks the load imbalance each
 // strategy leaves behind (§1's "graph partitioning" optimization).
@@ -222,6 +222,7 @@ func PartitionAblation(cfg vc.Config) (string, error) {
 		name string
 		p    pregel.Partitioner
 	}{
+		{"runs (default)", pregel.PartitionRuns},
 		{"hash", pregel.PartitionHash},
 		{"range", pregel.PartitionRange},
 		{"degree-balanced", pregel.PartitionDegreeBalanced},

@@ -89,7 +89,7 @@ var defaults = rt.EngineDefaults{
 	Name:      "gas",
 	Workers:   4,
 	Cap:       func(n int) int { return 10 * (n + 64) },
-	Partition: rt.PartitionHashN,
+	Partition: rt.PartitionRunsCSR,
 }
 
 // Prepare builds the engine for prog over g — pinning the CSR

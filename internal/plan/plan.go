@@ -29,7 +29,10 @@ const (
 	EngineBlockcentric = "blockcentric"
 )
 
-// Partition strategies a Plan can select.
+// Partition strategies a Plan can select. PartitionHash names the
+// engines' default placement, degree-balanced runs of consecutive
+// vertices (runtime.PartitionRunsCSR); the spelling is the wire's and
+// predates runs.
 const (
 	PartitionHash   = "hash"
 	PartitionRange  = "range"
@@ -63,7 +66,7 @@ func (p Plan) Owner(csr *graph.CSR, workers int) []int32 {
 	case PartitionDegree:
 		return rt.PartitionDegreeBalancedCSR(csr, workers)
 	default:
-		return rt.PartitionHashN(csr.N(), workers)
+		return rt.PartitionRunsCSR(csr, workers)
 	}
 }
 

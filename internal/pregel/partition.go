@@ -11,8 +11,11 @@ import rt "vcgraph/internal/runtime"
 type Partitioner = rt.Partitioner
 
 var (
+	// PartitionRuns deals runs of consecutive vertices to the
+	// least-loaded worker (the engines' default).
+	PartitionRuns Partitioner = rt.PartitionRuns
 	// PartitionHash spreads vertices round-robin by ID (the Pregel
-	// default).
+	// paper's default).
 	PartitionHash Partitioner = rt.PartitionHash
 	// PartitionRange gives each worker a contiguous ID range.
 	PartitionRange Partitioner = rt.PartitionRange

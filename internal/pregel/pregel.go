@@ -188,7 +188,7 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[M]) *Eng
 		Name:      "pregel",
 		Workers:   rt.DefaultWorkers(),
 		Cap:       func(n int) int { return 1 + 10*(n+64) },
-		Partition: rt.PartitionHashN,
+		Partition: rt.PartitionRunsCSR,
 	})
 	if err != nil {
 		e.err = err

@@ -27,10 +27,12 @@ type EngineConfig struct {
 	// updates on async, whose worklist incremental CC/SSSP drain.
 	MaxSupersteps int
 	// Partition assigns vertices to workers; nil is the engine's default,
-	// hash on pregel and gas, range on blockcentric. Placement changes
-	// per-worker load, and hence the measured superstep cost, but never
-	// results. It must give every vertex of the pinned snapshot a worker
-	// in [0, Workers), or the run fails before it starts. async and the
+	// degree-balanced runs (PartitionRunsCSR) on pregel and gas, range on
+	// blockcentric. Placement changes per-worker load, and hence the
+	// measured superstep cost, and the order of an inbox, but not the
+	// result of a program that ignores that order (partition.go). It
+	// must give every vertex of the pinned snapshot a worker in
+	// [0, Workers), or the run fails before it starts. async and the
 	// incremental engine ignore it.
 	Partition Partitioner
 	// Mode selects the message direction: push, pull, or auto (the zero
@@ -87,9 +89,10 @@ type EngineDefaults struct {
 	Workers int
 	// Cap is the default MaxSupersteps for n vertices.
 	Cap func(n int) int
-	// Partition is the default placement, sized from the pinned snapshot.
-	// nil means the engine places no vertices and ignores Partition.
-	Partition func(n, workers int) []int32
+	// Partition is the default placement, computed on the pinned
+	// snapshot. nil means the engine places no vertices and ignores
+	// Partition; an engine with one does not set Delta.
+	Partition func(c *graph.CSR, workers int) []int32
 	// Delta pins the graph's delta view instead of a CSR generation.
 	Delta bool
 }
@@ -152,7 +155,7 @@ func (c EngineConfig) Prepare(g *graph.Graph, d EngineDefaults) (*Prepared, erro
 		if c.Partition != nil {
 			p.Owner = c.Partition(g, c.Workers)
 		} else {
-			p.Owner = d.Partition(n, c.Workers)
+			p.Owner = d.Partition(p.CSR, c.Workers)
 		}
 		var err error
 		if p.Verts, err = groupByOwner(p.Owner, n, c.Workers); err != nil {

@@ -189,7 +189,8 @@ func (mb *Mailbox[M]) Deliver(w int, onFirstMail func(VertexID)) (delivered, pla
 // replay fails the receiver's sequence check and is discarded without
 // touching any inbox (the injector tallies the rejected duplicate). A
 // nil injector makes this identical to Deliver. Without a combiner the
-// drain only counts per destination; scatter then places the messages.
+// drain only counts per destination, whose count is then also its raw
+// count; scatter then fires the hooks and places the messages.
 func (mb *Mailbox[M]) DeliverFaulty(w, step int, inj *Injector, onFirstMail func(VertexID)) (delivered, placements int64, dropped bool) {
 	in := &mb.inbox[w].V
 	recv := in.recv[:0]
@@ -210,37 +211,46 @@ func (mb *Mailbox[M]) DeliverFaulty(w, step int, inj *Injector, onFirstMail func
 				// number and is rejected, so delivery stays exactly-once.
 			}
 		}
+		if mb.comb == nil {
+			// Each entry is one raw message: count it, and list the
+			// vertex on its first arrival.
+			for i := range ln.entries {
+				v := ln.entries[i].dst
+				if mb.cnt[v]++; mb.cnt[v] == 1 {
+					recv = append(recv, v)
+				}
+			}
+			continue
+		}
 		for i := range ln.entries {
 			e := &ln.entries[i]
-			v := e.dst
-			mb.note(v, int64(e.raw), onFirstMail)
+			mb.note(e.dst, int64(e.raw), onFirstMail)
 			delivered += int64(e.raw)
-			if mb.comb != nil {
-				placements += mb.fold(v, e.m)
-			} else if mb.cnt[v]++; mb.cnt[v] == 1 {
-				recv = append(recv, v)
-			}
+			placements += mb.fold(e.dst, e.m)
 		}
-		if mb.comb != nil {
-			ln.entries = ln.entries[:0]
-		}
+		ln.entries = ln.entries[:0]
 	}
 	in.recv = recv
 	if mb.comb == nil {
-		placements = mb.scatter(w, recv)
+		placements = mb.scatter(w, recv, onFirstMail)
+		delivered = placements
 	}
 	return delivered, placements, dropped
 }
 
-// scatter is pass 2 of a combiner-less delivery to worker w: it gives
-// each receiving vertex its run of w's slab, then copies the lanes'
-// messages into the runs in source-worker lane order — the order the
-// inbox would have been appended in — and drains the lanes.
-func (mb *Mailbox[M]) scatter(w int, recv []VertexID) (placements int64) {
+// scatter is pass 2 of a combiner-less delivery to worker w. Walking
+// the receivers in first-arrival order, it credits each one's count as
+// raw messages (firing the first-mail hook as note does) and gives it
+// its run of w's slab; then it copies the lanes' messages into the runs
+// in source-worker lane order — the order the inbox would have been
+// appended in — and drains the lanes.
+func (mb *Mailbox[M]) scatter(w int, recv []VertexID, onFirstMail func(VertexID)) (placements int64) {
 	var at int32
 	for _, v := range recv {
+		c := mb.cnt[v]
+		mb.note(v, int64(c), onFirstMail)
 		mb.off[v] = at
-		at += mb.cnt[v]
+		at += c
 		mb.cnt[v] = 0
 	}
 	// Refilling the slab from the start is sound only because every

@@ -113,12 +113,16 @@ func (md *mailModel) deliver(w int, faults []FaultKind) (first []VertexID, deliv
 // combiner (order-sensitive, so a fold out of lane order shows), send
 // batches, dropped and duplicated lanes, resets and checkpoint loads,
 // and checks every inbox, raw count, delivery tally and first-mail hook
-// against mailModel. Before each delivery it resets every vertex
-// holding mail, the precondition the engine keeps by computing them.
+// against mailModel: with or without a combiner, the hook fires once
+// per vertex whose raw count leaves zero, in first-arrival lane order.
+// Before each delivery it resets every vertex holding mail, the
+// precondition the engine keeps by computing them.
 func FuzzMailbox(f *testing.F) {
 	f.Add([]byte{3, 9, 0, 1, 2, 1, 0, 2, 1, 1, 2, 0, 8, 5, 7, 0, 3, 6, 1, 1, 4, 2, 9, 3, 1, 2, 0, 1})
 	f.Add([]byte{2, 5, 1, 0, 1, 0, 1, 1, 12, 0, 0, 1, 3, 0, 0, 2, 4, 1, 1, 0, 3, 1, 2, 1, 3, 2, 9, 9, 7, 1, 2})
 	f.Add([]byte{1, 3, 0, 0, 0, 0, 6, 0, 0, 0, 1, 1, 0, 2, 3, 2, 4, 3, 0, 2, 5, 1, 0, 1, 7, 8})
+	// No combiner, three workers, one dropped lane per receiver.
+	f.Add([]byte{2, 8, 0, 1, 2, 0, 1, 2, 2, 1, 0, 9, 0, 5, 3, 1, 1, 7, 4, 1, 3, 2, 2, 2, 6, 0, 1, 1, 1, 0, 0, 6, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func(mod int) int {
 			if len(data) == 0 {
@@ -217,6 +221,13 @@ func FuzzMailbox(f *testing.F) {
 					delivered, placements, dropped = mb.DeliverFaulty(w, round, inj, hook)
 				}
 				wFirst, wDelivered, wPlacements, wDropped := md.deliver(w, faults[w])
+				hooked := map[VertexID]bool{}
+				for _, v := range first {
+					if hooked[v] || md.raw[v] == 0 || owner[v] != int32(w) {
+						t.Fatalf("round %d worker %d: first-mail hooks %v: vertex %d is repeated, received nothing, or is not owned", round, w, first, v)
+					}
+					hooked[v] = true
+				}
 				if !slices.Equal(first, wFirst) || delivered != wDelivered || placements != wPlacements || dropped != wDropped {
 					t.Fatalf("round %d worker %d: hooks %v delivered %d placed %d dropped %v, want %v %d %d %v",
 						round, w, first, delivered, placements, dropped, wFirst, wDelivered, wPlacements, wDropped)

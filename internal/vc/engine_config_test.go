@@ -49,8 +49,8 @@ func (restlessAsync) Update(_ *async.Context[int], v VertexID) []VertexID {
 }
 
 // cliqueAndIsolated is a 5-clique on vertices 0..4 beside five isolated
-// vertices: hash and range place the clique differently at every
-// worker count above 1, and range and hash block sizes differ at 4.
+// vertices: runs and range place the clique differently at every
+// worker count above 1.
 func cliqueAndIsolated() *graph.Graph {
 	g := graph.New(10, false)
 	for u := 0; u < 5; u++ {
@@ -91,11 +91,11 @@ func TestEngineDefaults(t *testing.T) {
 		{"pregel", func() (*bsp.Stats, error) {
 			res, err := pregel.NewEngine[int, int](g, restlessPregel{k: 5}, pregel.Config[int]{}).Run()
 			return res.Stats, err
-		}, pw, 1 + 10*(n+64), owned(runtime.PartitionHashN(n, pw), pw, clique)},
+		}, pw, 1 + 10*(n+64), owned(runtime.PartitionRunsCSR(g.CSR(), pw), pw, clique)},
 		{"gas", func() (*bsp.Stats, error) {
 			res, err := gas.Run[int, int](g, restlessGAS{}, gas.Config{})
 			return res.Stats, err
-		}, 4, 10 * (n + 64), owned(runtime.PartitionHashN(n, 4), 4, clique)},
+		}, 4, 10 * (n + 64), owned(runtime.PartitionRunsCSR(g.CSR(), 4), 4, clique)},
 		{"blockcentric", func() (*bsp.Stats, error) {
 			res, err := blockcentric.NewEngine[int, int](g, restlessBlock{}, blockcentric.Config{}).Run()
 			return res.Stats, err

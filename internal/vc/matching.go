@@ -1,6 +1,8 @@
 package vc
 
 import (
+	"slices"
+
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/pregel"
@@ -247,6 +249,9 @@ func (p *bpmProgram) Compute(ctx *pregel.Context[bpmValue, bpmMsg], msgs []bpmMs
 			}
 			return
 		}
+		// Inbox order follows the placement (lanes arrive by source
+		// worker): sort before the draw, so the choice does not.
+		slices.Sort(requesters)
 		chosen := requesters[ctx.Rand().Intn(len(requesters))]
 		ctx.SendTo(chosen, bpmMsg{Kind: bpmMsgGrant, From: ctx.ID()})
 	case bpmAccept:
@@ -273,6 +278,7 @@ func (p *bpmProgram) Compute(ctx *pregel.Context[bpmValue, bpmMsg], msgs []bpmMs
 			v.candidates = kept
 		}
 		if len(grants) > 0 && v.match == graph.NoVertex {
+			slices.Sort(grants)
 			chosen := grants[ctx.Rand().Intn(len(grants))]
 			v.match = chosen
 			ctx.SendTo(chosen, bpmMsg{Kind: bpmMsgAccept, From: ctx.ID()})

@@ -1,10 +1,12 @@
 package vc
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"vcgraph/internal/graph"
+	"vcgraph/internal/pregel"
 	"vcgraph/internal/seq"
 )
 
@@ -204,6 +206,31 @@ func TestBipartiteMatchingMaximal(t *testing.T) {
 			if m != graph.NoVertex && (v < 80) == (int(m) < 80) {
 				t.Fatalf("match (%d,%d) within one side", v, m)
 			}
+		}
+	}
+}
+
+// TestBipartiteMatchingPlacementFree: the grant and accept draws pick
+// from sorted candidates, so neither the matching nor its superstep
+// count depends on inbox order, which follows the placement.
+func TestBipartiteMatchingPlacementFree(t *testing.T) {
+	g := graph.RandomBipartite(128, 128, 1024, 14)
+	want, err := BipartiteMatching(g, 128, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Workers: 2},
+		{Workers: 4, Partition: pregel.PartitionHash},
+		{Workers: 3, Partition: pregel.PartitionRange},
+	} {
+		got, err := BipartiteMatching(g, 128, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Match, want.Match) || got.Stats.NumSupersteps() != want.Stats.NumSupersteps() {
+			t.Errorf("W=%d: matching or superstep count (%d) differs from one worker's (%d)",
+				cfg.Workers, got.Stats.NumSupersteps(), want.Stats.NumSupersteps())
 		}
 	}
 }

@@ -28,7 +28,7 @@ func (p panicky) Compute(ctx *pregel.Context[int, int], _ []int) {
 // flight. A job-less run of the program returns the same error.
 func TestPanickingProgramFailsOneJob(t *testing.T) {
 	g := graph.Grid(8, 8)
-	owner := runtime.PartitionHashN(g.N(), 4)
+	owner := runtime.PartitionRunsCSR(g.CSR(), 4) // pregel's default placement
 	prog := panicky{victim: VertexID(slices.Index(owner, 1))}
 	runPanicky := func(j *runtime.Job) error {
 		_, err := pregel.NewEngine[int, int](g, prog, pregel.Config[int]{EngineConfig: runtime.EngineConfig{Workers: 4, Job: j}}).Run()

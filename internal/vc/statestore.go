@@ -65,8 +65,10 @@ type DenseStore struct {
 // NewDenseStore returns a flat store of n zero entries.
 func NewDenseStore(n int) *DenseStore { return &DenseStore{vals: make([]uint64, n)} }
 
-func (d *DenseStore) Get(i int) uint64    { return atomic.LoadUint64(&d.vals[i]) }
-func (d *DenseStore) Set(i int, x uint64) { atomic.StoreUint64(&d.vals[i], x) }
+// Get and Set are plain loads and stores: an entry is a whole word, and
+// only its owner touches it.
+func (d *DenseStore) Get(i int) uint64    { return d.vals[i] }
+func (d *DenseStore) Set(i int, x uint64) { d.vals[i] = x }
 func (d *DenseStore) Len() int            { return len(d.vals) }
 func (d *DenseStore) SizeBytes() int      { return 8 * len(d.vals) }
 

@@ -168,6 +168,7 @@ func TestStatsParityPartitioners(t *testing.T) {
 		name string
 		p    pregel.Partitioner
 	}{
+		{"runs", pregel.PartitionRuns},
 		{"hash", pregel.PartitionHash},
 		{"range", pregel.PartitionRange},
 		{"degree", pregel.PartitionDegreeBalanced},
@@ -263,9 +264,10 @@ func TestStatsParityPartitioners(t *testing.T) {
 // story on the graph EXPERIMENTS.md quotes (pregel PageRank K=10 on
 // PreferentialAttachment(20000, 8, 5), 8 workers). Imbalance is the
 // mean over supersteps of max per-worker work over mean per-worker
-// work: the greedy degree balancer is perfect, hash is near-perfect in
-// expectation, and range piles the early hubs of a preferential-
-// attachment graph onto one worker — the paper's §3.3 skew pathology.
+// work: the greedy degree balancer is perfect, the default runs deal
+// and hash are near-perfect, and range piles the early hubs of a
+// preferential-attachment graph onto one worker — the paper's §3.3
+// skew pathology.
 func TestPartitionImbalanceSweep(t *testing.T) {
 	g := graph.PreferentialAttachment(20000, 8, 5)
 	imbalance := func(p pregel.Partitioner) float64 {
@@ -286,9 +288,10 @@ func TestPartitionImbalanceSweep(t *testing.T) {
 	degree := imbalance(pregel.PartitionDegreeBalanced)
 	hash := imbalance(pregel.PartitionHash)
 	rng := imbalance(pregel.PartitionRange)
-	t.Logf("imbalance: degree %.4f, hash %.4f, range %.4f", degree, hash, rng)
-	if !(degree <= hash && hash < rng) {
-		t.Errorf("want degree <= hash < range, got %.4f, %.4f, %.4f", degree, hash, rng)
+	runs := imbalance(pregel.PartitionRuns)
+	t.Logf("imbalance: degree %.4f, hash %.4f, range %.4f, runs %.4f", degree, hash, rng, runs)
+	if !(degree <= runs && runs <= hash && hash < rng) {
+		t.Errorf("want degree <= runs <= hash < range, got %.4f, %.4f, %.4f, %.4f", degree, runs, hash, rng)
 	}
 	if degree > 1.01 || rng < 2 {
 		t.Errorf("degree-balanced %.4f (want <= 1.01), range %.4f (want >= 2)", degree, rng)
