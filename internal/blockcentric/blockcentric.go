@@ -24,13 +24,17 @@ import (
 type VertexID = graph.VertexID
 
 // Program is a block program: Init seeds per-vertex values;
-// ComputeBlock runs once per block per superstep with every message
-// addressed to the block's vertices, bucketed by recipient in arrival
-// order. The Inbox (and every slice it hands out) is owned by the
+// ComputeBlock runs once per block per superstep with the messages
+// addressed to the block's vertices, folded by Combine on arrival into
+// one value per recipient. A recipient's first message is stored as
+// is and each later one folded in with Combine(acc, m), in arrival
+// order: a pulling block's own sends first, then the boundary lanes in
+// source-block order, each in send order. The Inbox is owned by the
 // engine and reused across supersteps; ComputeBlock must not retain it
 // after returning.
 type Program[V, M any] interface {
 	Init(g *graph.Graph, id VertexID) V
+	Combine(a, b M) M
 	ComputeBlock(ctx *BlockContext[V, M], in *Inbox[M])
 }
 
@@ -71,27 +75,29 @@ type Engine[V, M any] struct {
 	halted []bool // per block
 	stats  *bsp.Stats
 	driver *rt.Driver[*bcSnapshot[V, M]]
+	// drain is drainLanes, bound once so the drain phase's dispatch
+	// allocates no method value per superstep.
+	drain func(d int)
 
 	// ctx holds each block's BlockContext, the state its goroutine
 	// writes on every send, in its own PerWorker slot. Its growable
 	// buffers keep their capacity across supersteps, and across runs:
-	// lanes are the pool leases they came from (see lane).
-	ctx   []rt.Padded[BlockContext[V, M]]
-	lanes []*lane[M]
+	// bufs are the pool leases they came from (see blockBufs).
+	ctx  []rt.Padded[BlockContext[V, M]]
+	bufs []*blockBufs[M]
 
 	// dirtyBlocks marks the blocks whose state diverged from the last
 	// checkpoint frame: a block is dirty once it computes (values, halt
-	// flag, inbox consumption) or receives a boundary message. The
-	// parallel phase writes only each goroutine's own block; boundary
-	// delivery marks destinations single-threaded. Snapshot and Restore
-	// clear it.
+	// flag, inbox consumption) or receives a boundary message. Each
+	// parallel phase writes only its goroutine's own block; Snapshot
+	// and Restore clear it.
 	dirtyBlocks []bool
 
 	// Block-local pull state. pullBlock says, per block, whether its
-	// intra-block sends skip the outbox (all true under DirectionPull,
+	// intra-block sends skip the lanes (all true under DirectionPull,
 	// all false under DirectionPush, decided per block from the local
-	// edge fraction under DirectionAuto): a pulling block appends its
-	// sends to its own vertices straight to its own pending list during
+	// edge fraction under DirectionAuto): a pulling block folds its
+	// sends to its own vertices straight into its own next inbox during
 	// ComputeBlock. inboxLocal counts how many of the messages pending
 	// for each block arrived that way, so Recv can be reported
 	// boundary-only.
@@ -119,104 +125,93 @@ type bcSnapshot[V, M any] struct {
 	inboxLocal []int64
 }
 
-// inboxFrame is a block's pending messages as its inbox buckets them:
-// the recipients in first-arrival order, each one's message count, and
-// the messages grouped by recipient. Replaying it as a pending list
-// refills an identical Inbox.
+// inboxFrame is a block's next inbox: the recipients in first-arrival
+// order, each one's raw message count, and each one's folded value.
 type inboxFrame[M any] struct {
 	verts []VertexID
 	n     []int32
-	msgs  []M
+	vals  []M
 }
 
+// addr is a message in a lane, with the vertex it is addressed to.
 type addr[M any] struct {
 	dst VertexID
 	m   M
 }
 
-// lane is one block's growable message buffers. An engine leases a lane
+// blockBufs is one block's growable buffers. An engine leases a set
 // per block from the pool for its message type and returns them when
 // its run ends, so the capacity one run's first superstep grew serves
 // the next run instead of being grown again as garbage.
-type lane[M any] struct {
-	pending, outbox []addr[M]
-	msgs            []M
-	verts, marked   []VertexID
+type blockBufs[M any] struct {
+	outbox               [][]addr[M]
+	verts                [2][]VertexID
+	vals                 [2][]M
+	marked, queue, dirty []VertexID
 }
 
-// lanePools holds one sync.Pool of *lane[M] per message type M, keyed
-// by the typed nil *M (interface keys compare by dynamic type).
-var lanePools sync.Map
+// bufPools holds one sync.Pool of *blockBufs[M] per message type M,
+// keyed by the typed nil *M (interface keys compare by dynamic type).
+var bufPools sync.Map
 
-func lanePool[M any]() *sync.Pool {
-	if p, ok := lanePools.Load(any((*M)(nil))); ok {
+func bufPool[M any]() *sync.Pool {
+	if p, ok := bufPools.Load(any((*M)(nil))); ok {
 		return p.(*sync.Pool)
 	}
-	p, _ := lanePools.LoadOrStore(any((*M)(nil)), new(sync.Pool))
+	p, _ := bufPools.LoadOrStore(any((*M)(nil)), new(sync.Pool))
 	return p.(*sync.Pool)
 }
 
-// Inbox is one block's messages for one superstep, bucketed by
-// recipient: a counting sort of the block's pending list over the local
-// ids it touches, so filling and emptying it costs the messages, never
-// the block size.
+// Inbox is one block's messages for one superstep, folded by recipient
+// on arrival: filling and emptying it costs the messages, never the
+// block size.
 type Inbox[M any] struct {
-	local []int32 // the engine's vertex -> local id map
-	// slot holds, per local id, the recipient's bucket in msgs; n is
-	// zero for every vertex without messages.
+	local   []int32 // the engine's vertex -> local id map
+	combine func(a, b M) M
+	// slot holds, per local id, the recipient's index in verts and vals
+	// and its raw message count; n is zero for every vertex without
+	// messages.
 	slot  []struct{ at, n int32 }
-	verts []VertexID
-	msgs  []M
+	verts []VertexID // recipients in first-arrival order
+	vals  []M        // vals[i] is the fold of verts[i]'s messages
+	total int64      // raw messages folded since the last reset
 }
 
-// To returns the messages addressed to v, a vertex of the block, in
-// arrival order (nil when there are none).
-func (in *Inbox[M]) To(v VertexID) []M {
+// Message returns the fold of the messages addressed to v, a vertex of
+// the block, and how many there were (the zero M and 0 when none).
+func (in *Inbox[M]) Message(v VertexID) (M, int32) {
 	s := in.slot[in.local[v]]
 	if s.n == 0 {
-		return nil
+		var zero M
+		return zero, 0
 	}
-	return in.msgs[s.at : s.at+s.n : s.at+s.n]
+	return in.vals[s.at], s.n
 }
 
 // Vertices lists the block's vertices that have messages, in the order
 // their first message arrived.
 func (in *Inbox[M]) Vertices() []VertexID { return in.verts }
 
-// fill buckets pending by recipient, keeping arrival order within each
-// bucket.
-func (in *Inbox[M]) fill(pending []addr[M]) {
-	for _, am := range pending {
-		s := &in.slot[in.local[am.dst]]
-		if s.n == 0 {
-			in.verts = append(in.verts, am.dst)
-		}
-		s.n++
+// fold adds m, addressed to v, to the inbox.
+func (in *Inbox[M]) fold(v VertexID, m M) {
+	s := &in.slot[in.local[v]]
+	if s.n == 0 {
+		s.at = int32(len(in.verts))
+		in.verts = append(in.verts, v)
+		in.vals = append(in.vals, m)
+	} else {
+		in.vals[s.at] = in.combine(in.vals[s.at], m)
 	}
-	var at int32
-	for _, v := range in.verts {
-		s := &in.slot[in.local[v]]
-		s.at = at
-		at += s.n
-	}
-	in.msgs = slices.Grow(in.msgs[:0], len(pending))[:len(pending)]
-	for _, am := range pending {
-		s := &in.slot[in.local[am.dst]]
-		in.msgs[s.at] = am.m
-		s.at++
-	}
-	for _, v := range in.verts {
-		s := &in.slot[in.local[v]]
-		s.at -= s.n
-	}
+	s.n++
+	in.total++
 }
 
-// reset empties the inbox, touching only the buckets fill used.
+// reset empties the inbox, touching only the slots of its recipients.
 func (in *Inbox[M]) reset() {
 	for _, v := range in.verts {
 		in.slot[in.local[v]].n = 0
 	}
-	in.verts = in.verts[:0]
+	in.verts, in.vals, in.total = in.verts[:0], in.vals[:0], 0
 }
 
 // NewEngine builds the engine and materializes the block partition:
@@ -248,35 +243,41 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		values:     make([]V, n),
 		halted:     make([]bool, nb),
 		ctx:        rt.PerWorker[BlockContext[V, M]](nb),
-		lanes:      make([]*lane[M], nb),
+		bufs:       make([]*blockBufs[M], nb),
 		stats:      &bsp.Stats{Workers: nb, N: n},
 		inboxLocal: make([]int64, nb),
 	}
-	pool := lanePool[M]()
+	pool, combine := bufPool[M](), prog.Combine
+	inbox := func(slot []struct{ at, n int32 }, verts []VertexID, vals []M) Inbox[M] {
+		return Inbox[M]{local: e.local, combine: combine, slot: slot, verts: verts[:0], vals: vals[:0]}
+	}
 	for b, blk := range e.blocks {
 		for i, v := range blk {
 			e.local[v] = int32(i)
 		}
-		l, _ := pool.Get().(*lane[M])
+		l, _ := pool.Get().(*blockBufs[M])
 		if l == nil {
-			l = new(lane[M])
+			l = new(blockBufs[M])
 		}
-		e.lanes[b] = l
+		e.bufs[b] = l
+		outbox := slices.Grow(l.outbox[:0], nb)[:nb]
+		for d := range outbox {
+			outbox[d] = outbox[d][:0]
+		}
+		slots := make([]struct{ at, n int32 }, 2*len(blk))
 		e.ctx[b].V = BlockContext[V, M]{
-			engine:  e,
-			block:   b,
-			marks:   make([]uint64, (len(blk)+63)/64),
-			marked:  l.marked[:0],
-			pending: l.pending[:0],
-			outbox:  l.outbox[:0],
-			inbox: Inbox[M]{
-				local: e.local,
-				slot:  make([]struct{ at, n int32 }, len(blk)),
-				verts: l.verts[:0],
-				msgs:  l.msgs[:0],
-			},
+			engine: e,
+			block:  b,
+			marks:  make([]uint64, (len(blk)+63)/64),
+			marked: l.marked[:0],
+			queue:  fifo{buf: l.queue[:0]},
+			dirty:  l.dirty[:0],
+			outbox: outbox,
+			inbox:  inbox(slots[:len(blk)], l.verts[0], l.vals[0]),
+			next:   inbox(slots[len(blk):], l.verts[1], l.vals[1]),
 		}
 	}
+	e.drain = e.drainLanes
 	e.dirtyBlocks = make([]bool, nb)
 	e.scratch = rt.GetScratches(nb)
 	e.pullBlock = make([]bool, nb)
@@ -315,33 +316,40 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	}
 	defer e.prepared.Release()
 	defer rt.PutScratches(e.scratch)
-	defer e.putLanes()
+	defer e.putBufs()
 	e.driver = rt.NewDriver[*bcSnapshot[V, M]](e, e.stats, e.prepared.Driver)
 	_, err := e.driver.Run()
 	e.driver = nil
 	return &Result[V]{Values: e.values, Stats: e.stats}, err
 }
 
-// putLanes hands every block's buffers, grown to this run's peak, back
+// putBufs hands every block's buffers, grown to this run's peak, back
 // to the pool and drops the engine's references to them.
-func (e *Engine[V, M]) putLanes() {
-	pool := lanePool[M]()
-	for b, l := range e.lanes {
+func (e *Engine[V, M]) putBufs() {
+	pool := bufPool[M]()
+	for b, l := range e.bufs {
 		c := e.block(b)
-		*l = lane[M]{
-			pending: c.pending[:0],
-			outbox:  c.outbox[:0],
-			msgs:    c.inbox.msgs[:0],
-			verts:   c.inbox.verts[:0],
-			marked:  c.marked[:0],
+		*l = blockBufs[M]{
+			outbox: c.outbox,
+			verts:  [2][]VertexID{c.inbox.verts, c.next.verts},
+			vals:   [2][]M{c.inbox.vals, c.next.vals},
+			marked: c.marked,
+			queue:  c.queue.buf,
+			dirty:  c.dirty,
 		}
 		pool.Put(l)
 	}
-	e.lanes, e.ctx = nil, nil
+	e.bufs, e.ctx = nil, nil
 }
 
 // block returns block b's context.
 func (e *Engine[V, M]) block(b int) *BlockContext[V, M] { return &e.ctx[b].V }
+
+// wakes reports whether block b computes in superstep step: always in
+// superstep 0, later unless it voted to halt and no message awaits it.
+func (e *Engine[V, M]) wakes(b, step int) bool {
+	return step == 0 || !e.halted[b] || e.block(b).next.total != 0
+}
 
 // Quiescent implements runtime.Policy: every block halted with no
 // boundary messages in flight.
@@ -379,20 +387,15 @@ func (e *Engine[V, M]) Snapshot(full bool) *bcSnapshot[V, M] {
 		ck.blockVals[i] = rt.CloneValuesAt(e.prog, e.values, e.blocks[b])
 		ck.halted[i] = e.halted[b]
 		ck.inboxLocal[i] = e.inboxLocal[b]
-		// The inboxes are idle at the barrier: bucket the pending list
-		// through the block's own to take the frame.
-		c := e.block(b)
-		in := &c.inbox
-		in.fill(c.pending)
+		in := &e.block(b).next
 		f := inboxFrame[M]{
 			verts: slices.Clone(in.verts),
 			n:     make([]int32, len(in.verts)),
-			msgs:  slices.Clone(in.msgs),
+			vals:  slices.Clone(in.vals),
 		}
 		for j, v := range in.verts {
 			f.n[j] = in.slot[e.local[v]].n
 		}
-		in.reset()
 		ck.inbox[i] = f
 	}
 	return ck
@@ -409,7 +412,7 @@ func (e *Engine[V, M]) FrameBytes(ck *bcSnapshot[V, M]) int64 {
 	}
 	szM, szRecipient := rt.SizeOf[M](), rt.SizeOf[VertexID]()+rt.SizeOf[int32]()
 	for _, f := range ck.inbox {
-		b += int64(len(f.verts))*szRecipient + int64(len(f.msgs))*szM
+		b += int64(len(f.verts))*szRecipient + int64(len(f.vals))*szM
 	}
 	return b
 }
@@ -425,55 +428,53 @@ func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int) {
 		rt.RestoreValuesAt(e.prog, e.values, ck.blockVals[i], e.blocks[b])
 		e.halted[b] = h
 		e.inboxLocal[b] = ck.inboxLocal[i]
-		c := e.block(b)
-		f, p := ck.inbox[i], c.pending[:0]
-		k := int32(0)
+		in, f := &e.block(b).next, ck.inbox[i]
+		in.reset()
+		in.verts = append(in.verts, f.verts...)
+		in.vals = append(in.vals, f.vals...)
 		for j, v := range f.verts {
-			for _, m := range f.msgs[k : k+f.n[j]] {
-				p = append(p, addr[M]{dst: v, m: m})
-			}
-			k += f.n[j]
+			in.slot[e.local[v]] = struct{ at, n int32 }{int32(j), f.n[j]}
+			in.total += int64(f.n[j])
 		}
-		c.pending = p
-		c.outbox = c.outbox[:0]
 	}
 }
 
 // Superstep implements runtime.Policy: compute every awake block in
-// parallel (one persistent goroutine per block), then deliver boundary
-// messages sequentially — where a src->dst batch can be lost in transit
-// or redelivered.
+// parallel (one persistent goroutine per block), consult the lane
+// faults serially — where a src->dst batch can be lost in transit or
+// redelivered — then let every block fold its incoming lanes into its
+// next inbox in parallel.
 func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, error) {
 	nb := e.cfg.Workers
 	ss.Pulled = e.anyPull
 	// Frontier: members of the blocks that will wake this superstep —
 	// the block-granular activity signal the adaptive planner reads.
 	for b := 0; b < nb; b++ {
-		if !(e.halted[b] && len(e.block(b).pending) == 0 && superstep > 0) {
+		if e.wakes(b, superstep) {
 			ss.Frontier += int64(len(e.blocks[b]))
 		}
 	}
 	e.driver.Lease().Run(func(b int) {
-		ctx := e.block(b)
-		if e.halted[b] && len(ctx.pending) == 0 && superstep > 0 {
+		if !e.wakes(b, superstep) {
 			return
 		}
-		// Computing mutates the block's values, halt flag, and pending
-		// list; each goroutine writes only its own block's state, so this
-		// is race-free.
+		// Computing mutates the block's values, halt flag, and inboxes;
+		// each goroutine writes only its own block's state, so this is
+		// race-free.
+		ctx := e.block(b)
 		e.dirtyBlocks[b] = true
 		e.halted[b] = false
 		ss.Active[b] = int64(len(e.blocks[b]))
+		// The next inbox becomes this superstep's; the emptied one
+		// takes a pulling block's local sends during ComputeBlock — no
+		// lane, no boundary exchange, no in-transit window for fault
+		// injection.
+		ctx.inbox, ctx.next = ctx.next, ctx.inbox
+		in := &ctx.inbox
 		// Locally-pulled messages never crossed a block boundary; Recv
 		// reports boundary traffic only (the h term the cost model
 		// charges). inboxLocal is zero when pull is off.
-		ss.Recv[b] = int64(len(ctx.pending)) - e.inboxLocal[b]
-		in := &ctx.inbox
-		in.fill(ctx.pending)
-		// The pending list is consumed: a pulling block's local sends
-		// append to it during ComputeBlock — no shared outbox, no
-		// boundary exchange, no in-transit window for fault injection.
-		ctx.pending = ctx.pending[:0]
+		ss.Recv[b] = in.total - e.inboxLocal[b]
 		ctx.superstep, ctx.sent, ctx.work, ctx.halt = superstep, 0, 0, false
 		e.prog.ComputeBlock(ctx, in)
 		in.reset()
@@ -483,53 +484,56 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 		}
 		ss.Work[b] = ctx.work + 1
 		ss.Sent[b] = ctx.sent
-		e.inboxLocal[b] = int64(len(ctx.pending))
+		e.inboxLocal[b] = ctx.next.total
 	})
 
-	// Deliver boundary messages. Locally-pulled deliveries still count
-	// toward pending — a halted block with fresh local mail must wake,
-	// and Quiescent must not declare the run drained while any block
-	// has messages pending.
+	// Locally-pulled deliveries still count toward pending — a halted
+	// block with fresh local mail must wake, and Quiescent must not
+	// declare the run drained while any block has messages pending.
 	inj := e.driver.Injector()
-	pending := 0
+	pending, mail := 0, false
 	for b := 0; b < nb; b++ {
 		pending += int(e.inboxLocal[b])
 	}
 	for src := 0; src < nb; src++ {
-		var drop []bool
-		if inj != nil {
-			for dst := 0; dst < nb; dst++ {
-				switch inj.LaneFault(superstep, src, dst) {
-				case rt.FaultDropLane:
-					// This src->dst batch is lost in transit; its
-					// messages cannot be reconstructed, so the run
-					// rolls back at the next barrier.
-					if drop == nil {
-						drop = make([]bool, nb)
-					}
-					drop[dst] = true
-					e.driver.LoseBatch()
-				case rt.FaultDupLane:
-					// The replayed batch carries a stale sequence
-					// number and is discarded; delivery stays
-					// exactly-once (counted by the injector).
-				}
+		out := e.block(src).outbox
+		for dst := 0; dst < nb; dst++ {
+			switch inj.LaneFault(superstep, src, dst) {
+			case rt.FaultDropLane:
+				// This src->dst batch is lost in transit; its messages
+				// cannot be reconstructed, so the run rolls back at
+				// the next barrier.
+				out[dst] = out[dst][:0]
+				e.driver.LoseBatch()
+			case rt.FaultDupLane:
+				// The replayed batch carries a stale sequence number
+				// and is discarded; delivery stays exactly-once
+				// (counted by the injector).
+			}
+			if k := len(out[dst]); k > 0 {
+				pending += k
+				e.dirtyBlocks[dst] = true
+				mail = true
 			}
 		}
-		out := e.block(src)
-		for _, am := range out.outbox {
-			dst := int(e.owner[am.dst])
-			if drop != nil && drop[dst] {
-				continue
-			}
-			in := e.block(dst)
-			in.pending = append(in.pending, am)
-			e.dirtyBlocks[dst] = true
-			pending++
-		}
-		out.outbox = out.outbox[:0]
+	}
+	if mail {
+		e.driver.Lease().Run(e.drain)
 	}
 	return pending, nil
+}
+
+// drainLanes folds every lane to block d into d's next inbox, in
+// source-block order, and empties it.
+func (e *Engine[V, M]) drainLanes(d int) {
+	next := &e.block(d).next
+	for src := range e.ctx {
+		lane := &e.block(src).outbox[d]
+		for _, am := range *lane {
+			next.fold(am.dst, am.m)
+		}
+		*lane = (*lane)[:0]
+	}
 }
 
 // BlockContext is the per-block view handed to ComputeBlock. The engine
@@ -545,13 +549,17 @@ type BlockContext[V, M any] struct {
 	// marked vertices in insertion order.
 	marks  []uint64
 	marked []VertexID
-	// pending holds the messages for the block's next superstep in
-	// arrival order — its own local sends first, then boundary lanes in
-	// source-block order — and is the barrier state a checkpoint frame
-	// copies; inbox buckets them by recipient when the block wakes;
-	// outbox holds the boundary sends of the running superstep.
-	pending, outbox []addr[M]
-	inbox           Inbox[M]
+	// queue and dirty are the CC and SSSP programs' work lists, kept
+	// here so their capacity survives supersteps and runs.
+	queue fifo
+	dirty []VertexID
+	// inbox holds the running superstep's messages. next folds those of
+	// the next superstep — a pulling block's own sends while it
+	// computes, then the lanes in source-block order — and is the
+	// barrier state a checkpoint frame copies. outbox[d] is the lane to
+	// block d: every send that is not pulled locally, in send order.
+	inbox, next Inbox[M]
+	outbox      [][]addr[M]
 }
 
 // Superstep returns the current superstep (0-based).
@@ -607,22 +615,23 @@ func (c *BlockContext[V, M]) unmarkAll() {
 
 // SendTo sends m to a (typically remote) vertex for the next superstep.
 // When block-local pull is enabled for the sending block (see
-// Config.Mode) a message to a vertex of that block goes straight to the
-// block's own pending list; it is not counted in Sent, which then
-// reports boundary traffic only. Within one destination vertex all
-// same-source-block messages are either all local or all boundary, so
-// each bucket's internal order matches push mode — only the
-// local-before-boundary interleaving differs (visible solely to
-// order-sensitive float folds such as PageRank's sum, which stays
-// deterministic and equal up to rounding).
+// Config.Mode) a message to a vertex of that block folds straight into
+// the block's own next inbox; it is not counted in Sent, which then
+// reports boundary traffic only. Every other message goes through the
+// lane to the recipient's block. Pull changes only where a block's
+// own sends fall in each recipient's fold — ahead of every lane rather
+// than at the block's place in source-block order — which is visible
+// solely to order-sensitive float folds such as PageRank's sum (it
+// stays deterministic and equal up to rounding).
 func (c *BlockContext[V, M]) SendTo(dst VertexID, m M) {
 	e := c.engine
-	if e.pullBlock[c.block] && int(e.owner[dst]) == c.block {
-		c.pending = append(c.pending, addr[M]{dst: dst, m: m})
+	d := int(e.owner[dst])
+	if d == c.block && e.pullBlock[d] {
+		c.next.fold(dst, m)
 		return
 	}
 	c.sent++
-	c.outbox = append(c.outbox, addr[M]{dst: dst, m: m})
+	c.outbox[d] = append(c.outbox[d], addr[M]{dst: dst, m: m})
 }
 
 // Charge records units of sequential work done inside the block.
@@ -630,6 +639,31 @@ func (c *BlockContext[V, M]) Charge(units int64) { c.work += units }
 
 // VoteToHalt deactivates the block; boundary messages reactivate it.
 func (c *BlockContext[V, M]) VoteToHalt() { c.halt = true }
+
+// fifo is the CC and SSSP programs' work list: first in, first out,
+// keeping every duplicate (dedup would change the visit order and the
+// work charged). The walk compacts the buffer in place once it is half
+// consumed, and an emptied list restarts at the buffer's front, so the
+// buffer grows with the list's peak length, not with the pops.
+type fifo struct {
+	buf  []VertexID
+	head int
+}
+
+func (q *fifo) push(v VertexID) { q.buf = append(q.buf, v) }
+
+func (q *fifo) pop() (VertexID, bool) {
+	if q.head >= len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+		return 0, false
+	}
+	v := q.buf[q.head]
+	q.head++
+	if q.head > 64 && q.head*2 >= len(q.buf) {
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+	return v, true
+}
 
 // --- Block-centric connected components ---
 
@@ -642,16 +676,17 @@ type ccProgram struct{}
 
 func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
 
+func (ccProgram) Combine(a, b VertexID) VertexID { return min(a, b) }
+
 func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], in *Inbox[VertexID]) {
 	// Absorb boundary updates.
-	dirty := make([]VertexID, 0, len(in.Vertices()))
+	dirty := ctx.dirty[:0]
 	for _, v := range in.Vertices() {
-		for _, m := range in.To(v) {
-			ctx.Charge(1)
-			if m < *ctx.Value(v) {
-				*ctx.Value(v) = m
-				dirty = append(dirty, v)
-			}
+		m, n := in.Message(v)
+		ctx.Charge(int64(n))
+		if m < *ctx.Value(v) {
+			*ctx.Value(v) = m
+			dirty = append(dirty, v)
 		}
 	}
 	if ctx.Superstep() == 0 {
@@ -659,10 +694,11 @@ func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], in *Inbox[V
 	}
 	// Local min-label BFS from every updated vertex, confined to the
 	// block; every vertex whose label changed is marked.
-	queue := dirty
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	q := &ctx.queue
+	for _, v := range dirty {
+		q.push(v)
+	}
+	for v, ok := q.pop(); ok; v, ok = q.pop() {
 		label := *ctx.Value(v)
 		for _, u := range ctx.Out(v) {
 			ctx.Charge(1)
@@ -671,7 +707,7 @@ func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], in *Inbox[V
 			}
 			if label < *ctx.Value(u) {
 				*ctx.Value(u) = label
-				queue = append(queue, u)
+				q.push(u)
 				ctx.Mark(u)
 			}
 		}
@@ -682,6 +718,7 @@ func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], in *Inbox[V
 	for _, v := range dirty {
 		ctx.Mark(v)
 	}
+	ctx.dirty = dirty
 	// Push labels over boundary edges for every changed vertex.
 	for _, v := range ctx.Marked() {
 		label := *ctx.Value(v)
@@ -736,20 +773,17 @@ func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
 	return math.Inf(1)
 }
 
+func (ssspProgram) Combine(a, b float64) float64 { return min(a, b) }
+
 func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], in *Inbox[float64]) {
 	// Absorb boundary offers. Every vertex whose distance improves is
 	// marked.
-	dirty := make([]VertexID, 0, len(in.Vertices()))
+	dirty := ctx.dirty[:0]
 	for _, v := range in.Vertices() {
-		improved := false
-		for _, d := range in.To(v) {
-			ctx.Charge(1)
-			if d < *ctx.Value(v) {
-				*ctx.Value(v) = d
-				improved = true
-			}
-		}
-		if improved {
+		d, n := in.Message(v)
+		ctx.Charge(int64(n))
+		if d < *ctx.Value(v) {
+			*ctx.Value(v) = d
 			ctx.Mark(v)
 			dirty = append(dirty, v)
 		}
@@ -764,11 +798,13 @@ func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], in *Inbox
 			}
 		}
 	}
+	ctx.dirty = dirty
 	// Relax to a block-local fixpoint.
-	queue := dirty
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	q := &ctx.queue
+	for _, v := range dirty {
+		q.push(v)
+	}
+	for v, ok := q.pop(); ok; v, ok = q.pop() {
 		d := *ctx.Value(v)
 		dsts := ctx.Out(v)
 		ws := ctx.OutWeights(v)
@@ -784,7 +820,7 @@ func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], in *Inbox
 			if nd := d + w; nd < *ctx.Value(u) {
 				*ctx.Value(u) = nd
 				ctx.Mark(u)
-				queue = append(queue, u)
+				q.push(u)
 			}
 		}
 	}
@@ -837,10 +873,10 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, 
 // the block abstraction and with the Pregel variant's exact arithmetic:
 // every superstep each block folds the shares addressed to its vertices
 // into rank = (1-alpha)/n + alpha*sum and sends rank/outdeg for the
-// next round. SendTo routes intra-block messages through the same
-// inbox, keeping the summation order deterministic (blocks iterate
-// their vertices in ascending order and inboxes accumulate in
-// source-block order); under push mode with a range partition that
+// next round. Intra-block shares fold into the same inbox as boundary
+// ones, keeping the summation order deterministic (blocks iterate
+// their vertices in ascending order and inboxes fold in source-block
+// order); under push mode with a range partition that
 // order is ascending source ID — single-worker Pregel's combiner order
 // — so the two engines' iterates are bit-identical. Matches
 // seq.PageRank element-wise, including the dangling leak.
@@ -854,15 +890,17 @@ func (p prProgram) Init(g *graph.Graph, id VertexID) float64 {
 	return 1 / float64(p.n)
 }
 
+// Combine sums the shares. A vertex's first share is stored as is,
+// which equals 0 + share for the non-negative shares, so the fold is
+// the sum a loop from 0 over the arrival order computes.
+func (prProgram) Combine(a, b float64) float64 { return a + b }
+
 func (p prProgram) ComputeBlock(ctx *BlockContext[float64, float64], in *Inbox[float64]) {
 	s := ctx.Superstep()
 	for _, v := range ctx.Block() {
 		if s > 0 {
-			var sum float64
-			for _, m := range in.To(v) {
-				ctx.Charge(1)
-				sum += m
-			}
+			sum, n := in.Message(v)
+			ctx.Charge(int64(n))
 			*ctx.Value(v) = (1-p.alpha)/float64(p.n) + p.alpha*sum
 		}
 		if s < p.k {
@@ -922,7 +960,7 @@ func SSSPProgram(src VertexID) Program[float64, float64] { return ssspProgram{sr
 // PageRankProgram is the fixed-iteration PageRank program: k folds
 // from the uniform start. It is bit-compatible with single-worker
 // Pregel only under DirectionPush over a range partition: per-block
-// pull queues intra-block shares ahead of the boundary ones and
+// pull folds intra-block shares ahead of the boundary ones and
 // changes the fold order.
 func PageRankProgram(n, k int, alpha float64) Program[float64, float64] {
 	return prProgram{n: n, k: k, alpha: alpha}

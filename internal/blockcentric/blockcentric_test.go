@@ -173,8 +173,8 @@ func TestBlockCCWeightedLabelsIgnoreWeights(t *testing.T) {
 }
 
 // TestBlockSuperstepAllocs: a steady-state block-centric PageRank
-// superstep allocates almost nothing — the inbox slabs, pending lists,
-// outboxes and contexts are reused, so the per-superstep cost is the
+// superstep allocates almost nothing — the inboxes, lanes and
+// contexts are reused, so the per-superstep cost is the
 // driver's stat record, not a map or slice per block or vertex. The
 // difference between a 20- and a 10-iteration run isolates ten
 // steady-state supersteps from prepare and first-superstep growth. The

@@ -10,7 +10,7 @@ import (
 )
 
 // TestPerWorkerStateOnOwnLines holds each block's context — its
-// pending, outbox and inbox headers and send tallies — to the 128-byte
+// inbox and lane headers and send tallies — to the 128-byte
 // rule (see runtime.LinePad): it lies LinePad bytes past the previous
 // block's and past its allocation's start.
 func TestPerWorkerStateOnOwnLines(t *testing.T) {

@@ -40,6 +40,7 @@ func (restlessGAS) Sum(a, b int) int                  { return a + b }
 func (restlessGAS) Apply(v *int, _ int) bool          { *v++; return true }
 
 func (restlessBlock) Init(*graph.Graph, VertexID) int { return 0 }
+func (restlessBlock) Combine(a, _ int) int            { return a }
 func (restlessBlock) ComputeBlock(*blockcentric.BlockContext[int, int], *blockcentric.Inbox[int]) {
 }
 
