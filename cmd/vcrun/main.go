@@ -187,6 +187,13 @@ func main() {
 	fmt.Printf("graph:      %s n=%d m=%d (seed %d)\n", source, g.N(), g.M(), *seed)
 	fmt.Printf("result:     %s\n", summary)
 	fmt.Printf("wall time:  %v\n", elapsed.Round(time.Microsecond))
+	if c := stats.Clock; stats.Wall > 0 {
+		r := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+		fmt.Printf("wall time in driver: %v = compute %v (busy max %v, mean %v) + delivery %v (busy max %v, mean %v) + serial %v + checkpoint %v (%.1f%% named)\n",
+			r(stats.Wall), r(c.Compute.Wall), r(c.Compute.BusyMax), r(c.Compute.BusyMean),
+			r(c.Delivery.Wall), r(c.Delivery.BusyMax), r(c.Delivery.BusyMean),
+			r(c.Serial), r(c.Checkpoint), 100*float64(c.Named())/float64(stats.Wall))
+	}
 	fmt.Println()
 	fmt.Printf("supersteps:            %d (mode %s, %d pulled)\n",
 		stats.NumSupersteps(), mode, stats.PulledSupersteps())

@@ -102,6 +102,9 @@ type Driver[S any] struct {
 	// local so passing its address through the Policy interface does not
 	// heap-allocate a struct per superstep.
 	scratch bsp.SuperstepStats
+	// clock accumulates the wall time stamped since the last recorded
+	// superstep; record charges it to the superstep it appends.
+	clock bsp.Clock
 }
 
 // ckFrame pairs a policy snapshot with the driver-owned pending count,
@@ -178,9 +181,19 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		return 0, fmt.Errorf("%s: job lease share %d != driver workers %d", d.cfg.Name, d.lease.Workers(), d.cfg.Workers)
 	}
 	defer func() { d.lease = nil }()
+	t0 := nanotime()
+	defer func() {
+		// What no superstep was charged: the start frame, the final
+		// quiescence check, the stamps of a run a panic ended.
+		d.stats.Clock.Add(d.clock)
+		d.clock = bsp.Clock{}
+		d.stats.Wall += since(t0)
+	}()
 	d.inj = d.cfg.Faults.NewInjector(d.cfg.Workers)
 	if d.inj != nil {
+		c := nanotime()
 		d.start = d.pol.Snapshot(true)
+		d.clock.Checkpoint += since(c)
 	}
 
 	finisher, hasFinisher := d.pol.(SerialFinishPolicy)
@@ -207,25 +220,38 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		// check (a lost batch can masquerade as quiescence).
 		if _, crashed := d.inj.CrashAt(d.step); crashed || d.lost {
 			d.lost = false
+			c := nanotime()
 			d.step, pending = d.rollback()
+			d.clock.Checkpoint += since(c)
 		}
-		if d.pol.Quiescent(d.step, pending) {
+		c := nanotime()
+		quiescent := d.pol.Quiescent(d.step, pending)
+		d.clock.Serial += since(c)
+		if quiescent {
 			break
 		}
 		pending, polErr = d.runSuperstep()
-		if polErr != nil {
-			break
-		}
-		if d.lost {
-			// The barrier state is incomplete: neither checkpointed nor
-			// finished serially. Roll back at the top of the next step.
+		if polErr != nil || d.lost {
+			// A lost batch leaves the barrier state incomplete: neither
+			// checkpointed nor finished serially. Roll back at the top
+			// of the next step.
+			d.record(d.scratch)
+			if polErr != nil {
+				break
+			}
 			continue
 		}
 		if k := d.cfg.CheckpointEvery; k > 0 && (d.step+1)%k == 0 {
+			c := nanotime()
 			d.save(d.step+1, pending)
+			d.clock.Checkpoint += since(c)
 		}
+		d.record(d.scratch)
 		if hasFinisher {
-			if work, active, done := finisher.FinishSerially(pending); done {
+			c := nanotime()
+			work, active, done := finisher.FinishSerially(pending)
+			d.clock.Serial += since(c)
+			if done {
 				d.recordSerialStep(work, active)
 				d.step++ // count the serial step
 				break
@@ -250,13 +276,19 @@ func (d *Driver[S]) Run() (steps int, err error) {
 	return d.step, nil
 }
 
-// runSuperstep executes one superstep through the policy and finalizes
-// the measured accounting at the barrier: w, h, and max(w, g·h, L) per
-// superstep, plus the run totals.
+// runSuperstep executes one superstep through the policy into
+// d.scratch and stamps it: the lease's phases as compute and delivery,
+// and the rest of the Superstep span as the engine's serial code.
 func (d *Driver[S]) runSuperstep() (int, error) {
 	d.scratch = bsp.NewSuperstepStats(d.cfg.Workers)
+	l := d.lease
+	l.phases, l.phase = [2]bsp.PhaseTime{}, 0
+	c := nanotime()
 	pending, err := d.pol.Superstep(d.step, &d.scratch)
-	d.record(d.scratch)
+	span := since(c)
+	d.clock.Compute.Add(l.phases[0])
+	d.clock.Delivery.Add(l.phases[1])
+	d.clock.Serial += span - l.phases[0].Wall - l.phases[1].Wall
 	return pending, err
 }
 
@@ -269,10 +301,15 @@ func (d *Driver[S]) recordSerialStep(work, active int64) {
 	d.record(ss)
 }
 
+// record finalizes the measured accounting of a superstep at the
+// barrier — w, h, max(w, g·h, L) and the wall time stamped since the
+// previous record — and adds it to the run totals.
 func (d *Driver[S]) record(ss bsp.SuperstepStats) {
 	ss.MaxWork = ss.W()
 	ss.MaxComm = ss.H()
 	ss.Cost = bsp.DefaultModel.SuperstepTime(ss)
+	ss.Clock, d.clock = d.clock, bsp.Clock{}
+	d.stats.Clock.Add(ss.Clock)
 	for w := range ss.Work {
 		d.stats.TotalWork += ss.Work[w]
 		d.stats.TotalMessages += ss.Sent[w]

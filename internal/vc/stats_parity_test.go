@@ -3,6 +3,7 @@ package vc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"vcgraph/internal/async"
@@ -32,6 +33,24 @@ func perStep(st *bsp.Stats, f func(bsp.SuperstepStats) int64) []int64 {
 	out := make([]int64, len(st.Supersteps))
 	for i, ss := range st.Supersteps {
 		out[i] = f(ss)
+	}
+	return out
+}
+
+// counts returns a copy of st without what varies between identical
+// runs: the wall clock and the heap brackets.
+func counts(st *bsp.Stats) *bsp.Stats {
+	c := *st
+	c.Wall, c.Clock, c.HeapInuseDelta, c.TotalAllocDelta = 0, bsp.Clock{}, 0, 0
+	c.Supersteps = stepCounts(st.Supersteps)
+	return &c
+}
+
+// stepCounts returns a copy of ss with every superstep's clock zeroed.
+func stepCounts(ss []bsp.SuperstepStats) []bsp.SuperstepStats {
+	out := slices.Clone(ss)
+	for i := range out {
+		out[i].Clock = bsp.Clock{}
 	}
 	return out
 }

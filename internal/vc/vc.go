@@ -115,6 +115,8 @@ func MergeStats(parts ...*bsp.Stats) *bsp.Stats {
 		out.TotalAllocDelta += p.TotalAllocDelta
 		out.TotalWork += p.TotalWork
 		out.MeasuredTime += p.MeasuredTime
+		out.Wall += p.Wall
+		out.Clock.Add(p.Clock)
 		out.Recovery.Add(p.Recovery)
 	}
 	return out
