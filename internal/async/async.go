@@ -62,7 +62,7 @@ type Context[V any] struct {
 	csr    *graph.CSR
 	delta  *graph.DeltaCSR // when set, every span is read here, never from csr (its base)
 	values []V
-	s      *graph.Scratch // pooled span-decode buffers for packed snapshots and delta views
+	s      *graph.Scratch // cached span-decode buffers for packed snapshots and delta views
 }
 
 // Value returns a pointer to any vertex's current value (reads of

@@ -13,7 +13,6 @@ package blockcentric
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
@@ -82,7 +81,7 @@ type Engine[V, M any] struct {
 	// ctx holds each block's BlockContext, the state its goroutine
 	// writes on every send, in its own PerWorker slot. Its growable
 	// buffers keep their capacity across supersteps, and across runs:
-	// bufs are the pool leases they came from (see blockBufs).
+	// bufs are the cached sets they came from (see blockBufs).
 	ctx  []rt.Padded[BlockContext[V, M]]
 	bufs []*blockBufs[M]
 
@@ -139,10 +138,13 @@ type addr[M any] struct {
 	m   M
 }
 
-// blockBufs is one block's growable buffers. An engine leases a set
-// per block from the pool for its message type and returns them when
-// its run ends, so the capacity one run's first superstep grew serves
-// the next run instead of being grown again as garbage.
+// blockBufs is one block's growable buffers. An engine takes its sets,
+// one per block in block order, from the run-buffer cache as one
+// buffer, and gives them back when its run ends, so the capacity one
+// run's first superstep grew serves the next run instead of being
+// grown again as garbage. Taken as one, block b's set goes back to
+// block b of the next run whatever ran in between; a run with fewer
+// blocks carries the surplus sets through.
 type blockBufs[M any] struct {
 	outbox               [][]addr[M]
 	verts                [2][]VertexID
@@ -150,16 +152,27 @@ type blockBufs[M any] struct {
 	marked, queue, dirty []VertexID
 }
 
-// bufPools holds one sync.Pool of *blockBufs[M] per message type M,
-// keyed by the typed nil *M (interface keys compare by dynamic type).
-var bufPools sync.Map
-
-func bufPool[M any]() *sync.Pool {
-	if p, ok := bufPools.Load(any((*M)(nil))); ok {
-		return p.(*sync.Pool)
+// empty truncates every buffer and zeroes the message-bearing ones'
+// backing arrays, so the cache keeps no reference into the run's
+// messages, and returns the bytes the buffers hold.
+func (l *blockBufs[M]) empty() int64 {
+	outbox := l.outbox[:cap(l.outbox)]
+	bytes := rt.SizeOf[[]addr[M]]() * int64(len(outbox))
+	for d, lane := range outbox {
+		clear(lane[:cap(lane)])
+		outbox[d] = lane[:0]
+		bytes += rt.SizeOf[addr[M]]() * int64(cap(lane))
 	}
-	p, _ := bufPools.LoadOrStore(any((*M)(nil)), new(sync.Pool))
-	return p.(*sync.Pool)
+	for i := range l.vals {
+		clear(l.vals[i][:cap(l.vals[i])])
+		l.vals[i] = l.vals[i][:0]
+		bytes += rt.SizeOf[M]() * int64(cap(l.vals[i]))
+	}
+	for _, s := range []*[]VertexID{&l.verts[0], &l.verts[1], &l.marked, &l.queue, &l.dirty} {
+		*s = (*s)[:0]
+		bytes += rt.SizeOf[VertexID]() * int64(cap(*s))
+	}
+	return bytes
 }
 
 // Inbox is one block's messages for one superstep, folded by recipient
@@ -243,11 +256,14 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		values:     make([]V, n),
 		halted:     make([]bool, nb),
 		ctx:        rt.PerWorker[BlockContext[V, M]](nb),
-		bufs:       make([]*blockBufs[M], nb),
 		stats:      &bsp.Stats{Workers: nb, N: n},
 		inboxLocal: make([]int64, nb),
 	}
-	pool, combine := bufPool[M](), prog.Combine
+	e.bufs, _ = rt.TakeRunBuffer[[]*blockBufs[M]]()
+	for len(e.bufs) < nb {
+		e.bufs = append(e.bufs, new(blockBufs[M]))
+	}
+	combine := prog.Combine
 	inbox := func(slot []struct{ at, n int32 }, verts []VertexID, vals []M) Inbox[M] {
 		return Inbox[M]{local: e.local, combine: combine, slot: slot, verts: verts[:0], vals: vals[:0]}
 	}
@@ -255,11 +271,7 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		for i, v := range blk {
 			e.local[v] = int32(i)
 		}
-		l, _ := pool.Get().(*blockBufs[M])
-		if l == nil {
-			l = new(blockBufs[M])
-		}
-		e.bufs[b] = l
+		l := e.bufs[b]
 		outbox := slices.Grow(l.outbox[:0], nb)[:nb]
 		for d := range outbox {
 			outbox[d] = outbox[d][:0]
@@ -323,22 +335,26 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	return &Result[V]{Values: e.values, Stats: e.stats}, err
 }
 
-// putBufs hands every block's buffers, grown to this run's peak, back
-// to the pool and drops the engine's references to them.
+// putBufs gives the blocks' buffers, grown to this run's peak and
+// emptied, back to the run-buffer cache, and drops the engine's
+// references to them.
 func (e *Engine[V, M]) putBufs() {
-	pool := bufPool[M]()
+	var bytes int64
 	for b, l := range e.bufs {
-		c := e.block(b)
-		*l = blockBufs[M]{
-			outbox: c.outbox,
-			verts:  [2][]VertexID{c.inbox.verts, c.next.verts},
-			vals:   [2][]M{c.inbox.vals, c.next.vals},
-			marked: c.marked,
-			queue:  c.queue.buf,
-			dirty:  c.dirty,
+		if b < len(e.ctx) {
+			c := e.block(b)
+			*l = blockBufs[M]{
+				outbox: c.outbox,
+				verts:  [2][]VertexID{c.inbox.verts, c.next.verts},
+				vals:   [2][]M{c.inbox.vals, c.next.vals},
+				marked: c.marked,
+				queue:  c.queue.buf,
+				dirty:  c.dirty,
+			}
 		}
-		pool.Put(l)
+		bytes += l.empty()
 	}
+	rt.KeepRunBuffer(e.bufs, bytes)
 	e.bufs, e.ctx = nil, nil
 }
 

@@ -171,7 +171,7 @@ type policy[V, G any] struct {
 	// so the iteration's active set is exactly the write set.
 	dirty   []bool
 	wake    []rt.Padded[[]VertexID] // per-worker scatter buffers, reused
-	scratch []*graph.Scratch        // pooled per-worker span-decode buffers (packed snapshots)
+	scratch []*graph.Scratch        // cached per-worker span-decode buffers (packed snapshots)
 
 	// Pull-mode scatter (Mode pull/auto): changed vertices mark their
 	// broadcast bit; the activation pass scans transpose spans for

@@ -1,5 +1,7 @@
 package graph
 
+import "unsafe"
+
 // Scratch is a worker-local decode buffer for reading adjacency spans
 // off a packed snapshot without per-call allocation. Each engine worker
 // (or sequential context) owns one; OutSpan and InSpan read through
@@ -21,9 +23,15 @@ type Scratch struct {
 	ic  blockCache // InSpan's last decoded block
 }
 
-// Reset empties both block caches, so a pooled Scratch keeps no
+// Reset empties both block caches, so a cached Scratch keeps no
 // snapshot's stream reachable; the grown buffers stay.
 func (s *Scratch) Reset() { s.oc.p, s.ic.p = nil, nil }
+
+// Bytes reports the memory s holds: its block caches and the capacity
+// of its grown buffers.
+func (s *Scratch) Bytes() int64 {
+	return int64(unsafe.Sizeof(*s)) + 4*int64(cap(s.out)+cap(s.in)) + 8*int64(cap(s.w))
+}
 
 // OutSpan returns v's out-neighbor span in adjacency order. On a flat
 // snapshot it aliases the snapshot (identical to Out, zero cost and s

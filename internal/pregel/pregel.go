@@ -147,7 +147,7 @@ type Engine[V, M any] struct {
 	// InSpan decode into them, on a flat snapshot they alias the CSR
 	// arrays and the buffers stay nil.
 	ctxs      []rt.Padded[Context[V, M]]
-	scratch   []*graph.Scratch // pooled span-decode buffers, returned when Run ends
+	scratch   []*graph.Scratch // cached span-decode buffers, returned when Run ends
 	workerMax []maxima
 	delivered []int64
 	placed    []int64
@@ -322,6 +322,7 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	}
 	defer e.prepared.Release()
 	defer rt.PutScratches(e.scratch)
+	defer e.mbox.Release()
 	e.aggCurrent = make(map[string]any, len(e.aggs))
 	for name, a := range e.aggs {
 		e.aggCurrent[name] = a.Zero()

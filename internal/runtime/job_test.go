@@ -369,3 +369,60 @@ func TestSubmitFailureStates(t *testing.T) {
 		t.Fatalf("state = %v err = %v, want succeeded/nil", ok.State(), err)
 	}
 }
+
+// clockPolicy runs three supersteps of a compute phase in which worker
+// 1 sleeps, a no-op delivery phase and a serial sleep between them.
+type clockPolicy struct {
+	countPolicy
+	nap time.Duration
+}
+
+func (p *clockPolicy) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
+	p.d.Lease().Run(func(w int) {
+		if w == 1 {
+			time.Sleep(2 * p.nap)
+		}
+	})
+	time.Sleep(p.nap)
+	p.d.Lease().Run(func(w int) {})
+	p.steps++
+	return 1, nil
+}
+
+// TestDriverClock: the driver charges each superstep its first phase as
+// compute, its second as delivery, the rest of Superstep as serial and
+// its save as checkpoint; the totals add the supersteps' clocks to what
+// fell between them and stay within the run's span. Stamping a phase
+// allocates nothing.
+func TestDriverClock(t *testing.T) {
+	const nap = time.Millisecond
+	stats := &bsp.Stats{Workers: 2}
+	p := &clockPolicy{countPolicy: countPolicy{limit: 3}, nap: nap}
+	d := NewDriver[int](p, stats, DriverConfig{Name: "clock", EngineConfig: EngineConfig{Workers: 2, MaxSupersteps: 10, CheckpointEvery: 1}})
+	p.d = d
+	if _, err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var sum bsp.Clock
+	for i, ss := range stats.Supersteps {
+		c := ss.Clock
+		if c.Compute.BusyMax < 2*nap || c.Compute.Wall < c.Compute.BusyMax || c.Compute.BusyMax < c.Compute.BusyMean {
+			t.Errorf("superstep %d: compute %+v, want wall >= busy max >= %v and busy max >= mean", i, c.Compute, 2*nap)
+		}
+		if c.Delivery.Wall <= 0 || c.Serial < nap || c.Checkpoint <= 0 {
+			t.Errorf("superstep %d: delivery %v, serial %v, checkpoint %v; want each stamped", i, c.Delivery.Wall, c.Serial, c.Checkpoint)
+		}
+		sum.Add(c)
+	}
+	if stats.Clock.Named() < sum.Named() || stats.Clock.Named() > stats.Wall {
+		t.Errorf("clock names %v, supersteps %v, run span %v: want supersteps <= named <= span", stats.Clock.Named(), sum.Named(), stats.Wall)
+	}
+
+	pool := NewPool(2)
+	defer pool.Close()
+	l := pool.Lease(2)
+	noop := func(int) {}
+	if avg := testing.AllocsPerRun(100, func() { l.Run(noop) }); avg != 0 {
+		t.Errorf("a stamped phase allocates %.1f times, want 0", avg)
+	}
+}

@@ -50,6 +50,9 @@ func (ln *lane[M]) push(dst VertexID, m M) int32 {
 // sorting the incoming lanes by destination (int32 offsets: under 2^31
 // messages per worker per superstep). All buffers keep their capacity,
 // so a steady-state superstep allocates nothing on the message path.
+// The lanes, slabs and receiver lists come from the run-buffer cache
+// and go back to it on Release, so they keep their capacity across
+// runs too.
 type Mailbox[M any] struct {
 	workers int
 	owner   []int32 // vertex -> owning worker
@@ -100,6 +103,16 @@ func NewMailbox[M any](workers int, owner []int32, comb func(a, b M) M) *Mailbox
 		cnt:     make([]int32, n),
 		inbox:   PerWorker[inboxOf[M]](workers),
 	}
+	for i := range mb.lanes {
+		mb.lanes[i].V.entries = takeSlice[entry[M]]()
+	}
+	for w := range mb.inbox {
+		in := &mb.inbox[w].V
+		in.recv = takeSlice[VertexID]()
+		if comb == nil {
+			in.slab = takeSlice[M]()
+		}
+	}
 	if comb == nil {
 		mb.off = make([]int32, n)
 		return mb
@@ -111,6 +124,23 @@ func NewMailbox[M any](workers int, owner []int32, comb func(a, b M) M) *Mailbox
 		mb.idx[src] = make([]combIdx, n)
 	}
 	return mb
+}
+
+// Release gives the lanes, slabs and receiver lists back to the
+// run-buffer cache, emptied whatever state the run ended in, in the
+// order NewMailbox took them. The mailbox must not be used afterwards.
+// Release is idempotent.
+func (mb *Mailbox[M]) Release() {
+	for i := range mb.lanes {
+		keepSlice(mb.lanes[i].V.entries)
+		mb.lanes[i].V.entries = nil
+	}
+	for w := range mb.inbox {
+		in := &mb.inbox[w].V
+		keepSlice(in.recv)
+		keepSlice(in.slab)
+		in.recv, in.slab = nil, nil
+	}
 }
 
 // Advance invalidates the sender-side combining index. The engine must

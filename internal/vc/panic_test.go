@@ -3,9 +3,11 @@ package vc
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
+	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/pregel"
 	"vcgraph/internal/runtime"
@@ -75,4 +77,59 @@ func TestPanickingProgramFailsOneJob(t *testing.T) {
 		t.Fatalf("pins %d, inflight %d after every job ended, want 0 and 0", g.Pins(), sched.InFlight())
 	}
 	checkPanic(runPanicky(nil))
+}
+
+// kcorePanicky is k-core whose Compute panics at superstep 1 on victim.
+type kcorePanicky struct {
+	*kcoreProgram
+	victim VertexID
+}
+
+func (p kcorePanicky) Compute(ctx *pregel.Context[kcoreValue, kcoreMsg], msgs []kcoreMsg) {
+	if ctx.Superstep() == 1 && ctx.ID() == p.victim {
+		panic("compute failed")
+	}
+	p.kcoreProgram.Compute(ctx, msgs)
+}
+
+// TestPanickedRunReturnsEmptyBuffers: a W = 2 pregel k-core run that
+// panics mid-superstep, on worker 1's last vertex while the lanes hold
+// that superstep's messages and the slabs the previous one's, gives its
+// buffers back to the run-buffer cache emptied: a clean run made next,
+// on those buffers, reads the same coreness and Stats as one made with
+// the cache empty.
+func TestPanickedRunReturnsEmptyBuffers(t *testing.T) {
+	g := graph.RMAT(12, 8<<12, 1)
+	owner := runtime.PartitionRunsCSR(g.CSR(), 2) // pregel's default placement
+	victim := VertexID(-1)
+	for v, w := range owner {
+		if w == 1 {
+			victim = VertexID(v)
+		}
+	}
+	clean := func() ([]int32, *bsp.Stats) {
+		res, err := KCore(g, Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Core, counts(res.Stats)
+	}
+	runtime.EmptyRunCache()
+	wantCore, wantStats := clean()
+
+	prog := kcorePanicky{kcoreProgram: newKCoreProgram(g, false), victim: victim}
+	_, err := pregel.NewEngine[kcoreValue, kcoreMsg](g, prog, pregel.Config[kcoreMsg]{EngineConfig: runtime.EngineConfig{Workers: 2}}).Run()
+	var pe *runtime.PanicError
+	if !errors.As(err, &pe) || pe.Superstep != 1 || pe.Worker != 1 {
+		t.Fatalf("err = %v, want a panic at superstep 1 on worker 1", err)
+	}
+
+	core, stats := clean()
+	if !slices.Equal(core, wantCore) {
+		t.Fatal("coreness after a panicked run differs from a run on an empty cache")
+	}
+	if !reflect.DeepEqual(stats, wantStats) {
+		t.Fatalf("stats after a panicked run differ from a run on an empty cache: work %d vs %d, messages %d vs %d",
+			stats.TotalWork, wantStats.TotalWork, stats.TotalMessages, wantStats.TotalMessages)
+	}
 }
