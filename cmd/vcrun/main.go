@@ -13,9 +13,9 @@
 // async, blockcentric, or inc (the incremental engine, run cold; sssp
 // and hashmin only) where the algorithm has one. -engine auto
 // routes pagerank, sssp, and hashmin through the adaptive plan layer: a
-// planner samples the graph, picks the initial engine/partition/mode,
-// and may hand vertex state off to another engine live at a superstep
-// barrier. Every decision is printed as a "plan:" line as it is taken.
+// planner samples the graph and picks the engine, partition and mode
+// once, before superstep 0, and the run is that matrix row from start
+// to end. The decision is printed as one "plan:" line.
 //
 // Algorithms: pagerank, prconverge, sssp, hashmin, sv, wcc, scc, bcc,
 // diameter, doublesweep, euler, traversal, spanning, mcst, coloring,

@@ -145,7 +145,7 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 // it at once.
 func PrepareSeeded[V any](g *graph.Graph, prog Program[V], pr *rt.Prepared, seeds []VertexID) func() (*Result[V], error) {
 	switch any(prog).(type) {
-	case ccProgram, *ssspProgram:
+	case minPlus[VertexID], minPlus[float64]:
 		if g.Directed {
 			pr.Release()
 			return failed[V](fmt.Errorf("%s: %w", pr.Driver.Name, ErrDirected))
@@ -210,72 +210,6 @@ func valuesOf[V any](run func() (*Result[V], error)) func() ([]V, *Result[V], er
 	}
 }
 
-// --- Async SSSP (label-correcting) ---
-
-// ssspProgram is label-correcting SSSP from src. seed warm-starts the
-// tentative distances from an incremental run's repaired prior (nil is
-// the source-only cold start): Update only ever improves a value, so
-// any sound upper bound converges to the same distances.
-type ssspProgram struct {
-	src  VertexID
-	seed []float64
-}
-
-func (p *ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	if id == p.src {
-		return 0
-	}
-	return DistInf
-}
-
-// DistInf is what the async SSSP program holds for "unreached": a
-// finite stand-in for +Inf, shared with the incremental engine and the
-// serving wire (vc.Unreachable). Seeds handed to SSSPProgram must use
-// it too.
-const DistInf = 1e308
-
-func (p *ssspProgram) Update(ctx *Context[float64], v VertexID) []VertexID {
-	// Recompute from in-neighbors' live distances (undirected: same set).
-	d := DistInf
-	if v == p.src {
-		d = 0
-	}
-	dsts := ctx.Out(v)
-	if ws := ctx.OutWeights(v); ws == nil {
-		for _, u := range dsts {
-			if nd := *ctx.Value(u) + 1; nd < d {
-				d = nd
-			}
-		}
-	} else {
-		for i, u := range dsts {
-			if nd := *ctx.Value(u) + ws[i]; nd < d {
-				d = nd
-			}
-		}
-	}
-	if d < *ctx.Value(v) {
-		*ctx.Value(v) = d
-		return dsts
-	}
-	return nil
-}
-
-// SSSP computes single-source shortest paths asynchronously
-// (label-correcting over live values) on an undirected weighted graph.
-func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64], error) {
-	return PrepareSSSP(g, src, cfg)()
-}
-
-// PrepareSSSP is the job-scoped form of SSSP: graph reads happen now,
-// the returned closure runs against the pinned snapshot.
-func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *Result[float64], error) {
-	return valuesOf(Prepare(g, SSSPProgram(src, nil), cfg))
-}
-
 // --- Async PageRank (Gauss–Seidel with delta scheduling) ---
 
 type prProgram struct {
@@ -332,31 +266,30 @@ func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]f
 	return valuesOf(Prepare[float64](g, &prProgram{n: g.N(), alpha: alpha, eps: eps}, cfg))
 }
 
-// --- Async connected components (min-label) ---
+// --- Async label correcting: connected components and SSSP ---
 
-// ccProgram is min-label propagation. seed warm-starts the labels (nil
-// is the identity cold start): Update recomputes from live neighbor
-// values, so draining a worklist that covers every vertex whose label
-// is not yet final reaches the same fixpoint.
-type ccProgram struct{ seed []VertexID }
+// minPlus lowers runtime.MinPlus to an update: v takes the smallest
+// live offer of its neighbours (in-neighbours: the graph is undirected)
+// when it is below its own label. Update only ever lowers a label, so
+// draining a worklist that covers every vertex whose label is not yet
+// final reaches the same fixpoint from any sound start, which is why an
+// incremental run may seed the labels with a repaired prior.
+type minPlus[V VertexID | float64] struct{ k rt.MinPlus[V] }
 
-func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return id
-}
+func (p minPlus[V]) Init(g *graph.Graph, id VertexID) V { return p.k.Init(id) }
 
-func (ccProgram) Update(ctx *Context[VertexID], v VertexID) []VertexID {
-	min := *ctx.Value(v)
+func (p minPlus[V]) Update(ctx *Context[V], v VertexID) []VertexID {
+	l := *ctx.Value(v)
 	dsts := ctx.Out(v)
-	for _, u := range dsts {
-		if l := *ctx.Value(u); l < min {
-			min = l
-		}
+	var ws []float64
+	if p.k.Weighted() {
+		ws = ctx.OutWeights(v)
 	}
-	if min < *ctx.Value(v) {
-		*ctx.Value(v) = min
+	for i, u := range dsts {
+		l = min(l, p.k.OfferOver(*ctx.Value(u), ws, i))
+	}
+	if l < *ctx.Value(v) {
+		*ctx.Value(v) = l
 		return dsts
 	}
 	return nil
@@ -374,15 +307,27 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, 
 	return valuesOf(Prepare(g, CCProgram(nil), cfg))
 }
 
+// SSSP computes single-source shortest paths asynchronously
+// (label-correcting over live values) on an undirected weighted graph.
+// Unreachable vertices keep +Inf.
+func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64], error) {
+	return PrepareSSSP(g, src, cfg)()
+}
+
+// PrepareSSSP is the job-scoped form of SSSP: graph reads happen now,
+// the returned closure runs against the pinned snapshot.
+func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *Result[float64], error) {
+	return valuesOf(Prepare(g, SSSPProgram(src, nil), cfg))
+}
+
 // --- Programs internal/vc prepares itself (matrix and inc rows) ---
 
 // CCProgram is the min-label component program started from seed
 // labels (nil is the identity cold start).
-func CCProgram(seed []VertexID) Program[VertexID] { return ccProgram{seed: seed} }
+func CCProgram(seed []VertexID) Program[VertexID] { return minPlus[VertexID]{rt.CC(seed)} }
 
 // SSSPProgram is the label-correcting SSSP program started from seed
-// distances (nil is the source-only cold start). Unreached entries of
-// seed must hold DistInf, not +Inf.
+// distances (nil is the source-only cold start; unreached is +Inf).
 func SSSPProgram(src VertexID, seed []float64) Program[float64] {
-	return &ssspProgram{src: src, seed: seed}
+	return minPlus[float64]{rt.SSSP(src, seed)}
 }

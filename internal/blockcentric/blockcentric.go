@@ -11,7 +11,6 @@
 package blockcentric
 
 import (
-	"math"
 	"slices"
 
 	"vcgraph/internal/bsp"
@@ -146,10 +145,10 @@ type addr[M any] struct {
 // block b of the next run whatever ran in between; a run with fewer
 // blocks carries the surplus sets through.
 type blockBufs[M any] struct {
-	outbox               [][]addr[M]
-	verts                [2][]VertexID
-	vals                 [2][]M
-	marked, queue, dirty []VertexID
+	outbox        [][]addr[M]
+	verts         [2][]VertexID
+	vals          [2][]M
+	marked, queue []VertexID
 }
 
 // empty truncates every buffer and zeroes the message-bearing ones'
@@ -168,7 +167,7 @@ func (l *blockBufs[M]) empty() int64 {
 		l.vals[i] = l.vals[i][:0]
 		bytes += rt.SizeOf[M]() * int64(cap(l.vals[i]))
 	}
-	for _, s := range []*[]VertexID{&l.verts[0], &l.verts[1], &l.marked, &l.queue, &l.dirty} {
+	for _, s := range []*[]VertexID{&l.verts[0], &l.verts[1], &l.marked, &l.queue} {
 		*s = (*s)[:0]
 		bytes += rt.SizeOf[VertexID]() * int64(cap(*s))
 	}
@@ -283,7 +282,6 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 			marks:  make([]uint64, (len(blk)+63)/64),
 			marked: l.marked[:0],
 			queue:  fifo{buf: l.queue[:0]},
-			dirty:  l.dirty[:0],
 			outbox: outbox,
 			inbox:  inbox(slots[:len(blk)], l.verts[0], l.vals[0]),
 			next:   inbox(slots[len(blk):], l.verts[1], l.vals[1]),
@@ -349,7 +347,6 @@ func (e *Engine[V, M]) putBufs() {
 				vals:   [2][]M{c.inbox.vals, c.next.vals},
 				marked: c.marked,
 				queue:  c.queue.buf,
-				dirty:  c.dirty,
 			}
 		}
 		bytes += l.empty()
@@ -565,10 +562,9 @@ type BlockContext[V, M any] struct {
 	// marked vertices in insertion order.
 	marks  []uint64
 	marked []VertexID
-	// queue and dirty are the CC and SSSP programs' work lists, kept
-	// here so their capacity survives supersteps and runs.
+	// queue is the label-correcting program's work list, kept here so
+	// its capacity survives supersteps and runs.
 	queue fifo
-	dirty []VertexID
 	// inbox holds the running superstep's messages. next folds those of
 	// the next superstep — a pulling block's own sends while it
 	// computes, then the lanes in source-block order — and is the
@@ -656,7 +652,7 @@ func (c *BlockContext[V, M]) Charge(units int64) { c.work += units }
 // VoteToHalt deactivates the block; boundary messages reactivate it.
 func (c *BlockContext[V, M]) VoteToHalt() { c.halt = true }
 
-// fifo is the CC and SSSP programs' work list: first in, first out,
+// fifo is the label-correcting program's work list: first in, first out,
 // keeping every duplicate (dedup would change the visit order and the
 // work charged). The walk compacts the buffer in place once it is half
 // consumed, and an emptied list restarts at the buffer's front, so the
@@ -681,66 +677,68 @@ func (q *fifo) pop() (VertexID, bool) {
 	return v, true
 }
 
-// --- Block-centric connected components ---
+// --- Block-centric label correcting: connected components and SSSP ---
 
-// ccProgram: each block labels its internal structure with full
-// sequential BFS sweeps per superstep (minimum label within each
-// block-local region), then pushes changed labels over boundary edges
-// only. On a path split into B blocks this takes Θ(B) supersteps,
-// versus Θ(n) for vertex-centric Hash-Min.
-type ccProgram struct{}
+// minPlus lowers runtime.MinPlus to a block program: each superstep a
+// block absorbs the boundary offers that lower its labels, relaxes
+// inside the block to a fixpoint (a sequential label-correcting sweep
+// from every lowered vertex), then offers the labels of every vertex
+// that changed over its boundary edges only. In superstep 0 every
+// vertex with a label below the kernel's top seeds the sweep: all of
+// them for CC, the source for SSSP. On a path split into B blocks CC
+// takes Θ(B) supersteps, versus Θ(n) for vertex-centric Hash-Min. Min
+// is order-independent, so values are byte-identical across schedules
+// and fault plans.
+type minPlus[V VertexID | float64] struct{ k rt.MinPlus[V] }
 
-func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
+func (p minPlus[V]) Init(g *graph.Graph, id VertexID) V { return p.k.Init(id) }
 
-func (ccProgram) Combine(a, b VertexID) VertexID { return min(a, b) }
+func (minPlus[V]) Combine(a, b V) V { return min(a, b) }
 
-func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], in *Inbox[VertexID]) {
-	// Absorb boundary updates.
-	dirty := ctx.dirty[:0]
+func (p minPlus[V]) ComputeBlock(ctx *BlockContext[V, V], in *Inbox[V]) {
+	// Absorb boundary offers. Every vertex whose label falls is marked
+	// and queued.
+	q := &ctx.queue
 	for _, v := range in.Vertices() {
-		m, n := in.Message(v)
+		l, n := in.Message(v)
 		ctx.Charge(int64(n))
-		if m < *ctx.Value(v) {
-			*ctx.Value(v) = m
-			dirty = append(dirty, v)
+		if l < *ctx.Value(v) {
+			*ctx.Value(v) = l
+			ctx.Mark(v)
+			q.push(v)
 		}
 	}
 	if ctx.Superstep() == 0 {
-		dirty = append(dirty, ctx.Block()...)
+		for _, v := range ctx.Block() {
+			if *ctx.Value(v) < p.k.Top() {
+				ctx.Mark(v)
+				q.push(v)
+			}
+		}
 	}
-	// Local min-label BFS from every updated vertex, confined to the
-	// block; every vertex whose label changed is marked.
-	q := &ctx.queue
-	for _, v := range dirty {
-		q.push(v)
-	}
+	// Relax to a block-local fixpoint.
 	for v, ok := q.pop(); ok; v, ok = q.pop() {
-		label := *ctx.Value(v)
-		for _, u := range ctx.Out(v) {
+		l := *ctx.Value(v)
+		dsts, ws := ctx.Out(v), ctx.OutWeights(v)
+		for i, u := range dsts {
 			ctx.Charge(1)
 			if !ctx.Local(u) {
 				continue
 			}
-			if label < *ctx.Value(u) {
-				*ctx.Value(u) = label
-				q.push(u)
+			if o := p.k.OfferOver(l, ws, i); o < *ctx.Value(u) {
+				*ctx.Value(u) = o
 				ctx.Mark(u)
+				q.push(u)
 			}
 		}
-		if ctx.Superstep() == 0 {
-			ctx.Mark(v)
-		}
 	}
-	for _, v := range dirty {
-		ctx.Mark(v)
-	}
-	ctx.dirty = dirty
-	// Push labels over boundary edges for every changed vertex.
+	// Offer the changed labels over boundary edges.
 	for _, v := range ctx.Marked() {
-		label := *ctx.Value(v)
-		for _, u := range ctx.Out(v) {
+		l := *ctx.Value(v)
+		dsts, ws := ctx.Out(v), ctx.OutWeights(v)
+		for i, u := range dsts {
 			if !ctx.Local(u) {
-				ctx.SendTo(u, label)
+				ctx.SendTo(u, p.k.OfferOver(l, ws, i))
 			}
 		}
 	}
@@ -771,91 +769,6 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() (*CCResult, e
 		}
 		return &CCResult{Color: res.Values, Stats: res.Stats}, nil
 	}
-}
-
-// --- Block-centric single-source shortest paths ---
-
-// ssspProgram: each block runs a sequential label-correcting
-// relaxation to a fixpoint inside the block per superstep, then offers
-// dist+w over boundary edges for vertices whose distance improved.
-// Min-relaxation is order-independent, so values are byte-identical
-// across schedules and fault plans.
-type ssspProgram struct{ src VertexID }
-
-func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
-	if id == p.src {
-		return 0
-	}
-	return math.Inf(1)
-}
-
-func (ssspProgram) Combine(a, b float64) float64 { return min(a, b) }
-
-func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], in *Inbox[float64]) {
-	// Absorb boundary offers. Every vertex whose distance improves is
-	// marked.
-	dirty := ctx.dirty[:0]
-	for _, v := range in.Vertices() {
-		d, n := in.Message(v)
-		ctx.Charge(int64(n))
-		if d < *ctx.Value(v) {
-			*ctx.Value(v) = d
-			ctx.Mark(v)
-			dirty = append(dirty, v)
-		}
-	}
-	if ctx.Superstep() == 0 {
-		// The source, the only finite distance yet, seeds the local
-		// relaxation of its block and is offered over boundary edges.
-		for _, v := range ctx.Block() {
-			if !math.IsInf(*ctx.Value(v), 1) {
-				dirty = append(dirty, v)
-				ctx.Mark(v)
-			}
-		}
-	}
-	ctx.dirty = dirty
-	// Relax to a block-local fixpoint.
-	q := &ctx.queue
-	for _, v := range dirty {
-		q.push(v)
-	}
-	for v, ok := q.pop(); ok; v, ok = q.pop() {
-		d := *ctx.Value(v)
-		dsts := ctx.Out(v)
-		ws := ctx.OutWeights(v)
-		for i, u := range dsts {
-			ctx.Charge(1)
-			if !ctx.Local(u) {
-				continue
-			}
-			w := 1.0
-			if ws != nil {
-				w = ws[i]
-			}
-			if nd := d + w; nd < *ctx.Value(u) {
-				*ctx.Value(u) = nd
-				ctx.Mark(u)
-				q.push(u)
-			}
-		}
-	}
-	// Offer improved distances over boundary edges.
-	for _, v := range ctx.Marked() {
-		d := *ctx.Value(v)
-		dsts := ctx.Out(v)
-		ws := ctx.OutWeights(v)
-		for i, u := range dsts {
-			if !ctx.Local(u) {
-				w := 1.0
-				if ws != nil {
-					w = ws[i]
-				}
-				ctx.SendTo(u, d+w)
-			}
-		}
-	}
-	ctx.VoteToHalt()
 }
 
 // SSSPResult carries block-centric shortest-path distances.
@@ -968,10 +881,12 @@ func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*
 // generic adapter, so it builds these programs itself.
 
 // CCProgram is the min-label component program.
-func CCProgram() Program[VertexID, VertexID] { return ccProgram{} }
+func CCProgram() Program[VertexID, VertexID] { return minPlus[VertexID]{rt.CC(nil)} }
 
 // SSSPProgram is the block-relaxation SSSP program from src.
-func SSSPProgram(src VertexID) Program[float64, float64] { return ssspProgram{src: src} }
+func SSSPProgram(src VertexID) Program[float64, float64] {
+	return minPlus[float64]{rt.SSSP(src, nil)}
+}
 
 // PageRankProgram is the fixed-iteration PageRank program: k folds
 // from the uniform start. It is bit-compatible with single-worker

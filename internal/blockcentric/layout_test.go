@@ -17,7 +17,7 @@ func TestPerWorkerStateOnOwnLines(t *testing.T) {
 	g := graph.Grid(6, 6)
 	for blocks := 1; blocks <= 8; blocks++ {
 		t.Run(fmt.Sprint("W=", blocks), func(t *testing.T) {
-			e := NewEngine[VertexID, VertexID](g, ccProgram{}, Config{Workers: blocks})
+			e := NewEngine(g, CCProgram(), Config{Workers: blocks})
 			end := uintptr(unsafe.Pointer(&e.ctx[0]))
 			for b := range e.ctx {
 				at := uintptr(unsafe.Pointer(&e.ctx[b].V))

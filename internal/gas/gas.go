@@ -13,8 +13,6 @@
 package gas
 
 import (
-	"math"
-
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	rt "vcgraph/internal/runtime"
@@ -68,9 +66,9 @@ type Preparer interface {
 // Stepper is an optional Program extension: BeforeStep runs
 // single-threaded at the top of every iteration with the global
 // iteration index. Programs whose Apply semantics depend on the global
-// step (the adaptive plan layer's fixed-K synchronous PageRank, which
-// must stop after exactly `remaining` folds) implement it to observe
-// the step without threading it through Gather/Apply.
+// step (the fixed-K synchronous PageRank, which must stop after
+// exactly k folds) implement it to observe the step without threading
+// it through Gather/Apply.
 type Stepper interface {
 	BeforeStep(step int)
 }
@@ -429,33 +427,26 @@ func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]f
 	}
 }
 
-// --- GAS connected components (HashMin) ---
+// --- GAS label correcting: connected components and SSSP ---
 
-// ccProgram is HashMin over gathers, from the identity labeling.
-type ccProgram struct{}
+// minPlus lowers runtime.MinPlus to a gather: a vertex folds its
+// in-neighbours' offers with min, from the kernel's unreached label,
+// and applies the total when it is below the vertex's label. Every
+// vertex starts active, so the first iteration pulls every initial
+// label (the source's distance, every component label) one hop
+// without anything pushed.
+type minPlus[V VertexID | float64] struct{ k rt.MinPlus[V] }
 
-func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
+func (p minPlus[V]) Init(g *graph.Graph, id VertexID) V { return p.k.Init(id) }
 
-func (ccProgram) Gather(u VertexID, w float64, uVal VertexID) VertexID { return uVal }
+func (p minPlus[V]) Gather(u VertexID, w float64, l V) V { return p.k.Offer(l, w) }
 
-// Zero is NoVertex, the identity of the min with "no contribution".
-func (ccProgram) Zero() VertexID { return graph.NoVertex }
+func (p minPlus[V]) Zero() V { return p.k.Top() }
 
-func (ccProgram) Sum(a, b VertexID) VertexID {
-	if a == graph.NoVertex {
-		return b
-	}
-	if b == graph.NoVertex {
-		return a
-	}
-	if b < a {
-		return b
-	}
-	return a
-}
+func (minPlus[V]) Sum(a, b V) V { return min(a, b) }
 
-func (ccProgram) Apply(v *VertexID, total VertexID) bool {
-	if total != graph.NoVertex && total < *v {
+func (minPlus[V]) Apply(v *V, total V) bool {
+	if total < *v {
 		*v = total
 		return true
 	}
@@ -474,59 +465,25 @@ func ConnectedComponents(g *graph.Graph, cfg Config) ([]VertexID, *Result[Vertex
 // PrepareConnectedComponents is the two-phase form of
 // ConnectedComponents (see Prepare).
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, *Result[VertexID], error) {
-	run := Prepare(g, CCProgram(), cfg)
-	return func() ([]VertexID, *Result[VertexID], error) {
-		res, err := run()
-		if err != nil {
-			return nil, nil, err
-		}
-		return res.Values, res, nil
-	}
-}
-
-// --- GAS single-source shortest paths ---
-
-// ssspProgram is pull relaxation from src.
-type ssspProgram struct{ src VertexID }
-
-func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
-	if id == p.src {
-		return 0
-	}
-	return math.Inf(1)
-}
-
-// Gather offers a path to v through in-neighbor u: u's tentative
-// distance plus the (u -> v) edge weight.
-func (p ssspProgram) Gather(u VertexID, w float64, uDist float64) float64 { return uDist + w }
-
-func (p ssspProgram) Zero() float64 { return math.Inf(1) }
-
-func (p ssspProgram) Sum(a, b float64) float64 { return math.Min(a, b) }
-
-func (p ssspProgram) Apply(v *float64, total float64) bool {
-	if total < *v {
-		*v = total
-		return true
-	}
-	return false
+	return valuesOf(Prepare(g, CCProgram(), cfg))
 }
 
 // SSSP computes single-source shortest paths by pull-based distance
-// relaxation (Bellman-Ford style): every vertex starts active, so the
-// source's neighbors pick up their first finite distance in iteration
-// 0 without the source pushing anything. Unreachable vertices keep
-// +Inf, matching seq.Dijkstra. Min-relaxation is order-independent,
-// so results are byte-identical across worker counts and fault
-// schedules.
+// relaxation (Bellman-Ford style). Unreachable vertices keep +Inf,
+// matching seq.Dijkstra, and results are byte-identical across worker
+// counts and fault schedules.
 func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64], error) {
 	return PrepareSSSP(g, src, cfg)()
 }
 
 // PrepareSSSP is the two-phase form of SSSP (see Prepare).
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *Result[float64], error) {
-	run := Prepare(g, SSSPProgram(src), cfg)
-	return func() ([]float64, *Result[float64], error) {
+	return valuesOf(Prepare(g, SSSPProgram(src), cfg))
+}
+
+// valuesOf adapts a prepared run to the algorithm entry points' shape.
+func valuesOf[V any](run func() (*Result[V], error)) func() ([]V, *Result[V], error) {
+	return func() ([]V, *Result[V], error) {
 		res, err := run()
 		if err != nil {
 			return nil, nil, err
@@ -541,10 +498,10 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *R
 // adapter, so it builds these programs itself.
 
 // CCProgram is the HashMin component program.
-func CCProgram() Program[VertexID, VertexID] { return ccProgram{} }
+func CCProgram() Program[VertexID, VertexID] { return minPlus[VertexID]{rt.CC(nil)} }
 
 // SSSPProgram is the pull-relaxation SSSP program from src.
-func SSSPProgram(src VertexID) Program[float64, float64] { return ssspProgram{src: src} }
+func SSSPProgram(src VertexID) Program[float64, float64] { return minPlus[float64]{rt.SSSP(src, nil)} }
 
 // prFixedK is synchronous power-iteration PageRank for exactly k
 // folds, which engine "auto" runs so that a GAS PageRank is

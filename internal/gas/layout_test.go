@@ -21,7 +21,7 @@ func TestPerWorkerStateOnOwnLines(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pr.Release()
-			p := newPolicy[VertexID, VertexID](g, ccProgram{}, pr)
+			p := newPolicy(g, CCProgram(), pr)
 			defer rt.PutScratches(p.scratch)
 			end := uintptr(unsafe.Pointer(&p.wake[0]))
 			for w := range p.wake {

@@ -105,6 +105,9 @@ type Driver[S any] struct {
 	// clock accumulates the wall time stamped since the last recorded
 	// superstep; record charges it to the superstep it appends.
 	clock bsp.Clock
+	// first is the index of the run's first record in its job's trace,
+	// which stats.Supersteps is a view of.
+	first int
 }
 
 // ckFrame pairs a policy snapshot with the driver-owned pending count,
@@ -115,7 +118,8 @@ type ckFrame[S any] struct {
 }
 
 // NewDriver builds a driver for pol, charging instrumentation into
-// stats.
+// stats. Run makes stats.Supersteps a view of the run's records in its
+// job's trace, which holds the only copy.
 func NewDriver[S any](pol Policy[S], stats *bsp.Stats, cfg DriverConfig) *Driver[S] {
 	return &Driver[S]{cfg: cfg, pol: pol, stats: stats}
 }
@@ -173,6 +177,7 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		d.stats.TotalAllocDelta += m1.TotalAlloc - m0.TotalAlloc
 	}()
 	ctx := d.cfg.Job.Context()
+	d.first = d.cfg.Job.Steps()
 	d.lease = d.cfg.Job.leaseHandle()
 	if d.lease.Workers() != d.cfg.Workers {
 		// An invariant, not an input check: EngineConfig.Prepare takes
@@ -303,7 +308,8 @@ func (d *Driver[S]) recordSerialStep(work, active int64) {
 
 // record finalizes the measured accounting of a superstep at the
 // barrier — w, h, max(w, g·h, L) and the wall time stamped since the
-// previous record — and adds it to the run totals.
+// previous record — adds it to the run totals, and publishes it in the
+// job's trace, of which stats.Supersteps is the run's view.
 func (d *Driver[S]) record(ss bsp.SuperstepStats) {
 	ss.MaxWork = ss.W()
 	ss.MaxComm = ss.H()
@@ -315,8 +321,7 @@ func (d *Driver[S]) record(ss bsp.SuperstepStats) {
 		d.stats.TotalMessages += ss.Sent[w]
 	}
 	d.stats.MeasuredTime += ss.Cost
-	d.stats.Supersteps = append(d.stats.Supersteps, ss)
-	d.cfg.Job.observe(ss)
+	d.stats.Supersteps = d.cfg.Job.observe(ss, d.first)
 }
 
 // save checkpoints the barrier state entering step — a full frame, or

@@ -157,11 +157,16 @@ func (j *Job) OnCleanup(fn func()) {
 }
 
 // observe is the driver's publication hook: one record per completed
-// superstep barrier.
-func (j *Job) observe(ss bsp.SuperstepStats) {
+// superstep barrier. The trace is the only copy of the records: it
+// returns the records from index first on, the driver's run so far,
+// which the driver's Stats.Supersteps then aliases. The view's capacity
+// ends at its length, so an append to it copies rather than writing
+// into the trace.
+func (j *Job) observe(ss bsp.SuperstepStats, first int) []bsp.SuperstepStats {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.trace = append(j.trace, ss)
-	j.mu.Unlock()
+	return j.trace[first:len(j.trace):len(j.trace)]
 }
 
 // leaseHandle returns the admitted lease (nil while queued).

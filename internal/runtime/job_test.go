@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -349,6 +350,63 @@ func TestJobTraceStreams(t *testing.T) {
 	}
 	if job.TraceSince(5) != nil {
 		t.Fatal("TraceSince(len) should be nil")
+	}
+}
+
+// A job's trace is the one copy of its records: two drivers run back
+// to back on one job leave TraceSince(0) as their runs' records
+// concatenated, each run's Stats.Supersteps is its segment, and a
+// reader polling the trace meanwhile sees a growing prefix of it.
+func TestJobTraceConcatenatesItsRuns(t *testing.T) {
+	s := NewScheduler(2, 1)
+	defer s.Close()
+	var runs [2]*bsp.Stats
+	start := make(chan struct{})
+	job := s.Submit(context.Background(), "trace", 2, func(j *Job) error {
+		<-start
+		for i, limit := range []int{3, 40} {
+			_, d, stats := runCounting(limit, DriverConfig{Name: "trace", EngineConfig: EngineConfig{Workers: 2, MaxSupersteps: 100, Job: j}})
+			if _, err := d.Run(); err != nil {
+				return err
+			}
+			runs[i] = stats
+		}
+		return nil
+	})
+	var seen []bsp.SuperstepStats
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			end := job.State().Terminal()
+			seen = append(seen, job.TraceSince(len(seen))...)
+			if n := job.Steps(); n < len(seen) {
+				t.Errorf("Steps() = %d after %d records were read", n, len(seen))
+			}
+			if end {
+				return
+			}
+		}
+	}()
+	close(start)
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	all := job.TraceSince(0)
+	want := append(append([]bsp.SuperstepStats(nil), runs[0].Supersteps...), runs[1].Supersteps...)
+	if len(runs[0].Supersteps) != 3 || len(runs[1].Supersteps) != 40 || job.Steps() != 43 {
+		t.Fatalf("runs recorded %d and %d supersteps, job %d; want 3, 40, 43",
+			len(runs[0].Supersteps), len(runs[1].Supersteps), job.Steps())
+	}
+	if !reflect.DeepEqual(all, want) {
+		t.Fatal("TraceSince(0) is not the two runs' records concatenated")
+	}
+	if !reflect.DeepEqual(seen, all) {
+		t.Fatalf("the concurrent reader read %d records, not the trace's %d", len(seen), len(all))
+	}
+	if &runs[1].Supersteps[0] != &job.trace[3] {
+		t.Fatal("the second run's Stats.Supersteps is a copy of the job's trace, not a view of it")
 	}
 }
 

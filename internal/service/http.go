@@ -237,6 +237,9 @@ func (s *Server) handleJobStats(w http.ResponseWriter, r *http.Request) {
 	since := 0
 	if q := r.URL.Query().Get("since"); q != "" {
 		n, err := strconv.Atoi(q)
+		if err == nil && n < 0 {
+			err = errors.New("since: a record index is not negative")
+		}
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return

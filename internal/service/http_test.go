@@ -107,6 +107,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if n, _ := tail["records"].([]any); len(n) != 0 {
 		t.Fatalf("stats past the end returned %d records", len(n))
 	}
+	for _, bad := range []string{"-3", "x"} {
+		doJSON(t, "GET", jobURL+"/stats?since="+bad, nil, http.StatusBadRequest)
+	}
 
 	// The daemon's point query must match a direct library run on the
 	// same generator graph.

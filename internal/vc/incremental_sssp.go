@@ -8,13 +8,13 @@ import (
 	"vcgraph/internal/graph"
 )
 
-// Unreachable is the one finite spelling of an unreachable distance:
-// the async engine's label-correcting sentinel (1e308, not math.Inf),
-// so incremental and async from-scratch runs are byte-identical
-// including unreachable vertices. The async and inc SSSP rows hold it
-// inside and answer +Inf; the serving layer puts it on the wire in
-// place of the engine matrix's +Inf.
-const Unreachable = async.DistInf
+// Unreachable is the finite spelling of an unreachable distance where
+// +Inf cannot go: the serving layer puts it on the wire in place of
+// the engines' +Inf, because JSON cannot carry +Inf, and so a Prior
+// built from a served result may hold it. Inside the engines
+// unreachable is +Inf; an inc row translates its Prior once, when it
+// starts.
+const Unreachable = 1e308
 
 // ssspInc computes (or incrementally repairs) single-source shortest
 // paths. The delta view is pinned and the seed analysis done now; the
@@ -47,7 +47,13 @@ func ssspInc(g *graph.Graph, a Args, env Env) Run {
 	if p := env.Prior; p != nil && p.Values != nil && p.Args.Src == a.Src && len(p.Values) == n {
 		if muts, ok := g.MutationsSince(p.Epoch); ok {
 			cold = false
-			dist = finite(p.Values)
+			dist = make([]float64, n)
+			for v, d := range p.Values {
+				if d >= Unreachable {
+					d = math.Inf(1)
+				}
+				dist[v] = d
+			}
 			seeds = seedSSSP(view, dist, a.Src, muts)
 		}
 	}
@@ -60,7 +66,6 @@ func ssspInc(g *graph.Graph, a Args, env Env) Run {
 		if err != nil {
 			return nil, res.Stats, err
 		}
-		replace(res.Values, Unreachable, math.Inf(1))
 		return keep(env, Prior{Epoch: view.Epoch(), Args: a, Values: res.Values, Cold: cold}), res.Stats, nil
 	}
 }
@@ -106,7 +111,7 @@ func seedSSSP(view *graph.DeltaCSR, dist []float64, src VertexID, muts []graph.M
 		})
 	}
 	for v := range invalid {
-		dist[v] = Unreachable
+		dist[v] = math.Inf(1)
 	}
 	// Activate the closure and its current neighbors (the neighbors
 	// hold the valid distances re-relaxation pulls from; the closure's

@@ -7,15 +7,14 @@
 // model started from a prior result (Env.Prior).
 //
 // Values are one float64 per vertex: ranks, distances, component
-// labels, coreness (the integers are exact in a float64). An
-// unreachable SSSP vertex is always +Inf at a row's exit, whatever the
-// engine holds internally; the serving layer turns that into the finite
-// wire sentinel Unreachable, because JSON cannot carry +Inf.
+// labels, coreness (the integers are exact in a float64). Every engine
+// holds an unreachable SSSP vertex as +Inf; the serving layer turns
+// that into the finite wire sentinel Unreachable, because JSON cannot
+// carry +Inf.
 package vc
 
 import (
 	"fmt"
-	"math"
 
 	"vcgraph/internal/async"
 	"vcgraph/internal/blockcentric"
@@ -276,32 +275,8 @@ func ssspBlock(g *graph.Graph, a Args, env Env) Run {
 	return blockRun(g, blockcentric.SSSPProgram(a.Src), env)
 }
 
-// ssspAsync translates the async program's finite unreached sentinel
-// back to +Inf, so callers only ever see +Inf.
 func ssspAsync(g *graph.Graph, a Args, env Env) Run {
-	run := asyncRun(g, async.SSSPProgram(a.Src, nil), env)
-	return func() ([]float64, *bsp.Stats, error) {
-		dist, stats, err := run()
-		replace(dist, Unreachable, math.Inf(1))
-		return dist, stats, err
-	}
-}
-
-// finite is a copy of dist (nil stays nil) with every unreachable
-// distance spelled Unreachable, the way the async and incremental
-// engines hold it.
-func finite(dist []float64) []float64 {
-	out := append([]float64(nil), dist...)
-	replace(out, math.Inf(1), Unreachable)
-	return out
-}
-
-func replace(xs []float64, from, to float64) {
-	for i, x := range xs {
-		if x == from {
-			xs[i] = to
-		}
-	}
+	return asyncRun(g, async.SSSPProgram(a.Src, nil), env)
 }
 
 // --- connected components ---

@@ -24,9 +24,7 @@ import (
 // executes under crash/rollback fault injection.
 //
 // CC and SSSP have schedule-free fixpoints, so every engine agrees on
-// the exact floats (SSSP modulo the unreachable sentinel: the async
-// engine uses 1e308 where the barrier engines and the inc rows use
-// +Inf — both mean "unreachable" and the verdicts agree).
+// the exact floats, an unreachable distance (+Inf) included.
 
 // scriptRig drives one mutation script: it owns the evolving graph and
 // a live-edge list the generator draws delete targets from, so every
@@ -194,9 +192,9 @@ func scratchMatrix() []scratchCell {
 }
 
 // checkSSSPAgainst compares an incremental distance vector with a
-// from-scratch engine run: reachable values byte-identical; for engines
-// with a different unreachable sentinel (+Inf vs 1e308), unreachability
-// itself must agree.
+// from-scratch engine run: byte-identical for the async cell, whose
+// schedule the inc rows share; for the others reachable values
+// byte-identical and unreachability itself must agree.
 func checkSSSPAgainst(t *testing.T, cell scratchCell, inc, scratch []float64) {
 	t.Helper()
 	if cell.exact {
@@ -246,9 +244,7 @@ func (st *incStates) query(t *testing.T, g *graph.Graph, cells []scratchCell, wa
 		t.Fatalf("expected warm runs: cc=%v sssp=%v", st.cc.Cold, st.sssp.Cold)
 	}
 	cc := ints[VertexID](labels)
-	// The from-scratch async run spells unreachable 1e308; compare in
-	// its spelling.
-	ss := finite(dist)
+	ss := dist
 
 	for _, cell := range cells {
 		labels, err := cell.cc(g)
