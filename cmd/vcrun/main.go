@@ -204,6 +204,8 @@ func main() {
 	fmt.Printf("balance (per-vertex max / degree):\n")
 	fmt.Printf("  state %.2f  compute %.2f  sent %.2f  recv %.2f\n",
 		stats.MaxStatePerDeg, stats.MaxComputePerDeg, stats.MaxSentPerDeg, stats.MaxRecvPerDeg)
+	// Process-wide heap deltas across the driver's runs, approximate
+	// to a span per P (bsp.Stats.HeapInuseDelta).
 	fmt.Printf("memory:                heap %+.2f MiB  allocated %.2f MiB\n",
 		float64(stats.HeapInuseDelta)/(1<<20), float64(stats.TotalAllocDelta)/(1<<20))
 	if rec := stats.Recovery; *checkpoint > 0 || rec.Faulted() {

@@ -67,8 +67,11 @@ type Engine[V, M any] struct {
 	owner    []int32
 	blocks   [][]VertexID
 	// local maps a vertex to its position in its block (its local id):
-	// the index of every per-block slab below.
+	// the index of every per-block slab below. It, each block's inbox
+	// slots and each block's marks are taken from the run-buffer cache
+	// and given back when Run ends; values, the run's result, is not.
 	local  []int32
+	slots  [][]struct{ at, n int32 } // per block: the slots of its two inboxes
 	values []V
 	halted []bool // per block
 	stats  *bsp.Stats
@@ -251,7 +254,8 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		prepared:   p,
 		owner:      p.Owner,
 		blocks:     p.Verts,
-		local:      make([]int32, n),
+		local:      rt.TakeArray[int32](n),
+		slots:      make([][]struct{ at, n int32 }, nb),
 		values:     make([]V, n),
 		halted:     make([]bool, nb),
 		ctx:        rt.PerWorker[BlockContext[V, M]](nb),
@@ -275,11 +279,12 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		for d := range outbox {
 			outbox[d] = outbox[d][:0]
 		}
-		slots := make([]struct{ at, n int32 }, 2*len(blk))
+		slots := rt.TakeArray[struct{ at, n int32 }](2 * len(blk))
+		e.slots[b] = slots
 		e.ctx[b].V = BlockContext[V, M]{
 			engine: e,
 			block:  b,
-			marks:  make([]uint64, (len(blk)+63)/64),
+			marks:  rt.TakeArray[uint64]((len(blk) + 63) / 64),
 			marked: l.marked[:0],
 			queue:  fifo{buf: l.queue[:0]},
 			outbox: outbox,
@@ -334,13 +339,15 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 }
 
 // putBufs gives the blocks' buffers, grown to this run's peak and
-// emptied, back to the run-buffer cache, and drops the engine's
-// references to them.
+// emptied, and the working arrays, zeroed, back to the run-buffer
+// cache, and drops the engine's references to them.
 func (e *Engine[V, M]) putBufs() {
 	var bytes int64
 	for b, l := range e.bufs {
 		if b < len(e.ctx) {
 			c := e.block(b)
+			rt.KeepArray(c.marks)
+			rt.KeepArray(e.slots[b])
 			*l = blockBufs[M]{
 				outbox: c.outbox,
 				verts:  [2][]VertexID{c.inbox.verts, c.next.verts},
@@ -352,7 +359,8 @@ func (e *Engine[V, M]) putBufs() {
 		bytes += l.empty()
 	}
 	rt.KeepRunBuffer(e.bufs, bytes)
-	e.bufs, e.ctx = nil, nil
+	rt.KeepArray(e.local)
+	e.bufs, e.ctx, e.slots, e.local = nil, nil, nil, nil
 }
 
 // block returns block b's context.

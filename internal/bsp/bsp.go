@@ -200,12 +200,16 @@ type Stats struct {
 	Clock Clock
 
 	// Memory observability, stamped by the shared driver from
-	// runtime.ReadMemStats brackets around the run. HeapInuseDelta is
-	// the change in live heap bytes (HeapInuse) — negative when a
-	// collection ran mid-run — and TotalAllocDelta the cumulative bytes
-	// the run allocated. Comparative evidence for the memory-lean
-	// substrate (packed CSR, bit-packed state): identical runs on the
-	// two representations differ only here, never in Supersteps.
+	// runtime/metrics readings around the run, which do not stop the
+	// world. HeapInuseDelta is the change in in-use heap bytes
+	// (HeapInuse) — negative when a collection ran mid-run — and
+	// TotalAllocDelta the cumulative bytes allocated while the run ran.
+	// Both are process-wide, so concurrent jobs show in each other's,
+	// and approximate to a span per P and size class: small objects
+	// count when their span leaves a P's cache. Comparative evidence
+	// for the memory-lean substrate (packed CSR, bit-packed state):
+	// identical runs on the two representations differ only here, never
+	// in Supersteps.
 	HeapInuseDelta  int64
 	TotalAllocDelta uint64
 

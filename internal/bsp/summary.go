@@ -46,7 +46,9 @@ func Record(step int, s SuperstepStats) SuperstepRecord {
 	}
 }
 
-// Summary is the job-level wire view of a full run.
+// Summary is the job-level wire view of a full run. HeapDelta and
+// AllocDelta are Stats.HeapInuseDelta and TotalAllocDelta:
+// process-wide, and approximate to a span per P.
 type Summary struct {
 	Workers       int     `json:"workers"`
 	N             int     `json:"n"`

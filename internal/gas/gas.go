@@ -107,6 +107,7 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 	return func() (*Result[V], error) {
 		defer pr.Release()
 		defer rt.PutScratches(p.scratch)
+		defer p.release()
 		iters, err := p.driver.Run()
 		return &Result[V]{Values: p.cur, Iterations: iters, Stats: stats}, err
 	}
@@ -127,9 +128,9 @@ func newPolicy[V, G any](g *graph.Graph, prog Program[V, G], pr *rt.Prepared) *p
 		owner:   pr.Owner,
 		n:       n,
 		cur:     make([]V, n),
-		next:    make([]V, n),
-		wl:      rt.NewWorklists(cfg.Workers, n),
-		dirty:   make([]bool, n),
+		next:    rt.TakeArray[V](n),
+		wl:      rt.NewWorklists(pr.Verts, n),
+		dirty:   rt.TakeArray[bool](n),
 		wake:    rt.PerWorker[[]VertexID](cfg.Workers),
 		scratch: rt.GetScratches(cfg.Workers),
 	}
@@ -175,6 +176,18 @@ type policy[V, G any] struct {
 	// broadcast bit; the activation pass scans transpose spans for
 	// marked in-neighbors instead of merging wake buffers.
 	bcast *rt.Broadcasts[struct{}]
+}
+
+// release gives the working arrays back to the run-buffer cache when
+// the run ends; cur, the values the run returns, stays with the caller.
+func (p *policy[V, G]) release() {
+	rt.KeepArray(p.next)
+	rt.KeepArray(p.dirty)
+	p.wl.Release()
+	if p.bcast != nil {
+		p.bcast.Release()
+	}
+	p.next, p.dirty = nil, nil
 }
 
 // Quiescent implements runtime.Policy.

@@ -113,6 +113,8 @@ type Engine[V, M any] struct {
 	prepared *rt.Prepared
 	err      error
 
+	// values is the run's result; every other per-vertex array below is
+	// taken from the run-buffer cache and given back when Run ends.
 	values []V
 	halted []bool
 	// dirty marks vertices whose engine-visible state may have changed
@@ -125,7 +127,6 @@ type Engine[V, M any] struct {
 	adj     [][]graph.Edge // per-vertex materialized/mutated out-edges; nil = read the CSR
 	mutated []bool         // adj[v] diverges from the snapshot (SetOutEdges)
 	inadj   [][]graph.Edge // per-vertex lazily materialized in-edges (CSR transpose)
-	deg     []int          // original total degree, for BPPA ratios
 
 	ownerOf []int32      // vertex -> worker
 	verts   [][]VertexID // worker -> owned vertices
@@ -202,28 +203,24 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[M]) *Eng
 	e.prepared = p
 	e.cfg = cfg
 	e.values = make([]V, n)
-	e.halted = make([]bool, n)
-	e.dirty = make([]bool, n)
+	e.halted = rt.TakeArray[bool](n)
+	e.dirty = rt.TakeArray[bool](n)
 	e.csr = csr
-	e.adj = make([][]graph.Edge, n)
-	e.mutated = make([]bool, n)
-	e.deg = make([]int, n)
+	e.adj = rt.TakeArray[[]graph.Edge](n)
+	e.mutated = rt.TakeArray[bool](n)
 	e.stats = &bsp.Stats{Workers: cfg.Workers, N: n}
 	if g.Directed {
 		// In-edge reads (Context.InEdges, degree ratios) come from the
 		// snapshot's transpose, never from the live graph.
 		e.csr.EnsureIn()
-		e.inadj = make([][]graph.Edge, n)
-	}
-	for v := 0; v < n; v++ {
-		e.deg[v] = e.csr.TotalDegree(VertexID(v))
+		e.inadj = rt.TakeArray[[]graph.Edge](n)
 	}
 	for v := 0; v < n; v++ {
 		e.values[v] = prog.Init(g, VertexID(v))
 	}
 	e.ownerOf, e.verts = p.Owner, p.Verts
 	e.mbox = rt.NewMailbox[M](cfg.Workers, e.ownerOf, cfg.Combiner)
-	e.wl = rt.NewWorklists(cfg.Workers, n)
+	e.wl = rt.NewWorklists(e.verts, n)
 	if cfg.Combiner != nil && cfg.Mode != rt.DirectionPush {
 		// Pull path: broadcast slots plus per-worker gather scratch
 		// over the CSR transpose (shared with the out-CSR for
@@ -322,7 +319,7 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	}
 	defer e.prepared.Release()
 	defer rt.PutScratches(e.scratch)
-	defer e.mbox.Release()
+	defer e.release()
 	e.aggCurrent = make(map[string]any, len(e.aggs))
 	for name, a := range e.aggs {
 		e.aggCurrent[name] = a.Zero()
@@ -343,6 +340,23 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		Aggregates: e.aggCurrent,
 		Supersteps: steps,
 	}, err
+}
+
+// release gives every working array, the mailbox's, the worklists' and
+// the broadcast slots' back to the run-buffer cache when Run ends.
+// values, the run's result, stays with the caller.
+func (e *Engine[V, M]) release() {
+	e.mbox.Release()
+	e.wl.Release()
+	if e.bcast != nil {
+		e.bcast.Release()
+	}
+	rt.KeepArray(e.halted)
+	rt.KeepArray(e.dirty)
+	rt.KeepArray(e.adj)
+	rt.KeepArray(e.mutated)
+	rt.KeepArray(e.inadj)
+	e.halted, e.dirty, e.adj, e.mutated, e.inadj = nil, nil, nil, nil, nil
 }
 
 // Quiescent implements runtime.Policy. It is the single-threaded hook
@@ -452,7 +466,7 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 			work += vwork
 			sent += ctx.wire
 			active++
-			d := float64(e.deg[v] + 1)
+			d := float64(e.csr.TotalDegree(vid) + 1)
 			if r := float64(vwork) / d; r > mm.compute {
 				mm.compute = r
 			}
@@ -666,7 +680,7 @@ func (c *Context[V, M]) InEdges() []graph.Edge {
 
 // Degree returns the vertex's original total degree in the input graph
 // (d(v), or d_in+d_out for directed graphs).
-func (c *Context[V, M]) Degree() int { return c.engine.deg[c.id] }
+func (c *Context[V, M]) Degree() int { return c.engine.csr.TotalDegree(c.id) }
 
 // SetOutEdges replaces this vertex's out-adjacency. Only the vertex
 // itself may mutate its adjacency, which makes the operation race-free.

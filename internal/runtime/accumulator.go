@@ -91,14 +91,25 @@ type Broadcasts[M any] struct {
 	epoch uint32
 }
 
-// NewBroadcasts builds broadcast slots for n vertices.
+// NewBroadcasts builds broadcast slots for n vertices from arrays taken
+// from the run-buffer cache. A taken tag array is all zeros, so no slot
+// matches the first epoch.
 func NewBroadcasts[M any](n int) *Broadcasts[M] {
 	return &Broadcasts[M]{
-		val:   make([]M, n),
-		cnt:   make([]int32, n),
-		tag:   make([]uint32, n),
+		val:   TakeArray[M](n),
+		cnt:   TakeArray[int32](n),
+		tag:   TakeArray[uint32](n),
 		epoch: 1,
 	}
+}
+
+// Release gives the slots' arrays back to the run-buffer cache, zeroed.
+// The slots must not be used afterwards. Release is idempotent.
+func (b *Broadcasts[M]) Release() {
+	KeepArray(b.val)
+	KeepArray(b.cnt)
+	KeepArray(b.tag)
+	b.val, b.cnt, b.tag = nil, nil, nil
 }
 
 // Advance invalidates every slot. Call once per superstep,

@@ -84,7 +84,7 @@ func BenchmarkMailboxDeliverCombining(b *testing.B) {
 
 func BenchmarkWorklistIteration(b *testing.B) {
 	const n, workers = 8192, 4
-	wl := NewWorklists(workers, n)
+	wl := NewWorklists(verts(PartitionHashN(n, workers), workers), n)
 	for v := 0; v < n; v += 4 {
 		wl.Add(v%workers, VertexID(v))
 	}
@@ -160,7 +160,7 @@ func BenchmarkWorklistAddParallel(b *testing.B) {
 			p := NewPool(workers)
 			defer p.Close()
 			lease := p.Lease(workers)
-			wl := NewWorklists(workers, n)
+			wl := NewWorklists(verts(PartitionRangeN(n, workers), workers), n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				wl.Flip()

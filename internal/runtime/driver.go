@@ -3,8 +3,8 @@ package runtime
 import (
 	"context"
 	"fmt"
-	goruntime "runtime"
 	"runtime/debug"
+	"runtime/metrics"
 
 	"vcgraph/internal/bsp"
 )
@@ -165,16 +165,14 @@ func (d *Driver[S]) Run() (steps int, err error) {
 			steps, err = d.step, fmt.Errorf("%s: %w", d.cfg.Name, pe)
 		}
 	}()
-	// Memory observability: bracket the run with ReadMemStats so every
+	// Memory observability: bracket the run with heap readings so every
 	// engine reports how much heap the run grew and allocated — the
 	// comparative counters behind the memory-lean substrate.
-	var m0 goruntime.MemStats
-	goruntime.ReadMemStats(&m0)
+	alloc0, inuse0 := readHeap()
 	defer func() {
-		var m1 goruntime.MemStats
-		goruntime.ReadMemStats(&m1)
-		d.stats.HeapInuseDelta += int64(m1.HeapInuse) - int64(m0.HeapInuse)
-		d.stats.TotalAllocDelta += m1.TotalAlloc - m0.TotalAlloc
+		alloc1, inuse1 := readHeap()
+		d.stats.HeapInuseDelta += inuse1 - inuse0
+		d.stats.TotalAllocDelta += alloc1 - alloc0
 	}()
 	ctx := d.cfg.Job.Context()
 	d.first = d.cfg.Job.Steps()
@@ -279,6 +277,22 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		return d.step, fmt.Errorf("%s: %w (cap %d)", d.cfg.Name, bsp.ErrSuperstepCap, d.cfg.MaxSupersteps)
 	}
 	return d.step, nil
+}
+
+// readHeap returns the process's cumulative heap allocation and its
+// in-use heap (object plus unused bytes of in-use spans: what
+// runtime.MemStats calls HeapInuse), read through runtime/metrics,
+// which, unlike runtime.ReadMemStats, does not stop the world. Small
+// objects are counted when their span leaves a P's cache, so both are
+// approximate to a span per P and size class.
+func readHeap() (alloc uint64, inuse int64) {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+	}
+	metrics.Read(s)
+	return s[0].Value.Uint64(), int64(s[1].Value.Uint64() + s[2].Value.Uint64())
 }
 
 // runSuperstep executes one superstep through the policy into

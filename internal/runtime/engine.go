@@ -105,12 +105,15 @@ type Prepared struct {
 	Delta *graph.DeltaCSR
 	// Owner maps vertex to worker, and Verts worker to its vertices in
 	// ascending order; both nil for an engine that places no vertices.
+	// Verts is cut from one array taken from the run-buffer cache, so
+	// it must not be read after Release.
 	Owner []int32
 	Verts [][]graph.VertexID
 	// Driver is the environment with Workers and MaxSupersteps resolved,
 	// named and capped for runtime.NewDriver.
 	Driver DriverConfig
-	// Release drops the pin; call it once, when the run ends.
+	// Release drops the pin and gives Verts' array back; call it once,
+	// when the run ends.
 	Release func()
 }
 
@@ -157,10 +160,15 @@ func (c EngineConfig) Prepare(g *graph.Graph, d EngineDefaults) (*Prepared, erro
 		} else {
 			p.Owner = d.Partition(p.CSR, c.Workers)
 		}
-		var err error
-		if p.Verts, err = groupByOwner(p.Owner, n, c.Workers); err != nil {
+		verts, store, err := groupByOwner(p.Owner, n, c.Workers)
+		if err != nil {
 			p.Release()
 			return nil, fmt.Errorf("%s: %w", d.Name, err)
+		}
+		unpin := p.Release
+		p.Verts, p.Release = verts, func() {
+			unpin()
+			KeepArray(store)
 		}
 	}
 	p.Driver = DriverConfig{EngineConfig: c, Name: d.Name}
@@ -169,21 +177,30 @@ func (c EngineConfig) Prepare(g *graph.Graph, d EngineDefaults) (*Prepared, erro
 
 // groupByOwner checks that owner places each of n vertices on a worker
 // in [0, workers) and buckets the vertices by worker, ascending within
-// each bucket. Empty buckets are non-nil, so a bucket is never read as
-// "every vertex" by the checkpoint-frame helpers.
-func groupByOwner(owner []int32, n, workers int) ([][]graph.VertexID, error) {
+// each bucket. It counts the buckets first and cuts them from one
+// n-long store taken from the run-buffer cache, which it returns for
+// Release to give back. Empty buckets are non-nil, so a bucket is never
+// read as "every vertex" by the checkpoint-frame helpers.
+func groupByOwner(owner []int32, n, workers int) (verts [][]graph.VertexID, store []graph.VertexID, err error) {
 	if len(owner) != n {
-		return nil, fmt.Errorf("partitioner placed %d vertices, the snapshot has %d", len(owner), n)
+		return nil, nil, fmt.Errorf("partitioner placed %d vertices, the snapshot has %d", len(owner), n)
 	}
-	verts := make([][]graph.VertexID, workers)
-	for w := range verts {
-		verts[w] = []graph.VertexID{}
-	}
+	count := make([]int, workers)
 	for v, w := range owner {
 		if w < 0 || int(w) >= workers {
-			return nil, fmt.Errorf("partitioner assigned vertex %d to worker %d, outside [0, %d)", v, w, workers)
+			return nil, nil, fmt.Errorf("partitioner assigned vertex %d to worker %d, outside [0, %d)", v, w, workers)
 		}
+		count[w]++
+	}
+	store = TakeArray[graph.VertexID](n)
+	verts = make([][]graph.VertexID, workers)
+	at := 0
+	for w, k := range count {
+		verts[w] = store[at : at : at+k]
+		at += k
+	}
+	for v, w := range owner {
 		verts[w] = append(verts[w], graph.VertexID(v))
 	}
-	return verts, nil
+	return verts, store, nil
 }

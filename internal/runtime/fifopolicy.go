@@ -39,7 +39,7 @@ type WorklistRunner[V any] struct {
 	// dirty marks the vertices popped (and therefore possibly
 	// rewritten — Update writes only values[v]) since the last
 	// checkpoint frame; Snapshot and Restore clear it.
-	// Allocated lazily at the first epoch.
+	// Taken lazily at the first epoch; Release gives it back.
 	dirty []bool
 }
 
@@ -64,6 +64,14 @@ func NewWorklistDriver[V any](p *WorklistRunner[V], stats *bsp.Stats, dc DriverC
 	return p.driver
 }
 
+// Release gives the dirty flags and the worklist's arrays back to the
+// run-buffer cache once the run has ended.
+func (p *WorklistRunner[V]) Release() {
+	KeepArray(p.dirty)
+	p.dirty = nil
+	p.Queue.Release()
+}
+
 // Updates returns the total number of vertex updates applied.
 func (p *WorklistRunner[V]) Updates() int { return p.updates }
 
@@ -83,7 +91,7 @@ func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, er
 	ss.Frontier = int64(p.Queue.Len())
 	ss.Pulled = ChoosePull(DirectionAuto, true, p.Queue.Len(), p.N)
 	if p.dirty == nil {
-		p.dirty = make([]bool, p.N)
+		p.dirty = TakeArray[bool](p.N)
 	}
 	for i := 0; i < p.epochLen; i++ {
 		v, ok := p.Queue.Pop()

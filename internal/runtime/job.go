@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"vcgraph/internal/bsp"
@@ -161,10 +162,15 @@ func (j *Job) OnCleanup(fn func()) {
 // returns the records from index first on, the driver's run so far,
 // which the driver's Stats.Supersteps then aliases. The view's capacity
 // ends at its length, so an append to it copies rather than writing
-// into the trace.
+// into the trace. The trace grows by doubling: append's ~1.25× growth
+// of a long trace allocates about five times its final size on the way
+// up.
 func (j *Job) observe(ss bsp.SuperstepStats, first int) []bsp.SuperstepStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if n := len(j.trace); n == cap(j.trace) {
+		j.trace = slices.Grow(j.trace, max(n, 16))
+	}
 	j.trace = append(j.trace, ss)
 	return j.trace[first:len(j.trace):len(j.trace)]
 }

@@ -484,3 +484,23 @@ func TestDriverClock(t *testing.T) {
 		t.Errorf("a stamped phase allocates %.1f times, want 0", avg)
 	}
 }
+
+// TestDriverReadsRunAllocation: the driver reads the heap through
+// runtime/metrics, without stopping the world, and a run that
+// allocates 4 MiB in one superstep reads at least that much.
+func TestDriverReadsRunAllocation(t *testing.T) {
+	const size = 4 << 20
+	var sink []byte
+	p, d, stats := runCounting(3, DriverConfig{Name: "alloc", EngineConfig: EngineConfig{Workers: 1, MaxSupersteps: 10}})
+	p.boom = func(step int) {
+		if step == 1 {
+			sink = make([]byte, size)
+		}
+	}
+	if _, err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink) != size || stats.TotalAllocDelta < size {
+		t.Fatalf("TotalAllocDelta = %d after allocating %d bytes, want at least that", stats.TotalAllocDelta, size)
+	}
+}

@@ -52,7 +52,7 @@ func (ln *lane[M]) push(dst VertexID, m M) int32 {
 // so a steady-state superstep allocates nothing on the message path.
 // The lanes, slabs and receiver lists come from the run-buffer cache
 // and go back to it on Release, so they keep their capacity across
-// runs too.
+// runs too; so do the per-vertex arrays, which are taken by length.
 type Mailbox[M any] struct {
 	workers int
 	owner   []int32 // vertex -> owning worker
@@ -99,8 +99,8 @@ func NewMailbox[M any](workers int, owner []int32, comb func(a, b M) M) *Mailbox
 		owner:   owner,
 		comb:    comb,
 		lanes:   PerWorker[lane[M]](workers * workers),
-		rawRecv: make([]int64, n),
-		cnt:     make([]int32, n),
+		rawRecv: TakeArray[int64](n),
+		cnt:     TakeArray[int32](n),
 		inbox:   PerWorker[inboxOf[M]](workers),
 	}
 	for i := range mb.lanes {
@@ -114,22 +114,23 @@ func NewMailbox[M any](workers int, owner []int32, comb func(a, b M) M) *Mailbox
 		}
 	}
 	if comb == nil {
-		mb.off = make([]int32, n)
+		mb.off = TakeArray[int32](n)
 		return mb
 	}
-	mb.slot = make([]M, n)
+	mb.slot = TakeArray[M](n)
+	// A taken index is all zeros, so no tag matches the first epoch.
 	mb.epoch = 1
 	mb.idx = make([][]combIdx, workers)
 	for src := range mb.idx {
-		mb.idx[src] = make([]combIdx, n)
+		mb.idx[src] = TakeArray[combIdx](n)
 	}
 	return mb
 }
 
 // Release gives the lanes, slabs and receiver lists back to the
 // run-buffer cache, emptied whatever state the run ended in, in the
-// order NewMailbox took them. The mailbox must not be used afterwards.
-// Release is idempotent.
+// order NewMailbox took them, and the per-vertex arrays zeroed. The
+// mailbox must not be used afterwards. Release is idempotent.
 func (mb *Mailbox[M]) Release() {
 	for i := range mb.lanes {
 		keepSlice(mb.lanes[i].V.entries)
@@ -141,6 +142,14 @@ func (mb *Mailbox[M]) Release() {
 		keepSlice(in.slab)
 		in.recv, in.slab = nil, nil
 	}
+	KeepArray(mb.rawRecv)
+	KeepArray(mb.cnt)
+	KeepArray(mb.off)
+	KeepArray(mb.slot)
+	for _, t := range mb.idx {
+		KeepArray(t)
+	}
+	mb.rawRecv, mb.cnt, mb.off, mb.slot, mb.idx = nil, nil, nil, nil, nil
 }
 
 // Advance invalidates the sender-side combining index. The engine must

@@ -58,7 +58,7 @@ func TestPerWorkerStateOnOwnLines(t *testing.T) {
 			for v := range owner {
 				owner[v] = int32(v % workers)
 			}
-			wl := NewWorklists(workers, n)
+			wl := NewWorklists(verts(owner, workers), n)
 			hot := make([][]span, workers)
 			for w := range hot {
 				hot[w] = []span{spanOf(&wl.lists[w].V)}

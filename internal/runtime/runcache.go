@@ -11,7 +11,13 @@ import (
 // lists, block-centric's per-block lanes and inboxes, every engine's
 // span-decode scratches. A run takes them from this cache when it is
 // built and gives them back, emptied, when it ends, so the capacity one
-// run grew serves the next instead of being grown again as garbage.
+// run grew serves the next instead of being grown again as garbage. It
+// also leases the per-vertex working arrays whose length a run knows
+// when it is built (flags, counters, tags, index cells, bucket and
+// worklist storage): TakeArray hands out the smallest kept array that
+// is long enough, and KeepArray zeroes what the run used and keeps it.
+// Only what a run returns to its caller (its values) and what a caller
+// may hold (a partition's owner array) is allocated per run.
 // Unlike a pool of the sync package, a garbage collection does not
 // empty it: the serving daemon and the benchmark collect between jobs,
 // and a pool emptied there made every cold run regrow its buffers by
@@ -27,10 +33,13 @@ import (
 // kept at all.
 
 // RunCacheBudget is the most bytes of buffers the cache keeps between
-// runs. It holds, with room for concurrent jobs, the buffers a
-// dense-rank pass (PageRank on four engines plus k-core on R-MAT
-// n = 2^15, m = 250,000) leaves behind: about 25 MiB, most of it
-// k-core's mailbox lanes.
+// runs. It holds, with room for concurrent jobs, what one pass of each
+// benchmark workload leaves behind (seed 1, W = 2): 28.7 MiB after
+// dense-rank (PageRank on four engines plus k-core on R-MAT n = 2^15,
+// m = 250,000), most of it k-core's mailbox lanes; 16.1 MiB after
+// sparse-frontier (SSSP on every engine over a 160,000-vertex grid),
+// nearly all of it per-vertex arrays; 2.1 MiB after ingest-packed and
+// 1.8 MiB after serve-mixed.
 const RunCacheBudget = 64 << 20
 
 // runBuffers is the process's cache.
@@ -115,6 +124,19 @@ func list[T any](c *runCache) *freeList[T] {
 	return l
 }
 
+// remove removes and returns the item at index i, keeping the order of
+// the others.
+func (l *freeList[T]) remove(i int) cached[T] {
+	if i == l.head {
+		return l.pop()
+	}
+	it := l.items[i]
+	copy(l.items[i:], l.items[i+1:])
+	l.items[len(l.items)-1] = cached[T]{}
+	l.items = l.items[:len(l.items)-1]
+	return it
+}
+
 // take removes and returns the oldest buffer of type T, if any.
 func take[T any](c *runCache) (buf T, ok bool) {
 	c.mu.Lock()
@@ -124,6 +146,26 @@ func take[T any](c *runCache) (buf T, ok bool) {
 		return buf, false
 	}
 	it := l.pop()
+	c.bytes -= it.bytes
+	return it.buf, true
+}
+
+// takeFit removes and returns the smallest array of T's array list
+// whose capacity is at least n, if any.
+func takeFit[T any](c *runCache, n int) ([]T, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l := list[array[T]](c)
+	best := -1
+	for i := l.head; i < len(l.items); i++ {
+		if k := cap(l.items[i].buf); k >= n && (best < 0 || k < cap(l.items[best].buf)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil, false
+	}
+	it := l.remove(best)
 	c.bytes -= it.bytes
 	return it.buf, true
 }
@@ -186,6 +228,36 @@ func keepSlice[T any](s []T) {
 	s = s[:cap(s)]
 	clear(s)
 	KeepRunBuffer(s[:0], int64(cap(s))*SizeOf[T]())
+}
+
+// array is the cache's key type for arrays taken by length, which keeps
+// them apart from the growable []T buffers takeSlice hands out oldest
+// first.
+type array[T any] []T
+
+// TakeArray returns a zeroed []T of length n: the smallest kept array
+// whose capacity is at least n, resliced, or a new one. It is never
+// nil. A run takes the per-vertex arrays it does not return to its
+// caller when it is built, and gives each back with KeepArray when it
+// ends.
+func TakeArray[T any](n int) []T {
+	if a, ok := takeFit[T](runBuffers, n); ok {
+		return a[:n]
+	}
+	return make([]T, n)
+}
+
+// KeepArray zeroes a and gives its backing array to the cache. a must
+// be a slice TakeArray returned, at the length it was taken: the
+// elements past it were zero when taken and must not have been
+// written, so zeroing a alone leaves the whole array zero, as every
+// kept array is. The caller must not touch a afterwards.
+func KeepArray[T any](a []T) {
+	if cap(a) == 0 {
+		return
+	}
+	clear(a)
+	KeepRunBuffer(array[T](a[:0]), int64(cap(a))*SizeOf[T]())
 }
 
 // GetScratch takes one span-decode buffer from the cache. Packed-

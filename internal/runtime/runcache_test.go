@@ -202,3 +202,40 @@ func TestPutScratchDropsStreams(t *testing.T) {
 		t.Fatalf("returned Scratch still holds %d streams", held)
 	}
 }
+
+// TestTakeArrayFitsAndZeroes: TakeArray hands out the smallest kept
+// array that is long enough, zeroed, and never one of the growable
+// buffers takeSlice hands out; KeepArray zeroes only the length it is
+// given back at, which leaves the whole array zero.
+func TestTakeArrayFitsAndZeroes(t *testing.T) {
+	EmptyRunCache()
+	defer EmptyRunCache()
+	var kept [][]int64
+	for _, n := range []int{300, 100, 200} {
+		a := TakeArray[int64](n)
+		for i := range a {
+			a[i] = int64(i + 1)
+		}
+		kept = append(kept, a)
+	}
+	for _, a := range kept {
+		KeepArray(a)
+	}
+	keepSlice(make([]int64, 0, 150)) // a growable buffer TakeArray must not take
+	a := TakeArray[int64](150)
+	if len(a) != 150 || cap(a) != 200 {
+		t.Fatalf("took len %d cap %d, want len 150 from the 200-long array", len(a), cap(a))
+	}
+	if slices.ContainsFunc(a[:cap(a)], func(x int64) bool { return x != 0 }) {
+		t.Fatal("a taken array holds a value its last run wrote")
+	}
+	if b := TakeArray[int64](301); cap(b) != 301 {
+		t.Fatalf("took cap %d for 301, want a new array", cap(b))
+	}
+	if s := takeSlice[int64](); cap(s) != 150 {
+		t.Fatalf("growable buffer has cap %d, want the 150 kept", cap(s))
+	}
+	if e := TakeArray[bool](0); e == nil {
+		t.Fatal("TakeArray(0) is nil")
+	}
+}

@@ -165,9 +165,20 @@ func TestMailboxLoadVertex(t *testing.T) {
 	}
 }
 
+// verts buckets owner's vertices by worker, as EngineConfig.Prepare
+// does.
+func verts(owner []int32, workers int) [][]VertexID {
+	vs, _, err := groupByOwner(owner, len(owner), workers)
+	if err != nil {
+		panic(err)
+	}
+	return vs
+}
+
 func TestWorklistsProtocol(t *testing.T) {
-	wl := NewWorklists(2, 6)
-	wl.FillAll([][]VertexID{{0, 2, 4}, {1, 3, 5}})
+	owned := [][]VertexID{{0, 2, 4}, {1, 3, 5}}
+	wl := NewWorklists(owned, 6)
+	wl.FillAll(owned)
 	if wl.Pending() != 6 {
 		t.Fatalf("pending %d", wl.Pending())
 	}
@@ -207,7 +218,7 @@ func TestWorklistsProtocol(t *testing.T) {
 }
 
 func TestWorklistsSortCurRestoresScanOrder(t *testing.T) {
-	wl := NewWorklists(1, 8)
+	wl := NewWorklists([][]VertexID{{0, 1, 2, 3, 4, 5, 6, 7}}, 8)
 	for _, v := range []VertexID{5, 1, 7, 3} {
 		wl.Add(0, v)
 	}
@@ -222,7 +233,7 @@ func TestWorklistsSortCurDenseScan(t *testing.T) {
 	// A frontier above 1/8 of the owned vertices takes the scan path;
 	// both paths must produce the same ascending order.
 	owned := []VertexID{0, 2, 4, 6, 8, 10, 12, 14}
-	wl := NewWorklists(1, 16)
+	wl := NewWorklists([][]VertexID{owned}, 16)
 	for _, v := range []VertexID{10, 2, 14, 6} {
 		wl.Add(0, v)
 	}
@@ -288,5 +299,102 @@ func TestFIFOCompactionKeepsOrder(t *testing.T) {
 		}
 		expect++
 		q.Push(v) // immediately re-activate, FIFO order must hold
+	}
+}
+
+// fifoOps are the worklist operations fifoRounds drives.
+type fifoOps interface {
+	Push(VertexID)
+	PushAll([]VertexID)
+	Pop() (VertexID, bool)
+}
+
+// refFIFO is the plain deduplicating queue a FIFO must agree with.
+type refFIFO struct {
+	q      []VertexID
+	queued map[VertexID]bool
+}
+
+func (r *refFIFO) Push(v VertexID) {
+	if !r.queued[v] {
+		r.queued[v] = true
+		r.q = append(r.q, v)
+	}
+}
+
+func (r *refFIFO) PushAll(vs []VertexID) {
+	for _, v := range vs {
+		r.Push(v)
+	}
+}
+
+func (r *refFIFO) Pop() (VertexID, bool) {
+	if len(r.q) == 0 {
+		return 0, false
+	}
+	v := r.q[0]
+	r.q = r.q[1:]
+	r.queued[v] = false
+	return v, true
+}
+
+// fifoRounds drives q through a seeded sequence of PushAll, Push and
+// Pop over n vertices, handing each pop to popped; batch is scratch of
+// 2n entries.
+func fifoRounds(q fifoOps, n, rounds int, batch []VertexID, popped func(VertexID, bool)) {
+	x := uint64(1)
+	next := func(k int) int {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int(x % uint64(k))
+	}
+	for r := 0; r < rounds; r++ {
+		switch next(3) {
+		case 0:
+			b := batch[:next(2*n)]
+			for i := range b {
+				b[i] = VertexID(next(n))
+			}
+			q.PushAll(b)
+		case 1:
+			q.Push(VertexID(next(n)))
+		default:
+			for k := next(n); k > 0; k-- {
+				popped(q.Pop())
+			}
+		}
+	}
+}
+
+// TestFIFORingAllocatesNothing: dedup keeps at most n vertices queued,
+// so from NewFIFO(n) on a seeded sequence of pushes and pops stays
+// inside the ring and allocates nothing, and its pops come out in the
+// order a plain deduplicating queue gives them.
+func TestFIFORingAllocatesNothing(t *testing.T) {
+	const n, rounds = 1000, 3000
+	batch := make([]VertexID, 2*n)
+	var got, want []VertexID
+	q := NewFIFO(n)
+	fifoRounds(q, n, rounds, batch, func(v VertexID, ok bool) {
+		if ok {
+			got = append(got, v)
+		}
+	})
+	fifoRounds(&refFIFO{queued: map[VertexID]bool{}}, n, rounds, batch, func(v VertexID, ok bool) {
+		if ok {
+			want = append(want, v)
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d pops differ from the reference queue's %d", len(got), len(want))
+	}
+	q.Release()
+	fresh := []*FIFO{NewFIFO(n), NewFIFO(n)} // AllocsPerRun warms up on the first
+	if avg := testing.AllocsPerRun(1, func() {
+		fifoRounds(fresh[0], n, rounds, batch, func(VertexID, bool) {})
+		fresh = fresh[1:]
+	}); avg != 0 {
+		t.Fatalf("%d rounds of pushes and pops allocate %.0f times, want 0", rounds, avg)
 	}
 }

@@ -21,24 +21,54 @@ import "slices"
 // Add deduplicates via a per-vertex queued flag, so a vertex that both
 // stays active and receives mail is processed once. Sharding makes the
 // writes race-free: only vertex v's owning worker calls Unmark/Add
-// for v, in whichever phase it runs.
+// for v, in whichever phase it runs. With dedup a worker's list never
+// holds more than the vertices it owns, so both of its lists are taken
+// at that length from the run-buffer cache and never grow.
 type Worklists struct {
 	lists  []Padded[workList] // per worker, each on its own lines
 	queued []bool             // vertex is in next
 }
 
-// workList is one worker's pair of lists.
+// workList is one worker's pair of lists, cut from the two arrays it
+// took.
 type workList struct {
 	cur  []VertexID // drained this superstep
 	next []VertexID // built for the next superstep
+	bufs [2][]VertexID
 }
 
-// NewWorklists builds empty worklists for P workers over n vertices.
-func NewWorklists(workers, n int) *Worklists {
-	return &Worklists{
-		lists:  PerWorker[workList](workers),
-		queued: make([]bool, n),
+// NewWorklists builds empty worklists over n vertices for the workers
+// that own verts (worker -> owned vertices). Release gives their
+// arrays back.
+func NewWorklists(verts [][]VertexID, n int) *Worklists {
+	wl := &Worklists{
+		lists:  PerWorker[workList](len(verts)),
+		queued: TakeArray[bool](n),
 	}
+	for w, owned := range verts {
+		l := &wl.lists[w].V
+		for i := range l.bufs {
+			l.bufs[i] = TakeArray[VertexID](len(owned))
+		}
+		l.cur, l.next = l.bufs[0][:0], l.bufs[1][:0]
+	}
+	return wl
+}
+
+// Release gives the lists' and flags' arrays back to the run-buffer
+// cache, zeroed. The worklists must not be used afterwards. Release is
+// idempotent.
+func (wl *Worklists) Release() {
+	for w := range wl.lists {
+		l := &wl.lists[w].V
+		for i, b := range l.bufs {
+			KeepArray(b)
+			l.bufs[i] = nil
+		}
+		l.cur, l.next = nil, nil
+	}
+	KeepArray(wl.queued)
+	wl.queued = nil
 }
 
 // Flip swaps next into current (superstep barrier). Must be called
@@ -133,78 +163,88 @@ func (wl *Worklists) Clear() {
 
 // FIFO is a deduplicating first-in-first-out vertex worklist — the
 // scheduler core of the asynchronous engine. Push enqueues a vertex
-// unless it is already waiting; Pop dequeues in arrival order. The
-// backing buffer is compacted in place instead of reallocated, so a
-// long drain with re-activations allocates only when the high-water
-// mark grows.
+// unless it is already waiting; Pop dequeues in arrival order. Dedup
+// keeps at most n vertices queued, so the queue is a ring over n slots
+// that never grows: a long drain with re-activations allocates
+// nothing. Both arrays come from the run-buffer cache; Release gives
+// them back.
 type FIFO struct {
-	buf    []VertexID
+	ring   []VertexID
 	queued []bool
-	head   int
+	head   int // ring index of the oldest vertex
+	n      int // queued vertices
 }
 
 // NewFIFO builds an empty worklist over n vertices.
 func NewFIFO(n int) *FIFO {
-	return &FIFO{buf: make([]VertexID, 0, n), queued: make([]bool, n)}
+	return &FIFO{ring: TakeArray[VertexID](n), queued: TakeArray[bool](n)}
+}
+
+// Release gives the worklist's arrays back to the run-buffer cache,
+// zeroed. The worklist must not be used afterwards. Release is
+// idempotent.
+func (q *FIFO) Release() {
+	KeepArray(q.ring)
+	KeepArray(q.queued)
+	q.ring, q.queued, q.head, q.n = nil, nil, 0, 0
 }
 
 // Push enqueues v unless it is already queued.
-func (q *FIFO) Push(v VertexID) {
-	if q.queued[v] {
-		return
-	}
-	q.queued[v] = true
-	q.buf = append(q.buf, v)
-}
+func (q *FIFO) Push(v VertexID) { q.PushAll([]VertexID{v}) }
 
 // PushAll enqueues each vertex of vs in order, skipping already-queued
-// ones — semantically identical to calling Push per element, with the
-// dedup-flag and buffer lookups kept in registers across the batch
-// (the bulk activation path of the asynchronous engine's dense rounds).
+// ones, with the dedup-flag and ring lookups kept in registers across
+// the batch (the bulk activation path of the asynchronous engine).
 func (q *FIFO) PushAll(vs []VertexID) {
-	buf, queued := q.buf, q.queued
+	ring, queued := q.ring, q.queued
+	tail := q.head + q.n
+	if tail >= len(ring) {
+		tail -= len(ring)
+	}
 	for _, v := range vs {
 		if queued[v] {
 			continue
 		}
 		queued[v] = true
-		buf = append(buf, v)
+		ring[tail] = v
+		if tail++; tail == len(ring) {
+			tail = 0
+		}
+		q.n++
 	}
-	q.buf = buf
 }
 
 // Pop dequeues the oldest vertex; ok is false when the list is empty.
 func (q *FIFO) Pop() (v VertexID, ok bool) {
-	if q.head >= len(q.buf) {
+	if q.n == 0 {
 		return 0, false
 	}
-	v = q.buf[q.head]
-	q.head++
-	q.queued[v] = false
-	if q.head > 64 && q.head*2 >= len(q.buf) {
-		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+	v = q.ring[q.head]
+	if q.head++; q.head == len(q.ring) {
 		q.head = 0
 	}
+	q.n--
+	q.queued[v] = false
 	return v, true
 }
 
 // Len returns the number of queued vertices.
-func (q *FIFO) Len() int { return len(q.buf) - q.head }
+func (q *FIFO) Len() int { return q.n }
 
 // Snapshot returns the queued vertices in arrival order (checkpoint
 // support for the asynchronous engine). The copy is independent of the
-// live buffer.
+// live ring.
 func (q *FIFO) Snapshot() []VertexID {
-	return append([]VertexID(nil), q.buf[q.head:]...)
+	out := make([]VertexID, q.n)
+	k := copy(out, q.ring[q.head:min(q.head+q.n, len(q.ring))])
+	copy(out[k:], q.ring)
+	return out
 }
 
 // Load replaces the queue contents with vs, in order (checkpoint
-// recovery). The backing buffer and dedup flags are reused.
+// recovery). The ring and dedup flags are reused.
 func (q *FIFO) Load(vs []VertexID) {
 	clear(q.queued)
-	q.buf = q.buf[:0]
-	q.head = 0
-	for _, v := range vs {
-		q.Push(v)
-	}
+	q.head, q.n = 0, 0
+	q.PushAll(vs)
 }
