@@ -86,7 +86,7 @@ func ccInc(g *graph.Graph, a Args, env Env) Run {
 		}
 	}
 	if cold {
-		seeds = async.Every(n)
+		seeds = async.Every(make([]VertexID, n))
 	}
 	run := async.PrepareSeeded(g, async.CCProgram(labels), pr, seeds)
 	return func() ([]float64, *bsp.Stats, error) {

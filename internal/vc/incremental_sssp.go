@@ -58,7 +58,7 @@ func ssspInc(g *graph.Graph, a Args, env Env) Run {
 		}
 	}
 	if cold {
-		seeds = async.Every(n)
+		seeds = async.Every(make([]VertexID, n))
 	}
 	run := async.PrepareSeeded(g, async.SSSPProgram(a.Src, dist), pr, seeds)
 	return func() ([]float64, *bsp.Stats, error) {
