@@ -26,15 +26,32 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"vcgraph/internal/plan"
 	"vcgraph/internal/service"
+)
+
+// The HTTP server's limits. A request's headers must arrive within
+// readHeaderTimeout and its body (at most 64 MiB) within readTimeout;
+// writeTimeout bounds a response, idleTimeout a kept-alive connection
+// with no request. On SIGINT or SIGTERM the daemon stops accepting
+// connections and gives those in flight shutdownGrace to finish.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
 )
 
 func main() {
@@ -80,7 +97,27 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("vcd: listening on %s (max %d concurrent jobs)\n", ln.Addr(), *maxJobs)
-	if err := http.Serve(ln, srv.Handler()); err != nil {
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	stopped := make(chan error, 1)
+	go func() {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		fmt.Printf("vcd: %v, shutting down\n", <-sig)
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		stopped <- hs.Shutdown(ctx)
+	}()
+	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		fmt.Fprintln(os.Stderr, "vcd:", err)
+		os.Exit(1)
+	}
+	if err := <-stopped; err != nil {
 		fmt.Fprintln(os.Stderr, "vcd:", err)
 		os.Exit(1)
 	}

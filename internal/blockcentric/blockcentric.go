@@ -389,7 +389,8 @@ func (e *Engine[V, M]) Quiescent(step, pending int) bool {
 // Snapshot implements runtime.Policy: it deep-copies the barrier state
 // (boundary messages already delivered) of every block (full) or of the
 // blocks computed or mailed across a boundary since the previous frame
-// (delta), and resets the dirty tracking.
+// (delta), and resets the dirty tracking. Every array of the frame is
+// leased from the run-buffer cache; Retire gives them back.
 func (e *Engine[V, M]) Snapshot(full bool) *bcSnapshot[V, M] {
 	blocks := rt.TakeDirty[int](e.dirtyBlocks, full)
 	nb := len(e.halted)
@@ -398,10 +399,10 @@ func (e *Engine[V, M]) Snapshot(full bool) *bcSnapshot[V, M] {
 	}
 	ck := &bcSnapshot[V, M]{
 		blocks:     blocks,
-		blockVals:  make([][]V, nb),
-		halted:     make([]bool, nb),
-		inbox:      make([]inboxFrame[M], nb),
-		inboxLocal: make([]int64, nb),
+		blockVals:  rt.TakeArray[[]V](nb),
+		halted:     rt.TakeArray[bool](nb),
+		inbox:      rt.TakeArray[inboxFrame[M]](nb),
+		inboxLocal: rt.TakeArray[int64](nb),
 	}
 	for i := range ck.halted {
 		b := rt.FrameID(blocks, i)
@@ -410,16 +411,33 @@ func (e *Engine[V, M]) Snapshot(full bool) *bcSnapshot[V, M] {
 		ck.inboxLocal[i] = e.inboxLocal[b]
 		in := &e.block(b).next
 		f := inboxFrame[M]{
-			verts: slices.Clone(in.verts),
-			n:     make([]int32, len(in.verts)),
-			vals:  slices.Clone(in.vals),
+			verts: rt.TakeArray[VertexID](len(in.verts)),
+			n:     rt.TakeArray[int32](len(in.verts)),
+			vals:  rt.TakeArray[M](len(in.vals)),
 		}
+		copy(f.verts, in.verts)
+		copy(f.vals, in.vals)
 		for j, v := range in.verts {
 			f.n[j] = in.slot[e.local[v]].n
 		}
 		ck.inbox[i] = f
 	}
 	return ck
+}
+
+// Retire implements runtime.Policy.
+func (e *Engine[V, M]) Retire(ck *bcSnapshot[V, M]) {
+	for i, f := range ck.inbox {
+		rt.KeepArray(ck.blockVals[i])
+		rt.KeepArray(f.verts)
+		rt.KeepArray(f.n)
+		rt.KeepArray(f.vals)
+	}
+	rt.KeepArray(ck.blocks)
+	rt.KeepArray(ck.blockVals)
+	rt.KeepArray(ck.halted)
+	rt.KeepArray(ck.inbox)
+	rt.KeepArray(ck.inboxLocal)
 }
 
 // FrameBytes implements runtime.Policy.

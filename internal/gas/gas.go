@@ -313,12 +313,13 @@ func (p *policy[V, G]) writeBack(w int) {
 // Snapshot implements runtime.Policy: the values of every vertex (full)
 // or of those dirtied since the previous frame (delta), plus the
 // complete active set — dense in a full frame, sparse in a delta, where
-// it is small exactly when deltas pay off.
+// it is small exactly when deltas pay off. Its arrays are leased from
+// the run-buffer cache; Retire gives them back.
 func (p *policy[V, G]) Snapshot(full bool) *gasSnapshot[V] {
 	ids := rt.TakeDirty[VertexID](p.dirty, full)
 	snap := &gasSnapshot[V]{ids: ids, values: rt.CloneValuesAt(p.prog, p.cur, ids)}
 	if full {
-		snap.active = make([]bool, p.n)
+		snap.active = rt.TakeArray[bool](p.n)
 		for w := range p.verts {
 			for _, v := range p.wl.Next(w) {
 				snap.active[v] = true
@@ -326,11 +327,20 @@ func (p *policy[V, G]) Snapshot(full bool) *gasSnapshot[V] {
 		}
 		return snap
 	}
-	snap.activeIDs = make([]VertexID, 0, p.wl.Pending())
+	snap.activeIDs = rt.TakeArray[VertexID](p.wl.Pending())
+	at := 0
 	for w := range p.verts {
-		snap.activeIDs = append(snap.activeIDs, p.wl.Next(w)...)
+		at += copy(snap.activeIDs[at:], p.wl.Next(w))
 	}
 	return snap
+}
+
+// Retire implements runtime.Policy.
+func (p *policy[V, G]) Retire(snap *gasSnapshot[V]) {
+	rt.KeepArray(snap.ids)
+	rt.KeepArray(snap.values)
+	rt.KeepArray(snap.active)
+	rt.KeepArray(snap.activeIDs)
 }
 
 // Restore implements runtime.Policy: write the frame's values back and

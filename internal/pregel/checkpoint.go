@@ -50,7 +50,9 @@ type checkpoint[V, M any] struct {
 
 // Snapshot implements runtime.Policy: it deep-copies the state
 // reachable at the current barrier — every vertex when full, else the
-// dirty ones — and resets the dirty tracking.
+// dirty ones — and resets the dirty tracking. The per-vertex arrays and
+// the inboxes, counted before they are copied, are leased from the
+// run-buffer cache; the maps and the master state are not.
 func (e *Engine[V, M]) Snapshot(full bool) *checkpoint[V, M] {
 	ids := rt.TakeDirty[VertexID](e.dirty, full)
 	n := len(e.halted)
@@ -60,28 +62,47 @@ func (e *Engine[V, M]) Snapshot(full bool) *checkpoint[V, M] {
 	ck := &checkpoint[V, M]{
 		ids:        ids,
 		values:     rt.CloneValuesAt(e.prog, e.values, ids),
-		halted:     make([]bool, n),
-		inboxLen:   make([]int32, n),
-		rawRecv:    make([]int64, n),
-		adj:        make(map[VertexID][]graph.Edge),
+		halted:     rt.TakeArray[bool](n),
+		inboxLen:   rt.TakeArray[int32](n),
+		rawRecv:    rt.TakeArray[int64](n),
 		globals:    maps.Clone(e.globals),
 		aggCurrent: maps.Clone(e.aggCurrent),
 	}
+	total := 0
 	for i := range ck.halted {
 		v := rt.FrameID(ids, i)
 		ck.halted[i] = e.halted[v]
-		in := e.mbox.Inbox(v)
-		ck.inbox = append(ck.inbox, in...)
-		ck.inboxLen[i] = int32(len(in))
+		ck.inboxLen[i] = int32(len(e.mbox.Inbox(v)))
+		total += int(ck.inboxLen[i])
 		ck.rawRecv[i] = e.mbox.RawCount(v)
 		if e.mutated[v] {
+			if ck.adj == nil {
+				ck.adj = make(map[VertexID][]graph.Edge)
+			}
 			ck.adj[v] = append([]graph.Edge(nil), e.adj[v]...)
+		}
+	}
+	ck.inbox = rt.TakeArray[M](total)
+	at := 0
+	for i, k := range ck.inboxLen {
+		if k != 0 {
+			at += copy(ck.inbox[at:], e.mbox.Inbox(rt.FrameID(ids, i)))
 		}
 	}
 	if s, ok := e.prog.(Snapshotter); ok {
 		ck.masterState = s.Snapshot()
 	}
 	return ck
+}
+
+// Retire implements runtime.Policy.
+func (e *Engine[V, M]) Retire(ck *checkpoint[V, M]) {
+	rt.KeepArray(ck.ids)
+	rt.KeepArray(ck.values)
+	rt.KeepArray(ck.halted)
+	rt.KeepArray(ck.inbox)
+	rt.KeepArray(ck.inboxLen)
+	rt.KeepArray(ck.rawRecv)
 }
 
 // FrameBytes implements runtime.Policy: element sizes times element

@@ -23,10 +23,14 @@ package runtime
 //
 // The store is generic over the engine's snapshot type S; engines are
 // responsible for deep-copying their state into S (see ValueCloner).
+// Each frame the store drops — pruned by Save, or emptied out by
+// RetireAll — goes to retire exactly once, when retire is set: a frame
+// goes back only once no Recover can return it.
 type Checkpoints[S any] struct {
 	frames []ckFrameRec[S] // oldest first
 	saved  int
 	deltas int
+	retire func(S)
 }
 
 type ckFrameRec[S any] struct {
@@ -58,13 +62,27 @@ func (c *Checkpoints[S]) Save(step int, state S, full, corrupt bool) {
 		}
 		fulls++
 		if fulls == 2 {
-			if i > 0 {
-				c.frames = append(c.frames[:0], c.frames[i:]...)
-			}
+			c.drop(i)
 			return
 		}
 	}
 }
+
+// drop retires the oldest k frames and forgets them.
+func (c *Checkpoints[S]) drop(k int) {
+	if c.retire != nil {
+		for _, f := range c.frames[:k] {
+			c.retire(f.state)
+		}
+	}
+	n := copy(c.frames, c.frames[k:])
+	clear(c.frames[n:])
+	c.frames = c.frames[:n]
+}
+
+// RetireAll retires every frame the store still holds and empties it;
+// a run calls it when it ends.
+func (c *Checkpoints[S]) RetireAll() { c.drop(len(c.frames)) }
 
 // Recover returns the newest reconstructible generation as a chain:
 // chain[0] is a full frame and every later element is a delta to apply
@@ -138,20 +156,6 @@ type ValueCloner[V any] interface {
 	CloneValue(v V) V
 }
 
-// cloneValues snapshots a value slice, deep-copying each element when
-// the program implements ValueCloner[V].
-func cloneValues[V any](prog any, src []V) []V {
-	out := make([]V, len(src))
-	if cloner, ok := prog.(ValueCloner[V]); ok {
-		for i, v := range src {
-			out[i] = cloner.CloneValue(v)
-		}
-	} else {
-		copy(out, src)
-	}
-	return out
-}
-
 // A checkpoint frame lists the indices (vertices, or blocks) it carries
 // in ids and stores their state by position in ids. A full frame is the
 // delta over everything: ids == nil means every index, in order.
@@ -160,17 +164,26 @@ func cloneValues[V any](prog any, src []V) []V {
 // by them.
 
 // TakeDirty returns the ids a frame carries and clears dirty: nil for a
-// full frame, the marked indices ascending for a delta — never nil, so
-// an empty delta is not mistaken for a full frame.
+// full frame, the marked indices ascending for a delta, counted first
+// and then gathered into an array taken from the run-buffer cache —
+// never nil, so an empty delta is not mistaken for a full frame.
 func TakeDirty[ID ~int | ~int32](dirty []bool, full bool) []ID {
 	if full {
 		clear(dirty)
 		return nil
 	}
-	ids := []ID{}
+	n := 0
+	for _, d := range dirty {
+		if d {
+			n++
+		}
+	}
+	ids := TakeArray[ID](n)
+	k := 0
 	for i, d := range dirty {
 		if d {
-			ids = append(ids, ID(i))
+			ids[k] = ID(i)
+			k++
 			dirty[i] = false
 		}
 	}
@@ -187,17 +200,23 @@ func FrameID[ID ~int | ~int32](ids []ID, i int) ID {
 }
 
 // CloneValuesAt gathers src[id] for each id (all of src when ids is
-// nil), deep-copying when the program implements ValueCloner[V].
+// nil) into an array taken from the run-buffer cache, deep-copying when
+// the program implements ValueCloner[V].
 func CloneValuesAt[V any, ID ~int | ~int32](prog any, src []V, ids []ID) []V {
-	if ids == nil {
-		return cloneValues(prog, src)
+	n := len(src)
+	if ids != nil {
+		n = len(ids)
 	}
-	out := make([]V, len(ids))
-	if cloner, ok := prog.(ValueCloner[V]); ok {
-		for i, id := range ids {
-			out[i] = cloner.CloneValue(src[id])
+	out := TakeArray[V](n)
+	cloner, hasCloner := prog.(ValueCloner[V])
+	switch {
+	case hasCloner:
+		for i := range out {
+			out[i] = cloner.CloneValue(src[FrameID(ids, i)])
 		}
-	} else {
+	case ids == nil:
+		copy(out, src)
+	default:
 		for i, id := range ids {
 			out[i] = src[id]
 		}

@@ -162,7 +162,7 @@ func TestFIFOSnapshotLoad(t *testing.T) {
 	if _, ok := q.Pop(); !ok {
 		t.Fatal("pop failed")
 	}
-	snap := q.Snapshot()
+	snap := q.SnapshotInto(make([]VertexID, q.Len()))
 	if !reflect.DeepEqual(snap, []VertexID{1, 5}) {
 		t.Fatalf("snapshot = %v", snap)
 	}

@@ -118,15 +118,23 @@ func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, er
 // Snapshot implements Policy: the values of every vertex (full) or of
 // the vertices popped since the previous frame (delta), plus the whole
 // worklist in arrival order — small on sparse tails, and required, since
-// a queue cannot be patched — and the update count.
+// a queue cannot be patched — and the update count. Its arrays are
+// leased from the run-buffer cache; Retire gives them back.
 func (p *WorklistRunner[V]) Snapshot(full bool) *WorklistSnapshot[V] {
 	ids := TakeDirty[VertexID](p.dirty, full)
 	return &WorklistSnapshot[V]{
 		ids:     ids,
 		values:  CloneValuesAt(p.Prog, p.Values, ids),
-		queue:   p.Queue.Snapshot(),
+		queue:   p.Queue.SnapshotInto(TakeArray[VertexID](p.Queue.Len())),
 		updates: p.updates,
 	}
+}
+
+// Retire implements Policy.
+func (p *WorklistRunner[V]) Retire(snap *WorklistSnapshot[V]) {
+	KeepArray(snap.ids)
+	KeepArray(snap.values)
+	KeepArray(snap.queue)
 }
 
 // FrameBytes implements Policy.

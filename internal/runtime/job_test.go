@@ -42,6 +42,7 @@ func (p *countPolicy) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 func (p *countPolicy) Snapshot(full bool) int     { return p.steps }
 func (p *countPolicy) Restore(snap int, step int) { p.steps = snap }
 func (p *countPolicy) FrameBytes(snap int) int64  { return 8 }
+func (p *countPolicy) Retire(snap int)            {}
 
 func runCounting(limit int, cfg DriverConfig) (*countPolicy, *Driver[int], *bsp.Stats) {
 	stats := &bsp.Stats{Workers: cfg.Workers}

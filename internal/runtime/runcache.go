@@ -14,8 +14,9 @@ import (
 // run grew serves the next instead of being grown again as garbage. It
 // also leases the per-vertex working arrays whose length a run knows
 // when it is built (flags, counters, tags, index cells, bucket and
-// worklist storage): TakeArray hands out the smallest kept array that
-// is long enough, and KeepArray zeroes what the run used and keeps it.
+// worklist storage) and the arrays of every checkpoint frame: TakeArray
+// hands out the smallest kept array that is long enough, and KeepArray
+// zeroes what the run used and keeps it.
 // Only what a run returns to its caller (its values) and what a caller
 // may hold (a partition's owner array) is allocated per run.
 // Unlike a pool of the sync package, a garbage collection does not
@@ -39,7 +40,8 @@ import (
 // m = 250,000), most of it k-core's mailbox lanes; 16.1 MiB after
 // sparse-frontier (SSSP on every engine over a 160,000-vertex grid),
 // nearly all of it per-vertex arrays; 2.1 MiB after ingest-packed and
-// 1.8 MiB after serve-mixed.
+// 2.8 MiB after serve-mixed, whose faulted jobs give their checkpoint
+// frames back.
 const RunCacheBudget = 64 << 20
 
 // runBuffers is the process's cache.
@@ -237,10 +239,14 @@ type array[T any] []T
 
 // TakeArray returns a zeroed []T of length n: the smallest kept array
 // whose capacity is at least n, resliced, or a new one. It is never
-// nil. A run takes the per-vertex arrays it does not return to its
-// caller when it is built, and gives each back with KeepArray when it
-// ends.
+// nil, and an empty one holds no cached array. A run takes the
+// per-vertex arrays it does not return to its caller when it is built,
+// and gives each back with KeepArray when it ends; a checkpoint frame's
+// arrays go back when the driver retires the frame.
 func TakeArray[T any](n int) []T {
+	if n == 0 {
+		return []T{}
+	}
 	if a, ok := takeFit[T](runBuffers, n); ok {
 		return a[:n]
 	}

@@ -231,11 +231,10 @@ func (q *FIFO) Pop() (v VertexID, ok bool) {
 // Len returns the number of queued vertices.
 func (q *FIFO) Len() int { return q.n }
 
-// Snapshot returns the queued vertices in arrival order (checkpoint
-// support for the asynchronous engine). The copy is independent of the
-// live ring.
-func (q *FIFO) Snapshot() []VertexID {
-	out := make([]VertexID, q.n)
+// SnapshotInto copies the queued vertices in arrival order into out,
+// which must be Len() long, and returns it (checkpoint support for the
+// asynchronous engine). The copy is independent of the live ring.
+func (q *FIFO) SnapshotInto(out []VertexID) []VertexID {
 	k := copy(out, q.ring[q.head:min(q.head+q.n, len(q.ring))])
 	copy(out[k:], q.ring)
 	return out

@@ -74,13 +74,22 @@ func codeFor(err error) int {
 	return http.StatusBadRequest
 }
 
+// maxBodyBytes bounds a request body: an edge batch or a mutation
+// batch of a million entries fits several times over.
+const maxBodyBytes = 64 << 20
+
 // decodeBody decodes a request body that must hold exactly one JSON
-// value; trailing data (a second value, garbage) is a bad request.
+// value; trailing data (a second value, garbage) is a bad request, and
+// a body longer than maxBodyBytes answers 413 once that much is read.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, err)
 		return false
 	}
 	if _, err := dec.Token(); err != io.EOF {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -122,6 +123,27 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if got := query["value"].(float64); got != res.Ranks[17] {
 		t.Fatalf("query value %v != library run %v", got, res.Ranks[17])
 	}
+
+	// A body one byte past the bound answers 413. It is streamed, so
+	// only the server holds it.
+	resp, err := http.Post(ts.URL+"/v1/graphs", "application/json", io.LimitReader(spaces{}, maxBodyBytes+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestHTTPRejectsTrailingData: a request body is one JSON value. A
