@@ -20,18 +20,23 @@ import (
 //	header (64 bytes)
 //	  [0:4)    magic "VCSR"
 //	  [4:8)    uint32 format version (currently 1)
-//	  [8:12)   uint32 flags: bit0 directed, bit1 weighted
+//	  [8:12)   uint32 flags: bit0 directed, bit1 weighted, bit2 labeled
 //	  [12:16)  reserved, zero
 //	  [16:24)  uint64 n        — vertex count
 //	  [24:32)  uint64 entries  — adjacency entries (== Offsets[n])
 //	  [32:40)  uint64 m        — edge count
 //	  [40:48)  uint64 dataLen  — packed destination stream bytes
-//	  [48:64)  reserved, zero
+//	  [48:56)  uint64 labels   — edge-label table entries, zero if unlabeled
+//	  [56:64)  uint64 textLen  — label text bytes, zero if unlabeled
 //	sections, each beginning at an 8-byte-aligned file offset:
 //	  offsets  (n+1)×int32
 //	  boff     (numBlocks(entries)+1)×uint32
 //	  data     dataLen bytes of varint-delta blocks (codec.go)
 //	  weights  entries×float64, present iff the weighted flag is set
+//	  labelIDs entries×int32, present iff the labeled flag is set
+//	  ends     labels×uint32: label i is text[ends[i-1]:ends[i]], label
+//	           0 is "" (ends[0] == 0); present iff labeled
+//	  text     textLen bytes of label text, present iff labeled
 //
 // The 8-byte section alignment plus the page alignment of mmap is what
 // makes the in-place unsafe.Slice views legal. The transpose is not
@@ -43,17 +48,15 @@ const (
 	vcsrHeaderLen  = 64
 	vcsrFlagDir    = 1 << 0
 	vcsrFlagWeight = 1 << 1
+	vcsrFlagLabel  = 1 << 2
 )
 
 func align8(off int) int { return (off + 7) &^ 7 }
 
 // WriteCSRFile serializes c in the .vcsr format. Flat snapshots are
-// packed on the fly; labeled snapshots are rejected (the format stores
-// topology and weights only).
+// packed on the fly. A labeled snapshot writes its label ids and its
+// label table as the table stands (the graph's first-add order).
 func WriteCSRFile(w io.Writer, c *CSR) error {
-	if c.LabelIDs != nil {
-		return fmt.Errorf("graph: vcsr: labeled snapshots not supported")
-	}
 	p := c.packed
 	if p == nil {
 		p = packEdges(c.Dsts)
@@ -65,6 +68,13 @@ func WriteCSRFile(w io.Writer, c *CSR) error {
 	if c.Weights != nil {
 		flags |= vcsrFlagWeight
 	}
+	textLen := 0
+	if c.LabelIDs != nil {
+		flags |= vcsrFlagLabel
+		for _, l := range c.Labels {
+			textLen += len(l)
+		}
+	}
 	var hdr [vcsrHeaderLen]byte
 	copy(hdr[0:4], vcsrMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], vcsrVersion)
@@ -73,6 +83,10 @@ func WriteCSRFile(w io.Writer, c *CSR) error {
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(int(p.n)))
 	binary.LittleEndian.PutUint64(hdr[32:40], uint64(c.M()))
 	binary.LittleEndian.PutUint64(hdr[40:48], uint64(len(p.data)))
+	if c.LabelIDs != nil {
+		binary.LittleEndian.PutUint64(hdr[48:56], uint64(len(c.Labels)))
+		binary.LittleEndian.PutUint64(hdr[56:64], uint64(textLen))
+	}
 	bw := bufio.NewWriter(w)
 	bw.Write(hdr[:])
 	pos := vcsrHeaderLen
@@ -103,6 +117,16 @@ func WriteCSRFile(w io.Writer, c *CSR) error {
 			bw.Write(b[:])
 		}
 		pos += 8 * len(c.Weights)
+	}
+	if c.LabelIDs != nil {
+		writeU32s(func(i int) uint32 { return uint32(c.LabelIDs[i]) }, len(c.LabelIDs))
+		end := 0
+		writeU32s(func(i int) uint32 { end += len(c.Labels[i]); return uint32(end) }, len(c.Labels))
+		pad()
+		for _, l := range c.Labels {
+			bw.WriteString(l)
+		}
+		pos += textLen
 	}
 	return bw.Flush()
 }
@@ -168,8 +192,18 @@ func parseVCSR(buf []byte) (*Graph, error) {
 	entries := binary.LittleEndian.Uint64(buf[24:32])
 	m := binary.LittleEndian.Uint64(buf[32:40])
 	dataLen := binary.LittleEndian.Uint64(buf[40:48])
-	if n > math.MaxInt32 || entries > math.MaxInt32 || m > entries || dataLen > uint64(len(buf)) {
-		return nil, vcsrErr("implausible header n=%d entries=%d m=%d dataLen=%d", n, entries, m, dataLen)
+	labels := binary.LittleEndian.Uint64(buf[48:56])
+	textLen := binary.LittleEndian.Uint64(buf[56:64])
+	if n > math.MaxInt32 || entries > math.MaxInt32 || m > entries || dataLen > uint64(len(buf)) ||
+		labels > uint64(len(buf)) || textLen > uint64(len(buf)) {
+		return nil, vcsrErr("implausible header n=%d entries=%d m=%d dataLen=%d labels=%d textLen=%d",
+			n, entries, m, dataLen, labels, textLen)
+	}
+	if flags&^(vcsrFlagDir|vcsrFlagWeight|vcsrFlagLabel) != 0 {
+		return nil, vcsrErr("unknown flags %#x", flags)
+	}
+	if (flags&vcsrFlagLabel != 0) != (labels > 0) || (labels == 0 && textLen > 0) {
+		return nil, vcsrErr("label table of %d entries does not match flags %#x", labels, flags)
 	}
 	nb := packedNumBlocks(int(entries))
 	pos := vcsrHeaderLen
@@ -212,6 +246,11 @@ func parseVCSR(buf []byte) (*Graph, error) {
 		}
 		c.Weights = float64View(wB)
 	}
+	if flags&vcsrFlagLabel != 0 {
+		if err := parseVCSRLabels(c, section, int(entries), int(labels), int(textLen)); err != nil {
+			return nil, err
+		}
+	}
 	// Structural validation: offsets monotone and spanning entries,
 	// every block decodable, every destination in range. After this the
 	// trusted-stream decoders (mustDecodePrefix) cannot fail.
@@ -236,6 +275,44 @@ func parseVCSR(buf []byte) (*Graph, error) {
 		return nil, bad
 	}
 	return AdoptCSR(c), nil
+}
+
+// parseVCSRLabels reads the label-id section in place and copies the
+// label table out of the mapping, so the strings outlive Close. Every
+// id must index the table, and the table must start with "".
+func parseVCSRLabels(c *CSR, section func(elem, count int) ([]byte, error), entries, labels, textLen int) error {
+	idB, err := section(4, entries)
+	if err != nil {
+		return err
+	}
+	endB, err := section(4, labels)
+	if err != nil {
+		return err
+	}
+	text, err := section(1, textLen)
+	if err != nil {
+		return err
+	}
+	ends := uint32View(endB)
+	c.Labels = make([]string, labels)
+	start := uint32(0)
+	for i, end := range ends {
+		if end < start || end > uint32(textLen) || (i == 0 && end != 0) {
+			return vcsrErr("label table entry %d ends at %d, out of range [%d, %d]", i, end, start, textLen)
+		}
+		c.Labels[i] = string(text[start:end])
+		start = end
+	}
+	if start != uint32(textLen) {
+		return vcsrErr("label table ends at %d, text holds %d bytes", start, textLen)
+	}
+	c.LabelIDs = int32View(idB)
+	for i, id := range c.LabelIDs {
+		if id < 0 || int(id) >= labels {
+			return vcsrErr("label id %d out of range at entry %d", id, i)
+		}
+	}
+	return nil
 }
 
 // The in-place views: legal because every section starts 8-byte aligned

@@ -45,8 +45,8 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 			}
 			line = appendArc(append(line[:0], "e "...), VertexID(u), " ", e.Dst)
 			line = strconv.AppendFloat(append(line, ' '), e.W, 'g', -1, 64)
-			if e.L != "" {
-				line = append(append(line, ' '), e.L...)
+			if l := g.EdgeLabel(e); l != "" {
+				line = append(append(line, ' '), l...)
 			}
 			line = append(line, '\n')
 			bw.Write(line)

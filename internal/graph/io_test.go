@@ -39,7 +39,7 @@ func graphsEqual(a, b *Graph) bool {
 		m := map[triple]int{}
 		for u := range g.Out {
 			for _, e := range g.Out[u] {
-				m[triple{VertexID(u), e.Dst, e.W, e.L}]++
+				m[triple{VertexID(u), e.Dst, e.W, g.EdgeLabel(e)}]++
 			}
 		}
 		return m
@@ -67,6 +67,7 @@ func TestEdgeListRoundTripUndirected(t *testing.T) {
 func TestEdgeListRoundTripDirectedLabeled(t *testing.T) {
 	g := RandomDirected(40, 160, 5)
 	RandomLabels(g, []string{"A", "B", "C"}, 6)
+	g = withEdgeLabels(g, []string{"", "x", "y"}, 7)
 	back := roundTrip(t, g)
 	if !graphsEqual(g, back) {
 		t.Fatal("round trip changed the graph")

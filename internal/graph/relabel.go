@@ -49,7 +49,7 @@ func Relabel(g *Graph, order []VertexID) *Graph {
 			if !g.Directed && VertexID(u) > e.Dst {
 				continue // each undirected edge appears in both lists; keep one
 			}
-			out.AddLabeledEdge(newOf[u], newOf[e.Dst], e.W, e.L)
+			out.AddLabeledEdge(newOf[u], newOf[e.Dst], e.W, g.EdgeLabel(e))
 		}
 	}
 	out.SortAdjacency()

@@ -160,29 +160,21 @@ func snapFields(b []byte, f *[3][]byte) int {
 // order. Unless opt.KeepDuplicates, the first arc of each run of equal
 // destinations is kept and the rest dropped: both rows of an undirected
 // pair see the same edges in the same order, so they agree, and the
-// first line's weight wins.
+// first line's weight wins. The second sort counts the kept arcs of
+// each row first and then writes each kept arc once, straight into its
+// slot of the exact-size []Edge.
 func snapGraph(n int, src, dst []VertexID, wts []float64, opt SNAPOptions) *Graph {
 	g := New(n, opt.Directed)
-	arcDst := func(a uint32) VertexID {
-		if a&1 == 0 {
-			return dst[a>>1]
-		}
-		return src[a>>1]
-	}
 	at := make([]int32, n+1)
-	count := func(ends, others []VertexID) {
-		clear(at)
-		for i, e := range ends {
-			at[e+1]++
-			if !opt.Directed && e != others[i] {
-				at[others[i]+1]++
-			}
-		}
-		for v := 0; v < n; v++ {
-			at[v+1] += at[v]
+	for i, d := range dst {
+		at[d+1]++
+		if !opt.Directed && d != src[i] {
+			at[src[i]+1]++
 		}
 	}
-	count(dst, src)
+	for v := 0; v < n; v++ {
+		at[v+1] += at[v]
+	}
 	byDst := make([]uint32, at[n])
 	for i := range src {
 		byDst[at[dst[i]]] = uint32(2 * i)
@@ -192,38 +184,43 @@ func snapGraph(n int, src, dst []VertexID, wts []float64, opt SNAPOptions) *Grap
 			at[src[i]]++
 		}
 	}
-	count(src, dst)
-	rows := make([]uint32, len(byDst))
-	for _, a := range byDst {
-		s := arcDst(a ^ 1) // a's source: a^1 reads the edge the other way
-		rows[at[s]] = a
-		at[s]++
-	}
-	// at[v] now ends row v.
-	if !opt.KeepDuplicates {
-		k, lo := 0, int32(0)
-		for v := 0; v < n; v++ {
-			prev := NoVertex
-			for _, a := range rows[lo:at[v]] {
-				if d := arcDst(a); d != prev {
-					rows[k], prev = a, d
-					k++
-				}
+	// byDst lists the arcs by destination, so each row's arcs come in
+	// destination order and a duplicate follows the arc it repeats:
+	// last[s] is the destination of row s's latest kept arc.
+	last := make([]VertexID, n)
+	each := func(keep func(s, d VertexID, a uint32)) {
+		for i := range last {
+			last[i] = NoVertex
+		}
+		for _, a := range byDst {
+			s, d := src[a>>1], dst[a>>1]
+			if a&1 != 0 {
+				s, d = d, s
 			}
-			lo, at[v] = at[v], int32(k)
+			if opt.KeepDuplicates || last[s] != d {
+				last[s] = d
+				keep(s, d, a)
+			}
 		}
-		rows = rows[:k]
 	}
-	buf := make([]Edge, len(rows))
-	for k, a := range rows {
-		buf[k] = Edge{Dst: arcDst(a), W: 1}
+	clear(at)
+	each(func(s, _ VertexID, _ uint32) { at[s+1]++ })
+	for v := 0; v < n; v++ {
+		at[v+1] += at[v]
+	}
+	buf := make([]Edge, at[n])
+	each(func(s, d VertexID, a uint32) {
+		e := &buf[at[s]]
+		e.Dst, e.W = d, 1
 		if wts != nil {
-			buf[k].W = wts[a>>1]
+			e.W = wts[a>>1]
 		}
+		at[s]++
 		if a&1 == 0 {
 			g.numEdges++
 		}
-	}
+	})
+	// at[v] now ends row v.
 	lo := int32(0)
 	for v := range g.Out {
 		if hi := at[v]; hi > lo {

@@ -7,10 +7,12 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // readSNAPReference is the first ReadSNAP: one string per line, a
@@ -114,10 +116,10 @@ func assertSameSNAPGraph(t *testing.T, got, want *Graph) {
 		w uint64
 		l string
 	}
-	runKey := func(run []Edge) []arc {
+	runKey := func(g *Graph, run []Edge) []arc {
 		out := make([]arc, len(run))
 		for i, e := range run {
-			out[i] = arc{math.Float64bits(e.W), e.L}
+			out[i] = arc{math.Float64bits(e.W), g.EdgeLabel(e)}
 		}
 		slices.SortFunc(out, func(a, b arc) int {
 			return cmp.Or(cmp.Compare(a.w, b.w), strings.Compare(a.l, b.l))
@@ -140,7 +142,7 @@ func assertSameSNAPGraph(t *testing.T, got, want *Graph) {
 						t.Fatalf("%s[%d][%d].Dst = %d, want %d", side, v, i, gr[i].Dst, wr[i].Dst)
 					}
 				}
-				if !slices.Equal(runKey(gr[lo:hi]), runKey(wr[lo:hi])) {
+				if !slices.Equal(runKey(got, gr[lo:hi]), runKey(want, wr[lo:hi])) {
 					t.Fatalf("%s[%d] arcs to %d: %v, want %v", side, v, wr[lo].Dst, gr[lo:hi], wr[lo:hi])
 				}
 				lo = hi
@@ -315,6 +317,38 @@ func TestReadSNAPAllocsIndependentOfLines(t *testing.T) {
 			t.Logf("(race build) allocs grew %.2fx with 10x the lines", large/small)
 		} else {
 			t.Fatalf("allocs grew %.2fx with 10x the lines, want at most 1.5x", large/small)
+		}
+	}
+}
+
+// TestReadSNAPBytesPerArc bounds the heap ReadSNAP allocates per
+// adjacency entry on the ingest benchmark's input, and pins the 16-byte
+// Edge the bound rests on. Scanner buffer, interning and the edge
+// arrays all count.
+func TestReadSNAPBytesPerArc(t *testing.T) {
+	if size := unsafe.Sizeof(Edge{}); size != 16 {
+		t.Fatalf("Edge is %d bytes, want 16", size)
+	}
+	data := benchmarkShapeSNAP(RMAT(15, 250000, 1), 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g, err := ReadSNAP(strings.NewReader(data), SNAPOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arcs := 0
+	for _, row := range g.Out {
+		arcs += len(row)
+	}
+	perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(arcs)
+	t.Logf("ReadSNAP: %d arcs, %.1f heap bytes per arc", arcs, perArc)
+	if perArc > 40 {
+		if raceEnabled {
+			t.Logf("(race build) %.1f bytes per arc, bound 40", perArc)
+		} else {
+			t.Fatalf("%.1f heap bytes per arc, want at most 40", perArc)
 		}
 	}
 }

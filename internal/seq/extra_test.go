@@ -282,3 +282,41 @@ func TestPersonalizedPageRankMassConserved(t *testing.T) {
 		t.Fatalf("terminal mass %v", sum)
 	}
 }
+
+// TestInducedSubgraphKeepsEdgeLabels: strong simulation's ball copy
+// carries each edge's label string into the subgraph's own label table.
+func TestInducedSubgraphKeepsEdgeLabels(t *testing.T) {
+	g := graph.New(6, true)
+	labels := []string{"", "knows", "likes", "knows", "", "owns", "likes"}
+	for i, l := range labels {
+		g.AddLabeledEdge(VertexID(i%6), VertexID((i+2)%6), float64(i+1), l)
+	}
+	vs := []VertexID{0, 2, 3, 4, 5}
+	sub, idx := inducedSubgraph(g, vs)
+	type arc struct {
+		u, v VertexID
+		w    float64
+		l    string
+	}
+	want, got := map[arc]int{}, map[arc]int{}
+	for _, u := range vs {
+		for _, e := range g.Out[u] {
+			if j, ok := idx[e.Dst]; ok {
+				want[arc{VertexID(idx[u]), VertexID(j), e.W, g.EdgeLabel(e)}]++
+			}
+		}
+	}
+	for u := range sub.Out {
+		for _, e := range sub.Out[u] {
+			got[arc{VertexID(u), e.Dst, e.W, sub.EdgeLabel(e)}]++
+		}
+	}
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("subgraph arcs %v, want %v", got, want)
+	}
+	for a, c := range want {
+		if got[a] != c {
+			t.Fatalf("subgraph arc %+v seen %d times, want %d", a, got[a], c)
+		}
+	}
+}

@@ -261,7 +261,7 @@ func inducedSubgraph(g *graph.Graph, vs []VertexID) (*graph.Graph, map[VertexID]
 	for i, v := range vs {
 		for _, e := range g.Out[v] {
 			if j, ok := idx[e.Dst]; ok {
-				sub.AddLabeledEdge(VertexID(i), VertexID(j), e.W, e.L)
+				sub.AddLabeledEdge(VertexID(i), VertexID(j), e.W, g.EdgeLabel(e))
 			}
 		}
 	}

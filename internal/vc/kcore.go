@@ -5,6 +5,7 @@ import (
 	"vcgraph/internal/graph"
 	"vcgraph/internal/plan"
 	"vcgraph/internal/pregel"
+	"vcgraph/internal/runtime"
 )
 
 // k-core decomposition, the distributed algorithm of Montresor et al.:
@@ -52,7 +53,7 @@ type kcoreProgram struct {
 
 func newKCoreProgram(g *graph.Graph, packed bool) *kcoreProgram {
 	n := g.N()
-	offs := make([]int, n+1)
+	offs := runtime.TakeArray[int](n + 1)
 	maxDeg := 0
 	for v := 0; v < n; v++ {
 		d := g.Degree(VertexID(v))
@@ -69,6 +70,14 @@ func newKCoreProgram(g *graph.Graph, packed bool) *kcoreProgram {
 		p.est.Set(v, uint64(p.deg(v)))
 	}
 	return p
+}
+
+// release gives the stores' arrays and offs back to the run-buffer
+// cache once the run's core numbers have been read.
+func (p *kcoreProgram) release() {
+	keepStateStore(p.est)
+	keepStateStore(p.hist)
+	runtime.KeepArray(p.offs)
 }
 
 func (p *kcoreProgram) deg(v int) int { return p.offs[v+1] - p.offs[v] - 1 }
@@ -176,6 +185,7 @@ func kcorePregel(g *graph.Graph, _ Args, env Env) func() ([]int32, *bsp.Stats, e
 		for v := range core {
 			core[v] = int32(prog.est.Get(v))
 		}
+		prog.release()
 		return core, res.Stats, err
 	}
 }
