@@ -35,9 +35,9 @@ import (
 
 // RunCacheBudget is the most bytes of buffers the cache keeps between
 // runs. It holds, with room for concurrent jobs, what one pass of each
-// benchmark workload leaves behind (seed 1, W = 2): 28.7 MiB after
+// benchmark workload leaves behind (seed 1, W = 2): 33.2 MiB after
 // dense-rank (PageRank on four engines plus k-core on R-MAT n = 2^15,
-// m = 250,000), most of it k-core's mailbox lanes; 16.1 MiB after
+// m = 250,000), most of it k-core's mailbox lanes and stores; 16.1 MiB after
 // sparse-frontier (SSSP on every engine over a 160,000-vertex grid),
 // nearly all of it per-vertex arrays; 2.1 MiB after ingest-packed and
 // 2.8 MiB after serve-mixed, whose faulted jobs give their checkpoint
